@@ -17,9 +17,9 @@ GATE_OVERRIDES ?= BenchmarkHistoryTopN=15,BenchmarkConcurrentExec=50,BenchmarkE8
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test race lint stethovet docscheck bench bench-smoke bench-record examples
+.PHONY: verify fmt vet build test race lint stethovet docscheck bench bench-smoke bench-module bench-record examples
 
-verify: fmt vet build test race bench-smoke
+verify: fmt vet build test race bench-smoke bench-module
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -68,6 +68,13 @@ bench:
 # at least once, with tests excluded.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# bench-module mirrors the CI verify job's last step: bench/ is a module
+# of its own (replace stethoscope => ../) that ./... never reaches, so
+# an internal-API change that breaks the benchmark fails here.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # bench-record mirrors the CI bench-record job: the experiment
 # benchmarks, 3 repetitions, converted to BENCH_<sha>.json. When a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"stethoscope/internal/adaptive"
 	"stethoscope/internal/algebra"
 	"stethoscope/internal/compiler"
 	"stethoscope/internal/engine"
@@ -32,7 +33,6 @@ type DebugStep struct {
 // session over it. Partition settings pass through the same
 // normalization and Auto resolution as Exec and Explain.
 func (db *DB) Debug(query string, opts ...ExecOption) (*Debugger, error) {
-	ec := db.execConfig(opts)
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: parse: %w", err)
@@ -41,12 +41,12 @@ func (db *DB) Debug(query string, opts ...ExecOption) (*Debugger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: bind: %w", err)
 	}
-	partitions, _ := planner.ResolvePartitions(db.cat, ec.partitions, tree)
+	partitions, _ := planner.ResolvePartitions(db.cat, adaptive.Normalize(db.settings(opts).Partitions), tree)
 	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: partitions})
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: compile: %w", err)
 	}
-	d, err := engine.NewDebugger(db.eng, plan, nil)
+	d, err := engine.NewDebugger(db.run.Engine, plan, nil)
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: %w", err)
 	}

@@ -45,9 +45,11 @@
 //
 // Auto defers the choice to the adaptive tuner at execution time; the
 // resolved values and the reason land in Result.Stats (Partitions,
-// Workers, MorselRows, TuneReason). Out-of-range numeric values clamp
-// to 1 through the shared rule in internal/adaptive; Open-time options
-// reject invalid values outright.
+// Workers, MorselRows, TuneReason). Auto is the only value below 1 that
+// means anything: every other out-of-range value (0, -1, ...) given to
+// an ExecOption clamps to 1, once, in the run service every entry point
+// shares (internal/runner); Open-time options reject invalid values
+// outright.
 //
 // Concurrent identical statements share work instead of repeating it:
 // non-streaming executions with the same SQL and settings single-flight

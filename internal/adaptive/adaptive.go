@@ -11,13 +11,17 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 )
 
 // Auto is the sentinel partition/worker count that requests adaptive
 // selection: the fan-out is chosen per query from the catalog row
-// counts and the machine's core count instead of being fixed.
-const Auto = -1
+// counts and the machine's core count instead of being fixed. It is
+// the one int no out-of-range input is mistaken for: Normalize sends
+// every other value below 1 to 1, so a stray 0 or -1 means "sequential",
+// never "adaptive".
+const Auto = math.MinInt
 
 // MinRowsPerPartition is the smallest slice worth a partition: below
 // this, the per-fragment instruction overhead (slice, select, pack)
@@ -55,27 +59,15 @@ func MorselRowsFor(rows, procs int) (int, string) {
 	return m, fmt.Sprintf("auto: shape=morsel rows=%d procs=%d -> morsel=%d", rows, procs, m)
 }
 
-// Normalize clamps a partition or worker setting into its valid
-// domain: Auto is preserved, anything below 1 becomes 1. Every
-// execution entry point (Exec, Explain, Debug, server QUERY) must pass
-// its settings through here before plan-cache keys are built or
-// metadata is recorded — ExecPartitions(0) used to compile the same
-// plan as partitions=1 under a distinct cache key and to write the
-// bogus 0 into the history RunMeta.
+// Normalize clamps a partition, worker or morsel setting into its
+// valid domain: Auto is preserved, anything else below 1 becomes 1.
+// runner.Prepare applies it to every setting before plan-cache and
+// shared-work keys are built or metadata is recorded —
+// ExecPartitions(0) used to compile the same plan as partitions=1
+// under a distinct cache key and to write the bogus 0 into the history
+// RunMeta.
 func Normalize(n int) int {
-	if n == Auto {
-		return Auto
-	}
-	return Clamp(n)
-}
-
-// Clamp is the explicit-value half of the normalization rule: anything
-// below 1 becomes 1, with no Auto sentinel pass-through. Entry points
-// whose inputs spell adaptive mode out of band (the server's textual
-// "auto" keyword) use this so a numeric -1 cannot silently enable
-// adaptive sizing.
-func Clamp(n int) int {
-	if n < 1 {
+	if n < 1 && n != Auto {
 		return 1
 	}
 	return n

@@ -9,6 +9,7 @@ func TestNormalize(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{Auto, Auto},
 		{0, 1},
+		{-1, 1},
 		{-2, 1},
 		{-17, 1},
 		{1, 1},

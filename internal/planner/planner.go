@@ -116,12 +116,12 @@ func (c Compiled) ResolveExec(requestedWorkers int) (workers int, autoTuned bool
 	return workers, autoTuned, adaptive.JoinReasons(c.TuneReason, wreason)
 }
 
-// ResolveMorsel turns a session's morsel setting into the engine's
+// ResolveMorsel turns a normalized morsel setting into the engine's
 // MorselRows option: 0 means morsel mode off (the plan was compiled
 // without fragments and the option is ignored anyway), Auto sizes the
 // morsel from the compiled plan's driver rows, and explicit sizes pass
-// through clamped. Shared by the facade Exec/Stream paths and the
-// server QUERY path so the recorded resolutions can never diverge.
+// through. runner.Prepare is the caller, so every entry point records
+// the same resolution.
 func (c Compiled) ResolveMorsel(requested int) (morselRows int, autoTuned bool, reason string) {
 	switch {
 	case requested == 0:
@@ -130,7 +130,7 @@ func (c Compiled) ResolveMorsel(requested int) (morselRows int, autoTuned bool, 
 		m, r := adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
 		return m, true, r
 	default:
-		return adaptive.Clamp(requested), false, ""
+		return requested, false, ""
 	}
 }
 
@@ -151,8 +151,8 @@ func ResolvePartitions(cat *storage.Catalog, requested int, tree algebra.Node) (
 }
 
 // Compile lowers SQL to an optimized MAL plan, consulting the cache
-// first. partitions must be normalized by the caller (adaptive.
-// Normalize / adaptive.Clamp); the Auto sentinel keys the cache
+// first. partitions must be normalized by the caller
+// (adaptive.Normalize); the Auto sentinel keys the cache
 // directly and is resolved here — after bind — with the resolution
 // memoized in the entry. Cached plans are shared between concurrent
 // executions and must be treated as immutable; Aux memoizes derived

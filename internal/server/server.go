@@ -10,7 +10,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -24,47 +23,33 @@ import (
 	"stethoscope/internal/engine"
 	"stethoscope/internal/metrics"
 	"stethoscope/internal/netproto"
-	"stethoscope/internal/optimizer"
-	"stethoscope/internal/plancache"
-	"stethoscope/internal/planner"
 	"stethoscope/internal/profiler"
-	"stethoscope/internal/sharedwork"
+	"stethoscope/internal/runner"
 	"stethoscope/internal/sql"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tracestore"
 )
 
-// DefaultPlanCacheSize is the compiled-plan cache capacity a standalone
-// server creates when Config.Cache is nil.
-const DefaultPlanCacheSize = plancache.DefaultSize
-
-// Server wraps an engine behind the TCP command protocol. Sessions run
-// concurrently — each accepted connection gets its own goroutine and
-// its own execution settings — against the shared engine and the shared
-// compiled-plan cache, so one client's statements warm the cache for
-// every other client.
+// Server wraps a run service behind the TCP command protocol. Sessions
+// run concurrently — each accepted connection gets its own goroutine
+// and its own execution settings — against the runner's shared engine,
+// compiled-plan cache and shared-work state, so one client's statements
+// warm the cache for every other client and for the in-process callers
+// of the same runner.
 type Server struct {
-	Name     string
-	eng      *engine.Engine
-	cache    *plancache.Cache
-	pipeline optimizer.Pipeline
-	passSpec string
-	planner  planner.Planner
-	shared   *sharedwork.Shared
-	history  *tracestore.Store
-	onQuery  func(events int)
+	Name string
+	run  *runner.Runner
 
-	// Observability: the metrics registry (shared with the facade when
-	// the DB injects one, private otherwise) and the server-layer cells.
-	reg            *metrics.Registry
+	// The server-layer cells, homed in the runner's registry so the
+	// METRICS command and the HTTP endpoint expose one unified set.
 	sessionsTotal  *metrics.Counter
 	sessionsActive *metrics.Gauge
 	commands       *metrics.Counter
 	bytesOut       *metrics.Counter
-	latency        *metrics.Histogram
 
-	// ctx is the server lifetime: queries execute under it, so Close (or
-	// cancellation of the parent context) aborts in-flight executions.
+	// ctx is the server lifetime: every session's context derives from
+	// it, so Close (or cancellation of the parent context) aborts
+	// in-flight executions.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -74,133 +59,25 @@ type Server struct {
 	wg    sync.WaitGroup
 }
 
-// Config customizes what a server shares. Zero values select private
-// defaults, which is what standalone mserver processes want; the facade
-// injects its own engine, cache, and pipeline so in-process Exec
-// callers and TCP sessions serve from the same compiled-plan state.
-type Config struct {
-	// Engine executes queries; nil builds a fresh engine over the
-	// catalog.
-	Engine *engine.Engine
-	// Cache is the shared compiled-plan cache; nil creates a private
-	// cache of DefaultPlanCacheSize entries unless NoCache is set.
-	Cache *plancache.Cache
-	// NoCache disables plan caching entirely (every statement compiles
-	// from scratch).
-	NoCache bool
-	// Pipeline is the optimizer pipeline; nil selects
-	// optimizer.Default().
-	Pipeline *optimizer.Pipeline
-	// PassSpec is the pipeline's cache-key component; empty derives it
-	// from the pipeline (Pipeline.Spec).
-	PassSpec string
-	// History, when non-nil, durably records every QUERY execution
-	// (plan dot text + profiler event stream + completion stats) into
-	// the trace store and enables the HISTORY protocol command.
-	History *tracestore.Store
-	// OnQuery, when non-nil, is called once per successful QUERY with
-	// the number of profiler events the execution emitted. The count is
-	// taken at the profiler — once per event — never from the transport,
-	// so EVTB-coalesced datagrams do not skew it.
-	OnQuery func(events int)
-	// Registry is the metrics registry the server's session/command/
-	// byte counters land in; the facade injects the DB's registry so
-	// the METRICS command and the HTTP endpoint expose one unified set.
-	// Nil creates a private registry (and instruments the private
-	// engine/cache built here, when they are private too).
-	Registry *metrics.Registry
-	// Shared is the work-deduplication state QUERY executes through:
-	// the single-flight execution registry plus the optional result
-	// cache. The facade injects the DB's, so TCP sessions and
-	// in-process Exec callers dedupe against each other; nil creates a
-	// private flight with no result cache.
-	Shared *sharedwork.Shared
-	// CompileFlight coalesces concurrent cache-miss compilations; the
-	// facade injects the DB's so coalescing spans entry points. Nil
-	// creates a private flight.
-	CompileFlight *planner.CompileFlight
-}
-
-// New creates a server over the catalog.
-func New(name string, cat *storage.Catalog) *Server {
-	return NewContext(context.Background(), name, cat)
-}
-
-// NewContext creates a server whose lifetime is bounded by ctx: when ctx
-// is canceled the listener shuts down and running queries are aborted.
-func NewContext(ctx context.Context, name string, cat *storage.Catalog) *Server {
-	return NewWithConfig(ctx, name, cat, Config{})
-}
-
-// NewWithConfig is NewContext with shared components injected; see
-// Config.
-func NewWithConfig(ctx context.Context, name string, cat *storage.Catalog, cfg Config) *Server {
+// New creates a server over the run service whose lifetime is bounded
+// by ctx: when ctx is canceled the listener shuts down and running
+// queries are aborted. Everything the sessions share — engine, caches,
+// history, metrics registry — is the runner's; runner.New holds the
+// defaults.
+func New(ctx context.Context, name string, run *runner.Runner) *Server {
 	ctx, cancel := context.WithCancel(ctx)
-	s := &Server{Name: name, ctx: ctx, cancel: cancel}
-	s.eng = cfg.Engine
-	if s.eng == nil {
-		s.eng = engine.New(cat)
+	reg := run.Registry
+	return &Server{
+		Name:           name,
+		run:            run,
+		sessionsTotal:  reg.Counter("stetho_server_sessions_total"),
+		sessionsActive: reg.Gauge("stetho_server_sessions_active"),
+		commands:       reg.Counter("stetho_server_commands_total"),
+		bytesOut:       reg.Counter("stetho_server_bytes_written_total"),
+		ctx:            ctx,
+		cancel:         cancel,
 	}
-	s.cache = cfg.Cache
-	if s.cache == nil && !cfg.NoCache {
-		s.cache = plancache.New(DefaultPlanCacheSize)
-	}
-	if cfg.Pipeline != nil {
-		s.pipeline = *cfg.Pipeline
-	} else {
-		s.pipeline = optimizer.Default()
-	}
-	s.passSpec = cfg.PassSpec
-	if s.passSpec == "" {
-		s.passSpec = s.pipeline.Spec()
-	}
-	s.history = cfg.History
-	s.onQuery = cfg.OnQuery
-	s.reg = cfg.Registry
-	if s.reg == nil {
-		// Standalone server: private registry, and the privately-built
-		// engine/cache/history feed it. Injected components are left
-		// alone — their owner wired them to its own registry.
-		s.reg = metrics.NewRegistry()
-		if cfg.Engine == nil {
-			s.eng.SetMetrics(s.reg)
-		}
-		if cfg.Cache == nil && s.cache != nil {
-			s.cache.Instrument(s.reg)
-		}
-	}
-	s.sessionsTotal = s.reg.Counter("stetho_server_sessions_total")
-	s.sessionsActive = s.reg.Gauge("stetho_server_sessions_active")
-	s.commands = s.reg.Counter("stetho_server_commands_total")
-	s.bytesOut = s.reg.Counter("stetho_server_bytes_written_total")
-	s.latency = s.reg.Histogram("stetho_query_latency_us", nil)
-	s.shared = cfg.Shared
-	if s.shared == nil {
-		// Standalone server: a private single-flight (identical
-		// concurrent QUERYs still dedupe) and no result cache. Injected
-		// Shared state was instrumented by its owner.
-		s.shared = &sharedwork.Shared{Flight: sharedwork.NewFlight()}
-		s.shared.Instrument(s.reg)
-	}
-	s.planner = planner.Planner{Cat: s.eng.Catalog(), Cache: s.cache, Pipeline: s.pipeline,
-		PassSpec: s.passSpec, Flight: cfg.CompileFlight}
-	if s.planner.Flight == nil {
-		s.planner.Flight = planner.NewCompileFlight()
-	}
-	return s
 }
-
-// CacheStats snapshots the shared plan cache's counters (zero when
-// caching is disabled).
-func (s *Server) CacheStats() plancache.Stats {
-	if s.cache == nil {
-		return plancache.Stats{}
-	}
-	return s.cache.Stats()
-}
-
-// Engine exposes the underlying engine (examples drive it directly).
-func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Listen binds the TCP port ("127.0.0.1:0" picks a free one) and serves
 // until Close.
@@ -263,21 +140,19 @@ func (s *Server) Close() error {
 }
 
 // session is per-connection state: execution settings, filter, and the
-// profiler stream are isolated per client; the engine, the plan cache,
-// and the history store are shared with every other session. The
-// profiler itself is built per QUERY (engine runs reset profiler state,
-// so a profiler must not span concurrent runs). Sessions default to
-// adaptive parallel execution (partitions and workers auto): fan-out is
-// sized per query from the scanned tables and the core count; SET
-// pins either setting explicitly.
+// profiler stream are isolated per client; everything behind the runner
+// is shared with every other session. Sessions default to adaptive
+// parallel execution (partitions and workers auto): fan-out is sized
+// per query from the scanned tables and the core count; SET pins either
+// setting explicitly.
 type session struct {
-	srv        *Server
-	partitions int
-	workers    int
-	// morsel selects the morsel-driven lowering when non-zero: a
-	// concrete morsel size, or adaptive.Auto for per-query sizing. Zero
-	// (the default) keeps the static mitosis lowering.
-	morsel int
+	srv *Server
+	// ctx is the session lifetime: derived from the server context and
+	// canceled when the connection handler returns. QUERY executes under
+	// it, so a shared run led by a session that went away is re-run by
+	// its live followers instead of failing them.
+	ctx      context.Context
+	settings runner.Settings
 	// resultcache opts this session's QUERYs into the server's shared
 	// result cache (on by default; meaningful only when the server has
 	// one). "SET resultcache off" forces fresh execution — the escape
@@ -313,22 +188,22 @@ func (sess *session) closeStream() {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	// Unblock the read loop when the server shuts down: without this,
+	// The session context ends with the server or with this handler,
+	// whichever comes first, and takes the connection with it. That
+	// unblocks the read loop when the server shuts down: without it,
 	// Close would wait forever on a handler parked in sc.Scan for an
 	// idle client. Closing a net.Conn twice is safe.
-	stop := make(chan struct{})
-	defer close(stop)
+	ctx, cancel := context.WithCancel(s.ctx)
+	defer cancel()
 	go func() {
-		select {
-		case <-s.ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
+		<-ctx.Done()
+		conn.Close()
 	}()
 	s.sessionsTotal.Inc()
 	s.sessionsActive.Add(1)
 	defer s.sessionsActive.Add(-1)
-	sess := &session{srv: s, partitions: adaptive.Auto, workers: adaptive.Auto, resultcache: true}
+	sess := &session{srv: s, ctx: ctx, resultcache: true,
+		settings: runner.Settings{Partitions: adaptive.Auto, Workers: adaptive.Auto}}
 	defer func() { sess.closeStream() }()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -391,11 +266,11 @@ func (sess *session) dispatch(w *bufio.Writer, line string) {
 		sess.cmdStats(w)
 	case "METRICS":
 		fmt.Fprintln(w, "ok")
-		sess.srv.reg.WritePrometheus(w)
+		sess.srv.run.Registry.WritePrometheus(w)
 		fmt.Fprintln(w, ".")
 	case "PROGRESS":
 		fmt.Fprintln(w, "ok")
-		for _, p := range sess.srv.eng.Progress() {
+		for _, p := range sess.srv.run.Engine.Progress() {
 			fmt.Fprintf(w, "id=%d elapsed_us=%d fraction=%.4f instr_done=%d instr_total=%d rows_scanned=%d rows_total=%d morsels_done=%d morsels_total=%d sql=%s\n",
 				p.ID, p.Elapsed.Microseconds(), p.Fraction(),
 				p.InstrDone, p.InstrTotal, p.RowsScanned, p.RowsTotal,
@@ -404,7 +279,7 @@ func (sess *session) dispatch(w *bufio.Writer, line string) {
 		fmt.Fprintln(w, ".")
 	case "TABLES":
 		fmt.Fprintln(w, "ok")
-		for _, t := range sess.srv.eng.Catalog().TableNames() {
+		for _, t := range sess.srv.run.Engine.Catalog().TableNames() {
 			fmt.Fprintln(w, t)
 		}
 		fmt.Fprintln(w, ".")
@@ -421,11 +296,11 @@ func (sess *session) dispatch(w *bufio.Writer, line string) {
 // Clients parse every payload line as flat k=v fields, so added lines
 // are backward compatible.
 func (sess *session) cmdStats(w *bufio.Writer) {
-	st := sess.srv.CacheStats()
-	snap := sess.srv.reg.Snapshot()
+	st := sess.srv.run.Stats()
+	snap := sess.srv.run.Registry.Snapshot()
 	fmt.Fprintln(w, "ok")
 	fmt.Fprintf(w, "cache_hits=%d cache_misses=%d cache_evictions=%d cache_len=%d cache_cap=%d\n",
-		st.Hits, st.Misses, st.Evictions, st.Len, st.Capacity)
+		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Len, st.Cache.Capacity)
 	fmt.Fprintf(w, "engine_runs=%d engine_instructions=%d engine_steals=%d engine_parks=%d engine_queries_inflight=%d morsels_claimed=%d morsel_rows_scanned=%d\n",
 		snap.Value("stetho_engine_runs_total"),
 		snap.Value("stetho_engine_instructions_total"),
@@ -439,10 +314,9 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 		snap.Value("stetho_server_sessions_active"),
 		snap.Value("stetho_server_commands_total"),
 		snap.Value("stetho_server_bytes_written_total"))
-	rc := sess.srv.shared.Cache.Stats()
+	rc := st.ResultCache
 	fmt.Fprintf(w, "sharedwork_led=%d sharedwork_attached=%d resultcache_hits=%d resultcache_misses=%d resultcache_len=%d resultcache_invalidations=%d\n",
-		sess.srv.shared.Flight.Led(), sess.srv.shared.Flight.Attached(),
-		rc.Hits, rc.Misses, rc.Len, rc.Invalidations)
+		st.SharedLed, st.SharedAttached, rc.Hits, rc.Misses, rc.Len, rc.Invalidations)
 	fmt.Fprintln(w, ".")
 }
 
@@ -452,12 +326,11 @@ func (sess *session) cmdSet(w *bufio.Writer, rest string) {
 		fmt.Fprintln(w, "err usage: SET <partitions|workers|morsel|resultcache> <n|auto|on|off>")
 		return
 	}
-	// "auto" is the only spelling of adaptive sizing on the wire;
-	// numeric values — including -1, which the Go API reserves as the
-	// Auto sentinel — clamp through the shared rule (below 1 becomes
-	// 1), so a session can never compile under an out-of-range setting
-	// nor switch modes by accident. "SET morsel off" is the one
-	// non-numeric extra for the numeric settings: it returns the
+	// "auto" is the only spelling of adaptive sizing on the wire:
+	// numbers below 1 become 1 right here, so no numeric value — not
+	// even the one the Go API reserves as the Auto sentinel — can switch
+	// a session to adaptive mode by accident. "SET morsel off" is the
+	// one non-numeric extra for the numeric settings: it returns the
 	// session to the static lowering. "SET resultcache on|off" is a
 	// pure boolean.
 	setting, value := strings.ToLower(fields[0]), fields[1]
@@ -475,7 +348,7 @@ func (sess *session) cmdSet(w *bufio.Writer, rest string) {
 		return
 	}
 	if setting == "morsel" && strings.EqualFold(value, "off") {
-		sess.morsel = 0
+		sess.settings.Morsel = false
 		fmt.Fprintln(w, "ok")
 		return
 	}
@@ -486,15 +359,17 @@ func (sess *session) cmdSet(w *bufio.Writer, rest string) {
 			fmt.Fprintf(w, "err bad value %q\n", value)
 			return
 		}
-		n = adaptive.Clamp(v)
+		if n = v; n < 1 {
+			n = 1
+		}
 	}
 	switch setting {
 	case "partitions":
-		sess.partitions = n
+		sess.settings.Partitions = n
 	case "workers":
-		sess.workers = n
+		sess.settings.Workers = n
 	case "morsel":
-		sess.morsel = n
+		sess.settings.MorselRows, sess.settings.Morsel = n, true
 	default:
 		fmt.Fprintf(w, "err unknown setting %q\n", fields[0])
 		return
@@ -517,7 +392,7 @@ func (sess *session) cmdTrace(w *bufio.Writer, addr string) {
 	// Events coalesce into multi-event datagrams on their way out — one
 	// syscall per batch instead of per event on the hot trace path.
 	sess.batcher = profiler.NewBatcher(streamer, traceBatchSize, traceFlushEvery)
-	sess.batcher.Instrument(sess.srv.reg)
+	sess.batcher.Instrument(sess.srv.run.Registry)
 	streamer.Hello(sess.srv.Name)
 	fmt.Fprintln(w, "ok tracing to "+addr)
 }
@@ -570,17 +445,6 @@ func (sess *session) cmdFilter(w *bufio.Writer, rest string) {
 	fmt.Fprintln(w, "ok")
 }
 
-// compile turns SQL into an optimized MAL plan under the session's
-// settings through the shared planner flow (internal/planner — the
-// same flow the facade's Exec/Explain compile through, so facade
-// callers and TCP sessions share auto-compiled plans and their
-// memoized resolutions). The session's partition setting is
-// pre-normalized by cmdSet; cached plans are shared read-only between
-// sessions executing concurrently.
-func (sess *session) compile(query string) (planner.Compiled, error) {
-	return sess.srv.planner.Compile(query, sess.partitions, sess.morsel != 0)
-}
-
 // cmdAlgebra prints the bound relational-algebra tree, the stage between
 // SQL and MAL (paper §2).
 func (sess *session) cmdAlgebra(w *bufio.Writer, query string) {
@@ -589,7 +453,7 @@ func (sess *session) cmdAlgebra(w *bufio.Writer, query string) {
 		fmt.Fprintf(w, "err %v\n", err)
 		return
 	}
-	tree, err := algebra.Bind(stmt, sess.srv.eng.Catalog())
+	tree, err := algebra.Bind(stmt, sess.srv.run.Engine.Catalog())
 	if err != nil {
 		fmt.Fprintf(w, "err %v\n", err)
 		return
@@ -600,278 +464,62 @@ func (sess *session) cmdAlgebra(w *bufio.Writer, query string) {
 }
 
 func (sess *session) cmdExplain(w *bufio.Writer, query string) {
-	c, err := sess.compile(query)
+	p, err := sess.srv.run.Prepare(query, sess.settings)
 	if err != nil {
 		fmt.Fprintf(w, "err %v\n", err)
 		return
 	}
 	fmt.Fprintln(w, "ok")
-	fmt.Fprint(w, c.Plan.String())
+	fmt.Fprint(w, p.Plan.String())
 	fmt.Fprintln(w, ".")
 }
 
 func (sess *session) cmdDot(w *bufio.Writer, query string) {
-	c, err := sess.compile(query)
+	p, err := sess.srv.run.Prepare(query, sess.settings)
 	if err != nil {
 		fmt.Fprintf(w, "err %v\n", err)
 		return
 	}
 	fmt.Fprintln(w, "ok")
-	fmt.Fprint(w, plancache.DotText(c.Plan, c.Aux))
+	fmt.Fprint(w, p.Dot())
 	fmt.Fprintln(w, ".")
 }
 
-// countingSink counts profiler events one by one — the serving
-// counters' source of truth. It deliberately sits at the profiler, not
-// the transport: counting flushed EVTB datagrams would undercount by
-// the batch factor.
-type countingSink struct{ n int }
-
-// Emit implements profiler.Sink.
-func (c *countingSink) Emit(profiler.Event) { c.n++ }
-
-// cmdQuery executes one statement. Sessions without a live TRACE
-// stream execute through the server's shared-work state: a statement
-// whose key (SQL + compile geometry) matches an in-flight execution
-// attaches to it and writes the same result bytes without running the
-// plan, and — when the server has a result cache and the session has
-// not opted out — completed outcomes are reused within their TTL.
-// Sessions that are streaming a trace always run solo: the UDP
-// dot-then-events protocol is per-session and cannot be replayed from
-// a shared outcome.
+// cmdQuery executes one statement through the run service. Sessions
+// without a live TRACE stream share work: a statement whose key (SQL +
+// compile geometry) matches an in-flight execution attaches to it and
+// writes the same result bytes without running the plan, and — when the
+// server has a result cache and the session has not opted out —
+// completed outcomes are reused within their TTL. Sessions that are
+// streaming a trace always execute: the UDP dot-then-events protocol is
+// per-session and cannot be replayed from a shared outcome.
 func (sess *session) cmdQuery(w *bufio.Writer, query string) {
-	srv := sess.srv
-	c, err := sess.compile(query)
+	p, err := sess.srv.run.Prepare(query, sess.settings)
 	if err != nil {
 		fmt.Fprintf(w, "err %v\n", err)
 		return
 	}
-	workers, autoTuned, tuneReason := c.ResolveExec(sess.workers)
-	morselRows, mauto, mreason := c.ResolveMorsel(sess.morsel)
-	autoTuned = autoTuned || mauto
-	tuneReason = adaptive.JoinReasons(tuneReason, mreason)
+	opts := runner.RunOptions{NoResultCache: !sess.resultcache}
 	if sess.streamer != nil {
-		sess.querySolo(w, query, c, workers, morselRows, autoTuned, tuneReason)
-		return
+		// The server generates the dot file and sends it over the UDP
+		// stream before query execution begins (§4.2). The session's
+		// display filter scopes to the UDP stream only — the history
+		// record and the counters always see the full trace.
+		sess.streamer.SendDot(query, p.Dot())
+		opts.Sinks = []profiler.Sink{profiler.FilterSink(sess.filter, sess.batcher)}
 	}
-	key := sharedwork.Key{SQL: query, Partitions: sess.partitions,
-		Morsel: sess.morsel != 0, MorselRows: morselRows, Passes: srv.passSpec}
-	if sess.resultcache {
-		if out, ok := srv.shared.Cache.Get(key); ok {
-			// A cached outcome ran no plan and emitted no new events.
-			if srv.onQuery != nil {
-				srv.onQuery(0)
-			}
-			fmt.Fprintln(w, "ok")
-			WriteResult(w, out.Res)
-			fmt.Fprintln(w, ".")
-			return
-		}
-	}
-	out, err, attached, _ := srv.shared.Flight.Do(srv.ctx, key, func() (*sharedwork.Outcome, error) {
-		return sess.runShared(query, c, workers, morselRows, autoTuned, tuneReason)
-	})
-	if attached && err != nil && srv.ctx.Err() == nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// The leader's client canceled; this session is still live, so
-		// its statement runs solo.
-		out, err = sess.runShared(query, c, workers, morselRows, autoTuned, tuneReason)
-		attached = false
-	}
-	if err != nil {
-		fmt.Fprintf(w, "err %v\n", err)
-		return
-	}
-	if srv.onQuery != nil {
-		if attached {
-			srv.onQuery(0)
-		} else {
-			srv.onQuery(len(out.Events))
-		}
-	}
-	if !attached && sess.resultcache {
-		srv.shared.Cache.Put(key, out)
-	}
-	fmt.Fprintln(w, "ok")
-	WriteResult(w, out.Res)
-	fmt.Fprintln(w, ".")
-}
-
-// runShared is the flight-leader body of the shared QUERY path. Unlike
-// querySolo — where a query nobody observes runs with no profiler —
-// the leader always collects the full event trace into an owned sink:
-// the outcome may be handed to attached sessions or the result cache,
-// whose consumers' serving counters and history pointers expect a
-// complete execution record. History is recorded here, inside the
-// shared run, so one shared execution is one history record.
-func (sess *session) runShared(query string, c planner.Compiled,
-	workers, morselRows int, autoTuned bool, tuneReason string) (*sharedwork.Outcome, error) {
-	srv := sess.srv
-	plan := c.Plan
-	sink := profiler.NewOwnedSliceSink(2 * len(plan.Instrs))
-	sinks := []profiler.Sink{sink}
-	var rec *tracestore.RunWriter
-	var hb *profiler.Batcher
-	if srv.history != nil {
-		var err error
-		rec, err = srv.history.Begin(tracestore.RunMeta{
-			SQL:          query,
-			Dot:          plancache.DotText(plan, c.Aux),
-			Partitions:   c.Partitions,
-			Workers:      workers,
-			Instructions: len(plan.Instrs),
-			AutoTuned:    autoTuned,
-			TuneReason:   tuneReason,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("history: %w", err)
-		}
-		hb = profiler.NewBatcher(rec, tracestore.DefaultAppendBatch, 0)
-		hb.Instrument(srv.reg)
-		sinks = append(sinks, hb)
-	}
-	start := time.Now()
-	res, err := srv.eng.RunContext(srv.ctx, plan, engine.Options{
-		Workers:    workers,
-		MorselRows: morselRows,
-		Profiler:   profiler.New(sinks...),
-		Label:      query,
-	})
-	elapsed := time.Since(start)
-	srv.latency.Observe(elapsed.Microseconds())
-	if hb != nil {
-		hb.Close() // flush the tail batch into the store
-	}
-	var runID uint64
-	if rec != nil {
-		st := tracestore.RunStats{ElapsedUs: elapsed.Microseconds()}
-		if err != nil {
-			st.Err = err.Error()
-		} else {
-			st.Rows = res.Rows()
-			st.CacheHit = c.Cached
-		}
-		if herr := rec.Finish(st); herr != nil && err == nil {
-			return nil, fmt.Errorf("history: %w", herr)
-		}
-		runID = rec.ID()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &sharedwork.Outcome{
-		Res:        res,
-		Events:     sink.Take(),
-		Elapsed:    elapsed,
-		RunID:      runID,
-		Partitions: c.Partitions,
-		Workers:    workers,
-		MorselRows: morselRows,
-		AutoTuned:  autoTuned,
-		TuneReason: tuneReason,
-		CacheHit:   c.Cached,
-	}, nil
-}
-
-// querySolo is the unshared QUERY path, used by sessions with a live
-// TRACE stream.
-func (sess *session) querySolo(w *bufio.Writer, query string, c planner.Compiled,
-	workers, morselRows int, autoTuned bool, tuneReason string) {
-	srv := sess.srv
-	plan := c.Plan
-	var err error
-	var dotText string
-	if sess.streamer != nil || srv.history != nil {
-		dotText = plancache.DotText(plan, c.Aux)
-	}
-	// The server generates the dot file and sends it over the UDP stream
-	// before query execution begins (§4.2).
-	if sess.streamer != nil {
-		sess.streamer.SendDot(query, dotText)
-	}
-	// Assemble the per-query profiler pipeline: the session's UDP
-	// batcher (TRACE) behind the session's display filter, a durable
-	// sink teeing batched events into the history store, and the
-	// per-event counter for the serving stats. The filter scopes to the
-	// UDP stream only — the history record and the counters always see
-	// the full trace. A query nobody observes runs with no profiler at
-	// all.
-	var sinks []profiler.Sink
-	if sess.batcher != nil {
-		sinks = append(sinks, profiler.FilterSink(sess.filter, sess.batcher))
-	}
-	var rec *tracestore.RunWriter
-	var hb *profiler.Batcher
-	if srv.history != nil {
-		rec, err = srv.history.Begin(tracestore.RunMeta{
-			SQL:          query,
-			Dot:          dotText,
-			Partitions:   c.Partitions,
-			Workers:      workers,
-			Instructions: len(plan.Instrs),
-			AutoTuned:    autoTuned,
-			TuneReason:   tuneReason,
-		})
-		if err != nil {
-			fmt.Fprintf(w, "err history: %v\n", err)
-			return
-		}
-		hb = profiler.NewBatcher(rec, tracestore.DefaultAppendBatch, 0)
-		hb.Instrument(srv.reg)
-		sinks = append(sinks, hb)
-	}
-	var count *countingSink
-	var prof *profiler.Profiler
-	if len(sinks) > 0 {
-		if srv.onQuery != nil {
-			count = &countingSink{}
-			sinks = append(sinks, count)
-		}
-		prof = profiler.New(sinks...)
-	}
-	start := time.Now()
-	res, err := srv.eng.RunContext(srv.ctx, plan, engine.Options{
-		Workers:    workers,
-		MorselRows: morselRows,
-		Profiler:   prof,
-		Label:      query,
-	})
-	elapsed := time.Since(start)
-	srv.latency.Observe(elapsed.Microseconds())
-	if hb != nil {
-		hb.Close() // flush the tail batch into the store
-	}
+	out, _, err := sess.srv.run.Run(sess.ctx, p, opts)
 	// Push the tail of the event batch out before answering, so the
 	// monitor sees the complete trace as soon as the client sees "ok".
 	if sess.batcher != nil {
 		sess.batcher.Flush()
 	}
-	if rec != nil {
-		st := tracestore.RunStats{ElapsedUs: elapsed.Microseconds()}
-		if err != nil {
-			st.Err = err.Error()
-		} else {
-			st.Rows = res.Rows()
-			st.CacheHit = c.Cached
-		}
-		if herr := rec.Finish(st); herr != nil && err == nil {
-			fmt.Fprintf(w, "err history: %v\n", herr)
-			return
-		}
-	}
 	if err != nil {
 		fmt.Fprintf(w, "err %v\n", err)
 		return
 	}
-	if srv.onQuery != nil {
-		n := 0
-		if count != nil {
-			n = count.n
-		}
-		srv.onQuery(n)
-	}
 	fmt.Fprintln(w, "ok")
-	WriteResult(w, res)
+	WriteResult(w, out.Res)
 	fmt.Fprintln(w, ".")
 }
 
@@ -894,7 +542,7 @@ func runLine(r tracestore.RunInfo) string {
 //	HISTORY DOT <id>   — one run's plan dot text
 //	HISTORY DIFF <a> <b> — cross-run comparison of two runs of one SQL
 func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
-	hs := sess.srv.history
+	hs := sess.srv.run.History
 	if hs == nil {
 		fmt.Fprintln(w, "err history is not enabled on this server")
 		return

@@ -10,11 +10,18 @@ import (
 	"time"
 
 	"stethoscope/internal/core"
+	"stethoscope/internal/engine"
+	"stethoscope/internal/plancache"
 	"stethoscope/internal/profiler"
+	"stethoscope/internal/runner"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
 	"stethoscope/internal/tracestore"
 )
+
+// CacheStats and Engine reach through to the server's run service.
+func (s *Server) CacheStats() plancache.Stats { return s.run.Stats().Cache }
+func (s *Server) Engine() *engine.Engine      { return s.run.Engine }
 
 func startServer(t testing.TB) *Server {
 	t.Helper()
@@ -22,7 +29,7 @@ func startServer(t testing.TB) *Server {
 	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New("test-server", cat)
+	srv := New(context.Background(), "test-server", runner.New(cat, runner.Config{}))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +262,7 @@ func TestCloseUnblocksIdleConnections(t *testing.T) {
 	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New("test-server", cat)
+	srv := New(context.Background(), "test-server", runner.New(cat, runner.Config{}))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -373,9 +380,8 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// startHistoryServer is startServer with a trace store attached and an
-// OnQuery observer feeding the counter at *counted.
-func startHistoryServer(t testing.TB, counted *int) *Server {
+// startHistoryServer is startServer with a trace store attached.
+func startHistoryServer(t testing.TB) *Server {
 	t.Helper()
 	cat := storage.NewCatalog()
 	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
@@ -386,11 +392,7 @@ func startHistoryServer(t testing.TB, counted *int) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	cfg := Config{History: store}
-	if counted != nil {
-		cfg.OnQuery = func(events int) { *counted += events }
-	}
-	srv := NewWithConfig(context.Background(), "history-server", cat, cfg)
+	srv := New(context.Background(), "history-server", runner.New(cat, runner.Config{History: store}))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +403,7 @@ func startHistoryServer(t testing.TB, counted *int) *Server {
 // TestHistoryCommand drives the HISTORY protocol: QUERY executions are
 // recorded durably and served back over LIST/TOP/INFO/TRACE/DOT/DIFF.
 func TestHistoryCommand(t *testing.T) {
-	counted := 0
-	srv := startHistoryServer(t, &counted)
+	srv := startHistoryServer(t)
 	c := dialServer(t, srv)
 	q := "QUERY select l_tax from lineitem where l_partkey=1"
 	for i := 0; i < 2; i++ {
@@ -434,7 +435,7 @@ func TestHistoryCommand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HISTORY TRACE: %v", err)
 	}
-	evs, err := srv.history.Events(1)
+	evs, err := srv.run.History.Events(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,17 +445,17 @@ func TestHistoryCommand(t *testing.T) {
 	if _, err := profiler.UnmarshalEvent(traceLines[0]); err != nil {
 		t.Fatalf("HISTORY TRACE line does not parse: %v", err)
 	}
-	// The observer counted exactly the stored events, once each.
+	// The serving counters counted exactly the stored events, once each.
 	want := 0
 	for _, id := range []uint64{1, 2} {
-		info, ok := srv.history.Run(id)
+		info, ok := srv.run.History.Run(id)
 		if !ok {
 			t.Fatalf("run %d missing from store", id)
 		}
 		want += info.Events
 	}
-	if counted != want {
-		t.Fatalf("OnQuery counted %d events, store holds %d", counted, want)
+	if counted := srv.run.Stats().Events; counted != int64(want) {
+		t.Fatalf("Stats counted %d events, store holds %d", counted, want)
 	}
 	_, dotLines, err := c.Command("HISTORY DOT 2")
 	if err != nil || len(dotLines) == 0 || !strings.Contains(dotLines[0], "digraph") {

@@ -169,7 +169,7 @@ func TestEventsPerSecWindowed(t *testing.T) {
 	}
 	now := time.Unix(1_000_000, 0)
 	var mu sync.Mutex
-	db.rate.SetClock(func() time.Time {
+	db.run.Rate.SetClock(func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
 		return now
@@ -194,7 +194,7 @@ func TestEventsPerSecWindowed(t *testing.T) {
 	}
 
 	// A fresh burst reports at windowed strength, undiluted by uptime.
-	db.rate.Add(5 * int64(metrics.DefaultRateWindow/time.Second))
+	db.run.Rate.Add(5 * int64(metrics.DefaultRateWindow/time.Second))
 	if got := db.Stats().EventsPerSec; got < 4.9 {
 		t.Fatalf("EventsPerSec = %v after a fresh burst, want ~5", got)
 	}

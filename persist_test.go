@@ -71,6 +71,11 @@ func TestOpenPathMatchesOpenByteForByte(t *testing.T) {
 			t.Errorf("%q: persisted parallel result differs from generated", q)
 		}
 	}
+	// The lazy column reads above land in the DB's registry: Open wires
+	// the dataset's I/O counters up after the catalog is built.
+	if got := per.Metrics().Value("stetho_batstore_bytes_read_total"); got <= 0 {
+		t.Errorf("stetho_batstore_bytes_read_total = %d after querying a persisted dataset", got)
+	}
 }
 
 // TestOpenPathTablesAndMeta checks that the manifest alone reproduces

@@ -20,31 +20,17 @@ type Server struct {
 // port). name is announced to clients. Canceling ctx (or calling Close)
 // stops the listener and aborts in-flight query executions.
 //
-// The server shares the DB's engine, optimizer pipeline, compiled-plan
-// cache, shared-work state, and (when enabled) query history: TCP
-// sessions and in-process Exec callers serve from (and warm) the same
-// plan state, identical concurrent statements single-flight against
-// each other across both entry points (and reuse cached outcomes when
-// the DB was opened WithResultCache), their executions land in the
-// same durable trace store, and all of them count into DB.Stats. With
-// history enabled the protocol additionally answers HISTORY
-// LIST/TOP/INFO/TRACE/DOT/DIFF.
+// The server runs on the DB's run service, so it shares the engine,
+// optimizer pipeline, compiled-plan cache, shared-work state, and (when
+// enabled) query history: TCP sessions and in-process Exec callers
+// serve from (and warm) the same plan state, identical concurrent
+// statements single-flight against each other across both entry points
+// (and reuse cached outcomes when the DB was opened WithResultCache),
+// their executions land in the same durable trace store, and all of
+// them count into DB.Stats. With history enabled the protocol
+// additionally answers HISTORY LIST/TOP/INFO/TRACE/DOT/DIFF.
 func (db *DB) Serve(ctx context.Context, name, addr string) (*Server, error) {
-	cfg := server.Config{
-		Engine:        db.eng,
-		Cache:         db.cache,
-		NoCache:       db.cache == nil,
-		Pipeline:      &db.pipeline,
-		PassSpec:      db.passSpec,
-		OnQuery:       db.observeQuery,
-		Registry:      db.reg,
-		Shared:        db.shared,
-		CompileFlight: db.planner.Flight,
-	}
-	if db.hist != nil {
-		cfg.History = db.hist.st
-	}
-	srv := server.NewWithConfig(ctx, name, db.cat, cfg)
+	srv := server.New(ctx, name, db.run)
 	if err := srv.Listen(addr); err != nil {
 		srv.Close() // release the derived context
 		return nil, fmt.Errorf("stethoscope: %w", err)

@@ -174,7 +174,7 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := sharedwork.Key{SQL: q, Partitions: 1, Passes: db.passSpec}
+	key := sharedwork.Key{SQL: q, Partitions: 1, Passes: db.run.Planner.PassSpec}
 	outcome := &sharedwork.Outcome{
 		Res:        solo.res,
 		Elapsed:    5 * time.Millisecond,
@@ -189,7 +189,7 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 	var leaderWaiters int
 	go func() {
 		defer wg.Done()
-		_, _, attached, waiters := db.shared.Flight.Do(ctx, key, func() (*sharedwork.Outcome, error) {
+		_, _, attached, waiters := db.run.Shared.Flight.Do(ctx, key, func() (*sharedwork.Outcome, error) {
 			<-gate
 			return outcome, nil
 		})
@@ -198,7 +198,7 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 		}
 		leaderWaiters = waiters
 	}()
-	waitFor(t, "leader registration", func() bool { return db.shared.Flight.InFlight() == 1 })
+	waitFor(t, "leader registration", func() bool { return db.run.Shared.Flight.InFlight() == 1 })
 
 	type res struct {
 		r   *Result
@@ -357,7 +357,7 @@ func TestResultCacheTTLExpiryFacade(t *testing.T) {
 	}
 	defer db.Close()
 	now := time.Unix(1_000_000, 0)
-	db.shared.Cache.SetClock(func() time.Time { return now })
+	db.run.Shared.Cache.SetClock(func() time.Time { return now })
 	ctx := context.Background()
 	q := "select count(*) from lineitem"
 	if _, err := db.Exec(ctx, q); err != nil {

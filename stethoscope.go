@@ -2,7 +2,6 @@ package stethoscope
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,17 +11,12 @@ import (
 
 	"stethoscope/internal/adaptive"
 	"stethoscope/internal/batstore"
-	"stethoscope/internal/engine"
-	"stethoscope/internal/metrics"
 	"stethoscope/internal/optimizer"
 	"stethoscope/internal/plancache"
-	"stethoscope/internal/planner"
-	"stethoscope/internal/profiler"
-	"stethoscope/internal/sharedwork"
+	"stethoscope/internal/runner"
 	"stethoscope/internal/sql"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
-	"stethoscope/internal/tracestore"
 )
 
 // DefaultPlanCacheSize is the compiled-plan cache capacity Open uses
@@ -36,25 +30,24 @@ const DefaultPlanCacheSize = plancache.DefaultSize
 // count, and the dataflow worker count from the resolved fan-out. The
 // choice and its reason are recorded in Result.Stats
 // (Partitions/Workers/TuneReason) and in the query history's RunMeta.
+// Auto is the only value below 1 that means anything: every other one
+// (0, -1, ...) passed to an ExecOption clamps to 1.
 const Auto = adaptive.Auto
 
 // config collects the Open-time settings.
 type config struct {
 	sf          float64
 	seed        uint64
-	sfSet       bool   // WithScaleFactor was given explicitly
-	seedSet     bool   // WithSeed was given explicitly
-	dataDir     string // non-empty: open a persisted dataset instead of generating
-	partitions  int
-	workers     int
-	morselRows  int            // morsel size when morsel mode is the DB default
-	morselSet   bool           // WithMorselRows was given: morsel mode is the DB default
-	passes      []string       // nil selects the default optimizer pipeline
-	cacheSize   int            // compiled-plan cache capacity; 0 disables
-	history     *HistoryConfig // nil disables the durable query history
-	metricsAddr string         // non-empty: serve /metrics + pprof here
-	resultCache int            // result-cache capacity; 0 (default) disables
-	resultTTL   time.Duration  // result-cache entry lifetime; <= 0 never expires
+	sfSet       bool            // WithScaleFactor was given explicitly
+	seedSet     bool            // WithSeed was given explicitly
+	dataDir     string          // non-empty: open a persisted dataset instead of generating
+	exec        runner.Settings // execution defaults; ExecOptions override them per call
+	passes      []string        // nil selects the default optimizer pipeline
+	cacheSize   int             // compiled-plan cache capacity; 0 is the default size, negative disables
+	history     *HistoryConfig  // nil disables the durable query history
+	metricsAddr string          // non-empty: serve /metrics + pprof here
+	resultCache int             // result-cache capacity; 0 (default) disables
+	resultTTL   time.Duration   // result-cache entry lifetime; <= 0 never expires
 }
 
 // Option configures Open.
@@ -94,13 +87,13 @@ func ValidateScaleFactor(sf float64) error {
 // compiled with (default 1 — no partitioning). Pass Auto to size the
 // fan-out per query from catalog row counts and the core count.
 // ExecPartitions overrides it per query.
-func WithPartitions(n int) Option { return func(c *config) { c.partitions = n } }
+func WithPartitions(n int) Option { return func(c *config) { c.exec.Partitions = n } }
 
 // WithWorkers sets the default dataflow worker count queries execute
 // with (default 1 — sequential interpretation). Pass Auto to derive the
 // worker count from the resolved partition fan-out and the core count.
 // ExecWorkers overrides it per query.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
+func WithWorkers(n int) Option { return func(c *config) { c.exec.Workers = n } }
 
 // WithMorselRows makes morsel-driven execution the DB default: queries
 // compile into pipeline fragments whose workers pull n-row morsels from
@@ -110,7 +103,7 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // count. ExecMorselRows overrides it per query. The default (option
 // omitted) is the static mitosis lowering.
 func WithMorselRows(n int) Option {
-	return func(c *config) { c.morselRows, c.morselSet = n, true }
+	return func(c *config) { c.exec.MorselRows, c.exec.Morsel = n, true }
 }
 
 // WithOptimizerPasses selects the MAL optimizer pipeline by pass name,
@@ -133,8 +126,8 @@ func WithOptimizerPasses(names ...string) Option {
 // n = 0 disables caching (every statement compiles from scratch).
 func WithPlanCacheSize(n int) Option {
 	return func(c *config) {
-		if n < 0 {
-			n = 0
+		if n <= 0 {
+			n = -1
 		}
 		c.cacheSize = n
 	}
@@ -199,35 +192,16 @@ func buildPipeline(names []string) (optimizer.Pipeline, error) {
 // and DB.Stats reports the serving counters.
 type DB struct {
 	cfg      config
-	pipeline optimizer.Pipeline
-	passSpec string
 	cat      *storage.Catalog
-	eng      *engine.Engine
-	cache    *plancache.Cache // nil when caching is disabled
-	planner  planner.Planner  // the shared compile flow over cat/cache/pipeline
-	shared   *sharedwork.Shared
+	run      *runner.Runner    // the run service every Exec/Explain/Stream and server session goes through
 	hist     *History          // nil when query history is disabled
 	dataMeta map[string]string // provenance recorded into persisted datasets
-
-	opened   time.Time
-	inflight *metrics.Gauge   // stetho_db_inflight: live Exec/Stream calls
-	execs    *metrics.Counter // stetho_db_execs: completed executions
-	events   *metrics.Counter // stetho_db_events: profiler events produced
-
-	// Observability: the DB-wide metrics registry every subsystem feeds
-	// (engine scheduler, plancache, batstore, tracestore, profiler,
-	// servers), the sliding-window event rate behind
-	// DBStats.EventsPerSec, and the query latency histogram. reg is
-	// always non-nil after Open; msrv is the optional HTTP endpoint.
-	reg     *metrics.Registry
-	rate    *metrics.Rate
-	latency *metrics.Histogram
-	msrv    *metricsServer
+	msrv     *metricsServer    // the optional observability HTTP endpoint
 }
 
 // Open generates the data substrate and returns a ready database.
 func Open(opts ...Option) (*DB, error) {
-	cfg := config{sf: 0.01, seed: 42, partitions: 1, workers: 1, cacheSize: DefaultPlanCacheSize}
+	cfg := config{sf: 0.01, seed: 42, exec: runner.Settings{Partitions: 1, Workers: 1}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -237,29 +211,26 @@ func Open(opts ...Option) (*DB, error) {
 	if err := ValidateScaleFactor(cfg.sf); err != nil {
 		return nil, err
 	}
-	if (cfg.partitions < 1 && cfg.partitions != Auto) || (cfg.workers < 1 && cfg.workers != Auto) {
+	if (cfg.exec.Partitions < 1 && cfg.exec.Partitions != Auto) || (cfg.exec.Workers < 1 && cfg.exec.Workers != Auto) {
 		return nil, fmt.Errorf("stethoscope: partitions and workers must be >= 1 (or Auto)")
 	}
-	if cfg.morselSet && cfg.morselRows < 1 && cfg.morselRows != Auto {
+	if cfg.exec.Morsel && cfg.exec.MorselRows < 1 && cfg.exec.MorselRows != Auto {
 		return nil, fmt.Errorf("stethoscope: morsel rows must be >= 1 (or Auto)")
 	}
 	pl, err := buildPipeline(cfg.passes)
 	if err != nil {
 		return nil, err
 	}
-	reg := metrics.NewRegistry()
 	var (
-		cat  *storage.Catalog
-		meta map[string]string
+		cat   *storage.Catalog
+		store *batstore.Store
+		meta  map[string]string
 	)
 	if cfg.dataDir != "" {
-		store, err := batstore.Open(cfg.dataDir)
-		if err != nil {
+		if store, err = batstore.Open(cfg.dataDir); err != nil {
 			return nil, fmt.Errorf("stethoscope: %w", err)
 		}
-		store.Instrument(reg)
-		cat, err = store.Catalog()
-		if err != nil {
+		if cat, err = store.Catalog(); err != nil {
 			return nil, fmt.Errorf("stethoscope: %w", err)
 		}
 		meta = store.Meta()
@@ -274,43 +245,20 @@ func Open(opts ...Option) (*DB, error) {
 			"seed":   strconv.FormatUint(cfg.seed, 10),
 		}
 	}
-	db := &DB{
-		cfg:      cfg,
-		pipeline: pl,
-		passSpec: pl.Spec(),
-		cat:      cat,
-		eng:      engine.New(cat),
-		dataMeta: meta,
-		opened:   time.Now(),
-		reg:      reg,
-		rate:     metrics.NewRate(0),
-		latency:  reg.Histogram("stetho_query_latency_us", nil),
-		inflight: reg.Gauge("stetho_db_inflight"),
-		execs:    reg.Counter("stetho_db_execs"),
-		events:   reg.Counter("stetho_db_events"),
-	}
-	db.eng.SetMetrics(reg)
-	if cfg.cacheSize > 0 {
-		db.cache = plancache.New(cfg.cacheSize)
-		db.cache.Instrument(reg)
-	}
-	db.planner = planner.Planner{Cat: cat, Cache: db.cache, Pipeline: pl,
-		PassSpec: db.passSpec, Flight: planner.NewCompileFlight()}
-	db.shared = &sharedwork.Shared{Flight: sharedwork.NewFlight()}
-	if cfg.resultCache > 0 {
-		db.shared.Cache = sharedwork.NewResultCache(cfg.resultCache, cfg.resultTTL)
-	}
-	db.shared.Instrument(reg)
-	reg.GaugeFunc("stetho_sharedwork_inflight", func() int64 {
-		return int64(db.shared.Flight.InFlight())
-	})
+	db := &DB{cfg: cfg, cat: cat, dataMeta: meta}
+	rc := runner.Config{Pipeline: &pl, PlanCacheSize: cfg.cacheSize,
+		ResultCacheSize: cfg.resultCache, ResultCacheTTL: cfg.resultTTL}
 	if cfg.history != nil {
-		hist, err := OpenHistoryConfig(*cfg.history)
-		if err != nil {
+		if db.hist, err = OpenHistoryConfig(*cfg.history); err != nil {
 			return nil, err
 		}
-		db.hist = hist
-		hist.st.Instrument(reg)
+		rc.History = db.hist.st
+	}
+	db.run = runner.New(cat, rc)
+	if store != nil {
+		// Column data streams off disk lazily, as queries first scan it,
+		// so instrumenting after the catalog is built counts every read.
+		store.Instrument(db.run.Registry)
 	}
 	if cfg.metricsAddr != "" {
 		msrv, err := startMetricsServer(db, cfg.metricsAddr)
@@ -347,7 +295,7 @@ func (db *DB) Persist(dir string) error {
 	// The dataset boundary is the result cache's invalidation point: a
 	// persisted directory may be swapped under a future OpenPath, so
 	// outcomes cached before the snapshot must not outlive it.
-	db.shared.Cache.Purge()
+	db.run.Shared.Cache.Purge()
 	return nil
 }
 
@@ -410,26 +358,18 @@ func splitQualified(name string) (schema, bare string) {
 	return "sys", name
 }
 
-// execConfig is the per-call override of the DB execution defaults.
-type execConfig struct {
-	partitions int
-	workers    int
-	morsel     int  // morsel rows (or Auto) when morselOn
-	morselOn   bool // compile the morsel-driven lowering
-}
-
 // ExecOption overrides execution settings for a single Exec / Explain /
-// Debug call.
-type ExecOption func(*execConfig)
+// Stream / Debug call.
+type ExecOption func(*runner.Settings)
 
 // ExecPartitions compiles this query with n mitosis partitions. Pass
 // Auto to size the fan-out from the scanned tables and the core count.
-func ExecPartitions(n int) ExecOption { return func(c *execConfig) { c.partitions = n } }
+func ExecPartitions(n int) ExecOption { return func(s *runner.Settings) { s.Partitions = n } }
 
 // ExecWorkers executes this query on n dataflow workers. Pass Auto to
 // derive the worker count from the partition fan-out and the core
 // count.
-func ExecWorkers(n int) ExecOption { return func(c *execConfig) { c.workers = n } }
+func ExecWorkers(n int) ExecOption { return func(s *runner.Settings) { s.Workers = n } }
 
 // ExecMorselRows compiles this query with the morsel-driven lowering
 // and executes it with n-row morsels: workers pull morsels from a
@@ -440,55 +380,32 @@ func ExecWorkers(n int) ExecOption { return func(c *execConfig) { c.workers = n 
 // clamp to 1) and is a runtime option: changing it never recompiles or
 // adds plan-cache entries.
 func ExecMorselRows(n int) ExecOption {
-	return func(c *execConfig) { c.morsel, c.morselOn = n, true }
+	return func(s *runner.Settings) { s.MorselRows, s.Morsel = n, true }
 }
 
-// execConfig resolves the per-call overrides and normalizes them: Auto
-// survives as the sentinel, anything below 1 clamps to 1. Every entry
-// point (Exec, Explain, Debug — and, via the same adaptive.Normalize
-// rule, the server's SET command) shares this normalization, and it
-// runs before plan-cache keys are built or metadata recorded:
-// ExecPartitions(0) used to compile the partitions=1 plan into a second
-// cache entry under Key{Partitions:0} and write the bogus 0 into the
-// history RunMeta.
-func (db *DB) execConfig(opts []ExecOption) execConfig {
-	ec := execConfig{
-		partitions: db.cfg.partitions,
-		workers:    db.cfg.workers,
-		morsel:     db.cfg.morselRows,
-		morselOn:   db.cfg.morselSet,
-	}
+// settings resolves the per-call overrides over the DB defaults. The
+// runner normalizes them (Auto survives as the sentinel, anything else
+// below 1 clamps to 1) before plan-cache and shared-work keys are built
+// or metadata recorded — for every entry point, the server's sessions
+// included: ExecPartitions(0) used to compile the partitions=1 plan
+// into a second cache entry under Key{Partitions:0} and write the bogus
+// 0 into the history RunMeta.
+func (db *DB) settings(opts []ExecOption) runner.Settings {
+	s := db.cfg.exec
 	for _, o := range opts {
-		o(&ec)
+		o(&s)
 	}
-	ec.partitions = adaptive.Normalize(ec.partitions)
-	ec.workers = adaptive.Normalize(ec.workers)
-	if ec.morselOn {
-		ec.morsel = adaptive.Normalize(ec.morsel)
-	}
-	return ec
+	return s
 }
 
-// morselRequest is the morsel setting handed to the shared planner
-// resolution (Compiled.ResolveMorsel): 0 = morsel mode off.
-func (ec execConfig) morselRequest() int {
-	if !ec.morselOn {
-		return 0
-	}
-	return ec.morsel
-}
-
-// compile lowers SQL to an optimized MAL plan through the shared
-// planner flow (internal/planner — the same flow every server session
-// compiles through). partitions must be normalized (execConfig does
-// this); the Auto sentinel keys the plan cache directly and is resolved
-// after bind, with the resolution memoized in the entry.
-func (db *DB) compile(query string, partitions int, morsel bool) (planner.Compiled, error) {
-	comp, err := db.planner.Compile(query, partitions, morsel)
+// prepare compiles SQL to an optimized, resolved MAL plan through the
+// run service — the same flow every server session prepares through.
+func (db *DB) prepare(query string, s runner.Settings) (*runner.Prepared, error) {
+	p, err := db.run.Prepare(query, s)
 	if err != nil {
-		return planner.Compiled{}, fmt.Errorf("stethoscope: %w", err)
+		return nil, fmt.Errorf("stethoscope: %w", err)
 	}
-	return comp, nil
+	return p, nil
 }
 
 // Exec compiles, optimizes, and executes one SQL query under the
@@ -507,165 +424,29 @@ func (db *DB) compile(query string, partitions int, morsel bool) (planner.Compil
 // bytes (see internal/sharedwork) and excludes the worker count, which
 // never does.
 func (db *DB) Exec(ctx context.Context, query string, opts ...ExecOption) (*Result, error) {
-	ec := db.execConfig(opts)
-	comp, err := db.compile(query, ec.partitions, ec.morselOn)
+	p, err := db.prepare(query, db.settings(opts))
 	if err != nil {
 		return nil, err
 	}
-	workers, autoTuned, tuneReason := comp.ResolveExec(ec.workers)
-	morselRows, mauto, mreason := comp.ResolveMorsel(ec.morselRequest())
-	autoTuned = autoTuned || mauto
-	tuneReason = adaptive.JoinReasons(tuneReason, mreason)
-	key := sharedwork.Key{SQL: query, Partitions: ec.partitions,
-		Morsel: ec.morselOn, MorselRows: morselRows, Passes: db.passSpec}
-	if out, ok := db.shared.Cache.Get(key); ok {
-		db.execs.Add(1)
-		return db.sharedResult(query, comp, out, "resultcache"), nil
-	}
-	out, err, attached, waiters := db.shared.Flight.Do(ctx, key, func() (*sharedwork.Outcome, error) {
-		return db.execOutcome(ctx, query, comp, workers, morselRows, autoTuned, tuneReason)
-	})
-	if attached && err != nil && ctx.Err() == nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// The leader was canceled, this caller was not: its claim on the
-		// shared run died with the leader, so it runs solo.
-		out, err = db.execOutcome(ctx, query, comp, workers, morselRows, autoTuned, tuneReason)
-		attached, waiters = false, 0
-	}
+	out, via, err := db.run.Run(ctx, p, runner.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
-	db.execs.Add(1)
-	if attached {
-		return db.sharedResult(query, comp, out, "attached"), nil
-	}
-	// Leader path: this call executed. Event-throughput accounting is
-	// per execution, not per consumer — attached and cached consumers
-	// reuse the trace without recounting it.
-	db.events.Add(int64(len(out.Events)))
-	db.rate.Add(int64(len(out.Events)))
-	db.shared.Cache.Put(key, out)
 	events := out.Events
-	if waiters > 0 || db.shared.Cache != nil {
-		// The outcome's event slice is shared with followers and/or the
-		// result cache; trace.FromEventsOwned mutates, so own a copy.
+	if via != "" {
+		// The outcome stays shared with the run that produced it;
+		// trace.FromEventsOwned mutates, so own a copy.
 		events = out.CloneEvents()
 	}
+	// The Stats echo the producing run's resolved settings and history
+	// id, whether or not this call was the one that ran the plan.
 	return &Result{
 		traceView: traceView{events: events},
 		Query:     query,
 		Stats: Stats{
-			Optimizer:    comp.Opt,
+			Optimizer:    p.Opt,
 			Elapsed:      out.Elapsed,
-			Instructions: len(comp.Plan.Instrs),
-			Partitions:   out.Partitions,
-			Workers:      out.Workers,
-			MorselRows:   out.MorselRows,
-			AutoTuned:    out.AutoTuned,
-			TuneReason:   out.TuneReason,
-			CacheHit:     out.CacheHit,
-			RunID:        out.RunID,
-		},
-		plan: comp.Plan,
-		res:  out.Res,
-	}, nil
-}
-
-// execOutcome runs one compiled query to completion under the profiler
-// and packages the execution as a shareable Outcome — the flight-leader
-// body of Exec. History recording happens here, inside the shared run,
-// so one shared execution is one history record and every consumer's
-// RunID points at it.
-func (db *DB) execOutcome(ctx context.Context, query string, comp planner.Compiled,
-	workers, morselRows int, autoTuned bool, tuneReason string) (*sharedwork.Outcome, error) {
-	plan := comp.Plan
-	db.inflight.Add(1)
-	defer db.inflight.Add(-1)
-	// Two events (start + done) per instruction: preallocate exactly.
-	// The sink is private to this run and read only after it completes,
-	// so the lock-free variant applies.
-	sink := profiler.NewOwnedSliceSink(2 * len(plan.Instrs))
-	sinks := []profiler.Sink{sink}
-	// With history enabled, a durable sink tees batched events into the
-	// trace store while the query runs: events coalesce into
-	// DefaultAppendBatch-event records, so the hot path pays one
-	// buffered write per batch, not per event. The dot render and the
-	// begin-record append happen before the elapsed clock starts, so
-	// recorded wall times measure execution alone (the server QUERY
-	// path measures the same way, keeping cross-path Compare honest).
-	var rec *tracestore.RunWriter
-	var hb *profiler.Batcher
-	if db.hist != nil {
-		var err error
-		rec, err = db.hist.st.Begin(tracestore.RunMeta{
-			SQL:          query,
-			Dot:          plancache.DotText(plan, comp.Aux),
-			Partitions:   comp.Partitions,
-			Workers:      workers,
-			Instructions: len(plan.Instrs),
-			AutoTuned:    autoTuned,
-			TuneReason:   tuneReason,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("stethoscope: history: %w", err)
-		}
-		hb = profiler.NewBatcher(rec, tracestore.DefaultAppendBatch, 0)
-		hb.Instrument(db.reg)
-		sinks = append(sinks, hb)
-	}
-	start := time.Now()
-	res, err := db.eng.RunContext(ctx, plan, engine.Options{
-		Workers:    workers,
-		MorselRows: morselRows,
-		Profiler:   profiler.New(sinks...),
-		Label:      query,
-	})
-	elapsed := time.Since(start)
-	db.latency.Observe(elapsed.Microseconds())
-	var runID uint64
-	if rec != nil {
-		hb.Close() // flush the tail batch into the store
-		st := tracestore.RunStats{ElapsedUs: elapsed.Microseconds()}
-		if err != nil {
-			st.Err = err.Error()
-		} else {
-			st.Rows = res.Rows()
-			st.CacheHit = comp.Cached
-		}
-		if herr := rec.Finish(st); herr != nil && err == nil {
-			return nil, fmt.Errorf("stethoscope: history: %w", herr)
-		}
-		runID = rec.ID()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &sharedwork.Outcome{
-		Res:        res,
-		Events:     sink.Take(),
-		Elapsed:    elapsed,
-		RunID:      runID,
-		Partitions: comp.Partitions,
-		Workers:    workers,
-		MorselRows: morselRows,
-		AutoTuned:  autoTuned,
-		TuneReason: tuneReason,
-		CacheHit:   comp.Cached,
-	}, nil
-}
-
-// sharedResult builds the Result for a consumer that did not run the
-// plan (attached to an in-flight run, or served from the result cache).
-// The outcome stays shared, so its events are always copied; the Stats
-// echo the producing run's resolved settings and history id.
-func (db *DB) sharedResult(query string, comp planner.Compiled, out *sharedwork.Outcome, via string) *Result {
-	return &Result{
-		traceView: traceView{events: out.CloneEvents()},
-		Query:     query,
-		Stats: Stats{
-			Optimizer:    comp.Opt,
-			Elapsed:      out.Elapsed,
-			Instructions: len(comp.Plan.Instrs),
+			Instructions: len(p.Plan.Instrs),
 			Partitions:   out.Partitions,
 			Workers:      out.Workers,
 			MorselRows:   out.MorselRows,
@@ -675,105 +456,53 @@ func (db *DB) sharedResult(query string, comp planner.Compiled, out *sharedwork.
 			RunID:        out.RunID,
 			Shared:       via,
 		},
-		plan: comp.Plan,
+		plan: p.Plan,
 		res:  out.Res,
-	}
+	}, nil
 }
 
 // Explain compiles and optimizes the query without executing it and
 // returns the MAL listing. Partition settings (including Auto) are
 // normalized and resolved exactly as Exec would.
 func (db *DB) Explain(query string, opts ...ExecOption) (string, error) {
-	ec := db.execConfig(opts)
-	comp, err := db.compile(query, ec.partitions, ec.morselOn)
+	p, err := db.prepare(query, db.settings(opts))
 	if err != nil {
 		return "", err
 	}
-	return comp.Plan.String(), nil
+	return p.Plan.String(), nil
 }
 
-// DBStats is a point-in-time snapshot of the DB's serving counters.
-type DBStats struct {
-	// Cache reports plan-cache effectiveness (hits, misses, evictions,
-	// occupancy). Zero-valued when caching is disabled.
-	Cache plancache.Stats
-	// InFlight is the number of Exec calls currently executing.
-	InFlight int64
-	// Execs is the number of completed successful executions — both
-	// in-process Exec calls and QUERY commands of this DB's servers.
-	Execs int64
-	// Events is the total number of profiler events those executions
-	// produced. The count is per event at the profiler, never per
-	// transport datagram: a query whose trace leaves as coalesced EVTB
-	// batches contributes exactly its event count, not its datagram
-	// count.
-	Events int64
-	// EventsPerSec is the recent event throughput, averaged over a
-	// sliding metrics.DefaultRateWindow (10s) window — not over the
-	// DB's lifetime, so a long-idle server reports 0 and a fresh burst
-	// reports the burst instead of a decayed average.
-	EventsPerSec float64
-	// SharedLed and SharedAttached report single-flight execution
-	// sharing: executions that ran as flight leaders vs. executions
-	// served by attaching to a concurrent identical run. Attached
-	// executions still count in Execs — they completed a caller's query
-	// — but ran no plan.
-	SharedLed      int64
-	SharedAttached int64
-	// ResultCache reports result-cache effectiveness (hits, misses,
-	// evictions, expirations, invalidations, occupancy). Zero-valued
-	// unless the DB was opened WithResultCache.
-	ResultCache sharedwork.CacheStats
-	// Uptime is the time since Open.
-	Uptime time.Duration
-}
+// DBStats is a point-in-time snapshot of the DB's serving counters, for
+// in-process calls and QUERY commands of this DB's servers alike: Cache
+// (plan-cache hits, misses, evictions, occupancy), InFlight (plans
+// executing now), Execs (statements answered), Events and EventsPerSec
+// (profiler events produced, and their rate over a sliding 10s window),
+// SharedLed and SharedAttached (single-flight leaders vs. executions
+// served by attaching to one), ResultCache (result-cache effectiveness)
+// and Uptime. It is re-exported like the other leaf types; the fields
+// are documented on runner.Stats.
+type DBStats = runner.Stats
 
-// observeQuery folds one successful server-side QUERY execution into
-// the serving counters. events is the per-event count from the
-// profiler, counted once per event regardless of how the trace was
-// batched onto the wire.
-func (db *DB) observeQuery(events int) {
-	db.execs.Add(1)
-	db.events.Add(int64(events))
-	db.rate.Add(int64(events))
-}
-
-// Stats snapshots the serving counters: plan-cache effectiveness,
-// in-flight queries, and profiler-event throughput.
-func (db *DB) Stats() DBStats {
-	st := DBStats{
-		InFlight: db.inflight.Load(),
-		Execs:    db.execs.Load(),
-		Events:   db.events.Load(),
-		Uptime:   time.Since(db.opened),
-	}
-	if db.cache != nil {
-		st.Cache = db.cache.Stats()
-	}
-	st.SharedLed = db.shared.Flight.Led()
-	st.SharedAttached = db.shared.Flight.Attached()
-	st.ResultCache = db.shared.Cache.Stats()
-	st.EventsPerSec = db.rate.PerSec()
-	return st
-}
+// Stats snapshots the serving counters.
+func (db *DB) Stats() DBStats { return db.run.Stats() }
 
 // Metrics snapshots the DB's metrics registry: every counter, gauge,
 // and histogram the engine scheduler, morsel kernel, plan cache,
 // stores, profiler pipeline, and servers feed. Snapshots are
 // per-metric consistent (see the registry contract in DESIGN.md) and
 // cheap enough to poll.
-func (db *DB) Metrics() MetricsSnapshot { return db.reg.Snapshot() }
+func (db *DB) Metrics() MetricsSnapshot { return db.run.Registry.Snapshot() }
 
 // WriteMetrics writes the registry in the Prometheus text exposition
 // format — the same payload the WithMetricsAddr endpoint and the
 // METRICS wire command serve.
-func (db *DB) WriteMetrics(w io.Writer) error { return db.reg.WritePrometheus(w) }
+func (db *DB) WriteMetrics(w io.Writer) error { return db.run.Registry.WritePrometheus(w) }
 
 // Progress snapshots the live progress of every in-flight query on
 // this DB's engine (in-process Exec/Stream calls and server QUERY
 // commands alike), ordered by start. Row and morsel figures cover
 // morsel-driven fragments; instruction figures cover every plan.
-func (db *DB) Progress() []QueryProgress { return db.eng.Progress() }
+func (db *DB) Progress() []QueryProgress { return db.run.Engine.Progress() }
 
 // MetricsAddr reports the bound address of the observability HTTP
 // endpoint, or "" when the DB was opened without WithMetricsAddr.
@@ -785,13 +514,8 @@ func (db *DB) MetricsAddr() string {
 }
 
 // disableMetrics detaches the engine and query-level instrumentation
-// (benchmarks measure the hot path with metrics on vs off through
-// this; the registry itself stays queryable).
-func (db *DB) disableMetrics() {
-	db.eng.SetMetrics(nil)
-	db.latency = nil
-	db.rate = nil
-}
+// (benchmarks measure the hot path with metrics on vs off through it).
+func (db *DB) disableMetrics() { db.run.DisableMetrics() }
 
 // DumpCSV writes a catalog table as CSV with a header line. table is a
 // bare name ("lineitem", resolved in the sys schema) or a qualified one

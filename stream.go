@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"iter"
 
-	"stethoscope/internal/engine"
 	"stethoscope/internal/mal"
+	"stethoscope/internal/runner"
 	"stethoscope/internal/sql"
 	"stethoscope/internal/storage"
 )
@@ -32,32 +32,24 @@ import (
 //
 // The returned iterator is not safe for concurrent use.
 func (db *DB) Stream(ctx context.Context, query string, opts ...ExecOption) (*RowIter, error) {
-	ec := db.execConfig(opts)
-	if !ec.morselOn {
-		ec.morsel, ec.morselOn = Auto, true
+	set := db.settings(opts)
+	if !set.Morsel {
+		set.MorselRows, set.Morsel = Auto, true
 	}
-	comp, err := db.compile(query, ec.partitions, true)
+	p, err := db.prepare(query, set)
 	if err != nil {
 		return nil, err
 	}
-	plan := comp.Plan
-	workers, _, _ := comp.ResolveExec(ec.workers)
-	morselRows, _, _ := comp.ResolveMorsel(ec.morsel)
 	sctx, cancel := context.WithCancel(ctx)
 	it := &RowIter{
-		names:  resultColumnNames(plan),
+		names:  resultColumnNames(p.Plan),
 		ch:     make(chan []*storage.BAT),
 		errc:   make(chan error, 1),
 		cancel: cancel,
 		idx:    -1,
 	}
-	db.inflight.Add(1)
 	go func() {
-		defer db.inflight.Add(-1)
-		_, err := db.eng.RunContext(sctx, plan, engine.Options{
-			Workers:    workers,
-			MorselRows: morselRows,
-			Label:      query,
+		_, _, err := db.run.Run(sctx, p, runner.RunOptions{
 			Emit: func(names []string, cols []*storage.BAT) error {
 				// An unbuffered send per batch: the engine's producers
 				// wait for the consumer, which is the backpressure that
@@ -70,9 +62,6 @@ func (db *DB) Stream(ctx context.Context, query string, opts ...ExecOption) (*Ro
 				}
 			},
 		})
-		if err == nil {
-			db.execs.Add(1)
-		}
 		it.errc <- err
 		close(it.ch)
 	}()
