@@ -1174,3 +1174,39 @@ func BenchmarkSharedWork(b *testing.B) {
 	b.Run("identical/clients=64", func(b *testing.B) { run(b, func(int) string { return variants[0] }) })
 	b.Run("distinct/clients=64", func(b *testing.B) { run(b, func(c int) string { return variants[c] }) })
 }
+
+// countingDiscard counts what a benchmark writes and keeps none of it.
+type countingDiscard struct{ n int64 }
+
+func (c *countingDiscard) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkEncodeWide prices the result→text hop alone: QX2 at SF 0.02
+// (the serve-wide reply, 43 651 rows × 8 columns, 2 MB) through
+// Result.WriteTable. MB/s is of text produced; allocs/op guards the
+// encoder's allocation-free row loop.
+func BenchmarkEncodeWide(b *testing.B) {
+	db, err := Open(WithScaleFactor(0.02))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	res, err := db.Exec(context.Background(), largeQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var w countingDiscard
+	if err := res.WriteTable(&w); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(w.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := res.WriteTable(&w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package stethoscope
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -10,7 +9,6 @@ import (
 	"stethoscope/internal/compiler"
 	"stethoscope/internal/engine"
 	"stethoscope/internal/planner"
-	"stethoscope/internal/server"
 	"stethoscope/internal/sql"
 )
 
@@ -104,7 +102,6 @@ func (d *Debugger) WriteResult(w io.Writer) (bool, error) {
 	if res == nil {
 		return false, nil
 	}
-	bw := bufio.NewWriter(w)
-	server.WriteResult(bw, res)
-	return true, bw.Flush()
+	_, err := res.WriteText(w)
+	return true, err
 }

@@ -10,6 +10,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,16 @@ func (r *Result) Rows() int {
 		return 0
 	}
 	return r.Cols[0].Len()
+}
+
+// WriteText renders the table as tab-separated text with a header line
+// (storage.WriteText owns the format) and returns the bytes written. A
+// nil result writes nothing.
+func (r *Result) WriteText(w io.Writer) (int64, error) {
+	if r == nil {
+		return 0, nil
+	}
+	return storage.WriteText(w, r.Names, r.Cols, r.Rows(), '\t')
 }
 
 // Kernel implements one MAL module.function over the execution context.

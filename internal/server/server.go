@@ -10,6 +10,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,7 +27,6 @@ import (
 	"stethoscope/internal/profiler"
 	"stethoscope/internal/runner"
 	"stethoscope/internal/sql"
-	"stethoscope/internal/storage"
 	"stethoscope/internal/tracestore"
 )
 
@@ -46,6 +46,8 @@ type Server struct {
 	sessionsActive *metrics.Gauge
 	commands       *metrics.Counter
 	bytesOut       *metrics.Counter
+	encodeUs       *metrics.Histogram // the wire-encode hop of every QUERY reply
+	resultBytes    *metrics.Counter
 
 	// ctx is the server lifetime: every session's context derives from
 	// it, so Close (or cancellation of the parent context) aborts
@@ -74,6 +76,8 @@ func New(ctx context.Context, name string, run *runner.Runner) *Server {
 		sessionsActive: reg.Gauge("stetho_server_sessions_active"),
 		commands:       reg.Counter("stetho_server_commands_total"),
 		bytesOut:       reg.Counter("stetho_server_bytes_written_total"),
+		encodeUs:       reg.Histogram("stetho_server_encode_us", nil),
+		resultBytes:    reg.Counter("stetho_server_result_bytes_total"),
 		ctx:            ctx,
 		cancel:         cancel,
 	}
@@ -206,10 +210,12 @@ func (s *Server) handle(conn net.Conn) {
 		settings: runner.Settings{Partitions: adaptive.Auto, Workers: adaptive.Auto}}
 	defer func() { sess.closeStream() }()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	w := bufio.NewWriter(&countingWriter{w: conn, n: s.bytesOut})
 	fmt.Fprintf(w, "ok stethoscope-mserver %s\n", s.Name)
-	w.Flush()
+	if w.Flush() != nil {
+		return
+	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -221,9 +227,21 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		sess.dispatch(w, line)
+		// A reply that could not be written means the client is gone:
+		// end the session instead of waiting for its next command.
+		if w.Flush() != nil {
+			return
+		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		fmt.Fprintf(w, "err line too long (max %d MiB)\n", maxLineBytes>>20)
 		w.Flush()
 	}
 }
+
+// maxLineBytes caps one command line; a longer one ends the session
+// with an error reply.
+const maxLineBytes = 1 << 20
 
 // countingWriter counts bytes on their way to the connection — the
 // stetho_server_bytes_written_total source, placed under the bufio
@@ -309,11 +327,14 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 		snap.Value("stetho_engine_queries_inflight"),
 		snap.Value("stetho_engine_morsels_claimed_total"),
 		snap.Value("stetho_engine_morsel_rows_scanned_total"))
-	fmt.Fprintf(w, "sessions_total=%d sessions_active=%d commands=%d bytes_written=%d\n",
+	encode, _ := snap.Get("stetho_server_encode_us")
+	fmt.Fprintf(w, "sessions_total=%d sessions_active=%d commands=%d bytes_written=%d result_bytes=%d encode_count=%d encode_us=%d\n",
 		snap.Value("stetho_server_sessions_total"),
 		snap.Value("stetho_server_sessions_active"),
 		snap.Value("stetho_server_commands_total"),
-		snap.Value("stetho_server_bytes_written_total"))
+		snap.Value("stetho_server_bytes_written_total"),
+		snap.Value("stetho_server_result_bytes_total"),
+		encode.Count, encode.Sum)
 	rc := st.ResultCache
 	fmt.Fprintf(w, "sharedwork_led=%d sharedwork_attached=%d resultcache_hits=%d resultcache_misses=%d resultcache_len=%d resultcache_invalidations=%d\n",
 		st.SharedLed, st.SharedAttached, rc.Hits, rc.Misses, rc.Len, rc.Invalidations)
@@ -519,7 +540,13 @@ func (sess *session) cmdQuery(w *bufio.Writer, query string) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-	WriteResult(w, out.Res)
+	// A failed write is not reported from here: it sticks to w, the
+	// encoder has already stopped formatting, and handle ends the
+	// session when its Flush returns the same error.
+	start := time.Now()
+	n, _ := WriteResult(w, out.Res)
+	sess.srv.encodeUs.Observe(time.Since(start).Microseconds())
+	sess.srv.resultBytes.Add(n)
 	fmt.Fprintln(w, ".")
 }
 
@@ -660,36 +687,9 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 }
 
 // WriteResult renders a result table as tab-separated text with a header
-// line.
-func WriteResult(w *bufio.Writer, res *engine.Result) {
-	if res == nil {
-		return
-	}
-	fmt.Fprintln(w, strings.Join(res.Names, "\t"))
-	for i := 0; i < res.Rows(); i++ {
-		for c, col := range res.Cols {
-			if c > 0 {
-				w.WriteByte('\t')
-			}
-			w.WriteString(cellString(col, i))
-		}
-		w.WriteByte('\n')
-	}
-}
-
-func cellString(b *storage.BAT, i int) string {
-	switch b.Kind() {
-	case storage.Flt:
-		return strconv.FormatFloat(b.FltAt(i), 'g', -1, 64)
-	case storage.Str:
-		return b.StrAt(i)
-	case storage.Bool:
-		return strconv.FormatBool(b.BoolAt(i))
-	case storage.Date:
-		return sql.FormatDate(b.IntAt(i))
-	default:
-		return strconv.FormatInt(b.IntAt(i), 10)
-	}
+// line and returns the bytes written; it stops at the first write error.
+func WriteResult(w *bufio.Writer, res *engine.Result) (int64, error) {
+	return res.WriteText(w)
 }
 
 // Client is a minimal protocol client for tools and tests.

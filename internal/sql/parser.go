@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"stethoscope/internal/storage"
 )
 
 // Parse parses a single SELECT statement.
@@ -486,5 +488,5 @@ func parseDate(s string) (int64, error) {
 // FormatDate converts days since the Unix epoch back to YYYY-MM-DD, used
 // by result printing and the DateLit round trip.
 func FormatDate(days int64) string {
-	return time.Unix(days*86400, 0).UTC().Format("2006-01-02")
+	return string(storage.AppendDate(nil, days))
 }

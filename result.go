@@ -1,7 +1,6 @@
 package stethoscope
 
 import (
-	"bufio"
 	"io"
 	"sync"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"stethoscope/internal/dot"
 	"stethoscope/internal/engine"
 	"stethoscope/internal/mal"
-	"stethoscope/internal/server"
 	"stethoscope/internal/trace"
 )
 
@@ -150,9 +148,8 @@ func (r *Result) Columns() []string {
 // WriteTable renders the result as tab-separated text with a header
 // line.
 func (r *Result) WriteTable(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	server.WriteResult(bw, r.res)
-	return bw.Flush()
+	_, err := r.res.WriteText(w)
+	return err
 }
 
 // PlanString returns the optimized MAL listing.

@@ -139,7 +139,8 @@ func (r *Remote) Progress() ([]string, error) {
 // parsed into a flat k=v map: the plan-cache figures plus the
 // scheduler/morsel counters (engine_runs, engine_instructions,
 // engine_steals, engine_parks, morsels_claimed, morsel_rows_scanned),
-// the server-layer counters (sessions, commands, bytes_written), and
+// the server-layer counters (sessions, commands, bytes_written,
+// result_bytes, encode_count, encode_us), and
 // the shared-work counters (sharedwork_led, sharedwork_attached,
 // resultcache_hits/misses/len/invalidations).
 func (r *Remote) Stats() (map[string]int64, error) {

@@ -14,7 +14,6 @@ import (
 	"stethoscope/internal/optimizer"
 	"stethoscope/internal/plancache"
 	"stethoscope/internal/runner"
-	"stethoscope/internal/sql"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
 )
@@ -539,36 +538,10 @@ func (db *DB) DumpCSV(w io.Writer, table string, limit int) error {
 			return fmt.Errorf("stethoscope: %w", err)
 		}
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(names, ",")); err != nil {
-		return err
-	}
 	rows := t.Rows()
 	if limit > 0 && limit < rows {
 		rows = limit
 	}
-	var b strings.Builder
-	for i := 0; i < rows; i++ {
-		b.Reset()
-		for c, col := range t.Columns {
-			if c > 0 {
-				b.WriteByte(',')
-			}
-			bat := bats[c]
-			switch col.Kind {
-			case storage.Flt:
-				b.WriteString(strconv.FormatFloat(bat.FltAt(i), 'g', -1, 64))
-			case storage.Str:
-				b.WriteString(bat.StrAt(i))
-			case storage.Date:
-				b.WriteString(sql.FormatDate(bat.IntAt(i)))
-			default:
-				b.WriteString(strconv.FormatInt(bat.IntAt(i), 10))
-			}
-		}
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := storage.WriteText(w, names, bats, rows, ',')
+	return err
 }
