@@ -9,8 +9,8 @@ import (
 )
 
 // CtxSelect enforces the worker-loop cancellation contract in the
-// execution and serving packages (internal/engine, internal/runner,
-// internal/server, and the facade): inside a loop of a function that takes a
+// execution and serving packages (internal/engine, internal/keyed,
+// internal/runner, internal/server, and the facade): inside a loop of a function that takes a
 // context.Context, a blocking channel operation must sit in a select
 // that also watches ctx.Done() (or a local cancellation channel — done,
 // stop, closed, quit), so a canceled run can never leave a worker
@@ -22,10 +22,11 @@ var CtxSelect = &lintkit.Analyzer{
 }
 
 // ctxselectPackages are the final import-path segments the contract
-// covers: the scheduler/morsel loops, the run service's gate and run
-// body, the TCP server's session loops, and the facade's streaming
-// producers.
-var ctxselectPackages = []string{"engine", "runner", "server", "stethoscope"}
+// covers: the scheduler/morsel loops, the keyed-reuse substrate (home of
+// Flight.Do, the shared-work gate's only ctx-aware wait), the run
+// service's run body, the TCP server's session loops, and the facade's
+// streaming producers.
+var ctxselectPackages = []string{"engine", "keyed", "runner", "server", "stethoscope"}
 
 // cancelNames are channel names accepted as cancellation signals in a
 // select, alongside ctx.Done() calls.

@@ -246,44 +246,49 @@ func NewRegistry() *Registry {
 	return &Registry{m: map[string]*metric{}}
 }
 
-func (r *Registry) get(name string, kind Kind) *metric {
+// get returns the named entry, creating it on first use, after running
+// fill on it under the registry lock — Snapshot reads an entry's cell
+// pointers under the same lock, so registration never races a reader.
+func (r *Registry) get(name string, kind Kind, fill func(*metric)) *metric {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.m[name]; ok {
-		if e.kind != kind {
-			panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, e.kind, kind))
-		}
-		return e
+	e, ok := r.m[name]
+	if !ok {
+		e = &metric{kind: kind}
+		r.m[name] = e
+	} else if e.kind != kind {
+		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, e.kind, kind))
 	}
-	e := &metric{kind: kind}
-	r.m[name] = e
+	fill(e)
 	return e
 }
 
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns nil (whose methods no-op).
 func (r *Registry) Counter(name string) *Counter {
-	e := r.get(name, KindCounter)
+	e := r.get(name, KindCounter, func(e *metric) {
+		if e.c == nil {
+			e.c = &Counter{}
+		}
+	})
 	if e == nil {
 		return nil
-	}
-	if e.c == nil {
-		e.c = &Counter{}
 	}
 	return e.c
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	e := r.get(name, KindGauge)
+	e := r.get(name, KindGauge, func(e *metric) {
+		if e.g == nil {
+			e.g = &Gauge{}
+		}
+	})
 	if e == nil {
 		return nil
-	}
-	if e.g == nil {
-		e.g = &Gauge{}
 	}
 	return e.g
 }
@@ -293,11 +298,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // in-flight runs) that would be redundant to mirror on the hot path.
 // Later registrations under the same name replace the function.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	e := r.get(name, KindGauge)
-	if e == nil {
-		return
-	}
-	e.gf = fn
+	r.get(name, KindGauge, func(e *metric) { e.gf = fn })
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it with
@@ -305,15 +306,16 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 // DefaultLatencyBucketsUs). Bounds are fixed at creation; subsequent
 // calls return the existing histogram regardless of bounds.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	e := r.get(name, KindHistogram)
+	e := r.get(name, KindHistogram, func(e *metric) {
+		if e.h == nil {
+			if bounds == nil {
+				bounds = DefaultLatencyBucketsUs
+			}
+			e.h = newHistogram(bounds)
+		}
+	})
 	if e == nil {
 		return nil
-	}
-	if e.h == nil {
-		if bounds == nil {
-			bounds = DefaultLatencyBucketsUs
-		}
-		e.h = newHistogram(bounds)
 	}
 	return e.h
 }
@@ -326,13 +328,13 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.m))
-	entries := make([]*metric, 0, len(r.m))
+	entries := make([]metric, 0, len(r.m)) // copies: cell pointers are read under the lock
 	for n := range r.m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		entries = append(entries, r.m[n])
+		entries = append(entries, *r.m[n])
 	}
 	r.mu.Unlock()
 

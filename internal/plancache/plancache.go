@@ -1,10 +1,9 @@
 // Package plancache implements the shared compiled-plan cache of the
-// serving layer: an LRU keyed by SQL text plus the compile options that
-// shape the emitted MAL (partition count, optimizer pipeline). Repeated
-// statements skip the whole parse → bind → compile → optimize chain —
-// MonetDB keeps the same structure per session in its MAL block cache;
-// here one cache is shared by every session of a DB so concurrent
-// clients warm it for each other.
+// serving layer: an LRU (internal/keyed) from the statement key to the
+// optimized plan. Repeated statements skip the whole parse → bind →
+// compile → optimize chain — MonetDB keeps the same structure per
+// session in its MAL block cache; here one cache is shared by every
+// session of a DB so concurrent clients warm it for each other.
 //
 // Cached plans are shared, not copied: a plan handed out by Get is
 // executed concurrently by many queries, so holders must treat it as
@@ -13,12 +12,11 @@
 package plancache
 
 import (
-	"container/list"
 	"sync"
 
 	"stethoscope/internal/dot"
+	"stethoscope/internal/keyed"
 	"stethoscope/internal/mal"
-	"stethoscope/internal/metrics"
 	"stethoscope/internal/optimizer"
 )
 
@@ -26,8 +24,14 @@ import (
 // server use unless configured otherwise.
 const DefaultSize = 256
 
-// Key identifies one compiled plan. Two queries share a plan only when
-// every field matches.
+// Key is the statement key, declared once for every reuse layer;
+// DESIGN.md "Shared-work serving" has the full rationale. Compile
+// identity (MorselRows zero; built only by planner.Compile) keys the
+// plan cache and the compile flight. Result identity (compile identity
+// plus the resolved MorselRows; derived by runner.Prepare) keys the run
+// flight and the result cache as sharedwork.Key. The worker count is
+// deliberately absent: the combine stage packs partial results in
+// slice/morsel order, so scheduling parallelism never changes bytes.
 type Key struct {
 	// SQL is the statement text, byte for byte (no normalization —
 	// differing whitespace compiles twice, which is cheap and safe).
@@ -36,15 +40,18 @@ type Key struct {
 	// by the caller (out-of-range values clamp to 1 before key
 	// construction, so partitions=0 can never alias the partitions=1
 	// plan under a second key), with the adaptive sentinel
-	// (stethoscope.Auto) as its own key value: the resolved fan-out of
-	// an auto compilation lives in Entry.Partitions.
+	// (stethoscope.Auto) as its own key value: its resolution is
+	// deterministic per catalog and lives in Entry.Partitions.
 	Partitions int
 	// Morsel selects the morsel-driven lowering, which emits a
 	// different plan shape (fragments + mat.morsel) than the static
-	// mitosis lowering for the same SQL and partition count. The morsel
-	// size is a runtime engine option, not part of the key: changing it
-	// never recompiles.
+	// mitosis lowering for the same SQL and partition count.
 	Morsel bool
+	// MorselRows is the resolved morsel size (0 when Morsel is false):
+	// a runtime engine option, so changing it never recompiles, but it
+	// shapes per-morsel partial aggregates and therefore the result
+	// bytes.
+	MorselRows int
 	// Passes names the optimizer pipeline, e.g. "cse,matfold,deadcode".
 	Passes string
 }
@@ -72,9 +79,8 @@ type Entry struct {
 	Rows int
 	// Aux memoizes derived per-plan artifacts (e.g. the dot export the
 	// history store records per run). It lives and dies with the cache
-	// entry, so memoized artifacts never outlive their plan. Fill it
-	// when inserting (&Aux{}); it is nil for entries that never needed
-	// one.
+	// entry, so memoized artifacts never outlive their plan.
+	// planner.Compile fills it on every miss; DotText tolerates nil.
 	Aux *Aux
 }
 
@@ -86,166 +92,25 @@ type Aux struct {
 	dot     string
 }
 
-// Dot returns the memoized dot text, rendering it on first use.
-func (a *Aux) Dot(render func() string) string {
-	a.dotOnce.Do(func() { a.dot = render() })
-	return a.dot
-}
-
 // DotText renders a plan's dot-file text, memoized in aux when one
 // exists — the shared helper of the facade Exec path and the server
 // QUERY path, so a cached plan's dot export is rendered once no matter
 // how many sessions trace or record it.
 func DotText(plan *mal.Plan, aux *Aux) string {
-	render := func() string { return dot.Export(plan).Marshal() }
 	if aux == nil {
-		return render()
+		return dot.Export(plan).Marshal()
 	}
-	return aux.Dot(render)
+	aux.dotOnce.Do(func() { aux.dot = dot.Export(plan).Marshal() })
+	return aux.dot
 }
+
+// Cache is the plan LRU: keyed.LRU with no TTL — a plan leaves only by
+// LRU eviction or Purge. A nil *Cache always misses, which is how plan
+// caching is switched off.
+type Cache = keyed.LRU[Key, Entry]
 
 // Stats is a point-in-time snapshot of cache effectiveness.
-type Stats struct {
-	Hits      int64 // Get calls that found the plan
-	Misses    int64 // Get calls that did not
-	Evictions int64 // entries displaced by capacity pressure
-	Len       int   // entries currently cached
-	Capacity  int   // maximum entries
-}
+type Stats = keyed.Stats
 
-// HitRate returns hits / (hits + misses), 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Cache is a fixed-capacity LRU over compiled plans. It is safe for
-// concurrent use by any number of sessions.
-type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used; values are *slot
-	byKey    map[Key]*list.Element
-
-	// Effectiveness counters. Standalone metric cells by default;
-	// Instrument swaps in registry-owned cells so the cache's own
-	// accounting and the exposition endpoint read the same numbers.
-	hits      *metrics.Counter
-	misses    *metrics.Counter
-	evictions *metrics.Counter
-}
-
-type slot struct {
-	key   Key
-	entry Entry
-}
-
-// New returns a cache holding up to capacity plans. Capacity < 1 is
-// clamped to 1; callers that want caching off should simply not consult
-// a cache.
-func New(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
-		capacity:  capacity,
-		order:     list.New(),
-		byKey:     make(map[Key]*list.Element, capacity),
-		hits:      &metrics.Counter{},
-		misses:    &metrics.Counter{},
-		evictions: &metrics.Counter{},
-	}
-}
-
-// Instrument re-homes the cache's counters into the registry (under
-// stetho_plancache_*) and registers occupancy/capacity gauges. Call
-// before serving: counts recorded before Instrument stay in the old
-// cells and are not carried over.
-func (c *Cache) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	c.mu.Lock()
-	c.hits = reg.Counter("stetho_plancache_hits_total")
-	c.misses = reg.Counter("stetho_plancache_misses_total")
-	c.evictions = reg.Counter("stetho_plancache_evictions_total")
-	c.mu.Unlock()
-	reg.GaugeFunc("stetho_plancache_entries", func() int64 { return int64(c.Len()) })
-	reg.GaugeFunc("stetho_plancache_capacity", func() int64 { return int64(c.capacity) })
-}
-
-// Get looks the key up, promoting it to most recently used on a hit.
-func (c *Cache) Get(k Key) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[k]
-	if !ok {
-		c.misses.Inc()
-		return Entry{}, false
-	}
-	c.hits.Inc()
-	c.order.MoveToFront(el)
-	return el.Value.(*slot).entry, true
-}
-
-// Put inserts or refreshes the entry, evicting the least recently used
-// plan when the cache is full.
-func (c *Cache) Put(k Key, e Entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		el.Value.(*slot).entry = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[k] = c.order.PushFront(&slot{key: k, entry: e})
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*slot).key)
-		c.evictions.Inc()
-	}
-}
-
-// Purge drops every entry; the hit/miss/eviction counters keep counting.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.byKey = make(map[Key]*list.Element, c.capacity)
-}
-
-// Len reports the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// Stats snapshots the counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Len:       c.order.Len(),
-		Capacity:  c.capacity,
-	}
-}
-
-// Keys returns the cached keys from most to least recently used
-// (diagnostics and tests).
-func (c *Cache) Keys() []Key {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Key, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*slot).key)
-	}
-	return out
-}
+// New returns a cache holding up to capacity plans (clamped to >= 1).
+func New(capacity int) *Cache { return keyed.NewLRU[Key, Entry](capacity, 0) }

@@ -9,13 +9,13 @@
 package planner
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"stethoscope/internal/adaptive"
 	"stethoscope/internal/algebra"
 	"stethoscope/internal/compiler"
-	"stethoscope/internal/mal"
+	"stethoscope/internal/keyed"
 	"stethoscope/internal/optimizer"
 	"stethoscope/internal/plancache"
 	"stethoscope/internal/sql"
@@ -23,84 +23,46 @@ import (
 )
 
 // Planner binds the shared compilation inputs: the catalog to resolve
-// tables (and auto fan-outs) against, the shared plan cache (nil
-// disables caching), the optimizer pipeline with its cache-key spec,
-// and the compile flight that coalesces concurrent cache misses.
+// tables (and auto fan-outs) against, the shared plan cache (nil always
+// misses, i.e. disables caching), the optimizer pipeline with its
+// cache-key spec, and the compile flight that coalesces concurrent
+// cache misses.
 type Planner struct {
 	Cat      *storage.Catalog
 	Cache    *plancache.Cache
 	Pipeline optimizer.Pipeline
 	PassSpec string
-	// Flight, when non-nil, single-flights cache-miss compilations:
-	// concurrent Compile calls for the same key (identical Exec,
-	// Explain, or server QUERY/EXPLAIN statements) run the parse → bind
-	// → compile → optimize chain once instead of racing to populate the
-	// plan cache. The facade and its servers share one flight so the
-	// coalescing spans entry points; a nil flight compiles every miss
-	// independently (correct, just duplicated work).
+	// Flight single-flights cache-miss compilations: concurrent Compile
+	// calls for the same key (identical Exec, Explain, or server
+	// QUERY/EXPLAIN statements) compile once instead of racing to
+	// populate the plan cache. The facade and its servers share one so
+	// the coalescing spans entry points; a nil flight compiles every
+	// miss independently (correct, just duplicated work).
 	Flight *CompileFlight
 }
 
-// compileCall is one in-flight compilation.
-type compileCall struct {
-	done chan struct{}
-	c    Compiled
-	err  error
-}
-
 // CompileFlight coalesces concurrent compilations of the same cache
-// key. It holds only in-flight work — entries are removed before their
-// outcome is published, so it never caches (the plan cache does that).
-type CompileFlight struct {
-	mu    sync.Mutex
-	calls map[plancache.Key]*compileCall
-}
+// key: keyed.Flight over compile identities. It holds only in-flight
+// work, so it never caches (the plan cache does that). Compilation is
+// CPU-bound and quick and has no cancellation point, so followers wait
+// under context.Background().
+type CompileFlight = keyed.Flight[plancache.Key, Compiled]
 
 // NewCompileFlight returns an empty flight.
-func NewCompileFlight() *CompileFlight {
-	return &CompileFlight{calls: map[plancache.Key]*compileCall{}}
-}
+func NewCompileFlight() *CompileFlight { return keyed.NewFlight[plancache.Key, Compiled]() }
 
-// do runs compile under single-flight semantics for key. Followers
-// block until the leader finishes (compilation is CPU-bound and quick;
-// there is no cancellation point) and report coalesced=true.
-func (f *CompileFlight) do(key plancache.Key, compile func() (Compiled, error)) (c Compiled, coalesced bool, err error) {
-	f.mu.Lock()
-	if call, ok := f.calls[key]; ok {
-		f.mu.Unlock()
-		<-call.done
-		return call.c, true, call.err
-	}
-	call := &compileCall{done: make(chan struct{})}
-	f.calls[key] = call
-	f.mu.Unlock()
-
-	call.c, call.err = compile()
-
-	f.mu.Lock()
-	delete(f.calls, key)
-	f.mu.Unlock()
-	close(call.done)
-	return call.c, false, call.err
-}
-
-// Compiled is one compilation outcome: the optimized plan plus what it
-// was compiled with and why.
+// Compiled is one compilation outcome: the cache entry — the optimized
+// plan plus what it was compiled with and why (Partitions differs from
+// the request only under Auto, where TuneReason records the selection;
+// Rows feeds ResolveMorsel) — and how this caller came by it.
 type Compiled struct {
-	Plan *mal.Plan
-	Opt  optimizer.Stats
-	Aux  *plancache.Aux // nil when caching is disabled
-	// Partitions is the mitosis fan-out compiled into the plan; it
-	// differs from the request only under Auto, where TuneReason then
-	// records the selection inputs and outcome.
-	Partitions int
-	TuneReason string
-	Cached     bool
-	// Rows is the bound tree's driver-row count (algebra.DriverRows),
-	// measured when the compilation needed it (Auto partitions or
-	// morsel mode) and memoized through the cache; ResolveMorsel sizes
-	// Auto morsels from it at execution time.
-	Rows int
+	plancache.Entry
+	// Cached reports that compilation was skipped: a plan-cache hit, or
+	// a call coalesced onto a concurrent identical compilation.
+	Cached bool
+	// Key is the statement's compile identity (MorselRows zero);
+	// runner.Prepare derives the run key from it.
+	Key plancache.Key
 }
 
 // ResolveExec applies a session's worker setting to this compilation:
@@ -160,32 +122,31 @@ func ResolvePartitions(cat *storage.Catalog, requested int, tree algebra.Node) (
 // session sharing the entry.
 func (p *Planner) Compile(query string, partitions int, morsel bool) (Compiled, error) {
 	key := plancache.Key{SQL: query, Partitions: partitions, Morsel: morsel, Passes: p.PassSpec}
-	if p.Cache != nil {
-		if e, ok := p.Cache.Get(key); ok {
-			return Compiled{Plan: e.Plan, Opt: e.Opt, Aux: e.Aux,
-				Partitions: e.Partitions, TuneReason: e.TuneReason, Rows: e.Rows, Cached: true}, nil
+	if e, ok := p.Cache.Get(key); ok {
+		return Compiled{Entry: e, Cached: true, Key: key}, nil
+	}
+	c, err, coalesced, _ := p.Flight.Do(context.Background(), key, func() (Compiled, error) {
+		// A caller whose lookup missed just before a concurrent leader
+		// published leads only after that leader left the flight, i.e.
+		// after its Put: re-check (uncounted — the miss already was)
+		// instead of compiling the statement a second time.
+		if e, ok := p.Cache.Peek(key); ok {
+			return Compiled{Entry: e, Cached: true, Key: key}, nil
 		}
-	}
-	if p.Flight == nil {
-		return p.compileMiss(key, query, partitions, morsel)
-	}
-	c, coalesced, err := p.Flight.do(key, func() (Compiled, error) {
-		return p.compileMiss(key, query, partitions, morsel)
+		return p.compileMiss(key)
 	})
 	if err != nil {
 		return Compiled{}, err
 	}
-	if coalesced {
-		// The follower's plan was compiled by a concurrent identical
-		// call — compilation was skipped exactly as on a cache hit.
-		c.Cached = true
-	}
+	// A follower's plan was compiled by a concurrent identical call —
+	// compilation was skipped exactly as on a cache hit.
+	c.Cached = c.Cached || coalesced
 	return c, nil
 }
 
 // compileMiss is the cache-miss compilation chain.
-func (p *Planner) compileMiss(key plancache.Key, query string, partitions int, morsel bool) (Compiled, error) {
-	stmt, err := sql.Parse(query)
+func (p *Planner) compileMiss(key plancache.Key) (Compiled, error) {
+	stmt, err := sql.Parse(key.SQL)
 	if err != nil {
 		return Compiled{}, fmt.Errorf("parse: %w", err)
 	}
@@ -193,30 +154,19 @@ func (p *Planner) compileMiss(key plancache.Key, query string, partitions int, m
 	if err != nil {
 		return Compiled{}, fmt.Errorf("bind: %w", err)
 	}
-	// Driver rows feed the Auto partition fan-out and, in morsel mode,
-	// the per-run Auto morsel sizing; measure them once and memoize.
-	var rows int
-	resolved, reason := partitions, ""
-	if partitions == adaptive.Auto || morsel {
-		var shape string
-		rows, shape = algebra.DriverRows(tree, p.Cat)
-		if partitions == adaptive.Auto {
-			resolved, reason = adaptive.PartitionsFor(rows, adaptive.Procs(), shape)
-		}
+	e := plancache.Entry{Aux: &plancache.Aux{}}
+	e.Partitions, e.TuneReason = ResolvePartitions(p.Cat, key.Partitions, tree)
+	if key.Morsel {
+		// Memoized for the per-run Auto morsel sizing (ResolveMorsel).
+		e.Rows, _ = algebra.DriverRows(tree, p.Cat)
 	}
-	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: resolved, Morsel: morsel})
+	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: e.Partitions, Morsel: key.Morsel})
 	if err != nil {
 		return Compiled{}, fmt.Errorf("compile: %w", err)
 	}
-	plan, stats, err := p.Pipeline.Run(plan)
-	if err != nil {
+	if e.Plan, e.Opt, err = p.Pipeline.Run(plan); err != nil {
 		return Compiled{}, fmt.Errorf("optimize: %w", err)
 	}
-	c := Compiled{Plan: plan, Opt: stats, Partitions: resolved, TuneReason: reason, Rows: rows}
-	if p.Cache != nil {
-		c.Aux = &plancache.Aux{}
-		p.Cache.Put(key, plancache.Entry{Plan: plan, Opt: stats, Aux: c.Aux,
-			Partitions: resolved, TuneReason: reason, Rows: rows})
-	}
-	return c, nil
+	p.Cache.Put(key, e)
+	return Compiled{Entry: e, Key: key}, nil
 }

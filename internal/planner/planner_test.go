@@ -73,8 +73,8 @@ func TestCompileFlightCoalescesConcurrentMisses(t *testing.T) {
 	if got := cached.Load(); got != callers-1 {
 		t.Fatalf("%d of %d callers reported Cached, want %d (everyone but the leader)", got, callers, callers-1)
 	}
-	if len(p.Flight.calls) != 0 {
-		t.Fatalf("flight not drained: %d in flight", len(p.Flight.calls))
+	if n := p.Flight.InFlight(); n != 0 {
+		t.Fatalf("flight not drained: %d in flight", n)
 	}
 }
 

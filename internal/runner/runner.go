@@ -105,15 +105,12 @@ func New(cat *storage.Catalog, cfg Config) *Runner {
 			size = plancache.DefaultSize
 		}
 		r.Planner.Cache = plancache.New(size)
-		r.Planner.Cache.Instrument(reg)
 	}
+	r.Planner.Cache.Instrument(reg, "stetho_plancache")
 	if cfg.ResultCacheSize > 0 {
 		r.Shared.Cache = sharedwork.NewResultCache(cfg.ResultCacheSize, cfg.ResultCacheTTL)
 	}
 	r.Shared.Instrument(reg)
-	reg.GaugeFunc("stetho_sharedwork_inflight", func() int64 {
-		return int64(r.Shared.Flight.InFlight())
-	})
 	if r.History != nil {
 		r.History.Instrument(reg)
 	}
@@ -187,6 +184,10 @@ func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
 	}
 	workers, auto, reason := c.ResolveExec(s.Workers)
 	morselRows, mauto, mreason := c.ResolveMorsel(s.MorselRows)
+	// Result identity is compile identity plus the resolved morsel size
+	// (see plancache.Key).
+	key := c.Key
+	key.MorselRows = morselRows
 	return &Prepared{
 		SQL:        query,
 		Plan:       c.Plan,
@@ -198,12 +199,7 @@ func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
 		TuneReason: adaptive.JoinReasons(reason, mreason),
 		PlanCached: c.Cached,
 		aux:        c.Aux,
-		// The key carries the requested partitions (Auto as its own
-		// value: its resolution is deterministic per catalog) and the
-		// resolved morsel size, which shapes per-morsel partial
-		// aggregates and so the result bytes; see sharedwork.Key.
-		key: sharedwork.Key{SQL: query, Partitions: s.Partitions,
-			Morsel: s.Morsel, MorselRows: morselRows, Passes: r.Planner.PassSpec},
+		key:        key,
 	}, nil
 }
 
@@ -432,7 +428,8 @@ type Stats struct {
 
 // Stats snapshots the serving counters.
 func (r *Runner) Stats() Stats {
-	st := Stats{
+	return Stats{
+		Cache:          r.Planner.Cache.Stats(),
 		InFlight:       r.inflight.Load(),
 		Execs:          r.execs.Load(),
 		Events:         r.events.Load(),
@@ -442,10 +439,6 @@ func (r *Runner) Stats() Stats {
 		ResultCache:    r.Shared.Cache.Stats(),
 		Uptime:         time.Since(r.created),
 	}
-	if r.Planner.Cache != nil {
-		st.Cache = r.Planner.Cache.Stats()
-	}
-	return st
 }
 
 // DisableMetrics detaches the engine and query-level instrumentation

@@ -99,3 +99,79 @@ func TestObservedRunBypassesGate(t *testing.T) {
 		t.Errorf("Stats = %+v, want 4 execs, 2 led, 3 executions' events", st)
 	}
 }
+
+// TestMorselSizeIsResultIdentityOnly: the morsel size is a runtime
+// option, so two sizes share one compiled plan, but it shapes the
+// result bytes, so they are two run keys and the result cache never
+// serves one for the other.
+func TestMorselSizeIsResultIdentityOnly(t *testing.T) {
+	r := newRunner(t, Config{ResultCacheSize: 4})
+	ctx := context.Background()
+	small, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1, Morsel: true, MorselRows: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1, Morsel: true, MorselRows: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats().Cache; st.Len != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("plan cache = %+v, want one entry compiled once and hit once", st)
+	}
+	if small.Plan != large.Plan || !large.PlanCached {
+		t.Error("a different morsel size recompiled the plan")
+	}
+	if small.key == large.key || small.key.MorselRows != 512 || large.key.MorselRows != 1024 {
+		t.Errorf("run keys %+v and %+v, want them to differ in MorselRows alone", small.key, large.key)
+	}
+	first, via, err := r.Run(ctx, small, RunOptions{})
+	if err != nil || via != "" {
+		t.Fatalf("morsel 512: via %q err %v", via, err)
+	}
+	other, via, err := r.Run(ctx, large, RunOptions{})
+	if err != nil || via != "" {
+		t.Fatalf("morsel 1024 after a cached morsel 512 run: via %q err %v, want its own execution", via, err)
+	}
+	if other.Res == first.Res || other.MorselRows != 1024 {
+		t.Error("morsel 1024 was answered with the morsel 512 outcome")
+	}
+	if again, via, _ := r.Run(ctx, small, RunOptions{}); via != "resultcache" || again.Res != first.Res {
+		t.Errorf("morsel 512 repeat: via %q, want its own cached outcome", via)
+	}
+	if st := r.Stats().ResultCache; st.Len != 2 {
+		t.Errorf("result cache holds %d entries, want one per morsel size", st.Len)
+	}
+}
+
+// TestRunKeyDerivesFromCompileKey: Prepare never lists the key fields
+// itself — the run key is the planner's compile key plus the resolved
+// morsel size, under every way a setting can be resolved.
+func TestRunKeyDerivesFromCompileKey(t *testing.T) {
+	r := newRunner(t, Config{})
+	for name, s := range map[string]Settings{
+		"static":          {Partitions: 4, Workers: 2},
+		"explicit-morsel": {Partitions: 1, Workers: 2, Morsel: true, MorselRows: 256},
+		"auto-morsel":     {Partitions: 1, Workers: 2, Morsel: true, MorselRows: adaptive.Auto},
+		"auto-partitions": {Partitions: adaptive.Auto, Workers: adaptive.Auto},
+	} {
+		p, err := r.Prepare(query, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := r.Planner.Compile(query, s.Partitions, s.Morsel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Key.MorselRows != 0 {
+			t.Errorf("%s: compile key carries morsel rows %d; the size must not recompile", name, c.Key.MorselRows)
+		}
+		if s.Morsel == (p.MorselRows == 0) {
+			t.Errorf("%s: resolved morsel rows %d", name, p.MorselRows)
+		}
+		want := c.Key
+		want.MorselRows = p.MorselRows
+		if p.key != want {
+			t.Errorf("%s: run key %+v, want compile key + morsel rows %+v", name, p.key, want)
+		}
+	}
+}

@@ -62,13 +62,7 @@ func TestFlightDedupesConcurrentCallers(t *testing.T) {
 	// Followers must be registered before the leader finishes.
 	deadline := time.After(5 * time.Second)
 	for {
-		f.mu.Lock()
-		w := 0
-		if c, ok := f.calls[key("q")]; ok {
-			w = c.waiters
-		}
-		f.mu.Unlock()
-		if w == 3 {
+		if f.Attached() == 3 {
 			break
 		}
 		select {
@@ -166,14 +160,7 @@ func TestFlightPropagatesLeaderError(t *testing.T) {
 	}()
 	// Give the follower a moment to attach, then let the leader fail.
 	for {
-		f.mu.Lock()
-		c := f.calls[key("q")]
-		w := 0
-		if c != nil {
-			w = c.waiters
-		}
-		f.mu.Unlock()
-		if w == 1 {
+		if f.Attached() == 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)

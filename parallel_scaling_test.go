@@ -62,8 +62,8 @@ func TestAutoParallelSpeedup(t *testing.T) {
 
 // speedupGate runs q sequentially and auto-tuned, requires byte-
 // identical results and the expected cost shape in the tuning note,
-// and — on >= 4 cores outside the race detector — asserts the auto
-// path is at least minRatio faster.
+// and — on >= 4 usable cores (GOMAXPROCS and hardware both) outside the
+// race detector — asserts the auto path is at least minRatio faster.
 func speedupGate(t *testing.T, q, wantShape string, minRatio float64) {
 	t.Helper()
 	if testing.Short() {
@@ -97,13 +97,15 @@ func speedupGate(t *testing.T, q, wantShape string, minRatio float64) {
 		t.Errorf("tuning reason %q lacks shape=%s", autoRes.Stats.TuneReason, wantShape)
 	}
 
-	procs := runtime.GOMAXPROCS(0)
+	// GOMAXPROCS above the hardware core count adds threads, not
+	// parallelism, so the gate needs both to be >= 4.
+	procs := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	ratio := float64(seqBest) / float64(autoBest)
 	t.Logf("procs=%d auto: partitions=%d workers=%d (%s) seq=%v auto=%v ratio=%.2fx",
 		procs, autoRes.Stats.Partitions, autoRes.Stats.Workers, autoRes.Stats.TuneReason,
 		seqBest, autoBest, ratio)
 	if procs < 4 {
-		t.Skipf("speedup ratio needs >= 4 cores, have %d", procs)
+		t.Skipf("speedup ratio needs >= 4 cores, have GOMAXPROCS=%d on %d CPUs", runtime.GOMAXPROCS(0), runtime.NumCPU())
 	}
 	if raceEnabled {
 		t.Skip("speedup ratio skipped under the race detector")
