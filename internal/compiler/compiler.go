@@ -19,10 +19,18 @@
 // to the limit first). MonetDB performs this as a MAL optimizer; we
 // perform it at lowering time, which yields the same plan shape — wide
 // independent slices that the engine's dataflow scheduler runs on
-// multiple cores (experiments F2 and E7). Degenerate fragments this
-// lowering can leave behind (packs of one slice, packs that reassemble
-// an unmodified scan, builds probed exactly once) are folded away by
-// the optimizer's matfold pass.
+// multiple cores (experiments F2 and E7). The Morsel option fans the
+// same operators out inside a fragment instead.
+//
+// Every fan-out operator is written once, as a body over one piece of a
+// relation; mapPieces runs that body in place over a packed relation,
+// once per slice over a partitioned one and once inside the fragment of
+// a morsel one, and packed is the one gather (DESIGN.md, "Compilation
+// contract"). Fan-outs always have at least two pieces (a scan is only
+// marked sliceable when Partitions > 1), so the one degenerate shape
+// the lowering can leave behind is a pack that reassembles the
+// untouched slices of a bare projection; the optimizer's matfold pass
+// folds it back to the scan.
 package compiler
 
 import (
@@ -70,35 +78,33 @@ func Compile(tree algebra.Node, queryText string, opt Options) (*mal.Plan, error
 	return c.plan, nil
 }
 
-// rel is an intermediate relation in one of three shapes. Packed: one
+// rel is an intermediate relation in one of three forms. Packed: one
 // aligned MAL BAT variable per schema column (cols). Partitioned (the
 // mitosis form): parts[p][i] holds column i of horizontal slice p; the
-// slices concatenated in order are the relation. Lazily partitioned
-// (sliceable): a scan whose bound columns sit in cols and whose
-// slicing is deferred — the first operator that actually works
-// partition-wise materializes the mat.slice instructions
-// (forcePartitioned), while a consumer that needs the whole relation
-// takes the bound columns as-is, so scans nothing exploits never pay a
-// slice/pack chain regardless of which optimizer passes run. Operators
-// that work row-at-a-time (filter, project) consume and produce the
-// partitioned form unchanged; aggregation merges it; everything else
-// packs first.
+// slices concatenated in order are the relation. Morsel: cols are
+// variables of an open fragment's own plan (frag), and the relation's
+// rows are whatever the fragment computes per morsel, concatenated in
+// morsel order. The two fan-out forms start lazily: a scan keeps its
+// bound columns in cols and is only marked sliceable or morselable, so
+// the first operator that works piece-wise (mapPieces) materializes the
+// mat.slice instructions or opens the fragment, while a consumer that
+// needs the whole relation (packed) takes the bound columns as-is and
+// scans nothing exploits never pay a slice/pack chain. A rel with a nil
+// schema is a bundle of aligned columns (partial aggregates) on its way
+// to packed.
 type rel struct {
 	schema algebra.Schema
 	cols   []int
 	parts  [][]int
 	// sliceable marks cols as a scan eligible for deferred mitosis
-	// slicing into opt.Partitions pieces.
+	// slicing into opt.Partitions pieces; lowerScan and the sort
+	// lowering set it only when Partitions > 1, so every fan-out has at
+	// least two pieces.
 	sliceable bool
 	// morselable marks cols as a scan eligible for deferred morsel
-	// lowering (the morsel-mode analogue of sliceable): the first
-	// operator that works morsel-wise opens a fragment over the bound
-	// columns, while a consumer that needs the whole relation takes
-	// them as-is.
+	// lowering (the morsel-mode analogue of sliceable).
 	morselable bool
-	// frag, when non-nil, is the morsel form: cols are variable ids in
-	// the fragment's own plan, and the relation's rows are whatever the
-	// fragment computes per morsel, concatenated in morsel order.
+	// frag, when non-nil, is the open fragment cols live in.
 	frag *fragBuild
 }
 
@@ -108,8 +114,71 @@ func (r rel) partitioned() bool { return r.parts != nil || r.sliceable }
 // to open one).
 func (r rel) morselish() bool { return r.frag != nil || r.morselable }
 
+// fanned reports either fan-out form: the relation is (or is about to
+// be) a sequence of pieces rather than one set of packed columns.
+func (r rel) fanned() bool { return r.partitioned() || r.morselish() }
+
 // part views one slice of a partitioned rel as a packed rel.
 func (r rel) part(p int) rel { return rel{schema: r.schema, cols: r.parts[p]} }
+
+// mapPieces is the one way an operator runs piece-wise: it runs body —
+// a row-local lowering that emits into c.plan and returns its output
+// columns — over every piece of in and returns the outputs in in's
+// form under the given schema. A packed rel is its own single piece and
+// body runs once in place. A partitioned (or sliceable) rel is forced —
+// the mat.slice instructions are emitted now — and body runs once per
+// slice, in slice order. A morsel (or morselable) rel is forced — the
+// fragment is opened over the bound columns — and body runs once with
+// c.plan swapped to the fragment's plan, so every lowering helper
+// (applyFilter, exprVars, subgroupChain, ...) works unchanged inside
+// fragments. A piece reaches values of the outer plan through
+// importVar. Gathering the pieces back is packed's job, not this one's.
+func (c *compiler) mapPieces(in rel, schema algebra.Schema, body func(piece rel) ([]int, error)) (rel, error) {
+	out := rel{schema: schema}
+	var err error
+	switch {
+	case in.morselish():
+		if in.frag == nil {
+			in = c.openFrag(in)
+		}
+		out.frag = in.frag
+		c.plan = in.frag.f.Plan
+		out.cols, err = body(in)
+		c.plan = in.frag.outer
+	case in.partitioned():
+		in = c.forcePartitioned(in)
+		out.parts = make([][]int, len(in.parts))
+		for p := range in.parts {
+			if out.parts[p], err = body(in.part(p)); err != nil {
+				break
+			}
+		}
+	default:
+		out.cols, err = body(in)
+	}
+	return out, err
+}
+
+// importVar makes a value of the outer plan (a hash table, a packed
+// build column) usable inside piece. Slices and packed relations live
+// in the outer plan, so the value is used as it is; a fragment receives
+// it as a capture (a Cap of the fragment, fed by the mat.morsel
+// instruction), deduplicated so a value used by several operators rides
+// in once.
+func (c *compiler) importVar(piece rel, outer int) int {
+	fb := piece.frag
+	if fb == nil {
+		return outer
+	}
+	if fv, ok := fb.capIdx[outer]; ok {
+		return fv
+	}
+	fv := fb.f.Plan.NewVar(fb.outer.VarType(outer))
+	fb.f.Caps = append(fb.f.Caps, fv)
+	fb.caps = append(fb.caps, outer)
+	fb.capIdx[outer] = fv
+	return fv
+}
 
 // forcePartitioned materializes the mitosis form: a lazily-sliceable
 // scan emits its mat.slice instructions now; an already-partitioned
@@ -130,27 +199,26 @@ func (c *compiler) forcePartitioned(r rel) rel {
 	return out
 }
 
-// packed reassembles a partitioned rel with one mat.pack per column
-// (mergetable). A lazily-sliceable scan is already whole — its bound
-// columns are returned directly, with no instructions emitted — and
-// packed input passes through untouched.
+// packed is the one gather: a partitioned rel reassembles with one
+// mat.pack per column (mergetable), an open fragment closes into its
+// mat.morsel instruction. A lazily-sliceable or morselable scan is
+// already whole — its bound columns are returned directly, with no
+// instructions emitted — and packed input passes through untouched.
 func (c *compiler) packed(r rel) rel {
-	if r.frag != nil {
-		return c.closeFrag(r)
-	}
-	if r.sliceable || r.morselable {
-		return rel{schema: r.schema, cols: r.cols}
-	}
-	if r.parts == nil {
-		return r
-	}
 	out := rel{schema: r.schema}
-	for i := range r.schema {
-		args := make([]mal.Arg, len(r.parts))
-		for p := range r.parts {
-			args[p] = mal.VarArg(r.parts[p][i])
+	switch {
+	case r.frag != nil:
+		out.cols = c.closeFrag(r.frag, r.cols)
+	case r.parts == nil:
+		out.cols = r.cols
+	default:
+		for i, v := range r.parts[0] {
+			args := make([]mal.Arg, len(r.parts))
+			for p := range r.parts {
+				args[p] = mal.VarArg(r.parts[p][i])
+			}
+			out.cols = append(out.cols, c.plan.Emit1("mat", "pack", c.plan.VarType(v), args...))
 		}
-		out.cols = append(out.cols, c.plan.Emit1("mat", "pack", kindToBAT(r.schema[i].Kind), args...))
 	}
 	return out
 }
@@ -161,24 +229,21 @@ type compiler struct {
 }
 
 // fragBuild accumulates one morsel fragment while operators lower into
-// it: f is the fragment under construction, srcs/caps are the OUTER
-// plan variables feeding its Params/Caps (in order), capIdx dedups
-// captures so a value used by several operators rides in once.
+// it: f is the fragment under construction, outer the plan that will
+// carry its mat.morsel instruction, srcs/caps the OUTER plan variables
+// feeding its Params/Caps (in order), capIdx the capture dedup index.
 type fragBuild struct {
 	f      *mal.Fragment
+	outer  *mal.Plan
 	srcs   []int
 	caps   []int
 	capIdx map[int]int
 }
 
-// forceMorsel opens a fragment over a morselable scan: one fragment
-// parameter per bound column, typed like the outer variable. A rel
-// whose fragment is already open passes through.
-func (c *compiler) forceMorsel(r rel) rel {
-	if r.frag != nil || !r.morselable {
-		return r
-	}
-	fb := &fragBuild{f: &mal.Fragment{Plan: mal.NewPlan("")}, capIdx: map[int]int{}}
+// openFrag opens a fragment over a morselable scan: one fragment
+// parameter per bound column, typed like the outer variable.
+func (c *compiler) openFrag(r rel) rel {
+	fb := &fragBuild{f: &mal.Fragment{Plan: mal.NewPlan("")}, outer: c.plan, capIdx: map[int]int{}}
 	out := rel{schema: r.schema, frag: fb}
 	for _, v := range r.cols {
 		fv := fb.f.Plan.NewVar(c.plan.VarType(v))
@@ -189,38 +254,14 @@ func (c *compiler) forceMorsel(r rel) rel {
 	return out
 }
 
-// capture imports an outer value (a hash table, a packed build column)
-// into the fragment as a Cap, deduplicating repeat captures.
-func (c *compiler) capture(fb *fragBuild, outer int) int {
-	if fv, ok := fb.capIdx[outer]; ok {
-		return fv
-	}
-	fv := fb.f.Plan.NewVar(c.plan.VarType(outer))
-	fb.f.Caps = append(fb.f.Caps, fv)
-	fb.caps = append(fb.caps, outer)
-	fb.capIdx[outer] = fv
-	return fv
-}
-
-// inFrag runs fn with the compiler's emission target swapped to the
-// fragment's plan, so every lowering helper (applyFilter, exprVar,
-// subgroupChain, ...) works unchanged inside fragments.
-func (c *compiler) inFrag(fb *fragBuild, fn func() error) error {
-	saved := c.plan
-	c.plan = fb.f.Plan
-	err := fn()
-	c.plan = saved
-	return err
-}
-
-// closeFragVars registers the fragment with outs as its per-morsel
-// exports and emits the outer mat.morsel instruction:
+// closeFrag registers the fragment with outs as its per-morsel exports
+// and emits the outer mat.morsel instruction:
 //
 //	rets := mat.morsel(fragID, nSrc, nCap, src..., cap...)
 //
 // returning one outer variable per export, holding the exports packed
-// across morsels in morsel order.
-func (c *compiler) closeFragVars(fb *fragBuild, outs []int) []int {
+// across morsels in morsel order. A fragment can be closed only once.
+func (c *compiler) closeFrag(fb *fragBuild, outs []int) []int {
 	fb.f.Outs = append([]int(nil), outs...)
 	id := len(c.plan.Frags)
 	c.plan.Frags = append(c.plan.Frags, fb.f)
@@ -241,13 +282,6 @@ func (c *compiler) closeFragVars(fb *fragBuild, outs []int) []int {
 	}
 	c.plan.Emit("mat", "morsel", rets, args...)
 	return rets
-}
-
-// closeFrag closes a morsel rel: its fragment columns become the
-// fragment's exports and the rel continues packed on the mat.morsel
-// returns.
-func (c *compiler) closeFrag(r rel) rel {
-	return rel{schema: r.schema, cols: c.closeFragVars(r.frag, r.cols)}
 }
 
 // operand is a compiled scalar-or-column expression: either a MAL
@@ -372,47 +406,26 @@ func (c *compiler) lowerScan(s *algebra.Scan) rel {
 	return base
 }
 
-// lowerFilter filters each partition independently when the input is in
-// the mitosis form (selection is row-local), and the packed relation
-// otherwise.
+// lowerFilter filters every piece of its input independently: selection
+// is row-local, so the relation keeps its form.
 func (c *compiler) lowerFilter(f *algebra.Filter) (rel, error) {
 	in, err := c.lower(f.Input)
 	if err != nil {
 		return rel{}, err
 	}
-	if in.morselish() {
-		in = c.forceMorsel(in)
-		out := rel{frag: in.frag}
-		err := c.inFrag(in.frag, func() error {
-			fr, ferr := c.applyFilter(in, f.Pred)
-			out.schema, out.cols = fr.schema, fr.cols
-			return ferr
-		})
-		return out, err
-	}
-	if !in.partitioned() {
-		return c.applyFilter(in, f.Pred)
-	}
-	in = c.forcePartitioned(in)
-	out := rel{schema: in.schema, parts: make([][]int, len(in.parts))}
-	for p := range in.parts {
-		fp, err := c.applyFilter(in.part(p), f.Pred)
-		if err != nil {
-			return rel{}, err
-		}
-		out.parts[p] = fp.cols
-	}
-	return out, nil
+	return c.mapPieces(in, in.schema, func(piece rel) ([]int, error) {
+		return c.applyFilter(piece, f.Pred)
+	})
 }
 
-// applyFilter narrows rel to the rows satisfying pred and re-materializes
+// applyFilter narrows in to the rows satisfying pred and re-materializes
 // every column through the resulting candidate list.
-func (c *compiler) applyFilter(in rel, pred algebra.Expr) (rel, error) {
+func (c *compiler) applyFilter(in rel, pred algebra.Expr) ([]int, error) {
 	cands, err := c.candidates(in, pred)
 	if err != nil {
-		return rel{}, err
+		return nil, err
 	}
-	return c.projectAll(in, cands), nil
+	return c.projectAll(in, cands).cols, nil
 }
 
 // projectAll gathers all columns of in through the candidate list.
@@ -702,16 +715,20 @@ func foldConst(op string, l, r operand, k storage.Kind) (operand, error) {
 
 // lowerJoin compiles the equi-join. The build side (right input, the
 // hashed one) is always packed — one hash table per join. When the
-// probe side (left input) is in the mitosis form, the join itself
-// partitions: algebra.hashbuild indexes the build key once, and each
-// probe slice runs an independent algebra.hashprobe + projections, so
-// the probe phase — where TPC-H-shaped plans spend their join time —
-// fans out across the dataflow workers. The per-slice outputs
-// concatenated in slice order equal the packed join's probe-order
-// output exactly, so the result stays in the partitioned form and
+// probe side (left input) is fanned out, the join itself fans out:
+// algebra.hashbuild indexes the build key once in the outer plan, and
+// every probe piece imports the hash table and the packed build columns
+// and runs its own algebra.hashprobe + projections, so the probe phase
+// — where TPC-H-shaped plans spend their join time — spreads across the
+// dataflow workers or the morsel loop. Probe oids are piece-local, so
+// left columns project from the piece's own columns while build-side
+// oids project from the packed build columns. The per-piece outputs
+// concatenated in piece order equal the packed join's probe-order
+// output exactly, so the result keeps the probe side's form and
 // downstream operators (filters, aggregates, further joins) keep
-// consuming it slice-wise. A packed probe side falls back to the
-// one-shot algebra.join kernel.
+// consuming it piece-wise. A packed probe side is a single piece and
+// takes the one-shot algebra.join kernel instead of the build/probe
+// pair.
 func (c *compiler) lowerJoin(j *algebra.Join) (rel, error) {
 	l, err := c.lower(j.L)
 	if err != nil {
@@ -722,88 +739,28 @@ func (c *compiler) lowerJoin(j *algebra.Join) (rel, error) {
 		return rel{}, err
 	}
 	r = c.packed(r)
-	if l.morselish() {
-		return c.lowerMorselJoin(j, c.forceMorsel(l), r)
+	hash := -1
+	if l.fanned() {
+		l = c.forcePartitioned(l) // slices, when still pending, precede the build
+		hash = c.plan.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(r.cols[j.RKey]))
 	}
-	if l.partitioned() {
-		return c.lowerPartitionedJoin(j, c.forcePartitioned(l), r), nil
-	}
-	l = c.packed(l)
-	lo := c.plan.NewVar(mal.TBATOID)
-	ro := c.plan.NewVar(mal.TBATOID)
-	c.plan.Emit("algebra", "join", []int{lo, ro},
-		mal.VarArg(l.cols[j.LKey]), mal.VarArg(r.cols[j.RKey]))
-	out := rel{schema: j.Schema()}
-	for i, v := range l.cols {
-		p := c.plan.Emit1("algebra", "leftjoin", kindToBAT(l.schema[i].Kind),
-			mal.VarArg(lo), mal.VarArg(v))
-		out.cols = append(out.cols, p)
-	}
-	for i, v := range r.cols {
-		p := c.plan.Emit1("algebra", "leftjoin", kindToBAT(r.schema[i].Kind),
-			mal.VarArg(ro), mal.VarArg(v))
-		out.cols = append(out.cols, p)
-	}
-	return out, nil
-}
-
-// lowerPartitionedJoin emits the build-once/probe-per-slice form: l is
-// partitioned (the probe side), r packed (the build side). Probe-slice
-// oids are slice-local, so left columns project from the slice's own
-// columns while build-side oids project from the packed build columns.
-func (c *compiler) lowerPartitionedJoin(j *algebra.Join, l, r rel) rel {
-	h := c.plan.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(r.cols[j.RKey]))
-	out := rel{schema: j.Schema(), parts: make([][]int, len(l.parts))}
-	for p := range l.parts {
-		lp := l.part(p)
-		lo := c.plan.NewVar(mal.TBATOID)
-		ro := c.plan.NewVar(mal.TBATOID)
-		c.plan.Emit("algebra", "hashprobe", []int{lo, ro},
-			mal.VarArg(lp.cols[j.LKey]), mal.VarArg(h))
-		for i, v := range lp.cols {
-			out.parts[p] = append(out.parts[p], c.plan.Emit1("algebra", "leftjoin",
-				kindToBAT(l.schema[i].Kind), mal.VarArg(lo), mal.VarArg(v)))
-		}
+	return c.mapPieces(l, j.Schema(), func(lp rel) ([]int, error) {
+		build := rel{schema: r.schema, cols: make([]int, len(r.cols))}
+		hv := c.importVar(lp, hash) // still -1 for a packed probe side
 		for i, v := range r.cols {
-			out.parts[p] = append(out.parts[p], c.plan.Emit1("algebra", "leftjoin",
-				kindToBAT(r.schema[i].Kind), mal.VarArg(ro), mal.VarArg(v)))
+			build.cols[i] = c.importVar(lp, v)
 		}
-	}
-	return out
-}
-
-// lowerMorselJoin is the morsel form of the build-once/probe-per-slice
-// join: the hash is built once in the outer plan over the packed build
-// key, then the hash table and the packed build columns are captured
-// into the probe side's fragment, where every morsel runs its own
-// algebra.hashprobe + projections. Morsel probe outputs concatenated in
-// morsel order equal the packed join's probe-order output exactly, so
-// the result stays in the morsel form.
-func (c *compiler) lowerMorselJoin(j *algebra.Join, l, r rel) (rel, error) {
-	h := c.plan.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(r.cols[j.RKey]))
-	fb := l.frag
-	hv := c.capture(fb, h)
-	rcaps := make([]int, len(r.cols))
-	for i, v := range r.cols {
-		rcaps[i] = c.capture(fb, v)
-	}
-	out := rel{schema: j.Schema(), frag: fb}
-	err := c.inFrag(fb, func() error {
 		lo := c.plan.NewVar(mal.TBATOID)
 		ro := c.plan.NewVar(mal.TBATOID)
-		c.plan.Emit("algebra", "hashprobe", []int{lo, ro},
-			mal.VarArg(l.cols[j.LKey]), mal.VarArg(hv))
-		for i, v := range l.cols {
-			out.cols = append(out.cols, c.plan.Emit1("algebra", "leftjoin",
-				kindToBAT(l.schema[i].Kind), mal.VarArg(lo), mal.VarArg(v)))
+		if hash < 0 {
+			c.plan.Emit("algebra", "join", []int{lo, ro},
+				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(build.cols[j.RKey]))
+		} else {
+			c.plan.Emit("algebra", "hashprobe", []int{lo, ro},
+				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(hv))
 		}
-		for i, v := range rcaps {
-			out.cols = append(out.cols, c.plan.Emit1("algebra", "leftjoin",
-				kindToBAT(r.schema[i].Kind), mal.VarArg(ro), mal.VarArg(v)))
-		}
-		return nil
+		return append(c.projectAll(lp, lo).cols, c.projectAll(build, ro).cols...), nil
 	})
-	return out, err
 }
 
 var aggrFunc = map[storage.AggrKind]string{
@@ -815,11 +772,11 @@ var aggrFunc = map[storage.AggrKind]string{
 }
 
 // mergeable reports whether every aggregate of the list decomposes into
-// per-partition partials plus a recombination step: sum and count
-// partials are summed, min/max partials re-minimized. Avg does not
-// decompose losslessly in this instruction set (sum/count division
-// would change the output type for integer columns), so its presence
-// routes the group-by through the packed path.
+// per-piece partials plus a recombination step: sum and count partials
+// are summed, min/max partials re-minimized. Avg does not decompose
+// losslessly in this instruction set (sum/count division would change
+// the output type for integer columns), so its presence routes the
+// aggregation through the packed path.
 func mergeable(aggs []algebra.AggSpec) bool {
 	for _, a := range aggs {
 		if !a.CountStar && a.Func == storage.AggrAvg {
@@ -829,64 +786,140 @@ func mergeable(aggs []algebra.AggSpec) bool {
 	return true
 }
 
+// guarded reports the aggregates whose global partials need a row count
+// beside them: the min or max of an empty piece is a zero-valued
+// placeholder that must not take part in the recombination.
+func guarded(a algebra.AggSpec) bool {
+	return !a.CountStar && (a.Func == storage.AggrMin || a.Func == storage.AggrMax)
+}
+
+// lowerGroupAgg is the mergetable aggregation: a fanned-out input is
+// pre-aggregated piece by piece (aggregatePiece), the per-piece partials
+// are gathered (one mat.pack per partial column, or the fragment's
+// mat.morsel) and a combine stage recomputes the final aggregates over
+// the (tiny) packed partials (combinePartials). The merged grouping
+// preserves the sequential plan's first-appearance group order, so
+// counts, min/max, integral sums and key columns are byte-identical to
+// the unpartitioned lowering; float sums re-associate the additions
+// (one partial sum per piece) and may differ in the last bits, as
+// MonetDB's mitosis does. A packed input, or an aggregate list that
+// does not decompose, aggregates the packed relation in one step.
 func (c *compiler) lowerGroupAgg(g *algebra.GroupAgg) (rel, error) {
 	in, err := c.lower(g.Input)
 	if err != nil {
 		return rel{}, err
 	}
-	if in.morselish() && mergeable(g.Aggs) {
-		return c.lowerMorselGroupAgg(g, c.forceMorsel(in))
+	if !in.fanned() || !mergeable(g.Aggs) {
+		cols, err := c.aggregatePiece(g, c.packed(in), false)
+		return rel{schema: g.Schema(), cols: cols}, err
 	}
-	if in.partitioned() && mergeable(g.Aggs) {
-		return c.lowerMergedGroupAgg(g, c.forcePartitioned(in))
-	}
-	in = c.packed(in)
-	out := rel{schema: g.Schema()}
-
-	if len(g.Keys) == 0 {
-		// Global aggregates: one-row results.
-		for _, a := range g.Aggs {
-			v, err := c.globalAggr(in, a)
-			if err != nil {
-				return rel{}, err
-			}
-			out.cols = append(out.cols, v)
-		}
-		return out, nil
-	}
-
-	kvs, err := c.keyVars(in, g.Keys)
+	partials, err := c.mapPieces(in, nil, func(piece rel) ([]int, error) {
+		return c.aggregatePiece(g, piece, true)
+	})
 	if err != nil {
 		return rel{}, err
 	}
-	groups, extents := c.subgroupChain(kvs)
-	// Key output columns: representative rows via extents.
-	for i, kv := range kvs {
-		v := c.plan.Emit1("algebra", "leftjoin", kindToBAT(g.Keys[i].Kind()),
-			mal.VarArg(extents), mal.VarArg(kv))
-		out.cols = append(out.cols, v)
-	}
-	for _, a := range g.Aggs {
-		v, err := c.subAggr(in, a, groups, extents)
-		if err != nil {
-			return rel{}, err
-		}
-		out.cols = append(out.cols, v)
-	}
-	return out, nil
+	return rel{schema: g.Schema(), cols: c.combinePartials(g, c.packed(partials).cols)}, nil
 }
 
-// keyVars compiles the group-key expressions over in.
-func (c *compiler) keyVars(in rel, keys []algebra.Expr) ([]int, error) {
-	kvs := make([]int, len(keys))
-	for j, kx := range keys {
-		kv, err := c.exprVar(in, kx)
+// aggregatePiece aggregates one piece. Grouped: local grouping, one
+// representative row per local group for every key, one aggregate per
+// local group. Global: one one-row aggregate each; partial asks for the
+// row count that guards min/max against empty pieces, emitted right
+// after the aggregate it guards. Over a packed relation the outputs are
+// the final columns; over a piece they are the partials combinePartials
+// consumes, in the same order.
+func (c *compiler) aggregatePiece(g *algebra.GroupAgg, in rel, partial bool) ([]int, error) {
+	var cols []int
+	if len(g.Keys) == 0 {
+		for _, a := range g.Aggs {
+			if a.CountStar {
+				cols = append(cols, c.plan.Emit1("aggr", "count", mal.TBATInt, mal.VarArg(in.cols[0])))
+				continue
+			}
+			av, err := c.exprVar(in, a.Arg)
+			if err != nil {
+				return nil, err
+			}
+			cols = append(cols, c.plan.Emit1("aggr", aggrFunc[a.Func], kindToBAT(a.K), mal.VarArg(av)))
+			if partial && guarded(a) {
+				cols = append(cols, c.plan.Emit1("aggr", "count", mal.TBATInt, mal.VarArg(av)))
+			}
+		}
+		return cols, nil
+	}
+	kvs, err := c.exprVars(in, g.Keys)
+	if err != nil {
+		return nil, err
+	}
+	groups, extents := c.subgroupChain(kvs)
+	// Key output columns: representative rows via extents (the output
+	// schema starts with the keys).
+	cols = c.projectAll(rel{schema: g.Schema(), cols: kvs}, extents).cols
+	for _, a := range g.Aggs {
+		if a.CountStar {
+			cols = append(cols, c.plan.Emit1("aggr", "subcount", mal.TBATInt,
+				mal.VarArg(groups), mal.VarArg(extents)))
+			continue
+		}
+		av, err := c.exprVar(in, a.Arg)
 		if err != nil {
 			return nil, err
 		}
-		kvs[j] = kv
+		cols = append(cols, c.plan.Emit1("aggr", "sub"+aggrFunc[a.Func], kindToBAT(a.K),
+			mal.VarArg(av), mal.VarArg(groups), mal.VarArg(extents)))
 	}
-	return kvs, nil
+	return cols, nil
+}
+
+// combinePartials is the mergetable recombination stage over the packed
+// partials of aggregatePiece, whatever produced the pieces. Grouped:
+// regroup the packed per-piece group representatives (first appearance
+// over the packed order equals first appearance over the full relation)
+// and recombine the packed partials under the merged grouping. Global:
+// recombine each packed partial column into its one-row result. Either
+// way partial counts and sums are summed and partial minima/maxima
+// re-minimized, the global ones over the live partials only — the
+// pieces whose row count is positive (thetaselect > 0).
+func (c *compiler) combinePartials(g *algebra.GroupAgg, partials []int) []int {
+	keys, rest := partials[:len(g.Keys)], partials[len(g.Keys):]
+	groups, extents := c.subgroupChain(keys)
+	cols := c.projectAll(rel{schema: g.Schema(), cols: keys}, extents).cols
+	for _, a := range g.Aggs {
+		pv := rest[0]
+		rest = rest[1:]
+		fn := aggrFunc[a.Func]
+		if a.CountStar || a.Func == storage.AggrCount || a.Func == storage.AggrSum {
+			fn = "sum" // partial counts and sums recombine by summation
+		}
+		if len(keys) > 0 {
+			cols = append(cols, c.plan.Emit1("aggr", "sub"+fn, kindToBAT(a.K),
+				mal.VarArg(pv), mal.VarArg(groups), mal.VarArg(extents)))
+			continue
+		}
+		if guarded(a) {
+			live := c.plan.Emit1("algebra", "thetaselect", mal.TBATOID,
+				mal.VarArg(rest[0]), mal.ConstOf(mal.Str(">")), mal.ConstOf(mal.Int64(0)))
+			rest = rest[1:]
+			pv = c.plan.Emit1("algebra", "leftjoin", kindToBAT(a.K), mal.VarArg(live), mal.VarArg(pv))
+		}
+		cols = append(cols, c.plan.Emit1("aggr", fn, kindToBAT(a.K), mal.VarArg(pv)))
+	}
+	return cols
+}
+
+// exprVars compiles a list of expressions (group keys, projection
+// outputs) over in, one BAT variable each.
+func (c *compiler) exprVars(in rel, exprs []algebra.Expr) ([]int, error) {
+	vars := make([]int, len(exprs))
+	for i, e := range exprs {
+		v, err := c.exprVar(in, e)
+		if err != nil {
+			return nil, err
+		}
+		vars[i] = v
+	}
+	return vars, nil
 }
 
 // subgroupChain chains group.subgroup over the key columns, refining
@@ -907,267 +940,6 @@ func (c *compiler) subgroupChain(keys []int) (groups, extents int) {
 	return groups, extents
 }
 
-// subAggr emits one grouped aggregate of a over in under the grouping.
-func (c *compiler) subAggr(in rel, a algebra.AggSpec, groups, extents int) (int, error) {
-	if a.CountStar {
-		return c.plan.Emit1("aggr", "subcount", mal.TBATInt,
-			mal.VarArg(groups), mal.VarArg(extents)), nil
-	}
-	av, err := c.exprVar(in, a.Arg)
-	if err != nil {
-		return 0, err
-	}
-	return c.plan.Emit1("aggr", "sub"+aggrFunc[a.Func], kindToBAT(a.K),
-		mal.VarArg(av), mal.VarArg(groups), mal.VarArg(extents)), nil
-}
-
-// partialType is the BAT type of a per-partition partial aggregate:
-// counts are integral regardless of the input column, everything else
-// keeps the aggregate's output kind.
-func partialType(a algebra.AggSpec) mal.Type {
-	if a.CountStar || a.Func == storage.AggrCount {
-		return mal.TBATInt
-	}
-	return kindToBAT(a.K)
-}
-
-// packCol packs per-partition column vars into one BAT.
-func (c *compiler) packCol(parts []int, t mal.Type) int {
-	args := make([]mal.Arg, len(parts))
-	for i, v := range parts {
-		args[i] = mal.VarArg(v)
-	}
-	return c.plan.Emit1("mat", "pack", t, args...)
-}
-
-// lowerMergedGroupAgg is the mergetable aggregation path: each slice is
-// pre-aggregated independently, the per-slice results are packed, and a
-// combine stage recomputes the final aggregates over the (tiny) packed
-// partials — partial sums and counts are summed, partial minima and
-// maxima re-minimized. The merged grouping preserves the sequential
-// plan's first-appearance group order, so counts, min/max, integral
-// sums and key columns are byte-identical to the unpartitioned
-// lowering; float sums re-associate the additions (partial sums per
-// slice) and may differ in the last bits, as MonetDB's mitosis does.
-func (c *compiler) lowerMergedGroupAgg(g *algebra.GroupAgg, in rel) (rel, error) {
-	out := rel{schema: g.Schema()}
-	k := len(in.parts)
-
-	if len(g.Keys) == 0 {
-		for _, a := range g.Aggs {
-			v, err := c.mergedGlobalAggr(in, a)
-			if err != nil {
-				return rel{}, err
-			}
-			out.cols = append(out.cols, v)
-		}
-		return out, nil
-	}
-
-	// Per-partition pre-aggregation: local grouping, one representative
-	// row per local group, one partial per aggregate per local group.
-	keyParts := make([][]int, len(g.Keys)) // keyParts[j][p]
-	aggParts := make([][]int, len(g.Aggs)) // aggParts[ai][p]
-	for p := 0; p < k; p++ {
-		pr := in.part(p)
-		kvs, err := c.keyVars(pr, g.Keys)
-		if err != nil {
-			return rel{}, err
-		}
-		groups, extents := c.subgroupChain(kvs)
-		for j, kv := range kvs {
-			keyParts[j] = append(keyParts[j], c.plan.Emit1("algebra", "leftjoin",
-				kindToBAT(g.Keys[j].Kind()), mal.VarArg(extents), mal.VarArg(kv)))
-		}
-		for ai, a := range g.Aggs {
-			pv, err := c.subAggr(pr, a, groups, extents)
-			if err != nil {
-				return rel{}, err
-			}
-			aggParts[ai] = append(aggParts[ai], pv)
-		}
-	}
-
-	// Combine: pack the per-slice group representatives, regroup them
-	// (first appearance over the packed order equals first appearance
-	// over the full relation), and recombine the packed partials under
-	// the merged grouping.
-	packedKeys := make([]int, len(g.Keys))
-	for j := range g.Keys {
-		packedKeys[j] = c.packCol(keyParts[j], kindToBAT(g.Keys[j].Kind()))
-	}
-	packedAggs := make([]int, len(g.Aggs))
-	for ai, a := range g.Aggs {
-		packedAggs[ai] = c.packCol(aggParts[ai], partialType(a))
-	}
-	out.cols = c.combineGroupedPartials(g, packedKeys, packedAggs)
-	return out, nil
-}
-
-// combineGroupedPartials is the mergetable recombination stage shared
-// by the static-slice and morsel group-by paths: regroup the packed
-// per-slice (or per-morsel) group representatives and recombine the
-// packed partials under the merged grouping — partial counts and sums
-// summed, partial minima/maxima re-minimized.
-func (c *compiler) combineGroupedPartials(g *algebra.GroupAgg, packedKeys, packedAggs []int) []int {
-	var cols []int
-	groups, extents := c.subgroupChain(packedKeys)
-	for j, pk := range packedKeys {
-		cols = append(cols, c.plan.Emit1("algebra", "leftjoin",
-			kindToBAT(g.Keys[j].Kind()), mal.VarArg(extents), mal.VarArg(pk)))
-	}
-	for ai, a := range g.Aggs {
-		fn := aggrFunc[a.Func]
-		if a.CountStar || a.Func == storage.AggrCount || a.Func == storage.AggrSum {
-			fn = "sum" // partial counts and sums recombine by summation
-		}
-		cols = append(cols, c.plan.Emit1("aggr", "sub"+fn, partialType(a),
-			mal.VarArg(packedAggs[ai]), mal.VarArg(groups), mal.VarArg(extents)))
-	}
-	return cols
-}
-
-// lowerMorselGroupAgg is the morsel aggregation path: the fragment
-// pre-aggregates each morsel (local grouping, one representative row
-// and one partial per aggregate per local group), mat.morsel packs the
-// per-morsel partials in morsel order, and the combine stage is the
-// same mergetable recombination the static path uses. Global
-// aggregates mirror mergedGlobalAggr, including the empty-partial
-// guard for min/max.
-func (c *compiler) lowerMorselGroupAgg(g *algebra.GroupAgg, in rel) (rel, error) {
-	out := rel{schema: g.Schema()}
-	fb := in.frag
-
-	if len(g.Keys) == 0 {
-		// One partial (plus a row count guarding min/max) per aggregate
-		// per morsel; empty morsels contribute zero-valued placeholders
-		// with count 0, exactly like empty static slices.
-		var fouts []int
-		guarded := make([]bool, len(g.Aggs))
-		err := c.inFrag(fb, func() error {
-			for ai, a := range g.Aggs {
-				if a.CountStar {
-					fouts = append(fouts, c.plan.Emit1("aggr", "count", mal.TBATInt,
-						mal.VarArg(in.cols[0])))
-					continue
-				}
-				av, err := c.exprVar(in, a.Arg)
-				if err != nil {
-					return err
-				}
-				fouts = append(fouts, c.plan.Emit1("aggr", aggrFunc[a.Func],
-					partialType(a), mal.VarArg(av)))
-				if a.Func == storage.AggrMin || a.Func == storage.AggrMax {
-					guarded[ai] = true
-					fouts = append(fouts, c.plan.Emit1("aggr", "count", mal.TBATInt,
-						mal.VarArg(av)))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return rel{}, err
-		}
-		packed := c.closeFragVars(fb, fouts)
-		i := 0
-		for ai, a := range g.Aggs {
-			pv := packed[i]
-			i++
-			if !guarded[ai] {
-				// Partial counts and sums both recombine by summation.
-				out.cols = append(out.cols, c.plan.Emit1("aggr", "sum",
-					partialType(a), mal.VarArg(pv)))
-				continue
-			}
-			cv := packed[i]
-			i++
-			live := c.plan.Emit1("algebra", "thetaselect", mal.TBATOID,
-				mal.VarArg(cv), mal.ConstOf(mal.Str(">")), mal.ConstOf(mal.Int64(0)))
-			liveVals := c.plan.Emit1("algebra", "leftjoin", partialType(a),
-				mal.VarArg(live), mal.VarArg(pv))
-			out.cols = append(out.cols, c.plan.Emit1("aggr", aggrFunc[a.Func],
-				partialType(a), mal.VarArg(liveVals)))
-		}
-		return out, nil
-	}
-
-	var fouts []int
-	err := c.inFrag(fb, func() error {
-		kvs, err := c.keyVars(in, g.Keys)
-		if err != nil {
-			return err
-		}
-		groups, extents := c.subgroupChain(kvs)
-		for j, kv := range kvs {
-			fouts = append(fouts, c.plan.Emit1("algebra", "leftjoin",
-				kindToBAT(g.Keys[j].Kind()), mal.VarArg(extents), mal.VarArg(kv)))
-		}
-		for _, a := range g.Aggs {
-			pv, err := c.subAggr(in, a, groups, extents)
-			if err != nil {
-				return err
-			}
-			fouts = append(fouts, pv)
-		}
-		return nil
-	})
-	if err != nil {
-		return rel{}, err
-	}
-	packed := c.closeFragVars(fb, fouts)
-	out.cols = c.combineGroupedPartials(g, packed[:len(g.Keys)], packed[len(g.Keys):])
-	return out, nil
-}
-
-// mergedGlobalAggr computes one global aggregate over a partitioned
-// relation: per-slice partials packed and recombined. Min/max guard
-// against empty slices, whose partials are zero-valued placeholders
-// that must not participate in the recombination: the per-slice row
-// counts select the live partials (thetaselect > 0) first.
-func (c *compiler) mergedGlobalAggr(in rel, a algebra.AggSpec) (int, error) {
-	k := len(in.parts)
-	needGuard := !a.CountStar && (a.Func == storage.AggrMin || a.Func == storage.AggrMax)
-	partials := make([]int, k)
-	counts := make([]int, k)
-	for p := 0; p < k; p++ {
-		pr := in.part(p)
-		if a.CountStar {
-			partials[p] = c.plan.Emit1("aggr", "count", mal.TBATInt, mal.VarArg(pr.cols[0]))
-			continue
-		}
-		av, err := c.exprVar(pr, a.Arg)
-		if err != nil {
-			return 0, err
-		}
-		partials[p] = c.plan.Emit1("aggr", aggrFunc[a.Func], partialType(a), mal.VarArg(av))
-		if needGuard {
-			counts[p] = c.plan.Emit1("aggr", "count", mal.TBATInt, mal.VarArg(av))
-		}
-	}
-	packed := c.packCol(partials, partialType(a))
-	if !needGuard {
-		// Partial counts and sums both recombine by summation.
-		return c.plan.Emit1("aggr", "sum", partialType(a), mal.VarArg(packed)), nil
-	}
-	packedCounts := c.packCol(counts, mal.TBATInt)
-	live := c.plan.Emit1("algebra", "thetaselect", mal.TBATOID,
-		mal.VarArg(packedCounts), mal.ConstOf(mal.Str(">")), mal.ConstOf(mal.Int64(0)))
-	liveVals := c.plan.Emit1("algebra", "leftjoin", partialType(a),
-		mal.VarArg(live), mal.VarArg(packed))
-	return c.plan.Emit1("aggr", aggrFunc[a.Func], partialType(a), mal.VarArg(liveVals)), nil
-}
-
-func (c *compiler) globalAggr(in rel, a algebra.AggSpec) (int, error) {
-	if a.CountStar {
-		return c.plan.Emit1("aggr", "count", mal.TBATInt, mal.VarArg(in.cols[0])), nil
-	}
-	av, err := c.exprVar(in, a.Arg)
-	if err != nil {
-		return 0, err
-	}
-	return c.plan.Emit1("aggr", aggrFunc[a.Func], kindToBAT(a.K), mal.VarArg(av)), nil
-}
-
 // exprVar compiles an expression and forces a BAT variable result
 // (constants are not legal as full columns here).
 func (c *compiler) exprVar(in rel, e algebra.Expr) (int, error) {
@@ -1184,91 +956,38 @@ func (c *compiler) exprVar(in rel, e algebra.Expr) (int, error) {
 	return op.varID, nil
 }
 
-// lowerProject computes the output expressions per partition when the
-// input is in the mitosis form (expressions are row-local), and over
-// the packed relation otherwise.
+// lowerProject computes the output expressions over every piece of its
+// input: expressions are row-local, so the relation keeps its form.
 func (c *compiler) lowerProject(p *algebra.Project) (rel, error) {
 	in, err := c.lower(p.Input)
 	if err != nil {
 		return rel{}, err
 	}
-	if in.morselish() {
-		in = c.forceMorsel(in)
-		out := rel{schema: p.Schema(), frag: in.frag}
-		err := c.inFrag(in.frag, func() error {
-			for _, e := range p.Exprs {
-				v, verr := c.exprVar(in, e)
-				if verr != nil {
-					return verr
-				}
-				out.cols = append(out.cols, v)
-			}
-			return nil
-		})
-		return out, err
-	}
-	if in.partitioned() {
-		in = c.forcePartitioned(in)
-		out := rel{schema: p.Schema(), parts: make([][]int, len(in.parts))}
-		for pi := range in.parts {
-			pr := in.part(pi)
-			for _, e := range p.Exprs {
-				v, err := c.exprVar(pr, e)
-				if err != nil {
-					return rel{}, err
-				}
-				out.parts[pi] = append(out.parts[pi], v)
-			}
-		}
-		return out, nil
-	}
-	out := rel{schema: p.Schema()}
-	for _, e := range p.Exprs {
-		v, err := c.exprVar(in, e)
-		if err != nil {
-			return rel{}, err
-		}
-		out.cols = append(out.cols, v)
-	}
-	return out, nil
+	return c.mapPieces(in, p.Schema(), func(piece rel) ([]int, error) {
+		return c.exprVars(piece, p.Exprs)
+	})
 }
 
-// lowerDistinct deduplicates each partition locally first (mergetable:
-// the merged dedup then runs over the per-slice survivors, not the full
+// lowerDistinct deduplicates every piece locally first (mergetable: the
+// merged dedup then runs over the per-piece survivors, not the full
 // relation), then deduplicates the packed survivors. First-appearance
 // order of the packed survivors equals first-appearance order of the
-// full relation, so the output matches the sequential lowering.
+// full relation, so the output matches the sequential lowering. A
+// packed input is its own single piece and is deduplicated once.
 func (c *compiler) lowerDistinct(d *algebra.Distinct) (rel, error) {
 	in, err := c.lower(d.Input)
 	if err != nil {
 		return rel{}, err
 	}
-	if in.morselish() {
-		// Morsel-local dedup first (the packed dedup then runs over the
-		// per-morsel survivors); first-appearance order of the packed
-		// survivors equals first-appearance order of the full relation.
-		in = c.forceMorsel(in)
-		var fouts []int
-		if err := c.inFrag(in.frag, func() error {
-			_, extents := c.subgroupChain(in.cols)
-			fouts = c.projectAll(in, extents).cols
-			return nil
-		}); err != nil {
-			return rel{}, err
-		}
-		in = rel{schema: in.schema, cols: c.closeFragVars(in.frag, fouts)}
-	} else if in.partitioned() {
-		in = c.forcePartitioned(in)
-		dp := rel{schema: in.schema, parts: make([][]int, len(in.parts))}
-		for p := range in.parts {
-			pr := in.part(p)
-			_, extents := c.subgroupChain(pr.cols)
-			dp.parts[p] = c.projectAll(pr, extents).cols
-		}
-		in = c.packed(dp)
+	dedup := func(piece rel) ([]int, error) {
+		_, extents := c.subgroupChain(piece.cols)
+		return c.projectAll(piece, extents).cols, nil
 	}
-	_, extents := c.subgroupChain(in.cols)
-	return c.projectAll(in, extents), nil
+	local, err := c.mapPieces(in, in.schema, dedup)
+	if !in.fanned() {
+		return local, err
+	}
+	return c.mapPieces(c.packed(local), in.schema, dedup)
 }
 
 func (c *compiler) lowerSort(s *algebra.Sort) (rel, error) {
@@ -1296,12 +1015,9 @@ func (c *compiler) lowerSortTopK(s *algebra.Sort, topK int64) (rel, error) {
 		in.sliceable = c.opt.Partitions > 1
 	}
 	if in.partitioned() {
-		in = c.forcePartitioned(in)
-		if len(in.parts) > 1 {
-			return c.lowerMergedSort(s, in, topK), nil
-		}
+		return c.lowerMergedSort(s, c.forcePartitioned(in), topK), nil
 	}
-	return c.sortPacked(c.packed(in), s.Keys), nil
+	return c.sortPacked(in, s.Keys), nil
 }
 
 // sortPacked is the sequential sort: stable multi-key, applying keys

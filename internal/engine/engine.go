@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,31 @@ func (r *Result) WriteText(w io.Writer) (int64, error) {
 
 // Kernel implements one MAL module.function over the execution context.
 type Kernel func(ctx *Context, in *mal.Instr) error
+
+// KernelPanic is the error a panicking kernel is converted into, so a
+// bug in one kernel costs one query an error instead of the process:
+// the run fails like any kernel error and the engine stays usable. The
+// one-line message carries the panic value; the goroutine stack at the
+// point of the panic is kept in Stack for whoever unwraps the error.
+type KernelPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *KernelPanic) Error() string { return fmt.Sprintf("kernel panic: %v", p.Value) }
+
+// callKernel runs k and contains a panic as a *KernelPanic. Both places
+// that invoke kernels — exec, on the run's goroutine or a dataflow
+// worker, and the morsel loop, on its helper goroutines — go through
+// it; each wraps the error with the pc and opcode it was running.
+func callKernel(k Kernel, ctx *Context, in *mal.Instr) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &KernelPanic{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return k(ctx, in)
+}
 
 // Engine holds the catalog and the kernel registry. One Engine serves
 // many concurrent queries; per-query state lives in Context.
@@ -343,7 +369,7 @@ func (e *Engine) exec(ctx *Context, in *mal.Instr, thread int, prof *profiler.Pr
 	if em != nil {
 		t0 = time.Now()
 	}
-	err := k(ctx, in)
+	err := callKernel(k, ctx, in)
 	if em != nil {
 		em.instrUs.Observe(time.Since(t0).Microseconds())
 		em.instrs.Inc()

@@ -222,7 +222,7 @@ func kMorsel(ctx *Context, in *mal.Instr) error {
 				fctx.vals[cv] = caps[i]
 			}
 			for _, fin := range f.Plan.Instrs {
-				if err := fkernels[fin.PC](fctx, fin); err != nil {
+				if err := callKernel(fkernels[fin.PC], fctx, fin); err != nil {
 					fail(fmt.Errorf("morsel %d: fragment pc=%d %s: %w", m, fin.PC, fin.Name(), err))
 					return
 				}

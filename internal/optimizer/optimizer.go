@@ -194,168 +194,72 @@ func (CSE) Run(p *mal.Plan) (int, error) {
 	return rewrites, nil
 }
 
-// MatFold removes degenerate mitosis fragments: a mat.pack of a single
-// piece is the piece, mat.slice(v, 0, 1) is v, and a mat.pack that
-// reassembles every slice of one source in order is the source itself
-// (the compiler's partitioned lowering emits that shape for scans no
-// operator ever consumed partition-wise). Two join/sort-mitosis cases
-// fold degenerate single-slice plans back to the packed kernels: an
-// algebra.hashbuild probed by exactly one algebra.hashprobe rewrites
-// that probe to the one-shot algebra.join (the build handle dies), and
-// a mat.kmerge over a single run is the identity permutation, so
-// algebra.leftjoin projections through it collapse to their column
-// argument (the compiler only projects a kmerge permutation over the
-// pack of the very runs it merges, so the lengths agree by
-// construction). Uses are rewritten to the surviving variable; the dead
-// instructions are left for DeadCode.
+// MatFold removes the one degenerate mitosis fragment the lowering can
+// still emit: a mat.pack that reassembles every slice of one source in
+// order is the source itself (a bare projection slices a scan and the
+// limit or result set above it packs the untouched slices straight
+// back). Uses are rewritten to the source; the dead pack and slices are
+// left for DeadCode. Other degenerate shapes — a pack of one piece,
+// mat.slice(v, 0, 1), a hashbuild probed once, a single-run mat.kmerge
+// — cannot arise: the compiler fans out only when Partitions > 1, so
+// every pack, probe set and merge has at least two pieces.
 type MatFold struct{}
 
 // Name implements Pass.
 func (MatFold) Name() string { return "matfold" }
 
-// constInt extracts an integer constant argument, reporting whether arg
-// i exists and is one.
-func constInt(in *mal.Instr, i int) (int64, bool) {
-	if i >= len(in.Args) || !in.Args[i].IsConst() {
-		return 0, false
+// sliceOf decodes in as `mat.slice(src, p, k)`: slice p of k of the
+// variable src, both positions integer constants.
+func sliceOf(in *mal.Instr) (src int, p, k int64, ok bool) {
+	if in == nil || in.Name() != "mat.slice" || len(in.Args) != 3 || in.Args[0].IsConst() {
+		return 0, 0, 0, false
 	}
-	c := in.Args[i].Const
-	if c.Type != mal.TInt && c.Type != mal.TOID {
-		return 0, false
+	pa, ka := in.Args[1], in.Args[2]
+	if !pa.IsConst() || !ka.IsConst() || pa.Const.Type != mal.TInt || ka.Const.Type != mal.TInt {
+		return 0, 0, 0, false
 	}
-	return c.Int, true
+	return in.Args[0].Var, pa.Const.Int, ka.Const.Int, true
 }
 
 // Run implements Pass.
 func (MatFold) Run(p *mal.Plan) (int, error) {
 	folded := 0
 	replacement := map[int]int{}
-	resolve := func(v int) int {
-		for {
-			r, ok := replacement[v]
-			if !ok {
-				return v
-			}
-			v = r
-		}
-	}
 	// def maps a variable to its defining instruction, built as we walk
 	// (single assignment: definitions precede uses).
 	def := map[int]*mal.Instr{}
-	// identityPerm marks kmerge results known to be the identity
-	// permutation (single-run merges); projections through them fold.
-	identityPerm := map[int]bool{}
 	for _, in := range p.Instrs {
 		for ai, a := range in.Args {
 			if !a.IsConst() {
-				if r := resolve(a.Var); r != a.Var {
+				if r, ok := replacement[a.Var]; ok {
 					in.Args[ai] = mal.VarArg(r)
 				}
-			}
-		}
-		switch in.Name() {
-		case "mat.kmerge":
-			// kmerge(nkeys, asc..., one column per key) over a single
-			// run: nothing to merge, the permutation is the identity.
-			// Only the projections folded through it count as removals;
-			// the kmerge itself dies via DeadCode once they do.
-			if nk, ok := constInt(in, 0); ok && len(in.Rets) == 1 &&
-				nk >= 1 && int64(len(in.Args)) == 1+2*nk {
-				identityPerm[in.Rets[0]] = true
-			}
-		case "algebra.leftjoin":
-			if len(in.Rets) == 1 && len(in.Args) == 2 &&
-				!in.Args[0].IsConst() && !in.Args[1].IsConst() &&
-				identityPerm[in.Args[0].Var] {
-				replacement[in.Rets[0]] = in.Args[1].Var
-				folded++
-			}
-		}
-		switch in.Name() {
-		case "mat.slice":
-			// slice(v, 0, 1) is the whole column.
-			if pArg, ok := constInt(in, 1); ok && pArg == 0 {
-				if kArg, ok := constInt(in, 2); ok && kArg == 1 && len(in.Rets) == 1 && !in.Args[0].IsConst() {
-					replacement[in.Rets[0]] = in.Args[0].Var
-					folded++
-				}
-			}
-		case "mat.pack":
-			if len(in.Rets) != 1 {
-				break
-			}
-			if len(in.Args) == 1 && !in.Args[0].IsConst() {
-				// pack of one piece is the piece.
-				replacement[in.Rets[0]] = in.Args[0].Var
-				folded++
-				break
-			}
-			// pack(slice(v,0,k), ..., slice(v,k-1,k)) is v.
-			src := -1
-			ok := true
-			for i, a := range in.Args {
-				if a.IsConst() {
-					ok = false
-					break
-				}
-				d := def[a.Var]
-				if d == nil || d.Name() != "mat.slice" || d.Args[0].IsConst() {
-					ok = false
-					break
-				}
-				pArg, pOK := constInt(d, 1)
-				kArg, kOK := constInt(d, 2)
-				if !pOK || !kOK || pArg != int64(i) || kArg != int64(len(in.Args)) {
-					ok = false
-					break
-				}
-				if src == -1 {
-					src = d.Args[0].Var
-				} else if d.Args[0].Var != src {
-					ok = false
-					break
-				}
-			}
-			if ok && src >= 0 {
-				replacement[in.Rets[0]] = src
-				folded++
 			}
 		}
 		for _, r := range in.Rets {
 			def[r] = in
 		}
-	}
-
-	// Degenerate-join pass: an algebra.hashbuild consumed by exactly one
-	// algebra.hashprobe is a plain hash join split in two for no benefit
-	// (a single-slice probe side). Rewrite the probe to the one-shot
-	// algebra.join over the probe and build-key columns; the unused
-	// build handle is left for DeadCode.
-	useCount := map[int]int{}
-	probes := map[int][]*mal.Instr{} // hash var -> consuming hashprobes
-	for _, in := range p.Instrs {
-		for _, a := range in.Args {
-			if a.IsConst() {
-				continue
-			}
-			useCount[a.Var]++
-			if in.Name() == "algebra.hashprobe" && len(in.Args) == 2 && a.Var == in.Args[1].Var {
-				probes[a.Var] = append(probes[a.Var], in)
-			}
-		}
-	}
-	for _, in := range p.Instrs {
-		if in.Name() != "algebra.hashbuild" || len(in.Rets) != 1 || len(in.Args) != 1 || in.Args[0].IsConst() {
+		if in.Name() != "mat.pack" || len(in.Rets) != 1 {
 			continue
 		}
-		h := in.Rets[0]
-		if useCount[h] != 1 || len(probes[h]) != 1 {
-			continue
+		// pack(slice(v,0,k), ..., slice(v,k-1,k)) is v.
+		src := -1
+		for i, a := range in.Args {
+			var d *mal.Instr
+			if !a.IsConst() {
+				d = def[a.Var]
+			}
+			s, pi, k, ok := sliceOf(d)
+			if !ok || pi != int64(i) || k != int64(len(in.Args)) || (i > 0 && s != src) {
+				src = -1
+				break
+			}
+			src = s
 		}
-		probe := probes[h][0]
-		probe.Function = "join"
-		probe.Args = []mal.Arg{probe.Args[0], mal.VarArg(in.Args[0].Var)}
-		folded++
+		if src >= 0 {
+			replacement[in.Rets[0]] = src
+			folded++
+		}
 	}
 	return folded, nil
 }

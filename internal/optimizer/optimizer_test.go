@@ -251,30 +251,6 @@ func TestMatFoldCollapsesFullSlicePack(t *testing.T) {
 	}
 }
 
-func TestMatFoldSingletonPackAndUnitSlice(t *testing.T) {
-	p := mal.NewPlan("test")
-	bind := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
-	sv := p.Emit1("mat", "slice", mal.TBATInt,
-		mal.VarArg(bind), mal.ConstOf(mal.Int64(0)), mal.ConstOf(mal.Int64(1)))
-	packed := p.Emit1("mat", "pack", mal.TBATInt, mal.VarArg(sv))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(1)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("c")), mal.VarArg(packed))
-	p.Emit0("sql", "exportResult", mal.VarArg(rs))
-	out, st, err := Default().Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PerPass["matfold"] != 2 {
-		t.Errorf("matfold folded %d, want 2 (unit slice + singleton pack)", st.PerPass["matfold"])
-	}
-	for _, in := range out.Instrs {
-		if in.Module == "mat" {
-			t.Errorf("degenerate %s survived", in.Name())
-		}
-	}
-}
-
 func TestMatFoldKeepsPartialPacks(t *testing.T) {
 	// A pack of slices 0 and 1 of 4 reassembles only half the relation:
 	// it must NOT fold.
@@ -317,125 +293,5 @@ func TestMatFoldBareScanQueryEndToEnd(t *testing.T) {
 	// bind + resultSet + rsColumn + exportResult.
 	if got := len(out.Instrs); got != 4 {
 		t.Errorf("optimized bare-scan plan has %d instructions, want 4", got)
-	}
-}
-
-// TestMatFoldSingleProbeHashJoin: a hashbuild consumed by exactly one
-// hashprobe is a degenerate single-slice partitioned join and must fold
-// back to the packed algebra.join kernel.
-func TestMatFoldSingleProbeHashJoin(t *testing.T) {
-	p := mal.NewPlan("test")
-	lk := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("l")), mal.ConstOf(mal.Str("k")), mal.ConstOf(mal.Int64(0)))
-	rk := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("r")), mal.ConstOf(mal.Str("k")), mal.ConstOf(mal.Int64(0)))
-	h := p.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(rk))
-	lo, ro := p.NewVar(mal.TBATOID), p.NewVar(mal.TBATOID)
-	p.Emit("algebra", "hashprobe", []int{lo, ro}, mal.VarArg(lk), mal.VarArg(h))
-	lp := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(lo), mal.VarArg(lk))
-	rp := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(ro), mal.VarArg(rk))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(2)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("a")), mal.VarArg(lp))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("b")), mal.VarArg(rp))
-	p.Emit0("sql", "exportResult", mal.VarArg(rs))
-	p.Renumber()
-	out, st, err := Default().Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PerPass["matfold"] == 0 {
-		t.Error("matfold folded nothing")
-	}
-	joins, hashes := 0, 0
-	for _, in := range out.Instrs {
-		switch in.Name() {
-		case "algebra.join":
-			joins++
-			if in.Args[0].Var != lk || in.Args[1].Var != rk {
-				t.Errorf("folded join args = %v, want (lk, rk)", in.Args)
-			}
-		case "algebra.hashbuild", "algebra.hashprobe":
-			hashes++
-		}
-	}
-	if joins != 1 || hashes != 0 {
-		t.Errorf("joins=%d hash instrs=%d, want 1/0:\n%s", joins, hashes, out)
-	}
-}
-
-// TestMatFoldKeepsMultiProbeHashJoin: a build probed by several slices
-// is the real partitioned join and must survive untouched.
-func TestMatFoldKeepsMultiProbeHashJoin(t *testing.T) {
-	p := mal.NewPlan("test")
-	lk := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("l")), mal.ConstOf(mal.Str("k")), mal.ConstOf(mal.Int64(0)))
-	rk := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("r")), mal.ConstOf(mal.Str("k")), mal.ConstOf(mal.Int64(0)))
-	h := p.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(rk))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(2)))
-	for s := 0; s < 2; s++ {
-		sl := p.Emit1("mat", "slice", mal.TBATInt,
-			mal.VarArg(lk), mal.ConstOf(mal.Int64(int64(s))), mal.ConstOf(mal.Int64(2)))
-		lo, ro := p.NewVar(mal.TBATOID), p.NewVar(mal.TBATOID)
-		p.Emit("algebra", "hashprobe", []int{lo, ro}, mal.VarArg(sl), mal.VarArg(h))
-		lp := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(lo), mal.VarArg(sl))
-		rp := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(ro), mal.VarArg(rk))
-		p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("a")), mal.VarArg(lp))
-		p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("b")), mal.VarArg(rp))
-	}
-	p.Emit0("sql", "exportResult", mal.VarArg(rs))
-	p.Renumber()
-	out, _, err := Default().Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	builds, probes := 0, 0
-	for _, in := range out.Instrs {
-		switch in.Name() {
-		case "algebra.hashbuild":
-			builds++
-		case "algebra.hashprobe":
-			probes++
-		}
-	}
-	if builds != 1 || probes != 2 {
-		t.Errorf("builds=%d probes=%d, want 1/2:\n%s", builds, probes, out)
-	}
-}
-
-// TestMatFoldIdentityKMerge: a kmerge over a single sorted run is the
-// identity permutation; projections through it must collapse so the
-// degenerate single-slice sort optimizes back to the packed sort shape.
-func TestMatFoldIdentityKMerge(t *testing.T) {
-	p := mal.NewPlan("test")
-	col := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
-	perm := p.Emit1("algebra", "sortTail", mal.TBATOID, mal.VarArg(col), mal.ConstOf(mal.Bool(true)))
-	sorted := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(perm), mal.VarArg(col))
-	mperm := p.Emit1("mat", "kmerge", mal.TBATOID,
-		mal.ConstOf(mal.Int64(1)), mal.ConstOf(mal.Bool(true)), mal.VarArg(sorted))
-	packed := p.Emit1("mat", "pack", mal.TBATInt, mal.VarArg(sorted))
-	merged := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(mperm), mal.VarArg(packed))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(1)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("c")), mal.VarArg(merged))
-	p.Emit0("sql", "exportResult", mal.VarArg(rs))
-	p.Renumber()
-	out, st, err := Default().Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PerPass["matfold"] == 0 {
-		t.Error("matfold folded nothing")
-	}
-	for _, in := range out.Instrs {
-		if in.Name() == "mat.kmerge" || in.Name() == "mat.pack" {
-			t.Errorf("degenerate %s survived:\n%s", in.Name(), out)
-		}
-	}
-	// The result column must now be the per-run sorted column itself.
-	for _, in := range out.Instrs {
-		if in.Name() == "sql.rsColumn" && in.Args[2].Var != sorted {
-			t.Errorf("rsColumn references %d, want the sorted column %d", in.Args[2].Var, sorted)
-		}
 	}
 }

@@ -205,6 +205,11 @@ func (s *SelectStmt) String() string {
 	b.WriteString(" from ")
 	b.WriteString(s.From.String())
 	for _, j := range s.Joins {
+		if j.On == nil { // comma join: restricted by WHERE, not ON
+			b.WriteString(", ")
+			b.WriteString(j.Table.String())
+			continue
+		}
 		b.WriteString(" join ")
 		b.WriteString(j.Table.String())
 		b.WriteString(" on ")

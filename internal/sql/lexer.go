@@ -8,7 +8,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokenKind classifies lexer output.
@@ -115,8 +114,11 @@ func Lex(input string) ([]Token, error) {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// isIdentStart accepts ASCII letters and '_' only: c is one byte of the
+// input, not a rune, so any wider notion of "letter" would judge the
+// bytes of a UTF-8 sequence one by one as if they were Latin-1.
 func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+	return c == '_' || (c|0x20 >= 'a' && c|0x20 <= 'z')
 }
 
 func isIdentPart(c byte) bool {

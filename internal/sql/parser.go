@@ -49,9 +49,21 @@ func (p *parser) accept(kind TokenKind, text string) bool {
 	return false
 }
 
+// kindNames names a token kind in "expected ..." messages.
+var kindNames = map[TokenKind]string{
+	TokEOF: "end of input", TokIdent: "an identifier", TokKeyword: "a keyword",
+	TokNumber: "a number", TokString: "a string", TokOp: "an operator",
+}
+
+// expect consumes a token of the kind and, when text is non-empty, of
+// exactly that text; with an empty text any token of the kind will do
+// and the error names the kind instead.
 func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 	if p.at(kind, text) {
 		return p.next(), nil
+	}
+	if text == "" {
+		return Token{}, p.errf("expected %s, found %q", kindNames[kind], p.cur().Text)
 	}
 	return Token{}, p.errf("expected %q, found %q", text, p.cur().Text)
 }

@@ -205,23 +205,38 @@ func TestParseAliases(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"update t set x = 1",
-		"select",
-		"select a from",
-		"select a from t where",
-		"select a from t limit -1",
-		"select a from t group",
-		"select count( from t",
-		"select a from t join u",
-		"select a from t where d between 1",
-		"select a from t where d = date 'not-a-date'",
-		"select a from t extra garbage",
+	// want is a substring of the message; empty accepts any error.
+	bad := []struct{ q, want string }{
+		{"", ""},
+		{"update t set x = 1", `expected "select", found "update"`},
+		{"select", ""},
+		{"select a from", `expected an identifier, found ""`},
+		{"select a from t where", ""},
+		{"select a from t limit -1", `expected a number, found "-"`},
+		{"select a from t group", `expected "by", found ""`},
+		{"select count( from t", ""},
+		{"select a from t join u", `expected "on", found ""`},
+		{"select a from t where d between 1", `expected "and", found ""`},
+		{"select a from t where d = date 'not-a-date'", ""},
+		{"select a from t extra garbage", ""},
+		{"select a\xfe from t", "illegal character"}, // a byte, not a Latin-1 letter
+		// One per kind-only expectation: alias, limit, table, like
+		// pattern, date literal, qualified column.
+		{"select a as 5 from t", `expected an identifier, found "5"`},
+		{"select a from t limit x", `expected a number, found "x"`},
+		{"select a from 'lit'", `expected an identifier, found "lit"`},
+		{"select a from t where s like 5", `expected a string, found "5"`},
+		{"select a from t where d = date 1994", `expected a string, found "1994"`},
+		{"select t.'x' from t", `expected an identifier, found "x"`},
 	}
-	for _, q := range bad {
-		if _, err := Parse(q); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", q)
+	for _, tc := range bad {
+		_, err := Parse(tc.q)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", tc.q)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), `expected ""`) {
+			t.Errorf("Parse(%q) = %q, want it to say %q", tc.q, err, tc.want)
 		}
 	}
 }
@@ -232,6 +247,7 @@ func TestStringRoundTripReparses(t *testing.T) {
 		"select distinct a, b + 1 as c from t where x > 2 and y < 3 order by a desc limit 5",
 		"select sum(a) from t join u on t.x = u.y group by b",
 		"select a from t where d between date '1994-01-01' and date '1995-01-01'",
+		"select a from t, u join v on v.z = u.y where t.x = u.y", // comma join: nil On
 	}
 	for _, q := range queries {
 		s1 := mustParse(t, q)

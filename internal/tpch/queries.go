@@ -1,5 +1,7 @@
 package tpch
 
+import "strings"
+
 // The paper demonstrates Stethoscope "while analyzing long running TPC-H
 // queries". This file carries the TPC-H query set adapted to the
 // reproduction's SQL subset (no CASE, no LIKE, no subqueries, explicit
@@ -133,6 +135,33 @@ func Queries() []Query {
 			Adapted: "reproduction-specific: at 64 mitosis partitions this exceeds 1000 plan nodes",
 		},
 	}
+}
+
+// SweepQueries returns the statements the lowering sweeps run (the
+// compiler's instruction inventory, the mode-agreement test, the
+// lowering fuzz seeds): the bundled queries, whitespace collapsed to one
+// line, followed by the shapes the lowering distinguishes and the
+// bundled workload does not reach — a top-k sort over a bare scan,
+// distinct, a plain filter, count(*), global min/max/sum over an empty
+// selection (the empty-piece guard), a filtered comma join, a bare
+// projection under a limit (the one shape matfold folds) and avg with
+// and without keys (the packed fallback).
+func SweepQueries() []string {
+	var stmts []string
+	for _, q := range Queries() {
+		stmts = append(stmts, strings.Join(strings.Fields(q.SQL), " "))
+	}
+	return append(stmts,
+		"select l_orderkey from lineitem order by l_orderkey limit 5",
+		"select distinct l_returnflag from lineitem",
+		"select l_orderkey, l_quantity from lineitem where l_quantity < 3",
+		"select count(*) from lineitem",
+		"select min(l_quantity), max(l_quantity), sum(l_extendedprice) from lineitem where l_quantity > 100",
+		"select o_orderkey, l_quantity from lineitem, orders where l_orderkey = o_orderkey and l_quantity < 2",
+		"select l_orderkey from lineitem limit 3",
+		"select avg(l_quantity) from lineitem",
+		"select l_returnflag, avg(l_quantity) from lineitem group by l_returnflag",
+	)
 }
 
 // QueryByID looks a query up by its ID.
