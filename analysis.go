@@ -171,12 +171,7 @@ func (a *Analysis) RenderReplay(o RenderOptions) string {
 // space is repainted from the active coloring alone, so colors from an
 // earlier algorithm or replay state do not linger.
 func (a *Analysis) SVG() (string, error) {
-	for _, id := range a.sess.Space.NodeIDs() {
-		a.sess.Space.SetNodeColor(id, "")
-	}
-	for pc, color := range a.colors {
-		a.sess.Space.SetNodeColor(fmt.Sprintf("n%d", pc), string(color))
-	}
+	a.sess.Show(a.colors)
 	return a.sess.RenderSVG()
 }
 

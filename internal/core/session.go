@@ -27,6 +27,11 @@ type Session struct {
 	Replay  *Replay
 	// Animator drives camera transitions for the navigation features.
 	Animator *zvtm.Animator
+
+	// drawing is the plan's picture, retained so a repaint only patches
+	// fills; shapes[i] is the shape glyph whose color fills its slot i.
+	drawing *svg.Drawing
+	shapes  []*zvtm.Glyph
 }
 
 // SessionOptions tunes session construction.
@@ -39,9 +44,11 @@ type SessionOptions struct {
 }
 
 // OpenOffline builds a session from dot-file and trace-file content, the
-// offline workflow of §4: parse dot → layout → intermediate svg → parse
-// svg → in-memory glyph structure, then index the trace and map pcs to
-// nodes.
+// offline workflow of §4: parse dot → layout → in-memory glyph structure,
+// then index the trace and map pcs to nodes. The paper's "intermediate
+// svg → parse svg" hop between layout and glyphs is how an SVG from
+// another tool is imported (svg.Parse); a session builds the same
+// document straight from its own layout.
 func OpenOffline(dotText, traceText string, opt SessionOptions) (*Session, error) {
 	g, err := dot.Parse(dotText)
 	if err != nil {
@@ -69,20 +76,28 @@ func newSession(g *dot.Graph, st *trace.Store, opt SessionOptions) (*Session, er
 	if err != nil {
 		return nil, fmt.Errorf("core: layout: %w", err)
 	}
-	// The paper's pipeline goes through an intermediate svg that is
-	// parsed back; reproducing that exactly keeps the glyph geometry
-	// identical to what a file-based exchange would produce.
-	rendered, err := svg.RenderString(g, lay, nil, svg.DefaultStyle())
+	// The drawing's document is what parsing its SVG text would give, so
+	// the glyph geometry is identical to what a file-based exchange
+	// produces.
+	drawing, err := svg.Draw(g, lay, svg.DefaultStyle())
 	if err != nil {
-		return nil, fmt.Errorf("core: svg render: %w", err)
+		return nil, fmt.Errorf("core: svg: %w", err)
 	}
-	doc, err := svg.ParseString(rendered)
-	if err != nil {
-		return nil, fmt.Errorf("core: svg parse: %w", err)
-	}
+	doc := drawing.Doc()
 	vs, err := zvtm.FromSVG(g.Name, doc)
 	if err != nil {
 		return nil, fmt.Errorf("core: glyphs: %w", err)
+	}
+	ids := drawing.NodeIDs()
+	shapes := make([]*zvtm.Glyph, len(ids))
+	for i, id := range ids {
+		// By glyph ID, not NodeGlyphs: the space does not index the glyphs
+		// of a node whose ID is empty.
+		gl, ok := vs.Glyph("shape:" + id)
+		if !ok {
+			return nil, fmt.Errorf("core: glyphs: node %q has no shape", id)
+		}
+		shapes[i] = gl
 	}
 	queue := zvtm.NewRenderQueue(vs, opt.DispatchDelay)
 	s := &Session{
@@ -94,6 +109,8 @@ func newSession(g *dot.Graph, st *trace.Store, opt SessionOptions) (*Session, er
 		Trace:    st,
 		Mapping:  trace.MapToGraph(st, g),
 		Animator: &zvtm.Animator{},
+		drawing:  drawing,
+		shapes:   shapes,
 	}
 	s.Replay = NewReplay(st, vs, queue)
 	return s, nil
@@ -103,18 +120,37 @@ func newSession(g *dot.Graph, st *trace.Store, opt SessionOptions) (*Session, er
 // rendering (colored nodes only).
 func (s *Session) Fills() map[string]string {
 	out := map[string]string{}
-	for _, id := range s.Space.NodeIDs() {
-		if c := s.Space.NodeColor(id); c != "" {
-			out[id] = c
+	for _, g := range s.shapes {
+		if g.Color != "" {
+			out[g.NodeID] = g.Color
 		}
 	}
 	return out
 }
 
+// Show replaces the display state with a coloring: every node uncolored
+// but the instructions the coloring names (a pc with no node is skipped).
+func (s *Session) Show(c Coloring) {
+	for _, g := range s.shapes {
+		g.Color = ""
+	}
+	for pc, color := range c {
+		// The mapping already holds the node ID of every pc the trace had
+		// when the session opened; a later pc gets its ID formatted.
+		id, ok := s.Mapping.NodeOf[pc]
+		if !ok {
+			id = dot.NodeID(pc)
+		}
+		s.Space.SetNodeColor(id, string(color))
+	}
+}
+
 // RenderSVG renders the current display state (graph + colors) as SVG —
-// the reproduction's "display window" (Figure 4).
+// the reproduction's "display window" (Figure 4). The document is
+// rendered once; every call after the first copies it with the glyph
+// space's current shape colors in the fill slots.
 func (s *Session) RenderSVG() (string, error) {
-	return svg.RenderString(s.Graph, s.Layout, s.Fills(), svg.DefaultStyle())
+	return s.drawing.Paint(func(slot int) string { return s.shapes[slot].Color }), nil
 }
 
 // NavigateTo animates the camera to center on an instruction's node, the

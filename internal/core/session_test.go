@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"stethoscope/internal/dot"
 	"stethoscope/internal/mal"
 	"stethoscope/internal/profiler"
+	"stethoscope/internal/svg"
 	"stethoscope/internal/trace"
 )
 
@@ -173,6 +175,59 @@ func TestRenderSVGCarriesColors(t *testing.T) {
 	}
 	if !strings.Contains(out, string(ColorGreen)) || !strings.Contains(out, string(ColorRed)) {
 		t.Error("rendered svg missing state colors")
+	}
+}
+
+// A dot file can name a node "" (and dot.Parse accepts it); the glyph
+// space does not index such a node, and the session still opens, clears,
+// colors and paints.
+func TestSessionWithEmptyNodeID(t *testing.T) {
+	s, err := OpenOffline(`digraph g { "" -> n0; n0 -> n1; }`, "", SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Show(Coloring{0: ColorRed})
+	out, err := s.RenderSVG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out, `class="node">`); got != 3 {
+		t.Errorf("painted %d nodes, want 3", got)
+	}
+	if want := map[string]string{"n0": string(ColorRed)}; !reflect.DeepEqual(s.Fills(), want) {
+		t.Errorf("fills = %v, want %v", s.Fills(), want)
+	}
+	fresh, err := svg.RenderString(s.Graph, s.Layout, s.Fills(), svg.DefaultStyle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != fresh {
+		t.Error("session paint differs from a fresh render of the same fills")
+	}
+}
+
+// Show colors by pc, not by what the trace held when the session opened:
+// an online session opened mid-stream is shown pcs its mapping never saw.
+func TestShowColorsPcsOutsideTheOpenTimeTrace(t *testing.T) {
+	dotText, _ := buildFixture(t)
+	s, err := OpenOffline(dotText, "", SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Mapping.NodeOf) != 0 {
+		t.Fatalf("empty trace mapped %d pcs", len(s.Mapping.NodeOf))
+	}
+	s.Space.SetNodeColor("n3", string(ColorGreen)) // an earlier state, to be cleared
+	s.Show(Coloring{2: ColorRed, 99: ColorGreen})  // pc 99 has no node
+	if want := map[string]string{"n2": string(ColorRed)}; !reflect.DeepEqual(s.Fills(), want) {
+		t.Errorf("fills = %v, want %v", s.Fills(), want)
+	}
+	out, err := s.RenderSVG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(out, string(ColorRed)) != 1 || strings.Contains(out, string(ColorGreen)) {
+		t.Error("painted colors do not match the coloring shown")
 	}
 }
 

@@ -2,18 +2,27 @@
 // paper (§4): "As a first step the dot file gets parsed and an
 // intermediate scalar vector graphics (svg) representation gets created.
 // In the next step, the svg file gets parsed and an in memory graph
-// structure gets created." Render produces the intermediate SVG from a
-// laid-out graph (with per-node fill colors for execution-state display),
-// and Parse reads that SVG subset back into an in-memory form the zvtm
-// glyph builder consumes.
+// structure gets created." The original tool had only Graphviz's SVG to
+// read; this system owns its layout, so the detour through text is kept
+// as an equivalence rather than paid per session: Draw turns a laid-out
+// graph into a Drawing — the picture's geometry, computed once — and the
+// Drawing yields both the in-memory Doc the zvtm glyph builder consumes
+// and the SVG text, repainted with per-node fill colors for
+// execution-state display. Parse reads that SVG subset back into a Doc:
+// the import path for SVG text that came from somewhere else, and the
+// reference the tests hold Drawing.Doc against (parse(render) == Doc).
 package svg
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"stethoscope/internal/dot"
 	"stethoscope/internal/layout"
@@ -41,97 +50,354 @@ func DefaultStyle() Style {
 	}
 }
 
-// Render writes the laid-out graph as SVG. fills optionally overrides the
-// fill color per node ID — Stethoscope's RED/GREEN execution states.
-func Render(w io.Writer, g *dot.Graph, lay *layout.Layout, fills map[string]string, style Style) error {
+// pad is the margin around the layout's bounding box.
+const pad = 8.0
+
+// Drawing is a laid-out graph in SVG coordinates: every number already
+// rounded the way the text form carries it (tenths of a unit for boxes
+// and lines, whole units for the canvas and the font size), so the Doc
+// and the text it yields agree digit for digit. It retains the rendered
+// document between paints; like the session that owns it, it is not safe
+// for concurrent use.
+type Drawing struct {
+	style         Style
+	fontSize      int64 // whole units
+	width, height int64 // whole units
+	edges         [][4]int64
+	nodes         []nodeBox // in ID order, the order the text lists them
+
+	// The retained document: text is everything but the node fills, and
+	// cuts[i] is the offset in text where node i's fill goes. Rendered by
+	// the first Paint.
+	text []byte
+	cuts []int
+}
+
+// nodeBox is one node's geometry in tenths of a unit, with the graph's
+// ID and the label as drawn. The document carries xmlText of both.
+type nodeBox struct {
+	id, label  string
+	x, y, w, h int64
+	tx, ty     int64 // label anchor
+}
+
+// Draw computes the picture of a laid-out graph: canvas size, padded node
+// boxes with their (fallback, truncated) labels, and edge segments from
+// the bottom center of the source to the top center of the target. It is
+// the only place layout coordinates become SVG coordinates.
+func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
 	if style.FontSize == 0 {
 		style = DefaultStyle()
 	}
-	pad := 8.0
-	width := lay.Width + 2*pad
-	height := lay.Height + 2*pad
-	if width < 1 {
-		width = 1
+	d := &Drawing{
+		style: style,
+		edges: make([][4]int64, len(g.Edges)),
+		nodes: make([]nodeBox, len(g.Nodes)),
 	}
-	if height < 1 {
-		height = 1
+	var err error
+	fixed := func(v, scale float64) int64 {
+		n, ok := roundFixed(v, scale)
+		if !ok && err == nil {
+			err = fmt.Errorf("svg: coordinate %g out of range", v)
+		}
+		return n
 	}
-	fmt.Fprintf(w, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
-		width, height, width, height)
-	fmt.Fprintf(w, `<rect x="0" y="0" width="%.0f" height="%.0f" fill="%s"/>`+"\n", width, height, style.Background)
-
-	// Edges first so nodes draw on top.
-	fmt.Fprintf(w, `<g class="edges" stroke="%s">`+"\n", style.EdgeStroke)
-	for _, e := range g.Edges {
+	d.fontSize = fixed(style.FontSize, 1)
+	d.width = fixed(math.Max(lay.Width+2*pad, 1), 1)
+	d.height = fixed(math.Max(lay.Height+2*pad, 1), 1)
+	for i, e := range g.Edges {
 		f, okF := lay.Positions[e.From]
 		t, okT := lay.Positions[e.To]
 		if !okF || !okT {
-			return fmt.Errorf("svg: edge endpoint not laid out: %s -> %s", e.From, e.To)
+			return nil, fmt.Errorf("svg: edge endpoint not laid out: %s -> %s", e.From, e.To)
 		}
-		fmt.Fprintf(w, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f"/>`+"\n",
-			f.CenterX()+pad, f.Y+f.H+pad, t.CenterX()+pad, t.Y+pad)
+		d.edges[i] = [4]int64{
+			fixed(f.CenterX()+pad, 10), fixed(f.Y+f.H+pad, 10),
+			fixed(t.CenterX()+pad, 10), fixed(t.Y+pad, 10),
+		}
 	}
-	fmt.Fprintln(w, "</g>")
-
-	fmt.Fprintln(w, `<g class="nodes">`)
 	// Deterministic order.
-	nodes := append([]*dot.Node(nil), g.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, n := range nodes {
+	nodes := slices.Clone(g.Nodes)
+	slices.SortFunc(nodes, func(a, b *dot.Node) int { return strings.Compare(a.ID, b.ID) })
+	for i, n := range nodes {
 		r, ok := lay.Positions[n.ID]
 		if !ok {
-			return fmt.Errorf("svg: node %s not laid out", n.ID)
+			return nil, fmt.Errorf("svg: node %s not laid out", n.ID)
 		}
-		fill := style.NodeFill
-		if f, ok := fills[n.ID]; ok && f != "" {
-			fill = f
-		}
-		fmt.Fprintf(w, `<g id="%s" class="node">`+"\n", xmlEscape(n.ID))
-		fmt.Fprintf(w, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s" stroke="%s"/>`+"\n",
-			r.X+pad, r.Y+pad, r.W, r.H, fill, style.NodeStroke)
 		label := n.Label()
 		if label == "" {
 			label = n.ID
 		}
-		fmt.Fprintf(w, `<text x="%.1f" y="%.1f" font-size="%.0f" fill="%s" text-anchor="middle">%s</text>`+"\n",
-			r.CenterX()+pad, r.CenterY()+pad+style.FontSize/3, style.FontSize, style.TextColor,
-			xmlEscape(truncateLabel(label, r.W, style.FontSize)))
-		fmt.Fprintln(w, "</g>")
+		d.nodes[i] = nodeBox{
+			id:    n.ID,
+			label: truncateLabel(label, r.W, style.FontSize),
+			x:     fixed(r.X+pad, 10), y: fixed(r.Y+pad, 10),
+			w: fixed(r.W, 10), h: fixed(r.H, 10),
+			tx: fixed(r.CenterX()+pad, 10), ty: fixed(r.CenterY()+pad+style.FontSize/3, 10),
+		}
 	}
-	fmt.Fprintln(w, "</g>")
-	fmt.Fprintln(w, "</svg>")
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// NodeIDs returns the node IDs, as the Doc carries them, in fill-slot
+// order: Paint's slot i colors node NodeIDs()[i].
+func (d *Drawing) NodeIDs() []string {
+	ids := make([]string, len(d.nodes))
+	for i := range d.nodes {
+		ids[i] = xmlText(d.nodes[i].id)
+	}
+	return ids
+}
+
+// Doc returns the in-memory form of the drawing — exactly what Parse
+// reads back from its text.
+func (d *Drawing) Doc() *Doc {
+	doc := &Doc{
+		Width:  float64(d.width),
+		Height: float64(d.height),
+		Nodes:  make(map[string]*NodeBox, len(d.nodes)),
+	}
+	if len(d.edges) > 0 {
+		doc.Edges = make([]Line, len(d.edges))
+	}
+	for i, e := range d.edges {
+		doc.Edges[i] = Line{X1: tenths(e[0]), Y1: tenths(e[1]), X2: tenths(e[2]), Y2: tenths(e[3])}
+	}
+	boxes := make([]NodeBox, len(d.nodes))
+	for i := range d.nodes {
+		n := &d.nodes[i]
+		boxes[i] = NodeBox{
+			ID: xmlText(n.id), X: tenths(n.x), Y: tenths(n.y), W: tenths(n.w), H: tenths(n.h),
+			Fill: d.style.NodeFill, Label: xmlText(n.label),
+		}
+		doc.Nodes[boxes[i].ID] = &boxes[i]
+	}
+	return doc
+}
+
+// Paint returns the drawing as SVG text with fill(i) as the fill of node
+// i (NodeIDs order); an empty fill selects the style's default. The
+// static text is rendered once, on the first call; a paint is one
+// pre-sized copy of it with the fills dropped into their slots.
+func (d *Drawing) Paint(fill func(slot int) string) string {
+	if d.text == nil {
+		d.render()
+	}
+	pick := func(i int) string {
+		if f := fill(i); f != "" {
+			return f
+		}
+		return d.style.NodeFill
+	}
+	size := len(d.text)
+	for i := range d.cuts {
+		size += len(pick(i))
+	}
+	var b strings.Builder
+	b.Grow(size)
+	prev := 0
+	for i, cut := range d.cuts {
+		b.Write(d.text[prev:cut])
+		b.WriteString(pick(i))
+		prev = cut
+	}
+	b.Write(d.text[prev:])
+	return b.String()
+}
+
+// render writes the document's static text and records the fill slots.
+// Numbers are appended digit by digit from their fixed-point form.
+func (d *Drawing) render() {
+	var b bytes.Buffer
+	b.Grow(512 + 64*len(d.edges) + 320*len(d.nodes))
+	units := func(n int64) { b.Write(strconv.AppendInt(b.AvailableBuffer(), n, 10)) }
+	tenth := func(n int64) { b.Write(appendTenths(b.AvailableBuffer(), n)) }
+	var scratch []byte
+	escaped := func(s string) {
+		scratch = append(scratch[:0], s...)
+		xml.EscapeText(&b, scratch)
+	}
+
+	b.WriteString(`<svg xmlns="http://www.w3.org/2000/svg" width="`)
+	units(d.width)
+	b.WriteString(`" height="`)
+	units(d.height)
+	b.WriteString(`" viewBox="0 0 `)
+	units(d.width)
+	b.WriteByte(' ')
+	units(d.height)
+	b.WriteString("\">\n" + `<rect x="0" y="0" width="`)
+	units(d.width)
+	b.WriteString(`" height="`)
+	units(d.height)
+	b.WriteString(`" fill="` + d.style.Background + "\"/>\n")
+
+	// Edges first so nodes draw on top.
+	b.WriteString(`<g class="edges" stroke="` + d.style.EdgeStroke + "\">\n")
+	for _, e := range d.edges {
+		b.WriteString(`<line x1="`)
+		tenth(e[0])
+		b.WriteString(`" y1="`)
+		tenth(e[1])
+		b.WriteString(`" x2="`)
+		tenth(e[2])
+		b.WriteString(`" y2="`)
+		tenth(e[3])
+		b.WriteString("\"/>\n")
+	}
+	b.WriteString("</g>\n" + `<g class="nodes">` + "\n")
+
+	rectTail := `" stroke="` + d.style.NodeStroke + "\"/>\n" + `<text x="`
+	textTail := `" fill="` + d.style.TextColor + `" text-anchor="middle">`
+	d.cuts = make([]int, len(d.nodes))
+	for i := range d.nodes {
+		n := &d.nodes[i]
+		b.WriteString(`<g id="`)
+		escaped(n.id)
+		b.WriteString(`" class="node">` + "\n" + `<rect x="`)
+		tenth(n.x)
+		b.WriteString(`" y="`)
+		tenth(n.y)
+		b.WriteString(`" width="`)
+		tenth(n.w)
+		b.WriteString(`" height="`)
+		tenth(n.h)
+		b.WriteString(`" fill="`)
+		d.cuts[i] = b.Len()
+		b.WriteString(rectTail)
+		tenth(n.tx)
+		b.WriteString(`" y="`)
+		tenth(n.ty)
+		b.WriteString(`" font-size="`)
+		units(d.fontSize)
+		b.WriteString(textTail)
+		escaped(n.label)
+		b.WriteString("</text>\n</g>\n")
+	}
+	b.WriteString("</g>\n</svg>\n")
+	d.text = b.Bytes()
+}
+
+// Render writes the laid-out graph as SVG. fills optionally overrides the
+// fill color per node ID — Stethoscope's RED/GREEN execution states. It
+// is Draw followed by one Paint; a caller that paints more than once
+// keeps the Drawing.
+func Render(w io.Writer, g *dot.Graph, lay *layout.Layout, fills map[string]string, style Style) error {
+	s, err := RenderString(g, lay, fills, style)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, s)
+	return err
 }
 
 // RenderString is Render into a string.
 func RenderString(g *dot.Graph, lay *layout.Layout, fills map[string]string, style Style) (string, error) {
-	var b strings.Builder
-	if err := Render(&b, g, lay, fills, style); err != nil {
+	d, err := Draw(g, lay, style)
+	if err != nil {
 		return "", err
 	}
-	return b.String(), nil
+	return d.Paint(func(i int) string { return fills[d.nodes[i].id] }), nil
 }
 
-// truncateLabel shortens a label to roughly fit its box.
+// roundFixed returns v×scale rounded to an integer, half to even on v's
+// exact binary value — the digits fmt's %.0f (scale 1) and %.1f (scale
+// 10) print, without the arbitrary-precision conversion behind them. ok
+// is false for values a picture cannot have: non-finite, or 1e14 and
+// beyond, where ten times the value nears 2^53 and a float64 no longer
+// holds every count of tenths exactly.
+func roundFixed(v, scale float64) (n int64, ok bool) {
+	a := math.Abs(v)
+	if !(a < 1e14) {
+		return 0, false
+	}
+	p := a * scale
+	e := math.FMA(a, scale, -p) // a×scale = p + e exactly
+	fl := math.Floor(p)
+	// p-fl is exact and a multiple of p's last place, as is 0.5, and |e|
+	// is at most half of that: e only decides an exact-looking tie.
+	switch frac := p - fl; {
+	case frac > 0.5,
+		frac == 0.5 && e > 0,
+		frac == 0.5 && e == 0 && math.Mod(fl, 2) == 1:
+		fl++
+	}
+	n = int64(fl)
+	if v < 0 {
+		n = -n
+	}
+	return n, true
+}
+
+// tenths is the float64 the text form of n tenths parses back to.
+func tenths(n int64) float64 { return float64(n) / 10 }
+
+// appendTenths appends n tenths as a decimal with one fractional digit.
+func appendTenths(dst []byte, n int64) []byte {
+	if n < 0 {
+		dst = append(dst, '-')
+		n = -n
+	}
+	dst = strconv.AppendInt(dst, n/10, 10)
+	return append(dst, '.', byte('0'+n%10))
+}
+
+// truncateLabel shortens a label to roughly fit its box, cutting between
+// characters.
 func truncateLabel(s string, w, fontSize float64) string {
 	maxChars := int(w / (fontSize * 0.62))
 	if maxChars < 4 {
 		maxChars = 4
 	}
-	if len(s) <= maxChars {
+	if utf8.RuneCountInString(s) <= maxChars {
 		return s
 	}
-	return s[:maxChars-1] + "…"
+	cut := 0
+	for n := 0; n < maxChars-1; n++ {
+		_, size := utf8.DecodeRuneInString(s[cut:])
+		cut += size
+	}
+	return s[:cut] + "…"
 }
 
-func xmlEscape(s string) string {
-	var b strings.Builder
-	xml.EscapeText(&b, []byte(s))
-	return b.String()
+// xmlText maps s onto the characters an XML 1.0 document can carry, the
+// way xml.EscapeText does when the text is written: invalid UTF-8 and
+// characters outside the XML range become U+FFFD. What Parse reads back
+// from a written string is xmlText of it.
+func xmlText(s string) string {
+	for i := 0; i < len(s); {
+		if c := s[i]; c >= 0x20 && c < utf8.RuneSelf {
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if !xmlChar(r) || r == utf8.RuneError && size == 1 {
+			return strings.Map(func(r rune) rune {
+				if xmlChar(r) {
+					return r
+				}
+				return utf8.RuneError
+			}, s)
+		}
+		i += size
+	}
+	return s
 }
 
-// Doc is the parsed form of a rendered SVG: the in-memory structure the
-// glyph builder consumes.
+// xmlChar reports whether r is in XML 1.0's character range.
+func xmlChar(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
+}
+
+// Doc is the in-memory form of an SVG picture of a plan: the structure
+// the glyph builder consumes. Drawing.Doc builds it from a layout; Parse
+// reads it from SVG text.
 type Doc struct {
 	Width  float64
 	Height float64
@@ -139,7 +405,7 @@ type Doc struct {
 	Edges  []Line
 }
 
-// NodeBox is a parsed node group: its rectangle, fill and label text.
+// NodeBox is a node group: its rectangle, fill and label text.
 type NodeBox struct {
 	ID    string
 	X, Y  float64
@@ -148,12 +414,15 @@ type NodeBox struct {
 	Label string
 }
 
-// Line is a parsed edge segment.
+// Line is an edge segment.
 type Line struct {
 	X1, Y1, X2, Y2 float64
 }
 
-// Parse reads SVG produced by Render back into a Doc.
+// Parse reads the SVG subset Render writes into a Doc — how a picture
+// that came from somewhere else is imported. A geometry attribute that
+// is present but not a finite number is an error naming the element and
+// the attribute; an absent one is 0.
 func Parse(r io.Reader) (*Doc, error) {
 	dec := xml.NewDecoder(r)
 	doc := &Doc{Nodes: map[string]*NodeBox{}}
@@ -169,30 +438,27 @@ func Parse(r io.Reader) (*Doc, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			attrs := attrMap(t.Attr)
+			a := numAttrs{el: t}
 			switch t.Name.Local {
 			case "svg":
-				doc.Width = num(attrs["width"])
-				doc.Height = num(attrs["height"])
+				doc.Width, doc.Height = a.num("width"), a.num("height")
 			case "g":
-				if attrs["class"] == "node" {
-					current = &NodeBox{ID: attrs["id"]}
+				if attr(t, "class") == "node" {
+					current = &NodeBox{ID: attr(t, "id")}
 					depthInNode = 1
 				} else if current != nil {
 					depthInNode++
 				}
 			case "rect":
 				if current != nil {
-					current.X = num(attrs["x"])
-					current.Y = num(attrs["y"])
-					current.W = num(attrs["width"])
-					current.H = num(attrs["height"])
-					current.Fill = attrs["fill"]
+					current.X, current.Y = a.num("x"), a.num("y")
+					current.W, current.H = a.num("width"), a.num("height")
+					current.Fill = attr(t, "fill")
 				}
 			case "line":
 				doc.Edges = append(doc.Edges, Line{
-					X1: num(attrs["x1"]), Y1: num(attrs["y1"]),
-					X2: num(attrs["x2"]), Y2: num(attrs["y2"]),
+					X1: a.num("x1"), Y1: a.num("y1"),
+					X2: a.num("x2"), Y2: a.num("y2"),
 				})
 			case "text":
 				if current != nil {
@@ -213,6 +479,9 @@ func Parse(r io.Reader) (*Doc, error) {
 					current.Label = label.String()
 				}
 			}
+			if a.err != nil {
+				return nil, a.err
+			}
 		case xml.EndElement:
 			if t.Name.Local == "g" && current != nil {
 				depthInNode--
@@ -229,16 +498,40 @@ func Parse(r io.Reader) (*Doc, error) {
 // ParseString is Parse over a string.
 func ParseString(s string) (*Doc, error) { return Parse(strings.NewReader(s)) }
 
-func attrMap(attrs []xml.Attr) map[string]string {
-	m := make(map[string]string, len(attrs))
-	for _, a := range attrs {
-		m[a.Name.Local] = a.Value
+// attr returns the value of an element's attribute ("" when absent; the
+// last one wins when repeated).
+func attr(t xml.StartElement, name string) string {
+	for i := len(t.Attr) - 1; i >= 0; i-- {
+		if t.Attr[i].Name.Local == name {
+			return t.Attr[i].Value
+		}
 	}
-	return m
+	return ""
 }
 
-func num(s string) float64 {
-	var f float64
-	fmt.Sscanf(s, "%f", &f)
-	return f
+// numAttrs reads the numeric attributes of one element and keeps the
+// first that is damaged.
+type numAttrs struct {
+	el  xml.StartElement
+	err error
+}
+
+// num returns the named attribute as a number: 0 when it is absent, and
+// 0 with a.err set when it is present but not a finite number.
+func (a *numAttrs) num(name string) float64 {
+	for i := len(a.el.Attr) - 1; i >= 0; i-- {
+		if a.el.Attr[i].Name.Local != name {
+			continue
+		}
+		s := a.el.Attr[i].Value
+		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			if a.err == nil {
+				a.err = fmt.Errorf("svg: <%s> %s=%q is not a number", a.el.Name.Local, name, s)
+			}
+			return 0
+		}
+		return f
+	}
+	return 0
 }

@@ -175,7 +175,8 @@ func (vs *VirtualSpace) PickNode(x, y float64) (string, bool) {
 	return "", false
 }
 
-// FromSVG builds the virtual space from a parsed SVG document, the final
+// FromSVG builds the virtual space from an SVG document — drawn from a
+// layout (svg.Drawing.Doc) or parsed from text (svg.Parse) — the final
 // step of the paper's dot -> svg -> in-memory pipeline: one shape glyph
 // and one text glyph per node, one edge glyph per line.
 func FromSVG(name string, doc *svg.Doc) (*VirtualSpace, error) {
