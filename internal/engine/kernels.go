@@ -546,11 +546,31 @@ func kNot(ctx *Context, in *mal.Instr) error {
 }
 
 // kBetween computes col >= lo AND col <= hi; bounds may be scalars or
-// aligned BATs.
+// aligned BATs. Two scalar bounds — what SQL's BETWEEN lowers to — are
+// one pass over the column; a column bound falls back to two compares
+// and an and.
 func kBetween(ctx *Context, in *mal.Instr) error {
 	col, err := ctx.bat(in, 0)
 	if err != nil {
 		return err
+	}
+	_, loCol := ctx.value(in.Args[1]).Col.(*storage.BAT)
+	_, hiCol := ctx.value(in.Args[2]).Col.(*storage.BAT)
+	if !loCol && !hiCol {
+		lo, err := ctx.scalar(in, 1)
+		if err != nil {
+			return err
+		}
+		hi, err := ctx.scalar(in, 2)
+		if err != nil {
+			return err
+		}
+		out, err := storage.Between(col, lo, hi)
+		if err != nil {
+			return err
+		}
+		ctx.setBAT(in, 0, out)
+		return nil
 	}
 	cmpBound := func(i int, op storage.CmpOp) (*storage.BAT, error) {
 		v := ctx.value(in.Args[i])

@@ -4,6 +4,14 @@
 // and the tail is a typed value array. Candidate lists (selection results)
 // are OID BATs. The engine's MAL operator kernels are thin wrappers over
 // the columnar operators in this package.
+//
+// Those operators follow one contract (DESIGN.md, "Kernel contract"):
+// kind and operator are decided once per call and the row loop runs over
+// the typed backing slice; join and grouping share a flat int32
+// bucket/link index over int64 keys (hash.go); outputs keep probe-oid
+// order, build order within a key, first-appearance group ids and
+// row-order accumulation, so results are byte-identical to the
+// reference kernels kept in ref_kernels_test.go.
 package storage
 
 import "fmt"

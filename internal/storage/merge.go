@@ -8,43 +8,42 @@ import "fmt"
 // independently, then one merge computes the permutation that
 // interleaves the runs into the globally sorted order.
 
-// cmpCells compares a[i] against b[j] under the columns' shared kind
-// family (a and b are the same logical column from two different
-// slices). Returns -1, 0 or 1.
-func cmpCells(a *BAT, i int, b *BAT, j int) int {
-	switch {
-	case a.kind.usesInts():
-		x, y := a.ints[i], b.ints[j]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-	case a.kind == Flt:
-		x, y := a.flts[i], b.flts[j]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-	case a.kind == Str:
-		x, y := a.strs[i], b.strs[j]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
+// runOrder returns the comparator of one sort key across runs: cols[s]
+// is the key's column in run s, and the result compares row i of run r1
+// against row j of run r2 in the key's direction — negative when the
+// first sorts before the second. Kind and direction are decided here,
+// once per key; a comparison reads two typed cells.
+func runOrder(cols []*BAT, asc bool) func(r1, i, r2, j int) int {
+	switch kind := cols[0].kind; {
+	case kind.usesInts():
+		return runOrderBy(cols, (*BAT).Ints, threeWay[int64], asc)
+	case kind == Flt:
+		return runOrderBy(cols, (*BAT).Flts, threeWay[float64], asc)
+	case kind == Str:
+		return runOrderBy(cols, (*BAT).Strs, threeWay[string], asc)
 	default:
-		x, y := a.bools[i], b.bools[j]
-		switch {
-		case !x && y:
-			return -1
-		case x && !y:
-			return 1
-		}
+		return runOrderBy(cols, (*BAT).Bools, cmpBool, asc)
+	}
+}
+
+func runOrderBy[T any](cols []*BAT, cells func(*BAT) []T, cmp func(x, y T) int, asc bool) func(r1, i, r2, j int) int {
+	runs := make([][]T, len(cols))
+	for s, c := range cols {
+		runs[s] = cells(c)
+	}
+	if asc {
+		return func(r1, i, r2, j int) int { return cmp(runs[r1][i], runs[r2][j]) }
+	}
+	return func(r1, i, r2, j int) int { return cmp(runs[r2][j], runs[r1][i]) }
+}
+
+// threeWay is -1, 0 or +1 as x is less than, neither, or greater than y.
+func threeWay[T ordered](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
 	}
 	return 0
 }
@@ -96,14 +95,14 @@ func MergeRuns(keys [][]*BAT, asc []bool) (*BAT, error) {
 
 	// less orders run heads: keys most-significant first with per-key
 	// direction, ties to the lower run index (stability).
+	order := make([]func(r1, i, r2, j int) int, len(keys))
+	for j := range keys {
+		order[j] = runOrder(keys[j], asc[j])
+	}
 	less := func(r1, r2 int) bool {
-		for j := range keys {
-			c := cmpCells(keys[j][r1], cursor[r1], keys[j][r2], cursor[r2])
-			if c != 0 {
-				if asc[j] {
-					return c < 0
-				}
-				return c > 0
+		for _, cmp := range order {
+			if c := cmp(r1, cursor[r1], r2, cursor[r2]); c != 0 {
+				return c < 0
 			}
 		}
 		return r1 < r2

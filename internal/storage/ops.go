@@ -63,58 +63,56 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
-// cmp compares row i of b against v: -1, 0 or +1. Kinds must be
-// compatible (checked by callers); numeric comparisons promote integer
-// operands to float when either side is Flt.
-func (b *BAT) cmp(i int, v Val) int {
-	switch b.kind {
-	case Flt:
-		f := v.F
-		if v.Kind.usesInts() {
-			f = float64(v.I)
-		}
-		switch x := b.flts[i]; {
-		case x < f:
-			return -1
-		case x > f:
-			return 1
-		}
-		return 0
-	case Str:
-		switch x := b.strs[i]; {
-		case x < v.S:
-			return -1
-		case x > v.S:
-			return 1
-		}
-		return 0
-	case Bool:
-		x, y := b.bools[i], v.B
-		switch {
-		case !x && y:
-			return -1
-		case x && !y:
-			return 1
-		}
-		return 0
+// holds reports whether a three-way comparison result c (-1, 0 or +1)
+// satisfies the operator. The kernels call it outside their row loops
+// only (the Bool paths tabulate it over the two values a cell can take);
+// a row loop spells its operator out instead.
+func (op CmpOp) holds(c int) bool {
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
 	default:
-		if v.Kind == Flt {
-			switch x := float64(b.ints[i]); {
-			case x < v.F:
-				return -1
-			case x > v.F:
-				return 1
-			}
-			return 0
-		}
-		switch x := b.ints[i]; {
-		case x < v.I:
-			return -1
-		case x > v.I:
-			return 1
-		}
-		return 0
+		return c >= 0
 	}
+}
+
+// swapped returns the operator that holds for (y, x) exactly when op
+// holds for (x, y): comparing the scalar against the column instead of
+// the column against the scalar.
+func (op CmpOp) swapped() CmpOp {
+	switch op {
+	case LT:
+		return GT
+	case LE:
+		return GE
+	case GT:
+		return LT
+	case GE:
+		return LE
+	}
+	return op
+}
+
+// against returns the operator the typed loops should run for an operand
+// that is (nan) or is not a float NaN. A NaN operand is "equal to" every
+// cell — see ordered — which the = and != loops, written with == and !=,
+// would get wrong; <= (true of every cell) and < (of none) stand in.
+func (op CmpOp) against(nan bool) CmpOp {
+	switch {
+	case nan && op == EQ:
+		return LE
+	case nan && op == NE:
+		return LT
+	}
+	return op
 }
 
 func compatible(k Kind, v Val) bool {
@@ -128,9 +126,42 @@ func compatible(k Kind, v Val) bool {
 	return numK && numV
 }
 
-// ThetaSelect scans b (restricted to the candidate oids in cands when
-// non-nil) and returns the oids of rows satisfying "row op v". This is
-// MAL's algebra.thetaselect.
+// flt returns a numeric operand as a float64, promoting an integer one.
+func (v Val) flt() float64 {
+	if v.Kind == Flt {
+		return v.F
+	}
+	return float64(v.I)
+}
+
+// floats returns a numeric column as float64s: the backing array of a
+// Flt BAT, or a promoted copy of an integer-family one. An integer
+// column met by a Flt operand (or column) is compared and computed in
+// float64, cell by cell, so the promotion is one pass up front and the
+// row loops stay single-typed.
+func (b *BAT) floats() []float64 {
+	if b.kind == Flt {
+		return b.flts
+	}
+	out := make([]float64, len(b.ints))
+	for i, x := range b.ints {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+// ordered is the element types the comparison loops are instantiated
+// for: int64 (Int, Date, OID), float64 (Flt) and string (Str). Bool
+// columns have two values and go through a two-entry table instead.
+//
+// Every loop implements the three-way rule the engine has always had: a
+// cell is less than, greater than, or else "equal to" the operand. A
+// float NaN is neither less nor greater than anything, so it satisfies
+// =, <= and >= and fails !=, < and >; that is why <= is written !(x > v)
+// and = carries an x != x term (false for every int64 and string, and
+// folded away by the compiler for them).
+type ordered interface{ int64 | float64 | string }
+
 // maxSelectCap bounds how much a selection preallocates for its result.
 // Small inputs (mitosis partitions) get exactly-sized buffers — no
 // regrowth on the hot path; huge inputs with selective predicates must
@@ -150,47 +181,216 @@ func selectCap(b, cands *BAT) int {
 	return n
 }
 
+// candidates returns the oids a selection over b is restricted to (nil:
+// every row) and a result buffer sized for them.
+func candidates(b, cands *BAT) (oids, out []int64, err error) {
+	out = make([]int64, 0, selectCap(b, cands))
+	if cands == nil {
+		return nil, out, nil
+	}
+	if cands.kind != OID {
+		return nil, nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
+	}
+	oids = cands.ints
+	if oids == nil {
+		oids = []int64{} // an empty candidate list selects nothing, a nil one everything
+	}
+	return oids, out, nil
+}
+
+// oidRangeErr is the one message for an oid that does not address a row
+// of an n-row column, whichever kernel met it.
+func oidRangeErr(what string, oid int64, n int) error {
+	return fmt.Errorf("storage: %s oid %d out of range 0..%d", what, oid, n-1)
+}
+
+// selected wraps a selection loop's result: the oids, or the error for
+// the candidate at index bad.
+func selected(b *BAT, cands, out []int64, bad int) (*BAT, error) {
+	if bad >= 0 {
+		return nil, oidRangeErr("candidate", cands[bad], b.Len())
+	}
+	return FromInts(OID, out), nil
+}
+
+// ThetaSelect scans b (restricted to the candidate oids in cands when
+// non-nil) and returns the oids of rows satisfying "row op v". This is
+// MAL's algebra.thetaselect.
 func ThetaSelect(b *BAT, op CmpOp, v Val, cands *BAT) (*BAT, error) {
 	if !compatible(b.kind, v) {
 		return nil, fmt.Errorf("storage: thetaselect %s against %s operand", b.kind, v.Kind)
 	}
-	out := New(OID, selectCap(b, cands))
-	test := func(c int) bool {
+	oids, out, err := candidates(b, cands)
+	if err != nil {
+		return nil, err
+	}
+	var bad int
+	switch {
+	case b.kind == Str:
+		out, bad = selectCmp(out, b.strs, op, v.S, oids)
+	case b.kind == Bool:
+		out, bad = selectBool(out, b.bools, op.holds(cmpBool(false, v.B)), op.holds(cmpBool(true, v.B)), oids)
+	case b.kind == Flt || v.Kind == Flt:
+		out, bad = selectCmp(out, b.floats(), op, v.flt(), oids)
+	default:
+		out, bad = selectCmp(out, b.ints, op, v.I, oids)
+	}
+	return selected(b, oids, out, bad)
+}
+
+// selectCmp appends to out the positions of col (every one, or the
+// candidates in cands) whose cell satisfies "cell op v": one loop per
+// operator, candidate bounds checked in the same pass. It returns the
+// index in cands of the first oid outside col, or -1.
+func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([]int64, int) {
+	op = op.against(v != v)
+	if cands == nil {
 		switch op {
 		case EQ:
-			return c == 0
+			for i, x := range col {
+				if x == v || x != x {
+					out = append(out, int64(i))
+				}
+			}
 		case NE:
-			return c != 0
+			for i, x := range col {
+				if x != v && x == x {
+					out = append(out, int64(i))
+				}
+			}
 		case LT:
-			return c < 0
+			for i, x := range col {
+				if x < v {
+					out = append(out, int64(i))
+				}
+			}
 		case LE:
-			return c <= 0
+			for i, x := range col {
+				if !(x > v) {
+					out = append(out, int64(i))
+				}
+			}
 		case GT:
-			return c > 0
+			for i, x := range col {
+				if x > v {
+					out = append(out, int64(i))
+				}
+			}
 		default:
-			return c >= 0
-		}
-	}
-	if cands == nil {
-		for i, n := 0, b.Len(); i < n; i++ {
-			if test(b.cmp(i, v)) {
-				out.AppendInt(int64(i))
+			for i, x := range col {
+				if !(x < v) {
+					out = append(out, int64(i))
+				}
 			}
 		}
-		return out, nil
+		return out, -1
 	}
-	if cands.kind != OID {
-		return nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
-	}
-	for _, oid := range cands.ints {
-		if oid < 0 || int(oid) >= b.Len() {
-			return nil, fmt.Errorf("storage: candidate oid %d out of range 0..%d", oid, b.Len()-1)
+	n := uint64(len(col))
+	switch op {
+	case EQ:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if x := col[oid]; x == v || x != x {
+				out = append(out, oid)
+			}
 		}
-		if test(b.cmp(int(oid), v)) {
-			out.AppendInt(oid)
+	case NE:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if x := col[oid]; x != v && x == x {
+				out = append(out, oid)
+			}
+		}
+	case LT:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if col[oid] < v {
+				out = append(out, oid)
+			}
+		}
+	case LE:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if !(col[oid] > v) {
+				out = append(out, oid)
+			}
+		}
+	case GT:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if col[oid] > v {
+				out = append(out, oid)
+			}
+		}
+	default:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if !(col[oid] < v) {
+				out = append(out, oid)
+			}
 		}
 	}
-	return out, nil
+	return out, -1
+}
+
+// cmpBool is the three-way comparison of two bits, false before true.
+func cmpBool(x, y bool) int {
+	switch {
+	case !x && y:
+		return -1
+	case x && !y:
+		return 1
+	}
+	return 0
+}
+
+// selectBool is the selection loop of a Bool column: a cell has two
+// values, so the predicate is tabulated before the loop — keepF says
+// whether false cells pass, keepT whether true ones do.
+func selectBool(out []int64, col []bool, keepF, keepT bool, cands []int64) ([]int64, int) {
+	if cands == nil {
+		for i, x := range col {
+			if (x && keepT) || (!x && keepF) {
+				out = append(out, int64(i))
+			}
+		}
+		return out, -1
+	}
+	n := uint64(len(col))
+	for k, oid := range cands {
+		if uint64(oid) >= n {
+			return nil, k
+		}
+		if x := col[oid]; (x && keepT) || (!x && keepF) {
+			out = append(out, oid)
+		}
+	}
+	return out, -1
+}
+
+// boundOps returns the comparisons a range's bounds stand for:
+// row loOp lo and row hiOp hi.
+func boundOps(loInc, hiInc bool) (loOp, hiOp CmpOp) {
+	loOp, hiOp = GT, LT
+	if loInc {
+		loOp = GE
+	}
+	if hiInc {
+		hiOp = LE
+	}
+	return loOp, hiOp
 }
 
 // RangeSelect returns oids of rows with lo <= row <= hi (bound inclusivity
@@ -200,38 +400,107 @@ func RangeSelect(b *BAT, lo, hi Val, loInc, hiInc bool, cands *BAT) (*BAT, error
 	if !compatible(b.kind, lo) || !compatible(b.kind, hi) {
 		return nil, fmt.Errorf("storage: select bounds %s/%s against %s column", lo.Kind, hi.Kind, b.kind)
 	}
-	out := New(OID, selectCap(b, cands))
-	ok := func(i int) bool {
-		cl := b.cmp(i, lo)
-		if cl < 0 || (cl == 0 && !loInc) {
-			return false
+	loOp, hiOp := boundOps(loInc, hiInc)
+	if b.kind.usesInts() && (lo.Kind == Flt) != (hi.Kind == Flt) {
+		// One bound compares in int64 and the other in float64: no single
+		// typed loop is exact for both, so narrow twice.
+		above, err := ThetaSelect(b, loOp, lo, cands)
+		if err != nil {
+			return nil, err
 		}
-		ch := b.cmp(i, hi)
-		if ch > 0 || (ch == 0 && !hiInc) {
-			return false
-		}
-		return true
+		return ThetaSelect(b, hiOp, hi, above)
 	}
+	oids, out, err := candidates(b, cands)
+	if err != nil {
+		return nil, err
+	}
+	var bad int
+	switch {
+	case b.kind == Str:
+		out, bad = selectRange(out, b.strs, lo.S, hi.S, loInc, hiInc, oids)
+	case b.kind == Bool:
+		keep := func(x bool) bool { return loOp.holds(cmpBool(x, lo.B)) && hiOp.holds(cmpBool(x, hi.B)) }
+		out, bad = selectBool(out, b.bools, keep(false), keep(true), oids)
+	case b.kind == Flt || lo.Kind == Flt:
+		out, bad = selectRange(out, b.floats(), lo.flt(), hi.flt(), loInc, hiInc, oids)
+	default:
+		out, bad = selectRange(out, b.ints, lo.I, hi.I, loInc, hiInc, oids)
+	}
+	return selected(b, oids, out, bad)
+}
+
+// selectRange is selectCmp for a two-sided range: both bounds tested in
+// one pass, one loop per inclusivity pair.
+func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, cands []int64) ([]int64, int) {
 	if cands == nil {
-		for i, n := 0, b.Len(); i < n; i++ {
-			if ok(i) {
-				out.AppendInt(int64(i))
+		switch {
+		case loInc && hiInc:
+			for i, x := range col {
+				if !(x < lo) && !(x > hi) {
+					out = append(out, int64(i))
+				}
+			}
+		case loInc:
+			for i, x := range col {
+				if !(x < lo) && x < hi {
+					out = append(out, int64(i))
+				}
+			}
+		case hiInc:
+			for i, x := range col {
+				if x > lo && !(x > hi) {
+					out = append(out, int64(i))
+				}
+			}
+		default:
+			for i, x := range col {
+				if x > lo && x < hi {
+					out = append(out, int64(i))
+				}
 			}
 		}
-		return out, nil
+		return out, -1
 	}
-	if cands.kind != OID {
-		return nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
-	}
-	for _, oid := range cands.ints {
-		if oid < 0 || int(oid) >= b.Len() {
-			return nil, fmt.Errorf("storage: candidate oid %d out of range", oid)
+	n := uint64(len(col))
+	switch {
+	case loInc && hiInc:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if x := col[oid]; !(x < lo) && !(x > hi) {
+				out = append(out, oid)
+			}
 		}
-		if ok(int(oid)) {
-			out.AppendInt(oid)
+	case loInc:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if x := col[oid]; !(x < lo) && x < hi {
+				out = append(out, oid)
+			}
+		}
+	case hiInc:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if x := col[oid]; x > lo && !(x > hi) {
+				out = append(out, oid)
+			}
+		}
+	default:
+		for k, oid := range cands {
+			if uint64(oid) >= n {
+				return nil, k
+			}
+			if x := col[oid]; x > lo && x < hi {
+				out = append(out, oid)
+			}
 		}
 	}
-	return out, nil
+	return out, -1
 }
 
 // Project gathers tail[oid] for every oid in oids, producing a column
@@ -241,135 +510,36 @@ func Project(oids, tail *BAT) (*BAT, error) {
 	if oids.kind != OID {
 		return nil, fmt.Errorf("storage: project with %s oids", oids.kind)
 	}
-	out := New(tail.kind, len(oids.ints))
-	n := tail.Len()
-	for _, oid := range oids.ints {
-		if oid < 0 || int(oid) >= n {
-			return nil, fmt.Errorf("storage: project oid %d out of range 0..%d", oid, n-1)
-		}
-	}
-	// Typed loops: one kind dispatch per column, not per row.
+	out := &BAT{kind: tail.kind}
+	var bad int
 	switch {
 	case tail.kind.usesInts():
-		for _, oid := range oids.ints {
-			out.ints = append(out.ints, tail.ints[oid])
-		}
+		out.ints, bad = gather(tail.ints, oids.ints)
 	case tail.kind == Flt:
-		for _, oid := range oids.ints {
-			out.flts = append(out.flts, tail.flts[oid])
-		}
+		out.flts, bad = gather(tail.flts, oids.ints)
 	case tail.kind == Str:
-		for _, oid := range oids.ints {
-			out.strs = append(out.strs, tail.strs[oid])
-		}
+		out.strs, bad = gather(tail.strs, oids.ints)
 	default:
-		for _, oid := range oids.ints {
-			out.bools = append(out.bools, tail.bools[oid])
-		}
+		out.bools, bad = gather(tail.bools, oids.ints)
+	}
+	if bad >= 0 {
+		return nil, oidRangeErr("project", oids.ints[bad], tail.Len())
 	}
 	return out, nil
 }
 
-type joinKey struct {
-	i int64
-	f float64
-	s string
-	b bool
-}
-
-func (b *BAT) keyAt(i int) joinKey {
-	switch {
-	case b.kind.usesInts():
-		return joinKey{i: b.ints[i]}
-	case b.kind == Flt:
-		return joinKey{f: b.flts[i]}
-	case b.kind == Str:
-		return joinKey{s: b.strs[i]}
-	default:
-		return joinKey{b: b.bools[i]}
-	}
-}
-
-// JoinHash is the materialized build side of a hash join: the value
-// index of one key column. Build once with BuildJoinHash, then Probe
-// any number of times — probes are read-only, so one JoinHash may be
-// probed concurrently from multiple goroutines (the partitioned join
-// probes every mitosis slice against the same build in parallel).
-type JoinHash struct {
-	idx  map[joinKey][]int64
-	kind Kind
-}
-
-// BuildJoinHash indexes the build-side key column r (MAL's
-// algebra.hashbuild). Per-key oid lists keep build order, so probe
-// output for equal keys matches the nested-order the packed join emits.
-func BuildJoinHash(r *BAT) *JoinHash {
-	idx := make(map[joinKey][]int64, r.Len())
-	for i, n := 0, r.Len(); i < n; i++ {
-		k := r.keyAt(i)
-		idx[k] = append(idx[k], int64(i))
-	}
-	return &JoinHash{idx: idx, kind: r.kind}
-}
-
-// Probe matches the probe-side key column l against the build index and
-// returns matching oid pairs (aligned probe/build oid BATs), ordered by
-// probe oid — the order downstream projections rely on for stable
-// results. Safe for concurrent use.
-func (h *JoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
-	if l.kind != h.kind && !(l.kind.usesInts() && h.kind.usesInts()) {
-		return nil, nil, fmt.Errorf("storage: join %s with %s", l.kind, h.kind)
-	}
-	lo, ro := New(OID, 0), New(OID, 0)
-	for i, n := 0, l.Len(); i < n; i++ {
-		for _, ri := range h.idx[l.keyAt(i)] {
-			lo.AppendInt(int64(i))
-			ro.AppendInt(ri)
+// gather returns tail[oid] for every oid, exactly sized and in one pass;
+// bad is the index of the first oid outside tail, or -1.
+func gather[T any](tail []T, oids []int64) (out []T, bad int) {
+	out = make([]T, len(oids))
+	n := uint64(len(tail))
+	for k, oid := range oids {
+		if uint64(oid) >= n {
+			return nil, k
 		}
+		out[k] = tail[oid]
 	}
-	return lo, ro, nil
-}
-
-// HashJoin computes the equi-join of l and r on value equality and returns
-// matching oid pairs (aligned left and right oid BATs). The right side
-// is hashed; the left side probes, keeping the output ordered by left
-// oid. This is MAL's algebra.join — the packed form of
-// BuildJoinHash + Probe.
-func HashJoin(l, r *BAT) (lOIDs, rOIDs *BAT, err error) {
-	return BuildJoinHash(r).Probe(l)
-}
-
-// Group assigns a dense group id to each row of b, optionally refining an
-// existing grouping (MAL's group.subgroup with a previous groups column).
-// It returns the per-row group ids, the extents (the oid of the first row
-// of each group), and the number of groups.
-func Group(b, prev *BAT) (groups, extents *BAT, ngroups int, err error) {
-	n := b.Len()
-	if prev != nil && prev.Len() != n {
-		return nil, nil, 0, fmt.Errorf("storage: group input %d rows, prev grouping %d rows", n, prev.Len())
-	}
-	type gkey struct {
-		prev int64
-		k    joinKey
-	}
-	ids := make(map[gkey]int64, 64)
-	groups = New(OID, n)
-	extents = New(OID, 0)
-	for i := 0; i < n; i++ {
-		var pk int64
-		if prev != nil {
-			pk = prev.ints[i]
-		}
-		key := gkey{prev: pk, k: b.keyAt(i)}
-		id, ok := ids[key]
-		if !ok {
-			id = int64(len(ids))
-			ids[key] = id
-			extents.AppendInt(int64(i))
-		}
-		groups.AppendInt(id)
-	}
-	return groups, extents, len(ids), nil
+	return out, -1
 }
 
 // AggrKind selects an aggregate function.
@@ -405,116 +575,155 @@ func (a AggrKind) String() string {
 // groups (ngroups distinct ids, dense from 0). Sum/avg over integer
 // columns yield Int/Flt respectively; count always yields Int. Min/max
 // preserve the input kind. A nil groups computes a single global group.
+// Only the aggregate asked for is computed, each in one typed loop that
+// accumulates in row order (so a float sum is the same sum, digit for
+// digit, whatever else the query asks for).
 func Aggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 	n := b.Len()
+	var gids []int64 // nil: every row belongs to group 0
 	if groups == nil {
-		g := New(OID, n)
-		for i := 0; i < n; i++ {
-			g.AppendInt(0)
-		}
-		groups = g
 		ngroups = 1
-	}
-	if groups.Len() != n {
-		return nil, fmt.Errorf("storage: aggr over %d rows with %d group ids", n, groups.Len())
+	} else {
+		if groups.Len() != n {
+			return nil, fmt.Errorf("storage: aggr over %d rows with %d group ids", n, groups.Len())
+		}
+		gids = groups.ints
 	}
 	if kind == AggrCount {
-		counts := make([]int64, ngroups)
-		for _, g := range groups.ints {
-			counts[g]++
-		}
-		return FromInts(Int, counts), nil
+		return FromInts(Int, countBy(n, gids, ngroups)), nil
 	}
 	switch b.kind {
 	case Flt:
-		sums := make([]float64, ngroups)
-		mins := make([]float64, ngroups)
-		maxs := make([]float64, ngroups)
-		counts := make([]int64, ngroups)
-		seen := make([]bool, ngroups)
-		for i := 0; i < n; i++ {
-			g := groups.ints[i]
-			v := b.flts[i]
-			sums[g] += v
-			counts[g]++
-			if !seen[g] || v < mins[g] {
-				mins[g] = v
-			}
-			if !seen[g] || v > maxs[g] {
-				maxs[g] = v
-			}
-			seen[g] = true
-		}
 		switch kind {
 		case AggrSum:
-			return FromFloats(sums), nil
+			return FromFloats(sumBy(b.flts, gids, ngroups)), nil
 		case AggrMin:
-			return FromFloats(mins), nil
+			return FromFloats(minBy(b.flts, gids, ngroups)), nil
 		case AggrMax:
-			return FromFloats(maxs), nil
+			return FromFloats(maxBy(b.flts, gids, ngroups)), nil
 		case AggrAvg:
-			avgs := make([]float64, ngroups)
-			for g := range avgs {
-				if counts[g] > 0 {
-					avgs[g] = sums[g] / float64(counts[g])
-				}
-			}
-			return FromFloats(avgs), nil
+			return FromFloats(avgBy(b.flts, gids, ngroups)), nil
 		}
 	case Str:
-		if kind != AggrMin && kind != AggrMax {
-			return nil, fmt.Errorf("storage: %s over string column", kind)
+		switch kind {
+		case AggrMin:
+			return FromStrings(minBy(b.strs, gids, ngroups)), nil
+		case AggrMax:
+			return FromStrings(maxBy(b.strs, gids, ngroups)), nil
 		}
-		vals := make([]string, ngroups)
-		seen := make([]bool, ngroups)
-		for i := 0; i < n; i++ {
-			g := groups.ints[i]
-			v := b.strs[i]
-			if !seen[g] || (kind == AggrMin && v < vals[g]) || (kind == AggrMax && v > vals[g]) {
-				vals[g] = v
-			}
-			seen[g] = true
-		}
-		return FromStrings(vals), nil
+		return nil, fmt.Errorf("storage: %s over string column", kind)
 	case Bool:
 		return nil, fmt.Errorf("storage: %s over bool column", kind)
 	default: // integer family
-		sums := make([]int64, ngroups)
-		mins := make([]int64, ngroups)
-		maxs := make([]int64, ngroups)
-		counts := make([]int64, ngroups)
-		seen := make([]bool, ngroups)
-		for i := 0; i < n; i++ {
-			g := groups.ints[i]
-			v := b.ints[i]
-			sums[g] += v
-			counts[g]++
-			if !seen[g] || v < mins[g] {
-				mins[g] = v
-			}
-			if !seen[g] || v > maxs[g] {
-				maxs[g] = v
-			}
-			seen[g] = true
-		}
 		switch kind {
 		case AggrSum:
-			return FromInts(Int, sums), nil
+			return FromInts(Int, sumBy(b.ints, gids, ngroups)), nil
 		case AggrMin:
-			return FromInts(b.kind, mins), nil
+			return FromInts(b.kind, minBy(b.ints, gids, ngroups)), nil
 		case AggrMax:
-			return FromInts(b.kind, maxs), nil
+			return FromInts(b.kind, maxBy(b.ints, gids, ngroups)), nil
 		case AggrAvg:
-			avgs := make([]float64, ngroups)
-			for g := range avgs {
-				if counts[g] > 0 {
-					avgs[g] = float64(sums[g]) / float64(counts[g])
-				}
-			}
-			return FromFloats(avgs), nil
+			return FromFloats(avgBy(b.ints, gids, ngroups)), nil
 		}
 	}
 	return nil, fmt.Errorf("storage: unsupported aggregate %s over %s", kind, b.kind)
+}
+
+// The aggregate loops below share one convention: gids[i] is row i's
+// group, and a nil gids puts every row in group 0 without a group column
+// being built for it (the accumulator is then a local, not an array
+// cell). A group no row belongs to keeps the zero value.
+
+func countBy(n int, gids []int64, ngroups int) []int64 {
+	out := make([]int64, ngroups)
+	if gids == nil {
+		if n > 0 {
+			out[0] = int64(n)
+		}
+		return out
+	}
+	for _, g := range gids {
+		out[g]++
+	}
+	return out
+}
+
+func sumBy[T int64 | float64](vals []T, gids []int64, ngroups int) []T {
+	out := make([]T, ngroups)
+	if gids == nil {
+		var s T
+		for _, v := range vals {
+			s += v
+		}
+		if len(vals) > 0 {
+			out[0] = s
+		}
+		return out
+	}
+	for i, v := range vals {
+		out[gids[i]] += v
+	}
+	return out
+}
+
+func avgBy[T int64 | float64](vals []T, gids []int64, ngroups int) []float64 {
+	sums, counts := sumBy(vals, gids, ngroups), countBy(len(vals), gids, ngroups)
+	out := make([]float64, ngroups)
+	for g, c := range counts {
+		if c > 0 {
+			out[g] = float64(sums[g]) / float64(c)
+		}
+	}
+	return out
+}
+
+// minBy and maxBy take a group's first value as it comes and replace it
+// only by a strictly smaller (larger) one, so a group that starts with a
+// NaN keeps it.
+func minBy[T ordered](vals []T, gids []int64, ngroups int) []T {
+	out := make([]T, ngroups)
+	if gids == nil {
+		if len(vals) > 0 {
+			m := vals[0]
+			for _, v := range vals[1:] {
+				if v < m {
+					m = v
+				}
+			}
+			out[0] = m
+		}
+		return out
+	}
+	seen := make([]bool, ngroups)
+	for i, v := range vals {
+		if g := gids[i]; !seen[g] || v < out[g] {
+			out[g], seen[g] = v, true
+		}
+	}
+	return out
+}
+
+func maxBy[T ordered](vals []T, gids []int64, ngroups int) []T {
+	out := make([]T, ngroups)
+	if gids == nil {
+		if len(vals) > 0 {
+			m := vals[0]
+			for _, v := range vals[1:] {
+				if v > m {
+					m = v
+				}
+			}
+			out[0] = m
+		}
+		return out
+	}
+	seen := make([]bool, ngroups)
+	for i, v := range vals {
+		if g := gids[i]; !seen[g] || v > out[g] {
+			out[g], seen[g] = v, true
+		}
+	}
+	return out
 }
 
 // SortOrder returns the permutation of b's oids that orders the column
@@ -522,50 +731,38 @@ func Aggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 // be built by sorting from the least significant key to the most
 // significant one, threading the permutation through Project.
 func SortOrder(b *BAT, asc bool) *BAT {
-	n := b.Len()
-	perm := make([]int64, n)
+	perm := make([]int64, b.Len())
 	for i := range perm {
 		perm[i] = int64(i)
 	}
-	less := func(x, y int64) bool {
-		var c int
-		switch b.kind {
-		case Flt:
-			switch {
-			case b.flts[x] < b.flts[y]:
-				c = -1
-			case b.flts[x] > b.flts[y]:
-				c = 1
-			}
-		case Str:
-			switch {
-			case b.strs[x] < b.strs[y]:
-				c = -1
-			case b.strs[x] > b.strs[y]:
-				c = 1
-			}
-		case Bool:
-			switch {
-			case !b.bools[x] && b.bools[y]:
-				c = -1
-			case b.bools[x] && !b.bools[y]:
-				c = 1
-			}
-		default:
-			switch {
-			case b.ints[x] < b.ints[y]:
-				c = -1
-			case b.ints[x] > b.ints[y]:
-				c = 1
-			}
-		}
+	var less func(x, y int64) bool
+	switch {
+	case b.kind == Flt:
+		less = before(b.flts, asc)
+	case b.kind == Str:
+		less = before(b.strs, asc)
+	case b.kind == Bool:
+		v := b.bools
 		if asc {
-			return c < 0
+			less = func(x, y int64) bool { return !v[x] && v[y] }
+		} else {
+			less = func(x, y int64) bool { return v[x] && !v[y] }
 		}
-		return c > 0
+	default:
+		less = before(b.ints, asc)
 	}
 	stableSortInt64(perm, less)
 	return FromInts(OID, perm)
+}
+
+// before returns the sort comparator of one typed column in one
+// direction: kind and direction are decided here, once, and a comparison
+// is two loads and a compare.
+func before[T ordered](v []T, asc bool) func(x, y int64) bool {
+	if asc {
+		return func(x, y int64) bool { return v[x] < v[y] }
+	}
+	return func(x, y int64) bool { return v[x] > v[y] }
 }
 
 // stableSortInt64 is a merge sort over int64 with a custom strict-weak

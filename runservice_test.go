@@ -143,6 +143,15 @@ func TestServerQueryCountsInFlight(t *testing.T) {
 	}
 	defer db.Close()
 	remote := serveTest(t, db)
+	// A fanned-out run parks on its workers between instructions, so the
+	// sampler below gets the processor while the query is in flight even
+	// under GOMAXPROCS=1. A sequential run is one uninterrupted stretch
+	// of the session goroutine, visible to a sampler on the same
+	// processor only if it outlasts the scheduler's 10 ms preemption
+	// tick — which this statement did until PR 20's kernels.
+	if err := remote.Configure(8, 2); err != nil {
+		t.Fatal(err)
+	}
 	q := "select l_returnflag, l_linestatus, sum(l_quantity) as s, avg(l_extendedprice) as a from lineitem group by l_returnflag, l_linestatus order by l_returnflag, l_linestatus"
 	for attempt := 0; attempt < 20; attempt++ {
 		stop := make(chan struct{})
