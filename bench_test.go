@@ -346,16 +346,24 @@ func TestE7SequentialAnomaly(t *testing.T) {
 		}
 		return core.Utilize(trace.FromEvents(sink.Events()))
 	}
-	par := runOn(8)
 	seq := runOn(1)
 	if seq.Threads != 1 {
 		t.Fatalf("sequential run used %d threads", seq.Threads)
 	}
-	if par.Threads < 2 {
-		t.Fatalf("parallel run used %d threads", par.Threads)
-	}
 	if !core.SequentialAnomaly(seq, 8) {
 		t.Error("sequential anomaly not flagged")
+	}
+	// On one processor the first worker can drain the whole plan before
+	// the scheduler runs another (7 of 20 runs did at PR 20), so retry
+	// until one run spreads; a pool that never spreads still fails.
+	var par core.Utilization
+	for attempt := 0; attempt < 20; attempt++ {
+		if par = runOn(8); par.Threads >= 2 {
+			break
+		}
+	}
+	if par.Threads < 2 {
+		t.Fatalf("parallel run used %d threads", par.Threads)
 	}
 	if core.SequentialAnomaly(par, 8) {
 		t.Error("parallel run falsely flagged")
@@ -961,31 +969,46 @@ func peakHeapDuring(f func() error) (peakBytes uint64, err error) {
 	return peak, err
 }
 
-// BenchmarkPeakRSS compares peak intermediate memory between the static
-// mitosis lowering (64 partitions, every slice live until the run ends)
-// and the morsel-driven lowering (16Ki-row morsels on 8 workers) on the
-// same aggregate. The peak-bytes metric is recorded by bench-record and
-// gated by cmd/benchjson alongside ns/op; the morsel variant must stay
-// well under the static one (the companion assertion is
-// TestMorselBoundsPeakMemory).
+// execPeakQuery runs the peak-memory aggregate through Exec: the static
+// mitosis lowering at 64 partitions, every slice live until the run
+// ends.
+func execPeakQuery(db *DB) error {
+	_, err := db.Exec(context.Background(), peakRSSQuery, ExecPartitions(64), ExecWorkers(8))
+	return err
+}
+
+// streamPeakQuery drains the same aggregate through Stream: the
+// morsel-driven lowering at its auto size (16Ki rows at this scale).
+func streamPeakQuery(db *DB) error {
+	it, err := db.Stream(context.Background(), peakRSSQuery, ExecWorkers(8))
+	if err != nil {
+		return err
+	}
+	for it.Next() {
+	}
+	return it.Close()
+}
+
+// BenchmarkPeakRSS compares peak intermediate memory between Exec
+// (static mitosis, 64 partitions) and a drained Stream (morsel
+// fragments on 8 workers) on the same aggregate. The peak-bytes metric
+// is recorded by bench-record and gated by cmd/benchjson alongside
+// ns/op; the morsel variant must stay well under the static one (the
+// companion assertion is TestMorselBoundsPeakMemory).
 func BenchmarkPeakRSS(b *testing.B) {
 	db := peakDB(b)
-	ctx := context.Background()
 	variants := []struct {
 		name string
-		opts []ExecOption
+		run  func(*DB) error
 	}{
-		{"static", []ExecOption{ExecPartitions(64), ExecWorkers(8)}},
-		{"morsel", []ExecOption{ExecMorselRows(16384), ExecWorkers(8)}},
+		{"static", execPeakQuery},
+		{"morsel", streamPeakQuery},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			var peak uint64
 			for i := 0; i < b.N; i++ {
-				p, err := peakHeapDuring(func() error {
-					_, err := db.Exec(ctx, peakRSSQuery, v.opts...)
-					return err
-				})
+				p, err := peakHeapDuring(func() error { return v.run(db) })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -998,11 +1021,11 @@ func BenchmarkPeakRSS(b *testing.B) {
 	}
 }
 
-// TestMorselBoundsPeakMemory is the assertion behind the morsel mode's
-// bounded-intermediates claim: on the high-fanout aggregate, the morsel
-// path's peak live heap must be at least 40% below the static path's.
-// Forced-GC sampling keeps the measurement on the live set, but it is
-// still a heap measurement — skipped under -short and -race, where
+// TestMorselBoundsPeakMemory is the assertion behind Stream's
+// bounded-intermediates claim: on the high-fanout aggregate, a drained
+// Stream's peak live heap must be at least 40% below Exec's. Forced-GC
+// sampling keeps the measurement on the live set, but it is still a
+// heap measurement — skipped under -short and -race, where
 // instrumentation distorts it.
 func TestMorselBoundsPeakMemory(t *testing.T) {
 	if testing.Short() {
@@ -1012,15 +1035,11 @@ func TestMorselBoundsPeakMemory(t *testing.T) {
 		t.Skip("heap measurement skipped under -race")
 	}
 	db := peakDB(t)
-	ctx := context.Background()
-	measure := func(opts ...ExecOption) uint64 {
+	measure := func(run func(*DB) error) uint64 {
 		t.Helper()
 		best := ^uint64(0)
 		for i := 0; i < 3; i++ {
-			peak, err := peakHeapDuring(func() error {
-				_, err := db.Exec(ctx, peakRSSQuery, opts...)
-				return err
-			})
+			peak, err := peakHeapDuring(func() error { return run(db) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1030,8 +1049,8 @@ func TestMorselBoundsPeakMemory(t *testing.T) {
 		}
 		return best
 	}
-	static := measure(ExecPartitions(64), ExecWorkers(8))
-	morsel := measure(ExecMorselRows(16384), ExecWorkers(8))
+	static := measure(execPeakQuery)
+	morsel := measure(streamPeakQuery)
 	t.Logf("peak live heap: static=%d bytes, morsel=%d bytes (%.0f%% reduction)",
 		static, morsel, 100*(1-float64(morsel)/float64(static)))
 	if float64(morsel) > 0.6*float64(static) {

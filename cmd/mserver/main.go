@@ -78,7 +78,8 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	fmt.Printf("mserver %q listening on %s\n", *name, srv.Addr())
-	fmt.Println("protocol: SET partitions|workers|morsel <n|auto> / TRACE udpaddr / FILTER ... / EXPLAIN sql / DOT sql / QUERY sql / TABLES / STATS / METRICS / PROGRESS / QUIT")
+	fmt.Println("protocol: SET partitions|workers <n|auto> / SET resultcache on|off / TRACE udpaddr / FILTER ... / " +
+		"EXPLAIN sql / ALGEBRA sql / DOT sql / QUERY sql / HISTORY LIST|TOP|INFO|TRACE|DOT|DIFF ... / TABLES / STATS / METRICS / PROGRESS / QUIT")
 
 	<-ctx.Done()
 	log.Println("shutting down")

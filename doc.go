@@ -22,7 +22,9 @@
 //     bundling the optimized MAL plan, the profiler trace, the result
 //     table, and execution statistics. Stream returns a RowIter that
 //     yields rows as the morsel pipeline produces them, before the run
-//     completes.
+//     completes. Exec always lowers by static mitosis, so every
+//     operator is a node of the plan graph; Stream is the one caller of
+//     the morsel lowering, sized by the adaptive tuner.
 //
 // The execution knobs, each validated at its entry point and defaulted
 // per query by ExecOption counterparts where one exists:
@@ -33,9 +35,8 @@
 //	WithSeed              —                 any           data generator seed
 //	WithPath              —                 dir           persisted dataset instead of generation
 //	WithPartitions        ExecPartitions    ≥1 | Auto     static mitosis slice count
-//	WithWorkers           ExecWorkers       ≥1 | Auto     dataflow scheduler workers
-//	WithMorselRows        ExecMorselRows    ≥1 | Auto     morsel-driven lowering + rows per morsel
-//	WithOptimizerPasses   —                 pass names    MAL optimizer pipeline
+//	WithWorkers           ExecWorkers       ≥1 | Auto     dataflow scheduler workers (Stream: morsel workers)
+//	WithOptimizerPasses   —                 pass names    MAL optimizer pipeline (cse, deadcode)
 //	WithPlanCacheSize     —                 ≥0            compiled-plan cache capacity (0 disables)
 //	WithResultCache       —                 n, ttl        shared result-reuse cache: completed outcomes
 //	                                                      served to identical statements (0 disables;
@@ -45,7 +46,7 @@
 //
 // Auto defers the choice to the adaptive tuner at execution time; the
 // resolved values and the reason land in Result.Stats (Partitions,
-// Workers, MorselRows, TuneReason). Auto is the only value below 1 that
+// Workers, TuneReason). Auto is the only value below 1 that
 // means anything: every other out-of-range value (0, -1, ...) given to
 // an ExecOption clamps to 1, once, in the run service every entry point
 // shares (internal/runner); Open-time options reject invalid values

@@ -43,8 +43,7 @@ func ExampleDB_Stream() {
 	defer db.Close()
 
 	it, err := db.Stream(context.Background(),
-		"select l_orderkey, l_extendedprice from lineitem",
-		stethoscope.ExecMorselRows(stethoscope.Auto))
+		"select l_orderkey, l_extendedprice from lineitem")
 	if err != nil {
 		log.Fatal(err)
 	}

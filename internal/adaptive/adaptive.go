@@ -38,13 +38,13 @@ const MaxPartitions = 64
 // fragment interpretation) stays negligible against the kernel work.
 const DefaultMorselRows = 16 << 10
 
-// MorselRowsFor chooses the morsel size for a query whose driver table
-// has rows rows, on procs cores. The default is DefaultMorselRows;
-// small inputs shrink the morsel so every core still gets at least two
-// pulls (the dynamic-balancing minimum), floored at
-// MinRowsPerPartition, below which per-morsel overhead dominates. The
-// returned reason carries the morsel=N note Result.Stats.TuneReason
-// and the history RunMeta record.
+// MorselRowsFor chooses the morsel size for a streaming query (the
+// morsel lowering is DB.Stream's alone) whose driver table has rows
+// rows, on procs cores. The default is DefaultMorselRows; small inputs
+// shrink the morsel so every core still gets at least two pulls (the
+// dynamic-balancing minimum), floored at MinRowsPerPartition, below
+// which per-morsel overhead dominates. The returned reason carries the
+// morsel=N note.
 func MorselRowsFor(rows, procs int) (int, string) {
 	if procs < 1 {
 		procs = 1
@@ -59,8 +59,8 @@ func MorselRowsFor(rows, procs int) (int, string) {
 	return m, fmt.Sprintf("auto: shape=morsel rows=%d procs=%d -> morsel=%d", rows, procs, m)
 }
 
-// Normalize clamps a partition, worker or morsel setting into its
-// valid domain: Auto is preserved, anything else below 1 becomes 1.
+// Normalize clamps a partition or worker setting into its valid
+// domain: Auto is preserved, anything else below 1 becomes 1.
 // runner.Prepare applies it to every setting before plan-cache and
 // shared-work keys are built or metadata is recorded —
 // ExecPartitions(0) used to compile the same plan as partitions=1
@@ -100,13 +100,6 @@ func JoinReasons(a, b string) string {
 // GOMAXPROCS(0), the scheduler's actual core allowance.
 func Procs() int { return runtime.GOMAXPROCS(0) }
 
-// Partitions chooses the mitosis fan-out for a query whose largest
-// scanned table has maxRows rows, on procs cores — the plain-scan cost
-// shape. See PartitionsFor for the shape-aware form.
-func Partitions(maxRows, procs int) (int, string) {
-	return PartitionsFor(maxRows, procs, "scan")
-}
-
 // PartitionsFor chooses the mitosis fan-out from the rows that actually
 // parallelize under the query's cost shape, on procs cores. shape names
 // where the rows came from and is recorded in the tuning note: "scan"
@@ -123,9 +116,6 @@ func Partitions(maxRows, procs int) (int, string) {
 func PartitionsFor(rows, procs int, shape string) (int, string) {
 	if procs < 1 {
 		procs = 1
-	}
-	if shape == "" {
-		shape = "scan"
 	}
 	if rows < 2*MinRowsPerPartition || procs == 1 {
 		return 1, fmt.Sprintf("auto: shape=%s rows=%d procs=%d -> sequential (below %d-row mitosis threshold or single core)",

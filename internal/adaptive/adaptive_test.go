@@ -36,12 +36,12 @@ func TestPartitionsPolicy(t *testing.T) {
 		{10000 * MinRowsPerPartition, 64, MaxPartitions}, // hard cap
 	}
 	for _, c := range cases {
-		got, reason := Partitions(c.rows, c.procs)
+		got, reason := PartitionsFor(c.rows, c.procs, "scan")
 		if got != c.want {
-			t.Errorf("Partitions(%d, %d) = %d, want %d", c.rows, c.procs, got, c.want)
+			t.Errorf("PartitionsFor(%d, %d, scan) = %d, want %d", c.rows, c.procs, got, c.want)
 		}
 		if !strings.HasPrefix(reason, "auto:") {
-			t.Errorf("Partitions(%d, %d) reason %q lacks auto: prefix", c.rows, c.procs, reason)
+			t.Errorf("PartitionsFor(%d, %d, scan) reason %q lacks auto: prefix", c.rows, c.procs, reason)
 		}
 	}
 }
@@ -71,8 +71,8 @@ func TestWorkersPolicy(t *testing.T) {
 func TestPartitionsNeverBelowOne(t *testing.T) {
 	for _, rows := range []int{-5, 0, 1, MinRowsPerPartition} {
 		for _, procs := range []int{-1, 0, 1, 2} {
-			if got, _ := Partitions(rows, procs); got < 1 {
-				t.Fatalf("Partitions(%d, %d) = %d < 1", rows, procs, got)
+			if got, _ := PartitionsFor(rows, procs, "scan"); got < 1 {
+				t.Fatalf("PartitionsFor(%d, %d, scan) = %d < 1", rows, procs, got)
 			}
 			if got, _ := Workers(rows, procs); got < 1 {
 				t.Fatalf("Workers(%d, %d) = %d < 1", rows, procs, got)
@@ -81,8 +81,7 @@ func TestPartitionsNeverBelowOne(t *testing.T) {
 	}
 }
 
-// TestPartitionsForShape: the shape label flows into the tuning note,
-// and the plain Partitions wrapper is the scan shape.
+// TestPartitionsForShape: the shape label flows into the tuning note.
 func TestPartitionsForShape(t *testing.T) {
 	for _, shape := range []string{"scan", "join-probe", "sort"} {
 		k, reason := PartitionsFor(100_000, 8, shape)
@@ -92,14 +91,5 @@ func TestPartitionsForShape(t *testing.T) {
 		if !strings.Contains(reason, "shape="+shape) {
 			t.Errorf("reason %q lacks shape=%s", reason, shape)
 		}
-	}
-	// Empty shape defaults to scan instead of emitting a bare "shape=".
-	if _, reason := PartitionsFor(100, 8, ""); !strings.Contains(reason, "shape=scan") {
-		t.Errorf("empty-shape reason = %q", reason)
-	}
-	k1, r1 := Partitions(100_000, 8)
-	k2, r2 := PartitionsFor(100_000, 8, "scan")
-	if k1 != k2 || r1 != r2 {
-		t.Errorf("Partitions != PartitionsFor scan: (%d,%q) vs (%d,%q)", k1, r1, k2, r2)
 	}
 }

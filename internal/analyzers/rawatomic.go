@@ -15,10 +15,9 @@ import (
 // are the only sanctioned process-wide atomics). Adding a file here is
 // a review decision, the same as adding a suppression comment.
 var atomicAllowlist = map[string]string{
-	"engine/engine.go":     "dataflow scheduler: per-run pending/completed cells are the scheduling state, not metrics",
-	"engine/morsel.go":     "morsel cursor: the shared scan cursor is claimed with one atomic add per morsel",
-	"engine/progress.go":   "live progress: per-run counters read lock-free by DB.Progress while workers run",
-	"engine/sharedscan.go": "shared-scan registry: the published cursor position is a lock-free attach hint, not a metric",
+	"engine/engine.go":   "dataflow scheduler: per-run pending/completed cells are the scheduling state, not metrics",
+	"engine/morsel.go":   "morsel cursor: the run's morsel cursor is claimed with one atomic add per morsel",
+	"engine/progress.go": "live progress: per-run counters read lock-free by DB.Progress while workers run",
 }
 
 // RawAtomic flags direct sync/atomic use outside internal/metrics and

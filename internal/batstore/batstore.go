@@ -218,7 +218,6 @@ type Store struct {
 
 	// I/O counters, nil (no-op) until Instrument attaches a registry.
 	segDecoded *metrics.Counter
-	segSkipped *metrics.Counter
 	bytesRead  *metrics.Counter
 }
 
@@ -230,7 +229,6 @@ func (s *Store) Instrument(reg *metrics.Registry) {
 		return
 	}
 	s.segDecoded = reg.Counter("stetho_batstore_segments_decoded_total")
-	s.segSkipped = reg.Counter("stetho_batstore_segments_skipped_total")
 	s.bytesRead = reg.Counter("stetho_batstore_bytes_read_total")
 }
 
@@ -384,7 +382,6 @@ func (s *Store) OpenColumn(schema, table, column string) (*ColumnReader, error) 
 		segments: cm.Segments,
 		rows:     tm.Rows,
 		decoded:  s.segDecoded,
-		skipped:  s.segSkipped,
 		bytes:    s.bytesRead,
 	}, nil
 }
@@ -407,7 +404,6 @@ type ColumnReader struct {
 	// Store counters, copied at open; nil when the store is
 	// uninstrumented.
 	decoded *metrics.Counter
-	skipped *metrics.Counter
 	bytes   *metrics.Counter
 }
 
@@ -448,103 +444,6 @@ func (r *ColumnReader) Next(dst *storage.BAT) (int, error) {
 	r.seg++
 	r.got += n
 	return n, nil
-}
-
-// SkipSegment advances past the next segment without decoding its
-// rows: the framed record is read (length + CRC still verified) but
-// only its header — encoding tag and declared row count — is parsed.
-// It returns the skipped segment's row count, or io.EOF after the last
-// declared segment. This is how windowed reads seek: whole segments
-// below the requested window cost a header parse, not a decode.
-func (r *ColumnReader) SkipSegment() (int, error) {
-	if r.seg >= r.segments {
-		return 0, io.EOF
-	}
-	payload, err := fsio.ReadRecord(r.br, r.buf, maxSegmentBytes)
-	switch {
-	case err == io.EOF, err == io.ErrUnexpectedEOF:
-		return 0, fmt.Errorf("batstore: %s: segment %d of %d is torn or missing (file truncated)", r.path, r.seg, r.segments)
-	case err != nil:
-		return 0, fmt.Errorf("batstore: %s: segment %d: %v", r.path, r.seg, err)
-	}
-	r.buf = payload
-	r.skipped.Inc()
-	r.bytes.Add(int64(len(payload)))
-	n, err := segmentRowCount(payload, r.segRows)
-	if err != nil {
-		return 0, fmt.Errorf("batstore: %s: segment %d: %v", r.path, r.seg, err)
-	}
-	r.seg++
-	r.got += n
-	return n, nil
-}
-
-// ReadColumnRange materializes rows [lo, hi) of one column — the
-// windowed disk path a morsel-sized scan wants: whole segments below
-// the window are skipped at header-parse cost, segments overlapping the
-// window decode once, and only the window's rows land in the returned
-// BAT, so reading one morsel of a cold column costs one or two segment
-// decodes regardless of the column's size. lo and hi clamp to the
-// column's row count; an empty or inverted window returns an empty BAT.
-func (s *Store) ReadColumnRange(schema, table, column string, lo, hi int) (*storage.BAT, error) {
-	r, err := s.OpenColumn(schema, table, column)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > r.Rows() {
-		hi = r.Rows()
-	}
-	if hi < lo {
-		hi = lo
-	}
-	dst := storage.New(r.Kind(), hi-lo)
-	if lo == hi {
-		return dst, nil
-	}
-	// base tracks the first row of the next segment; full segments hold
-	// exactly segRows rows (Persist writes fixed-size segments, short
-	// only at the tail), so a segment entirely below lo can be skipped
-	// before its row count is known.
-	base := 0
-	for base < hi {
-		if base+r.segRows <= lo {
-			n, err := r.SkipSegment()
-			if err != nil {
-				return nil, err
-			}
-			base += n
-			continue
-		}
-		seg := storage.New(r.Kind(), r.segRows)
-		n, err := r.Next(seg)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		slo, shi := lo-base, hi-base
-		if slo < 0 {
-			slo = 0
-		}
-		if shi > n {
-			shi = n
-		}
-		if slo < shi {
-			if err := dst.Append(seg.Slice(slo, shi)); err != nil {
-				return nil, fmt.Errorf("batstore: %s: %w", r.path, err)
-			}
-		}
-		base += n
-	}
-	if dst.Len() != hi-lo {
-		return nil, fmt.Errorf("batstore: %s: window [%d,%d) yielded %d rows, want %d (short data)", r.path, lo, hi, dst.Len(), hi-lo)
-	}
-	return dst, nil
 }
 
 // Close releases the segment file.

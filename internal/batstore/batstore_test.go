@@ -364,122 +364,3 @@ func TestSegmentEncodingChoices(t *testing.T) {
 		batsEqual(t, dst, tc.bat, tc.label)
 	}
 }
-
-// TestReadColumnRangeMatchesFullRead: every window — inside one
-// segment, across segment boundaries, clamped past the end, empty,
-// inverted — must equal the same slice of a whole-column read, for
-// every encoding the store writes.
-func TestReadColumnRangeMatchesFullRead(t *testing.T) {
-	dir := t.TempDir()
-	const rows, segRows = 1000, 128
-	if err := Persist(dir, testCatalog(t, rows), nil, segRows); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := [][2]int{
-		{0, rows},           // whole column
-		{0, 50},             // head of the first segment
-		{100, 200},          // spans the first boundary
-		{256, 384},          // exactly one aligned segment
-		{130, 131},          // single row after a skip
-		{600, 2000},         // clamps past the end
-		{-5, 10},            // clamps below zero
-		{rows - 1, rows},    // last row
-		{300, 300},          // empty
-		{500, 400},          // inverted -> empty
-		{7 * segRows, rows}, // the short tail segment alone
-	}
-	for _, col := range []string{"k_int", "k_run", "k_flt", "k_name", "k_flag", "k_bool", "k_date"} {
-		full, err := st.ReadColumn("sys", "mixed", col)
-		if err != nil {
-			t.Fatalf("%s: ReadColumn: %v", col, err)
-		}
-		for _, w := range windows {
-			got, err := st.ReadColumnRange("sys", "mixed", col, w[0], w[1])
-			if err != nil {
-				t.Fatalf("%s[%d,%d): %v", col, w[0], w[1], err)
-			}
-			lo, hi := w[0], w[1]
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > rows {
-				hi = rows
-			}
-			if hi < lo {
-				hi = lo
-			}
-			if got.Len() != hi-lo {
-				t.Fatalf("%s[%d,%d): %d rows, want %d", col, w[0], w[1], got.Len(), hi-lo)
-			}
-			want := full.Slice(lo, hi)
-			for i := 0; i < got.Len(); i++ {
-				var same bool
-				switch got.Kind() {
-				case storage.Flt:
-					same = got.FltAt(i) == want.FltAt(i)
-				case storage.Str:
-					same = got.StrAt(i) == want.StrAt(i)
-				case storage.Bool:
-					same = got.BoolAt(i) == want.BoolAt(i)
-				default:
-					same = got.IntAt(i) == want.IntAt(i)
-				}
-				if !same {
-					t.Fatalf("%s[%d,%d): row %d differs from full read", col, w[0], w[1], i)
-				}
-			}
-		}
-	}
-}
-
-// TestSkipSegmentAdvancesWithoutDecode: skipped segments report their
-// declared row counts and leave the cursor positioned for a normal
-// Next; skipping past the end is io.EOF.
-func TestSkipSegmentAdvancesWithoutDecode(t *testing.T) {
-	dir := t.TempDir()
-	if err := Persist(dir, testCatalog(t, 1000), nil, 128); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := st.OpenColumn("sys", "mixed", "k_int")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	skipped := 0
-	for i := 0; i < 3; i++ {
-		n, err := r.SkipSegment()
-		if err != nil {
-			t.Fatalf("skip %d: %v", i, err)
-		}
-		skipped += n
-	}
-	if skipped != 3*128 {
-		t.Fatalf("skipped %d rows, want %d", skipped, 3*128)
-	}
-	dst := storage.New(r.Kind(), 128)
-	n, err := r.Next(dst)
-	if err != nil {
-		t.Fatalf("Next after skips: %v", err)
-	}
-	if n != 128 || dst.IntAt(0) != int64(3*128*7) {
-		t.Fatalf("segment after 3 skips starts at %d (%d rows), want value %d", dst.IntAt(0), n, 3*128*7)
-	}
-	for {
-		if _, err := r.SkipSegment(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.SkipSegment(); err != io.EOF {
-		t.Fatalf("skip past the end = %v, want io.EOF", err)
-	}
-}

@@ -327,27 +327,6 @@ func decodeSegment(payload []byte, dst *storage.BAT, maxRows int) (int, error) {
 	return n, nil
 }
 
-// segmentRowCount parses only a payload's header — encoding tag plus
-// declared row count — validating both, without touching the row data.
-// The skip path of windowed reads uses it to advance past segments
-// below the requested window at header-parse cost instead of decode
-// cost.
-func segmentRowCount(payload []byte, maxRows int) (int, error) {
-	r := &segReader{b: payload}
-	enc := r.byte()
-	n := int(r.uvarint())
-	if r.err != nil {
-		return 0, r.err
-	}
-	if enc < encRawInt || enc > encBits {
-		return 0, fmt.Errorf("unknown segment encoding %d", enc)
-	}
-	if n < 0 || n > maxRows {
-		return 0, fmt.Errorf("segment declares %d rows (max %d)", n, maxRows)
-	}
-	return n, nil
-}
-
 func intKind(k storage.Kind) bool {
 	return k == storage.Int || k == storage.Date || k == storage.OID
 }

@@ -27,10 +27,9 @@
 // once per slice over a partitioned one and once inside the fragment of
 // a morsel one, and packed is the one gather (DESIGN.md, "Compilation
 // contract"). Fan-outs always have at least two pieces (a scan is only
-// marked sliceable when Partitions > 1), so the one degenerate shape
-// the lowering can leave behind is a pack that reassembles the
-// untouched slices of a bare projection; the optimizer's matfold pass
-// folds it back to the scan.
+// marked sliceable when Partitions > 1), and a projection of bare
+// columns leaves a scan unsliced (lowerProject), so the lowering emits
+// no pack that merely reassembles untouched slices.
 package compiler
 
 import (
@@ -54,7 +53,8 @@ type Options struct {
 	// workers × morsel rows. The combine stages (mergetable
 	// recombination, k-way sort merge) are the same ones the static
 	// path uses; sorts in particular close the fragment and reuse the
-	// static slice/sort/kmerge lowering unchanged.
+	// static slice/sort/kmerge lowering unchanged. DB.Stream is the only
+	// entry point that lowers this way.
 	Morsel bool
 }
 
@@ -957,15 +957,39 @@ func (c *compiler) exprVar(in rel, e algebra.Expr) (int, error) {
 }
 
 // lowerProject computes the output expressions over every piece of its
-// input: expressions are row-local, so the relation keeps its form.
+// input: expressions are row-local, so the relation keeps its form. A
+// projection of bare columns over a lazily-sliceable scan computes
+// nothing and only picks columns, so it stays an unsliced scan: a
+// consumer that needs the whole relation (a limit, the result set)
+// takes the bound columns with no slice/pack chain, and a piece-wise
+// one slices them itself.
 func (c *compiler) lowerProject(p *algebra.Project) (rel, error) {
 	in, err := c.lower(p.Input)
 	if err != nil {
 		return rel{}, err
 	}
+	if in.sliceable {
+		if cols, ok := bareColumns(in.cols, p.Exprs); ok {
+			return rel{schema: p.Schema(), cols: cols, sliceable: true}, nil
+		}
+	}
 	return c.mapPieces(in, p.Schema(), func(piece rel) ([]int, error) {
 		return c.exprVars(piece, p.Exprs)
 	})
+}
+
+// bareColumns returns the variables of cols that exprs pick when every
+// expression is a bare column reference.
+func bareColumns(cols []int, exprs []algebra.Expr) ([]int, bool) {
+	out := make([]int, len(exprs))
+	for i, e := range exprs {
+		ci, ok := e.(*algebra.ColIdx)
+		if !ok {
+			return nil, false
+		}
+		out[i] = cols[ci.Idx]
+	}
+	return out, true
 }
 
 // lowerDistinct deduplicates every piece locally first (mergetable: the

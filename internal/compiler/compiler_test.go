@@ -6,6 +6,7 @@ import (
 
 	"stethoscope/internal/algebra"
 	"stethoscope/internal/mal"
+	"stethoscope/internal/optimizer"
 	"stethoscope/internal/sql"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
@@ -94,15 +95,47 @@ func TestMitosisPartitioning(t *testing.T) {
 }
 
 func TestMitosisBareScan(t *testing.T) {
-	// Even without a filter, a scan is sliced and reassembled; the
-	// matfold optimizer pass later collapses the degenerate
-	// slice-then-pack chain (tested in internal/optimizer).
-	plan := compileQuery(t, "select l_tax from lineitem", Options{Partitions: 4})
+	// A bare projection computes nothing per slice, so the scan stays
+	// unsliced until an operator that works piece-wise needs the slices:
+	// a distinct above it slices the projected column, one slice per
+	// partition.
+	plan := compileQuery(t, "select distinct l_returnflag from lineitem", Options{Partitions: 4})
 	if n := countInstrs(plan, "mat.slice"); n != 4 {
 		t.Errorf("mat.slice count = %d, want 4", n)
 	}
-	if n := countInstrs(plan, "mat.pack"); n != 1 {
-		t.Errorf("mat.pack count = %d, want 1", n)
+}
+
+// TestBareProjectionEmitsNoSlice: a partitioned bare projection, with
+// or without a limit, lowers to exactly the plan the unpartitioned
+// lowering emits — no mat.slice whose pieces a mat.pack would only
+// reassemble — before and after the default optimizer pipeline.
+func TestBareProjectionEmitsNoSlice(t *testing.T) {
+	for _, q := range []string{
+		"select l_tax from lineitem",
+		"select l_orderkey from lineitem limit 3",
+		"select l_tax, l_orderkey, l_tax from lineitem",
+	} {
+		want := compileQuery(t, q, Options{Partitions: 1})
+		wantOpt, _, err := optimizer.Default().Run(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parts := range []int{2, 8, 64} {
+			plan := compileQuery(t, q, Options{Partitions: parts})
+			if n := countInstrs(plan, "mat.slice"); n != 0 {
+				t.Errorf("%s at %d partitions: %d mat.slice, want 0", q, parts, n)
+			}
+			if plan.String() != want.String() {
+				t.Errorf("%s at %d partitions:\n%s\nwant the unpartitioned plan:\n%s", q, parts, plan, want)
+			}
+			opt, _, err := optimizer.Default().Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt.String() != wantOpt.String() {
+				t.Errorf("%s at %d partitions, optimized:\n%s\nwant:\n%s", q, parts, opt, wantOpt)
+			}
+		}
 	}
 }
 

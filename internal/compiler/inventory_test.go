@@ -37,8 +37,7 @@ func opcodeCounts(b *strings.Builder, label string, p *mal.Plan) {
 // TestLoweringInventory pins what the lowering emits, as multisets: for
 // every statement × partitions {1, 2, 7, 64} × {static, morsel}, the
 // instruction count per opcode of the unoptimized plan, of the plan
-// after the default optimizer pipeline (with matfold's removal count)
-// and of every morsel fragment. The golden was generated at the commit
+// after the default optimizer pipeline and of every morsel fragment. The golden was generated at the commit
 // before the per-piece lowering rewrite and must survive any refactor
 // of the compiler byte for byte; `go test ./internal/compiler -run
 // TestLoweringInventory -update` regenerates it when a lowering change
@@ -55,11 +54,11 @@ func TestLoweringInventory(t *testing.T) {
 				fmt.Fprintf(&b, "== %s | partitions=%d | %s\n", q, parts, mode)
 				plan := compileQuery(t, q, Options{Partitions: parts, Morsel: morsel})
 				opcodeCounts(&b, "unoptimized", plan)
-				opt, st, err := optimizer.Default().Run(plan)
+				opt, _, err := optimizer.Default().Run(plan)
 				if err != nil {
 					t.Fatalf("%s: optimize: %v", q, err)
 				}
-				opcodeCounts(&b, fmt.Sprintf("optimized (matfold removed %d)", st.PerPass["matfold"]), opt)
+				opcodeCounts(&b, "optimized", opt)
 				for i, f := range plan.Frags {
 					opcodeCounts(&b, fmt.Sprintf("fragment %d", i), f.Plan)
 				}

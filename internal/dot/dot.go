@@ -132,11 +132,13 @@ func Export(p *mal.Plan) *Graph {
 	return g
 }
 
-// Marshal renders the graph in DOT syntax.
+// Marshal renders the graph in DOT syntax. Every attribute is written
+// on its node or edge — no node-default statement, which Parse would
+// fold into every node without that attribute — so the text parses back
+// to g.
 func (g *Graph) Marshal() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %s {\n", quoteID(g.Name))
-	b.WriteString("  node [shape=box];\n")
 	for _, n := range g.Nodes {
 		b.WriteString("  ")
 		b.WriteString(quoteID(n.ID))
@@ -169,17 +171,21 @@ func writeAttrs(b *strings.Builder, attrs map[string]string) {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(k)
+		b.WriteString(quoteID(k))
 		b.WriteString("=")
 		b.WriteString(quoteID(attrs[k]))
 	}
 	b.WriteString("]")
 }
 
-// quoteID quotes a DOT identifier unless it is a bare word.
+// quoteID quotes a DOT identifier unless it is a bare word that Parse
+// does not read as a statement keyword.
 func quoteID(s string) string {
-	if s == "" {
+	switch s {
+	case "":
 		return `""`
+	case "node", "edge", "graph":
+		return `"` + s + `"`
 	}
 	bare := true
 	for i := 0; i < len(s); i++ {

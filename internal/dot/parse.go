@@ -178,6 +178,7 @@ func (p *dotParser) parse() (*Graph, error) {
 		if p.accept(";") {
 			continue
 		}
+		t, _ := p.cur()
 		id, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -189,8 +190,8 @@ func (p *dotParser) parse() (*Graph, error) {
 			}
 			continue
 		}
-		switch id {
-		case "node", "edge", "graph":
+		switch {
+		case !t.quoted && (id == "node" || id == "edge" || id == "graph"):
 			attrs, err := p.attrList()
 			if err != nil {
 				return nil, err

@@ -100,20 +100,12 @@ type Engine struct {
 	progMu   sync.Mutex
 	progSeq  int64
 	inflight map[int64]*runProgress
-
-	// scans is the shared-scan registry (sharedscan.go): in-flight
-	// morsel cursors over table scans, keyed by source identity and
-	// geometry so overlapping queries co-scan instead of each walking
-	// the table cold.
-	scanMu sync.Mutex
-	scans  map[scanKey]*scanShare
 }
 
 // New returns an engine over the catalog with the full kernel set
 // registered.
 func New(cat *storage.Catalog) *Engine {
-	e := &Engine{cat: cat, registry: map[string]Kernel{}, inflight: map[int64]*runProgress{},
-		scans: map[scanKey]*scanShare{}}
+	e := &Engine{cat: cat, registry: map[string]Kernel{}, inflight: map[int64]*runProgress{}}
 	registerKernels(e)
 	return e
 }
@@ -157,6 +149,7 @@ type Options struct {
 	Workers int
 	// MorselRows is the morsel size mat.morsel instructions use; <= 0
 	// selects DefaultMorselRows. Plans without fragments ignore it.
+	// runner.Prepare sizes it with adaptive.MorselRowsFor; tests pin it.
 	MorselRows int
 	// Emit, when set, receives result batches as the run produces them.
 	// On a streamable plan (every result column computed by one

@@ -1,12 +1,13 @@
-// Morsel-driven fragment execution (mat.morsel): the dynamic
-// work-distribution half of the paper's multi-core story. Where mitosis
-// cuts a scan into static compile-time slices, a morsel fragment runs
-// the whole operator chain above a scan morsel-at-a-time — workers pull
-// fixed-size row ranges from a shared atomic cursor, so a skewed range
-// no longer straggles on one worker and peak intermediate memory is
-// bounded by workers × morsel rows instead of partitions × slice. Only
-// the fragment's per-morsel exports materialize, packed across morsels
-// in morsel order by the combine stage below.
+// Morsel-driven fragment execution (mat.morsel): the lowering behind
+// DB.Stream, the one caller that needs rows before the scan ends. Where
+// mitosis cuts a scan into static compile-time slices, a morsel
+// fragment runs the whole operator chain above a scan morsel-at-a-time
+// — workers pull fixed-size row ranges from a shared atomic cursor, so
+// a skewed range no longer straggles on one worker and peak
+// intermediate memory is bounded by workers × morsel rows instead of
+// partitions × slice. Only the fragment's per-morsel exports
+// materialize, packed across morsels in morsel order by the combine
+// stage below.
 package engine
 
 import (
@@ -31,10 +32,7 @@ const DefaultMorselRows = adaptive.DefaultMorselRows
 // Cursor semantics: morsel m covers source rows
 // [m*morsel, min(n, (m+1)*morsel)); workers claim morsels with an
 // atomic fetch-add, so assignment is dynamic but the set of morsels is
-// fixed up front. When another run is already scanning the same source
-// at the same geometry, this run attaches to it (sharedscan.go) and
-// claims the same morsels in rotated order from the in-flight position,
-// wrapping around for the rows it missed. An empty input still runs exactly one empty morsel,
+// fixed up front. An empty input still runs exactly one empty morsel,
 // so per-morsel partial aggregates keep the same zero-row placeholder
 // semantics as empty static slices. Each worker reuses one fragment
 // context; per-morsel values are dropped after the morsel's exports are
@@ -122,35 +120,6 @@ func kMorsel(ctx *Context, in *mal.Instr) error {
 	ctx.prog.addMorselWork(int64(n), int64(nM))
 	em := ctx.eng.met
 
-	// Shared-scan attach (sharedscan.go): register this cursor so
-	// overlapping runs co-scan the source. A run finding the same scan
-	// already in flight starts claiming at that scan's current position
-	// and wraps around for the morsels it missed (the catch-up pass);
-	// claim order changes, morsel extents and the combine below do not,
-	// so results stay byte-identical. Streaming runs never rotate —
-	// their consumer wants the morsel-order prefix as early as possible.
-	var share *scanShare
-	scanStart := 0
-	if len(srcs) > 0 && n > 0 {
-		skey := scanKey{src: srcs[0], n: n, morsel: morsel}
-		var joined bool
-		share, joined = ctx.eng.attachScan(skey)
-		defer ctx.eng.detachScan(skey, share)
-		switch {
-		case joined && !streaming && nM > 1:
-			if p := int(share.pos.Load()); p > 0 && p < nM {
-				scanStart = p
-			}
-			if em != nil {
-				em.scanAttached.Inc()
-			}
-		case !joined:
-			if em != nil {
-				em.scanLeads.Inc()
-			}
-		}
-	}
-
 	results := make([][]*storage.BAT, nM)
 	var (
 		cursor   atomic.Int64
@@ -189,20 +158,9 @@ func kMorsel(ctx *Context, in *mal.Instr) error {
 			if failed() {
 				return
 			}
-			// seq is this run's private claim sequence; the absolute
-			// morsel index rotates from the shared-scan attach point, and
-			// the claim is published as the hint future attachers start
-			// from.
-			seq := int(cursor.Add(1)) - 1
-			if seq >= nM {
+			m := int(cursor.Add(1)) - 1
+			if m >= nM {
 				return
-			}
-			m := seq
-			if scanStart != 0 {
-				m = (scanStart + seq) % nM
-			}
-			if share != nil {
-				share.pos.Store(int64(m))
 			}
 			if em != nil {
 				em.morselsClaimed.Inc()

@@ -28,8 +28,6 @@ type engineMetrics struct {
 	parks          *metrics.Counter
 	morselsClaimed *metrics.Counter
 	morselRows     *metrics.Counter
-	scanLeads      *metrics.Counter
-	scanAttached   *metrics.Counter
 	dequeHW        *metrics.Gauge
 	instrUs        *metrics.Histogram
 
@@ -52,8 +50,6 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 		parks:          reg.Counter("stetho_engine_parks_total"),
 		morselsClaimed: reg.Counter("stetho_engine_morsels_claimed_total"),
 		morselRows:     reg.Counter("stetho_engine_morsel_rows_scanned_total"),
-		scanLeads:      reg.Counter("stetho_engine_sharedscan_led_total"),
-		scanAttached:   reg.Counter("stetho_engine_sharedscan_attached_total"),
 		dequeHW:        reg.Gauge("stetho_engine_deque_depth_highwater"),
 		instrUs:        reg.Histogram("stetho_engine_instr_duration_us", nil),
 	}
@@ -61,9 +57,6 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 		e.progMu.Lock()
 		defer e.progMu.Unlock()
 		return int64(len(e.inflight))
-	})
-	reg.GaugeFunc("stetho_engine_sharedscan_active", func() int64 {
-		return int64(e.activeScanShares())
 	})
 	e.met = em
 }

@@ -15,8 +15,9 @@ import (
 // tpch.SweepQueries) renders the same table whatever
 // form the compiler lowers it in — sequential, static mitosis at 2, 7,
 // 64 and 2000 partitions (more slices than most tables have rows),
-// morsel fragments at 64 rows and Auto, and morsel fragments with
-// partitioned sorts — the fan-outs on 4 workers.
+// and — below the facade, as DB.Stream is the only caller that lowers
+// to them — morsel fragments at 64 rows and Auto, and morsel fragments
+// with partitioned sorts; the fan-outs on 4 workers.
 //
 // There is exactly one exception, stated here and nowhere else: a sum
 // over a float column adds one partial per piece, so its additions
@@ -34,22 +35,11 @@ func TestLoweringModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	cat := loadCatalog(t, 0.005, 42)
 
-	modes := []struct {
-		name string
-		opts []stethoscope.ExecOption
-	}{
-		{"partitions=2", []stethoscope.ExecOption{stethoscope.ExecPartitions(2)}},
-		{"partitions=7", []stethoscope.ExecOption{stethoscope.ExecPartitions(7)}},
-		{"partitions=64", []stethoscope.ExecOption{stethoscope.ExecPartitions(64)}},
-		{"partitions=2000", []stethoscope.ExecOption{stethoscope.ExecPartitions(2000)}},
-		{"morsel=64", []stethoscope.ExecOption{stethoscope.ExecMorselRows(64)}},
-		{"morsel=auto", []stethoscope.ExecOption{stethoscope.ExecMorselRows(stethoscope.Auto)}},
-		{"morsel=64,partitions=7", []stethoscope.ExecOption{stethoscope.ExecMorselRows(64), stethoscope.ExecPartitions(7)}},
-	}
-	table := func(q string, opts ...stethoscope.ExecOption) string {
+	table := func(q string, parts, workers int) string {
 		t.Helper()
-		res, err := db.Exec(ctx, q, opts...)
+		res, err := db.Exec(ctx, q, stethoscope.ExecPartitions(parts), stethoscope.ExecWorkers(workers))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -59,11 +49,29 @@ func TestLoweringModesAgree(t *testing.T) {
 		}
 		return sb.String()
 	}
+	static := func(parts int) func(q string) string {
+		return func(q string) string { return table(q, parts, 4) }
+	}
+	morsel := func(parts, rows int) func(q string) string {
+		return func(q string) string { return morselTable(t, cat, q, parts, rows, 4) }
+	}
+	modes := []struct {
+		name string
+		run  func(q string) string
+	}{
+		{"partitions=2", static(2)},
+		{"partitions=7", static(7)},
+		{"partitions=64", static(64)},
+		{"partitions=2000", static(2000)},
+		{"morsel=64", morsel(1, 64)},
+		{"morsel=auto", morsel(1, stethoscope.Auto)},
+		{"morsel=64,partitions=7", morsel(7, 64)},
+	}
 
 	for _, q := range tpch.SweepQueries() {
-		want := table(q, stethoscope.ExecPartitions(1), stethoscope.ExecWorkers(1))
+		want := table(q, 1, 1)
 		for _, m := range modes {
-			got := table(q, append(m.opts, stethoscope.ExecWorkers(4))...)
+			got := m.run(q)
 			if got == want {
 				continue
 			}

@@ -13,24 +13,26 @@ import (
 
 // TestEntryPointParity: every entry point runs through the one run
 // service, so the same statement under the same settings must produce
-// byte-identical result text from DB.Exec, a TCP QUERY, a TCP QUERY
-// with a live TRACE stream and DB.Stream — and, history on, each
-// materialized run must leave exactly one record whose metadata
-// (partitions, workers, instructions, auto, tune reason) and cache_hit
-// match field for field. All settings are Auto so the tuning fields are
-// exercised, and morsel mode is on everywhere because Stream forces it
-// (morsel geometry decides how float aggregates re-associate).
+// byte-identical result text from DB.Exec, a TCP QUERY and a TCP QUERY
+// with a live TRACE stream — and, history on, each materialized run
+// must leave exactly one record whose metadata (partitions, workers,
+// instructions, auto, tune reason) and cache_hit match field for field.
+// All settings are Auto so the tuning fields are exercised. DB.Stream
+// lowers to morsel fragments, whose geometry decides how float sums
+// re-associate: its text must match the auto-sized morsel lowering run
+// below the facade byte for byte, matches Exec up to
+// TestLoweringModesAgree's one exception, and is never recorded.
 func TestEntryPointParity(t *testing.T) {
 	ctx := context.Background()
 	db, err := stethoscope.Open(
 		stethoscope.WithScaleFactor(0.005), stethoscope.WithSeed(42),
 		stethoscope.WithPartitions(stethoscope.Auto), stethoscope.WithWorkers(stethoscope.Auto),
-		stethoscope.WithMorselRows(stethoscope.Auto),
 		stethoscope.WithHistory(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	cat := loadCatalog(t, 0.005, 42)
 	srv, err := db.Serve(ctx, "parity", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +50,6 @@ func TestEntryPointParity(t *testing.T) {
 		}
 		t.Cleanup(func() { r.Close() })
 		// Sessions default to partitions/workers auto already.
-		if _, _, err := r.Command("SET morsel auto"); err != nil {
-			t.Fatal(err)
-		}
 		if trace {
 			if err := r.TraceTo(mon.Addr()); err != nil {
 				t.Fatal(err)
@@ -106,9 +105,19 @@ func TestEntryPointParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s via %s: %v", id, e.name, err)
 			}
-			if i == 0 {
+			if e.name == "Stream" {
+				if want := morselTable(t, cat, q, stethoscope.Auto, stethoscope.Auto, 1); text != want {
+					t.Errorf("%s via Stream: result text differs from the auto-sized morsel lowering:\n%s\nwant:\n%s", id, text, want)
+				}
+			}
+			switch {
+			case i == 0:
 				wantText = text
-			} else if text != wantText {
+			case e.name == "Stream" && strings.Contains(q, "sum("):
+				if why := sameUpToFloatSums(text, wantText); why != "" {
+					t.Errorf("%s via %s: %s", id, e.name, why)
+				}
+			case text != wantText:
 				t.Errorf("%s via %s: result text differs from %s:\n%s\nwant:\n%s", id, e.name, entries[0].name, text, wantText)
 			}
 			runs := db.History().Queries(0)

@@ -11,10 +11,53 @@ import (
 	"testing"
 
 	"stethoscope"
+	"stethoscope/internal/adaptive"
+	"stethoscope/internal/engine"
+	"stethoscope/internal/optimizer"
+	"stethoscope/internal/planner"
+	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata goldens")
+
+// morselTable renders q under the morsel lowering — the one DB.Stream
+// runs — below the facade, which never lowers an Exec that way: compiled
+// at parts partitions (which only sorts use) and run with rows-row
+// morsels on workers workers. rows == adaptive.Auto sizes the morsel the
+// way Stream does.
+func morselTable(t *testing.T, cat *storage.Catalog, q string, parts, rows, workers int) string {
+	t.Helper()
+	pipeline := optimizer.Default()
+	pl := planner.Planner{Cat: cat, Pipeline: pipeline, PassSpec: pipeline.Spec()}
+	c, err := pl.Compile(q, parts, true)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	if rows == adaptive.Auto {
+		rows, _ = adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
+	}
+	res, err := engine.New(cat).Run(c.Plan, engine.Options{Workers: workers, MorselRows: rows})
+	if err != nil {
+		t.Fatalf("%s [morsel=%d]: %v", q, rows, err)
+	}
+	var sb strings.Builder
+	if _, err := res.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// loadCatalog generates the catalog stethoscope.Open builds for sf and
+// seed.
+func loadCatalog(t *testing.T, sf float64, seed uint64) *storage.Catalog {
+	t.Helper()
+	cat := storage.NewCatalog()
+	if err := tpch.Load(cat, tpch.Config{SF: sf, Seed: seed}); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
 
 // TestSweepResultGolden pins the bytes of every sweep statement's
 // result — length and SHA-256 of Result.WriteTable — at SF 0.01 under
@@ -34,28 +77,35 @@ func TestSweepResultGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	cat := loadCatalog(t, 0.01, 42)
 
-	modes := []struct {
-		name string
-		opts []stethoscope.ExecOption
-	}{
-		{"sequential", []stethoscope.ExecOption{stethoscope.ExecPartitions(1)}},
-		{"partitions=7", []stethoscope.ExecOption{stethoscope.ExecPartitions(7)}},
-		{"partitions=64", []stethoscope.ExecOption{stethoscope.ExecPartitions(64)}},
-		{"morsel=64", []stethoscope.ExecOption{stethoscope.ExecMorselRows(64)}},
-	}
-	var got strings.Builder
-	for i, q := range tpch.SweepQueries() {
-		for _, m := range modes {
-			res, err := db.Exec(ctx, q, append(m.opts, stethoscope.ExecWorkers(1))...)
+	exec := func(parts int) func(q string) string {
+		return func(q string) string {
+			res, err := db.Exec(ctx, q, stethoscope.ExecPartitions(parts), stethoscope.ExecWorkers(1))
 			if err != nil {
-				t.Fatalf("%s [%s]: %v", q, m.name, err)
+				t.Fatalf("%s [partitions=%d]: %v", q, parts, err)
 			}
 			var sb strings.Builder
 			if err := res.WriteTable(&sb); err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&got, "%02d %-13s %8d %x\n", i, m.name, sb.Len(), sha256.Sum256([]byte(sb.String())))
+			return sb.String()
+		}
+	}
+	modes := []struct {
+		name  string
+		table func(q string) string
+	}{
+		{"sequential", exec(1)},
+		{"partitions=7", exec(7)},
+		{"partitions=64", exec(64)},
+		{"morsel=64", func(q string) string { return morselTable(t, cat, q, 1, 64, 1) }},
+	}
+	var got strings.Builder
+	for i, q := range tpch.SweepQueries() {
+		for _, m := range modes {
+			table := m.table(q)
+			fmt.Fprintf(&got, "%02d %-13s %8d %x\n", i, m.name, len(table), sha256.Sum256([]byte(table)))
 		}
 	}
 

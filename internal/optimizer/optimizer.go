@@ -3,9 +3,10 @@
 // (paper §2: "optimizers work on the generated MAL plan to derive an
 // optimized MAL plan"). This reproduction ships the passes the demo needs:
 // common-subexpression elimination (the compiler's per-column lowering
-// duplicates key-expression computations), dead-code elimination, and an
-// alias-removal helper. Mitosis/mergetable partitioning is performed at
-// lowering time by internal/compiler (Options.Partitions); see DESIGN.md.
+// duplicates key-expression computations) and dead-code elimination.
+// Mitosis/mergetable partitioning is performed at lowering time by
+// internal/compiler (Options.Partitions), which emits no degenerate
+// slice/pack chain to fold back; see DESIGN.md.
 package optimizer
 
 import (
@@ -34,12 +35,10 @@ type Pipeline struct {
 	Passes []Pass
 }
 
-// Default returns the standard pipeline: CSE, then mergetable folding
-// (degenerate mitosis fragments the partitioned lowering leaves
-// behind), then dead-code elimination (the first two passes create dead
-// duplicates that DCE sweeps).
+// Default returns the standard pipeline: CSE, then dead-code
+// elimination (CSE leaves dead duplicates that DCE sweeps).
 func Default() Pipeline {
-	return Pipeline{Passes: []Pass{CSE{}, MatFold{}, DeadCode{}}}
+	return Pipeline{Passes: []Pass{CSE{}, DeadCode{}}}
 }
 
 // Spec names the pipeline canonically, e.g. "cse,deadcode" — the
@@ -192,76 +191,6 @@ func (CSE) Run(p *mal.Plan) (int, error) {
 		seen[key] = in
 	}
 	return rewrites, nil
-}
-
-// MatFold removes the one degenerate mitosis fragment the lowering can
-// still emit: a mat.pack that reassembles every slice of one source in
-// order is the source itself (a bare projection slices a scan and the
-// limit or result set above it packs the untouched slices straight
-// back). Uses are rewritten to the source; the dead pack and slices are
-// left for DeadCode. Other degenerate shapes — a pack of one piece,
-// mat.slice(v, 0, 1), a hashbuild probed once, a single-run mat.kmerge
-// — cannot arise: the compiler fans out only when Partitions > 1, so
-// every pack, probe set and merge has at least two pieces.
-type MatFold struct{}
-
-// Name implements Pass.
-func (MatFold) Name() string { return "matfold" }
-
-// sliceOf decodes in as `mat.slice(src, p, k)`: slice p of k of the
-// variable src, both positions integer constants.
-func sliceOf(in *mal.Instr) (src int, p, k int64, ok bool) {
-	if in == nil || in.Name() != "mat.slice" || len(in.Args) != 3 || in.Args[0].IsConst() {
-		return 0, 0, 0, false
-	}
-	pa, ka := in.Args[1], in.Args[2]
-	if !pa.IsConst() || !ka.IsConst() || pa.Const.Type != mal.TInt || ka.Const.Type != mal.TInt {
-		return 0, 0, 0, false
-	}
-	return in.Args[0].Var, pa.Const.Int, ka.Const.Int, true
-}
-
-// Run implements Pass.
-func (MatFold) Run(p *mal.Plan) (int, error) {
-	folded := 0
-	replacement := map[int]int{}
-	// def maps a variable to its defining instruction, built as we walk
-	// (single assignment: definitions precede uses).
-	def := map[int]*mal.Instr{}
-	for _, in := range p.Instrs {
-		for ai, a := range in.Args {
-			if !a.IsConst() {
-				if r, ok := replacement[a.Var]; ok {
-					in.Args[ai] = mal.VarArg(r)
-				}
-			}
-		}
-		for _, r := range in.Rets {
-			def[r] = in
-		}
-		if in.Name() != "mat.pack" || len(in.Rets) != 1 {
-			continue
-		}
-		// pack(slice(v,0,k), ..., slice(v,k-1,k)) is v.
-		src := -1
-		for i, a := range in.Args {
-			var d *mal.Instr
-			if !a.IsConst() {
-				d = def[a.Var]
-			}
-			s, pi, k, ok := sliceOf(d)
-			if !ok || pi != int64(i) || k != int64(len(in.Args)) || (i > 0 && s != src) {
-				src = -1
-				break
-			}
-			src = s
-		}
-		if src >= 0 {
-			replacement[in.Rets[0]] = src
-			folded++
-		}
-	}
-	return folded, nil
 }
 
 // String renders the stats as a one-line summary.

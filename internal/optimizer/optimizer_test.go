@@ -207,91 +207,3 @@ func TestPipelineEmptyPlan(t *testing.T) {
 		t.Error("empty plan should pass through")
 	}
 }
-
-// buildSlicePackPlan emits the degenerate mitosis fragment: every
-// column sliced k ways and immediately packed back together.
-func buildSlicePackPlan(k int) *mal.Plan {
-	p := mal.NewPlan("test")
-	bind := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
-	args := make([]mal.Arg, 0, k)
-	for i := 0; i < k; i++ {
-		sv := p.Emit1("mat", "slice", mal.TBATInt,
-			mal.VarArg(bind), mal.ConstOf(mal.Int64(int64(i))), mal.ConstOf(mal.Int64(int64(k))))
-		args = append(args, mal.VarArg(sv))
-	}
-	packed := p.Emit1("mat", "pack", mal.TBATInt, args...)
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(1)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("c")), mal.VarArg(packed))
-	p.Emit0("sql", "exportResult", mal.VarArg(rs))
-	return p
-}
-
-func TestMatFoldCollapsesFullSlicePack(t *testing.T) {
-	out, st, err := Default().Run(buildSlicePackPlan(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PerPass["matfold"] == 0 {
-		t.Error("matfold folded nothing")
-	}
-	for _, in := range out.Instrs {
-		if in.Module == "mat" {
-			t.Errorf("degenerate %s survived:\n%s", in.Name(), out)
-		}
-	}
-	// The result column now references the bind directly.
-	for _, in := range out.Instrs {
-		if in.Name() == "sql.rsColumn" && in.Args[2].IsConst() {
-			t.Error("rsColumn lost its column variable")
-		}
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatFoldKeepsPartialPacks(t *testing.T) {
-	// A pack of slices 0 and 1 of 4 reassembles only half the relation:
-	// it must NOT fold.
-	p := mal.NewPlan("test")
-	bind := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
-	s0 := p.Emit1("mat", "slice", mal.TBATInt,
-		mal.VarArg(bind), mal.ConstOf(mal.Int64(0)), mal.ConstOf(mal.Int64(4)))
-	s1 := p.Emit1("mat", "slice", mal.TBATInt,
-		mal.VarArg(bind), mal.ConstOf(mal.Int64(1)), mal.ConstOf(mal.Int64(4)))
-	packed := p.Emit1("mat", "pack", mal.TBATInt, mal.VarArg(s0), mal.VarArg(s1))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(1)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("c")), mal.VarArg(packed))
-	p.Emit0("sql", "exportResult", mal.VarArg(rs))
-	out, st, err := Pipeline{Passes: []Pass{MatFold{}, DeadCode{}}}.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PerPass["matfold"] != 0 {
-		t.Errorf("matfold folded %d, want 0", st.PerPass["matfold"])
-	}
-	packs := 0
-	for _, in := range out.Instrs {
-		if in.Name() == "mat.pack" {
-			packs++
-		}
-	}
-	if packs != 1 {
-		t.Errorf("partial pack removed: packs=%d", packs)
-	}
-}
-
-func TestMatFoldBareScanQueryEndToEnd(t *testing.T) {
-	// The compiler's partitioned lowering of a bare scan (slice k ways,
-	// pack straight back) must optimize to the unpartitioned plan shape.
-	out, _, err := Default().Run(buildSlicePackPlan(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// bind + resultSet + rsColumn + exportResult.
-	if got := len(out.Instrs); got != 4 {
-		t.Errorf("optimized bare-scan plan has %d instructions, want 4", got)
-	}
-}

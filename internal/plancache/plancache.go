@@ -24,14 +24,13 @@ import (
 // server use unless configured otherwise.
 const DefaultSize = 256
 
-// Key is the statement key, declared once for every reuse layer;
-// DESIGN.md "Shared-work serving" has the full rationale. Compile
-// identity (MorselRows zero; built only by planner.Compile) keys the
-// plan cache and the compile flight. Result identity (compile identity
-// plus the resolved MorselRows; derived by runner.Prepare) keys the run
-// flight and the result cache as sharedwork.Key. The worker count is
-// deliberately absent: the combine stage packs partial results in
-// slice/morsel order, so scheduling parallelism never changes bytes.
+// Key is the statement key, declared once and at one strength for every
+// reuse layer — the plan cache, the compile flight, and (as
+// sharedwork.Key) the run flight and the result cache; DESIGN.md
+// "Shared-work serving" has the full rationale. Only planner.Compile
+// builds one. The worker count is deliberately absent: the combine
+// stage packs partial results in slice order, so scheduling parallelism
+// never changes bytes.
 type Key struct {
 	// SQL is the statement text, byte for byte (no normalization —
 	// differing whitespace compiles twice, which is cheap and safe).
@@ -43,16 +42,11 @@ type Key struct {
 	// (stethoscope.Auto) as its own key value: its resolution is
 	// deterministic per catalog and lives in Entry.Partitions.
 	Partitions int
-	// Morsel selects the morsel-driven lowering, which emits a
-	// different plan shape (fragments + mat.morsel) than the static
-	// mitosis lowering for the same SQL and partition count.
+	// Morsel selects the morsel-driven lowering (DB.Stream's), which
+	// emits a different plan shape (fragments + mat.morsel) than the
+	// static mitosis lowering for the same SQL and partition count.
 	Morsel bool
-	// MorselRows is the resolved morsel size (0 when Morsel is false):
-	// a runtime engine option, so changing it never recompiles, but it
-	// shapes per-morsel partial aggregates and therefore the result
-	// bytes.
-	MorselRows int
-	// Passes names the optimizer pipeline, e.g. "cse,matfold,deadcode".
+	// Passes names the optimizer pipeline, e.g. "cse,deadcode".
 	Passes string
 }
 
@@ -72,10 +66,9 @@ type Entry struct {
 	// hits still report the reason in Result.Stats and the history.
 	TuneReason string
 	// Rows memoizes the bound tree's driver rows (algebra.DriverRows)
-	// for compilations that need a per-run adaptive resolution after
-	// the cache hit — the Auto morsel size is chosen at execution time
-	// from these rows without re-binding the query. Zero when the
-	// compilation never measured them.
+	// for morsel compilations, whose morsel size is chosen at execution
+	// time from these rows without re-binding the query. Zero for
+	// static compilations.
 	Rows int
 	// Aux memoizes derived per-plan artifacts (e.g. the dot export the
 	// history store records per run). It lives and dies with the cache

@@ -54,14 +54,13 @@ func NewCompileFlight() *CompileFlight { return keyed.NewFlight[plancache.Key, C
 // Compiled is one compilation outcome: the cache entry — the optimized
 // plan plus what it was compiled with and why (Partitions differs from
 // the request only under Auto, where TuneReason records the selection;
-// Rows feeds ResolveMorsel) — and how this caller came by it.
+// Rows sizes a morsel run's MorselRows) — and how this caller came by it.
 type Compiled struct {
 	plancache.Entry
 	// Cached reports that compilation was skipped: a plan-cache hit, or
 	// a call coalesced onto a concurrent identical compilation.
 	Cached bool
-	// Key is the statement's compile identity (MorselRows zero);
-	// runner.Prepare derives the run key from it.
+	// Key is the statement key; runner.Prepare runs under it too.
 	Key plancache.Key
 }
 
@@ -76,24 +75,6 @@ func (c Compiled) ResolveExec(requestedWorkers int) (workers int, autoTuned bool
 	workers, wreason := adaptive.ResolveWorkers(requestedWorkers, c.Partitions)
 	autoTuned = c.TuneReason != "" || requestedWorkers == adaptive.Auto
 	return workers, autoTuned, adaptive.JoinReasons(c.TuneReason, wreason)
-}
-
-// ResolveMorsel turns a normalized morsel setting into the engine's
-// MorselRows option: 0 means morsel mode off (the plan was compiled
-// without fragments and the option is ignored anyway), Auto sizes the
-// morsel from the compiled plan's driver rows, and explicit sizes pass
-// through. runner.Prepare is the caller, so every entry point records
-// the same resolution.
-func (c Compiled) ResolveMorsel(requested int) (morselRows int, autoTuned bool, reason string) {
-	switch {
-	case requested == 0:
-		return 0, false, ""
-	case requested == adaptive.Auto:
-		m, r := adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
-		return m, true, r
-	default:
-		return requested, false, ""
-	}
 }
 
 // ResolvePartitions turns an Auto partition request into a concrete
@@ -157,7 +138,7 @@ func (p *Planner) compileMiss(key plancache.Key) (Compiled, error) {
 	e := plancache.Entry{Aux: &plancache.Aux{}}
 	e.Partitions, e.TuneReason = ResolvePartitions(p.Cat, key.Partitions, tree)
 	if key.Morsel {
-		// Memoized for the per-run Auto morsel sizing (ResolveMorsel).
+		// Memoized for the per-run morsel sizing (runner.Prepare).
 		e.Rows, _ = algebra.DriverRows(tree, p.Cat)
 	}
 	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: e.Partitions, Morsel: key.Morsel})

@@ -3,9 +3,9 @@
 // DB.Explain, DB.Stream and the server's QUERY (with or without a live
 // TRACE), EXPLAIN and DOT — walks the paper's server-side pipeline
 // (SQL → MAL plan → profiled execution → dot file + event stream, §3.3,
-// §4.2) through the two calls here. Prepare normalizes the settings,
-// compiles through the shared planner and builds the shared-work key;
-// Run gates the execution through the result cache and the
+// §4.2) through the two calls here. Prepare normalizes the settings and
+// compiles through the shared planner, whose statement key is also the
+// shared-work key; Run gates the execution through the result cache and the
 // single-flight, runs the plan under the profiler, records it into the
 // history and accounts for it. Sharing is only trustworthy when every
 // entry point keys, attributes and records a run identically, so the
@@ -127,11 +127,9 @@ type Settings struct {
 	Partitions int
 	// Workers is the dataflow worker count, or adaptive.Auto.
 	Workers int
-	// Morsel selects the morsel-driven lowering; MorselRows is then the
-	// morsel size, or adaptive.Auto. MorselRows is ignored when Morsel
-	// is false.
-	Morsel     bool
-	MorselRows int
+	// Morsel selects the morsel-driven lowering, sized per run by the
+	// adaptive tuner. Only DB.Stream sets it.
+	Morsel bool
 }
 
 // Prepared is one statement compiled and resolved, ready to run: the
@@ -166,28 +164,25 @@ type Prepared struct {
 func (p *Prepared) Dot() string { return plancache.DotText(p.Plan, p.aux) }
 
 // Prepare compiles the statement under the settings through the shared
-// planner flow and resolves Auto worker and morsel requests against
-// the compiled plan. Normalization runs first, so out-of-range values
-// can neither alias plan-cache or shared-work keys nor leak into the
-// recorded history metadata.
+// planner flow and resolves Auto worker requests and the morsel size
+// against the compiled plan. Normalization runs first, so out-of-range
+// values can neither alias plan-cache or shared-work keys nor leak into
+// the recorded history metadata.
 func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
 	s.Partitions = adaptive.Normalize(s.Partitions)
 	s.Workers = adaptive.Normalize(s.Workers)
-	if s.Morsel {
-		s.MorselRows = adaptive.Normalize(s.MorselRows)
-	} else {
-		s.MorselRows = 0
-	}
 	c, err := r.Planner.Compile(query, s.Partitions, s.Morsel)
 	if err != nil {
 		return nil, err
 	}
 	workers, auto, reason := c.ResolveExec(s.Workers)
-	morselRows, mauto, mreason := c.ResolveMorsel(s.MorselRows)
-	// Result identity is compile identity plus the resolved morsel size
-	// (see plancache.Key).
-	key := c.Key
-	key.MorselRows = morselRows
+	// A morsel compilation (DB.Stream's lowering) is sized per run from
+	// its driver rows and the core count; a static one has no fragments.
+	var morselRows int
+	var mreason string
+	if s.Morsel {
+		morselRows, mreason = adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
+	}
 	return &Prepared{
 		SQL:        query,
 		Plan:       c.Plan,
@@ -195,11 +190,11 @@ func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
 		Partitions: c.Partitions,
 		Workers:    workers,
 		MorselRows: morselRows,
-		AutoTuned:  auto || mauto,
+		AutoTuned:  auto || s.Morsel,
 		TuneReason: adaptive.JoinReasons(reason, mreason),
 		PlanCached: c.Cached,
 		aux:        c.Aux,
-		key:        key,
+		key:        c.Key,
 	}, nil
 }
 
@@ -215,9 +210,11 @@ type RunOptions struct {
 	// stored into it. In-flight sharing is not affected.
 	NoResultCache bool
 	// Emit, when set, streams result batches to the caller as the
-	// engine produces them (engine.Options.Emit). A streaming run
-	// always executes, collects no trace and is not recorded into the
-	// history, whose wall times measure materialized executions.
+	// engine produces them (engine.Options.Emit). A streaming run is
+	// always solo — it bypasses the flight and the result cache, so no
+	// shared run is ever a morsel run — collects no trace and is not
+	// recorded into the history, whose wall times measure materialized
+	// executions.
 	Emit func(names []string, cols []*storage.BAT) error
 }
 
@@ -374,7 +371,6 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 		RunID:      runID,
 		Partitions: p.Partitions,
 		Workers:    p.Workers,
-		MorselRows: p.MorselRows,
 		AutoTuned:  p.AutoTuned,
 		TuneReason: p.TuneReason,
 		CacheHit:   p.PlanCached,

@@ -344,16 +344,14 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 func (sess *session) cmdSet(w *bufio.Writer, rest string) {
 	fields := strings.Fields(rest)
 	if len(fields) != 2 {
-		fmt.Fprintln(w, "err usage: SET <partitions|workers|morsel|resultcache> <n|auto|on|off>")
+		fmt.Fprintln(w, "err usage: SET <partitions|workers> <n|auto> / SET resultcache <on|off>")
 		return
 	}
 	// "auto" is the only spelling of adaptive sizing on the wire:
 	// numbers below 1 become 1 right here, so no numeric value — not
 	// even the one the Go API reserves as the Auto sentinel — can switch
-	// a session to adaptive mode by accident. "SET morsel off" is the
-	// one non-numeric extra for the numeric settings: it returns the
-	// session to the static lowering. "SET resultcache on|off" is a
-	// pure boolean.
+	// a session to adaptive mode by accident. "SET resultcache on|off"
+	// is a pure boolean.
 	setting, value := strings.ToLower(fields[0]), fields[1]
 	if setting == "resultcache" {
 		switch strings.ToLower(value) {
@@ -368,9 +366,14 @@ func (sess *session) cmdSet(w *bufio.Writer, rest string) {
 		fmt.Fprintln(w, "ok")
 		return
 	}
-	if setting == "morsel" && strings.EqualFold(value, "off") {
-		sess.settings.Morsel = false
-		fmt.Fprintln(w, "ok")
+	var dst *int
+	switch setting {
+	case "partitions":
+		dst = &sess.settings.Partitions
+	case "workers":
+		dst = &sess.settings.Workers
+	default:
+		fmt.Fprintf(w, "err unknown setting %q\n", fields[0])
 		return
 	}
 	n := adaptive.Auto
@@ -384,17 +387,7 @@ func (sess *session) cmdSet(w *bufio.Writer, rest string) {
 			n = 1
 		}
 	}
-	switch setting {
-	case "partitions":
-		sess.settings.Partitions = n
-	case "workers":
-		sess.settings.Workers = n
-	case "morsel":
-		sess.settings.MorselRows, sess.settings.Morsel = n, true
-	default:
-		fmt.Fprintf(w, "err unknown setting %q\n", fields[0])
-		return
-	}
+	*dst = n
 	fmt.Fprintln(w, "ok")
 }
 

@@ -16,10 +16,9 @@
 //     Off by default; the facade invalidates it whenever the dataset
 //     can change (Persist, dataset swap).
 //
-// Key discipline: both mechanisms key on result identity — the
-// statement key with the resolved morsel size filled in. plancache.Key
-// declares it and says why the worker count is excluded and the morsel
-// size is not; the upshot here is that a 4-worker follower may attach
+// Key discipline: both mechanisms key on the statement key the plan
+// cache uses. plancache.Key declares it and says why the worker count
+// is excluded; the upshot here is that a 4-worker follower may attach
 // to an 8-worker leader and receive a byte-identical result.
 //
 // Sharing discipline: an Outcome handed to more than one consumer is
@@ -41,7 +40,7 @@ import (
 )
 
 // Key identifies one execution for deduplication and result reuse: the
-// statement key at result-identity strength (resolved MorselRows set).
+// statement key.
 type Key = plancache.Key
 
 // Outcome is one completed execution in transport form: everything a
@@ -65,7 +64,6 @@ type Outcome struct {
 	// was produced with.
 	Partitions int
 	Workers    int
-	MorselRows int
 	AutoTuned  bool
 	TuneReason string
 	CacheHit   bool

@@ -112,7 +112,7 @@ func TestFlightDistinctKeysRunIndependently(t *testing.T) {
 	var runs atomic.Int64
 	block := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, k := range []Key{key("a"), key("b"), {SQL: "a", Partitions: 2}, {SQL: "a", Partitions: 1, MorselRows: 64, Morsel: true}} {
+	for _, k := range []Key{key("a"), key("b"), {SQL: "a", Partitions: 2}, {SQL: "a", Partitions: 1, Morsel: true}} {
 		wg.Add(1)
 		go func(k Key) {
 			defer wg.Done()

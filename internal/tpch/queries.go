@@ -144,7 +144,7 @@ func Queries() []Query {
 // bundled workload does not reach — a top-k sort over a bare scan,
 // distinct, a plain filter, count(*), global min/max/sum over an empty
 // selection (the empty-piece guard), a filtered comma join, a bare
-// projection under a limit (the one shape matfold folds) and avg with
+// projection under a limit (left unsliced by lowerProject) and avg with
 // and without keys (the packed fallback).
 func SweepQueries() []string {
 	var stmts []string

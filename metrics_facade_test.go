@@ -20,8 +20,9 @@ import (
 )
 
 // TestMetricsCountersAfterExec checks that one materialized execution
-// moves every layer's counters: engine runs/instructions, morsel rows,
-// plan cache, and the query latency histogram.
+// (and one drained stream) moves every layer's counters: engine
+// runs/instructions, morsel rows, plan cache, and the query latency
+// histogram.
 func TestMetricsCountersAfterExec(t *testing.T) {
 	db, err := Open(WithScaleFactor(0.001))
 	if err != nil {
@@ -34,8 +35,15 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The morsel counters only move under the morsel lowering.
-	if _, err := db.Exec(ctx, q, ExecMorselRows(Auto)); err != nil {
+	// The morsel counters only move under the morsel lowering, which
+	// only Stream runs.
+	it, err := db.Stream(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it.Next() {
+	}
+	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +100,9 @@ func TestProgressMidQuery(t *testing.T) {
 	}
 	ctx := context.Background()
 	const q = "select l_orderkey from lineitem where l_quantity >= 0"
-	it, err := db.Stream(ctx, q, ExecMorselRows(256), ExecWorkers(2))
+	// ~6k lineitem rows: at least two auto-sized morsels at any core
+	// count.
+	it, err := db.Stream(ctx, q, ExecWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +297,7 @@ func TestProgressWireCommand(t *testing.T) {
 	// Hold a streaming run mid-emit: its producer blocks on the
 	// unbuffered channel until the iterator drains.
 	const q = "select l_orderkey from lineitem where l_quantity >= 0"
-	it, err := db.Stream(ctx, q, ExecMorselRows(256))
+	it, err := db.Stream(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,21 @@
-// Facade-level tests of morsel-driven execution: results are
+// Facade-level tests of the morsel-driven lowering: results are
 // byte-identical to sequential execution across query shapes, morsel
-// sizes, and worker counts, and the ExecMorselRows option normalizes,
-// resolves, and records exactly like the PR 4 partition/worker options.
+// sizes, and worker counts. Exec never lowers that way — DB.Stream is
+// its only caller, always auto-sized — so the pinned sizes run below the
+// facade.
 package stethoscope_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
 	"stethoscope"
+	"stethoscope/internal/adaptive"
+	"stethoscope/internal/engine"
+	"stethoscope/internal/optimizer"
+	"stethoscope/internal/planner"
+	"stethoscope/internal/storage"
+	"stethoscope/internal/tpch"
 )
 
 // morselSweepQueries mirrors the persisted-dataset equality sweep
@@ -29,122 +35,45 @@ var morselSweepQueries = []string{
 }
 
 // TestMorselMatchesSequentialByteForByte: every query shape, rendered
-// through WriteTable, must be byte-identical between the sequential
-// lowering and the morsel lowering at 1/4/8 workers — including a
-// 64-row morsel that forces hundreds of cursor claims per scan.
+// through WriteTable's format, must be byte-identical between the
+// sequential lowering and the morsel lowering at 1/4/8 workers —
+// including a 64-row morsel that forces hundreds of cursor claims per
+// scan, and the auto size DB.Stream runs with.
 func TestMorselMatchesSequentialByteForByte(t *testing.T) {
 	db, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithSeed(42))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer db.Close()
+	cat := storage.NewCatalog()
+	if err := tpch.Load(cat, tpch.Config{SF: 0.005, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	pipeline := optimizer.Default()
+	pl := planner.Planner{Cat: cat, Pipeline: pipeline, PassSpec: pipeline.Spec()}
+	eng := engine.New(cat)
 	for _, q := range morselSweepQueries {
 		want := tableString(t, db, q, stethoscope.ExecPartitions(1), stethoscope.ExecWorkers(1))
+		c, err := pl.Compile(q, 1, true)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		auto, _ := adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
 		for _, workers := range []int{1, 4, 8} {
-			for _, morsel := range []int{64, stethoscope.Auto} {
-				got := tableString(t, db, q,
-					stethoscope.ExecMorselRows(morsel), stethoscope.ExecWorkers(workers))
-				if got != want {
+			for _, morsel := range []int{64, auto} {
+				res, err := eng.Run(c.Plan, engine.Options{Workers: workers, MorselRows: morsel})
+				if err != nil {
+					t.Fatalf("%s (workers=%d morsel=%d): %v", q, workers, morsel, err)
+				}
+				var sb strings.Builder
+				if _, err := res.WriteText(&sb); err != nil {
+					t.Fatal(err)
+				}
+				if got := sb.String(); got != want {
 					t.Errorf("%s (workers=%d morsel=%d):\nmorsel:\n%s\nsequential:\n%s",
 						q, workers, morsel, got, want)
 				}
 			}
 		}
-	}
-}
-
-// TestExecMorselRowsNormalized mirrors the ExecPartitions(0) regression
-// for the new knob: out-of-range morsel sizes clamp through the shared
-// rule before anything is recorded, and — the morsel size being a
-// runtime option, not a compile option — no second plan-cache entry
-// appears for any size.
-func TestExecMorselRowsNormalized(t *testing.T) {
-	db := openTestDB(t)
-	base, err := db.Exec(context.Background(), figure1Query, stethoscope.ExecMorselRows(512))
-	if err != nil {
-		t.Fatalf("Exec(morsel=512): %v", err)
-	}
-	if base.Stats.MorselRows != 512 {
-		t.Fatalf("Stats.MorselRows = %d, want 512", base.Stats.MorselRows)
-	}
-	for _, n := range []int{0, -3} {
-		res, err := db.Exec(context.Background(), figure1Query, stethoscope.ExecMorselRows(n))
-		if err != nil {
-			t.Fatalf("Exec(morsel=%d): %v", n, err)
-		}
-		if !res.Stats.CacheHit {
-			t.Errorf("Exec(morsel=%d) missed the cache: morsel size leaked into the plan key", n)
-		}
-		if res.Stats.MorselRows != 1 {
-			t.Errorf("Exec(morsel=%d) reports MorselRows=%d, want 1 (clamped)", n, res.Stats.MorselRows)
-		}
-	}
-	if got := db.Stats().Cache.Len; got != 1 {
-		t.Errorf("plan cache holds %d entries, want 1 (morsel sizes must share one plan)", got)
-	}
-	// The static and morsel lowerings are different plans: turning the
-	// mode on and off is exactly two entries.
-	if _, err := db.Exec(context.Background(), figure1Query); err != nil {
-		t.Fatalf("Exec(static): %v", err)
-	}
-	if got := db.Stats().Cache.Len; got != 2 {
-		t.Errorf("plan cache holds %d entries after static run, want 2 (mode is part of the key)", got)
-	}
-}
-
-// TestMorselAutoRecorded: ExecMorselRows(Auto) resolves to a concrete
-// size, flags the run auto-tuned, and carries the morsel=N note through
-// Stats and the durable history RunMeta.
-func TestMorselAutoRecorded(t *testing.T) {
-	db, err := stethoscope.Open(
-		stethoscope.WithScaleFactor(0.005), stethoscope.WithSeed(42),
-		stethoscope.WithHistory(t.TempDir()))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer db.Close()
-	res, err := db.Exec(context.Background(), figure1Query, stethoscope.ExecMorselRows(stethoscope.Auto))
-	if err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	if res.Stats.MorselRows < 1 {
-		t.Fatalf("auto morsel resolved to %d", res.Stats.MorselRows)
-	}
-	if !res.Stats.AutoTuned {
-		t.Error("Stats.AutoTuned = false under ExecMorselRows(Auto)")
-	}
-	if !strings.Contains(res.Stats.TuneReason, "morsel=") {
-		t.Errorf("Stats.TuneReason = %q, want a morsel= note", res.Stats.TuneReason)
-	}
-	run, err := db.History().Get(res.Stats.RunID)
-	if err != nil {
-		t.Fatalf("run %d not in history: %v", res.Stats.RunID, err)
-	}
-	if !run.Info.AutoTuned || !strings.Contains(run.Info.TuneReason, "morsel=") {
-		t.Errorf("history RunMeta = %v %q, want the morsel resolution", run.Info.AutoTuned, run.Info.TuneReason)
-	}
-}
-
-// TestOpenValidatesMorselConfig: WithMorselRows validates like the
-// other Open knobs and, when given, becomes the Exec default.
-func TestOpenValidatesMorselConfig(t *testing.T) {
-	if _, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithMorselRows(0)); err == nil {
-		t.Error("Open(WithMorselRows(0)) accepted")
-	}
-	if _, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithMorselRows(-2)); err == nil {
-		t.Error("Open(WithMorselRows(-2)) accepted")
-	}
-	db, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithSeed(42),
-		stethoscope.WithMorselRows(stethoscope.Auto))
-	if err != nil {
-		t.Fatalf("Open(WithMorselRows(Auto)) rejected: %v", err)
-	}
-	defer db.Close()
-	res, err := db.Exec(context.Background(), figure1Query)
-	if err != nil {
-		t.Fatalf("Exec under morsel default: %v", err)
-	}
-	if res.Stats.MorselRows < 1 {
-		t.Errorf("Stats.MorselRows = %d, want the DB-default morsel mode in effect", res.Stats.MorselRows)
 	}
 }

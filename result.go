@@ -79,11 +79,6 @@ type Stats struct {
 	// always concrete counts.
 	Partitions int
 	Workers    int
-	// MorselRows is the morsel size the query ran with under the
-	// morsel-driven lowering (ExecMorselRows / WithMorselRows), resolved
-	// from Auto before execution. Zero when the query ran the static
-	// lowering.
-	MorselRows int
 	// AutoTuned reports that Partitions and/or Workers were chosen
 	// adaptively (the Auto sentinel); TuneReason records what the
 	// selection saw and picked, e.g.
@@ -100,7 +95,7 @@ type Stats struct {
 	// identical statement's in-flight execution) or "resultcache"
 	// (served from the WithResultCache outcome cache). Empty for calls
 	// that executed. Shared results echo the producing run's resolved
-	// settings (Partitions/Workers/MorselRows) and its RunID.
+	// settings (Partitions/Workers) and its RunID.
 	Shared string
 	// RunID is the durable query-history id of this execution, usable
 	// with DB.History (Get, Replay, Compare). Zero when the DB was

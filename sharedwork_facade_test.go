@@ -7,7 +7,6 @@ package stethoscope
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -108,50 +107,6 @@ func TestSharedExecByteEquality(t *testing.T) {
 	}
 	if st.SharedLed+st.SharedAttached != int64(execs) {
 		t.Fatalf("led %d + attached %d != execs %d", st.SharedLed, st.SharedAttached, execs)
-	}
-}
-
-// TestSharedExecByteEqualityMorsel repeats the sweep's core claim
-// under the morsel-driven lowering, where the sharing key additionally
-// carries the morsel size.
-func TestSharedExecByteEqualityMorsel(t *testing.T) {
-	db, err := Open(WithScaleFactor(0.002))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	ctx := context.Background()
-	q := "select l_returnflag, sum(l_extendedprice) as rev, count(*) as n from lineitem where l_quantity > 10 group by l_returnflag order by l_returnflag"
-	opts := []ExecOption{ExecPartitions(4), ExecWorkers(4), ExecMorselRows(64)}
-	base, err := db.Exec(ctx, q, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tableBytes(t, base)
-	const clients = 8
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	fail := make(chan string, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			r, err := db.Exec(ctx, q, opts...)
-			if err != nil {
-				fail <- err.Error()
-				return
-			}
-			if tableBytes(t, r) != want {
-				fail <- fmt.Sprintf("shared=%q result differs from unshared baseline", r.Stats.Shared)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	close(fail)
-	for msg := range fail {
-		t.Fatal(msg)
 	}
 }
 
@@ -263,7 +218,7 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	if tableBytes(t, r2) != tableBytes(t, r1) {
 		t.Fatal("cached result bytes differ")
 	}
-	// The worker count is not part of result identity: a different
+	// The worker count is not part of the statement key: a different
 	// worker request still hits, echoing the producer's resolved count.
 	r3, err := db.Exec(ctx, q, ExecWorkers(4))
 	if err != nil {
@@ -273,7 +228,7 @@ func TestResultCacheServesRepeats(t *testing.T) {
 		t.Fatalf("worker variation: Shared=%q Workers=%d, want resultcache with producer's %d",
 			r3.Stats.Shared, r3.Stats.Workers, r1.Stats.Workers)
 	}
-	// Partition geometry is part of result identity: different key.
+	// Partition geometry is part of the statement key: different key.
 	r4, err := db.Exec(ctx, q, ExecPartitions(2))
 	if err != nil {
 		t.Fatal(err)

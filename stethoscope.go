@@ -94,21 +94,10 @@ func WithPartitions(n int) Option { return func(c *config) { c.exec.Partitions =
 // ExecWorkers overrides it per query.
 func WithWorkers(n int) Option { return func(c *config) { c.exec.Workers = n } }
 
-// WithMorselRows makes morsel-driven execution the DB default: queries
-// compile into pipeline fragments whose workers pull n-row morsels from
-// a shared cursor, bounding peak intermediate memory to roughly
-// workers × n rows instead of partitions × slice. Pass Auto to size the
-// morsel per query from the driver table's row count and the core
-// count. ExecMorselRows overrides it per query. The default (option
-// omitted) is the static mitosis lowering.
-func WithMorselRows(n int) Option {
-	return func(c *config) { c.exec.MorselRows, c.exec.Morsel = n, true }
-}
-
 // WithOptimizerPasses selects the MAL optimizer pipeline by pass name,
-// in order. Known passes: "cse", "matfold", "deadcode". An explicit
-// empty list disables optimization; omitting the option selects the
-// default pipeline (cse, matfold, deadcode).
+// in order. Known passes: "cse", "deadcode". An explicit empty list
+// disables optimization; omitting the option selects the default
+// pipeline (cse, deadcode).
 func WithOptimizerPasses(names ...string) Option {
 	return func(c *config) {
 		if names == nil {
@@ -136,8 +125,7 @@ func WithPlanCacheSize(n int) Option {
 // query outcomes are retained for ttl and served — byte-identical, with
 // Result.Stats.Shared = "resultcache" — to repeated identical
 // statements without re-executing. The cache is keyed like the shared
-// execution flight (SQL text, partitions, morsel geometry, optimizer
-// passes) and shared by every Exec caller and server session of this
+// execution flight (SQL text, partitions, optimizer passes) and shared by every Exec caller and server session of this
 // DB; it is invalidated whenever the dataset can change (DB.Persist).
 // ttl <= 0 means entries never expire by time. The default (option
 // omitted, or n <= 0) is no result caching: only concurrent identical
@@ -172,12 +160,10 @@ func buildPipeline(names []string) (optimizer.Pipeline, error) {
 		switch strings.ToLower(n) {
 		case "cse":
 			pl.Passes = append(pl.Passes, optimizer.CSE{})
-		case "matfold":
-			pl.Passes = append(pl.Passes, optimizer.MatFold{})
 		case "deadcode":
 			pl.Passes = append(pl.Passes, optimizer.DeadCode{})
 		default:
-			return pl, fmt.Errorf("stethoscope: unknown optimizer pass %q (have cse, matfold, deadcode)", n)
+			return pl, fmt.Errorf("stethoscope: unknown optimizer pass %q (have cse, deadcode)", n)
 		}
 	}
 	return pl, nil
@@ -212,9 +198,6 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	if (cfg.exec.Partitions < 1 && cfg.exec.Partitions != Auto) || (cfg.exec.Workers < 1 && cfg.exec.Workers != Auto) {
 		return nil, fmt.Errorf("stethoscope: partitions and workers must be >= 1 (or Auto)")
-	}
-	if cfg.exec.Morsel && cfg.exec.MorselRows < 1 && cfg.exec.MorselRows != Auto {
-		return nil, fmt.Errorf("stethoscope: morsel rows must be >= 1 (or Auto)")
 	}
 	pl, err := buildPipeline(cfg.passes)
 	if err != nil {
@@ -370,18 +353,6 @@ func ExecPartitions(n int) ExecOption { return func(s *runner.Settings) { s.Part
 // count.
 func ExecWorkers(n int) ExecOption { return func(s *runner.Settings) { s.Workers = n } }
 
-// ExecMorselRows compiles this query with the morsel-driven lowering
-// and executes it with n-row morsels: workers pull morsels from a
-// shared cursor and run the whole pipeline fragment per morsel, so peak
-// intermediate memory is bounded by workers × n rows. Pass Auto to size
-// the morsel from the driver table's rows and the core count. The
-// morsel size normalizes like every other exec setting (values below 1
-// clamp to 1) and is a runtime option: changing it never recompiles or
-// adds plan-cache entries.
-func ExecMorselRows(n int) ExecOption {
-	return func(s *runner.Settings) { s.MorselRows, s.Morsel = n, true }
-}
-
 // settings resolves the per-call overrides over the DB defaults. The
 // runner normalizes them (Auto survives as the sentinel, anything else
 // below 1 clamps to 1) before plan-cache and shared-work keys are built
@@ -407,11 +378,12 @@ func (db *DB) prepare(query string, s runner.Settings) (*runner.Prepared, error)
 	return p, nil
 }
 
-// Exec compiles, optimizes, and executes one SQL query under the
-// profiler. The returned Result bundles the optimized MAL plan, the full
-// execution trace, the result table, and execution statistics. The
-// context cancels the execution: sequential runs stop between
-// instructions, dataflow runs stop dispatching work.
+// Exec compiles (static mitosis at the partition setting), optimizes,
+// and executes one SQL query under the profiler, so every operator is a
+// node of the plan graph. The returned Result bundles the optimized MAL
+// plan, the full execution trace, the result table, and execution
+// statistics. The context cancels the execution: sequential runs stop
+// between instructions, dataflow runs stop dispatching work.
 //
 // Identical concurrent statements share work: Exec calls whose SQL and
 // compile geometry match an in-flight execution attach to it and
@@ -448,7 +420,6 @@ func (db *DB) Exec(ctx context.Context, query string, opts ...ExecOption) (*Resu
 			Instructions: len(p.Plan.Instrs),
 			Partitions:   out.Partitions,
 			Workers:      out.Workers,
-			MorselRows:   out.MorselRows,
 			AutoTuned:    out.AutoTuned,
 			TuneReason:   out.TuneReason,
 			CacheHit:     out.CacheHit,
@@ -499,8 +470,9 @@ func (db *DB) WriteMetrics(w io.Writer) error { return db.run.Registry.WriteProm
 
 // Progress snapshots the live progress of every in-flight query on
 // this DB's engine (in-process Exec/Stream calls and server QUERY
-// commands alike), ordered by start. Row and morsel figures cover
-// morsel-driven fragments; instruction figures cover every plan.
+// commands alike), ordered by start. Row and morsel figures cover the
+// morsel-driven fragments of Stream runs; instruction figures cover
+// every plan.
 func (db *DB) Progress() []QueryProgress { return db.run.Engine.Progress() }
 
 // MetricsAddr reports the bound address of the observability HTTP

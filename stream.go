@@ -14,28 +14,29 @@ import (
 
 // Stream compiles and executes one SQL query, yielding result rows as
 // the engine produces them instead of materializing the table first.
-// Under the morsel-driven lowering a streamable plan (no sort, no
-// final aggregate recombination) hands each completed morsel's rows to
-// the iterator while later morsels are still executing, so the first
-// rows arrive before the scan finishes and the peak resident set stays
-// bounded by workers × morsel rows. Plans that must materialize (sorts,
-// grouped aggregates) still stream — as one batch when their combine
-// stage completes — so every query works through the same iterator.
+// It is the one caller of the morsel-driven lowering: the operator
+// chain above each scan compiles into a fragment that workers run over
+// morsels pulled from a shared cursor, sized by the adaptive tuner from
+// the driver table's rows and the core count. A streamable plan (no
+// sort, no final aggregate recombination) hands each completed morsel's
+// rows to the iterator while later morsels are still executing, so the
+// first rows arrive before the scan finishes and the peak resident set
+// stays bounded by workers × morsel rows. Plans that must materialize
+// (sorts, grouped aggregates) still stream — as one batch when their
+// combine stage completes — so every query works through the same
+// iterator. ExecPartitions applies to the sorts such plans close with;
+// ExecWorkers sets the morsel workers.
 //
-// Stream forces morsel mode: without an ExecMorselRows override (and
-// with no WithMorselRows DB default) the morsel size is chosen
-// adaptively, as if ExecMorselRows(Auto) were given. Cancel ctx to
-// abandon the query early; Close releases the run either way.
-// Streaming runs are not recorded into the query history — the history
-// measures materialized executions (Exec) so its wall times stay
-// comparable.
+// Cancel ctx to abandon the query early; Close releases the run either
+// way. A streaming run always executes on its own — it never attaches
+// to an identical Exec or reads the result cache — and is not recorded
+// into the query history, which measures materialized executions (Exec)
+// so its wall times stay comparable.
 //
 // The returned iterator is not safe for concurrent use.
 func (db *DB) Stream(ctx context.Context, query string, opts ...ExecOption) (*RowIter, error) {
 	set := db.settings(opts)
-	if !set.Morsel {
-		set.MorselRows, set.Morsel = Auto, true
-	}
+	set.Morsel = true
 	p, err := db.prepare(query, set)
 	if err != nil {
 		return nil, err

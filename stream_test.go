@@ -12,14 +12,15 @@ import (
 
 // TestStreamYieldsBeforeCompletion is the streaming-progress check: the
 // first rows must be consumable while the query is still executing.
-// The 64-row morsel splits the lineitem scan into hundreds of batches
-// and the iterator's unbuffered handshake means the engine cannot
-// finish until the consumer drains them — so observing InFlight=1 after
-// the first row proves rows arrived before full materialization.
+// The auto-sized morsel splits the ~30k-row lineitem scan into at least
+// two batches at any core count, and the iterator's unbuffered handshake
+// means the engine cannot finish until the consumer drains them — so
+// observing InFlight=1 after the first row proves rows arrived before
+// full materialization.
 func TestStreamYieldsBeforeCompletion(t *testing.T) {
 	db := openTestDB(t)
 	it, err := db.Stream(context.Background(), "select l_orderkey from lineitem",
-		stethoscope.ExecMorselRows(64), stethoscope.ExecWorkers(4))
+		stethoscope.ExecWorkers(4))
 	if err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
@@ -51,8 +52,7 @@ func TestStreamYieldsBeforeCompletion(t *testing.T) {
 func TestStreamScanAndColumns(t *testing.T) {
 	db := openTestDB(t)
 	it, err := db.Stream(context.Background(),
-		"select l_orderkey, l_tax, l_shipmode from lineitem where l_partkey=1",
-		stethoscope.ExecMorselRows(512))
+		"select l_orderkey, l_tax, l_shipmode from lineitem where l_partkey=1")
 	if err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestStreamMaterializingPlan(t *testing.T) {
 func TestStreamEarlyClose(t *testing.T) {
 	db := openTestDB(t)
 	it, err := db.Stream(context.Background(), "select l_orderkey from lineitem",
-		stethoscope.ExecMorselRows(64), stethoscope.ExecWorkers(4))
+		stethoscope.ExecWorkers(4))
 	if err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
