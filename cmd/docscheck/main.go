@@ -219,7 +219,7 @@ func checkSpan(root, span string, known, pkgSegs map[string]bool) string {
 	if s == "" {
 		return ""
 	}
-	// `WithResultCache(n, ttl)` → `WithResultCache`; a paren anywhere
+	// `WithHistoryConfig(hc)` → `WithHistoryConfig`; a paren anywhere
 	// else (shell fragments) makes the span unattributable.
 	if i := strings.IndexByte(s, '('); i >= 0 {
 		if !strings.HasSuffix(s, ")") {

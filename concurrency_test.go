@@ -64,27 +64,6 @@ func TestPlanCacheHitsAndStats(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	db, err := Open(WithScaleFactor(0.001), WithPlanCacheSize(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	const q = "select l_tax from lineitem where l_partkey=1"
-	for i := 0; i < 2; i++ {
-		res, err := db.Exec(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.CacheHit {
-			t.Fatal("cache disabled but Exec reported a hit")
-		}
-	}
-	if st := db.Stats(); st.Cache.Capacity != 0 {
-		t.Fatalf("disabled cache should report zero stats, got %+v", st.Cache)
-	}
-}
-
 // TestStressMixedWorkload fires 32 goroutines of mixed Exec / Explain /
 // DumpCSV against one DB. Run under -race (the CI race job does) this
 // is the serving-layer reentrancy proof: shared engine, shared plan

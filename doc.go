@@ -36,11 +36,6 @@
 //	WithPath              —                 dir           persisted dataset instead of generation
 //	WithPartitions        ExecPartitions    ≥1 | Auto     static mitosis slice count
 //	WithWorkers           ExecWorkers       ≥1 | Auto     dataflow scheduler workers (Stream: morsel workers)
-//	WithOptimizerPasses   —                 pass names    MAL optimizer pipeline (cse, deadcode)
-//	WithPlanCacheSize     —                 ≥0            compiled-plan cache capacity (0 disables)
-//	WithResultCache       —                 n, ttl        shared result-reuse cache: completed outcomes
-//	                                                      served to identical statements (0 disables;
-//	                                                      default off; ttl 0 = no expiry)
 //	WithHistory(Config)   —                 dir           durable query history
 //	WithMetricsAddr       —                 host:port     HTTP observability endpoint (/metrics, /progress, /debug/pprof)
 //
@@ -52,17 +47,18 @@
 // shares (internal/runner); Open-time options reject invalid values
 // outright.
 //
+// The optimizer pipeline (cse, deadcode) and the compiled-plan cache
+// (256 plans, shared by every Exec caller and server
+// session) are fixed, not options.
+//
 // Concurrent identical statements share work instead of repeating it:
 // non-streaming executions with the same SQL and settings single-flight
 // — one caller runs the plan, concurrent duplicates attach to its
-// in-flight run and receive the same outcome — and with WithResultCache
-// a completed outcome is additionally served to later repeats until its
-// TTL lapses or the dataset changes (DB.Persist invalidates). Shared
-// results are byte-identical to a private execution; Result.Stats.Shared
-// reports "attached" or "resultcache" when a call did not run the plan
-// itself. Server sessions participate too and can opt out per
-// connection with SET resultcache off (the single-flight dedup is
-// always on).
+// in-flight run and receive the same outcome. Only in-flight runs are
+// shared: a repeat that arrives after its twin finished executes again.
+// Shared results are byte-identical to a private execution;
+// Result.Stats.Shared reports "attached" when a call did not run the
+// plan itself. Server sessions participate too.
 //   - Analyze / OpenOffline → Analysis — Stethoscope proper: the
 //     laid-out plan graph, execution-state coloring (pair-elision,
 //     threshold, gradient), replay, costly-instruction / utilization /

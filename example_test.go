@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"stethoscope"
 )
@@ -147,31 +146,4 @@ func ExampleDB_History() {
 		fmt.Println(r.ID == res.Stats.RunID, r.SQL, r.OK())
 	}
 	// Output: true select l_tax from lineitem where l_partkey=1 true
-}
-
-// WithResultCache turns on result reuse: a completed outcome is served
-// to later identical statements without executing at all, until its
-// TTL lapses or the dataset changes. Stats.Shared reports how a result
-// was produced.
-func ExampleWithResultCache() {
-	db, err := stethoscope.Open(
-		stethoscope.WithScaleFactor(0.005),
-		stethoscope.WithSeed(42),
-		stethoscope.WithResultCache(64, time.Minute))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer db.Close()
-
-	const q = "select count(*) as n from orders"
-	first, err := db.Exec(context.Background(), q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	again, err := db.Exec(context.Background(), q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("first=%q again=%q\n", first.Stats.Shared, again.Stats.Shared)
-	// Output: first="" again="resultcache"
 }

@@ -30,9 +30,11 @@ package batstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
+	"stethoscope/internal/fsio"
 	"stethoscope/internal/storage"
 )
 
@@ -156,67 +158,16 @@ func encodeStrings(dst []byte, vals []string) []byte {
 	return dst
 }
 
-// segReader is a sticky-error cursor over a segment payload.
-type segReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *segReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
+// segmentError is the BAT store's wording for a segment payload field
+// that cannot be read (see fsio.Reader).
+func segmentError(kind string, n int) error {
+	switch kind {
+	case "byte":
+		return errors.New("truncated segment payload")
+	case "string":
+		return fmt.Errorf("string length %d exceeds segment payload", n)
 	}
-}
-
-func (r *segReader) byte() byte {
-	if r.err != nil || r.pos >= len(r.b) {
-		r.fail("truncated segment payload")
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *segReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail("truncated uvarint in segment payload")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *segReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail("truncated varint in segment payload")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *segReader) string() string {
-	n := int(r.uvarint())
-	if r.err != nil {
-		return ""
-	}
-	if n < 0 || n > len(r.b)-r.pos {
-		r.fail("string length %d exceeds segment payload", n)
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+n])
-	r.pos += n
-	return s
+	return fmt.Errorf("truncated %s in segment payload", kind)
 }
 
 // decodeSegment appends one segment payload's rows onto dst, whose kind
@@ -224,11 +175,11 @@ func (r *segReader) string() string {
 // corrupt count must not drive allocation). It returns the decoded row
 // count. Arbitrary input yields an error, never a panic or short data.
 func decodeSegment(payload []byte, dst *storage.BAT, maxRows int) (int, error) {
-	r := &segReader{b: payload}
-	enc := r.byte()
-	n := int(r.uvarint())
-	if r.err != nil {
-		return 0, r.err
+	r := &fsio.Reader{B: payload, Fail: segmentError}
+	enc := r.Byte()
+	n := int(r.Uvarint())
+	if r.Err != nil {
+		return 0, r.Err
 	}
 	if n < 0 || n > maxRows {
 		return 0, fmt.Errorf("segment declares %d rows (max %d)", n, maxRows)
@@ -238,17 +189,17 @@ func decodeSegment(payload []byte, dst *storage.BAT, maxRows int) (int, error) {
 		if !intKind(dst.Kind()) {
 			return 0, fmt.Errorf("raw-int segment in %s column", dst.Kind())
 		}
-		for i := 0; i < n && r.err == nil; i++ {
-			dst.AppendInt(r.varint())
+		for i := 0; i < n && r.Err == nil; i++ {
+			dst.AppendInt(r.Varint())
 		}
 	case encRLEInt:
 		if !intKind(dst.Kind()) {
 			return 0, fmt.Errorf("rle-int segment in %s column", dst.Kind())
 		}
-		for got := 0; got < n && r.err == nil; {
-			v := r.varint()
-			run := r.uvarint()
-			if r.err != nil {
+		for got := 0; got < n && r.Err == nil; {
+			v := r.Varint()
+			run := r.Uvarint()
+			if r.Err != nil {
 				break
 			}
 			if run == 0 || run > uint64(n-got) {
@@ -263,39 +214,39 @@ func decodeSegment(payload []byte, dst *storage.BAT, maxRows int) (int, error) {
 		if dst.Kind() != storage.Flt {
 			return 0, fmt.Errorf("raw-flt segment in %s column", dst.Kind())
 		}
-		if len(payload)-r.pos < 8*n {
-			return 0, fmt.Errorf("flt segment holds %d bytes for %d rows", len(payload)-r.pos, n)
+		if len(payload)-r.Pos < 8*n {
+			return 0, fmt.Errorf("flt segment holds %d bytes for %d rows", len(payload)-r.Pos, n)
 		}
 		for i := 0; i < n; i++ {
-			bits := binary.LittleEndian.Uint64(r.b[r.pos:])
-			r.pos += 8
+			bits := binary.LittleEndian.Uint64(r.B[r.Pos:])
+			r.Pos += 8
 			dst.AppendFlt(math.Float64frombits(bits))
 		}
 	case encRawStr:
 		if dst.Kind() != storage.Str {
 			return 0, fmt.Errorf("raw-str segment in %s column", dst.Kind())
 		}
-		for i := 0; i < n && r.err == nil; i++ {
-			dst.AppendStr(r.string())
+		for i := 0; i < n && r.Err == nil; i++ {
+			dst.AppendStr(r.Str())
 		}
 	case encDictStr:
 		if dst.Kind() != storage.Str {
 			return 0, fmt.Errorf("dict-str segment in %s column", dst.Kind())
 		}
-		dictLen := int(r.uvarint())
-		if r.err != nil {
-			return 0, r.err
+		dictLen := int(r.Uvarint())
+		if r.Err != nil {
+			return 0, r.Err
 		}
 		if dictLen <= 0 || dictLen > dictMaxSize {
 			return 0, fmt.Errorf("dictionary of %d entries (max %d)", dictLen, dictMaxSize)
 		}
 		dict := make([]string, dictLen)
 		for i := range dict {
-			dict[i] = r.string()
+			dict[i] = r.Str()
 		}
-		for i := 0; i < n && r.err == nil; i++ {
-			code := r.uvarint()
-			if r.err != nil {
+		for i := 0; i < n && r.Err == nil; i++ {
+			code := r.Uvarint()
+			if r.Err != nil {
 				break
 			}
 			if code >= uint64(dictLen) {
@@ -308,21 +259,21 @@ func decodeSegment(payload []byte, dst *storage.BAT, maxRows int) (int, error) {
 			return 0, fmt.Errorf("bit-packed segment in %s column", dst.Kind())
 		}
 		want := (n + 7) / 8
-		if len(payload)-r.pos < want {
-			return 0, fmt.Errorf("bool segment holds %d bytes for %d rows", len(payload)-r.pos, n)
+		if len(payload)-r.Pos < want {
+			return 0, fmt.Errorf("bool segment holds %d bytes for %d rows", len(payload)-r.Pos, n)
 		}
 		for i := 0; i < n; i++ {
-			dst.AppendBool(r.b[r.pos+i/8]&(1<<(i%8)) != 0)
+			dst.AppendBool(r.B[r.Pos+i/8]&(1<<(i%8)) != 0)
 		}
-		r.pos += want
+		r.Pos += want
 	default:
 		return 0, fmt.Errorf("unknown segment encoding %d", enc)
 	}
-	if r.err != nil {
-		return 0, r.err
+	if r.Err != nil {
+		return 0, r.Err
 	}
-	if r.pos != len(payload) {
-		return 0, fmt.Errorf("%d trailing bytes after %d-row segment", len(payload)-r.pos, n)
+	if r.Pos != len(payload) {
+		return 0, fmt.Errorf("%d trailing bytes after %d-row segment", len(payload)-r.Pos, n)
 	}
 	return n, nil
 }

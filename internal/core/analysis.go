@@ -120,7 +120,7 @@ func BirdsEye(s *trace.Store, n int) []Cluster {
 				continue
 			}
 			c.BusyUs += e.DurUs
-			moduleBusy[moduleOf(e.Stmt)] += e.DurUs
+			moduleBusy[profiler.ModuleOf(e.Stmt)] += e.DurUs
 		}
 		var bestMod string
 		var bestBusy int64 = -1
@@ -139,19 +139,6 @@ func BirdsEye(s *trace.Store, n int) []Cluster {
 		out = append(out, c)
 	}
 	return out
-}
-
-// moduleOf extracts the MAL module from a statement string like
-// "X_3:bat[:oid] := algebra.select(...);".
-func moduleOf(stmt string) string {
-	s := stmt
-	if i := strings.Index(s, ":="); i >= 0 {
-		s = strings.TrimSpace(s[i+2:])
-	}
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		return strings.TrimSpace(s[:i])
-	}
-	return ""
 }
 
 // CostlyInstr is one entry of the costly-instruction report.

@@ -152,20 +152,6 @@ func TestTopCostly(t *testing.T) {
 	}
 }
 
-func TestModuleOf(t *testing.T) {
-	cases := map[string]string{
-		"X_3:bat[:oid] := algebra.select(X_1);": "algebra",
-		"sql.exportResult(X_9);":                "sql",
-		"(X_1, X_2) := group.subgroup(X_0);":    "group",
-		"weird":                                 "",
-	}
-	for stmt, want := range cases {
-		if got := moduleOf(stmt); got != want {
-			t.Errorf("moduleOf(%q) = %q, want %q", stmt, got, want)
-		}
-	}
-}
-
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
 		func() bool {

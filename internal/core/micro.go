@@ -33,7 +33,7 @@ func ModuleBreakdown(s *trace.Store) []ModuleStat {
 		if e.State != profiler.StateDone {
 			continue
 		}
-		m := moduleOf(e.Stmt)
+		m := profiler.ModuleOf(e.Stmt)
 		st, ok := byMod[m]
 		if !ok {
 			st = &ModuleStat{Module: m}

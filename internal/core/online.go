@@ -226,7 +226,7 @@ func (ts *TextualStethoscope) handle(from string, m netproto.Msg) {
 			return
 		}
 		ss.mu.Lock()
-		pass := ss.filter.Pass(e, moduleOf(e.Stmt))
+		pass := ss.filter.Pass(e, profiler.ModuleOf(e.Stmt))
 		if pass {
 			ss.events = append(ss.events, e)
 			ss.eventSeen++

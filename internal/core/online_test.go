@@ -50,8 +50,8 @@ func TestE8OnlineStreamDotAndTrace(t *testing.T) {
 
 	// Stream trace events through a profiler wired to the UDP sink.
 	prof := profiler.New(streamer)
-	prof.Begin(0, 0, "sql", "X_0:bat[:int] := sql.bind(\"sys\", \"lineitem\", \"l_partkey\", 0);").End(1, 2, 3)
-	prof.Begin(1, 1, "algebra", "X_1:bat[:oid] := algebra.thetaselect(X_0, \"=\", 1);").End(4, 5, 6)
+	prof.Begin(0, 0, "X_0:bat[:int] := sql.bind(\"sys\", \"lineitem\", \"l_partkey\", 0);").End(1, 2, 3)
+	prof.Begin(1, 1, "X_1:bat[:oid] := algebra.thetaselect(X_0, \"=\", 1);").End(4, 5, 6)
 
 	var addr string
 	waitUntil(t, func() bool {
@@ -120,8 +120,8 @@ func TestE8MultiServerFilter(t *testing.T) {
 	p1 := profiler.New(s1)
 	p2 := profiler.New(s2)
 	for i := 0; i < 5; i++ {
-		p1.Begin(i, 0, "algebra", "a.b();").End(0, 0, 0)
-		p2.Begin(i, 0, "algebra", "a.b();").End(0, 0, 0)
+		p1.Begin(i, 0, "a.b();").End(0, 0, 0)
+		p2.Begin(i, 0, "a.b();").End(0, 0, 0)
 	}
 
 	waitUntil(t, func() bool {
@@ -157,7 +157,7 @@ func TestOnEventTee(t *testing.T) {
 	}
 	defer s.Close()
 	prof := profiler.New(s)
-	prof.Begin(0, 0, "m", "s();").End(0, 0, 0)
+	prof.Begin(0, 0, "s();").End(0, 0, 0)
 
 	waitUntil(t, func() bool {
 		mu.Lock()
@@ -191,7 +191,7 @@ func TestRingBufferSampling(t *testing.T) {
 	defer s.Close()
 	prof := profiler.New(s)
 	for i := 0; i < 10; i++ {
-		prof.Begin(i, 0, "m", "s();").End(0, 0, 0)
+		prof.Begin(i, 0, "s();").End(0, 0, 0)
 	}
 	waitUntil(t, func() bool {
 		for _, a := range ts.Servers() {

@@ -355,7 +355,7 @@ func (e *Engine) exec(ctx *Context, in *mal.Instr, thread int, prof *profiler.Pr
 	k := ctx.kernels[in.PC]
 	var span profiler.Span
 	if prof != nil {
-		span = prof.Begin(in.PC, thread, in.Module, ctx.Plan.CachedStmt(in))
+		span = prof.Begin(in.PC, thread, ctx.Plan.CachedStmt(in))
 	}
 	em := e.met
 	var t0 time.Time

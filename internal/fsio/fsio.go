@@ -12,7 +12,8 @@
 // A record that cannot be read whole (short header, short payload,
 // implausible length, checksum mismatch) is distinguishable from a clean
 // end of file, which is what makes torn-tail recovery and
-// corruption-naming error messages possible.
+// corruption-naming error messages possible. Inside a verified frame,
+// both stores decode their payloads with the one Reader.
 package fsio
 
 import (
@@ -134,4 +135,81 @@ func ReleaseLock(f *os.File) {
 	if f != nil {
 		f.Close()
 	}
+}
+
+// Reader is a sticky-error cursor over one record payload: the first
+// field that cannot be read sets Err, and every later read returns a
+// zero value, so a decoder reads a whole record and checks Err once. A
+// declared string length is checked against the bytes left, never added
+// to Pos first, so a length near 2^63 is an error rather than an
+// overflowed slice bound.
+type Reader struct {
+	B   []byte // the payload
+	Pos int    // offset of the next unread byte
+	Err error  // the first failure
+	// Fail builds the error for the first field that cannot be read,
+	// in the owning store's wording. kind is "byte", "uvarint", "varint"
+	// or "string"; n is the declared length of a string that overruns
+	// the payload, 0 for the other kinds.
+	Fail func(kind string, n int) error
+}
+
+func (r *Reader) fail(kind string, n int) {
+	if r.Err == nil {
+		r.Err = r.Fail(kind, n)
+	}
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.Err != nil || r.Pos >= len(r.B) {
+		r.fail("byte", 0)
+		return 0
+	}
+	v := r.B[r.Pos]
+	r.Pos++
+	return v
+}
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
+	if r.Err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.B[r.Pos:])
+	if n <= 0 {
+		r.fail("uvarint", 0)
+		return 0
+	}
+	r.Pos += n
+	return v
+}
+
+// Varint reads a signed varint.
+func (r *Reader) Varint() int64 {
+	if r.Err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.B[r.Pos:])
+	if n <= 0 {
+		r.fail("varint", 0)
+		return 0
+	}
+	r.Pos += n
+	return v
+}
+
+// Str reads a uvarint length followed by that many bytes.
+func (r *Reader) Str() string {
+	n := int(r.Uvarint())
+	if r.Err != nil {
+		return ""
+	}
+	if n < 0 || n > len(r.B)-r.Pos {
+		r.fail("string", n)
+		return ""
+	}
+	s := string(r.B[r.Pos : r.Pos+n])
+	r.Pos += n
+	return s
 }

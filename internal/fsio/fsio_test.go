@@ -2,6 +2,9 @@ package fsio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -128,4 +131,36 @@ func TestDirLockExclusion(t *testing.T) {
 	}
 	ReleaseLock(l2)
 	ReleaseLock(nil) // nil-safe
+}
+
+// TestReaderOverlongString: a declared string length near 2^63 must
+// fail the read instead of overflowing the bounds check into a slice
+// panic, and the failure sticks: later reads return zero values and
+// keep the first error.
+func TestReaderOverlongString(t *testing.T) {
+	b := binary.AppendUvarint(nil, 1<<63-1)
+	b = append(b, "select"...)
+	r := &Reader{B: b, Fail: func(kind string, n int) error { return fmt.Errorf("%s %d", kind, n) }}
+	if s := r.Str(); s != "" || r.Err == nil || r.Err.Error() != fmt.Sprintf("string %d", 1<<63-1) {
+		t.Fatalf("Str() = %q, err %v; want the overlong length rejected", s, r.Err)
+	}
+	first := r.Err
+	if r.Byte() != 0 || r.Uvarint() != 0 || r.Varint() != 0 || r.Str() != "" || r.Err != first {
+		t.Fatalf("reads after a failure moved on: err %v", r.Err)
+	}
+}
+
+func TestReaderFields(t *testing.T) {
+	b := []byte{7}
+	b = binary.AppendUvarint(b, 300)
+	b = binary.AppendVarint(b, -5)
+	b = binary.AppendUvarint(b, 2)
+	b = append(b, "ok"...)
+	r := &Reader{B: b, Fail: func(kind string, _ int) error { return errors.New(kind) }}
+	if r.Byte() != 7 || r.Uvarint() != 300 || r.Varint() != -5 || r.Str() != "ok" || r.Err != nil || r.Pos != len(b) {
+		t.Fatalf("fields misread: pos %d err %v", r.Pos, r.Err)
+	}
+	if r.Byte(); r.Err == nil || r.Err.Error() != "byte" {
+		t.Fatalf("read past the end: err %v, want byte", r.Err)
+	}
 }

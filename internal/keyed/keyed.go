@@ -1,10 +1,10 @@
 // Package keyed is the serving layer's keyed-reuse substrate: the one
 // LRU and the one single-flight behind every place a statement's work
 // is reused. internal/plancache (compiled plans), the planner's compile
-// flight, the shared-work run flight and the result cache
-// (internal/sharedwork) are instantiations of the two types here, so
-// eviction order, TTL policy, the leader/follower protocol and the
-// effectiveness counters exist exactly once.
+// flight and the shared-work run flight (internal/sharedwork) are
+// instantiations of the two types here, so eviction order, the
+// leader/follower protocol and the effectiveness counters exist exactly
+// once.
 //
 // Both types are safe for concurrent use. A nil *LRU always misses and
 // a nil *Flight runs every call solo, so an optional cache or flight
@@ -15,21 +15,17 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"time"
 
 	"stethoscope/internal/metrics"
 )
 
 // Stats is a point-in-time snapshot of an LRU's effectiveness.
 type Stats struct {
-	Hits          int64 // Get calls that found a live entry
-	Misses        int64 // Get calls that did not
-	Evictions     int64 // entries displaced by capacity pressure
-	Expirations   int64 // entries found past their TTL by a Get
-	Invalidations int64 // entries dropped by Purge
-	Len           int   // entries currently held
-	Capacity      int   // maximum entries
-	TTL           time.Duration
+	Hits      int64 // Get calls that found an entry
+	Misses    int64 // Get calls that did not
+	Evictions int64 // entries displaced by capacity pressure
+	Len       int   // entries currently held
+	Capacity  int   // maximum entries
 }
 
 // HitRate returns hits / (hits + misses), 0 for an untouched cache.
@@ -41,66 +37,44 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// LRU is a fixed-capacity least-recently-used cache with an optional
-// per-entry TTL.
-//
-// Expiry is lazy and only ever checked by Get: an expired entry is
-// never served; the Get that finds it removes it and counts one
-// expiration plus one miss; until then it holds its slot (and counts in
-// Len) like any other entry, leaving only by LRU eviction, Purge or a
-// Put of the same key, which restarts the TTL. There is no sweeper.
+// LRU is a fixed-capacity least-recently-used cache: an entry leaves
+// only when capacity pressure evicts it or a Put of its key replaces it.
 type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
-	ttl      time.Duration
-	now      func() time.Time
 	order    *list.List // front = most recently used; values are *slot[K, V]
 	byKey    map[K]*list.Element
 
 	// Standalone cells by default; Instrument swaps in registry-owned
 	// ones so Stats and the exposition endpoint read the same numbers.
-	hits, misses, evictions, expirations, invalidations *metrics.Counter
+	hits, misses, evictions *metrics.Counter
 }
 
 type slot[K comparable, V any] struct {
-	key     K
-	val     V
-	expires time.Time
+	key K
+	val V
 }
 
-// NewLRU returns a cache holding up to capacity entries, each live for
-// ttl after its Put. Capacity < 1 clamps to 1; ttl <= 0 means entries
-// never expire by time.
-func NewLRU[K comparable, V any](capacity int, ttl time.Duration) *LRU[K, V] {
+// NewLRU returns a cache holding up to capacity entries. Capacity < 1
+// clamps to 1.
+func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &LRU[K, V]{
-		capacity:      capacity,
-		ttl:           ttl,
-		now:           time.Now,
-		order:         list.New(),
-		byKey:         make(map[K]*list.Element, capacity),
-		hits:          &metrics.Counter{},
-		misses:        &metrics.Counter{},
-		evictions:     &metrics.Counter{},
-		expirations:   &metrics.Counter{},
-		invalidations: &metrics.Counter{},
+		capacity:  capacity,
+		order:     list.New(),
+		byKey:     make(map[K]*list.Element, capacity),
+		hits:      &metrics.Counter{},
+		misses:    &metrics.Counter{},
+		evictions: &metrics.Counter{},
 	}
 }
 
-// SetClock overrides the time source (tests exercising TTL expiry with
-// a fake clock). Call before the cache is shared.
-func (c *LRU[K, V]) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	c.now = now
-	c.mu.Unlock()
-}
-
 // Instrument re-homes the counters into the registry as
-// <prefix>_{hits,misses,evictions,expirations,invalidations}_total and
-// registers the <prefix>_entries and <prefix>_capacity gauges. Call
-// before serving: counts recorded earlier stay in the old cells.
+// <prefix>_{hits,misses,evictions}_total and registers the
+// <prefix>_entries and <prefix>_capacity gauges. Call before serving:
+// counts recorded earlier stay in the old cells.
 func (c *LRU[K, V]) Instrument(reg *metrics.Registry, prefix string) {
 	if c == nil || reg == nil {
 		return
@@ -109,15 +83,13 @@ func (c *LRU[K, V]) Instrument(reg *metrics.Registry, prefix string) {
 	c.hits = reg.Counter(prefix + "_hits_total")
 	c.misses = reg.Counter(prefix + "_misses_total")
 	c.evictions = reg.Counter(prefix + "_evictions_total")
-	c.expirations = reg.Counter(prefix + "_expirations_total")
-	c.invalidations = reg.Counter(prefix + "_invalidations_total")
 	c.mu.Unlock()
 	reg.GaugeFunc(prefix+"_entries", func() int64 { return int64(c.Len()) })
 	reg.GaugeFunc(prefix+"_capacity", func() int64 { return int64(c.capacity) })
 }
 
-// Get returns the live value for the key, promoting it to most recently
-// used on a hit.
+// Get returns the value for the key, promoting it to most recently used
+// on a hit.
 func (c *LRU[K, V]) Get(k K) (v V, ok bool) {
 	if c == nil {
 		return v, false
@@ -129,22 +101,14 @@ func (c *LRU[K, V]) Get(k K) (v V, ok bool) {
 		c.misses.Inc()
 		return v, false
 	}
-	s := el.Value.(*slot[K, V])
-	if c.ttl > 0 && !c.now().Before(s.expires) {
-		c.order.Remove(el)
-		delete(c.byKey, k)
-		c.expirations.Inc()
-		c.misses.Inc()
-		return v, false
-	}
 	c.hits.Inc()
 	c.order.MoveToFront(el)
-	return s.val, true
+	return el.Value.(*slot[K, V]).val, true
 }
 
 // Peek is Get without the side effects: no counter moves and the entry
-// is not promoted. An expired entry is still never served. It is for a
-// caller re-checking after a Get it already had counted as a miss.
+// is not promoted. It is for a caller re-checking after a Get it already
+// had counted as a miss.
 func (c *LRU[K, V]) Peek(k K) (v V, ok bool) {
 	if c == nil {
 		return v, false
@@ -152,32 +116,25 @@ func (c *LRU[K, V]) Peek(k K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.byKey[k]; found {
-		if s := el.Value.(*slot[K, V]); c.ttl <= 0 || c.now().Before(s.expires) {
-			return s.val, true
-		}
+		return el.Value.(*slot[K, V]).val, true
 	}
 	return v, false
 }
 
-// Put inserts or refreshes the value, restarting its TTL and evicting
-// the least recently used entry when the cache is full.
+// Put inserts or refreshes the value, evicting the least recently used
+// entry when the cache is full.
 func (c *LRU[K, V]) Put(k K, v V) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
-	}
 	if el, ok := c.byKey[k]; ok {
-		s := el.Value.(*slot[K, V])
-		s.val, s.expires = v, expires
+		el.Value.(*slot[K, V]).val = v
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[k] = c.order.PushFront(&slot[K, V]{key: k, val: v, expires: expires})
+	c.byKey[k] = c.order.PushFront(&slot[K, V]{key: k, val: v})
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -186,21 +143,7 @@ func (c *LRU[K, V]) Put(k K, v V) {
 	}
 }
 
-// Purge drops every entry, counting each as an invalidation (not an
-// eviction); the other counters keep counting.
-func (c *LRU[K, V]) Purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidations.Add(int64(c.order.Len()))
-	c.order.Init()
-	c.byKey = make(map[K]*list.Element, c.capacity)
-}
-
-// Len reports the number of entries held, expired-but-unvisited ones
-// included.
+// Len reports the number of entries held.
 func (c *LRU[K, V]) Len() int {
 	if c == nil {
 		return 0
@@ -218,14 +161,11 @@ func (c *LRU[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Expirations:   c.expirations.Load(),
-		Invalidations: c.invalidations.Load(),
-		Len:           c.order.Len(),
-		Capacity:      c.capacity,
-		TTL:           c.ttl,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Len:       c.order.Len(),
+		Capacity:  c.capacity,
 	}
 }
 

@@ -21,42 +21,13 @@ type key struct {
 
 func k(sql string) key { return key{SQL: sql, Partitions: 1} }
 
-const ttl = 10 * time.Second
-
-// clock is a fake time source.
-type clock struct{ t time.Time }
-
-func (c *clock) now() time.Time { return c.t }
-
-// lruShapes are the two ways the LRU is instantiated: without a TTL (the
-// plan cache) and with one (the result cache).
-var lruShapes = []struct {
-	name string
-	ttl  time.Duration
-}{
-	{"no-ttl", 0},
-	{"ttl", ttl},
-}
-
-// forEachLRU runs the case once per shape, on a fake clock.
-func forEachLRU(t *testing.T, capacity int, run func(t *testing.T, c *LRU[key, string], clk *clock, ttl time.Duration)) {
-	for _, shape := range lruShapes {
-		t.Run(shape.name, func(t *testing.T) {
-			clk := &clock{t: time.Unix(1000, 0)}
-			c := NewLRU[key, string](capacity, shape.ttl)
-			c.SetClock(clk.now)
-			run(t, c, clk, shape.ttl)
-		})
-	}
-}
-
 func TestLRU(t *testing.T) {
 	cases := []struct {
 		name     string
 		capacity int
-		run      func(t *testing.T, c *LRU[key, string], clk *clock, ttl time.Duration)
+		run      func(t *testing.T, c *LRU[key, string])
 	}{
-		{"get-put-stats", 4, func(t *testing.T, c *LRU[key, string], _ *clock, ttl time.Duration) {
+		{"get-put-stats", 4, func(t *testing.T, c *LRU[key, string]) {
 			if _, ok := c.Get(k("a")); ok {
 				t.Fatal("hit on empty cache")
 			}
@@ -67,7 +38,7 @@ func TestLRU(t *testing.T) {
 			if _, ok := c.Get(key{SQL: "a", Partitions: 8}); ok {
 				t.Fatal("every key field must take part in the lookup")
 			}
-			want := Stats{Hits: 1, Misses: 2, Len: 1, Capacity: 4, TTL: ttl}
+			want := Stats{Hits: 1, Misses: 2, Len: 1, Capacity: 4}
 			if st := c.Stats(); st != want {
 				t.Fatalf("stats = %+v, want %+v", st, want)
 			}
@@ -78,7 +49,7 @@ func TestLRU(t *testing.T) {
 				t.Fatal("untouched cache must report hit rate 0")
 			}
 		}},
-		{"lru-order", 3, func(t *testing.T, c *LRU[key, string], _ *clock, _ time.Duration) {
+		{"lru-order", 3, func(t *testing.T, c *LRU[key, string]) {
 			for _, q := range []string{"a", "b", "c"} {
 				c.Put(k(q), q)
 			}
@@ -99,7 +70,7 @@ func TestLRU(t *testing.T) {
 				t.Fatalf("keys = %v, want most recently used first", ks)
 			}
 		}},
-		{"refresh-does-not-grow", 2, func(t *testing.T, c *LRU[key, string], _ *clock, _ time.Duration) {
+		{"refresh-does-not-grow", 2, func(t *testing.T, c *LRU[key, string]) {
 			c.Put(k("a"), "a1")
 			c.Put(k("a"), "a2")
 			if v, _ := c.Get(k("a")); v != "a2" || c.Len() != 1 {
@@ -109,64 +80,14 @@ func TestLRU(t *testing.T) {
 				t.Fatalf("refresh must not evict: %+v", st)
 			}
 		}},
-		{"capacity-clamp", 0, func(t *testing.T, c *LRU[key, string], _ *clock, _ time.Duration) {
+		{"capacity-clamp", 0, func(t *testing.T, c *LRU[key, string]) {
 			c.Put(k("a"), "a")
 			c.Put(k("b"), "b")
 			if st := c.Stats(); st.Len != 1 || st.Capacity != 1 {
 				t.Fatalf("stats = %+v, want capacity clamped to 1", st)
 			}
 		}},
-		{"ttl-expiry", 4, func(t *testing.T, c *LRU[key, string], clk *clock, ttl time.Duration) {
-			c.Put(k("q"), "q")
-			clk.t = clk.t.Add(ttl - time.Second)
-			if _, ok := c.Get(k("q")); !ok {
-				t.Fatal("entry expired early")
-			}
-			c.Put(k("q"), "q") // a refresh restarts the TTL
-			clk.t = clk.t.Add(ttl - time.Second)
-			if _, ok := c.Get(k("q")); !ok {
-				t.Fatal("refreshed entry expired early")
-			}
-			clk.t = clk.t.Add(2 * time.Second)
-			if _, ok := c.Get(k("q")); ok == (ttl > 0) {
-				t.Fatalf("past the TTL: served = %v with ttl %v", ok, ttl)
-			}
-			if st := c.Stats(); ttl > 0 && (st.Expirations != 1 || st.Len != 0) {
-				t.Fatalf("stats after expiry = %+v", st)
-			}
-		}},
-		// The policy the LRU doc states: no sweeper. An expired entry
-		// holds its slot until something else removes it, is never
-		// served, and counts as one expiration + one miss on the Get
-		// that finds it.
-		{"expiry-is-lazy", 2, func(t *testing.T, c *LRU[key, string], clk *clock, ttl time.Duration) {
-			if ttl == 0 {
-				t.Skip("needs a TTL")
-			}
-			c.Put(k("a"), "a")
-			clk.t = clk.t.Add(ttl)
-			c.Put(k("b"), "b")
-			if st := c.Stats(); st.Len != 2 || st.Expirations != 0 {
-				t.Fatalf("Put swept the expired entry: %+v", st)
-			}
-			if _, ok := c.Get(k("a")); ok {
-				t.Fatal("expired entry served")
-			}
-			c.Get(k("a"))
-			if st := c.Stats(); st.Expirations != 1 || st.Misses != 2 || st.Len != 1 {
-				t.Fatalf("stats = %+v, want the expiry counted once", st)
-			}
-			// Unvisited expired entries leave by eviction or Purge and
-			// are counted as that, not as expirations.
-			clk.t = clk.t.Add(ttl)
-			c.Put(k("c"), "c")
-			c.Put(k("d"), "d")
-			c.Purge()
-			if st := c.Stats(); st.Evictions != 1 || st.Invalidations != 2 || st.Expirations != 1 {
-				t.Fatalf("stats = %+v, want 1 eviction, 2 invalidations, 1 expiration", st)
-			}
-		}},
-		{"peek-has-no-side-effects", 2, func(t *testing.T, c *LRU[key, string], clk *clock, ttl time.Duration) {
+		{"peek-has-no-side-effects", 2, func(t *testing.T, c *LRU[key, string]) {
 			c.Put(k("a"), "a")
 			c.Put(k("b"), "b")
 			if v, ok := c.Peek(k("a")); !ok || v != "a" {
@@ -179,26 +100,11 @@ func TestLRU(t *testing.T) {
 			if _, ok := c.Peek(k("a")); ok {
 				t.Fatal("Peek promoted the entry")
 			}
-			clk.t = clk.t.Add(ttl)
-			if _, ok := c.Peek(k("b")); ok == (ttl > 0) {
-				t.Fatalf("Peek past the TTL: served = %v with ttl %v", ok, ttl)
-			}
-			if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Expirations != 0 || st.Len != 2 {
+			if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Len != 2 {
 				t.Fatalf("Peek moved a counter or removed an entry: %+v", st)
 			}
 		}},
-		{"purge-counts-invalidations", 4, func(t *testing.T, c *LRU[key, string], _ *clock, _ time.Duration) {
-			c.Put(k("a"), "a")
-			c.Put(k("b"), "b")
-			c.Purge()
-			if _, ok := c.Get(k("a")); ok {
-				t.Fatal("purged entry served")
-			}
-			if st := c.Stats(); st.Invalidations != 2 || st.Evictions != 0 || st.Len != 0 {
-				t.Fatalf("stats after purge = %+v", st)
-			}
-		}},
-		{"instrument", 2, func(t *testing.T, c *LRU[key, string], _ *clock, _ time.Duration) {
+		{"instrument", 2, func(t *testing.T, c *LRU[key, string]) {
 			reg := metrics.NewRegistry()
 			c.Instrument(reg, "x")
 			c.Instrument(nil, "x")
@@ -215,7 +121,7 @@ func TestLRU(t *testing.T) {
 				t.Fatalf("Stats and the registry disagree: %+v", st)
 			}
 		}},
-		{"concurrent", 16, func(t *testing.T, c *LRU[key, string], _ *clock, _ time.Duration) {
+		{"concurrent", 16, func(t *testing.T, c *LRU[key, string]) {
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
@@ -236,7 +142,7 @@ func TestLRU(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { forEachLRU(t, tc.capacity, tc.run) })
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, NewLRU[key, string](tc.capacity)) })
 	}
 }
 
@@ -249,7 +155,6 @@ func TestLRUNilSafe(t *testing.T) {
 	if _, ok := c.Peek(k("a")); ok {
 		t.Fatal("nil cache peek hit")
 	}
-	c.Purge()
 	c.Instrument(metrics.NewRegistry(), "x")
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache reports non-zero")

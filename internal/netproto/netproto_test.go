@@ -82,8 +82,8 @@ func TestUDPEventStream(t *testing.T) {
 	defer streamer.Close()
 
 	prof := profiler.New(streamer)
-	prof.Begin(0, 1, "algebra", "stmt-a").End(0, 10, 5)
-	prof.Begin(1, 2, "sql", "stmt-b").End(0, 20, 6)
+	prof.Begin(0, 1, "stmt-a").End(0, 10, 5)
+	prof.Begin(1, 2, "stmt-b").End(0, 20, 6)
 
 	msgs := col.waitFor(t, 4)
 	for _, m := range msgs {

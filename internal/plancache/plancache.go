@@ -20,13 +20,13 @@ import (
 	"stethoscope/internal/optimizer"
 )
 
-// DefaultSize is the cache capacity the facade and the standalone
-// server use unless configured otherwise.
+// DefaultSize is the capacity of every serving plan cache: the facade's
+// and the standalone server's.
 const DefaultSize = 256
 
 // Key is the statement key, declared once and at one strength for every
 // reuse layer — the plan cache, the compile flight, and (as
-// sharedwork.Key) the run flight and the result cache; DESIGN.md
+// sharedwork.Key) the run flight; DESIGN.md
 // "Shared-work serving" has the full rationale. Only planner.Compile
 // builds one. The worker count is deliberately absent: the combine
 // stage packs partial results in slice order, so scheduling parallelism
@@ -97,13 +97,12 @@ func DotText(plan *mal.Plan, aux *Aux) string {
 	return aux.dot
 }
 
-// Cache is the plan LRU: keyed.LRU with no TTL — a plan leaves only by
-// LRU eviction or Purge. A nil *Cache always misses, which is how plan
-// caching is switched off.
+// Cache is the plan LRU: keyed.LRU, so a plan leaves only by LRU
+// eviction. A nil *Cache always misses.
 type Cache = keyed.LRU[Key, Entry]
 
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats = keyed.Stats
 
 // New returns a cache holding up to capacity plans (clamped to >= 1).
-func New(capacity int) *Cache { return keyed.NewLRU[Key, Entry](capacity, 0) }
+func New(capacity int) *Cache { return keyed.NewLRU[Key, Entry](capacity) }

@@ -81,18 +81,6 @@ func TestPutRefreshDoesNotGrow(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(2)
-	c.Put(key("a"), *planNamed("a"))
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after purge", c.Len())
-	}
-	if _, ok := c.Get(key("a")); ok {
-		t.Fatal("hit after purge")
-	}
-}
-
 func TestClampedCapacity(t *testing.T) {
 	c := New(0)
 	c.Put(key("a"), *planNamed("a"))

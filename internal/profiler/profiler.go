@@ -10,9 +10,11 @@ import (
 	"stethoscope/internal/metrics"
 )
 
-// Filter selects which events a profiler emits. The paper: "The profiler
+// Filter selects which events a sink receives. The paper: "The profiler
 // accepts filter options set through Stethoscope, which enables it to
-// profile only a subset of event types." A zero Filter passes everything.
+// profile only a subset of event types." FilterSink applies one in front
+// of a single sink, so the durable history and the counters still see
+// the full stream. A zero Filter passes everything.
 type Filter struct {
 	// States restricts to the listed states when non-empty.
 	States []State
@@ -127,15 +129,14 @@ type SinkFunc func(Event)
 func (f SinkFunc) Emit(e Event) { f(e) }
 
 // Profiler instruments a MAL execution: the engine calls Begin/End around
-// every instruction and the profiler fans filtered events out to its
-// sinks. It is safe for concurrent use by the dataflow scheduler's
-// workers.
+// every instruction and the profiler fans the events out to its sinks
+// (wrap a sink in FilterSink to filter its view). It is safe for
+// concurrent use by the dataflow scheduler's workers.
 type Profiler struct {
-	mu     sync.Mutex
-	seq    int64
-	start  time.Time
-	filter Filter
-	sinks  []Sink
+	mu    sync.Mutex
+	seq   int64
+	start time.Time
+	sinks []Sink
 	// now allows tests to control the clock.
 	now func() time.Time
 }
@@ -143,21 +144,6 @@ type Profiler struct {
 // New returns a profiler emitting to the given sinks.
 func New(sinks ...Sink) *Profiler {
 	return &Profiler{start: time.Now(), now: time.Now, sinks: sinks}
-}
-
-// SetFilter replaces the event filter (Stethoscope's filter-options
-// window drives this).
-func (p *Profiler) SetFilter(f Filter) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.filter = f
-}
-
-// AddSink attaches an additional sink.
-func (p *Profiler) AddSink(s Sink) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.sinks = append(p.sinks, s)
 }
 
 // Reset restarts the clock and sequence numbering for a new query.
@@ -185,13 +171,12 @@ type Span struct {
 	pc      int
 	thread  int
 	stmt    string
-	module  string
 	started time.Time
 }
 
 // Begin emits the start event for an instruction and returns a span to
 // close with End.
-func (p *Profiler) Begin(pc, thread int, module, stmt string) Span {
+func (p *Profiler) Begin(pc, thread int, stmt string) Span {
 	p.mu.Lock()
 	started := p.now()
 	e := Event{
@@ -203,9 +188,9 @@ func (p *Profiler) Begin(pc, thread int, module, stmt string) Span {
 		Stmt:   stmt,
 	}
 	p.seq++
-	p.emitLocked(e, module)
+	p.emitLocked(e)
 	p.mu.Unlock()
-	return Span{p: p, pc: pc, thread: thread, stmt: stmt, module: module, started: started}
+	return Span{p: p, pc: pc, thread: thread, stmt: stmt, started: started}
 }
 
 // End emits the done event with the measured duration and the supplied
@@ -227,14 +212,11 @@ func (s Span) End(rssKB, reads, writes int64) {
 		Stmt:   s.stmt,
 	}
 	p.seq++
-	p.emitLocked(e, s.module)
+	p.emitLocked(e)
 	p.mu.Unlock()
 }
 
-func (p *Profiler) emitLocked(e Event, module string) {
-	if !p.filter.Pass(e, module) {
-		return
-	}
+func (p *Profiler) emitLocked(e Event) {
 	for _, s := range p.sinks {
 		s.Emit(e)
 	}

@@ -72,7 +72,7 @@ func TestProfilerBeginEndSequence(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	p.SetClock(func() time.Time { return clock })
 
-	sp := p.Begin(0, 1, "algebra", "X_0 := algebra.select(...)")
+	sp := p.Begin(0, 1, "X_0 := algebra.select(...)")
 	clock = clock.Add(5 * time.Millisecond)
 	sp.End(128, 1000, 10)
 
@@ -97,9 +97,9 @@ func TestProfilerBeginEndSequence(t *testing.T) {
 func TestProfilerReset(t *testing.T) {
 	sink := &SliceSink{}
 	p := New(sink)
-	p.Begin(0, 0, "m", "s").End(0, 0, 0)
+	p.Begin(0, 0, "s").End(0, 0, 0)
 	p.Reset()
-	p.Begin(1, 0, "m", "s").End(0, 0, 0)
+	p.Begin(1, 0, "s").End(0, 0, 0)
 	evs := sink.Events()
 	if evs[2].Seq != 0 {
 		t.Errorf("post-reset seq = %d", evs[2].Seq)
@@ -108,37 +108,40 @@ func TestProfilerReset(t *testing.T) {
 
 func TestFilterStates(t *testing.T) {
 	sink := &SliceSink{}
-	p := New(sink)
-	p.SetFilter(Filter{States: []State{StateDone}})
-	p.Begin(0, 0, "algebra", "s").End(0, 0, 0)
+	p := New(FilterSink(Filter{States: []State{StateDone}}, sink))
+	p.Begin(0, 0, "s").End(0, 0, 0)
 	evs := sink.Events()
 	if len(evs) != 1 || evs[0].State != StateDone {
 		t.Errorf("filtered events = %+v", evs)
 	}
 }
 
+// TestFilterModules: FilterSink derives each event's module from its
+// statement, and only the filtered sink loses events — a sibling sink
+// sees the full stream.
 func TestFilterModules(t *testing.T) {
-	sink := &SliceSink{}
-	p := New(sink)
-	p.SetFilter(Filter{Modules: []string{"algebra"}})
-	p.Begin(0, 0, "algebra", "a").End(0, 0, 0)
-	p.Begin(1, 0, "sql", "b").End(0, 0, 0)
-	if got := len(sink.Events()); got != 2 {
+	filtered, full := &SliceSink{}, &SliceSink{}
+	p := New(FilterSink(Filter{Modules: []string{"algebra"}}, filtered), full)
+	p.Begin(0, 0, "X_1 := algebra.select(X_0);").End(0, 0, 0)
+	p.Begin(1, 0, "X_2 := sql.bind(X_1);").End(0, 0, 0)
+	if got := len(filtered.Events()); got != 2 {
 		t.Errorf("module filter kept %d events, want 2", got)
+	}
+	if got := len(full.Events()); got != 4 {
+		t.Errorf("sibling sink saw %d events, want all 4", got)
 	}
 }
 
 func TestFilterMinDuration(t *testing.T) {
 	sink := &SliceSink{}
-	p := New(sink)
+	p := New(FilterSink(Filter{MinDurUs: 1000}, sink))
 	clock := time.Unix(0, 0)
 	p.SetClock(func() time.Time { return clock })
-	p.SetFilter(Filter{MinDurUs: 1000})
 	// Fast instruction: start passes, done dropped.
-	sp := p.Begin(0, 0, "m", "fast")
+	sp := p.Begin(0, 0, "fast")
 	sp.End(0, 0, 0)
 	// Slow instruction: both pass.
-	sp = p.Begin(1, 0, "m", "slow")
+	sp = p.Begin(1, 0, "slow")
 	clock = clock.Add(2 * time.Millisecond)
 	sp.End(0, 0, 0)
 	evs := sink.Events()
@@ -159,6 +162,20 @@ func TestFilterPCs(t *testing.T) {
 	}
 	if !f.Pass(Event{PC: 4}, "") {
 		t.Error("pc 4 blocked by filter {2,4}")
+	}
+}
+
+func TestModuleOf(t *testing.T) {
+	cases := map[string]string{
+		"X_3:bat[:oid] := algebra.select(X_1);": "algebra",
+		"sql.exportResult(X_9);":                "sql",
+		"(X_1, X_2) := group.subgroup(X_0);":    "group",
+		"weird":                                 "",
+	}
+	for stmt, want := range cases {
+		if got := ModuleOf(stmt); got != want {
+			t.Errorf("ModuleOf(%q) = %q, want %q", stmt, got, want)
+		}
 	}
 }
 
@@ -219,7 +236,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
-				p.Begin(i, w, "m", "s").End(0, 0, 0)
+				p.Begin(i, w, "s").End(0, 0, 0)
 			}
 		}(w)
 	}

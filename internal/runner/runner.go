@@ -5,8 +5,8 @@
 // (SQL → MAL plan → profiled execution → dot file + event stream, §3.3,
 // §4.2) through the two calls here. Prepare normalizes the settings and
 // compiles through the shared planner, whose statement key is also the
-// shared-work key; Run gates the execution through the result cache and the
-// single-flight, runs the plan under the profiler, records it into the
+// shared-work key; Run gates the execution through the single-flight,
+// runs the plan under the profiler, records it into the
 // history and accounts for it. Sharing is only trustworthy when every
 // entry point keys, attributes and records a run identically, so the
 // key, the gate, the sink chain, the history record and the serving
@@ -33,39 +33,17 @@ import (
 	"stethoscope/internal/tracestore"
 )
 
-// Config is what a Runner is built with. The zero value selects the
-// defaults every standalone caller wants: the default optimizer
-// pipeline, a plan cache of plancache.DefaultSize entries, no result
-// cache and no history.
-type Config struct {
-	// Pipeline is the optimizer pipeline; nil selects
-	// optimizer.Default().
-	Pipeline *optimizer.Pipeline
-	// PlanCacheSize is the compiled-plan cache capacity; 0 selects
-	// plancache.DefaultSize and a negative value disables plan caching
-	// (every statement compiles from scratch).
-	PlanCacheSize int
-	// ResultCacheSize, when positive, enables the shared result cache
-	// with that capacity; ResultCacheTTL is its entry lifetime (<= 0
-	// never expires by time).
-	ResultCacheSize int
-	ResultCacheTTL  time.Duration
-	// History, when non-nil, durably records every materialized run
-	// (plan dot text + profiler event stream + completion stats).
-	History *tracestore.Store
-}
-
 // Runner owns the serving state one database shares between all its
 // entry points: the engine, the planner with its plan cache and
-// compile flight, the shared-work gate, the optional history store, the
+// compile flight, the run flight, the optional history store, the
 // metrics registry all of them feed, and the serving cells. It is safe
 // for concurrent use; the exported fields are set by New and read-only
 // afterwards.
 type Runner struct {
 	Engine   *engine.Engine
 	Planner  planner.Planner
-	Shared   *sharedwork.Shared
-	History  *tracestore.Store // nil when runs are not recorded
+	Flight   *sharedwork.Flight // the run flight: the shared-work gate
+	History  *tracestore.Store  // nil when runs are not recorded
 	Registry *metrics.Registry
 	// Rate is the sliding-window event rate behind Stats.EventsPerSec.
 	Rate *metrics.Rate
@@ -77,13 +55,19 @@ type Runner struct {
 	events   *metrics.Counter   // stetho_db_events: profiler events produced
 }
 
-// New builds the run service over the catalog.
-func New(cat *storage.Catalog, cfg Config) *Runner {
+// New builds the run service over the catalog: the default optimizer
+// pipeline, a plan cache of plancache.DefaultSize entries, and — when
+// history is non-nil — a durable record of every materialized run (plan
+// dot text + profiler event stream + completion stats).
+func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
 	reg := metrics.NewRegistry()
+	pipeline := optimizer.Default()
 	r := &Runner{
-		Engine:   engine.New(cat),
-		Shared:   &sharedwork.Shared{Flight: sharedwork.NewFlight()},
-		History:  cfg.History,
+		Engine: engine.New(cat),
+		Planner: planner.Planner{Cat: cat, Cache: plancache.New(plancache.DefaultSize),
+			Pipeline: pipeline, PassSpec: pipeline.Spec(), Flight: planner.NewCompileFlight()},
+		Flight:   sharedwork.NewFlight(),
+		History:  history,
 		Registry: reg,
 		Rate:     metrics.NewRate(0),
 		created:  time.Now(),
@@ -93,24 +77,8 @@ func New(cat *storage.Catalog, cfg Config) *Runner {
 		events:   reg.Counter("stetho_db_events"),
 	}
 	r.Engine.SetMetrics(reg)
-	pipeline := optimizer.Default()
-	if cfg.Pipeline != nil {
-		pipeline = *cfg.Pipeline
-	}
-	r.Planner = planner.Planner{Cat: cat, Pipeline: pipeline, PassSpec: pipeline.Spec(),
-		Flight: planner.NewCompileFlight()}
-	if cfg.PlanCacheSize >= 0 {
-		size := cfg.PlanCacheSize
-		if size == 0 {
-			size = plancache.DefaultSize
-		}
-		r.Planner.Cache = plancache.New(size)
-	}
 	r.Planner.Cache.Instrument(reg, "stetho_plancache")
-	if cfg.ResultCacheSize > 0 {
-		r.Shared.Cache = sharedwork.NewResultCache(cfg.ResultCacheSize, cfg.ResultCacheTTL)
-	}
-	r.Shared.Instrument(reg)
+	r.Flight.Instrument(reg, "stetho_sharedwork")
 	if r.History != nil {
 		r.History.Instrument(reg)
 	}
@@ -203,28 +171,23 @@ type RunOptions struct {
 	// Sinks are extra profiler sinks observing this run — a TRACE
 	// session's filtered UDP batcher. A run with private observers
 	// cannot be replayed from a shared outcome, so it bypasses the
-	// flight and the result cache and always executes.
+	// flight and always executes.
 	Sinks []profiler.Sink
-	// NoResultCache skips the result cache for this statement (the
-	// server's "SET resultcache off"): neither served from it nor
-	// stored into it. In-flight sharing is not affected.
-	NoResultCache bool
 	// Emit, when set, streams result batches to the caller as the
 	// engine produces them (engine.Options.Emit). A streaming run is
-	// always solo — it bypasses the flight and the result cache, so no
-	// shared run is ever a morsel run — collects no trace and is not
-	// recorded into the history, whose wall times measure materialized
-	// executions.
+	// always solo — it bypasses the flight, so no shared run is ever a
+	// morsel run — collects no trace and is not recorded into the
+	// history, whose wall times measure materialized executions.
 	Emit func(names []string, cols []*storage.BAT) error
 }
 
 // Run answers one prepared statement. via reports how: "" — this call
 // executed the plan; "attached" — it waited on a concurrent identical
-// execution and shares that run's outcome; "resultcache" — a completed
-// outcome was reused. Shared outcomes are byte-identical to an unshared
-// execution (the key holds everything that decides result bytes) and
-// are immutable: copy their Events (Outcome.CloneEvents) before any
-// owning use. An outcome returned with via "" is the caller's own.
+// execution and shares that run's outcome. Shared outcomes are
+// byte-identical to an unshared execution (the key holds everything that
+// decides result bytes) and are immutable: copy their Events
+// (Outcome.CloneEvents) before any owning use. An outcome returned with
+// via "" is the caller's own.
 //
 // ctx cancels the execution. A follower whose leader was canceled while
 // its own ctx is still live re-runs the statement itself.
@@ -232,7 +195,7 @@ func (r *Runner) Run(ctx context.Context, p *Prepared, opts RunOptions) (out *sh
 	if len(opts.Sinks) > 0 || opts.Emit != nil {
 		out, err = r.execute(ctx, p, opts)
 	} else {
-		out, via, err = r.share(ctx, p, opts)
+		out, via, err = r.share(ctx, p)
 	}
 	if err != nil {
 		return nil, "", err
@@ -241,23 +204,16 @@ func (r *Runner) Run(ctx context.Context, p *Prepared, opts RunOptions) (out *sh
 	return out, via, nil
 }
 
-// share is the shared-work gate: result cache, then single-flight.
-func (r *Runner) share(ctx context.Context, p *Prepared, opts RunOptions) (*sharedwork.Outcome, string, error) {
-	cache := r.Shared.Cache
-	if opts.NoResultCache {
-		cache = nil
-	}
-	if out, ok := cache.Get(p.key); ok {
-		return out, "resultcache", nil
-	}
-	out, err, attached, waiters := r.Shared.Flight.Do(ctx, p.key, func() (*sharedwork.Outcome, error) {
-		return r.execute(ctx, p, opts)
+// share is the shared-work gate: the single-flight.
+func (r *Runner) share(ctx context.Context, p *Prepared) (*sharedwork.Outcome, string, error) {
+	out, err, attached, waiters := r.Flight.Do(ctx, p.key, func() (*sharedwork.Outcome, error) {
+		return r.execute(ctx, p, RunOptions{})
 	})
 	if attached && err != nil && ctx.Err() == nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// The leader was canceled, this caller was not: its claim on the
 		// shared run died with the leader, so it runs solo.
-		out, err = r.execute(ctx, p, opts)
+		out, err = r.execute(ctx, p, RunOptions{})
 		attached, waiters = false, 0
 	}
 	switch {
@@ -266,12 +222,11 @@ func (r *Runner) share(ctx context.Context, p *Prepared, opts RunOptions) (*shar
 	case attached:
 		return out, "attached", nil
 	}
-	cache.Put(p.key, out)
-	if waiters > 0 || cache != nil {
-		// The outcome is now shared with followers and/or the result
-		// cache, who copy its events whenever they get to it; this
-		// caller may hand them to an owning consumer
-		// (trace.FromEventsOwned reorders in place), so it gets its own.
+	if waiters > 0 {
+		// The outcome is now shared with followers, who copy its events
+		// whenever they get to it; this caller may hand them to an owning
+		// consumer (trace.FromEventsOwned reorders in place), so it gets
+		// its own.
 		own := *out
 		own.Events = out.CloneEvents()
 		out = &own
@@ -284,7 +239,7 @@ func (r *Runner) share(ctx context.Context, p *Prepared, opts RunOptions) (*shar
 // shareable Outcome. History recording happens here, inside the shared
 // run, so one shared execution is one history record and every
 // consumer's RunID points at it. Event-throughput accounting is per
-// execution too — attached and cached consumers reuse the trace
+// execution too — attached consumers reuse the trace
 // without recounting it — and counts at the profiler, once per event,
 // never per transport datagram.
 func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sharedwork.Outcome, error) {
@@ -386,11 +341,11 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 // Stats is a point-in-time snapshot of the serving counters.
 type Stats struct {
 	// Cache reports plan-cache effectiveness (hits, misses, evictions,
-	// occupancy). Zero-valued when caching is disabled.
+	// occupancy).
 	Cache plancache.Stats
 	// InFlight is the number of plans currently executing — in-process
-	// Exec/Stream calls and server QUERY commands alike. Attached and
-	// cached consumers execute nothing and are not counted.
+	// Exec/Stream calls and server QUERY commands alike. Attached
+	// consumers execute nothing and are not counted.
 	InFlight int64
 	// Execs is the number of statements answered successfully — both
 	// in-process Exec/Stream calls and QUERY commands of this DB's
@@ -414,10 +369,6 @@ type Stats struct {
 	// — but ran no plan.
 	SharedLed      int64
 	SharedAttached int64
-	// ResultCache reports result-cache effectiveness (hits, misses,
-	// evictions, expirations, invalidations, occupancy). Zero-valued
-	// unless a result cache was configured.
-	ResultCache sharedwork.CacheStats
 	// Uptime is the time since the database was opened.
 	Uptime time.Duration
 }
@@ -430,9 +381,8 @@ func (r *Runner) Stats() Stats {
 		Execs:          r.execs.Load(),
 		Events:         r.events.Load(),
 		EventsPerSec:   r.Rate.PerSec(),
-		SharedLed:      r.Shared.Flight.Led(),
-		SharedAttached: r.Shared.Flight.Attached(),
-		ResultCache:    r.Shared.Cache.Stats(),
+		SharedLed:      r.Flight.Led(),
+		SharedAttached: r.Flight.Attached(),
 		Uptime:         time.Since(r.created),
 	}
 }

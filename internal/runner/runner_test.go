@@ -3,29 +3,31 @@ package runner
 import (
 	"context"
 	"testing"
+	"time"
 
 	"stethoscope/internal/adaptive"
 	"stethoscope/internal/profiler"
+	"stethoscope/internal/sharedwork"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
 )
 
 const query = "select l_tax from lineitem where l_partkey=1"
 
-func newRunner(t *testing.T, cfg Config) *Runner {
+func newRunner(t *testing.T) *Runner {
 	t.Helper()
 	cat := storage.NewCatalog()
 	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	return New(cat, cfg)
+	return New(cat, nil)
 }
 
 // TestPrepareNormalizesOnce: out-of-range settings — including -1,
 // which used to collide with the Auto sentinel — clamp to 1 before any
 // key is built, Auto survives, and only morsel mode gets a morsel size.
 func TestPrepareNormalizesOnce(t *testing.T) {
-	r := newRunner(t, Config{})
+	r := newRunner(t)
 	base, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +59,11 @@ func TestPrepareNormalizesOnce(t *testing.T) {
 }
 
 // TestObservedRunBypassesGate: a run with private sinks executes even
-// when a cached outcome exists, feeds its sinks the trace, and neither
-// reads nor fills the result cache; an unobserved repeat is served from
-// it.
+// while an identical statement is in flight, and feeds its sinks the
+// trace; an unobserved run of the same statement attaches to the
+// in-flight one instead.
 func TestObservedRunBypassesGate(t *testing.T) {
-	r := newRunner(t, Config{ResultCacheSize: 4})
+	r := newRunner(t)
 	ctx := context.Background()
 	p, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1})
 	if err != nil {
@@ -70,6 +72,15 @@ func TestObservedRunBypassesGate(t *testing.T) {
 	first, via, err := r.Run(ctx, p, RunOptions{})
 	if err != nil || via != "" {
 		t.Fatalf("first run: via %q err %v", via, err)
+	}
+	// Plant a leader under the statement's key and hold it open.
+	gate := make(chan struct{})
+	go r.Flight.Do(ctx, p.key, func() (*sharedwork.Outcome, error) {
+		<-gate
+		return first, nil
+	})
+	for r.Flight.InFlight() != 1 {
+		time.Sleep(time.Millisecond)
 	}
 	seen := 0
 	sink := profiler.SinkFunc(func(profiler.Event) { seen++ })
@@ -80,22 +91,25 @@ func TestObservedRunBypassesGate(t *testing.T) {
 	if seen == 0 || seen != len(out.Events) {
 		t.Errorf("private sink saw %d events, run produced %d", seen, len(out.Events))
 	}
-	if _, via, _ = r.Run(ctx, p, RunOptions{NoResultCache: true}); via != "" {
-		t.Errorf("NoResultCache run served via %q", via)
+	type answer struct {
+		out *sharedwork.Outcome
+		via string
 	}
-	cached, via, err := r.Run(ctx, p, RunOptions{})
-	if err != nil || via != "resultcache" {
-		t.Fatalf("repeat: via %q err %v, want resultcache", via, err)
+	done := make(chan answer, 1)
+	go func() {
+		out, via, _ := r.Run(ctx, p, RunOptions{})
+		done <- answer{out, via}
+	}()
+	for r.Flight.Attached() != 1 {
+		time.Sleep(time.Millisecond)
 	}
-	if cached.Res != first.Res {
-		t.Error("cached outcome is not the first run's")
-	}
-	if len(first.Events) == 0 || &first.Events[0] == &cached.Events[0] {
-		t.Error("the leader's events alias the cached outcome's")
+	close(gate)
+	if a := <-done; a.via != "attached" || a.out != first {
+		t.Fatalf("unobserved repeat: via %q, shared outcome %t; want it attached to the in-flight run", a.via, a.out == first)
 	}
 	st := r.Stats()
-	if st.Execs != 4 || st.SharedLed != 2 || st.Events != int64(3*len(out.Events)) {
-		t.Errorf("Stats = %+v, want 4 execs, 2 led, 3 executions' events", st)
+	if st.Execs != 3 || st.SharedLed != 2 || st.Events != int64(2*len(out.Events)) {
+		t.Errorf("Stats = %+v, want 3 execs, 2 led, 2 executions' events", st)
 	}
 }
 
@@ -104,7 +118,7 @@ func TestObservedRunBypassesGate(t *testing.T) {
 // every way a setting can be resolved, and only morsel compilations get
 // a morsel size.
 func TestRunKeyDerivesFromCompileKey(t *testing.T) {
-	r := newRunner(t, Config{})
+	r := newRunner(t)
 	for name, s := range map[string]Settings{
 		"static":          {Partitions: 4, Workers: 2},
 		"morsel":          {Partitions: 1, Workers: 2, Morsel: true},

@@ -64,7 +64,7 @@ func TestVanishedClientEndsSession(t *testing.T) {
 	if err := tpch.Load(cat, tpch.Config{SF: 0.002, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(context.Background(), "pipe", runner.New(cat, runner.Config{}))
+	srv := New(context.Background(), "pipe", runner.New(cat, nil))
 	defer srv.Close()
 	server, client := net.Pipe()
 	done := make(chan struct{})

@@ -157,16 +157,9 @@ type session struct {
 	// its live followers instead of failing them.
 	ctx      context.Context
 	settings runner.Settings
-	// resultcache opts this session's QUERYs into the server's shared
-	// result cache (on by default; meaningful only when the server has
-	// one). "SET resultcache off" forces fresh execution — the escape
-	// hatch for a client that must observe current timing, not a reused
-	// outcome. In-flight sharing is not affected: identical concurrent
-	// statements always dedupe.
-	resultcache bool
-	filter      profiler.Filter
-	streamer    *netproto.UDPStreamer
-	batcher     *profiler.Batcher
+	filter   profiler.Filter
+	streamer *netproto.UDPStreamer
+	batcher  *profiler.Batcher
 }
 
 // traceBatch configures the per-session event batching on the UDP
@@ -206,7 +199,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.sessionsTotal.Inc()
 	s.sessionsActive.Add(1)
 	defer s.sessionsActive.Add(-1)
-	sess := &session{srv: s, ctx: ctx, resultcache: true,
+	sess := &session{srv: s, ctx: ctx,
 		settings: runner.Settings{Partitions: adaptive.Auto, Workers: adaptive.Auto}}
 	defer func() { sess.closeStream() }()
 	sc := bufio.NewScanner(conn)
@@ -309,8 +302,8 @@ func (sess *session) dispatch(w *bufio.Writer, line string) {
 // cmdStats renders the serving counters: the plan-cache line the
 // command always carried, plus a scheduler/morsel line, a server line
 // drawn from the metrics registry, and a shared-work line
-// (single-flight leads/attaches, result-cache effectiveness), so
-// remote monitors see the engine counters without the HTTP endpoint.
+// (single-flight leads/attaches), so remote monitors see the engine
+// counters without the HTTP endpoint.
 // Clients parse every payload line as flat k=v fields, so added lines
 // are backward compatible.
 func (sess *session) cmdStats(w *bufio.Writer) {
@@ -335,39 +328,23 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 		snap.Value("stetho_server_bytes_written_total"),
 		snap.Value("stetho_server_result_bytes_total"),
 		encode.Count, encode.Sum)
-	rc := st.ResultCache
-	fmt.Fprintf(w, "sharedwork_led=%d sharedwork_attached=%d resultcache_hits=%d resultcache_misses=%d resultcache_len=%d resultcache_invalidations=%d\n",
-		st.SharedLed, st.SharedAttached, rc.Hits, rc.Misses, rc.Len, rc.Invalidations)
+	fmt.Fprintf(w, "sharedwork_led=%d sharedwork_attached=%d\n", st.SharedLed, st.SharedAttached)
 	fmt.Fprintln(w, ".")
 }
 
 func (sess *session) cmdSet(w *bufio.Writer, rest string) {
 	fields := strings.Fields(rest)
 	if len(fields) != 2 {
-		fmt.Fprintln(w, "err usage: SET <partitions|workers> <n|auto> / SET resultcache <on|off>")
+		fmt.Fprintln(w, "err usage: SET <partitions|workers> <n|auto>")
 		return
 	}
 	// "auto" is the only spelling of adaptive sizing on the wire:
 	// numbers below 1 become 1 right here, so no numeric value — not
 	// even the one the Go API reserves as the Auto sentinel — can switch
-	// a session to adaptive mode by accident. "SET resultcache on|off"
-	// is a pure boolean.
-	setting, value := strings.ToLower(fields[0]), fields[1]
-	if setting == "resultcache" {
-		switch strings.ToLower(value) {
-		case "on":
-			sess.resultcache = true
-		case "off":
-			sess.resultcache = false
-		default:
-			fmt.Fprintf(w, "err bad value %q (resultcache wants on or off)\n", value)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-		return
-	}
+	// a session to adaptive mode by accident.
+	value := fields[1]
 	var dst *int
-	switch setting {
+	switch strings.ToLower(fields[0]) {
 	case "partitions":
 		dst = &sess.settings.Partitions
 	case "workers":
@@ -502,18 +479,16 @@ func (sess *session) cmdDot(w *bufio.Writer, query string) {
 // cmdQuery executes one statement through the run service. Sessions
 // without a live TRACE stream share work: a statement whose key (SQL +
 // compile geometry) matches an in-flight execution attaches to it and
-// writes the same result bytes without running the plan, and — when the
-// server has a result cache and the session has not opted out —
-// completed outcomes are reused within their TTL. Sessions that are
-// streaming a trace always execute: the UDP dot-then-events protocol is
-// per-session and cannot be replayed from a shared outcome.
+// writes the same result bytes without running the plan. Sessions that
+// are streaming a trace always execute: the UDP dot-then-events protocol
+// is per-session and cannot be replayed from a shared outcome.
 func (sess *session) cmdQuery(w *bufio.Writer, query string) {
 	p, err := sess.srv.run.Prepare(query, sess.settings)
 	if err != nil {
 		fmt.Fprintf(w, "err %v\n", err)
 		return
 	}
-	opts := runner.RunOptions{NoResultCache: !sess.resultcache}
+	var opts runner.RunOptions
 	if sess.streamer != nil {
 		// The server generates the dot file and sends it over the UDP
 		// stream before query execution begins (§4.2). The session's

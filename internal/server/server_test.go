@@ -29,7 +29,7 @@ func startServer(t testing.TB) *Server {
 	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(context.Background(), "test-server", runner.New(cat, runner.Config{}))
+	srv := New(context.Background(), "test-server", runner.New(cat, nil))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCloseUnblocksIdleConnections(t *testing.T) {
 	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(context.Background(), "test-server", runner.New(cat, runner.Config{}))
+	srv := New(context.Background(), "test-server", runner.New(cat, nil))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestStatsCommandAndSharedCache(t *testing.T) {
 	if !strings.Contains(payload[2], "sessions_total=") || !strings.Contains(payload[2], "commands=") {
 		t.Fatalf("STATS server line = %q", payload[2])
 	}
-	if !strings.Contains(payload[3], "sharedwork_led=") || !strings.Contains(payload[3], "resultcache_hits=") {
+	if f := strings.Fields(payload[3]); len(f) != 2 || !strings.HasPrefix(f[0], "sharedwork_led=") || !strings.HasPrefix(f[1], "sharedwork_attached=") {
 		t.Fatalf("STATS shared-work line = %q", payload[3])
 	}
 
@@ -392,7 +392,7 @@ func startHistoryServer(t testing.TB) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	srv := New(context.Background(), "history-server", runner.New(cat, runner.Config{History: store}))
+	srv := New(context.Background(), "history-server", runner.New(cat, store))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -527,10 +527,11 @@ func TestSetAutoAndClamping(t *testing.T) {
 	}
 }
 
-// TestSetMorsel: QUERY always lowers by static mitosis, so "SET
-// morsel" is an unknown setting like any other — whatever its value —
-// it leaves the session's results untouched, and the usage error lists
-// the settings that exist.
+// TestSetMorsel: QUERY always lowers by static mitosis and nothing
+// caches outcomes, so "SET morsel" and "SET resultcache" are unknown
+// settings like any other — whatever their value — they leave the
+// session's results untouched, and the usage error lists the settings
+// that exist.
 func TestSetMorsel(t *testing.T) {
 	srv := startServer(t)
 	c := dialServer(t, srv)
@@ -539,7 +540,7 @@ func TestSetMorsel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range []string{"SET morsel 64", "SET morsel auto", "SET morsel off"} {
+	for _, set := range []string{"SET morsel 64", "SET morsel auto", "SET morsel off", "SET resultcache on"} {
 		if status, _, err := c.Command(set); err == nil || !strings.HasPrefix(status, "err unknown setting") {
 			t.Fatalf("%s: status %q, want err unknown setting", set, status)
 		}
@@ -552,9 +553,8 @@ func TestSetMorsel(t *testing.T) {
 		}
 	}
 	status, _, err := c.Command("SET morsel")
-	if err == nil || strings.Contains(status, "morsel") || !strings.Contains(status, "partitions|workers") ||
-		!strings.Contains(status, "resultcache") {
-		t.Errorf("SET usage = %q, want the real setting list", status)
+	if want := "err usage: SET <partitions|workers> <n|auto>"; err == nil || status != want {
+		t.Errorf("SET usage = %q, want %q", status, want)
 	}
 }
 

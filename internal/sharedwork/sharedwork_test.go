@@ -197,97 +197,16 @@ func TestCloneEvents(t *testing.T) {
 	}
 }
 
-func TestResultCacheHitMissEvict(t *testing.T) {
-	c := NewResultCache(2, time.Minute)
-	a, b, d := &Outcome{}, &Outcome{}, &Outcome{}
-	if _, ok := c.Get(key("a")); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Put(key("a"), a)
-	c.Put(key("b"), b)
-	if got, ok := c.Get(key("a")); !ok || got != a {
-		t.Fatal("miss on live entry a")
-	}
-	c.Put(key("d"), d) // evicts b (LRU: a was just touched)
-	if _, ok := c.Get(key("b")); ok {
-		t.Fatal("evicted entry b still served")
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 || st.Len != 2 || st.Capacity != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestResultCacheTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewResultCache(4, 10*time.Second)
-	c.SetClock(func() time.Time { return now })
-	c.Put(key("q"), &Outcome{})
-	if _, ok := c.Get(key("q")); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	now = now.Add(9 * time.Second)
-	if _, ok := c.Get(key("q")); !ok {
-		t.Fatal("entry expired early")
-	}
-	// A refresh restarts the TTL.
-	c.Put(key("q"), &Outcome{})
-	now = now.Add(9 * time.Second)
-	if _, ok := c.Get(key("q")); !ok {
-		t.Fatal("refreshed entry expired early")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Get(key("q")); ok {
-		t.Fatal("expired entry served")
-	}
-	st := c.Stats()
-	if st.Expirations != 1 || st.Len != 0 {
-		t.Fatalf("stats after expiry = %+v", st)
-	}
-}
-
-func TestResultCachePurgeCountsInvalidations(t *testing.T) {
-	c := NewResultCache(4, 0)
-	c.Put(key("a"), &Outcome{})
-	c.Put(key("b"), &Outcome{})
-	c.Purge()
-	if _, ok := c.Get(key("a")); ok {
-		t.Fatal("purged entry served")
-	}
-	if st := c.Stats(); st.Invalidations != 2 || st.Len != 0 {
-		t.Fatalf("stats after purge = %+v", st)
-	}
-}
-
-func TestResultCacheNilSafe(t *testing.T) {
-	var c *ResultCache
-	c.Put(key("a"), &Outcome{})
-	if _, ok := c.Get(key("a")); ok {
-		t.Fatal("nil cache hit")
-	}
-	c.Purge()
-	if c.Len() != 0 || c.Stats() != (CacheStats{}) {
-		t.Fatal("nil cache reports non-zero")
-	}
-	var s *Shared
-	s.Instrument(metrics.NewRegistry())
-}
-
 func TestInstrumentExposesMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sh := &Shared{Flight: NewFlight(), Cache: NewResultCache(2, time.Minute)}
-	sh.Instrument(reg)
-	sh.Flight.Do(context.Background(), key("q"), func() (*Outcome, error) { return &Outcome{}, nil })
-	sh.Cache.Put(key("q"), &Outcome{})
-	sh.Cache.Get(key("q"))
+	f := NewFlight()
+	f.Instrument(reg, "stetho_sharedwork")
+	f.Do(context.Background(), key("q"), func() (*Outcome, error) { return &Outcome{}, nil })
 	snap := reg.Snapshot()
 	if snap.Value("stetho_sharedwork_led_total") != 1 {
 		t.Fatalf("led counter not wired: %d", snap.Value("stetho_sharedwork_led_total"))
 	}
-	if snap.Value("stetho_resultcache_hits_total") != 1 {
-		t.Fatalf("hit counter not wired: %d", snap.Value("stetho_resultcache_hits_total"))
-	}
-	if snap.Value("stetho_resultcache_entries") != 1 || snap.Value("stetho_resultcache_capacity") != 2 {
-		t.Fatal("occupancy gauges not wired")
+	if snap.Value("stetho_sharedwork_attached_total") != 0 || snap.Value("stetho_sharedwork_inflight") != 0 {
+		t.Fatal("attach counter or in-flight gauge not wired")
 	}
 }

@@ -22,7 +22,7 @@ func TestWriteTextMatchesReferenceTPCH(t *testing.T) {
 	if err := tpch.Load(cat, tpch.Config{SF: 0.01, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	run := runner.New(cat, runner.Config{})
+	run := runner.New(cat, nil)
 	for _, q := range tpch.Queries() {
 		p, err := run.Prepare(q.SQL, runner.Settings{Partitions: adaptive.Auto, Workers: adaptive.Auto})
 		if err != nil {

@@ -99,7 +99,7 @@ func (s *Store) rollup(key func(stmt string) string, ids []uint64) ([]AggStat, e
 // ModuleRollup aggregates busy time per MAL module across the given
 // runs (all runs when ids is empty), busiest first.
 func (s *Store) ModuleRollup(ids ...uint64) ([]AggStat, error) {
-	return s.rollup(moduleOf, ids)
+	return s.rollup(profiler.ModuleOf, ids)
 }
 
 // OperatorRollup aggregates busy time per MAL operator
@@ -191,7 +191,7 @@ func (s *Store) Compare(aID, bID uint64) (*Diff, error) {
 				pd.Stmt = e.Stmt
 			}
 			*side(pd) += e.DurUs
-			m := moduleOf(e.Stmt)
+			m := profiler.ModuleOf(e.Stmt)
 			md, ok := perMod[m]
 			if !ok {
 				md = &ModuleDelta{Module: m}

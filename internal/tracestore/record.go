@@ -139,131 +139,74 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// payloadReader decodes a record payload with sticky error handling.
-type payloadReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *payloadReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("tracestore: truncated %s in record payload", what)
-	}
-}
-
-func (r *payloadReader) byte() byte {
-	if r.err != nil || r.pos >= len(r.b) {
-		r.fail("byte")
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *payloadReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail("uvarint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *payloadReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail("varint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *payloadReader) string() string {
-	n := int(r.uvarint())
-	if r.err != nil {
-		return ""
-	}
-	if n < 0 || r.pos+n > len(r.b) {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+n])
-	r.pos += n
-	return s
+// recordError is the trace store's wording for a record payload field
+// that cannot be read (see fsio.Reader).
+func recordError(kind string, _ int) error {
+	return fmt.Errorf("tracestore: truncated %s in record payload", kind)
 }
 
 // decodeBegin parses a begin payload (after the type byte).
 func decodeBegin(b []byte) (id uint64, m RunMeta, err error) {
-	r := &payloadReader{b: b}
-	id = r.uvarint()
-	m.Start = time.Unix(0, r.varint())
-	m.Partitions = int(r.uvarint())
-	m.Workers = int(r.uvarint())
-	m.Instructions = int(r.uvarint())
-	m.SQL = r.string()
-	m.Dot = r.string()
+	r := &fsio.Reader{B: b, Fail: recordError}
+	id = r.Uvarint()
+	m.Start = time.Unix(0, r.Varint())
+	m.Partitions = int(r.Uvarint())
+	m.Workers = int(r.Uvarint())
+	m.Instructions = int(r.Uvarint())
+	m.SQL = r.Str()
+	m.Dot = r.Str()
 	// The auto-tune trailer is optional: begin records written before it
 	// existed end here and decode with the zero values.
-	if r.err == nil && r.pos < len(r.b) {
-		m.AutoTuned = r.byte()&1 != 0
-		m.TuneReason = r.string()
+	if r.Err == nil && r.Pos < len(r.B) {
+		m.AutoTuned = r.Byte()&1 != 0
+		m.TuneReason = r.Str()
 	}
-	return id, m, r.err
+	return id, m, r.Err
 }
 
 // decodeEventsHeader parses just the run id and event count of an events
 // payload — what the index scan needs without materializing the batch.
 func decodeEventsHeader(b []byte) (id uint64, count int, err error) {
-	r := &payloadReader{b: b}
-	id = r.uvarint()
-	count = int(r.uvarint())
-	return id, count, r.err
+	r := &fsio.Reader{B: b, Fail: recordError}
+	id = r.Uvarint()
+	count = int(r.Uvarint())
+	return id, count, r.Err
 }
 
 // decodeEvents parses a full events payload, appending to dst.
 func decodeEvents(b []byte, dst []profiler.Event) (uint64, []profiler.Event, error) {
-	r := &payloadReader{b: b}
-	id := r.uvarint()
-	count := int(r.uvarint())
-	if r.err != nil {
-		return id, dst, r.err
+	r := &fsio.Reader{B: b, Fail: recordError}
+	id := r.Uvarint()
+	count := int(r.Uvarint())
+	if r.Err != nil {
+		return id, dst, r.Err
 	}
-	for i := 0; i < count && r.err == nil; i++ {
+	for i := 0; i < count && r.Err == nil; i++ {
 		var e profiler.Event
-		e.Seq = r.varint()
-		e.State = profiler.State(r.byte())
-		e.PC = int(r.varint())
-		e.Thread = int(r.varint())
-		e.ClkUs = r.varint()
-		e.DurUs = r.varint()
-		e.RSSKB = r.varint()
-		e.Reads = r.varint()
-		e.Writes = r.varint()
-		e.Stmt = r.string()
-		if r.err == nil {
+		e.Seq = r.Varint()
+		e.State = profiler.State(r.Byte())
+		e.PC = int(r.Varint())
+		e.Thread = int(r.Varint())
+		e.ClkUs = r.Varint()
+		e.DurUs = r.Varint()
+		e.RSSKB = r.Varint()
+		e.Reads = r.Varint()
+		e.Writes = r.Varint()
+		e.Stmt = r.Str()
+		if r.Err == nil {
 			dst = append(dst, e)
 		}
 	}
-	return id, dst, r.err
+	return id, dst, r.Err
 }
 
 // decodeEnd parses an end payload.
 func decodeEnd(b []byte) (id uint64, st RunStats, err error) {
-	r := &payloadReader{b: b}
-	id = r.uvarint()
-	st.ElapsedUs = r.varint()
-	st.Rows = int(r.uvarint())
-	st.CacheHit = r.byte()&1 != 0
-	st.Err = r.string()
-	return id, st, r.err
+	r := &fsio.Reader{B: b, Fail: recordError}
+	id = r.Uvarint()
+	st.ElapsedUs = r.Varint()
+	st.Rows = int(r.Uvarint())
+	st.CacheHit = r.Byte()&1 != 0
+	st.Err = r.Str()
+	return id, st, r.Err
 }

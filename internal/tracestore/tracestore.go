@@ -854,10 +854,6 @@ func callOf(stmt string) string {
 	return strings.TrimSpace(s[:i])
 }
 
-// moduleOf extracts the MAL module of a statement (the profiler's
-// canonical spelling, mirrored by the core package).
-func moduleOf(stmt string) string { return profiler.ModuleOf(stmt) }
-
 // Instrument registers the store's metric cells (stetho_tracestore_*)
 // in the registry: append and compaction counters on the write path,
 // and gauges over the recovery/retention figures Stats already tracks.

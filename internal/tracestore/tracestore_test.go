@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"stethoscope/internal/fsio"
 	"stethoscope/internal/profiler"
 )
 
@@ -647,5 +648,50 @@ func TestDecodeBeginToleratesLegacyRecords(t *testing.T) {
 	}
 	if got.AutoTuned || got.TuneReason != "" {
 		t.Errorf("legacy record decoded with auto-tune set: %+v", got)
+	}
+}
+
+// TestOpenSkipsOverlongStringRecord: a begin record with a valid
+// checksum whose SQL length is 2^63-1 used to overflow the payload
+// reader's bounds check and panic Open. It must take the
+// undecodable-record path instead, leaving the other runs readable.
+func TestOpenSkipsOverlongStringRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	id := record(t, s, "select kept", 3, 10)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := []byte{recBegin}
+	bad = binary.AppendUvarint(bad, id+1)
+	bad = binary.AppendVarint(bad, 0)
+	for range 3 { // partitions, workers, instructions
+		bad = binary.AppendUvarint(bad, 1)
+	}
+	bad = binary.AppendUvarint(bad, 1<<63-1) // the SQL text's length
+	bad = append(bad, "select"...)
+	names, _ := filepath.Glob(filepath.Join(dir, "seg-*.tlog"))
+	f, err := os.OpenFile(names[len(names)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fsio.WriteRecord(f, bad); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var logs []string
+	s2, err := Open(Options{Dir: dir, Logf: func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !strings.Contains(strings.Join(logs, "\n"), "skipping undecodable begin record") {
+		t.Errorf("the overlong record was not reported as undecodable; log:\n%s", strings.Join(logs, "\n"))
+	}
+	if runs := s2.Runs(); len(runs) != 1 || runs[0].ID != id {
+		t.Fatalf("runs after reopen = %+v, want only run %d", runs, id)
 	}
 }

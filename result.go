@@ -90,12 +90,11 @@ type Stats struct {
 	// compilation was coalesced through the planner's single-flight and
 	// this call received its plan.
 	CacheHit bool
-	// Shared reports how the result was produced when this call did not
-	// run the plan itself: "attached" (deduplicated onto a concurrent
-	// identical statement's in-flight execution) or "resultcache"
-	// (served from the WithResultCache outcome cache). Empty for calls
-	// that executed. Shared results echo the producing run's resolved
-	// settings (Partitions/Workers) and its RunID.
+	// Shared is "attached" when this call did not run the plan itself
+	// but was deduplicated onto a concurrent identical statement's
+	// in-flight execution, and empty for calls that executed. Shared
+	// results echo the producing run's resolved settings
+	// (Partitions/Workers) and its RunID.
 	Shared string
 	// RunID is the durable query-history id of this execution, usable
 	// with DB.History (Get, Replay, Compare). Zero when the DB was

@@ -44,12 +44,12 @@ func plantLeader(t *testing.T, db *DB, q string, out *sharedwork.Outcome, err er
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		db.run.Shared.Flight.Do(context.Background(), key, func() (*sharedwork.Outcome, error) {
+		db.run.Flight.Do(context.Background(), key, func() (*sharedwork.Outcome, error) {
 			<-gate
 			return out, err
 		})
 	}()
-	waitFor(t, "leader registration", func() bool { return db.run.Shared.Flight.InFlight() == 1 })
+	waitFor(t, "leader registration", func() bool { return db.run.Flight.InFlight() == 1 })
 	return func() { close(gate); wg.Wait() }
 }
 

@@ -24,8 +24,7 @@ type Server struct {
 // optimizer pipeline, compiled-plan cache, shared-work state, and (when
 // enabled) query history: TCP sessions and in-process Exec callers
 // serve from (and warm) the same plan state, identical concurrent
-// statements single-flight against each other across both entry points
-// (and reuse cached outcomes when the DB was opened WithResultCache),
+// statements single-flight against each other across both entry points,
 // their executions land in the same durable trace store, and all of
 // them count into DB.Stats. With history enabled the protocol
 // additionally answers HISTORY LIST/TOP/INFO/TRACE/DOT/DIFF.
@@ -141,8 +140,7 @@ func (r *Remote) Progress() ([]string, error) {
 // engine_steals, engine_parks, morsels_claimed, morsel_rows_scanned),
 // the server-layer counters (sessions, commands, bytes_written,
 // result_bytes, encode_count, encode_us), and
-// the shared-work counters (sharedwork_led, sharedwork_attached,
-// resultcache_hits/misses/len/invalidations).
+// the shared-work counters (sharedwork_led, sharedwork_attached).
 func (r *Remote) Stats() (map[string]int64, error) {
 	_, lines, err := r.c.Command("STATS")
 	if err != nil {

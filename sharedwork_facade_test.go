@@ -1,8 +1,7 @@
 // Facade-level tests of shared-work serving: byte-identical results
-// under single-flight dedup, deterministic attach semantics, the
-// WithResultCache lifecycle (hits, TTL expiry with a fake clock,
-// invalidation on Persist and dataset swap), and concurrent Explain
-// stability. The CI race job runs this file under -race.
+// under single-flight dedup, deterministic attach semantics, and
+// concurrent Explain stability. The CI race job runs this file under
+// -race.
 package stethoscope
 
 import (
@@ -43,9 +42,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // concurrent identical Exec calls — whichever of them lead, attach, or
 // interleave — must each return a result byte-identical to an unshared
 // sequential execution at the same compile geometry. A sequential call
-// never shares (the flight dedupes concurrency, it never caches; no
-// result cache is configured), so the baselines are unshared by
-// construction.
+// never shares (the flight dedupes concurrency, it never caches), so
+// the baselines are unshared by construction.
 func TestSharedExecByteEquality(t *testing.T) {
 	db, err := Open(WithScaleFactor(0.002))
 	if err != nil {
@@ -144,7 +142,7 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 	var leaderWaiters int
 	go func() {
 		defer wg.Done()
-		_, _, attached, waiters := db.run.Shared.Flight.Do(ctx, key, func() (*sharedwork.Outcome, error) {
+		_, _, attached, waiters := db.run.Flight.Do(ctx, key, func() (*sharedwork.Outcome, error) {
 			<-gate
 			return outcome, nil
 		})
@@ -153,7 +151,7 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 		}
 		leaderWaiters = waiters
 	}()
-	waitFor(t, "leader registration", func() bool { return db.run.Shared.Flight.InFlight() == 1 })
+	waitFor(t, "leader registration", func() bool { return db.run.Flight.InFlight() == 1 })
 
 	type res struct {
 		r   *Result
@@ -186,160 +184,6 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 	}
 	if tableBytes(t, r) != tableBytes(t, solo) {
 		t.Fatal("attached result bytes differ")
-	}
-}
-
-// TestResultCacheServesRepeats covers the WithResultCache happy path:
-// the second identical statement is served from the cache,
-// byte-identical, marked Shared = "resultcache", echoing the producing
-// run's settings; a different compile geometry is a different key.
-func TestResultCacheServesRepeats(t *testing.T) {
-	db, err := Open(WithScaleFactor(0.001), WithResultCache(8, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	ctx := context.Background()
-	q := "select l_shipmode, count(*) as n from lineitem group by l_shipmode order by l_shipmode"
-	r1, err := db.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats.Shared != "" {
-		t.Fatalf("first execution Shared = %q, want fresh", r1.Stats.Shared)
-	}
-	r2, err := db.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Stats.Shared != "resultcache" {
-		t.Fatalf("repeat Shared = %q, want resultcache", r2.Stats.Shared)
-	}
-	if tableBytes(t, r2) != tableBytes(t, r1) {
-		t.Fatal("cached result bytes differ")
-	}
-	// The worker count is not part of the statement key: a different
-	// worker request still hits, echoing the producer's resolved count.
-	r3, err := db.Exec(ctx, q, ExecWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Stats.Shared != "resultcache" || r3.Stats.Workers != r1.Stats.Workers {
-		t.Fatalf("worker variation: Shared=%q Workers=%d, want resultcache with producer's %d",
-			r3.Stats.Shared, r3.Stats.Workers, r1.Stats.Workers)
-	}
-	// Partition geometry is part of the statement key: different key.
-	r4, err := db.Exec(ctx, q, ExecPartitions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4.Stats.Shared != "" {
-		t.Fatalf("partition variation served shared result (%q); geometry must key the cache", r4.Stats.Shared)
-	}
-	st := db.Stats()
-	if st.ResultCache.Hits != 2 || st.ResultCache.Len != 2 {
-		t.Fatalf("result-cache stats = %+v, want 2 hits and 2 entries", st.ResultCache)
-	}
-}
-
-// TestResultCacheInvalidation re-executes after the two dataset
-// boundaries the ISSUE names — Persist, and a Persist + OpenPath swap
-// — and proves no stale rows are served across either.
-func TestResultCacheInvalidation(t *testing.T) {
-	db, err := Open(WithScaleFactor(0.001), WithResultCache(8, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	ctx := context.Background()
-	q := "select l_returnflag, count(*) as n from lineitem group by l_returnflag order by l_returnflag"
-	r1, err := db.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tableBytes(t, r1)
-	if r2, err := db.Exec(ctx, q); err != nil || r2.Stats.Shared != "resultcache" {
-		t.Fatalf("warm-up repeat: shared=%v err=%v", r2.Stats.Shared, err)
-	}
-
-	dir := t.TempDir()
-	if err := db.Persist(dir); err != nil {
-		t.Fatal(err)
-	}
-	r3, err := db.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Stats.Shared != "" {
-		t.Fatalf("post-Persist execution served %q; Persist must invalidate the result cache", r3.Stats.Shared)
-	}
-	if tableBytes(t, r3) != want {
-		t.Fatal("post-Persist re-execution returned different rows")
-	}
-	if inv := db.Stats().ResultCache.Invalidations; inv < 1 {
-		t.Fatalf("invalidations = %d, want >= 1", inv)
-	}
-
-	// Dataset swap: a DB opened over the persisted directory starts
-	// with an empty result cache and must re-execute, not inherit.
-	db2, err := OpenPath(dir, WithResultCache(8, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	r4, err := db2.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4.Stats.Shared != "" {
-		t.Fatalf("first execution on swapped dataset served %q", r4.Stats.Shared)
-	}
-	if tableBytes(t, r4) != want {
-		t.Fatal("swapped dataset returned different rows for the same data")
-	}
-	if r5, err := db2.Exec(ctx, q); err != nil || r5.Stats.Shared != "resultcache" {
-		t.Fatalf("swapped-dataset repeat: shared=%v err=%v", r5.Stats.Shared, err)
-	}
-}
-
-// TestResultCacheTTLExpiryFacade drives the TTL through the facade
-// with a fake clock: within the TTL the repeat is served, past it the
-// statement re-executes and the expiry is counted.
-func TestResultCacheTTLExpiryFacade(t *testing.T) {
-	db, err := Open(WithScaleFactor(0.001), WithResultCache(4, time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	now := time.Unix(1_000_000, 0)
-	db.run.Shared.Cache.SetClock(func() time.Time { return now })
-	ctx := context.Background()
-	q := "select count(*) from lineitem"
-	if _, err := db.Exec(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(30 * time.Second)
-	r2, err := db.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Stats.Shared != "resultcache" {
-		t.Fatalf("repeat within TTL: Shared = %q", r2.Stats.Shared)
-	}
-	now = now.Add(31 * time.Second) // 61s past insertion: expired
-	r3, err := db.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Stats.Shared != "" {
-		t.Fatalf("repeat past TTL served %q; entry must have expired", r3.Stats.Shared)
-	}
-	if exp := db.Stats().ResultCache.Expirations; exp != 1 {
-		t.Fatalf("expirations = %d, want 1", exp)
-	}
-	// The re-execution re-populated the cache with a fresh TTL.
-	if r4, err := db.Exec(ctx, q); err != nil || r4.Stats.Shared != "resultcache" {
-		t.Fatalf("post-expiry repeat: shared=%v err=%v", r4.Stats.Shared, err)
 	}
 }
 

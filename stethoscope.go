@@ -7,20 +7,14 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"stethoscope/internal/adaptive"
 	"stethoscope/internal/batstore"
-	"stethoscope/internal/optimizer"
-	"stethoscope/internal/plancache"
 	"stethoscope/internal/runner"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
+	"stethoscope/internal/tracestore"
 )
-
-// DefaultPlanCacheSize is the compiled-plan cache capacity Open uses
-// unless WithPlanCacheSize overrides it.
-const DefaultPlanCacheSize = plancache.DefaultSize
 
 // Auto requests adaptive selection wherever a partition or worker count
 // is configured (WithPartitions, WithWorkers, ExecPartitions,
@@ -41,12 +35,8 @@ type config struct {
 	seedSet     bool            // WithSeed was given explicitly
 	dataDir     string          // non-empty: open a persisted dataset instead of generating
 	exec        runner.Settings // execution defaults; ExecOptions override them per call
-	passes      []string        // nil selects the default optimizer pipeline
-	cacheSize   int             // compiled-plan cache capacity; 0 is the default size, negative disables
 	history     *HistoryConfig  // nil disables the durable query history
 	metricsAddr string          // non-empty: serve /metrics + pprof here
-	resultCache int             // result-cache capacity; 0 (default) disables
-	resultTTL   time.Duration   // result-cache entry lifetime; <= 0 never expires
 }
 
 // Option configures Open.
@@ -94,51 +84,6 @@ func WithPartitions(n int) Option { return func(c *config) { c.exec.Partitions =
 // ExecWorkers overrides it per query.
 func WithWorkers(n int) Option { return func(c *config) { c.exec.Workers = n } }
 
-// WithOptimizerPasses selects the MAL optimizer pipeline by pass name,
-// in order. Known passes: "cse", "deadcode". An explicit empty list
-// disables optimization; omitting the option selects the default
-// pipeline (cse, deadcode).
-func WithOptimizerPasses(names ...string) Option {
-	return func(c *config) {
-		if names == nil {
-			names = []string{}
-		}
-		c.passes = names
-	}
-}
-
-// WithPlanCacheSize sets the capacity of the shared compiled-plan cache
-// (default DefaultPlanCacheSize). Repeated statements hit the cache and
-// skip parse → bind → compile → optimize entirely; the cache is shared
-// by every Exec/Explain caller and every server session of this DB.
-// n = 0 disables caching (every statement compiles from scratch).
-func WithPlanCacheSize(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			n = -1
-		}
-		c.cacheSize = n
-	}
-}
-
-// WithResultCache enables the shared result cache: up to n completed
-// query outcomes are retained for ttl and served — byte-identical, with
-// Result.Stats.Shared = "resultcache" — to repeated identical
-// statements without re-executing. The cache is keyed like the shared
-// execution flight (SQL text, partitions, optimizer passes) and shared by every Exec caller and server session of this
-// DB; it is invalidated whenever the dataset can change (DB.Persist).
-// ttl <= 0 means entries never expire by time. The default (option
-// omitted, or n <= 0) is no result caching: only concurrent identical
-// statements share work, via the always-on single-flight.
-func WithResultCache(n int, ttl time.Duration) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.resultCache, c.resultTTL = n, ttl
-	}
-}
-
 // WithMetricsAddr serves the observability HTTP endpoint on addr
 // ("127.0.0.1:0" picks a free port; see DB.MetricsAddr for the bound
 // address): /metrics in Prometheus text format, /progress as a JSON
@@ -148,25 +93,6 @@ func WithResultCache(n int, ttl time.Duration) Option {
 // nothing.
 func WithMetricsAddr(addr string) Option {
 	return func(c *config) { c.metricsAddr = addr }
-}
-
-// buildPipeline resolves pass names into an optimizer pipeline.
-func buildPipeline(names []string) (optimizer.Pipeline, error) {
-	if names == nil {
-		return optimizer.Default(), nil
-	}
-	var pl optimizer.Pipeline
-	for _, n := range names {
-		switch strings.ToLower(n) {
-		case "cse":
-			pl.Passes = append(pl.Passes, optimizer.CSE{})
-		case "deadcode":
-			pl.Passes = append(pl.Passes, optimizer.DeadCode{})
-		default:
-			return pl, fmt.Errorf("stethoscope: unknown optimizer pass %q (have cse, deadcode)", n)
-		}
-	}
-	return pl, nil
 }
 
 // DB is an in-process instance of the paper's whole server side: a BAT
@@ -199,14 +125,11 @@ func Open(opts ...Option) (*DB, error) {
 	if (cfg.exec.Partitions < 1 && cfg.exec.Partitions != Auto) || (cfg.exec.Workers < 1 && cfg.exec.Workers != Auto) {
 		return nil, fmt.Errorf("stethoscope: partitions and workers must be >= 1 (or Auto)")
 	}
-	pl, err := buildPipeline(cfg.passes)
-	if err != nil {
-		return nil, err
-	}
 	var (
 		cat   *storage.Catalog
 		store *batstore.Store
 		meta  map[string]string
+		err   error
 	)
 	if cfg.dataDir != "" {
 		if store, err = batstore.Open(cfg.dataDir); err != nil {
@@ -228,15 +151,14 @@ func Open(opts ...Option) (*DB, error) {
 		}
 	}
 	db := &DB{cfg: cfg, cat: cat, dataMeta: meta}
-	rc := runner.Config{Pipeline: &pl, PlanCacheSize: cfg.cacheSize,
-		ResultCacheSize: cfg.resultCache, ResultCacheTTL: cfg.resultTTL}
+	var hs *tracestore.Store
 	if cfg.history != nil {
 		if db.hist, err = OpenHistoryConfig(*cfg.history); err != nil {
 			return nil, err
 		}
-		rc.History = db.hist.st
+		hs = db.hist.st
 	}
-	db.run = runner.New(cat, rc)
+	db.run = runner.New(cat, hs)
 	if store != nil {
 		// Column data streams off disk lazily, as queries first scan it,
 		// so instrumenting after the catalog is built counts every read.
@@ -257,8 +179,8 @@ func Open(opts ...Option) (*DB, error) {
 // by DB.Persist or tpchgen -persist. The catalog comes from the
 // dataset's manifest — nothing is regenerated — and column data streams
 // off disk lazily, one segment at a time, as queries first touch each
-// column. All other options (partitions, workers, passes, cache,
-// history) apply exactly as with Open.
+// column. All other options (partitions, workers, history, metrics)
+// apply exactly as with Open.
 func OpenPath(dir string, opts ...Option) (*DB, error) {
 	return Open(append([]Option{WithPath(dir)}, opts...)...)
 }
@@ -274,10 +196,6 @@ func (db *DB) Persist(dir string) error {
 	if err := batstore.Persist(dir, db.cat, db.dataMeta, 0); err != nil {
 		return fmt.Errorf("stethoscope: %w", err)
 	}
-	// The dataset boundary is the result cache's invalidation point: a
-	// persisted directory may be swapped under a future OpenPath, so
-	// outcomes cached before the snapshot must not outlive it.
-	db.run.Shared.Cache.Purge()
 	return nil
 }
 
@@ -388,12 +306,11 @@ func (db *DB) prepare(query string, s runner.Settings) (*runner.Prepared, error)
 // Identical concurrent statements share work: Exec calls whose SQL and
 // compile geometry match an in-flight execution attach to it and
 // receive the same result without running the plan (Stats.Shared
-// reports "attached"); with WithResultCache configured, repeated
-// identical statements within the TTL are served from the result cache
-// ("resultcache"). Shared results are byte-identical to an unshared
-// execution — the sharing key includes everything that decides result
-// bytes (see internal/sharedwork) and excludes the worker count, which
-// never does.
+// reports "attached"). A statement that arrives after its twin finished
+// executes again: nothing caches outcomes. Shared results are
+// byte-identical to an unshared execution — the sharing key includes
+// everything that decides result bytes (see internal/sharedwork) and
+// excludes the worker count, which never does.
 func (db *DB) Exec(ctx context.Context, query string, opts ...ExecOption) (*Result, error) {
 	p, err := db.prepare(query, db.settings(opts))
 	if err != nil {
@@ -448,8 +365,7 @@ func (db *DB) Explain(query string, opts ...ExecOption) (string, error) {
 // executing now), Execs (statements answered), Events and EventsPerSec
 // (profiler events produced, and their rate over a sliding 10s window),
 // SharedLed and SharedAttached (single-flight leaders vs. executions
-// served by attaching to one), ResultCache (result-cache effectiveness)
-// and Uptime. It is re-exported like the other leaf types; the fields
+// served by attaching to one) and Uptime. It is re-exported like the other leaf types; the fields
 // are documented on runner.Stats.
 type DBStats = runner.Stats
 
