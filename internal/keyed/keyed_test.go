@@ -141,8 +141,12 @@ func TestLRU(t *testing.T) {
 			}
 		}},
 	}
+	// Each case runs under the name of the LRU's one shape: no TTL, so an
+	// entry leaves only by eviction or replacement.
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, NewLRU[key, string](tc.capacity)) })
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("no-ttl", func(t *testing.T) { tc.run(t, NewLRU[key, string](tc.capacity)) })
+		})
 	}
 }
 
