@@ -183,13 +183,12 @@ func BenchmarkF2LayoutScaling(b *testing.B) {
 
 func TestF3TraceRoundTrip(t *testing.T) {
 	plan := mustCompile(t, paperQuery, 1)
-	var sb strings.Builder
-	sink := profiler.NewWriterSink(&sb)
-	prof := profiler.New(sink)
-	if _, err := engine.New(benchCat).Run(plan, engine.Options{Profiler: prof}); err != nil {
+	sink := &profiler.SliceSink{}
+	if _, err := engine.New(benchCat).Run(plan, engine.Options{Profiler: profiler.New(sink)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Flush(); err != nil {
+	var sb strings.Builder
+	if err := trace.Write(&sb, sink.Events()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := trace.LoadString(sb.String())
@@ -762,32 +761,26 @@ var historyBenchEvents = func() []profiler.Event {
 	return evs
 }()
 
-// BenchmarkHistoryAppend measures the durable sink's batched hot path:
-// events flow through a profiler.Batcher into tracestore events
-// records, exactly as an Exec with WithHistory tees them. ns/op is per
-// event; the store must sustain >= 100k events/sec (the companion
-// assertion lives in internal/tracestore's TestAppendThroughput).
+// BenchmarkHistoryAppend measures the history write path: whole runs
+// of 256 events written by Store.Record, exactly as the run service
+// records every finished run. ns/op is per event; the store must
+// sustain >= 100k events/sec (the companion assertion lives in
+// internal/tracestore's TestAppendThroughput).
 func BenchmarkHistoryAppend(b *testing.B) {
 	st, err := tracestore.Open(tracestore.Options{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	w, err := st.Begin(tracestore.RunMeta{SQL: cacheBenchQuery, Instructions: 128})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batcher := profiler.NewBatcher(w, 256, 0)
+	meta := tracestore.RunMeta{SQL: cacheBenchQuery, Instructions: 128}
 	evs := historyBenchEvents
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batcher.Emit(evs[i%len(evs)])
+	for i := 0; i < b.N; i += len(evs) {
+		if _, err := st.Record(meta, evs[:min(len(evs), b.N-i)], tracestore.RunStats{}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	batcher.Flush()
 	b.StopTimer()
-	if err := w.Finish(tracestore.RunStats{}); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
@@ -800,12 +793,8 @@ func BenchmarkHistoryTopN(b *testing.B) {
 	}
 	defer st.Close()
 	for i := 0; i < 256; i++ {
-		w, err := st.Begin(tracestore.RunMeta{SQL: fmt.Sprintf("select %d", i), Instructions: 128})
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.EmitBatch(historyBenchEvents)
-		if err := w.Finish(tracestore.RunStats{ElapsedUs: int64((i * 7919) % 100_000)}); err != nil {
+		if _, err := st.Record(tracestore.RunMeta{SQL: fmt.Sprintf("select %d", i), Instructions: 128},
+			historyBenchEvents, tracestore.RunStats{ElapsedUs: int64((i * 7919) % 100_000)}); err != nil {
 			b.Fatal(err)
 		}
 	}

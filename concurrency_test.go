@@ -33,8 +33,8 @@ func TestPlanCacheHitsAndStats(t *testing.T) {
 	if !r2.Stats.CacheHit {
 		t.Fatal("second execution should hit the plan cache")
 	}
-	if r1.Rows() != r2.Rows() {
-		t.Fatalf("cached run returned %d rows, cold returned %d", r2.Rows(), r1.Rows())
+	if r1.RowCount() != r2.RowCount() {
+		t.Fatalf("cached run returned %d rows, cold returned %d", r2.RowCount(), r1.RowCount())
 	}
 	// A different partition count compiles separately.
 	r3, err := db.Exec(ctx, q, ExecPartitions(4))
@@ -56,8 +56,8 @@ func TestPlanCacheHitsAndStats(t *testing.T) {
 	if st.Execs != 3 {
 		t.Fatalf("execs = %d, want 3", st.Execs)
 	}
-	if st.Events == 0 || st.EventsPerSec <= 0 {
-		t.Fatalf("event counters not tracked: %+v", st)
+	if st.Events == 0 {
+		t.Fatalf("event counter not tracked: %+v", st)
 	}
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight = %d at rest", st.InFlight)

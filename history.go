@@ -2,7 +2,6 @@ package stethoscope
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"stethoscope/internal/dot"
@@ -217,11 +216,11 @@ func (h *History) Compact() error { return h.st.Compact() }
 func (h *History) Stats() HistoryStats { return h.st.Stats() }
 
 // Record persists an already-executed Result as a run — the path
-// tracegen -store uses to seed a store without a live server. It
-// returns the new run id.
+// tracegen -store uses to seed a store without a live server. It writes
+// through the same tracestore.Store.Record a live run does and returns
+// the new run id.
 func (h *History) Record(res *Result) (uint64, error) {
-	events := res.Events()
-	w, err := h.st.Begin(tracestore.RunMeta{
+	id, err := h.st.Record(tracestore.RunMeta{
 		SQL:          res.Query,
 		Dot:          res.Dot(),
 		Start:        time.Now().Add(-res.Stats.Elapsed),
@@ -230,26 +229,15 @@ func (h *History) Record(res *Result) (uint64, error) {
 		Instructions: res.Stats.Instructions,
 		AutoTuned:    res.Stats.AutoTuned,
 		TuneReason:   res.Stats.TuneReason,
+	}, res.Events(), tracestore.RunStats{
+		ElapsedUs: res.Stats.Elapsed.Microseconds(),
+		Rows:      res.RowCount(),
+		CacheHit:  res.Stats.CacheHit,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("stethoscope: history: %w", err)
 	}
-	for len(events) > 0 {
-		n := len(events)
-		if n > tracestore.DefaultAppendBatch {
-			n = tracestore.DefaultAppendBatch
-		}
-		w.EmitBatch(events[:n])
-		events = events[n:]
-	}
-	if err := w.Finish(tracestore.RunStats{
-		ElapsedUs: res.Stats.Elapsed.Microseconds(),
-		Rows:      res.RowCount(),
-		CacheHit:  res.Stats.CacheHit,
-	}); err != nil {
-		return 0, fmt.Errorf("stethoscope: history: %w", err)
-	}
-	return w.ID(), nil
+	return id, nil
 }
 
 // Run is one recorded execution fetched from the history. It embeds the
@@ -267,19 +255,3 @@ type Run struct {
 // Dot returns the stored plan dot text — pair it with TraceText to feed
 // OpenOffline, or use History.Replay directly.
 func (r *Run) Dot() string { return r.dotText }
-
-// TraceText renders the stored events as trace-file lines.
-func (r *Run) TraceText() string {
-	var b []byte
-	for _, e := range r.store().Events() {
-		b = append(b, e.Marshal()...)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
-// WriteTrace writes the trace-file representation.
-func (r *Run) WriteTrace(w io.Writer) error {
-	_, err := io.WriteString(w, r.TraceText())
-	return err
-}

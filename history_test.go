@@ -55,7 +55,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 			t.Fatalf("%s: stored event stream differs from the live trace", stage)
 		}
 		if run.Info.SQL != figure1Query || run.Info.Partitions != 4 || run.Info.Workers != 2 ||
-			!run.Info.Complete || run.Info.Rows != res.Rows() {
+			!run.Info.Complete || run.Info.Rows != res.RowCount() {
 			t.Fatalf("%s: run info = %+v", stage, run.Info)
 		}
 		// Replay: the stored run opens as a full analysis session with a

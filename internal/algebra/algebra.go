@@ -281,49 +281,6 @@ type Limit struct {
 func (l *Limit) Schema() Schema   { return l.Input.Schema() }
 func (l *Limit) Describe() string { return fmt.Sprintf("limit %d", l.N) }
 
-// Scans returns every base-table scan of the tree, in tree order. The
-// adaptive partition selection sizes its mitosis fan-out from the row
-// counts of these tables.
-func Scans(n Node) []*Scan {
-	var out []*Scan
-	var walk func(Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case *Scan:
-			out = append(out, t)
-		case *Filter:
-			walk(t.Input)
-		case *Join:
-			walk(t.L)
-			walk(t.R)
-		case *GroupAgg:
-			walk(t.Input)
-		case *Project:
-			walk(t.Input)
-		case *Distinct:
-			walk(t.Input)
-		case *Sort:
-			walk(t.Input)
-		case *Limit:
-			walk(t.Input)
-		}
-	}
-	walk(n)
-	return out
-}
-
-// MaxScanRows returns the largest row count among the tree's scanned
-// tables under cat (0 when nothing resolves).
-func MaxScanRows(n Node, cat *storage.Catalog) int {
-	max := 0
-	for _, s := range Scans(n) {
-		if t, ok := cat.Table(s.SchemaName, s.Table); ok && t.Rows() > max {
-			max = t.Rows()
-		}
-	}
-	return max
-}
-
 // DriverRows estimates the row count that actually parallelizes under
 // the compiler's mitosis lowering, plus the cost shape it came from —
 // the driving inputs of the adaptive fan-out selection. Joins only

@@ -303,7 +303,7 @@ func TestDriverRows(t *testing.T) {
 		// lineitem (3 rows) probes, orders (2 rows) builds.
 		{"select l_tax, o_totalprice from lineitem, orders where l_orderkey = o_orderkey", 3, "join-probe"},
 		// orders (2 rows) probes: the 3-row lineitem build side must not
-		// drive the estimate (MaxScanRows would say 3).
+		// drive the estimate (the largest scanned table would say 3).
 		{"select o_totalprice, l_tax from orders, lineitem where o_orderkey = l_orderkey", 2, "join-probe"},
 		{"select o_totalprice, l_tax from orders, lineitem where o_orderkey = l_orderkey order by o_totalprice", 2, "join-probe"},
 		// The sort runs over the packed (tiny) group-by output, so it is

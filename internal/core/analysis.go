@@ -201,29 +201,3 @@ func Tooltip(s *trace.Store, pc int) string {
 	}
 	return b.String()
 }
-
-// DebugInfo is the structured content of the demo's "debug options
-// window" for one instruction.
-type DebugInfo struct {
-	PC     int
-	Stmt   string
-	Events []profiler.Event
-	DurUs  int64
-	Done   bool
-}
-
-// Debug collects per-instruction detail.
-func Debug(s *trace.Store, pc int) DebugInfo {
-	evs := s.ByPC(pc)
-	d := DebugInfo{PC: pc, Events: evs}
-	for _, e := range evs {
-		if d.Stmt == "" {
-			d.Stmt = e.Stmt
-		}
-		if e.State == profiler.StateDone {
-			d.Done = true
-			d.DurUs += e.DurUs
-		}
-	}
-	return d
-}

@@ -35,9 +35,6 @@ func (r *Replay) Position() int { return r.pos }
 // Len returns the trace length.
 func (r *Replay) Len() int { return r.store.Len() }
 
-// Paused reports the pause state.
-func (r *Replay) Paused() bool { return r.paused }
-
 // Pause stops Play-driven advancement.
 func (r *Replay) Pause() { r.paused = true }
 

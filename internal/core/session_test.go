@@ -275,9 +275,10 @@ func TestTooltipAndDebug(t *testing.T) {
 	if !strings.Contains(Tooltip(s.Trace, 42), "no trace events") {
 		t.Error("missing-pc tooltip wrong")
 	}
-	d := Debug(s.Trace, 2)
-	if !d.Done || d.DurUs != 300 || len(d.Events) != 2 {
-		t.Errorf("debug = %+v", d)
+	// The debug window's per-instruction detail comes straight from the
+	// trace store.
+	if evs, dur := s.Trace.ByPC(2), s.Trace.DurationUs(2); len(evs) != 2 || evs[1].State != profiler.StateDone || dur != 300 {
+		t.Errorf("pc 2: %d events, %dus", len(evs), dur)
 	}
 	// Running instruction tooltip.
 	st := trace.FromEvents([]profiler.Event{

@@ -56,14 +56,6 @@ func (d *Debugger) PC() int { return d.pc }
 // Done reports whether the plan has run to completion.
 func (d *Debugger) Done() bool { return d.pc >= len(d.plan.Instrs) }
 
-// Current returns the next instruction to execute (nil when done).
-func (d *Debugger) Current() *mal.Instr {
-	if d.Done() {
-		return nil
-	}
-	return d.plan.Instrs[d.pc]
-}
-
 // BreakAt sets a breakpoint on a program counter.
 func (d *Debugger) BreakAt(pc int) error {
 	if pc < 0 || pc >= len(d.plan.Instrs) {

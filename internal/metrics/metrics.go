@@ -7,7 +7,7 @@
 // enough to leave on in production.
 //
 // Concurrency contract: every mutation (Counter.Inc/Add, Gauge.Set/Add/
-// SetMax, Histogram.Observe, Rate.Add) is a handful of atomic operations
+// SetMax, Histogram.Observe) is a handful of atomic operations
 // on pre-registered cells — no locks, no allocation, no map lookups.
 // The registry's mutex guards only registration and snapshotting, which
 // are off the hot path. Snapshots are taken metric-by-metric with atomic

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -39,15 +38,13 @@ func TestNilSafety(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var rate *Rate
 	var reg *Registry
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	g.SetMax(2)
 	h.Observe(5)
-	rate.Add(1)
-	if c.Load() != 0 || g.Load() != 0 || rate.PerSec() != 0 {
+	if c.Load() != 0 || g.Load() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
 	if reg.Counter("x") != nil || reg.Snapshot() != nil {
@@ -171,61 +168,5 @@ func TestConcurrentMutation(t *testing.T) {
 	}
 	if g.Load() != 7999 {
 		t.Fatalf("gauge high-water = %d, want 7999", g.Load())
-	}
-}
-
-func TestRateWindowed(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	r := NewRate(10 * time.Second)
-	r.SetClock(func() time.Time { return now })
-
-	// A burst long ago must not dilute (or inflate) the current reading.
-	r.Add(500)
-	now = now.Add(2 * time.Hour)
-	if got := r.PerSec(); got != 0 {
-		t.Fatalf("rate after 2h idle = %g, want 0 (lifetime averaging would report >0)", got)
-	}
-
-	// A fresh burst reports against the window, not the lifetime.
-	r.Add(100)
-	got := r.PerSec()
-	if got < 9 || got > 11 {
-		t.Fatalf("rate after fresh 100-event burst = %g, want ~10/s over the 10s window", got)
-	}
-
-	// Events age out of the window.
-	now = now.Add(11 * time.Second)
-	if got := r.PerSec(); got != 0 {
-		t.Fatalf("rate after window passed = %g, want 0", got)
-	}
-}
-
-func TestRateYoungerThanWindow(t *testing.T) {
-	now := time.Unix(2_000_000, 0)
-	r := NewRate(10 * time.Second)
-	r.SetClock(func() time.Time { return now })
-	now = now.Add(2 * time.Second)
-	r.Add(20)
-	got := r.PerSec()
-	if got < 9 || got > 21 {
-		t.Fatalf("young rate = %g, want ~10/s (20 events over 2s of life)", got)
-	}
-}
-
-func TestRateConcurrent(t *testing.T) {
-	r := NewRate(5 * time.Second)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Total(); got != 8000 {
-		t.Fatalf("windowed total = %d, want 8000 (single-second run must not lose events)", got)
 	}
 }

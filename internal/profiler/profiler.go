@@ -1,8 +1,6 @@
 package profiler
 
 import (
-	"bufio"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -291,8 +289,7 @@ type Batcher struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// Metric cells, nil (no-op) until Instrument attaches a registry.
-	mEvents  *metrics.Counter
+	// Metric cell, nil (no-op) until Instrument attaches a registry.
 	mFlushes *metrics.Counter
 }
 
@@ -382,7 +379,6 @@ func (b *Batcher) Emit(e Event) {
 		}
 	}
 	b.buf = append(b.buf, e)
-	b.mEvents.Inc()
 	if len(b.buf) >= b.size {
 		b.deliverLocked()
 	}
@@ -402,16 +398,16 @@ func (b *Batcher) deliverLocked() {
 	b.mFlushes.Inc()
 }
 
-// Instrument registers the batcher's event/flush counters
-// (stetho_profiler_*) in the registry. Call before the batcher starts
-// receiving events.
+// Instrument registers the batcher's flush counter
+// (stetho_profiler_batch_flushes_total) in the registry. Events are
+// counted once per run by the run service, not here. Call before the
+// batcher starts receiving events.
 func (b *Batcher) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.mEvents = reg.Counter("stetho_profiler_events_total")
 	b.mFlushes = reg.Counter("stetho_profiler_batch_flushes_total")
 }
 
@@ -511,57 +507,10 @@ func (r *RingBuffer) Len() int {
 	return r.next
 }
 
-// WriterSink writes marshaled events, one per line, to an io.Writer —
-// the trace-file sink used by offline analysis. Flush before reading the
-// file back.
-type WriterSink struct {
-	mu sync.Mutex
-	w  *bufio.Writer
-}
-
-// NewWriterSink wraps w.
-func NewWriterSink(w io.Writer) *WriterSink {
-	return &WriterSink{w: bufio.NewWriter(w)}
-}
-
-// Emit implements Sink.
-func (s *WriterSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.WriteString(e.Marshal())
-	s.w.WriteByte('\n')
-}
-
-// EmitBatch implements BatchSink: one lock acquisition per batch.
-func (s *WriterSink) EmitBatch(evs []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range evs {
-		s.w.WriteString(e.Marshal())
-		s.w.WriteByte('\n')
-	}
-}
-
-// Flush drains buffered output.
-func (s *WriterSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Flush()
-}
-
 // SliceSink accumulates events in memory (tests and small traces).
 type SliceSink struct {
 	mu     sync.Mutex
 	events []Event
-}
-
-// NewSliceSink returns a SliceSink preallocated for hint events, so an
-// execution with a known plan size appends without regrowth.
-func NewSliceSink(hint int) *SliceSink {
-	if hint < 0 {
-		hint = 0
-	}
-	return &SliceSink{events: make([]Event, 0, hint)}
 }
 
 // Emit implements Sink.

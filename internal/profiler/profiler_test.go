@@ -1,8 +1,6 @@
 package profiler
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -209,25 +207,6 @@ func TestRingBufferPartial(t *testing.T) {
 	}
 }
 
-func TestWriterSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewWriterSink(&buf)
-	s.Emit(Event{Seq: 1, State: StateStart, PC: 0, Stmt: "a"})
-	s.Emit(Event{Seq: 2, State: StateDone, PC: 0, Stmt: "a"})
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	for _, ln := range lines {
-		if _, err := UnmarshalEvent(ln); err != nil {
-			t.Errorf("line %q unparseable: %v", ln, err)
-		}
-	}
-}
-
 func TestConcurrentEmit(t *testing.T) {
 	sink := &SliceSink{}
 	p := New(sink)
@@ -386,28 +365,6 @@ func TestRingBufferEmitBatch(t *testing.T) {
 	snap = r.Snapshot()
 	if snap[len(snap)-1].Seq != 10 {
 		t.Fatalf("tail after single emit = %d", snap[len(snap)-1].Seq)
-	}
-}
-
-func TestWriterSinkEmitBatch(t *testing.T) {
-	var sb strings.Builder
-	s := NewWriterSink(&sb)
-	s.EmitBatch([]Event{{Seq: 0, PC: 1}, {Seq: 1, PC: 2}})
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	for i, l := range lines {
-		e, err := UnmarshalEvent(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Seq != int64(i) {
-			t.Fatalf("line %d has seq %d", i, e.Seq)
-		}
 	}
 }
 

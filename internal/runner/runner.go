@@ -6,12 +6,13 @@
 // §4.2) through the two calls here. Prepare normalizes the settings and
 // compiles through the shared planner, whose statement key is also the
 // shared-work key; Run gates the execution through the single-flight,
-// runs the plan under the profiler, records it into the
-// history and accounts for it. Sharing is only trustworthy when every
-// entry point keys, attributes and records a run identically, so the
-// key, the gate, the sink chain, the history record and the serving
-// counters each exist exactly once, here; the facade and the server
-// keep option parsing and output formatting.
+// runs the plan under the profiler, collects its trace, records the
+// finished run into the history in one write and counts its events
+// once. Sharing is only trustworthy when every entry point keys,
+// attributes and records a run identically, so the key, the gate, the
+// sink chain, the history record and the serving counters each exist
+// exactly once, here; the facade and the server keep option parsing and
+// output formatting.
 package runner
 
 import (
@@ -45,8 +46,6 @@ type Runner struct {
 	Flight   *sharedwork.Flight // the run flight: the shared-work gate
 	History  *tracestore.Store  // nil when runs are not recorded
 	Registry *metrics.Registry
-	// Rate is the sliding-window event rate behind Stats.EventsPerSec.
-	Rate *metrics.Rate
 
 	created  time.Time
 	latency  *metrics.Histogram // stetho_query_latency_us: every run
@@ -69,7 +68,6 @@ func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
 		Flight:   sharedwork.NewFlight(),
 		History:  history,
 		Registry: reg,
-		Rate:     metrics.NewRate(0),
 		created:  time.Now(),
 		latency:  reg.Histogram("stetho_query_latency_us", nil),
 		inflight: reg.Gauge("stetho_db_inflight"),
@@ -186,7 +184,7 @@ type RunOptions struct {
 // execution and shares that run's outcome. Shared outcomes are
 // byte-identical to an unshared execution (the key holds everything that
 // decides result bytes) and are immutable: copy their Events
-// (Outcome.CloneEvents) before any owning use. An outcome returned with
+// (Outcome.CloneEvents) before handing them on. An outcome returned with
 // via "" is the caller's own.
 //
 // ctx cancels the execution. A follower whose leader was canceled while
@@ -223,9 +221,9 @@ func (r *Runner) share(ctx context.Context, p *Prepared) (*sharedwork.Outcome, s
 		return out, "attached", nil
 	}
 	if waiters > 0 {
-		// The outcome is now shared with followers, who copy its events
-		// whenever they get to it; this caller may hand them to an owning
-		// consumer (trace.FromEventsOwned reorders in place), so it gets
+		// The outcome is now shared with followers, and each consumer
+		// hands its events to callers through Result.Events, on any
+		// goroutine; so the leader, like every follower, gets a slice of
 		// its own.
 		own := *out
 		own.Events = out.CloneEvents()
@@ -235,55 +233,31 @@ func (r *Runner) share(ctx context.Context, p *Prepared) (*sharedwork.Outcome, s
 }
 
 // execute is the single run-profile-record body: it runs the plan to
-// completion under the profiler and packages the execution as a
-// shareable Outcome. History recording happens here, inside the shared
-// run, so one shared execution is one history record and every
-// consumer's RunID points at it. Event-throughput accounting is per
-// execution too — attached consumers reuse the trace
-// without recounting it — and counts at the profiler, once per event,
-// never per transport datagram.
+// completion under the profiler, records the finished run into the
+// history and packages the execution as a shareable Outcome. History
+// recording happens here, inside the shared run, so one shared execution
+// is one history record and every consumer's RunID points at it. The
+// run's trace takes one route: the profiler appends it to a private
+// collector, and after the run returns the history gets it in one write
+// (tracestore.Store.Record) and the event counter counts it once —
+// attached consumers reuse the trace without recounting it. Nothing on
+// the history path runs under the profiler's lock or inside the timed
+// window.
 func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sharedwork.Outcome, error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
-	// Room for the caller's sinks plus the trace and history sinks below;
-	// the caller's slice is never appended to.
-	sinks := append(make([]profiler.Sink, 0, len(opts.Sinks)+2), opts.Sinks...)
+	// Room for the caller's sinks plus the trace collector below; the
+	// caller's slice is never appended to.
+	sinks := append(make([]profiler.Sink, 0, len(opts.Sinks)+1), opts.Sinks...)
 	var trace *profiler.OwnedSliceSink
-	var rec *tracestore.RunWriter
-	var hb *profiler.Batcher
 	if opts.Emit == nil {
 		// Two events (start + done) per instruction: preallocate exactly.
 		// The sink is private to this run and read only after it completes,
 		// so the lock-free variant applies. The caller's sinks see a
-		// filtered view at most; this one and the history always see the
-		// full trace.
+		// filtered view at most; this one, and through it the history and
+		// the counters, always see the full trace.
 		trace = profiler.NewOwnedSliceSink(2 * len(p.Plan.Instrs))
 		sinks = append(sinks, trace)
-		if r.History != nil {
-			// A durable sink tees batched events into the trace store
-			// while the query runs: events coalesce into
-			// DefaultAppendBatch-event records, so the hot path pays one
-			// buffered write per batch, not per event. The dot render and
-			// the begin-record append happen before the elapsed clock
-			// starts, so recorded wall times measure execution alone and
-			// cross-path Compare stays honest.
-			var err error
-			rec, err = r.History.Begin(tracestore.RunMeta{
-				SQL:          p.SQL,
-				Dot:          p.Dot(),
-				Partitions:   p.Partitions,
-				Workers:      p.Workers,
-				Instructions: len(p.Plan.Instrs),
-				AutoTuned:    p.AutoTuned,
-				TuneReason:   p.TuneReason,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("history: %w", err)
-			}
-			hb = profiler.NewBatcher(rec, tracestore.DefaultAppendBatch, 0)
-			hb.Instrument(r.Registry)
-			sinks = append(sinks, hb)
-		}
 	}
 	// The profiler is built per run: engine runs reset profiler state, so
 	// one must not span concurrent runs. A run nobody observes
@@ -302,9 +276,14 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 	})
 	elapsed := time.Since(start)
 	r.latency.Observe(elapsed.Microseconds())
+	var events []profiler.Event
+	if trace != nil {
+		events = trace.Take()
+	}
 	var runID uint64
-	if rec != nil {
-		hb.Close() // flush the tail batch into the store
+	if trace != nil && r.History != nil {
+		// A failed or canceled run is recorded too, with its error and the
+		// events it emitted before it stopped.
 		st := tracestore.RunStats{ElapsedUs: elapsed.Microseconds()}
 		if err != nil {
 			st.Err = err.Error()
@@ -312,16 +291,28 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 			st.Rows = res.Rows()
 			st.CacheHit = p.PlanCached
 		}
-		if herr := rec.Finish(st); herr != nil && err == nil {
+		id, herr := r.History.Record(tracestore.RunMeta{
+			SQL:          p.SQL,
+			Dot:          p.Dot(),
+			Start:        start,
+			Partitions:   p.Partitions,
+			Workers:      p.Workers,
+			Instructions: len(p.Plan.Instrs),
+			AutoTuned:    p.AutoTuned,
+			TuneReason:   p.TuneReason,
+		}, events, st)
+		if herr != nil && err == nil {
 			return nil, fmt.Errorf("history: %w", herr)
 		}
-		runID = rec.ID()
+		runID = id
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := &sharedwork.Outcome{
+	r.events.Add(int64(len(events)))
+	return &sharedwork.Outcome{
 		Res:        res,
+		Events:     events,
 		Elapsed:    elapsed,
 		RunID:      runID,
 		Partitions: p.Partitions,
@@ -329,13 +320,7 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 		AutoTuned:  p.AutoTuned,
 		TuneReason: p.TuneReason,
 		CacheHit:   p.PlanCached,
-	}
-	if trace != nil {
-		out.Events = trace.Take()
-		r.events.Add(int64(len(out.Events)))
-		r.Rate.Add(int64(len(out.Events)))
-	}
-	return out, nil
+	}, nil
 }
 
 // Stats is a point-in-time snapshot of the serving counters.
@@ -352,16 +337,12 @@ type Stats struct {
 	// servers, shared or not.
 	Execs int64
 	// Events is the total number of profiler events the executions
-	// produced. The count is per event at the profiler, never per
-	// transport datagram: a query whose trace leaves as coalesced EVTB
-	// batches contributes exactly its event count, not its datagram
-	// count.
+	// produced — the one event counter (stetho_db_events). Each
+	// execution's trace is counted once, after the run: never per
+	// transport datagram (a query whose trace leaves as coalesced EVTB
+	// batches contributes exactly its event count), never again for the
+	// history record, and not for attached consumers, who ran nothing.
 	Events int64
-	// EventsPerSec is the recent event throughput, averaged over a
-	// sliding metrics.DefaultRateWindow (10s) window — not over the
-	// DB's lifetime, so a long-idle server reports 0 and a fresh burst
-	// reports the burst instead of a decayed average.
-	EventsPerSec float64
 	// SharedLed and SharedAttached report single-flight execution
 	// sharing: executions that ran as flight leaders vs. executions
 	// served by attaching to a concurrent identical run. Attached
@@ -380,7 +361,6 @@ func (r *Runner) Stats() Stats {
 		InFlight:       r.inflight.Load(),
 		Execs:          r.execs.Load(),
 		Events:         r.events.Load(),
-		EventsPerSec:   r.Rate.PerSec(),
 		SharedLed:      r.Flight.Led(),
 		SharedAttached: r.Flight.Attached(),
 		Uptime:         time.Since(r.created),
@@ -393,5 +373,4 @@ func (r *Runner) Stats() Stats {
 func (r *Runner) DisableMetrics() {
 	r.Engine.SetMetrics(nil)
 	r.latency = nil
-	r.Rate = nil
 }

@@ -2,14 +2,19 @@ package runner
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"stethoscope/internal/adaptive"
+	"stethoscope/internal/engine"
+	"stethoscope/internal/mal"
 	"stethoscope/internal/profiler"
 	"stethoscope/internal/sharedwork"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
+	"stethoscope/internal/tracestore"
 )
 
 const query = "select l_tax from lineitem where l_partkey=1"
@@ -110,6 +115,56 @@ func TestObservedRunBypassesGate(t *testing.T) {
 	st := r.Stats()
 	if st.Execs != 3 || st.SharedLed != 2 || st.Events != int64(2*len(out.Events)) {
 		t.Errorf("Stats = %+v, want 3 execs, 2 led, 2 executions' events", st)
+	}
+}
+
+// TestFailedRunIsRecorded: a run whose kernel fails still lands in the
+// history as one complete run carrying the error and every event it
+// emitted before failing, and the caller sees the kernel's error, not a
+// history one.
+func TestFailedRunIsRecorded(t *testing.T) {
+	cat := storage.NewCatalog()
+	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := tracestore.Open(tracestore.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	r := New(cat, store)
+	boom := errors.New("boom")
+	r.Engine.Register("algebra", "thetaselect", func(*engine.Context, *mal.Instr) error { return boom })
+	p, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sequential run executes in plan order and stops at the first
+	// thetaselect, which emits its start and done events before failing.
+	failAt := -1
+	for i, in := range p.Plan.Instrs {
+		if in.Name() == "algebra.thetaselect" {
+			failAt = i
+			break
+		}
+	}
+	if failAt < 0 {
+		t.Fatalf("plan has no algebra.thetaselect:\n%s", p.Plan)
+	}
+	_, _, err = r.Run(context.Background(), p, RunOptions{})
+	if !errors.Is(err, boom) || strings.HasPrefix(err.Error(), "history: ") {
+		t.Fatalf("Run error = %v, want the kernel's", err)
+	}
+	runs := store.Runs()
+	if len(runs) != 1 {
+		t.Fatalf("history holds %d runs, want 1: %+v", len(runs), runs)
+	}
+	got := runs[0]
+	if !got.Complete || got.Err == "" || got.Err != err.Error() {
+		t.Errorf("recorded run = %+v, want complete with Err %q", got, err)
+	}
+	if want := 2 * (failAt + 1); got.Events != want {
+		t.Errorf("recorded run holds %d events, want the %d emitted before the failure", got.Events, want)
 	}
 }
 

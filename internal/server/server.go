@@ -27,6 +27,7 @@ import (
 	"stethoscope/internal/profiler"
 	"stethoscope/internal/runner"
 	"stethoscope/internal/sql"
+	"stethoscope/internal/trace"
 	"stethoscope/internal/tracestore"
 )
 
@@ -609,9 +610,7 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 			return
 		}
 		fmt.Fprintln(w, "ok")
-		for _, e := range evs {
-			fmt.Fprintln(w, e.Marshal())
-		}
+		trace.Write(w, evs)
 		fmt.Fprintln(w, ".")
 	case "DOT":
 		id, ok := argID(0)

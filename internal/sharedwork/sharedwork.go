@@ -16,9 +16,10 @@
 //
 // Sharing discipline: an Outcome handed to more than one consumer is
 // immutable. Its engine.Result is read-only by construction; its Events
-// slice must be COPIED by every consumer that feeds it to an owning
-// consumer (trace.FromEventsOwned takes ownership and may reorder in
-// place). Flight.Do reports how many followers attached so leaders know
+// slice must be COPIED by every consumer that hands it on — the facade's
+// Result.Events gives the slice to its caller, who may use it on any
+// goroutine, so consumers sharing one slice would share it with every
+// caller. Flight.Do reports how many followers attached so leaders know
 // whether their own copy is required.
 package sharedwork
 
@@ -37,7 +38,7 @@ type Key = plancache.Key
 // Outcome is one completed execution in transport form: everything a
 // deduplicated consumer needs to build its own Result without
 // re-running the plan. Outcomes handed to multiple consumers are
-// immutable; Events must be copied before any owning use (see the
+// immutable; Events must be copied before they are handed on (see the
 // package comment).
 type Outcome struct {
 	Res    *engine.Result
@@ -61,8 +62,7 @@ type Outcome struct {
 }
 
 // CloneEvents returns a private copy of the outcome's event slice, the
-// form required before handing events to an owning consumer such as
-// trace.FromEventsOwned.
+// form required before a consumer hands the events on to its caller.
 func (o *Outcome) CloneEvents() []profiler.Event {
 	if len(o.Events) == 0 {
 		return nil

@@ -44,12 +44,12 @@ func bundledTraces(tb testing.TB) []string {
 			if plan, _, err = optimizer.Default().Run(plan); err != nil {
 				tb.Fatal(err)
 			}
-			var b strings.Builder
-			sink := profiler.NewWriterSink(&b)
+			sink := &profiler.SliceSink{}
 			if _, err := eng.Run(plan, engine.Options{Workers: 2, Profiler: profiler.New(sink)}); err != nil {
 				tb.Fatal(err)
 			}
-			if err := sink.Flush(); err != nil {
+			var b strings.Builder
+			if err := trace.Write(&b, sink.Events()); err != nil {
 				tb.Fatal(err)
 			}
 			out = append(out, b.String())
@@ -73,11 +73,7 @@ func FuzzTraceLoad(f *testing.F) {
 			return
 		}
 		var b strings.Builder
-		sink := profiler.NewWriterSink(&b)
-		for _, e := range s.Events() {
-			sink.Emit(e)
-		}
-		if err := sink.Flush(); err != nil {
+		if err := trace.Write(&b, s.Events()); err != nil {
 			t.Fatal(err)
 		}
 		back, err := trace.LoadString(b.String())

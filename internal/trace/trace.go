@@ -126,6 +126,18 @@ func Load(r io.Reader) (*Store, error) {
 	return FromEvents(events), nil
 }
 
+// Write writes events as a trace file, one marshaled event per line —
+// the format Load reads back. It is the only trace-file writer: results,
+// stored runs and the server's HISTORY TRACE all go through it.
+func Write(w io.Writer, events []profiler.Event) error {
+	bw := bufio.NewWriter(w)
+	for _, e := range events {
+		bw.WriteString(e.Marshal())
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
+}
+
 // LoadString is Load over a string.
 func LoadString(s string) (*Store, error) { return Load(strings.NewReader(s)) }
 

@@ -108,13 +108,38 @@ func TestMappingDetectsUnmatchedAndMismatched(t *testing.T) {
 	}
 }
 
+// TestWrite: the trace-file writer emits exactly one marshaled event
+// per line, in order.
+func TestWrite(t *testing.T) {
+	var b strings.Builder
+	if err := Write(&b, []profiler.Event{
+		{Seq: 1, State: profiler.StateStart, PC: 0, Stmt: "a"},
+		{Seq: 2, State: profiler.StateDone, PC: 0, Stmt: "a"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(b.String(), "\n")
+	if len(lines) != 3 || lines[2] != "" {
+		t.Fatalf("Write wrote %q, want two newline-terminated lines", b.String())
+	}
+	for i, ln := range lines[:2] {
+		e, err := profiler.UnmarshalEvent(ln)
+		if err != nil {
+			t.Fatalf("line %q unparseable: %v", ln, err)
+		}
+		if e.Seq != int64(i+1) {
+			t.Errorf("line %d has seq %d", i, e.Seq)
+		}
+	}
+	var empty strings.Builder
+	if err := Write(&empty, nil); err != nil || empty.Len() != 0 {
+		t.Errorf("Write(nil) = %q, %v; want nothing", empty.String(), err)
+	}
+}
+
 func TestRoundTripThroughFile(t *testing.T) {
 	var b strings.Builder
-	sink := profiler.NewWriterSink(&b)
-	for _, e := range sampleEvents() {
-		sink.Emit(e)
-	}
-	if err := sink.Flush(); err != nil {
+	if err := Write(&b, sampleEvents()); err != nil {
 		t.Fatal(err)
 	}
 	s, err := LoadString(b.String())

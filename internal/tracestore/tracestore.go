@@ -36,8 +36,7 @@ const (
 )
 
 // DefaultAppendBatch is how many events one durable events record
-// carries when the profiler pipeline tees into the store through a
-// profiler.Batcher.
+// carries: Record cuts a run's trace into records of this many events.
 const DefaultAppendBatch = 256
 
 // Options configures Open. The zero value (plus Dir) is a store with
@@ -492,8 +491,29 @@ func (s *Store) rotateLocked() error {
 	return s.openSegment(s.activeID + 1)
 }
 
+// Record writes one finished run — its metadata, its events in records
+// of DefaultAppendBatch, and its completion statistics — and returns the
+// new run id. It is the one writer of a run's history: the run service
+// calls it once a run has returned, failed runs included (st.Err set,
+// events as far as the run got).
+func (s *Store) Record(meta RunMeta, events []profiler.Event, st RunStats) (uint64, error) {
+	w, err := s.Begin(meta)
+	if err != nil {
+		return 0, err
+	}
+	for len(events) > 0 {
+		n := min(len(events), DefaultAppendBatch)
+		w.EmitBatch(events[:n])
+		events = events[n:]
+	}
+	if err := w.Finish(st); err != nil {
+		return 0, err
+	}
+	return w.id, nil
+}
+
 // Begin opens a new run and durably records its metadata. The returned
-// RunWriter is the durable sink for the run's profiler events.
+// RunWriter appends the run's events and its end record.
 func (s *Store) Begin(meta RunMeta) (*RunWriter, error) {
 	if meta.Start.IsZero() {
 		meta.Start = s.clock()
@@ -522,8 +542,7 @@ func (s *Store) Begin(meta RunMeta) (*RunWriter, error) {
 }
 
 // RunWriter appends one run's events and completion record. It
-// implements profiler.Sink and profiler.BatchSink, so it tees directly
-// off a Profiler or a Batcher. Append errors are sticky: the first one
+// implements profiler.BatchSink. Append errors are sticky: the first one
 // is kept and returned by Finish.
 type RunWriter struct {
 	s  *Store
@@ -562,9 +581,6 @@ func (w *RunWriter) EmitBatch(evs []profiler.Event) {
 	s.mu.Unlock()
 	w.err = err
 }
-
-// Emit implements profiler.Sink (one-event batch).
-func (w *RunWriter) Emit(e profiler.Event) { w.EmitBatch([]profiler.Event{e}) }
 
 // Finish writes the end record and flushes the segment buffer so the
 // completed run is immediately durable against everything but power

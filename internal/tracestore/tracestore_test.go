@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"stethoscope/internal/fsio"
+	"stethoscope/internal/metrics"
 	"stethoscope/internal/profiler"
 )
 
@@ -35,15 +36,12 @@ func synthEvents(pairs int, durUs int64) []profiler.Event {
 // record writes one complete run and returns its id.
 func record(t testing.TB, s *Store, sql string, pairs int, durUs int64) uint64 {
 	t.Helper()
-	w, err := s.Begin(RunMeta{SQL: sql, Dot: "digraph{}", Partitions: 1, Workers: 1, Instructions: pairs})
+	id, err := s.Record(RunMeta{SQL: sql, Dot: "digraph{}", Partitions: 1, Workers: 1, Instructions: pairs},
+		synthEvents(pairs, durUs), RunStats{ElapsedUs: int64(pairs) * durUs, Rows: pairs})
 	if err != nil {
-		t.Fatalf("Begin: %v", err)
+		t.Fatalf("Record: %v", err)
 	}
-	w.EmitBatch(synthEvents(pairs, durUs))
-	if err := w.Finish(RunStats{ElapsedUs: int64(pairs) * durUs, Rows: pairs}); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	return w.ID()
+	return id
 }
 
 func openStore(t testing.TB, dir string, opts Options) *Store {
@@ -55,6 +53,33 @@ func openStore(t testing.TB, dir string, opts Options) *Store {
 		t.Fatalf("Open: %v", err)
 	}
 	return s
+}
+
+// TestRecordCutsAppendBatches: Record stores a run as one begin record,
+// its events in records of DefaultAppendBatch, and one end record, and
+// the run reads back whole.
+func TestRecordCutsAppendBatches(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{})
+	defer s.Close()
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	want := synthEvents(DefaultAppendBatch+44, 10) // 600 events: 256 + 256 + 88
+	id, err := s.Record(RunMeta{SQL: "select big", Instructions: len(want) / 2}, want,
+		RunStats{ElapsedUs: 6000, Err: "engine: boom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("stetho_tracestore_appends_total").Load(); got != 5 {
+		t.Errorf("Record appended %d records, want 5 (begin, 3 event batches, end)", got)
+	}
+	info, ok := s.Run(id)
+	if !ok || !info.Complete || info.Events != len(want) || info.Err != "engine: boom" {
+		t.Fatalf("info = %+v", info)
+	}
+	evs, err := s.Events(id)
+	if err != nil || !reflect.DeepEqual(evs, want) {
+		t.Fatalf("Events = %d events, %v; want the %d recorded", len(evs), err, len(want))
+	}
 }
 
 func TestRoundTrip(t *testing.T) {

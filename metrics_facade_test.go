@@ -1,6 +1,5 @@
 // Observability-layer tests: the always-on metrics registry, the live
-// per-query progress table, the sliding-window EventsPerSec rate, and
-// the opt-in HTTP exposition endpoint. The stress test here is part of
+// per-query progress table, and the opt-in HTTP exposition endpoint. The stress test here is part of
 // the CI race job's serving-layer reentrancy proof.
 package stethoscope
 
@@ -163,50 +162,6 @@ func TestProgressMidQuery(t *testing.T) {
 	}
 	if prog := db.Progress(); len(prog) != 0 {
 		t.Fatalf("progress table leaked %d entries after completion", len(prog))
-	}
-}
-
-// TestEventsPerSecWindowed is the regression test for the EventsPerSec
-// decay bug: the old implementation divided lifetime events by lifetime
-// uptime, so an idle database reported an ever-shrinking "rate" that
-// never reached zero and diluted fresh bursts. The sliding window must
-// read zero after idling past the window and report a fresh burst at
-// full strength.
-func TestEventsPerSecWindowed(t *testing.T) {
-	db, err := Open(WithScaleFactor(0.001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1_000_000, 0)
-	var mu sync.Mutex
-	db.run.Rate.SetClock(func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	})
-	advance := func(d time.Duration) {
-		mu.Lock()
-		now = now.Add(d)
-		mu.Unlock()
-	}
-
-	if _, err := db.Exec(context.Background(), "select count(*) from lineitem"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Stats().EventsPerSec; got <= 0 {
-		t.Fatalf("EventsPerSec = %v right after a run, want > 0", got)
-	}
-
-	// Two idle hours: a lifetime average would still read > 0 here.
-	advance(2 * time.Hour)
-	if got := db.Stats().EventsPerSec; got != 0 {
-		t.Fatalf("EventsPerSec = %v after 2h idle, want 0", got)
-	}
-
-	// A fresh burst reports at windowed strength, undiluted by uptime.
-	db.run.Rate.Add(5 * int64(metrics.DefaultRateWindow/time.Second))
-	if got := db.Stats().EventsPerSec; got < 4.9 {
-		t.Fatalf("EventsPerSec = %v after a fresh burst, want ~5", got)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestTPCHNightlyLargeScale(t *testing.T) {
 				sf, q, auto.Stats.Partitions, auto.Stats.Workers, auto.Stats.TuneReason)
 		}
 		t.Logf("SF=%g %q: rows=%d partitions=%d workers=%d seq=%v auto=%v",
-			sf, q, auto.Rows(), auto.Stats.Partitions, auto.Stats.Workers,
+			sf, q, auto.RowCount(), auto.Stats.Partitions, auto.Stats.Workers,
 			seq.Stats.Elapsed, auto.Stats.Elapsed)
 	}
 }

@@ -2,6 +2,7 @@ package stethoscope
 
 import (
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -66,6 +67,18 @@ func (t *traceView) MicroReport() string { return core.MicroReport(t.store()) }
 // Tooltip renders the hover text for one instruction.
 func (t *traceView) Tooltip(pc int) string { return core.Tooltip(t.store(), pc) }
 
+// TraceText returns the trace-file representation of the events, one
+// marshaled event per line — the offline artifact paired with the dot
+// text.
+func (t *traceView) TraceText() string {
+	var b strings.Builder
+	t.WriteTrace(&b)
+	return b.String()
+}
+
+// WriteTrace writes the trace-file representation.
+func (t *traceView) WriteTrace(w io.Writer) error { return trace.Write(w, t.store().Events()) }
+
 // Stats describes one execution.
 type Stats struct {
 	// Optimizer reports what the pipeline changed.
@@ -125,12 +138,6 @@ func (r *Result) RowCount() int {
 	return r.res.Rows()
 }
 
-// Rows returns the result row count.
-//
-// Deprecated: use RowCount. Rows reads ambiguously next to the
-// streaming API's row iterator; it remains as an alias.
-func (r *Result) Rows() int { return r.RowCount() }
-
 // Columns returns the result column names.
 func (r *Result) Columns() []string {
 	if r.res == nil {
@@ -152,20 +159,3 @@ func (r *Result) PlanString() string { return r.plan.String() }
 // Dot returns the plan's dot-file representation — the offline artifact
 // Stethoscope's offline mode consumes (pair it with TraceText).
 func (r *Result) Dot() string { return dot.Export(r.plan).Marshal() }
-
-// TraceText returns the trace-file representation of the execution, one
-// marshaled event per line.
-func (r *Result) TraceText() string {
-	var b []byte
-	for _, e := range r.store().Events() {
-		b = append(b, e.Marshal()...)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
-// WriteTrace writes the trace-file representation.
-func (r *Result) WriteTrace(w io.Writer) error {
-	_, err := io.WriteString(w, r.TraceText())
-	return err
-}

@@ -6,6 +6,7 @@ package stethoscope
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +115,9 @@ func TestSharedExecByteEquality(t *testing.T) {
 // after a concurrent Exec has verifiably attached. The follower's
 // Result must carry the leader's outcome — same result table, the
 // leader's resolved settings and history id, Stats.Shared = "attached"
-// — and the attach must land in DB.Stats.
+// — and the attach must land in DB.Stats. Its events equal the leader's
+// but live in a slice of their own: Result.Events hands the slice to
+// callers, who may use it on any goroutine.
 func TestSharedExecAttachDeterministic(t *testing.T) {
 	db, err := Open(WithScaleFactor(0.001))
 	if err != nil {
@@ -130,6 +133,7 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 	key := sharedwork.Key{SQL: q, Partitions: 1, Passes: db.run.Planner.PassSpec}
 	outcome := &sharedwork.Outcome{
 		Res:        solo.res,
+		Events:     append([]Event(nil), solo.Events()...),
 		Elapsed:    5 * time.Millisecond,
 		RunID:      77,
 		Partitions: 1,
@@ -184,6 +188,13 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 	}
 	if tableBytes(t, r) != tableBytes(t, solo) {
 		t.Fatal("attached result bytes differ")
+	}
+	evs := r.Events()
+	if len(outcome.Events) == 0 || !reflect.DeepEqual(evs, outcome.Events) {
+		t.Fatalf("follower events (%d) differ from the planted outcome's (%d)", len(evs), len(outcome.Events))
+	}
+	if &evs[0] == &outcome.Events[0] {
+		t.Fatal("follower events alias the shared outcome's slice")
 	}
 }
 

@@ -322,8 +322,9 @@ func (db *DB) Exec(ctx context.Context, query string, opts ...ExecOption) (*Resu
 	}
 	events := out.Events
 	if via != "" {
-		// The outcome stays shared with the run that produced it;
-		// trace.FromEventsOwned mutates, so own a copy.
+		// The outcome stays shared with the run that produced it, and
+		// Result.Events hands the slice to this call's caller, who may use
+		// it on any goroutine: own a copy.
 		events = out.CloneEvents()
 	}
 	// The Stats echo the producing run's resolved settings and history
@@ -362,11 +363,11 @@ func (db *DB) Explain(query string, opts ...ExecOption) (string, error) {
 // DBStats is a point-in-time snapshot of the DB's serving counters, for
 // in-process calls and QUERY commands of this DB's servers alike: Cache
 // (plan-cache hits, misses, evictions, occupancy), InFlight (plans
-// executing now), Execs (statements answered), Events and EventsPerSec
-// (profiler events produced, and their rate over a sliding 10s window),
-// SharedLed and SharedAttached (single-flight leaders vs. executions
-// served by attaching to one) and Uptime. It is re-exported like the other leaf types; the fields
-// are documented on runner.Stats.
+// executing now), Execs (statements answered), Events (profiler events
+// produced, each counted once), SharedLed and SharedAttached
+// (single-flight leaders vs. executions served by attaching to one) and
+// Uptime. It is re-exported like the other leaf types; the fields are
+// documented on runner.Stats.
 type DBStats = runner.Stats
 
 // Stats snapshots the serving counters.
