@@ -109,7 +109,7 @@ func TestMappingDetectsUnmatchedAndMismatched(t *testing.T) {
 }
 
 // TestWrite: the trace-file writer emits exactly one marshaled event
-// per line, in order.
+// per newline-terminated line.
 func TestWrite(t *testing.T) {
 	var b strings.Builder
 	if err := Write(&b, []profiler.Event{
@@ -122,13 +122,31 @@ func TestWrite(t *testing.T) {
 	if len(lines) != 3 || lines[2] != "" {
 		t.Fatalf("Write wrote %q, want two newline-terminated lines", b.String())
 	}
-	for i, ln := range lines[:2] {
+	for _, ln := range lines[:2] {
+		if _, err := profiler.UnmarshalEvent(ln); err != nil {
+			t.Errorf("line %q unparseable: %v", ln, err)
+		}
+	}
+}
+
+// TestWriteKeepsOrder: events are written in slice order, and an empty
+// trace writes nothing.
+func TestWriteKeepsOrder(t *testing.T) {
+	var b strings.Builder
+	if err := Write(&b, []profiler.Event{{Seq: 0, PC: 1}, {Seq: 1, PC: 2}, {Seq: 2, PC: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("lines = %d", len(lines))
+	}
+	for i, ln := range lines {
 		e, err := profiler.UnmarshalEvent(ln)
 		if err != nil {
 			t.Fatalf("line %q unparseable: %v", ln, err)
 		}
-		if e.Seq != int64(i+1) {
-			t.Errorf("line %d has seq %d", i, e.Seq)
+		if e.Seq != int64(i) || e.PC != i+1 {
+			t.Errorf("line %d has seq %d pc %d", i, e.Seq, e.PC)
 		}
 	}
 	var empty strings.Builder
