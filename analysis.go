@@ -72,7 +72,7 @@ type Analysis struct {
 // in-process equivalent of writing the dot + trace pair to disk and
 // reopening it offline.
 func Analyze(res *Result, opts ...AnalyzeOption) (*Analysis, error) {
-	return newAnalysis(dot.Export(res.plan), res.store(), opts)
+	return newAnalysis(dot.Export(res.prep.Plan), res.store(), opts)
 }
 
 // OpenOffline opens a session from dot-file and trace-file content, the

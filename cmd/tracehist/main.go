@@ -273,7 +273,7 @@ func rollup(h *stethoscope.History, kind string) {
 	}
 	fmt.Printf("%-32s %8s %14s %7s\n", kind, "CALLS", "BUSY", "SHARE")
 	for _, r := range rows {
-		name := r.Name
+		name := r.Module
 		if name == "" {
 			name = "(other)"
 		}

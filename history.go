@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"stethoscope/internal/core"
 	"stethoscope/internal/dot"
+	"stethoscope/internal/profiler"
 	"stethoscope/internal/tracestore"
 )
 
@@ -23,13 +25,14 @@ type (
 	// RunDiff is the cross-run comparison of two executions of the same
 	// SQL: wall-time delta, regression verdict, per-instruction and
 	// per-module busy-time deltas.
-	RunDiff = tracestore.Diff
+	RunDiff = core.RunDiff
 	// InstrDelta is one instruction's cost difference within a RunDiff.
-	InstrDelta = tracestore.InstrDelta
+	InstrDelta = core.InstrDelta
 	// ModuleDelta is one module's cost difference within a RunDiff.
-	ModuleDelta = tracestore.ModuleDelta
-	// AggStat is one row of a history rollup (module or operator).
-	AggStat = tracestore.AggStat
+	ModuleDelta = core.ModuleDelta
+	// AggStat is one row of a history rollup (module or operator): the
+	// row type of ModuleBreakdown, its key in Module.
+	AggStat = core.ModuleStat
 	// HistoryStats snapshots the store footprint and maintenance
 	// counters (segments, bytes, recovery, retention drops).
 	HistoryStats = tracestore.StoreStats
@@ -46,9 +49,6 @@ type HistoryConfig struct {
 	// MaxTotalBytes caps the store size; retention deletes the oldest
 	// sealed segments to stay under it. 0 means unlimited.
 	MaxTotalBytes int64
-	// MaxAge expires sealed segments whose newest record is older.
-	// 0 means unlimited.
-	MaxAge time.Duration
 	// CompactEvery is the background retention sweep interval.
 	// 0 selects 30 s; negative disables the background compactor.
 	CompactEvery time.Duration
@@ -85,7 +85,6 @@ func (hc HistoryConfig) storeOptions() tracestore.Options {
 		Dir:             hc.Dir,
 		MaxSegmentBytes: hc.MaxSegmentBytes,
 		MaxTotalBytes:   hc.MaxTotalBytes,
-		MaxAge:          hc.MaxAge,
 		CompactEvery:    compact,
 		ReadOnly:        hc.ReadOnly,
 	}
@@ -131,16 +130,7 @@ func (h *History) Close() error { return h.st.Close() }
 
 // Queries lists the recorded runs, most recent first. limit <= 0
 // returns all of them.
-func (h *History) Queries(limit int) []RunInfo {
-	runs := h.st.Runs()
-	for i, j := 0, len(runs)-1; i < j; i, j = i+1, j-1 {
-		runs[i], runs[j] = runs[j], runs[i]
-	}
-	if limit > 0 && limit < len(runs) {
-		runs = runs[:limit]
-	}
-	return runs
-}
+func (h *History) Queries(limit int) []RunInfo { return h.st.Recent(limit) }
 
 // TopN returns the n slowest successfully completed runs, slowest
 // first — "what ran slowly yesterday?".
@@ -183,9 +173,23 @@ func (h *History) Replay(id uint64, opts ...AnalyzeOption) (*Analysis, error) {
 
 // Compare diffs two recorded runs of the same SQL: wall-time delta, a
 // ≥10%-slower regression verdict, and per-instruction / per-module
-// busy-time deltas, largest first.
+// busy-time deltas, largest first — core's diff over the stored traces.
 func (h *History) Compare(a, b uint64) (*RunDiff, error) {
-	d, err := h.st.Compare(a, b)
+	var runs [2]core.DiffRun
+	var events [2][]Event
+	for i, id := range []uint64{a, b} {
+		info, ok := h.st.Run(id)
+		if !ok {
+			return nil, fmt.Errorf("stethoscope: history: unknown run %d", id)
+		}
+		evs, err := h.st.Events(id)
+		if err != nil {
+			return nil, fmt.Errorf("stethoscope: history: %w", err)
+		}
+		runs[i] = core.DiffRun{ID: info.ID, SQL: info.SQL, ElapsedUs: info.ElapsedUs, OK: info.OK()}
+		events[i] = evs
+	}
+	d, err := core.Diff(runs[0], runs[1], events[0], events[1])
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: history: %w", err)
 	}
@@ -193,20 +197,36 @@ func (h *History) Compare(a, b uint64) (*RunDiff, error) {
 }
 
 // ModuleRollup aggregates busy time per MAL module across the given
-// runs (all runs when none are named), busiest first.
+// runs (all runs when none are named), busiest first — the module
+// breakdown of a live run, summed over stored ones.
 func (h *History) ModuleRollup(ids ...uint64) ([]AggStat, error) {
-	return h.st.ModuleRollup(ids...)
+	return h.rollup(profiler.ModuleOf, ids)
 }
 
-// OperatorRollup aggregates busy time per MAL operator across the
-// given runs, busiest first.
+// OperatorRollup aggregates busy time per MAL operator
+// ("module.function") across the given runs (all runs when none are
+// named), busiest first.
 func (h *History) OperatorRollup(ids ...uint64) ([]AggStat, error) {
-	return h.st.OperatorRollup(ids...)
+	return h.rollup(profiler.CallOf, ids)
 }
 
-// Utilization summarizes a stored run's multi-core usage.
-func (h *History) Utilization(id uint64) (Utilization, error) {
-	return h.st.Utilization(id)
+// rollup folds the stored events of the runs, one run at a time, into
+// core's busy-time rollup keyed by key.
+func (h *History) rollup(key func(stmt string) string, ids []uint64) ([]AggStat, error) {
+	if len(ids) == 0 {
+		for _, r := range h.st.Runs() {
+			ids = append(ids, r.ID)
+		}
+	}
+	r := core.NewRollup(key)
+	for _, id := range ids {
+		evs, err := h.st.Events(id)
+		if err != nil {
+			return nil, fmt.Errorf("stethoscope: history: %w", err)
+		}
+		r.Add(evs)
+	}
+	return r.Rows(), nil
 }
 
 // Compact enforces the retention policy immediately.

@@ -143,8 +143,12 @@ func TestHistoryAggregation(t *testing.T) {
 	if err != nil || len(mods) == 0 {
 		t.Fatalf("ModuleRollup: %v (%d rows)", err, len(mods))
 	}
-	if _, err := h.Utilization(ids[0]); err != nil {
-		t.Fatalf("Utilization: %v", err)
+	run, err := h.Get(ids[0])
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if u := run.Utilization(); u.Threads == 0 {
+		t.Fatalf("Utilization = %+v", u)
 	}
 }
 

@@ -114,28 +114,12 @@ func BirdsEye(s *trace.Store, n int) []Cluster {
 			continue
 		}
 		c := Cluster{FromSeq: evs[lo].Seq, ToSeq: evs[hi-1].Seq, Events: hi - lo}
-		moduleBusy := map[string]int64{}
-		for _, e := range evs[lo:hi] {
-			if e.State != profiler.StateDone {
-				continue
-			}
-			c.BusyUs += e.DurUs
-			moduleBusy[profiler.ModuleOf(e.Stmt)] += e.DurUs
+		r := NewRollup(profiler.ModuleOf)
+		r.Add(evs[lo:hi])
+		c.BusyUs = r.total
+		if rows := r.Rows(); len(rows) > 0 {
+			c.Module = rows[0].Module
 		}
-		var bestMod string
-		var bestBusy int64 = -1
-		mods := make([]string, 0, len(moduleBusy))
-		for m := range moduleBusy {
-			mods = append(mods, m)
-		}
-		sort.Strings(mods)
-		for _, m := range mods {
-			if moduleBusy[m] > bestBusy {
-				bestBusy = moduleBusy[m]
-				bestMod = m
-			}
-		}
-		c.Module = bestMod
 		out = append(out, c)
 	}
 	return out
@@ -151,21 +135,10 @@ type CostlyInstr struct {
 // TopCostly returns the k slowest instructions — the core question the
 // tool answers ("where time goes").
 func TopCostly(s *trace.Store, k int) []CostlyInstr {
-	byPC := map[int]*CostlyInstr{}
-	for _, e := range s.Events() {
-		if e.State != profiler.StateDone {
-			continue
-		}
-		ci, ok := byPC[e.PC]
-		if !ok {
-			ci = &CostlyInstr{PC: e.PC, Stmt: e.Stmt}
-			byPC[e.PC] = ci
-		}
-		ci.DurUs += e.DurUs
-	}
-	out := make([]CostlyInstr, 0, len(byPC))
-	for _, ci := range byPC {
-		out = append(out, *ci)
+	folded := foldByPC(s.Events())
+	out := make([]CostlyInstr, len(folded))
+	for i, f := range folded {
+		out[i] = CostlyInstr{PC: f.pc, DurUs: f.durUs, Stmt: f.stmt}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].DurUs != out[j].DurUs {
@@ -175,6 +148,37 @@ func TopCostly(s *trace.Store, k int) []CostlyInstr {
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
+	}
+	return out
+}
+
+// instrFold is one instruction's done events folded together.
+type instrFold struct {
+	pc                   int
+	stmt                 string // of the first done event
+	durUs, reads, writes int64
+}
+
+// foldByPC is the per-instruction fold behind the costly list, the
+// gradient, the data-flow profile and the run diff: a run's done events
+// summed per pc, in order of each pc's first completion.
+func foldByPC(events []profiler.Event) []instrFold {
+	idx := map[int]int{}
+	var out []instrFold
+	for i := range events {
+		e := &events[i]
+		if e.State != profiler.StateDone {
+			continue
+		}
+		j, ok := idx[e.PC]
+		if !ok {
+			j = len(out)
+			idx[e.PC] = j
+			out = append(out, instrFold{pc: e.PC, stmt: e.Stmt})
+		}
+		out[j].durUs += e.DurUs
+		out[j].reads += e.Reads
+		out[j].writes += e.Writes
 	}
 	return out
 }

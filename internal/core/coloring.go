@@ -124,26 +124,23 @@ type GradientStop struct {
 // the slowest instruction in the buffer. It returns the per-pc colors
 // and a legend sorted by decreasing duration.
 func Gradient(events []profiler.Event) (Coloring, []GradientStop) {
-	dur := map[int]int64{}
+	folded := foldByPC(events)
 	var max int64
-	for _, e := range events {
-		if e.State == profiler.StateDone {
-			dur[e.PC] += e.DurUs
-			if dur[e.PC] > max {
-				max = dur[e.PC]
-			}
+	for _, f := range folded {
+		if f.durUs > max {
+			max = f.durUs
 		}
 	}
 	out := Coloring{}
 	var stops []GradientStop
-	for pc, d := range dur {
-		f := 0.0
+	for _, f := range folded {
+		r := 0.0
 		if max > 0 {
-			f = float64(d) / float64(max)
+			r = float64(f.durUs) / float64(max)
 		}
-		hex := rampHex(f)
-		out[pc] = Color(hex)
-		stops = append(stops, GradientStop{PC: pc, DurUs: d, Hex: hex})
+		hex := rampHex(r)
+		out[f.pc] = Color(hex)
+		stops = append(stops, GradientStop{PC: f.pc, DurUs: f.durUs, Hex: hex})
 	}
 	sort.Slice(stops, func(i, j int) bool {
 		if stops[i].DurUs != stops[j].DurUs {

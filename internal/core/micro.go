@@ -13,8 +13,11 @@ import (
 // interface for micro analysis of trace" — structured breakdowns of where
 // time, memory and data volume went, beyond the per-node coloring.
 
-// ModuleStat aggregates one MAL module's share of an execution.
+// ModuleStat is one row of a busy-time rollup: a MAL module — or, in
+// an operator rollup, a "module.function" call — with its call count,
+// busy time, data volume and share of the rollup's total.
 type ModuleStat struct {
+	// Module is the rollup key ("" for statements without one).
 	Module string
 	Calls  int
 	BusyUs int64
@@ -24,33 +27,50 @@ type ModuleStat struct {
 	Share float64
 }
 
-// ModuleBreakdown aggregates done events per MAL module, sorted by busy
-// time descending.
-func ModuleBreakdown(s *trace.Store) []ModuleStat {
-	byMod := map[string]*ModuleStat{}
-	var total int64
-	for _, e := range s.Events() {
+// Rollup is the busy-time rollup: it folds the done events of one or
+// more runs into one row per key(stmt). The module breakdown keys by
+// profiler.ModuleOf, the operator rollup by profiler.CallOf.
+type Rollup struct {
+	key   func(stmt string) string
+	byKey map[string]*ModuleStat
+	total int64
+}
+
+// NewRollup starts an empty rollup keyed by key.
+func NewRollup(key func(stmt string) string) *Rollup {
+	return &Rollup{key: key, byKey: map[string]*ModuleStat{}}
+}
+
+// Add folds one run's events into the rollup.
+func (r *Rollup) Add(events []profiler.Event) {
+	for i := range events {
+		e := &events[i]
 		if e.State != profiler.StateDone {
 			continue
 		}
-		m := profiler.ModuleOf(e.Stmt)
-		st, ok := byMod[m]
+		k := r.key(e.Stmt)
+		st, ok := r.byKey[k]
 		if !ok {
-			st = &ModuleStat{Module: m}
-			byMod[m] = st
+			st = &ModuleStat{Module: k}
+			r.byKey[k] = st
 		}
 		st.Calls++
 		st.BusyUs += e.DurUs
 		st.Reads += e.Reads
 		st.Writes += e.Writes
-		total += e.DurUs
+		r.total += e.DurUs
 	}
-	out := make([]ModuleStat, 0, len(byMod))
-	for _, st := range byMod {
-		if total > 0 {
-			st.Share = float64(st.BusyUs) / float64(total)
+}
+
+// Rows returns the rollup's rows, busiest first (ties by key).
+func (r *Rollup) Rows() []ModuleStat {
+	out := make([]ModuleStat, 0, len(r.byKey))
+	for _, st := range r.byKey {
+		row := *st
+		if r.total > 0 {
+			row.Share = float64(row.BusyUs) / float64(r.total)
 		}
-		out = append(out, *st)
+		out = append(out, row)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].BusyUs != out[j].BusyUs {
@@ -59,6 +79,14 @@ func ModuleBreakdown(s *trace.Store) []ModuleStat {
 		return out[i].Module < out[j].Module
 	})
 	return out
+}
+
+// ModuleBreakdown aggregates done events per MAL module, sorted by busy
+// time descending.
+func ModuleBreakdown(s *trace.Store) []ModuleStat {
+	r := NewRollup(profiler.ModuleOf)
+	r.Add(s.Events())
+	return r.Rows()
 }
 
 // MemPoint is one sample of the memory timeline.
@@ -159,25 +187,13 @@ type VariableFlow struct {
 // descending read volume, answering "which operators touch the most
 // data".
 func DataFlowProfile(s *trace.Store) []VariableFlow {
-	byPC := map[int]*VariableFlow{}
-	for _, e := range s.Events() {
-		if e.State != profiler.StateDone {
-			continue
+	folded := foldByPC(s.Events())
+	out := make([]VariableFlow, len(folded))
+	for i, f := range folded {
+		out[i] = VariableFlow{PC: f.pc, Stmt: f.stmt, Reads: f.reads, Writes: f.writes}
+		if f.reads > 0 {
+			out[i].Selectivity = float64(f.writes) / float64(f.reads)
 		}
-		f, ok := byPC[e.PC]
-		if !ok {
-			f = &VariableFlow{PC: e.PC, Stmt: e.Stmt}
-			byPC[e.PC] = f
-		}
-		f.Reads += e.Reads
-		f.Writes += e.Writes
-	}
-	out := make([]VariableFlow, 0, len(byPC))
-	for _, f := range byPC {
-		if f.Reads > 0 {
-			f.Selectivity = float64(f.Writes) / float64(f.Reads)
-		}
-		out = append(out, *f)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Reads != out[j].Reads {

@@ -365,7 +365,6 @@ func (e *Engine) exec(ctx *Context, in *mal.Instr, thread int, prof *profiler.Pr
 	err := callKernel(k, ctx, in)
 	if em != nil {
 		em.instrUs.Observe(time.Since(t0).Microseconds())
-		em.instrs.Inc()
 	}
 	ctx.prog.instrFinished()
 	if prof != nil {

@@ -23,7 +23,6 @@ import (
 type engineMetrics struct {
 	reg            *metrics.Registry
 	runs           *metrics.Counter
-	instrs         *metrics.Counter
 	steals         *metrics.Counter
 	parks          *metrics.Counter
 	morselsClaimed *metrics.Counter
@@ -45,7 +44,6 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 	em := &engineMetrics{
 		reg:            reg,
 		runs:           reg.Counter("stetho_engine_runs_total"),
-		instrs:         reg.Counter("stetho_engine_instructions_total"),
 		steals:         reg.Counter("stetho_engine_steals_total"),
 		parks:          reg.Counter("stetho_engine_parks_total"),
 		morselsClaimed: reg.Counter("stetho_engine_morsels_claimed_total"),
@@ -53,11 +51,7 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 		dequeHW:        reg.Gauge("stetho_engine_deque_depth_highwater"),
 		instrUs:        reg.Histogram("stetho_engine_instr_duration_us", nil),
 	}
-	reg.GaugeFunc("stetho_engine_queries_inflight", func() int64 {
-		e.progMu.Lock()
-		defer e.progMu.Unlock()
-		return int64(len(e.inflight))
-	})
+	reg.GaugeFunc("stetho_engine_queries_inflight", e.InFlight)
 	e.met = em
 }
 
@@ -176,6 +170,14 @@ func (e *Engine) endProgress(p *runProgress) {
 	e.progMu.Lock()
 	delete(e.inflight, p.id)
 	e.progMu.Unlock()
+}
+
+// InFlight is the number of runs executing now — the size of the
+// progress table.
+func (e *Engine) InFlight() int64 {
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
+	return int64(len(e.inflight))
 }
 
 // Progress snapshots every in-flight run, ordered by start (run id).

@@ -84,12 +84,22 @@ type Sink interface {
 // ModuleOf extracts the MAL module of a statement text ("" when it has
 // no module-qualified call), e.g. "algebra" for
 // `X_5:bat[:oid] := algebra.thetaselect(X_1, "=", 1);`.
-func ModuleOf(stmt string) string {
+func ModuleOf(stmt string) string { return callPrefix(stmt, '.') }
+
+// CallOf extracts the "module.function" call name of a statement text
+// ("" when it has no call), e.g. "algebra.thetaselect" for
+// `X_5:bat[:oid] := algebra.thetaselect(X_1, "=", 1);`.
+func CallOf(stmt string) string { return callPrefix(stmt, '(') }
+
+// callPrefix is the one MAL statement parse: the right-hand side of the
+// assignment (the whole statement when there is none), cut before its
+// first stop byte and trimmed; "" when stop does not occur.
+func callPrefix(stmt string, stop byte) string {
 	s := stmt
 	if i := strings.Index(s, ":="); i >= 0 {
-		s = strings.TrimSpace(s[i+2:])
+		s = s[i+2:]
 	}
-	if i := strings.IndexByte(s, '.'); i >= 0 {
+	if i := strings.IndexByte(s, stop); i >= 0 {
 		return strings.TrimSpace(s[:i])
 	}
 	return ""

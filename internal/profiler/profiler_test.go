@@ -177,6 +177,21 @@ func TestModuleOf(t *testing.T) {
 	}
 }
 
+func TestCallOf(t *testing.T) {
+	cases := map[string]string{
+		"X_3:bat[:oid] := algebra.select(X_1);": "algebra.select",
+		"sql.exportResult(X_9);":                "sql.exportResult",
+		"(X_1, X_2) := group.subgroup(X_0);":    "group.subgroup",
+		"X_7 := X_6;":                           "",
+		"weird":                                 "",
+	}
+	for stmt, want := range cases {
+		if got := CallOf(stmt); got != want {
+			t.Errorf("CallOf(%q) = %q, want %q", stmt, got, want)
+		}
+	}
+}
+
 func TestRingBufferWrap(t *testing.T) {
 	r := NewRingBuffer(3)
 	for i := int64(0); i < 5; i++ {

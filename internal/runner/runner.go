@@ -47,11 +47,10 @@ type Runner struct {
 	History  *tracestore.Store  // nil when runs are not recorded
 	Registry *metrics.Registry
 
-	created  time.Time
-	latency  *metrics.Histogram // stetho_query_latency_us: every run
-	inflight *metrics.Gauge     // stetho_db_inflight: plans executing now
-	execs    *metrics.Counter   // stetho_db_execs: statements answered
-	events   *metrics.Counter   // stetho_db_events: profiler events produced
+	created time.Time
+	latency *metrics.Histogram // stetho_query_latency_us: every run
+	execs   *metrics.Counter   // stetho_db_execs: statements answered
+	events  *metrics.Counter   // stetho_db_events: profiler events produced
 }
 
 // New builds the run service over the catalog: the default optimizer
@@ -70,7 +69,6 @@ func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
 		Registry: reg,
 		created:  time.Now(),
 		latency:  reg.Histogram("stetho_query_latency_us", nil),
-		inflight: reg.Gauge("stetho_db_inflight"),
 		execs:    reg.Counter("stetho_db_execs"),
 		events:   reg.Counter("stetho_db_events"),
 	}
@@ -244,8 +242,6 @@ func (r *Runner) share(ctx context.Context, p *Prepared) (*sharedwork.Outcome, s
 // the history path runs under the profiler's lock or inside the timed
 // window.
 func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sharedwork.Outcome, error) {
-	r.inflight.Add(1)
-	defer r.inflight.Add(-1)
 	// Room for the caller's sinks plus the trace collector below; the
 	// caller's slice is never appended to.
 	sinks := append(make([]profiler.Sink, 0, len(opts.Sinks)+1), opts.Sinks...)
@@ -329,8 +325,10 @@ type Stats struct {
 	// occupancy).
 	Cache plancache.Stats
 	// InFlight is the number of plans currently executing — in-process
-	// Exec/Stream calls and server QUERY commands alike. Attached
-	// consumers execute nothing and are not counted.
+	// Exec/Stream calls and server QUERY commands alike — read from the
+	// engine's progress table (stetho_engine_queries_inflight, the rows
+	// of PROGRESS). Attached consumers execute nothing and are not
+	// counted.
 	InFlight int64
 	// Execs is the number of statements answered successfully — both
 	// in-process Exec/Stream calls and QUERY commands of this DB's
@@ -358,7 +356,7 @@ type Stats struct {
 func (r *Runner) Stats() Stats {
 	return Stats{
 		Cache:          r.Planner.Cache.Stats(),
-		InFlight:       r.inflight.Load(),
+		InFlight:       r.Engine.InFlight(),
 		Execs:          r.execs.Load(),
 		Events:         r.events.Load(),
 		SharedLed:      r.Flight.Led(),

@@ -21,6 +21,7 @@ import (
 
 	"stethoscope/internal/adaptive"
 	"stethoscope/internal/algebra"
+	"stethoscope/internal/core"
 	"stethoscope/internal/engine"
 	"stethoscope/internal/metrics"
 	"stethoscope/internal/netproto"
@@ -313,12 +314,13 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 	fmt.Fprintln(w, "ok")
 	fmt.Fprintf(w, "cache_hits=%d cache_misses=%d cache_evictions=%d cache_len=%d cache_cap=%d\n",
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Len, st.Cache.Capacity)
+	instrUs, _ := snap.Get("stetho_engine_instr_duration_us")
 	fmt.Fprintf(w, "engine_runs=%d engine_instructions=%d engine_steals=%d engine_parks=%d engine_queries_inflight=%d morsels_claimed=%d morsel_rows_scanned=%d\n",
 		snap.Value("stetho_engine_runs_total"),
-		snap.Value("stetho_engine_instructions_total"),
+		instrUs.Count,
 		snap.Value("stetho_engine_steals_total"),
 		snap.Value("stetho_engine_parks_total"),
-		snap.Value("stetho_engine_queries_inflight"),
+		st.InFlight,
 		snap.Value("stetho_engine_morsels_claimed_total"),
 		snap.Value("stetho_engine_morsel_rows_scanned_total"))
 	encode, _ := snap.Get("stetho_server_encode_us")
@@ -568,14 +570,9 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 	}
 	switch sub {
 	case "LIST":
-		runs := hs.Runs()
-		n := argN(0)
 		fmt.Fprintln(w, "ok")
-		for i := len(runs) - 1; i >= 0; i-- {
-			if n > 0 && len(runs)-1-i >= n {
-				break
-			}
-			fmt.Fprintln(w, runLine(runs[i]))
+		for _, r := range hs.Recent(argN(0)) {
+			fmt.Fprintln(w, runLine(r))
 		}
 		fmt.Fprintln(w, ".")
 	case "TOP":
@@ -636,7 +633,23 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 			fmt.Fprintln(w, "err usage: HISTORY DIFF <a> <b>")
 			return
 		}
-		d, err := hs.Compare(a, b)
+		var runs [2]core.DiffRun
+		var events [2][]profiler.Event
+		for i, id := range []uint64{a, b} {
+			r, found := hs.Run(id)
+			if !found {
+				fmt.Fprintf(w, "err unknown run %d\n", id)
+				return
+			}
+			evs, err := hs.Events(id)
+			if err != nil {
+				fmt.Fprintf(w, "err %v\n", err)
+				return
+			}
+			runs[i] = core.DiffRun{ID: r.ID, SQL: r.SQL, ElapsedUs: r.ElapsedUs, OK: r.OK()}
+			events[i] = evs
+		}
+		d, err := core.Diff(runs[0], runs[1], events[0], events[1])
 		if err != nil {
 			fmt.Fprintf(w, "err %v\n", err)
 			return

@@ -313,6 +313,15 @@ func TestStatsCommandAndSharedCache(t *testing.T) {
 	if !strings.Contains(payload[1], "engine_runs=") || !strings.Contains(payload[1], "morsels_claimed=") {
 		t.Fatalf("STATS engine line = %q", payload[1])
 	}
+	// One cell per engine fact: the instruction count is the duration
+	// histogram's count, the in-flight count the progress table's size.
+	instrUs, _ := srv.run.Registry.Snapshot().Get("stetho_engine_instr_duration_us")
+	if want := fmt.Sprintf(" engine_instructions=%d ", instrUs.Count); instrUs.Count == 0 || !strings.Contains(payload[1], want) {
+		t.Fatalf("STATS engine line = %q, want %q", payload[1], want)
+	}
+	if !strings.Contains(payload[1], " engine_queries_inflight=0 ") {
+		t.Fatalf("STATS engine line = %q, want nothing in flight", payload[1])
+	}
 	if !strings.Contains(payload[2], "sessions_total=") || !strings.Contains(payload[2], "commands=") {
 		t.Fatalf("STATS server line = %q", payload[2])
 	}

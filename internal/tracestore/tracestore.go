@@ -3,12 +3,13 @@
 // Every executed query becomes a run — a begin record carrying the SQL
 // and plan dot text, interleaved batches of profiler events, and an end
 // record with completion statistics — so "what ran slowly yesterday?"
-// survives process restarts. The store offers size- and age-based
-// retention at segment granularity with an optional background
-// compactor, crash recovery that truncates a torn tail record instead
-// of failing, and an aggregation layer (top-N slowest runs, per-module
-// and per-operator rollups, utilization summaries, and cross-run diffs
-// of the same SQL). See record.go for the on-disk format.
+// survives process restarts. The store offers size-based retention at
+// segment granularity with an optional background compactor, crash
+// recovery that truncates a torn tail record instead of failing, and
+// index queries (runs in begin order or newest first, the slowest
+// runs, one run's events or plan). It only stores: stored runs are
+// analysed by internal/core, the same functions that analyse a live
+// run. See record.go for the on-disk format.
 package tracestore
 
 import (
@@ -18,8 +19,8 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -49,9 +50,6 @@ type Options struct {
 	// MaxTotalBytes caps the store size; Compact deletes the oldest
 	// sealed segments until under budget. 0 means unlimited.
 	MaxTotalBytes int64
-	// MaxAge expires sealed segments whose newest record is older.
-	// 0 means unlimited.
-	MaxAge time.Duration
 	// CompactEvery runs Compact on a background ticker. 0 disables the
 	// background compactor (Compact can still be called directly).
 	CompactEvery time.Duration
@@ -62,8 +60,6 @@ type Options struct {
 	ReadOnly bool
 	// Logf receives recovery and retention notices (default log.Printf).
 	Logf func(format string, args ...any)
-	// Clock overrides the time source (tests).
-	Clock func() time.Time
 }
 
 // recRef locates one record of a run.
@@ -107,9 +103,8 @@ func (r RunInfo) OK() bool { return r.Complete && r.Err == "" }
 
 // segMeta tracks one segment file.
 type segMeta struct {
-	id     int
-	size   int64
-	newest time.Time // time of the most recent append (mtime on recovery)
+	id   int
+	size int64
 }
 
 // StoreStats is a point-in-time snapshot of the store.
@@ -135,9 +130,8 @@ type StoreStats struct {
 // use: appends serialize under one mutex, reads snapshot the index and
 // then read immutable records lock-free.
 type Store struct {
-	opts  Options
-	logf  func(format string, args ...any)
-	clock func() time.Time
+	opts Options
+	logf func(format string, args ...any)
 
 	mu       sync.Mutex
 	lockF    *os.File      // flock-held writer lock; nil on read-only opens
@@ -183,16 +177,12 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		opts:   opts,
 		logf:   opts.Logf,
-		clock:  opts.Clock,
 		index:  map[uint64]*runEntry{},
 		nextID: 1,
 		done:   make(chan struct{}),
 	}
 	if s.logf == nil {
 		s.logf = log.Printf
-	}
-	if s.clock == nil {
-		s.clock = time.Now
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
@@ -261,7 +251,7 @@ func (s *Store) openSegment(id int) error {
 	s.w = bufio.NewWriterSize(f, 256<<10)
 	s.activeID = id
 	if n := len(s.segs); n == 0 || s.segs[n-1].id != id {
-		s.segs = append(s.segs, &segMeta{id: id, newest: s.clock()})
+		s.segs = append(s.segs, &segMeta{id: id})
 	}
 	return nil
 }
@@ -305,7 +295,7 @@ func (s *Store) scanSegment(id int, last bool) error {
 	if err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
-	meta := &segMeta{id: id, size: fi.Size(), newest: fi.ModTime()}
+	meta := &segMeta{id: id, size: fi.Size()}
 	s.segs = append(s.segs, meta)
 
 	br := bufio.NewReaderSize(f, 256<<10)
@@ -470,7 +460,6 @@ func (s *Store) appendLocked(payload []byte) (recRef, error) {
 		return recRef{}, fmt.Errorf("tracestore: %w", err)
 	}
 	active.size += recLen
-	active.newest = s.clock()
 	s.mAppends.Inc()
 	s.mAppendBytes.Add(recLen)
 	return recRef{seg: s.activeID, off: off, typ: payload[0]}, nil
@@ -516,7 +505,7 @@ func (s *Store) Record(meta RunMeta, events []profiler.Event, st RunStats) (uint
 // RunWriter appends the run's events and its end record.
 func (s *Store) Begin(meta RunMeta) (*RunWriter, error) {
 	if meta.Start.IsZero() {
-		meta.Start = s.clock()
+		meta.Start = time.Now()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -627,6 +616,39 @@ func (s *Store) Runs() []RunInfo {
 	return out
 }
 
+// Recent lists the indexed runs newest first; n <= 0 returns all of
+// them.
+func (s *Store) Recent(n int) []RunInfo {
+	runs := s.Runs()
+	slices.Reverse(runs)
+	if n > 0 && n < len(runs) {
+		runs = runs[:n]
+	}
+	return runs
+}
+
+// TopN returns the n slowest successfully completed runs, slowest
+// first. n <= 0 returns all of them.
+func (s *Store) TopN(n int) []RunInfo {
+	runs := s.Runs()
+	ok := runs[:0]
+	for _, r := range runs {
+		if r.OK() {
+			ok = append(ok, r)
+		}
+	}
+	sort.Slice(ok, func(i, j int) bool {
+		if ok[i].ElapsedUs != ok[j].ElapsedUs {
+			return ok[i].ElapsedUs > ok[j].ElapsedUs
+		}
+		return ok[i].ID < ok[j].ID
+	})
+	if n > 0 && n < len(ok) {
+		ok = ok[:n]
+	}
+	return ok
+}
+
 // Run returns one run's metadata.
 func (s *Store) Run(id uint64) (RunInfo, bool) {
 	s.mu.Lock()
@@ -735,9 +757,7 @@ func (s *Store) Dot(id uint64) (string, error) {
 }
 
 // Compact enforces the retention policy now: sealed segments are
-// deleted oldest-first while the store exceeds MaxTotalBytes, and any
-// sealed segment whose newest record is older than MaxAge is deleted.
-// Runs with any record in a deleted segment are dropped from the index.
+// deleted oldest-first while the store exceeds MaxTotalBytes. Runs with any record in a deleted segment are dropped from the index.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -747,7 +767,6 @@ func (s *Store) Compact() error {
 	if s.opts.ReadOnly {
 		return fmt.Errorf("tracestore: %s: store is read-only", s.opts.Dir)
 	}
-	now := s.clock()
 	var total int64
 	for _, sg := range s.segs {
 		total += sg.size
@@ -755,10 +774,8 @@ func (s *Store) Compact() error {
 	drop := map[int]bool{}
 	// The active segment (last) is never dropped.
 	for _, sg := range s.segs[:len(s.segs)-1] {
-		expired := s.opts.MaxAge > 0 && now.Sub(sg.newest) > s.opts.MaxAge
-		oversize := s.opts.MaxTotalBytes > 0 && total > s.opts.MaxTotalBytes
-		if !expired && !oversize {
-			break // segments are ordered; newer ones are no more expired
+		if s.opts.MaxTotalBytes <= 0 || total <= s.opts.MaxTotalBytes {
+			break
 		}
 		drop[sg.id] = true
 		total -= sg.size
@@ -853,21 +870,6 @@ func (s *Store) Close() error {
 func (s *Store) closeLock() {
 	fsio.ReleaseLock(s.lockF)
 	s.lockF = nil
-}
-
-// callOf extracts the "module.function" call name of a MAL statement
-// ("" when the statement has no call).
-func callOf(stmt string) string {
-	s := stmt
-	if i := strings.Index(s, ":="); i >= 0 {
-		s = s[i+2:]
-	}
-	s = strings.TrimSpace(s)
-	i := strings.IndexByte(s, '(')
-	if i < 0 {
-		return ""
-	}
-	return strings.TrimSpace(s[:i])
 }
 
 // Instrument registers the store's metric cells (stetho_tracestore_*)

@@ -305,46 +305,15 @@ func TestRetentionBySize(t *testing.T) {
 	}
 }
 
-func TestRetentionByAge(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return now }
-	s := openStore(t, dir, Options{MaxSegmentBytes: 2048, MaxAge: time.Hour, Clock: clock})
-	defer s.Close()
-	for i := 0; i < 8; i++ {
-		record(t, s, fmt.Sprintf("select old %d", i), 10, 50)
-	}
-	// Two hours later, new runs arrive (sealing the old segments).
-	now = now.Add(2 * time.Hour)
-	newID := record(t, s, "select new", 10, 50)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	runs := s.Runs()
-	for _, r := range runs {
-		if strings.HasPrefix(r.SQL, "select old") {
-			// Old runs may survive only in the still-active segment.
-			if s.Stats().DroppedSegments == 0 {
-				t.Fatalf("no segment expired by age; runs=%d", len(runs))
-			}
-		}
-	}
-	if s.Stats().DroppedSegments == 0 {
-		t.Fatal("age retention dropped nothing")
-	}
-	if _, err := s.Events(newID); err != nil {
-		t.Fatalf("fresh run lost to age retention: %v", err)
-	}
-}
-
-func TestTopNAndRollups(t *testing.T) {
+// TestTopN: the slowest completed runs rank first; an incomplete run
+// never ranks.
+func TestTopN(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	defer s.Close()
 	slow := record(t, s, "select slow", 10, 1000)
 	fast := record(t, s, "select fast", 10, 10)
 	mid := record(t, s, "select mid", 10, 100)
-	// An incomplete run never ranks.
 	w, _ := s.Begin(RunMeta{SQL: "select crash", Instructions: 1})
 	w.EmitBatch(synthEvents(1, 5))
 
@@ -355,70 +324,21 @@ func TestTopNAndRollups(t *testing.T) {
 	if all := s.TopN(0); len(all) != 3 || all[2].ID != fast {
 		t.Fatalf("TopN(0) = %+v", all)
 	}
-
-	mods, err := s.ModuleRollup(slow, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mods) != 1 || mods[0].Name != "algebra" || mods[0].Calls != 20 {
-		t.Fatalf("ModuleRollup = %+v", mods)
-	}
-	if mods[0].BusyUs != 10*1000+10*10 {
-		t.Fatalf("ModuleRollup busy = %d", mods[0].BusyUs)
-	}
-	ops, err := s.OperatorRollup()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ops) == 0 || ops[0].Name != "algebra.thetaselect" {
-		t.Fatalf("OperatorRollup = %+v", ops)
-	}
-
-	u, err := s.Utilization(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Threads != 4 {
-		t.Fatalf("Utilization threads = %d, want 4", u.Threads)
-	}
 }
 
-func TestCompare(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
+// TestRecent: runs list newest first, incomplete ones included, and n
+// caps the listing.
+func TestRecent(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
-	a := record(t, s, "select x", 10, 100)
-	b := record(t, s, "select x", 10, 250) // 2.5x slower: a regression
-	other := record(t, s, "select y", 10, 100)
-
-	d, err := s.Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
+	first := record(t, s, "select 1", 2, 10)
+	second := record(t, s, "select 2", 2, 10)
+	w, _ := s.Begin(RunMeta{SQL: "select running", Instructions: 1})
+	if all := s.Recent(0); len(all) != 3 || all[0].ID != w.ID() || all[1].ID != second || all[2].ID != first {
+		t.Fatalf("Recent(0) = %+v", all)
 	}
-	if !d.Regression {
-		t.Fatalf("2.5x slowdown not flagged: %+v", d)
-	}
-	if d.ElapsedDeltaUs != 10*250-10*100 {
-		t.Fatalf("ElapsedDeltaUs = %d", d.ElapsedDeltaUs)
-	}
-	if len(d.Instrs) != 10 {
-		t.Fatalf("instr deltas = %d, want 10", len(d.Instrs))
-	}
-	for _, id := range d.Instrs {
-		if id.DeltaUs != 150 {
-			t.Fatalf("instr delta = %+v, want +150us", id)
-		}
-	}
-	if len(d.Modules) != 1 || d.Modules[0].Module != "algebra" || d.Modules[0].DeltaUs != 1500 {
-		t.Fatalf("module deltas = %+v", d.Modules)
-	}
-	// Same cost in both directions: no regression the other way.
-	if d2, err := s.Compare(b, a); err != nil || d2.Regression {
-		t.Fatalf("reverse compare: %+v, %v", d2, err)
-	}
-	// Different SQL refuses to diff.
-	if _, err := s.Compare(a, other); err == nil {
-		t.Fatal("Compare across different SQL succeeded")
+	if two := s.Recent(2); len(two) != 2 || two[0].ID != w.ID() || two[1].ID != second {
+		t.Fatalf("Recent(2) = %+v", two)
 	}
 }
 
@@ -470,8 +390,9 @@ func TestConcurrentAppendWhileQuery(t *testing.T) {
 						return
 					}
 				}
-				if _, err := s.ModuleRollup(); err != nil {
-					continue
+				for _, r := range s.Recent(5) {
+					// A run retired meanwhile fails to read, as above.
+					_, _ = s.Dot(r.ID)
 				}
 			}
 		}()

@@ -49,7 +49,6 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 	snap := db.Metrics()
 	for _, name := range []string{
 		"stetho_engine_runs_total",
-		"stetho_engine_instructions_total",
 		"stetho_engine_morsels_claimed_total",
 		"stetho_engine_morsel_rows_scanned_total",
 		"stetho_plancache_misses_total",
@@ -61,6 +60,9 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 	}
 	if got := snap.Value("stetho_engine_runs_total"); got < 2 {
 		t.Errorf("engine runs = %d, want >= 2", got)
+	}
+	if instr, _ := snap.Get("stetho_engine_instr_duration_us"); instr.Count < 1 {
+		t.Errorf("instruction duration histogram = %+v after two Execs, want >= 1 observation", instr)
 	}
 	lat, ok := snap.Get("stetho_query_latency_us")
 	if !ok || lat.Kind != metrics.KindHistogram || lat.Count < 3 {

@@ -7,9 +7,8 @@ import (
 	"time"
 
 	"stethoscope/internal/core"
-	"stethoscope/internal/dot"
 	"stethoscope/internal/engine"
-	"stethoscope/internal/mal"
+	"stethoscope/internal/runner"
 	"stethoscope/internal/trace"
 )
 
@@ -126,7 +125,7 @@ type Result struct {
 	// Stats describes the execution.
 	Stats Stats
 
-	plan *mal.Plan
+	prep *runner.Prepared // the plan and its memoized dot text
 	res  *engine.Result
 }
 
@@ -154,8 +153,10 @@ func (r *Result) WriteTable(w io.Writer) error {
 }
 
 // PlanString returns the optimized MAL listing.
-func (r *Result) PlanString() string { return r.plan.String() }
+func (r *Result) PlanString() string { return r.prep.Plan.String() }
 
 // Dot returns the plan's dot-file representation — the offline artifact
-// Stethoscope's offline mode consumes (pair it with TraceText).
-func (r *Result) Dot() string { return dot.Export(r.plan).Marshal() }
+// Stethoscope's offline mode consumes (pair it with TraceText). It is
+// rendered once per cached plan, the memo Prepared.Dot and the history
+// record share.
+func (r *Result) Dot() string { return r.prep.Dot() }

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"stethoscope/internal/dot"
 	"stethoscope/internal/sharedwork"
 )
 
@@ -135,7 +137,8 @@ func TestServerFollowerRerunsCanceledLeader(t *testing.T) {
 }
 
 // TestServerQueryCountsInFlight: a server QUERY moves
-// DBStats.InFlight (stetho_db_inflight) like Exec and Stream do.
+// DBStats.InFlight (stetho_engine_queries_inflight) like Exec and
+// Stream do.
 func TestServerQueryCountsInFlight(t *testing.T) {
 	db, err := Open(WithScaleFactor(0.02))
 	if err != nil {
@@ -243,5 +246,37 @@ func TestStreamObservesLatency(t *testing.T) {
 	}
 	if got := count() - before; got != 1 {
 		t.Fatalf("latency histogram observed %d runs for one Stream, want 1", got)
+	}
+}
+
+// TestResultDotRenderedOncePerPlan: Result.Dot is the plan's dot export
+// byte for byte, rendered once per cached plan — repeated calls and a
+// later Exec that hits the plan cache return the same memoized string.
+func TestResultDotRenderedOncePerPlan(t *testing.T) {
+	db, err := Open(WithScaleFactor(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const q = "select l_tax from lineitem where l_partkey = 1"
+	first, err := db.Exec(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := db.Exec(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Stats.CacheHit {
+		t.Fatal("second Exec missed the plan cache")
+	}
+	text := first.Dot()
+	if want := dot.Export(first.prep.Plan).Marshal(); text != want {
+		t.Fatalf("Result.Dot differs from the plan's dot export:\n%s\nwant\n%s", text, want)
+	}
+	for _, again := range []string{first.Dot(), second.Dot()} {
+		if unsafe.StringData(again) != unsafe.StringData(text) {
+			t.Fatal("Result.Dot rendered the cached plan again")
+		}
 	}
 }

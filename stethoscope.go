@@ -344,7 +344,7 @@ func (db *DB) Exec(ctx context.Context, query string, opts ...ExecOption) (*Resu
 			RunID:        out.RunID,
 			Shared:       via,
 		},
-		plan: p.Plan,
+		prep: p,
 		res:  out.Res,
 	}, nil
 }
