@@ -1,7 +1,7 @@
 package analyzers
 
 import (
-	"strings"
+	"go/ast"
 	"testing"
 
 	"stethoscope/internal/analyzers/lintkit"
@@ -29,55 +29,80 @@ func TestKernelCoverage(t *testing.T) {
 }
 
 // TestKernelCoverageRealTree runs the opcode-contract check against the
-// actual compiler/optimizer/engine packages. With suppressions applied
-// the tree must be clean; without them the analyzer must resolve every
-// emit site and report exactly the known intentionally-dead kernels —
-// proving it understands the real registration and emission idioms
-// rather than silently resolving nothing.
+// actual compiler/optimizer/engine packages. Raw, with no suppression
+// applied, the tree must be clean: every registered kernel is emitted
+// and every emitted opcode has a kernel. A clean run proves nothing if
+// the analyzer resolves nothing, so the positive control deletes one
+// e.Register statement from the parsed engine and expects exactly the
+// emit sites of that opcode to be reported.
 func TestKernelCoverageRealTree(t *testing.T) {
 	fset, pkgs, err := lintkit.Load("../..", "./internal/engine", "./internal/compiler", "./internal/optimizer")
 	if err != nil {
 		t.Fatalf("loading real packages: %v", err)
 	}
+	raw := func() []lintkit.Diagnostic {
+		var ds []lintkit.Diagnostic
+		pass := &lintkit.ModulePass{
+			Analyzer: KernelCoverage,
+			Fset:     fset,
+			Pkgs:     pkgs,
+			Report:   func(d lintkit.Diagnostic) { ds = append(ds, d) },
+		}
+		if err := runKernelCoverage(pass); err != nil {
+			t.Fatalf("raw kernelcoverage run: %v", err)
+		}
+		return ds
+	}
+	for _, d := range raw() {
+		t.Errorf("raw diagnostic on the real tree at %s: %s", fset.Position(d.Pos), d.Message)
+	}
 
-	findings, err := lintkit.RunAnalyzers(fset, pkgs, []*lintkit.Analyzer{KernelCoverage})
-	if err != nil {
-		t.Fatalf("running kernelcoverage: %v", err)
+	const mod, fn = "algebra", "thetaselect"
+	if !dropRegister(pkgs, mod, fn) {
+		t.Fatalf("registerKernels has no e.Register(%q, %q, ...) statement", mod, fn)
 	}
-	for _, f := range findings {
-		t.Errorf("unexpected finding on the real tree: %s", f)
+	want := "mal opcode " + mod + "." + fn + " is emitted here but registerKernels installs no such kernel"
+	found := raw()
+	if len(found) == 0 {
+		t.Fatalf("dropping the %s.%s registration produced no finding", mod, fn)
 	}
+	for _, d := range found {
+		if d.Message != want {
+			t.Errorf("unexpected diagnostic after dropping %s.%s at %s: %s", mod, fn, fset.Position(d.Pos), d.Message)
+		}
+	}
+}
 
-	// Raw run, bypassing suppressions: the two MAL-surface kernels are
-	// the complete dead set, and nothing is unresolvable or missing.
-	var raw []lintkit.Diagnostic
-	pass := &lintkit.ModulePass{
-		Analyzer: KernelCoverage,
-		Fset:     fset,
-		Pkgs:     pkgs,
-		Report:   func(d lintkit.Diagnostic) { raw = append(raw, d) },
-	}
-	if err := runKernelCoverage(pass); err != nil {
-		t.Fatalf("raw kernelcoverage run: %v", err)
-	}
-	wantDead := map[string]bool{"language.pass": false, "bat.mirror": false}
-	for _, d := range raw {
-		matched := false
-		for name := range wantDead {
-			if strings.Contains(d.Message, "kernel "+name+" is registered") {
-				wantDead[name] = true
-				matched = true
+// dropRegister deletes the e.Register(mod, fn, ...) statement from the
+// parsed engine package's registerKernels and reports whether it found one.
+func dropRegister(pkgs []*lintkit.Package, mod, fn string) bool {
+	for _, pkg := range pkgs {
+		if pkg.Seg() != "engine" {
+			continue
+		}
+		for _, fd := range funcDecls(pkg) {
+			if fd.Name.Name != "registerKernels" {
+				continue
+			}
+			for i, st := range fd.Body.List {
+				es, ok := st.(*ast.ExprStmt)
+				if !ok {
+					continue
+				}
+				ce, ok := es.X.(*ast.CallExpr)
+				if !ok || len(ce.Args) < 2 {
+					continue
+				}
+				m, _ := strLit(ce.Args[0])
+				f, _ := strLit(ce.Args[1])
+				if _, name := calleeName(ce); name == "Register" && m == mod && f == fn {
+					fd.Body.List = append(fd.Body.List[:i], fd.Body.List[i+1:]...)
+					return true
+				}
 			}
 		}
-		if !matched {
-			t.Errorf("unexpected raw diagnostic at %s: %s", fset.Position(d.Pos), d.Message)
-		}
 	}
-	for name, seen := range wantDead {
-		if !seen {
-			t.Errorf("expected the raw run to report dead kernel %s", name)
-		}
-	}
+	return false
 }
 
 // TestRealTreeClean runs the whole suite over the repository exactly as

@@ -12,8 +12,9 @@
 //	//stetho:ignore <analyzer> <reason>
 //
 // placed on the flagged line or the line directly above it. The reason
-// is mandatory: an ignore without one is itself reported. This keeps
-// every suppression in the tree self-documenting.
+// is mandatory: an ignore without one is itself reported. So is an
+// ignore that suppresses nothing while its analyzer runs. This keeps
+// every suppression in the tree self-documenting and current.
 package lintkit
 
 import (
@@ -102,8 +103,8 @@ const IgnorePrefix = "//stetho:ignore"
 // ignore is one parsed suppression comment.
 type ignore struct {
 	analyzer string
-	reason   string
-	line     int
+	pos      token.Position
+	used     bool // it suppressed at least one diagnostic
 }
 
 // parseIgnores collects the //stetho:ignore comments of a file, keyed
@@ -130,7 +131,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File) ([]ignore, []Finding) {
 				})
 				continue
 			}
-			igs = append(igs, ignore{analyzer: name, reason: reason, line: pos.Line})
+			igs = append(igs, ignore{analyzer: name, pos: pos})
 		}
 	}
 	return igs, bad
@@ -138,40 +139,48 @@ func parseIgnores(fset *token.FileSet, file *ast.File) ([]ignore, []Finding) {
 
 // RunAnalyzers runs every analyzer over the loaded packages, applies
 // the //stetho:ignore suppressions, and returns the surviving findings
-// sorted by position. An analyzer returning an error aborts the run.
+// sorted by position. An ignore for an analyzer that ran but suppressed
+// nothing is itself a finding. An analyzer returning an error aborts the
+// run.
 func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	// Suppressions are collected once, over every file of every package.
 	type fileKey struct {
 		file string
 		line int
 	}
-	suppressed := map[fileKey][]string{} // file:line -> analyzer names
+	var igs []*ignore
+	covering := map[fileKey][]*ignore{} // file:line -> ignores covering it
 	var findings []Finding
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			igs, bad := parseIgnores(fset, f)
+			parsed, bad := parseIgnores(fset, f)
 			findings = append(findings, bad...)
-			for _, ig := range igs {
-				name := fset.Position(f.Pos()).Filename
+			for i := range parsed {
+				ig := &parsed[i]
+				igs = append(igs, ig)
 				// An ignore suppresses its own line and the line below
 				// (standalone comment above the flagged statement).
-				for _, line := range []int{ig.line, ig.line + 1} {
-					k := fileKey{name, line}
-					suppressed[k] = append(suppressed[k], ig.analyzer)
+				for _, line := range []int{ig.pos.Line, ig.pos.Line + 1} {
+					k := fileKey{ig.pos.Filename, line}
+					covering[k] = append(covering[k], ig)
 				}
 			}
 		}
 	}
 	keep := func(name string, pos token.Position) bool {
-		for _, a := range suppressed[fileKey{pos.Filename, pos.Line}] {
-			if a == name {
-				return false
+		kept := true
+		for _, ig := range covering[fileKey{pos.Filename, pos.Line}] {
+			if ig.analyzer == name {
+				ig.used = true
+				kept = false
 			}
 		}
-		return true
+		return kept
 	}
 
+	ran := map[string]bool{}
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		report := func(d Diagnostic) {
 			pos := fset.Position(d.Pos)
 			if keep(a.Name, pos) {
@@ -191,6 +200,15 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 			}
 		default:
 			return nil, fmt.Errorf("%s: analyzer has neither Run nor RunModule", a.Name)
+		}
+	}
+	for _, ig := range igs {
+		if ran[ig.analyzer] && !ig.used {
+			findings = append(findings, Finding{
+				Analyzer: "stetho-ignore",
+				Pos:      ig.pos,
+				Message:  "stetho:ignore " + ig.analyzer + " suppresses nothing on this line or the next; delete it",
+			})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {

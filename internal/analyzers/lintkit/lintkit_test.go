@@ -102,6 +102,36 @@ func f() {}
 	}
 }
 
+func TestStaleIgnoreIsReported(t *testing.T) {
+	findings := run(t, `package p
+func f(ch chan int) {
+	//stetho:ignore sendflag the send below was removed
+	close(ch)
+	//stetho:ignore otheranalyzer did not run, so it is not judged
+	close(ch)
+}
+`)
+	if len(findings) != 1 || findings[0].Analyzer != "stetho-ignore" || findings[0].Pos.Line != 3 {
+		t.Fatalf("want one stetho-ignore finding on line 3, got %v", findings)
+	}
+	if !strings.Contains(findings[0].Message, "stetho:ignore sendflag suppresses nothing") {
+		t.Fatalf("unexpected message %q", findings[0].Message)
+	}
+}
+
+func TestUsedIgnoreIsNotReported(t *testing.T) {
+	findings := run(t, `package p
+func f(ch chan int) {
+	ch <- 1 //stetho:ignore sendflag suppresses the send on its own line
+	//stetho:ignore sendflag suppresses the send on the line below
+	ch <- 2
+}
+`)
+	if len(findings) != 0 {
+		t.Fatalf("ignores that suppress a finding are not stale, got %v", findings)
+	}
+}
+
 func TestSeg(t *testing.T) {
 	for path, want := range map[string]string{
 		"stethoscope/internal/engine": "engine",

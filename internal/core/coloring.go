@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"stethoscope/internal/dot"
 	"stethoscope/internal/profiler"
 )
 
@@ -169,7 +170,7 @@ func (c Coloring) Fills() map[string]string {
 	out := make(map[string]string, len(c))
 	for pc, color := range c {
 		if color != ColorNone {
-			out[fmt.Sprintf("n%d", pc)] = string(color)
+			out[dot.NodeID(pc)] = string(color)
 		}
 	}
 	return out

@@ -117,15 +117,10 @@ func (ts *TextualStethoscope) SetOnEvent(fn func(addr string, e profiler.Event))
 	ts.onEvent = fn
 }
 
-// StartTextual binds the UDP listener ("127.0.0.1:0" picks a free port).
-// ringCap is the per-server sampling buffer capacity.
-func StartTextual(addr string, ringCap int) (*TextualStethoscope, error) {
-	return StartTextualContext(context.Background(), addr, ringCap)
-}
-
-// StartTextualContext is StartTextual bounded by a context: when ctx is
-// canceled the UDP listener shuts down and no further events are
-// accepted. Streams received so far remain readable.
+// StartTextualContext binds the UDP listener ("127.0.0.1:0" picks a free
+// port); ringCap is the per-server sampling buffer capacity. When ctx is
+// canceled the listener shuts down and no further events are accepted.
+// Streams received so far remain readable.
 func StartTextualContext(ctx context.Context, addr string, ringCap int) (*TextualStethoscope, error) {
 	if ringCap <= 0 {
 		ringCap = 1024
@@ -242,19 +237,4 @@ func (ts *TextualStethoscope) handle(from string, m netproto.Msg) {
 			}
 		}
 	}
-}
-
-// OpenOnlineSession builds a Session from a completed server stream:
-// graph from the streamed dot file, trace from the events so far. The
-// live coloring can then be applied on top via LiveColoring().Fills().
-func (ts *TextualStethoscope) OpenOnlineSession(addr string, opt SessionOptions) (*Session, error) {
-	ss, ok := ts.Server(addr)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown server %s", addr)
-	}
-	g, err := ss.Graph()
-	if err != nil {
-		return nil, err
-	}
-	return NewSession(g, ss.Store(), opt)
 }

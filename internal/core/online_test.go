@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func waitUntil(t *testing.T, cond func() bool, what string) {
 }
 
 func TestE8OnlineStreamDotAndTrace(t *testing.T) {
-	ts, err := StartTextual("127.0.0.1:0", 64)
+	ts, err := StartTextualContext(context.Background(), "127.0.0.1:0", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,11 @@ func TestE8OnlineStreamDotAndTrace(t *testing.T) {
 		t.Errorf("server name = %q", ss.ServerName())
 	}
 	// Build a session from the streamed content.
-	sess, err := ts.OpenOnlineSession(addr, SessionOptions{})
+	g, err := ss.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(g, ss.Store(), SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestE8OnlineStreamDotAndTrace(t *testing.T) {
 }
 
 func TestE8MultiServerFilter(t *testing.T) {
-	ts, err := StartTextual("127.0.0.1:0", 64)
+	ts, err := StartTextualContext(context.Background(), "127.0.0.1:0", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +142,7 @@ func TestE8MultiServerFilter(t *testing.T) {
 }
 
 func TestOnEventTee(t *testing.T) {
-	ts, err := StartTextual("127.0.0.1:0", 16)
+	ts, err := StartTextualContext(context.Background(), "127.0.0.1:0", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,19 +171,8 @@ func TestOnEventTee(t *testing.T) {
 	}, "teed events")
 }
 
-func TestOpenOnlineSessionErrors(t *testing.T) {
-	ts, err := StartTextual("127.0.0.1:0", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	if _, err := ts.OpenOnlineSession("1.2.3.4:5", SessionOptions{}); err == nil {
-		t.Error("unknown server accepted")
-	}
-}
-
 func TestRingBufferSampling(t *testing.T) {
-	ts, err := StartTextual("127.0.0.1:0", 4)
+	ts, err := StartTextualContext(context.Background(), "127.0.0.1:0", 4)
 	if err != nil {
 		t.Fatal(err)
 	}

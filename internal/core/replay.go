@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"stethoscope/internal/dot"
 	"stethoscope/internal/profiler"
 	"stethoscope/internal/trace"
 	"stethoscope/internal/zvtm"
@@ -54,7 +55,7 @@ func (r *Replay) Step(now time.Time) (profiler.Event, bool) {
 	if e.State == profiler.StateDone {
 		color = ColorGreen
 	}
-	r.queue.Enqueue(nodeID(e.PC), string(color), now)
+	r.queue.Enqueue(dot.NodeID(e.PC), string(color), now)
 	return e, true
 }
 
@@ -128,7 +129,7 @@ func (r *Replay) applyRange(from, to int) {
 		}
 	}
 	for pc, c := range state {
-		r.vs.SetNodeColor(nodeID(pc), string(c))
+		r.vs.SetNodeColor(dot.NodeID(pc), string(c))
 	}
 }
 
@@ -146,5 +147,3 @@ func (r *Replay) ColorBetween(from, to int) (Coloring, error) {
 	}
 	return PairElision(window), nil
 }
-
-func nodeID(pc int) string { return fmt.Sprintf("n%d", pc) }

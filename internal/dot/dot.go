@@ -119,14 +119,14 @@ func (g *Graph) Roots() []string {
 func Export(p *mal.Plan) *Graph {
 	g := NewGraph("malplan")
 	for _, in := range p.Instrs {
-		g.AddNode(fmt.Sprintf("n%d", in.PC), map[string]string{
+		g.AddNode(NodeID(in.PC), map[string]string{
 			"label": p.StmtString(in),
 			"shape": "box",
 		})
 	}
 	for pc, ds := range p.Deps() {
 		for _, d := range ds {
-			g.AddEdge(fmt.Sprintf("n%d", d), fmt.Sprintf("n%d", pc), nil)
+			g.AddEdge(NodeID(d), NodeID(pc), nil)
 		}
 	}
 	return g

@@ -114,14 +114,32 @@ func New(cat *storage.Catalog) *Engine {
 // use it).
 func (e *Engine) Catalog() *storage.Catalog { return e.cat }
 
-// Register installs a kernel for "module.function". Later registrations
-// override earlier ones, which tests use for fault injection. Safe to
-// call while queries run, but each run resolves its kernels at start,
-// so a swap only affects runs that begin after it.
+// Register installs a kernel for "module.function". A second
+// registration of the same opcode panics: it would silently replace the
+// first. Safe to call while queries run.
 func (e *Engine) Register(module, function string, k Kernel) {
+	name := module + "." + function
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
-	e.registry[module+"."+function] = k
+	if _, dup := e.registry[name]; dup {
+		panic("engine: kernel " + name + " registered twice")
+	}
+	e.registry[name] = k
+}
+
+// Replace swaps the kernel of a registered opcode and returns the one it
+// replaced; tests use it for fault injection. Each run resolves its
+// kernels at start, so a swap only affects runs that begin after it.
+func (e *Engine) Replace(module, function string, k Kernel) Kernel {
+	name := module + "." + function
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	old, ok := e.registry[name]
+	if !ok {
+		panic("engine: no kernel " + name + " to replace")
+	}
+	e.registry[name] = k
+	return old
 }
 
 // resolve maps every instruction to its kernel under one registry lock.

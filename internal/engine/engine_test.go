@@ -402,6 +402,27 @@ func TestUnknownOperatorFails(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsDuplicate: a second registration of an opcode
+// panics instead of silently replacing the first kernel, and Replace is
+// the one way to swap a kernel.
+func TestRegisterRejectsDuplicate(t *testing.T) {
+	eng := New(testCat)
+	for _, op := range [][2]string{{"aggr", "subcount"}, {"querylog", "define"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second Register of %s.%s did not panic", op[0], op[1])
+				}
+			}()
+			eng.Register(op[0], op[1], kNop)
+		}()
+	}
+	eng.Register("test", "once", kNop)
+	if old := eng.Replace("aggr", "subcount", kNop); old == nil {
+		t.Error("Replace returned no previous kernel")
+	}
+}
+
 func TestKernelErrorPropagatesInDataflow(t *testing.T) {
 	eng := New(testCat)
 	boom := errors.New("boom")
@@ -569,13 +590,13 @@ func TestConcurrentRunsShareEngineAndPlan(t *testing.T) {
 			}
 		}(g)
 	}
-	// Concurrent fault-injection-style registration must not race with
+	// Concurrent fault-injection-style kernel swaps must not race with
 	// the executing goroutines.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 32; i++ {
-			eng.Register("language", "pass", kNop)
+			eng.Replace("querylog", "define", kNop)
 		}
 	}()
 	wg.Wait()

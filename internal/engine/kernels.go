@@ -13,8 +13,6 @@ import (
 // aggregates), mat (mitosis slice/pack), and the admin modules.
 func registerKernels(e *Engine) {
 	e.Register("querylog", "define", kNop)
-	//stetho:ignore kernelcoverage language.pass is part of the MAL surface for hand-written plans (Engine.RunMAL), not the SQL compiler
-	e.Register("language", "pass", kNop)
 	e.Register("sql", "mvc", func(ctx *Context, in *mal.Instr) error {
 		ctx.setVal(in, 0, mal.Int64(0))
 		return nil
@@ -28,8 +26,6 @@ func registerKernels(e *Engine) {
 	e.Register("mat", "pack", kMatPack)
 	e.Register("mat", "kmerge", kKMerge)
 	e.Register("mat", "morsel", kMorsel)
-	//stetho:ignore kernelcoverage bat.mirror serves hand-written MAL plans and tests; the SQL compiler has no use for it yet
-	e.Register("bat", "mirror", kMirror)
 
 	e.Register("algebra", "thetaselect", kThetaSelect)
 	e.Register("algebra", "select", kRangeSelect)
@@ -65,6 +61,10 @@ func registerKernels(e *Engine) {
 		"min": storage.AggrMin, "max": storage.AggrMax, "avg": storage.AggrAvg,
 	} {
 		e.Register("aggr", name, makeGlobalAggr(kind))
+	}
+	for name, kind := range map[string]storage.AggrKind{
+		"sum": storage.AggrSum, "min": storage.AggrMin, "max": storage.AggrMax, "avg": storage.AggrAvg,
+	} {
 		e.Register("aggr", "sub"+name, makeSubAggr(kind))
 	}
 	e.Register("aggr", "subcount", kSubCount)
@@ -180,15 +180,6 @@ func kMatPack(ctx *Context, in *mal.Instr) error {
 		return err
 	}
 	ctx.setBAT(in, 0, out)
-	return nil
-}
-
-func kMirror(ctx *Context, in *mal.Instr) error {
-	b, err := ctx.bat(in, 0)
-	if err != nil {
-		return err
-	}
-	ctx.setBAT(in, 0, storage.MirrorOIDs(b.Len()))
 	return nil
 }
 

@@ -57,8 +57,7 @@ func TestKernelPanicIsContained(t *testing.T) {
 			eng := New(edgeCat)
 			reg := metrics.NewRegistry()
 			eng.SetMetrics(reg)
-			real := eng.registry["algebra.thetaselect"]
-			eng.Register("algebra", "thetaselect", func(*Context, *mal.Instr) error { panic("boom") })
+			real := eng.Replace("algebra", "thetaselect", func(*Context, *mal.Instr) error { panic("boom") })
 
 			res, err := eng.Run(tc.plan, tc.opt)
 			if err == nil {
@@ -88,7 +87,7 @@ func TestKernelPanicIsContained(t *testing.T) {
 			}
 
 			// The same engine runs the same plan once the kernel behaves.
-			eng.Register("algebra", "thetaselect", real)
+			eng.Replace("algebra", "thetaselect", real)
 			res, err = eng.Run(tc.plan, tc.opt)
 			if err != nil {
 				t.Fatalf("run after the contained panic: %v", err)

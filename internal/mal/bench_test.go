@@ -34,16 +34,6 @@ func BenchmarkPlanPrint(b *testing.B) {
 	}
 }
 
-func BenchmarkPlanParse(b *testing.B) {
-	text := widePlan(500).String()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseString(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDeps(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		p := widePlan(n)

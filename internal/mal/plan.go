@@ -2,6 +2,7 @@ package mal
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -206,7 +207,7 @@ func (p *Plan) Deps() [][]int {
 				deps[i] = append(deps[i], d)
 			}
 		}
-		sortInts(deps[i])
+		slices.Sort(deps[i])
 	}
 	return deps
 }
@@ -222,14 +223,6 @@ func (p *Plan) Uses() [][]int {
 		}
 	}
 	return uses
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }
 
 // Validate checks plan well-formedness: every argument variable is defined

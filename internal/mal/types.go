@@ -110,13 +110,3 @@ func BATOf(elem Type) Type {
 	}
 	return TVoid
 }
-
-// ParseType parses the MAL notation produced by Type.String.
-func ParseType(s string) (Type, error) {
-	for t, name := range typeNames {
-		if name == s {
-			return t, nil
-		}
-	}
-	return TVoid, fmt.Errorf("mal: unknown type %q", s)
-}

@@ -66,36 +66,3 @@ func (v Value) String() string {
 		return "<bat>"
 	}
 }
-
-// ParseLiteral parses a MAL literal as printed by Value.String: integers,
-// floats, quoted strings, booleans, date(n), and nil.
-func ParseLiteral(s string) (Value, error) {
-	s = strings.TrimSpace(s)
-	switch {
-	case s == "nil":
-		return Value{}, nil
-	case s == "true":
-		return Bool(true), nil
-	case s == "false":
-		return Bool(false), nil
-	case strings.HasPrefix(s, `"`):
-		u, err := strconv.Unquote(s)
-		if err != nil {
-			return Value{}, fmt.Errorf("mal: bad string literal %s: %w", s, err)
-		}
-		return Str(u), nil
-	case strings.HasPrefix(s, "date(") && strings.HasSuffix(s, ")"):
-		n, err := strconv.ParseInt(s[5:len(s)-1], 10, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("mal: bad date literal %s: %w", s, err)
-		}
-		return Date(n), nil
-	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int64(n), nil
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Float64(f), nil
-	}
-	return Value{}, fmt.Errorf("mal: unrecognized literal %q", s)
-}

@@ -234,21 +234,28 @@ func (l *Listener) loop(h Handler) {
 			}
 			continue
 		}
-		m, err := Decode(buf[:n])
-		if err != nil {
-			continue // ignore malformed datagrams
+		src := from.String()
+		dispatch(buf[:n], func(m Msg) { h(src, m) })
+	}
+}
+
+// dispatch is the receive loop's work on one datagram: decode it and
+// hand its messages to deliver, expanding a coalesced EVTB batch into
+// one MsgEvent per line so handlers only ever see the per-event
+// protocol. A malformed datagram is dropped.
+func dispatch(b []byte, deliver func(Msg)) {
+	m, err := Decode(b)
+	if err != nil {
+		return
+	}
+	if m.Kind != MsgEventBatch {
+		deliver(m)
+		return
+	}
+	for _, line := range strings.Split(m.Payload, "\n") {
+		if line != "" {
+			deliver(Msg{Kind: MsgEvent, Payload: line})
 		}
-		if m.Kind == MsgEventBatch {
-			// Expand coalesced batches so handlers only ever see the
-			// per-event protocol.
-			for _, line := range strings.Split(m.Payload, "\n") {
-				if line != "" {
-					h(from.String(), Msg{Kind: MsgEvent, Payload: line})
-				}
-			}
-			continue
-		}
-		h(from.String(), m)
 	}
 }
 

@@ -134,7 +134,7 @@ func TestFailedRunIsRecorded(t *testing.T) {
 	defer store.Close()
 	r := New(cat, store)
 	boom := errors.New("boom")
-	r.Engine.Register("algebra", "thetaselect", func(*engine.Context, *mal.Instr) error { return boom })
+	r.Engine.Replace("algebra", "thetaselect", func(*engine.Context, *mal.Instr) error { return boom })
 	p, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

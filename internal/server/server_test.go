@@ -143,7 +143,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 	// streams dot + trace during QUERY, the client builds a session and
 	// colors it.
 	srv := startServer(t)
-	ts, err := core.StartTextual("127.0.0.1:0", 256)
+	ts, err := core.StartTextualContext(context.Background(), "127.0.0.1:0", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,11 @@ func TestOnlineEndToEnd(t *testing.T) {
 	if ss.ServerName() != "test-server" {
 		t.Errorf("server name = %q", ss.ServerName())
 	}
-	sess, err := ts.OpenOnlineSession(addr, core.SessionOptions{})
+	g, err := ss.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := core.NewSession(g, ss.Store(), core.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 
 func TestServerFilterReducesStream(t *testing.T) {
 	srv := startServer(t)
-	ts, err := core.StartTextual("127.0.0.1:0", 4096)
+	ts, err := core.StartTextualContext(context.Background(), "127.0.0.1:0", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func mergeRef(t *testing.T, keyRuns [][]*BAT, asc []bool) *BAT {
 		packed[j] = out
 	}
 	// Stable multi-key sort: least significant key first.
-	perm := MirrorOIDs(packed[0].Len())
+	perm := identity(packed[0].Len())
 	for j := len(packed) - 1; j >= 0; j-- {
 		col, err := Project(perm, packed[j])
 		if err != nil {
@@ -37,11 +37,21 @@ func mergeRef(t *testing.T, keyRuns [][]*BAT, asc []bool) *BAT {
 	return perm
 }
 
+// identity is the dense oid sequence 0..n-1: the permutation that
+// leaves a column as it is.
+func identity(n int) *BAT {
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = int64(i)
+	}
+	return FromInts(OID, v)
+}
+
 // sortRun stable-sorts one run's key columns (least significant first)
 // and returns the sorted columns.
 func sortRun(t *testing.T, cols []*BAT, asc []bool) []*BAT {
 	t.Helper()
-	perm := MirrorOIDs(cols[0].Len())
+	perm := identity(cols[0].Len())
 	for j := len(cols) - 1; j >= 0; j-- {
 		col, err := Project(perm, cols[j])
 		if err != nil {

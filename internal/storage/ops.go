@@ -837,13 +837,3 @@ func mergeSortInt64(a, buf []int64, less func(x, y int64) bool) {
 		k++
 	}
 }
-
-// MirrorOIDs returns the dense oid sequence 0..n-1, MAL's bat.mirror: the
-// full candidate list over a column of n rows.
-func MirrorOIDs(n int) *BAT {
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = int64(i)
-	}
-	return FromInts(OID, v)
-}

@@ -383,16 +383,6 @@ func TestCompareAndBoolOps(t *testing.T) {
 	}
 }
 
-func TestMirrorOIDs(t *testing.T) {
-	m := MirrorOIDs(4)
-	if m.Kind() != OID || !equalI64(m.Ints(), []int64{0, 1, 2, 3}) {
-		t.Errorf("mirror = %v", m.Ints())
-	}
-	if MirrorOIDs(0).Len() != 0 {
-		t.Error("empty mirror")
-	}
-}
-
 func TestCatalog(t *testing.T) {
 	c := NewCatalog()
 	cols := []Column{{"id", Int}, {"name", Str}}

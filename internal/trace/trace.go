@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"stethoscope/internal/dot"
@@ -59,7 +60,7 @@ func FromEventsOwned(events []profiler.Event) *Store {
 		for pc := range s.sparse {
 			s.pcs = append(s.pcs, pc)
 		}
-		sortInts(s.pcs)
+		slices.Sort(s.pcs)
 		return s
 	}
 	// Dense path: group indices by pc in two passes over one shared
@@ -212,8 +213,8 @@ func MapToGraph(s *Store, g *dot.Graph) Mapping {
 			m.LabelMismatches = append(m.LabelMismatches, pc)
 		}
 	}
-	sortInts(m.Unmatched)
-	sortInts(m.LabelMismatches)
+	slices.Sort(m.Unmatched)
+	slices.Sort(m.LabelMismatches)
 	return m
 }
 
@@ -221,12 +222,4 @@ func MapToGraph(s *Store, g *dot.Graph) Mapping {
 // matching label.
 func (m Mapping) Complete() bool {
 	return len(m.Unmatched) == 0 && len(m.LabelMismatches) == 0
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }
