@@ -141,9 +141,7 @@ func printRuns(runs []stethoscope.RunInfo) {
 	fmt.Printf("%-6s %-25s %12s %8s %6s %5s %-s\n", "ID", "START", "ELAPSED", "EVENTS", "ROWS", "OK", "SQL")
 	for _, r := range runs {
 		status := "yes"
-		if !r.Complete {
-			status = "part"
-		} else if r.Err != "" {
+		if !r.OK() {
 			status = "err"
 		}
 		sql := r.SQL

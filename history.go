@@ -101,9 +101,9 @@ type History struct {
 // OpenHistory opens (or creates) a trace store without a DB — the path
 // tracegen -store and offline tooling use. Crash recovery runs during
 // open: a torn tail record left by a killed process is truncated and
-// logged, losing at most that record. Writers are exclusive: opening a
-// store a live process is writing fails (use OpenHistoryReadOnly to
-// inspect one).
+// logged, losing at most the run being written. Writers are exclusive:
+// opening a store a live process is writing fails (use
+// OpenHistoryReadOnly to inspect one).
 func OpenHistory(dir string) (*History, error) {
 	return OpenHistoryConfig(HistoryConfig{Dir: dir, CompactEvery: -1})
 }
@@ -140,15 +140,7 @@ func (h *History) TopN(n int) []RunInfo { return h.st.TopN(n) }
 // the full event stream with every trace analytic of a live Result
 // (Costly, Utilization, ModuleBreakdown, Gantt, birds-eye, ...).
 func (h *History) Get(id uint64) (*Run, error) {
-	info, ok := h.st.Run(id)
-	if !ok {
-		return nil, fmt.Errorf("stethoscope: history: unknown run %d", id)
-	}
-	evs, err := h.st.Events(id)
-	if err != nil {
-		return nil, fmt.Errorf("stethoscope: history: %w", err)
-	}
-	dotText, err := h.st.Dot(id)
+	info, dotText, evs, err := h.st.Load(id)
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: history: %w", err)
 	}
@@ -178,11 +170,7 @@ func (h *History) Compare(a, b uint64) (*RunDiff, error) {
 	var runs [2]core.DiffRun
 	var events [2][]Event
 	for i, id := range []uint64{a, b} {
-		info, ok := h.st.Run(id)
-		if !ok {
-			return nil, fmt.Errorf("stethoscope: history: unknown run %d", id)
-		}
-		evs, err := h.st.Events(id)
+		info, _, evs, err := h.st.Load(id)
 		if err != nil {
 			return nil, fmt.Errorf("stethoscope: history: %w", err)
 		}
@@ -220,7 +208,7 @@ func (h *History) rollup(key func(stmt string) string, ids []uint64) ([]AggStat,
 	}
 	r := core.NewRollup(key)
 	for _, id := range ids {
-		evs, err := h.st.Events(id)
+		_, _, evs, err := h.st.Load(id)
 		if err != nil {
 			return nil, fmt.Errorf("stethoscope: history: %w", err)
 		}

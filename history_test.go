@@ -54,8 +54,11 @@ func TestHistoryRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(run.Events(), res.Events()) {
 			t.Fatalf("%s: stored event stream differs from the live trace", stage)
 		}
+		if run.Dot() != res.Dot() || run.TraceText() != res.TraceText() {
+			t.Fatalf("%s: stored dot or trace text differs from the live Result's", stage)
+		}
 		if run.Info.SQL != figure1Query || run.Info.Partitions != 4 || run.Info.Workers != 2 ||
-			!run.Info.Complete || run.Info.Rows != res.RowCount() {
+			!run.Info.OK() || run.Info.Rows != res.RowCount() {
 			t.Fatalf("%s: run info = %+v", stage, run.Info)
 		}
 		// Replay: the stored run opens as a full analysis session with a
@@ -84,6 +87,22 @@ func TestHistoryRoundTrip(t *testing.T) {
 	if a, err := stethoscope.OpenOffline(run.Dot(), run.TraceText()); err != nil || !a.MappingComplete() {
 		t.Fatalf("OpenOffline over stored artifacts: %v", err)
 	}
+	// Over TCP, HISTORY TRACE serves the live trace text byte for byte.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, err := db.Serve(ctx, "roundtrip", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := stethoscope.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traceText, err := r.HistoryTrace(res.Stats.RunID); err != nil || traceText != res.TraceText() {
+		t.Fatalf("HISTORY TRACE differs from Result.TraceText (%v)", err)
+	}
+	r.Close()
+	srv.Close()
 
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -107,13 +107,6 @@ func (p *Plan) NewVar(t Type) int {
 	return id
 }
 
-// NewNamedVar appends a fresh variable with an explicit display name.
-func (p *Plan) NewNamedVar(name string, t Type) int {
-	id := len(p.Vars)
-	p.Vars = append(p.Vars, Variable{Name: name, Type: t})
-	return id
-}
-
 // VarType returns the declared type of variable id.
 func (p *Plan) VarType(id int) Type {
 	if id < 0 || id >= len(p.Vars) {

@@ -523,11 +523,12 @@ func (sess *session) cmdQuery(w *bufio.Writer, query string) {
 
 // runLine renders one run as a k=v protocol line. The quoted,
 // space-containing fields (sql, err, tune) come last, so everything
-// before sql= splits cleanly on spaces.
+// before sql= splits cleanly on spaces. Every stored run is whole, so
+// complete=true is literal; it stays for clients that check it.
 func runLine(r tracestore.RunInfo) string {
-	return fmt.Sprintf("id=%d start=%s elapsed_us=%d events=%d rows=%d partitions=%d workers=%d auto=%t complete=%t cache_hit=%t sql=%s err=%s tune=%s",
+	return fmt.Sprintf("id=%d start=%s elapsed_us=%d events=%d rows=%d partitions=%d workers=%d auto=%t complete=true cache_hit=%t sql=%s err=%s tune=%s",
 		r.ID, r.Start.UTC().Format(time.RFC3339Nano), r.ElapsedUs, r.Events, r.Rows,
-		r.Partitions, r.Workers, r.AutoTuned, r.Complete, r.CacheHit,
+		r.Partitions, r.Workers, r.AutoTuned, r.CacheHit,
 		strconv.Quote(r.SQL), strconv.Quote(r.Err), strconv.Quote(r.TuneReason))
 }
 
@@ -601,7 +602,7 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 			fmt.Fprintln(w, "err usage: HISTORY TRACE <id>")
 			return
 		}
-		evs, err := hs.Events(id)
+		_, _, evs, err := hs.Load(id)
 		if err != nil {
 			fmt.Fprintf(w, "err %v\n", err)
 			return
@@ -615,7 +616,7 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 			fmt.Fprintln(w, "err usage: HISTORY DOT <id>")
 			return
 		}
-		dotText, err := hs.Dot(id)
+		_, dotText, _, err := hs.Load(id)
 		if err != nil {
 			fmt.Fprintf(w, "err %v\n", err)
 			return
@@ -636,12 +637,7 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 		var runs [2]core.DiffRun
 		var events [2][]profiler.Event
 		for i, id := range []uint64{a, b} {
-			r, found := hs.Run(id)
-			if !found {
-				fmt.Fprintf(w, "err unknown run %d\n", id)
-				return
-			}
-			evs, err := hs.Events(id)
+			r, _, evs, err := hs.Load(id)
 			if err != nil {
 				fmt.Fprintf(w, "err %v\n", err)
 				return
@@ -698,12 +694,28 @@ func DialServer(addr string) (*Client, error) {
 }
 
 // Command sends one line and collects the response: status plus payload
-// lines up to the "." terminator for multiline responses.
+// lines up to the "." terminator for multiline responses. A blank line
+// (the server sends no reply to one) or a line with an embedded CR or LF
+// (the server would read several commands) is refused before anything
+// is written.
 func (c *Client) Command(line string) (string, []string, error) {
+	if strings.TrimSpace(line) == "" || strings.ContainsAny(line, "\r\n") {
+		return "", nil, fmt.Errorf("server: command %q is not one non-blank line", line)
+	}
 	if _, err := fmt.Fprintln(c.conn, line); err != nil {
 		return "", nil, err
 	}
-	status, err := c.r.ReadString('\n')
+	cmd := strings.ToUpper(strings.Fields(line)[0])
+	multi := cmd == "EXPLAIN" || cmd == "ALGEBRA" || cmd == "DOT" || cmd == "QUERY" || cmd == "TABLES" ||
+		cmd == "STATS" || cmd == "HISTORY" || cmd == "METRICS" || cmd == "PROGRESS"
+	return readReply(c.r, multi)
+}
+
+// readReply reads one reply: the status line and, for a multiline
+// command whose status is not an error, the payload lines up to the "."
+// terminator. An "err" status is returned as an error too.
+func readReply(r *bufio.Reader, multi bool) (string, []string, error) {
+	status, err := r.ReadString('\n')
 	if err != nil {
 		return "", nil, err
 	}
@@ -711,17 +723,16 @@ func (c *Client) Command(line string) (string, []string, error) {
 	if strings.HasPrefix(status, "err") {
 		return status, nil, fmt.Errorf("server: %s", status)
 	}
-	cmd := strings.ToUpper(strings.Fields(line)[0])
-	if cmd != "EXPLAIN" && cmd != "ALGEBRA" && cmd != "DOT" && cmd != "QUERY" && cmd != "TABLES" && cmd != "STATS" && cmd != "HISTORY" && cmd != "METRICS" && cmd != "PROGRESS" {
+	if !multi {
 		return status, nil, nil
 	}
 	var payload []string
 	for {
-		l, err := c.r.ReadString('\n')
+		l, err := r.ReadString('\n')
 		if err != nil {
 			return status, payload, err
 		}
-		l = strings.TrimRight(l, "\n")
+		l = strings.TrimSuffix(l, "\n")
 		if l == "." {
 			return status, payload, nil
 		}

@@ -47,6 +47,25 @@ func dialServer(t testing.TB, srv *Server) *Client {
 	return c
 }
 
+// TestCommandRefusesBlankAndMultiLine: a blank line (the server sends
+// no reply to one) and a line with an embedded CR or LF (the server
+// would read several commands) are refused before anything is written,
+// so neither hangs and the next command still gets its own reply.
+func TestCommandRefusesBlankAndMultiLine(t *testing.T) {
+	srv := startServer(t)
+	c := dialServer(t, srv)
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	for _, line := range []string{"", "  \t", "STATS\nTABLES", "TABLES\r\nSTATS", "TABLES\rSTATS"} {
+		if _, _, err := c.Command(line); err == nil || strings.Contains(err.Error(), "timeout") {
+			t.Errorf("Command(%q) = %v, want a prompt refusal", line, err)
+		}
+	}
+	status, payload, err := c.Command("TABLES")
+	if err != nil || status != "ok" || len(payload) != 8 {
+		t.Fatalf("TABLES after the refusals = %q, %d lines, %v", status, len(payload), err)
+	}
+}
+
 func TestGreetingAndTables(t *testing.T) {
 	srv := startServer(t)
 	c := dialServer(t, srv)
@@ -448,7 +467,7 @@ func TestHistoryCommand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HISTORY TRACE: %v", err)
 	}
-	evs, err := srv.run.History.Events(1)
+	_, _, evs, err := srv.run.History.Load(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,46 +6,40 @@ import (
 	"time"
 )
 
-// FuzzRecordDecode throws arbitrary record payloads (the bytes after
-// the type byte) at every record decoder: none may panic, and whatever
-// decodes must re-encode to bytes that decode to the same value.
-// Exercised at length in nightly CI (see .github/workflows/nightly.yml).
+// FuzzRecordDecode throws arbitrary run payloads (the bytes after the
+// type byte) at the run decoder: none may panic it, and whatever decodes
+// must re-encode to bytes that decode to an equal run, with the same
+// index entry from the head alone. Exercised at length in nightly CI
+// (see .github/workflows/nightly.yml).
 func FuzzRecordDecode(f *testing.F) {
-	m := RunMeta{
-		SQL: "select 1", Dot: "digraph{n0}", Start: time.Unix(0, 12345),
+	info := RunInfo{
+		ID: 42, SQL: "select 1", Start: time.Unix(0, 12345),
 		Partitions: 8, Workers: 4, Instructions: 17,
 		AutoTuned: true, TuneReason: "auto: rows=60175 procs=4 -> 8 partitions",
+		ElapsedUs: 700, Rows: 3, CacheHit: true,
 	}
-	f.Add(encodeBegin(42, m)[1:])
-	f.Add(encodeBeginLegacy(7, m)[1:]) // no auto-tune trailer
-	f.Add(encodeEvents(42, synthEvents(3, 100))[1:])
-	f.Add(encodeEvents(42, nil)[1:])
-	f.Add(encodeEnd(42, RunStats{ElapsedUs: 700, Rows: 3, CacheHit: true})[1:])
-	f.Add(encodeEnd(42, RunStats{ElapsedUs: 1, Err: "context canceled"})[1:])
+	failed := RunInfo{ID: 7, SQL: "select 2", Start: time.Unix(0, 99), ElapsedUs: 1, Err: "context canceled"}
+	f.Add(appendRun(nil, info, "digraph{n0}", synthEvents(3, 100))[1:])
+	f.Add(appendRun(nil, info, "", nil)[1:])
+	f.Add(appendRun(nil, failed, "digraph{}", synthEvents(1, 5))[1:])
+	f.Add(appendRun(nil, failed, "digraph{}", synthEvents(1, 5))[1:20]) // cut inside the head
+	full := appendRun(nil, info, "digraph{n0}", synthEvents(2, 10))
+	f.Add(full[1 : len(full)-3]) // cut inside the last event
+	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if id, m, err := decodeBegin(b); err == nil {
-			id2, m2, err := decodeBegin(encodeBegin(id, m)[1:])
-			if err != nil || id2 != id || !reflect.DeepEqual(m2, m) {
-				t.Fatalf("begin %d %+v re-decoded as %d %+v, %v", id, m, id2, m2, err)
-			}
+		head, _, _, herr := decodeRun(b, false)
+		info, dot, evs, err := decodeRun(b, true)
+		if err != nil {
+			return
 		}
-		decodeEventsHeader(b)
-		if id, evs, err := decodeEvents(b, nil); err == nil {
-			again := encodeEvents(id, evs)[1:]
-			id2, evs2, err := decodeEvents(again, nil)
-			if err != nil || id2 != id || !reflect.DeepEqual(evs2, evs) {
-				t.Fatalf("events of run %d (%d) re-decoded as run %d (%d), %v", id, len(evs), id2, len(evs2), err)
-			}
-			if hid, count, err := decodeEventsHeader(again); err != nil || hid != id || count != len(evs) {
-				t.Fatalf("re-encoded header = run %d count %d, %v; want run %d count %d", hid, count, err, id, len(evs))
-			}
+		if herr != nil || head != info {
+			t.Fatalf("head decode = %+v, %v; full decode = %+v", head, herr, info)
 		}
-		if id, st, err := decodeEnd(b); err == nil {
-			id2, st2, err := decodeEnd(encodeEnd(id, st)[1:])
-			if err != nil || id2 != id || st2 != st {
-				t.Fatalf("end %d %+v re-decoded as %d %+v, %v", id, st, id2, st2, err)
-			}
+		again := appendRun(nil, info, dot, evs)[1:]
+		info2, dot2, evs2, err := decodeRun(again, true)
+		if err != nil || info2 != info || dot2 != dot || !reflect.DeepEqual(evs2, evs) {
+			t.Fatalf("run %+v (%d events) re-decoded as %+v (%d events), %v", info, len(evs), info2, len(evs2), err)
 		}
 	})
 }

@@ -4,21 +4,19 @@
 //
 //	u32le payloadLen | u32le crc32(payload) | payload
 //
-// The payload starts with a one-byte record type followed by the run id
-// as a uvarint; the rest is type-specific. Three record types exist:
+// Every record is one whole run, written once after the run ended:
 //
-//	begin  — run metadata: start time, SQL text, execution settings,
-//	         and the plan's dot text (so a stored run replays through
-//	         the offline analysis path without recompiling).
-//	events — a batch of profiler events, varint-packed.
-//	end    — completion statistics: elapsed time, result rows, plan
-//	         cache hit, and the execution error (empty on success).
+//	recRun (1 byte) | runID (u64le) |
+//	start | partitions | workers | instructions | flags | sql | tune |
+//	elapsedUs | rows | err | eventCount | dot | events
 //
-// Records of concurrent runs interleave freely within a segment; the
-// run id on every record reassembles them. A crash can only tear the
-// last record of the last segment (appends are sequential); Open
-// detects the torn tail by its short length or checksum mismatch and
-// truncates it, losing at most that one record.
+// The fixed-width id lets Record encode the payload outside the store
+// lock and patch the id in under it. Everything before the dot is the
+// run's index entry; the dot and the varint-packed events are the body
+// only Load decodes. Appends are sequential, so a crash can only tear
+// the last record of the last segment: Open detects it by its short
+// length or checksum mismatch and truncates it, losing at most the run
+// being written.
 package tracestore
 
 import (
@@ -30,22 +28,27 @@ import (
 	"stethoscope/internal/profiler"
 )
 
-// Record types.
-const (
-	recBegin  byte = 1
-	recEvents byte = 2
-	recEnd    byte = 3
-)
+// recRun is the type byte of a run record. Types 1–3 were the begin,
+// events and end records of the older multi-record format, which Open
+// skips.
+const recRun byte = 4
 
 // recHeaderLen is the fixed record header: payload length + CRC
 // (the shared fsio framing).
 const recHeaderLen = fsio.RecordHeaderLen
 
-// maxRecordBytes bounds a single record; anything larger read back from
-// disk is treated as corruption rather than allocated.
+// maxRecordBytes bounds a single record: Record refuses a larger run,
+// and anything larger read back from disk is treated as corruption
+// rather than allocated.
 const maxRecordBytes = 64 << 20
 
-// RunMeta is the metadata written with a run's begin record.
+// Flag bits of a run record.
+const (
+	flagAutoTuned byte = 1 << iota
+	flagCacheHit
+)
+
+// RunMeta is what a run is started with.
 type RunMeta struct {
 	SQL          string
 	Dot          string // plan dot text, kept for offline replay
@@ -61,7 +64,7 @@ type RunMeta struct {
 	TuneReason string
 }
 
-// RunStats is the completion accounting written with an end record.
+// RunStats is a run's completion accounting.
 type RunStats struct {
 	ElapsedUs int64
 	Rows      int
@@ -69,39 +72,30 @@ type RunStats struct {
 	Err       string // execution error; empty on success
 }
 
-// encodeBegin renders a begin payload.
-func encodeBegin(id uint64, m RunMeta) []byte {
-	b := make([]byte, 0, 64+len(m.SQL)+len(m.Dot))
-	b = append(b, recBegin)
-	b = binary.AppendUvarint(b, id)
-	b = binary.AppendVarint(b, m.Start.UnixNano())
-	b = binary.AppendUvarint(b, uint64(m.Partitions))
-	b = binary.AppendUvarint(b, uint64(m.Workers))
-	b = binary.AppendUvarint(b, uint64(m.Instructions))
-	b = appendString(b, m.SQL)
-	b = appendString(b, m.Dot)
-	// Auto-tune trailer, appended after the original field set: decoders
-	// treat its absence as "not auto-tuned", which keeps pre-trailer
-	// stores readable.
+// appendRun appends a run payload — type byte, info.ID, the head fields
+// of info, len(evs), dot, evs — to b.
+func appendRun(b []byte, info RunInfo, dot string, evs []profiler.Event) []byte {
+	b = append(b, recRun)
+	b = binary.LittleEndian.AppendUint64(b, info.ID)
+	b = binary.AppendVarint(b, info.Start.UnixNano())
+	b = binary.AppendUvarint(b, uint64(info.Partitions))
+	b = binary.AppendUvarint(b, uint64(info.Workers))
+	b = binary.AppendUvarint(b, uint64(info.Instructions))
 	var flags byte
-	if m.AutoTuned {
-		flags |= 1
+	if info.AutoTuned {
+		flags |= flagAutoTuned
+	}
+	if info.CacheHit {
+		flags |= flagCacheHit
 	}
 	b = append(b, flags)
-	b = appendString(b, m.TuneReason)
-	return b
-}
-
-// encodeEvents renders an events payload.
-func encodeEvents(id uint64, evs []profiler.Event) []byte {
-	n := 0
-	for i := range evs {
-		n += 40 + len(evs[i].Stmt)
-	}
-	b := make([]byte, 0, 16+n)
-	b = append(b, recEvents)
-	b = binary.AppendUvarint(b, id)
+	b = appendString(b, info.SQL)
+	b = appendString(b, info.TuneReason)
+	b = binary.AppendVarint(b, info.ElapsedUs)
+	b = binary.AppendUvarint(b, uint64(info.Rows))
+	b = appendString(b, info.Err)
 	b = binary.AppendUvarint(b, uint64(len(evs)))
+	b = appendString(b, dot)
 	for i := range evs {
 		e := &evs[i]
 		b = binary.AppendVarint(b, e.Seq)
@@ -118,22 +112,6 @@ func encodeEvents(id uint64, evs []profiler.Event) []byte {
 	return b
 }
 
-// encodeEnd renders an end payload.
-func encodeEnd(id uint64, st RunStats) []byte {
-	b := make([]byte, 0, 32+len(st.Err))
-	b = append(b, recEnd)
-	b = binary.AppendUvarint(b, id)
-	b = binary.AppendVarint(b, st.ElapsedUs)
-	b = binary.AppendUvarint(b, uint64(st.Rows))
-	var flags byte
-	if st.CacheHit {
-		flags |= 1
-	}
-	b = append(b, flags)
-	b = appendString(b, st.Err)
-	return b
-}
-
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -145,43 +123,38 @@ func recordError(kind string, _ int) error {
 	return fmt.Errorf("tracestore: truncated %s in record payload", kind)
 }
 
-// decodeBegin parses a begin payload (after the type byte).
-func decodeBegin(b []byte) (id uint64, m RunMeta, err error) {
+// decodeRun parses a run payload after its type byte. With body false
+// it stops after the event count — what Open's index scan needs — and
+// returns an empty dot and no events.
+func decodeRun(b []byte, body bool) (info RunInfo, dot string, evs []profiler.Event, err error) {
 	r := &fsio.Reader{B: b, Fail: recordError}
-	id = r.Uvarint()
-	m.Start = time.Unix(0, r.Varint())
-	m.Partitions = int(r.Uvarint())
-	m.Workers = int(r.Uvarint())
-	m.Instructions = int(r.Uvarint())
-	m.SQL = r.Str()
-	m.Dot = r.Str()
-	// The auto-tune trailer is optional: begin records written before it
-	// existed end here and decode with the zero values.
-	if r.Err == nil && r.Pos < len(r.B) {
-		m.AutoTuned = r.Byte()&1 != 0
-		m.TuneReason = r.Str()
+	if len(b) < 8 {
+		return info, "", nil, recordError("run id", 0)
 	}
-	return id, m, r.Err
-}
-
-// decodeEventsHeader parses just the run id and event count of an events
-// payload — what the index scan needs without materializing the batch.
-func decodeEventsHeader(b []byte) (id uint64, count int, err error) {
-	r := &fsio.Reader{B: b, Fail: recordError}
-	id = r.Uvarint()
-	count = int(r.Uvarint())
-	return id, count, r.Err
-}
-
-// decodeEvents parses a full events payload, appending to dst.
-func decodeEvents(b []byte, dst []profiler.Event) (uint64, []profiler.Event, error) {
-	r := &fsio.Reader{B: b, Fail: recordError}
-	id := r.Uvarint()
-	count := int(r.Uvarint())
-	if r.Err != nil {
-		return id, dst, r.Err
+	info.ID = binary.LittleEndian.Uint64(b)
+	r.Pos = 8
+	info.Start = time.Unix(0, r.Varint())
+	info.Partitions = int(r.Uvarint())
+	info.Workers = int(r.Uvarint())
+	info.Instructions = int(r.Uvarint())
+	flags := r.Byte()
+	info.AutoTuned = flags&flagAutoTuned != 0
+	info.CacheHit = flags&flagCacheHit != 0
+	info.SQL = r.Str()
+	info.TuneReason = r.Str()
+	info.ElapsedUs = r.Varint()
+	info.Rows = int(r.Uvarint())
+	info.Err = r.Str()
+	count := r.Uvarint()
+	if r.Err != nil || !body {
+		info.Events = int(count)
+		return info, "", nil, r.Err
 	}
-	for i := 0; i < count && r.Err == nil; i++ {
+	dot = r.Str()
+	// Every event takes at least ten bytes; the bytes left bound the
+	// preallocation against a corrupt count.
+	evs = make([]profiler.Event, 0, min(count, uint64(len(b)-r.Pos)/10))
+	for i := uint64(0); i < count && r.Err == nil; i++ {
 		var e profiler.Event
 		e.Seq = r.Varint()
 		e.State = profiler.State(r.Byte())
@@ -193,20 +166,11 @@ func decodeEvents(b []byte, dst []profiler.Event) (uint64, []profiler.Event, err
 		e.Reads = r.Varint()
 		e.Writes = r.Varint()
 		e.Stmt = r.Str()
-		if r.Err == nil {
-			dst = append(dst, e)
-		}
+		evs = append(evs, e)
 	}
-	return id, dst, r.Err
-}
-
-// decodeEnd parses an end payload.
-func decodeEnd(b []byte) (id uint64, st RunStats, err error) {
-	r := &fsio.Reader{B: b, Fail: recordError}
-	id = r.Uvarint()
-	st.ElapsedUs = r.Varint()
-	st.Rows = int(r.Uvarint())
-	st.CacheHit = r.Byte()&1 != 0
-	st.Err = r.Str()
-	return id, st, r.Err
+	if r.Err != nil {
+		return info, "", nil, r.Err
+	}
+	info.Events = len(evs)
+	return info, dot, evs, nil
 }

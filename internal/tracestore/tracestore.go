@@ -1,19 +1,20 @@
 // Package tracestore is the durable query-history subsystem: an
 // append-only, segmented, checksummed binary store for profiler traces.
-// Every executed query becomes a run — a begin record carrying the SQL
-// and plan dot text, interleaved batches of profiler events, and an end
-// record with completion statistics — so "what ran slowly yesterday?"
-// survives process restarts. The store offers size-based retention at
-// segment granularity with an optional background compactor, crash
-// recovery that truncates a torn tail record instead of failing, and
-// index queries (runs in begin order or newest first, the slowest
-// runs, one run's events or plan). It only stores: stored runs are
-// analysed by internal/core, the same functions that analyse a live
-// run. See record.go for the on-disk format.
+// Every executed query becomes a run — one record carrying the SQL,
+// settings, completion statistics, plan dot text and profiler events —
+// so "what ran slowly yesterday?" survives process restarts. The store
+// offers size-based retention at segment granularity with an optional
+// background compactor, crash recovery that truncates a torn tail
+// record instead of failing, and index queries (runs in completion
+// order or newest first, the slowest runs, one run's record). It only
+// stores: stored runs are analysed by internal/core, the same functions
+// that analyse a live run. See record.go for the on-disk format.
 package tracestore
 
 import (
 	"bufio"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log"
@@ -36,8 +37,8 @@ const (
 	segSuffix              = ".tlog"
 )
 
-// DefaultAppendBatch is how many events one durable events record
-// carries: Record cuts a run's trace into records of this many events.
+// DefaultAppendBatch is the batch size a profiler.Batcher feeding a
+// RunWriter is built with (see Begin).
 const DefaultAppendBatch = 256
 
 // Options configures Open. The zero value (plus Dir) is a store with
@@ -55,24 +56,19 @@ type Options struct {
 	CompactEvery time.Duration
 	// ReadOnly opens the store for inspection: no writer lock is taken,
 	// a torn tail is skipped in memory instead of truncated on disk,
-	// and Begin/Compact fail. This is how tooling (tracehist) looks at
+	// and Record/Begin/Compact fail. This is how tooling (tracehist) looks at
 	// a store a live server may be appending to.
 	ReadOnly bool
 	// Logf receives recovery and retention notices (default log.Printf).
 	Logf func(format string, args ...any)
 }
 
-// recRef locates one record of a run.
-type recRef struct {
-	seg int
-	off int64
-	typ byte
-}
-
-// runEntry is the in-memory index entry of one run.
+// runEntry is the in-memory index entry of one run: its info and
+// where its record starts.
 type runEntry struct {
 	info RunInfo
-	refs []recRef
+	seg  int
+	off  int64
 }
 
 // RunInfo describes one recorded run.
@@ -88,10 +84,7 @@ type RunInfo struct {
 	AutoTuned  bool
 	TuneReason string
 	// Events is the number of stored profiler events.
-	Events int
-	// Complete reports whether the end record was written; ElapsedUs,
-	// Rows, CacheHit and Err are only meaningful when it is.
-	Complete  bool
+	Events    int
 	ElapsedUs int64
 	Rows      int
 	CacheHit  bool
@@ -99,7 +92,7 @@ type RunInfo struct {
 }
 
 // OK reports whether the run completed without an execution error.
-func (r RunInfo) OK() bool { return r.Complete && r.Err == "" }
+func (r RunInfo) OK() bool { return r.Err == "" }
 
 // segMeta tracks one segment file.
 type segMeta struct {
@@ -133,16 +126,13 @@ type Store struct {
 	opts Options
 	logf func(format string, args ...any)
 
-	mu       sync.Mutex
-	lockF    *os.File      // flock-held writer lock; nil on read-only opens
-	f        *os.File      // active segment, append-only; nil on read-only opens
-	w        *bufio.Writer // buffers appends to f; nil on read-only opens
-	activeID int
-	segs     []*segMeta // ascending by id; last is active
-	index    map[uint64]*runEntry
-	order    []uint64 // run ids in begin order
-	nextID   uint64
-	closed   bool
+	mu     sync.Mutex
+	lockF  *os.File   // flock-held writer lock; nil on read-only opens
+	f      *os.File   // active segment, append-only; nil on read-only opens
+	segs   []*segMeta // ascending by id; last is active
+	runs   []runEntry // ascending by run id, which is completion order
+	nextID uint64
+	closed bool
 
 	recoveredEvents int
 	truncatedBytes  int64
@@ -162,10 +152,11 @@ type Store struct {
 // Open opens (or creates) the store at opts.Dir, rebuilding the run
 // index by scanning the segments. A torn tail record in the last
 // segment — the signature of a crash mid-append — is truncated and
-// logged, not fatal; at most that one record is lost. Writers take an
-// exclusive lock on the directory: a second writable Open fails
-// instead of corrupting the live store. Read-only opens (tracehist)
-// take no lock and never modify the files.
+// logged, not fatal; at most the run being written is lost. Records of
+// the older multi-record format are skipped, one log line per segment,
+// and left on disk. Writers take an exclusive lock on the directory: a
+// second writable Open fails instead of corrupting the live store.
+// Read-only opens (tracehist) take no lock and never modify the files.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		//stetho:ignore errfile the rejected Dir is the empty string; there is no file to name
@@ -177,7 +168,6 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		opts:   opts,
 		logf:   opts.Logf,
-		index:  map[uint64]*runEntry{},
 		nextID: 1,
 		done:   make(chan struct{}),
 	}
@@ -248,8 +238,6 @@ func (s *Store) openSegment(id int) error {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	s.f = f
-	s.w = bufio.NewWriterSize(f, 256<<10)
-	s.activeID = id
 	if n := len(s.segs); n == 0 || s.segs[n-1].id != id {
 		s.segs = append(s.segs, &segMeta{id: id})
 	}
@@ -280,10 +268,8 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// scanSegment reads one segment sequentially, indexing its records. For
-// the last segment a torn tail is truncated; for earlier segments a bad
-// record is logged and the remainder skipped (the data after it is
-// unreachable without valid framing).
+// scanSegment reads one segment sequentially, indexing its runs. A
+// record that cannot be read whole ends the scan (see handleTorn).
 func (s *Store) scanSegment(id int, last bool) error {
 	path := s.segPath(id)
 	f, err := os.Open(path)
@@ -300,318 +286,200 @@ func (s *Store) scanSegment(id int, last bool) error {
 
 	br := bufio.NewReaderSize(f, 256<<10)
 	var off int64
-	segEvents, segRuns := 0, 0
-	var hdr [recHeaderLen]byte
-	payload := make([]byte, 0, 64<<10)
+	var payload []byte
+	segEvents, segRuns, older := 0, 0, 0
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				break // clean segment end
-			}
-			s.handleTorn(path, id, off, fi.Size(), last, segEvents, segRuns, meta)
-			return nil
+		payload, err = fsio.ReadRecord(br, payload, maxRecordBytes)
+		if err == io.EOF {
+			break // clean segment end
 		}
-		plen, crc := fsio.ParseRecordHeader(hdr[:])
-		if plen == 0 || plen > maxRecordBytes {
-			s.handleTorn(path, id, off, fi.Size(), last, segEvents, segRuns, meta)
-			return nil
+		if err != nil {
+			s.handleTorn(path, meta, off, last, segEvents, segRuns)
+			break
 		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			s.handleTorn(path, id, off, fi.Size(), last, segEvents, segRuns, meta)
-			return nil
-		}
-		if fsio.Checksum(payload) != crc {
-			s.handleTorn(path, id, off, fi.Size(), last, segEvents, segRuns, meta)
-			return nil
-		}
-		ref := recRef{seg: id, off: off, typ: payload[0]}
-		if n := s.indexRecord(ref, payload); n >= 0 {
+		if payload[0] != recRun {
+			older++
+		} else if n, ok := s.indexRun(id, off, payload[1:]); ok {
 			segEvents += n
-			if payload[0] == recBegin {
-				segRuns++
-			}
+			segRuns++
 		}
-		off += recHeaderLen + int64(plen)
+		off += recHeaderLen + int64(len(payload))
+	}
+	if older > 0 {
+		s.logf("tracestore: %s: skipped %d records of the older multi-record format", path, older)
 	}
 	return nil
 }
 
-// handleTorn deals with a record that could not be read whole: the last
-// segment is truncated at the torn offset (crash recovery); an earlier
+// handleTorn deals with a record at off that could not be read whole:
+// the last segment is truncated there (crash recovery); an earlier
 // segment keeps its bytes but the remainder is unreachable. A
 // read-only open skips the tail in memory and leaves the file alone —
-// the tail may simply be the live writer's partially flushed buffer.
-func (s *Store) handleTorn(path string, id int, off, size int64, last bool, segEvents, segRuns int, meta *segMeta) {
+// the tail may simply be the live writer's record in flight.
+func (s *Store) handleTorn(path string, meta *segMeta, off int64, last bool, segEvents, segRuns int) {
+	size := meta.size
 	if !last {
 		s.logf("tracestore: %s: corrupt record at offset %d; ignoring remainder (%d bytes)", path, off, size-off)
 		return
 	}
+	verb := "truncated"
 	if s.opts.ReadOnly {
-		meta.size = off
-		s.truncatedBytes = size - off
-		s.recoveredEvents = segEvents
-		s.logf("tracestore: %s: ignoring torn tail record at offset %d (%d bytes, read-only open); recovered %d events in %d runs from segment",
-			path, off, size-off, segEvents, segRuns)
-		return
-	}
-	if err := os.Truncate(path, off); err != nil {
+		verb = "ignoring"
+	} else if err := os.Truncate(path, off); err != nil {
 		s.logf("tracestore: %s: truncating torn tail: %v", path, err)
 		return
 	}
 	meta.size = off
 	s.truncatedBytes = size - off
 	s.recoveredEvents = segEvents
-	s.logf("tracestore: %s: truncated torn tail record at offset %d (%d bytes); recovered %d events in %d runs from segment",
-		path, off, size-off, segEvents, segRuns)
+	s.logf("tracestore: %s: %s torn tail record at offset %d (%d bytes); recovered %d events in %d runs from segment",
+		path, verb, off, size-off, segEvents, segRuns)
 }
 
-// indexRecord folds one valid record into the index. It returns the
-// number of events the record carries (0 for begin/end, -1 when the
-// record was skipped).
-func (s *Store) indexRecord(ref recRef, payload []byte) int {
-	switch payload[0] {
-	case recBegin:
-		id, m, err := decodeBegin(payload[1:])
-		if err != nil {
-			s.logf("tracestore: skipping undecodable begin record: %v", err)
-			return -1
-		}
-		if _, dup := s.index[id]; dup {
-			s.logf("tracestore: duplicate run id %d; keeping first", id)
-			return -1
-		}
-		s.index[id] = &runEntry{
-			info: RunInfo{
-				ID: id, SQL: m.SQL, Start: m.Start,
-				Partitions: m.Partitions, Workers: m.Workers, Instructions: m.Instructions,
-				AutoTuned: m.AutoTuned, TuneReason: m.TuneReason,
-			},
-			refs: []recRef{ref},
-		}
-		s.order = append(s.order, id)
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
-		return 0
-	case recEvents:
-		id, count, err := decodeEventsHeader(payload[1:])
-		if err != nil {
-			s.logf("tracestore: skipping undecodable events record: %v", err)
-			return -1
-		}
-		e, ok := s.index[id]
-		if !ok {
-			return -1 // begin record was retired with an older segment
-		}
-		e.refs = append(e.refs, ref)
-		e.info.Events += count
-		return count
-	case recEnd:
-		id, st, err := decodeEnd(payload[1:])
-		if err != nil {
-			s.logf("tracestore: skipping undecodable end record: %v", err)
-			return -1
-		}
-		e, ok := s.index[id]
-		if !ok {
-			return -1
-		}
-		e.refs = append(e.refs, ref)
-		e.info.Complete = true
-		e.info.ElapsedUs = st.ElapsedUs
-		e.info.Rows = st.Rows
-		e.info.CacheHit = st.CacheHit
-		e.info.Err = st.Err
-		return 0
-	default:
-		s.logf("tracestore: skipping record of unknown type %d", payload[0])
-		return -1
+// indexRun adds the run record at (seg, off) to the index — b is its
+// payload after the type byte — and returns the run's event count. A
+// record that does not decode, or whose id does not follow the last
+// indexed one, is skipped.
+func (s *Store) indexRun(seg int, off int64, b []byte) (int, bool) {
+	info, _, _, err := decodeRun(b, false)
+	if err != nil {
+		s.logf("tracestore: skipping undecodable run record: %v", err)
+		return 0, false
 	}
+	if info.ID < s.nextID {
+		s.logf("tracestore: skipping run %d: its id does not follow run %d", info.ID, s.nextID-1)
+		return 0, false
+	}
+	s.runs = append(s.runs, runEntry{info: info, seg: seg, off: off})
+	s.nextID = info.ID + 1
+	return info.Events, true
 }
 
-// appendLocked writes one record to the active segment, rolling over
-// first when the record would push the segment past MaxSegmentBytes.
-func (s *Store) appendLocked(payload []byte) (recRef, error) {
+// writableLocked reports why the store takes no writes, if it does not.
+func (s *Store) writableLocked() error {
 	if s.closed {
-		return recRef{}, fmt.Errorf("tracestore: store is closed")
+		return fmt.Errorf("tracestore: %s: store is closed", s.opts.Dir)
 	}
-	if s.w == nil {
-		return recRef{}, fmt.Errorf("tracestore: store is read-only")
+	if s.f == nil {
+		return fmt.Errorf("tracestore: %s: store is read-only", s.opts.Dir)
 	}
+	return nil
+}
+
+// Record writes one finished run as one record and returns its id. It
+// is the one writer of a run's history: the run service calls it once a
+// run has returned, failed runs included (st.Err set, events as far as
+// the run got). The record is encoded outside the store lock; under it
+// the run gets its id — so ids follow completion order — and is
+// appended and indexed. A run whose record would exceed maxRecordBytes
+// is refused and nothing is written. The segment is written straight
+// through, no user-space buffer, so a recorded run is durable against
+// everything but power loss (fsync happens on rollover and Close).
+func (s *Store) Record(meta RunMeta, events []profiler.Event, st RunStats) (uint64, error) {
+	if meta.Start.IsZero() {
+		meta.Start = time.Now()
+	}
+	info := RunInfo{
+		SQL: meta.SQL, Start: meta.Start,
+		Partitions: meta.Partitions, Workers: meta.Workers, Instructions: meta.Instructions,
+		AutoTuned: meta.AutoTuned, TuneReason: meta.TuneReason,
+		Events: len(events), ElapsedUs: st.ElapsedUs, Rows: st.Rows, CacheHit: st.CacheHit, Err: st.Err,
+	}
+	n := recHeaderLen + 64 + len(meta.SQL) + len(meta.TuneReason) + len(st.Err) + len(meta.Dot)
+	for i := range events {
+		n += 40 + len(events[i].Stmt)
+	}
+	// The framing header goes in front of the payload, so the record is
+	// one write; the id and the header are filled in under the lock.
+	rec := appendRun(make([]byte, recHeaderLen, n), info, meta.Dot, events)
+	if plen := len(rec) - recHeaderLen; plen > maxRecordBytes {
+		return 0, fmt.Errorf("tracestore: %s: run of %d bytes exceeds the %d-byte record limit", s.opts.Dir, plen, maxRecordBytes)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
+		return 0, err
+	}
+	info.ID = s.nextID
+	binary.LittleEndian.PutUint64(rec[recHeaderLen+1:], info.ID)
+	fsio.PutRecordHeader(rec, rec[recHeaderLen:])
 	active := s.segs[len(s.segs)-1]
-	recLen := int64(recHeaderLen + len(payload))
-	if active.size > 0 && active.size+recLen > s.opts.MaxSegmentBytes {
+	if active.size > 0 && active.size+int64(len(rec)) > s.opts.MaxSegmentBytes {
 		if err := s.rotateLocked(); err != nil {
-			return recRef{}, err
+			return 0, err
 		}
 		active = s.segs[len(s.segs)-1]
 	}
-	var hdr [recHeaderLen]byte
-	fsio.PutRecordHeader(hdr[:], payload)
-	off := active.size
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return recRef{}, fmt.Errorf("tracestore: %w", err)
+	if _, err := s.f.Write(rec); err != nil {
+		return 0, fmt.Errorf("tracestore: %s: %w", s.opts.Dir, err)
 	}
-	if _, err := s.w.Write(payload); err != nil {
-		return recRef{}, fmt.Errorf("tracestore: %w", err)
-	}
-	active.size += recLen
+	s.runs = append(s.runs, runEntry{info: info, seg: active.id, off: active.size})
+	s.nextID++
+	active.size += int64(len(rec))
 	s.mAppends.Inc()
-	s.mAppendBytes.Add(recLen)
-	return recRef{seg: s.activeID, off: off, typ: payload[0]}, nil
+	s.mAppendBytes.Add(int64(len(rec)))
+	return info.ID, nil
 }
 
-// rotateLocked seals the active segment (flush + sync + close) and
-// starts the next one.
+// rotateLocked seals the active segment (fsync + close) and starts the
+// next one.
 func (s *Store) rotateLocked() error {
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("tracestore: %w", err)
-	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
-	return s.openSegment(s.activeID + 1)
+	return s.openSegment(s.segs[len(s.segs)-1].id + 1)
 }
 
-// Record writes one finished run — its metadata, its events in records
-// of DefaultAppendBatch, and its completion statistics — and returns the
-// new run id. It is the one writer of a run's history: the run service
-// calls it once a run has returned, failed runs included (st.Err set,
-// events as far as the run got).
-func (s *Store) Record(meta RunMeta, events []profiler.Event, st RunStats) (uint64, error) {
-	w, err := s.Begin(meta)
-	if err != nil {
-		return 0, err
-	}
-	for len(events) > 0 {
-		n := min(len(events), DefaultAppendBatch)
-		w.EmitBatch(events[:n])
-		events = events[n:]
-	}
-	if err := w.Finish(st); err != nil {
-		return 0, err
-	}
-	return w.id, nil
-}
-
-// Begin opens a new run and durably records its metadata. The returned
-// RunWriter appends the run's events and its end record.
+// Begin starts a run recorded in batches: the returned RunWriter
+// collects the events a profiler.Batcher delivers, and Finish hands them
+// to Record. It is a thin shim for callers that produce a run's trace
+// through a BatchSink.
 func (s *Store) Begin(meta RunMeta) (*RunWriter, error) {
 	if meta.Start.IsZero() {
 		meta.Start = time.Now()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("tracestore: store is closed")
-	}
-	id := s.nextID
-	s.nextID++
-	ref, err := s.appendLocked(encodeBegin(id, meta))
-	if err != nil {
+	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
-	s.index[id] = &runEntry{
-		info: RunInfo{
-			ID: id, SQL: meta.SQL, Start: meta.Start,
-			Partitions: meta.Partitions, Workers: meta.Workers, Instructions: meta.Instructions,
-			AutoTuned: meta.AutoTuned, TuneReason: meta.TuneReason,
-		},
-		refs: []recRef{ref},
-	}
-	s.order = append(s.order, id)
-	return &RunWriter{s: s, id: id}, nil
+	return &RunWriter{s: s, meta: meta}, nil
 }
 
-// RunWriter appends one run's events and completion record. It
-// implements profiler.BatchSink. Append errors are sticky: the first one
-// is kept and returned by Finish.
+// RunWriter collects one run's events for Finish. It implements
+// profiler.BatchSink.
 type RunWriter struct {
-	s  *Store
-	id uint64
-
+	s    *Store
+	meta RunMeta
 	mu   sync.Mutex
-	err  error
-	done bool
+	evs  []profiler.Event
 }
 
-// ID returns the run id.
-func (w *RunWriter) ID() uint64 { return w.id }
-
-// EmitBatch implements profiler.BatchSink: the batch is encoded into
-// one events record. The slice is consumed during the call, honoring
-// the BatchSink contract.
+// EmitBatch implements profiler.BatchSink by copying the batch.
 func (w *RunWriter) EmitBatch(evs []profiler.Event) {
-	if len(evs) == 0 {
-		return
-	}
-	payload := encodeEvents(w.id, evs) // encode outside the store lock
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done || w.err != nil {
-		return
-	}
-	s := w.s
-	s.mu.Lock()
-	ref, err := s.appendLocked(payload)
-	if err == nil {
-		if e, ok := s.index[w.id]; ok {
-			e.refs = append(e.refs, ref)
-			e.info.Events += len(evs)
-		}
-	}
-	s.mu.Unlock()
-	w.err = err
+	w.evs = append(w.evs, evs...)
+	w.mu.Unlock()
 }
 
-// Finish writes the end record and flushes the segment buffer so the
-// completed run is immediately durable against everything but power
-// loss (fsync happens on rollover and Close). It returns the first
-// append error of the run, if any.
+// Finish records the run with the collected events.
 func (w *RunWriter) Finish(st RunStats) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.done {
-		return fmt.Errorf("tracestore: run %d already finished", w.id)
-	}
-	w.done = true
-	if w.err != nil {
-		return w.err
-	}
-	s := w.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ref, err := s.appendLocked(encodeEnd(w.id, st))
-	if err != nil {
-		return err
-	}
-	if e, ok := s.index[w.id]; ok {
-		e.refs = append(e.refs, ref)
-		e.info.Complete = true
-		e.info.ElapsedUs = st.ElapsedUs
-		e.info.Rows = st.Rows
-		e.info.CacheHit = st.CacheHit
-		e.info.Err = st.Err
-	}
-	return s.w.Flush()
+	_, err := w.s.Record(w.meta, w.evs, st)
+	return err
 }
 
-// Runs lists all indexed runs in begin order.
+// Runs lists all indexed runs in completion order.
 func (s *Store) Runs() []RunInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]RunInfo, 0, len(s.order))
-	for _, id := range s.order {
-		if e, ok := s.index[id]; ok {
-			out = append(out, e.info)
-		}
+	out := make([]RunInfo, len(s.runs))
+	for i, e := range s.runs {
+		out[i] = e.info
 	}
 	return out
 }
@@ -627,8 +495,8 @@ func (s *Store) Recent(n int) []RunInfo {
 	return runs
 }
 
-// TopN returns the n slowest successfully completed runs, slowest
-// first. n <= 0 returns all of them.
+// TopN returns the n slowest successful runs, slowest first. n <= 0
+// returns all of them.
 func (s *Store) TopN(n int) []RunInfo {
 	runs := s.Runs()
 	ok := runs[:0]
@@ -649,123 +517,56 @@ func (s *Store) TopN(n int) []RunInfo {
 	return ok
 }
 
-// Run returns one run's metadata.
+// entry looks up a run's index entry.
+func (s *Store) entry(id uint64) (runEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := slices.BinarySearchFunc(s.runs, id, func(e runEntry, id uint64) int { return cmp.Compare(e.info.ID, id) })
+	if !ok {
+		return runEntry{}, false
+	}
+	return s.runs[i], true
+}
+
+// Run returns one run's metadata from the index, reading no record.
 func (s *Store) Run(id uint64) (RunInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.index[id]
+	e, ok := s.entry(id)
+	return e.info, ok
+}
+
+// Load reads one run's record: its info, its plan dot text, and its
+// full event stream — identical to what the profiler emitted while the
+// query executed.
+func (s *Store) Load(id uint64) (RunInfo, string, []profiler.Event, error) {
+	e, ok := s.entry(id)
 	if !ok {
-		return RunInfo{}, false
+		//stetho:ignore errfile the run is in no segment; the reply goes to remote clients, which must not see server paths
+		return RunInfo{}, "", nil, fmt.Errorf("tracestore: unknown run %d", id)
 	}
-	return e.info, true
-}
-
-// snapshot flushes pending appends and copies a run's index entry, so
-// the subsequent record reads need no lock.
-func (s *Store) snapshot(id uint64) (RunInfo, []recRef, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.index[id]
-	if !ok {
-		return RunInfo{}, nil, fmt.Errorf("tracestore: unknown run %d", id)
-	}
-	if !s.closed && s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			return RunInfo{}, nil, fmt.Errorf("tracestore: %w", err)
-		}
-	}
-	return e.info, append([]recRef(nil), e.refs...), nil
-}
-
-// readRecordAt reads and verifies one record through the shared fsio
-// framing.
-func readRecordAt(f *os.File, off int64) ([]byte, error) {
-	payload, err := fsio.ReadRecordAt(f, off, maxRecordBytes)
+	f, err := os.Open(s.segPath(e.seg))
 	if err != nil {
-		return nil, fmt.Errorf("tracestore: %s: %w", f.Name(), err)
+		return RunInfo{}, "", nil, fmt.Errorf("tracestore: run %d: %w", id, err)
 	}
-	return payload, nil
-}
-
-// readRun visits the run's records of the wanted type in append order.
-func (s *Store) readRun(id uint64, want byte, visit func(payload []byte) error) (RunInfo, error) {
-	info, refs, err := s.snapshot(id)
+	defer f.Close()
+	payload, err := fsio.ReadRecordAt(f, e.off, maxRecordBytes)
 	if err != nil {
-		return info, err
+		return RunInfo{}, "", nil, fmt.Errorf("tracestore: run %d: %s: %w", id, f.Name(), err)
 	}
-	var f *os.File
-	cur := -1
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	for _, ref := range refs {
-		if ref.typ != want {
-			continue
-		}
-		if ref.seg != cur {
-			if f != nil {
-				f.Close()
-			}
-			f, err = os.Open(s.segPath(ref.seg))
-			if err != nil {
-				return info, fmt.Errorf("tracestore: run %d: %w", id, err)
-			}
-			cur = ref.seg
-		}
-		payload, err := readRecordAt(f, ref.off)
-		if err != nil {
-			return info, fmt.Errorf("tracestore: run %d: %w", id, err)
-		}
-		if err := visit(payload[1:]); err != nil {
-			return info, err
-		}
+	_, dot, evs, err := decodeRun(payload[1:], true)
+	if err != nil {
+		return RunInfo{}, "", nil, fmt.Errorf("tracestore: run %d: %w", id, err)
 	}
-	return info, nil
-}
-
-// Events returns a run's full event stream in append order — identical
-// to what the profiler emitted while the query executed.
-func (s *Store) Events(id uint64) ([]profiler.Event, error) {
-	var out []profiler.Event
-	if _, err := s.readRun(id, recEvents, func(payload []byte) error {
-		var derr error
-		_, out, derr = decodeEvents(payload, out)
-		return derr
-	}); err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = make([]profiler.Event, 0)
-	}
-	return out, nil
-}
-
-// Dot returns a run's stored plan dot text.
-func (s *Store) Dot(id uint64) (string, error) {
-	var dot string
-	_, err := s.readRun(id, recBegin, func(payload []byte) error {
-		_, m, derr := decodeBegin(payload)
-		if derr != nil {
-			return derr
-		}
-		dot = m.Dot
-		return nil
-	})
-	return dot, err
+	return e.info, dot, evs, nil
 }
 
 // Compact enforces the retention policy now: sealed segments are
-// deleted oldest-first while the store exceeds MaxTotalBytes. Runs with any record in a deleted segment are dropped from the index.
+// deleted oldest-first while the store exceeds MaxTotalBytes, and the
+// runs they held drop from the index.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("tracestore: %s: store is closed", s.opts.Dir)
-	}
-	if s.opts.ReadOnly {
-		return fmt.Errorf("tracestore: %s: store is read-only", s.opts.Dir)
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	var total int64
 	for _, sg := range s.segs {
@@ -797,27 +598,9 @@ func (s *Store) Compact() error {
 		s.droppedSegs++
 	}
 	s.segs = kept
-	keptOrder := s.order[:0]
-	for _, id := range s.order {
-		e, ok := s.index[id]
-		if !ok {
-			continue
-		}
-		retire := false
-		for _, ref := range e.refs {
-			if drop[ref.seg] {
-				retire = true
-				break
-			}
-		}
-		if retire {
-			delete(s.index, id)
-			s.droppedRuns++
-			continue
-		}
-		keptOrder = append(keptOrder, id)
-	}
-	s.order = keptOrder
+	n := len(s.runs)
+	s.runs = slices.DeleteFunc(s.runs, func(e runEntry) bool { return drop[e.seg] })
+	s.droppedRuns += n - len(s.runs)
 	return firstErr
 }
 
@@ -827,7 +610,7 @@ func (s *Store) Stats() StoreStats {
 	defer s.mu.Unlock()
 	st := StoreStats{
 		Segments:        len(s.segs),
-		Runs:            len(s.index),
+		Runs:            len(s.runs),
 		RecoveredEvents: s.recoveredEvents,
 		TruncatedBytes:  s.truncatedBytes,
 		DroppedSegments: s.droppedSegs,
@@ -840,8 +623,8 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Close stops the background compactor, seals the active segment
-// (flush + fsync), and releases the writer lock. The store must not be
-// used afterwards.
+// (fsync), and releases the writer lock. The store must not be used
+// afterwards.
 func (s *Store) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -850,11 +633,8 @@ func (s *Store) Close() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.closed = true
-		if s.w != nil {
-			if ferr := s.w.Flush(); ferr != nil {
-				err = fmt.Errorf("tracestore: %w", ferr)
-			}
-			if serr := s.f.Sync(); serr != nil && err == nil {
+		if s.f != nil {
+			if serr := s.f.Sync(); serr != nil {
 				err = fmt.Errorf("tracestore: %w", serr)
 			}
 			if cerr := s.f.Close(); cerr != nil && err == nil {

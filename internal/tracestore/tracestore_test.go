@@ -55,68 +55,91 @@ func openStore(t testing.TB, dir string, opts Options) *Store {
 	return s
 }
 
-// TestRecordCutsAppendBatches: Record stores a run as one begin record,
-// its events in records of DefaultAppendBatch, and one end record, and
-// the run reads back whole.
-func TestRecordCutsAppendBatches(t *testing.T) {
+// load reads a run's record, failing the test on error.
+func load(t testing.TB, s *Store, id uint64) (RunInfo, string, []profiler.Event) {
+	t.Helper()
+	info, dot, evs, err := s.Load(id)
+	if err != nil {
+		t.Fatalf("Load(%d): %v", id, err)
+	}
+	return info, dot, evs
+}
+
+// TestRecordIsOneAppend: Record stores a run, however many events it
+// has, as one appended record, and the run reads back whole.
+func TestRecordIsOneAppend(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
 	reg := metrics.NewRegistry()
 	s.Instrument(reg)
-	want := synthEvents(DefaultAppendBatch+44, 10) // 600 events: 256 + 256 + 88
+	want := synthEvents(300, 10)
 	id, err := s.Record(RunMeta{SQL: "select big", Instructions: len(want) / 2}, want,
 		RunStats{ElapsedUs: 6000, Err: "engine: boom"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("stetho_tracestore_appends_total").Load(); got != 5 {
-		t.Errorf("Record appended %d records, want 5 (begin, 3 event batches, end)", got)
+	if got := reg.Counter("stetho_tracestore_appends_total").Load(); got != 1 {
+		t.Errorf("Record appended %d records, want 1", got)
+	}
+	if got, want := reg.Counter("stetho_tracestore_append_bytes_total").Load(), s.Stats().Bytes; got != want {
+		t.Errorf("appended %d bytes, the store holds %d", got, want)
 	}
 	info, ok := s.Run(id)
-	if !ok || !info.Complete || info.Events != len(want) || info.Err != "engine: boom" {
+	if !ok || info.OK() || info.Events != len(want) || info.Err != "engine: boom" {
 		t.Fatalf("info = %+v", info)
 	}
-	evs, err := s.Events(id)
-	if err != nil || !reflect.DeepEqual(evs, want) {
-		t.Fatalf("Events = %d events, %v; want the %d recorded", len(evs), err, len(want))
+	if _, _, evs := load(t, s, id); !reflect.DeepEqual(evs, want) {
+		t.Fatalf("Load = %d events; want the %d recorded", len(evs), len(want))
 	}
 }
 
+// TestRoundTrip: every field of a run — the auto-tune fields included —
+// survives the live index, Load, and an index rebuild, whether the run
+// was written by Record or through the Begin shim.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	want := synthEvents(7, 100)
-	w, err := s.Begin(RunMeta{SQL: "select 1", Dot: "digraph{n0}", Partitions: 4, Workers: 2, Instructions: 7})
+	meta := RunMeta{SQL: "select 1", Dot: "digraph{n0}", Start: time.Unix(0, 12345), Partitions: 8, Workers: 4, Instructions: 7,
+		AutoTuned: true, TuneReason: "auto: rows=60175 procs=4 -> 8 partitions"}
+	stats := RunStats{ElapsedUs: 700, Rows: 3, CacheHit: true}
+	id, err := s.Record(meta, want, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Split the stream over several records, as the batched path would.
+	// The shim path: batches collected by a RunWriter, recorded by Finish.
+	w, err := s.Begin(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w.EmitBatch(want[:5])
 	w.EmitBatch(want[5:])
-	if err := w.Finish(RunStats{ElapsedUs: 700, Rows: 3, CacheHit: true}); err != nil {
+	if err := w.Finish(stats); err != nil {
 		t.Fatal(err)
 	}
 	check := func(s *Store, stage string) {
 		t.Helper()
-		info, ok := s.Run(w.ID())
-		if !ok {
-			t.Fatalf("%s: run missing", stage)
-		}
-		if info.SQL != "select 1" || info.Partitions != 4 || info.Workers != 2 ||
-			info.Instructions != 7 || info.Events != len(want) || !info.Complete ||
-			info.ElapsedUs != 700 || info.Rows != 3 || !info.CacheHit || info.Err != "" {
-			t.Fatalf("%s: info = %+v", stage, info)
-		}
-		evs, err := s.Events(w.ID())
-		if err != nil {
-			t.Fatalf("%s: Events: %v", stage, err)
-		}
-		if !reflect.DeepEqual(evs, want) {
-			t.Fatalf("%s: events diverged from what was appended", stage)
-		}
-		dot, err := s.Dot(w.ID())
-		if err != nil || dot != "digraph{n0}" {
-			t.Fatalf("%s: Dot = %q, %v", stage, dot, err)
+		for _, id := range []uint64{id, id + 1} {
+			info, ok := s.Run(id)
+			if !ok {
+				t.Fatalf("%s: run %d missing", stage, id)
+			}
+			if info.ID != id || info.SQL != "select 1" || !info.Start.Equal(meta.Start) ||
+				info.Partitions != 8 || info.Workers != 4 || info.Instructions != 7 ||
+				!info.AutoTuned || info.TuneReason != meta.TuneReason || info.Events != len(want) ||
+				info.ElapsedUs != 700 || info.Rows != 3 || !info.CacheHit || !info.OK() {
+				t.Fatalf("%s: info = %+v", stage, info)
+			}
+			loaded, dot, evs := load(t, s, id)
+			if loaded != info {
+				t.Fatalf("%s: Load info = %+v, Run info = %+v", stage, loaded, info)
+			}
+			if !reflect.DeepEqual(evs, want) {
+				t.Fatalf("%s: events diverged from what was recorded", stage)
+			}
+			if dot != "digraph{n0}" {
+				t.Fatalf("%s: dot = %q", stage, dot)
+			}
 		}
 	}
 	check(s, "live")
@@ -128,9 +151,8 @@ func TestRoundTrip(t *testing.T) {
 	defer s2.Close()
 	check(s2, "reopened")
 	// New run ids continue after the recovered ones.
-	id2 := record(t, s2, "select 2", 3, 10)
-	if id2 <= w.ID() {
-		t.Fatalf("id after reopen = %d, want > %d", id2, w.ID())
+	if id3 := record(t, s2, "select 2", 3, 10); id3 != id+2 {
+		t.Fatalf("id after reopen = %d, want %d", id3, id+2)
 	}
 }
 
@@ -151,12 +173,8 @@ func TestSegmentRollover(t *testing.T) {
 	}
 	// Every run stays readable across the segment boundary.
 	for _, id := range ids {
-		evs, err := s.Events(id)
-		if err != nil {
-			t.Fatalf("Events(%d): %v", id, err)
-		}
-		if len(evs) != 20 {
-			t.Fatalf("Events(%d) = %d events, want 20", id, len(evs))
+		if _, _, evs := load(t, s, id); len(evs) != 20 {
+			t.Fatalf("Load(%d) = %d events, want 20", id, len(evs))
 		}
 	}
 	s.Close()
@@ -213,9 +231,8 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 	// Both intact runs survived whole.
 	for _, id := range []uint64{id1, id2} {
-		evs, err := s2.Events(id)
-		if err != nil || len(evs) != 10 {
-			t.Fatalf("Events(%d) = %d, %v", id, len(evs), err)
+		if _, _, evs := load(t, s2, id); len(evs) != 10 {
+			t.Fatalf("Load(%d) = %d events", id, len(evs))
 		}
 	}
 	// The store accepts appends after truncation, and they survive
@@ -224,8 +241,8 @@ func TestTornTailRecovery(t *testing.T) {
 	s2.Close()
 	s3 := openStore(t, dir, Options{})
 	defer s3.Close()
-	if evs, err := s3.Events(id3); err != nil || len(evs) != 8 {
-		t.Fatalf("post-recovery run: %d events, %v", len(evs), err)
+	if _, _, evs := load(t, s3, id3); len(evs) != 8 {
+		t.Fatalf("post-recovery run: %d events", len(evs))
 	}
 	if s3.Stats().TruncatedBytes != 0 {
 		t.Fatal("second reopen still reports a torn tail")
@@ -235,7 +252,7 @@ func TestTornTailRecovery(t *testing.T) {
 func TestTornTailChecksumMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
-	record(t, s, "select a", 5, 10)
+	id1 := record(t, s, "select a", 5, 10)
 	record(t, s, "select b", 5, 10)
 	s.Close()
 	// Flip one byte inside the LAST record's payload: crc mismatch.
@@ -250,17 +267,14 @@ func TestTornTailChecksumMismatch(t *testing.T) {
 	}
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
-	// The corrupted record was the second run's end record; the run
-	// survives as incomplete, everything before it intact.
+	// The corrupted record was the second run's: it is dropped whole,
+	// and the first run is intact.
 	runs := s2.Runs()
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(runs))
+	if len(runs) != 1 || runs[0].ID != id1 || runs[0].Events != 10 {
+		t.Fatalf("runs = %+v, want only run %d with 10 events", runs, id1)
 	}
-	if !runs[0].Complete || runs[0].Events != 10 {
-		t.Fatalf("first run damaged: %+v", runs[0])
-	}
-	if runs[1].Complete {
-		t.Fatalf("second run should have lost its end record: %+v", runs[1])
+	if info, _, evs := load(t, s2, id1); !reflect.DeepEqual(evs, synthEvents(5, 10)) || info.SQL != "select a" {
+		t.Fatalf("first run damaged: %+v, %d events", info, len(evs))
 	}
 	if s2.Stats().TruncatedBytes == 0 {
 		t.Fatal("no truncation reported for checksum mismatch")
@@ -297,16 +311,14 @@ func TestRetentionBySize(t *testing.T) {
 		t.Fatal("oldest run survived a size purge")
 	}
 	// Dropped runs are truly unreadable, survivors readable.
-	if _, err := s.Events(1); err == nil {
+	if _, _, _, err := s.Load(1); err == nil {
 		t.Fatal("dropped run still readable")
 	}
-	if _, err := s.Events(runs[0].ID); err != nil {
-		t.Fatalf("surviving run unreadable: %v", err)
-	}
+	load(t, s, runs[0].ID)
 }
 
-// TestTopN: the slowest completed runs rank first; an incomplete run
-// never ranks.
+// TestTopN: the slowest successful runs rank first; a failed run never
+// ranks, however slow.
 func TestTopN(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
@@ -314,8 +326,10 @@ func TestTopN(t *testing.T) {
 	slow := record(t, s, "select slow", 10, 1000)
 	fast := record(t, s, "select fast", 10, 10)
 	mid := record(t, s, "select mid", 10, 100)
-	w, _ := s.Begin(RunMeta{SQL: "select crash", Instructions: 1})
-	w.EmitBatch(synthEvents(1, 5))
+	if _, err := s.Record(RunMeta{SQL: "select crash", Instructions: 1}, synthEvents(1, 5),
+		RunStats{ElapsedUs: 1 << 40, Err: "engine: boom"}); err != nil {
+		t.Fatal(err)
+	}
 
 	top := s.TopN(2)
 	if len(top) != 2 || top[0].ID != slow || top[1].ID != mid {
@@ -326,18 +340,21 @@ func TestTopN(t *testing.T) {
 	}
 }
 
-// TestRecent: runs list newest first, incomplete ones included, and n
-// caps the listing.
+// TestRecent: runs list newest first, failed ones included, and n caps
+// the listing.
 func TestRecent(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
 	first := record(t, s, "select 1", 2, 10)
 	second := record(t, s, "select 2", 2, 10)
-	w, _ := s.Begin(RunMeta{SQL: "select running", Instructions: 1})
-	if all := s.Recent(0); len(all) != 3 || all[0].ID != w.ID() || all[1].ID != second || all[2].ID != first {
+	failed, err := s.Record(RunMeta{SQL: "select failed", Instructions: 1}, nil, RunStats{Err: "context canceled"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all := s.Recent(0); len(all) != 3 || all[0].ID != failed || all[1].ID != second || all[2].ID != first {
 		t.Fatalf("Recent(0) = %+v", all)
 	}
-	if two := s.Recent(2); len(two) != 2 || two[0].ID != w.ID() || two[1].ID != second {
+	if two := s.Recent(2); len(two) != 2 || two[0].ID != failed || two[1].ID != second {
 		t.Fatalf("Recent(2) = %+v", two)
 	}
 }
@@ -357,15 +374,8 @@ func TestConcurrentAppendWhileQuery(t *testing.T) {
 		go func(wi int) {
 			defer wg.Done()
 			for i := 0; i < runsEach; i++ {
-				w, err := s.Begin(RunMeta{SQL: fmt.Sprintf("select w%d_%d", wi, i), Instructions: 6})
-				if err != nil {
-					errs <- err
-					return
-				}
-				evs := synthEvents(6, int64(10+i))
-				w.EmitBatch(evs[:7])
-				w.EmitBatch(evs[7:])
-				if err := w.Finish(RunStats{ElapsedUs: int64(60 * (10 + i))}); err != nil {
+				if _, err := s.Record(RunMeta{SQL: fmt.Sprintf("select w%d_%d", wi, i), Instructions: 6},
+					synthEvents(6, int64(10+i)), RunStats{ElapsedUs: int64(60 * (10 + i))}); err != nil {
 					errs <- err
 					return
 				}
@@ -378,7 +388,7 @@ func TestConcurrentAppendWhileQuery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				for _, r := range s.TopN(5) {
-					evs, err := s.Events(r.ID)
+					_, _, evs, err := s.Load(r.ID)
 					if err != nil {
 						// The run may have been retired by the concurrent
 						// compactor between listing and reading — that is
@@ -392,7 +402,7 @@ func TestConcurrentAppendWhileQuery(t *testing.T) {
 				}
 				for _, r := range s.Recent(5) {
 					// A run retired meanwhile fails to read, as above.
-					_, _ = s.Dot(r.ID)
+					_, _, _, _ = s.Load(r.ID)
 				}
 			}
 		}()
@@ -414,9 +424,10 @@ func TestConcurrentAppendWhileQuery(t *testing.T) {
 	}
 }
 
-// TestAppendThroughput pins the acceptance floor: the batched append
-// path sustains at least 100k events/sec (typical is far higher; the
-// bound holds comfortably even under the race detector).
+// TestAppendThroughput pins the acceptance floor: the batched path —
+// RunWriter collecting 256-event batches, Finish recording them —
+// sustains at least 100k events/sec (typical is far higher; the bound
+// holds comfortably even under the race detector).
 func TestAppendThroughput(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
@@ -424,7 +435,7 @@ func TestAppendThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := synthEvents(128, 10) // 256 events per record
+	batch := synthEvents(128, 10) // 256 events per batch
 	const total = 200_000
 	start := time.Now()
 	n := 0
@@ -442,33 +453,49 @@ func TestAppendThroughput(t *testing.T) {
 	t.Logf("batched append: %.0f events/sec", rate)
 }
 
+// TestConcurrentRunsInterleave: runs recorded concurrently land as
+// whole records in one segment, each reading back exactly as recorded,
+// with ids 1..n.
 func TestConcurrentRunsInterleave(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{})
-	defer s.Close()
-	// Two runs appending turn by turn land interleaved in one segment
-	// and still read back separated.
-	w1, _ := s.Begin(RunMeta{SQL: "a", Instructions: 2})
-	w2, _ := s.Begin(RunMeta{SQL: "b", Instructions: 2})
-	e1 := synthEvents(2, 10)
-	e2 := synthEvents(2, 20)
-	w1.EmitBatch(e1[:2])
-	w2.EmitBatch(e2[:2])
-	w1.EmitBatch(e1[2:])
-	w2.EmitBatch(e2[2:])
-	if err := w2.Finish(RunStats{ElapsedUs: 40}); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	const runs = 16
+	var wg sync.WaitGroup
+	ids := make([]uint64, runs)
+	errs := make([]error, runs)
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids[i], errs[i] = s.Record(RunMeta{SQL: fmt.Sprintf("select %d", i), Instructions: i + 1},
+				synthEvents(i+1, int64(10*(i+1))), RunStats{ElapsedUs: int64(i)})
+		}()
 	}
-	if err := w1.Finish(RunStats{ElapsedUs: 20}); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	check := func(s *Store, stage string) {
+		t.Helper()
+		seen := map[uint64]bool{}
+		for i := range runs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			info, _, evs := load(t, s, ids[i])
+			if info.SQL != fmt.Sprintf("select %d", i) || !reflect.DeepEqual(evs, synthEvents(i+1, int64(10*(i+1)))) {
+				t.Fatalf("%s: run %d (%q) diverged from what was recorded", stage, ids[i], info.SQL)
+			}
+			seen[ids[i]] = true
+		}
+		for id := uint64(1); id <= runs; id++ {
+			if !seen[id] {
+				t.Fatalf("%s: ids %v skip %d", stage, ids, id)
+			}
+		}
 	}
-	got1, err := s.Events(w1.ID())
-	if err != nil || !reflect.DeepEqual(got1, e1) {
-		t.Fatalf("run 1 events diverged: %v", err)
-	}
-	got2, err := s.Events(w2.ID())
-	if err != nil || !reflect.DeepEqual(got2, e2) {
-		t.Fatalf("run 2 events diverged: %v", err)
-	}
+	check(s, "live")
+	s.Close()
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	check(s2, "reopened")
 }
 
 func TestWriterLockExcludesSecondWriter(t *testing.T) {
@@ -495,14 +522,15 @@ func TestReadOnlyOpen(t *testing.T) {
 	// A read-only open succeeds while the writer holds the lock, sees
 	// the flushed runs, and refuses writes.
 	ro := openStore(t, dir, Options{ReadOnly: true})
-	if _, err := ro.Events(id); err != nil {
-		t.Fatalf("read-only Events: %v", err)
-	}
+	load(t, ro, id)
 	if got := len(ro.Runs()); got != 1 {
 		t.Fatalf("read-only sees %d runs, want 1", got)
 	}
 	if _, err := ro.Begin(RunMeta{SQL: "nope"}); err == nil {
 		t.Fatal("Begin succeeded on a read-only store")
+	}
+	if _, err := ro.Record(RunMeta{SQL: "nope"}, nil, RunStats{}); err == nil {
+		t.Fatal("Record succeeded on a read-only store")
 	}
 	if err := ro.Compact(); err == nil {
 		t.Fatal("Compact succeeded on a read-only store")
@@ -524,8 +552,8 @@ func TestReadOnlyOpen(t *testing.T) {
 	if got := ro2.Stats().TruncatedBytes; got != int64(len(torn)) {
 		t.Fatalf("read-only torn tail = %d bytes, want %d", got, len(torn))
 	}
-	if evs, err := ro2.Events(id); err != nil || len(evs) != 10 {
-		t.Fatalf("read-only Events after torn tail: %d, %v", len(evs), err)
+	if _, _, evs := load(t, ro2, id); len(evs) != 10 {
+		t.Fatalf("read-only Load after torn tail: %d events", len(evs))
 	}
 	ro2.Close()
 	if got := fileSize(t, names[0]); got != sizeBefore {
@@ -548,59 +576,10 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-func TestBeginRecordAutoTuneTrailerRoundTrip(t *testing.T) {
-	m := RunMeta{
-		SQL: "select 1", Dot: "digraph{}", Start: time.Unix(0, 12345),
-		Partitions: 8, Workers: 4, Instructions: 17,
-		AutoTuned: true, TuneReason: "auto: rows=60175 procs=4 -> 8 partitions",
-	}
-	id, got, err := decodeBegin(encodeBegin(42, m)[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 42 {
-		t.Errorf("id = %d", id)
-	}
-	if got.AutoTuned != m.AutoTuned || got.TuneReason != m.TuneReason {
-		t.Errorf("auto-tune trailer lost: %+v", got)
-	}
-	if got.Partitions != 8 || got.Workers != 4 || got.SQL != m.SQL || got.Dot != m.Dot {
-		t.Errorf("base fields corrupted: %+v", got)
-	}
-}
-
-// encodeBeginLegacy renders a begin payload in the pre-trailer format,
-// byte for byte what old stores contain.
-func encodeBeginLegacy(id uint64, m RunMeta) []byte {
-	b := []byte{1 /* recBegin */}
-	b = binary.AppendUvarint(b, id)
-	b = binary.AppendVarint(b, m.Start.UnixNano())
-	b = binary.AppendUvarint(b, uint64(m.Partitions))
-	b = binary.AppendUvarint(b, uint64(m.Workers))
-	b = binary.AppendUvarint(b, uint64(m.Instructions))
-	b = appendString(b, m.SQL)
-	b = appendString(b, m.Dot)
-	return b
-}
-
-func TestDecodeBeginToleratesLegacyRecords(t *testing.T) {
-	m := RunMeta{SQL: "select 2", Dot: "digraph{}", Start: time.Unix(0, 99), Partitions: 2, Workers: 2, Instructions: 5}
-	id, got, err := decodeBegin(encodeBeginLegacy(7, m)[1:])
-	if err != nil {
-		t.Fatalf("legacy begin record failed to decode: %v", err)
-	}
-	if id != 7 || got.SQL != m.SQL || got.Partitions != 2 {
-		t.Errorf("legacy fields corrupted: id=%d %+v", id, got)
-	}
-	if got.AutoTuned || got.TuneReason != "" {
-		t.Errorf("legacy record decoded with auto-tune set: %+v", got)
-	}
-}
-
-// TestOpenSkipsOverlongStringRecord: a begin record with a valid
-// checksum whose SQL length is 2^63-1 used to overflow the payload
-// reader's bounds check and panic Open. It must take the
-// undecodable-record path instead, leaving the other runs readable.
+// TestOpenSkipsOverlongStringRecord: a run record with a valid checksum
+// whose SQL length is 2^63-1 used to overflow the payload reader's
+// bounds check and panic Open. It must take the undecodable-record path
+// instead, leaving the other runs readable.
 func TestOpenSkipsOverlongStringRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
@@ -608,12 +587,13 @@ func TestOpenSkipsOverlongStringRecord(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []byte{recBegin}
-	bad = binary.AppendUvarint(bad, id+1)
+	bad := []byte{recRun}
+	bad = binary.LittleEndian.AppendUint64(bad, id+1)
 	bad = binary.AppendVarint(bad, 0)
 	for range 3 { // partitions, workers, instructions
 		bad = binary.AppendUvarint(bad, 1)
 	}
+	bad = append(bad, 0)                     // flags
 	bad = binary.AppendUvarint(bad, 1<<63-1) // the SQL text's length
 	bad = append(bad, "select"...)
 	names, _ := filepath.Glob(filepath.Join(dir, "seg-*.tlog"))
@@ -634,10 +614,79 @@ func TestOpenSkipsOverlongStringRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if !strings.Contains(strings.Join(logs, "\n"), "skipping undecodable begin record") {
+	if !strings.Contains(strings.Join(logs, "\n"), "skipping undecodable run record") {
 		t.Errorf("the overlong record was not reported as undecodable; log:\n%s", strings.Join(logs, "\n"))
 	}
 	if runs := s2.Runs(); len(runs) != 1 || runs[0].ID != id {
 		t.Fatalf("runs after reopen = %+v, want only run %d", runs, id)
+	}
+}
+
+// TestRecordRefusesOversizedRun: a run whose record would exceed
+// maxRecordBytes — Open would take it for a torn tail — is refused with
+// an error naming the store, and nothing is written.
+func TestRecordRefusesOversizedRun(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	defer s.Close()
+	id := record(t, s, "select kept", 2, 10)
+	before := s.Stats()
+	huge := []profiler.Event{{State: profiler.StateDone, Stmt: strings.Repeat("x", maxRecordBytes)}}
+	_, err := s.Record(RunMeta{SQL: "select huge"}, huge, RunStats{})
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Record of a %d-byte statement = %v, want an error naming %s", maxRecordBytes, err, dir)
+	}
+	if after := s.Stats(); after != before {
+		t.Fatalf("refused run changed the store: %+v -> %+v", before, after)
+	}
+	if next := record(t, s, "select next", 1, 10); next != id+1 {
+		t.Fatalf("id after the refused run = %d, want %d", next, id+1)
+	}
+}
+
+// TestOpenSkipsParentFormat: a segment written by the older
+// multi-record format (begin, events and end records; the fixture was
+// generated once by that writer and is never regenerated) opens with its
+// records skipped — one log line for the segment — and its bytes kept.
+// New runs append after them and read back.
+func TestOpenSkipsParentFormat(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-format", "seg-00000001.tlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-00000001.tlog")
+	if err := os.WriteFile(seg, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, readOnly := range []bool{true, false} {
+		var logs []string
+		s, err := Open(Options{Dir: dir, ReadOnly: readOnly, Logf: func(format string, args ...any) {
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(logs) != 1 || !strings.Contains(logs[0], "skipped 6 records of the older multi-record format") {
+			t.Errorf("read-only=%t: log = %q, want one line skipping 6 records", readOnly, logs)
+		}
+		if st := s.Stats(); st.Runs != 0 || st.TruncatedBytes != 0 || st.Bytes != int64(len(fixture)) {
+			t.Errorf("read-only=%t: stats = %+v, want no runs and nothing truncated", readOnly, st)
+		}
+		s.Close()
+		if got := fileSize(t, seg); got != int64(len(fixture)) {
+			t.Fatalf("read-only=%t: open changed the segment: %d -> %d bytes", readOnly, len(fixture), got)
+		}
+	}
+	s := openStore(t, dir, Options{})
+	id := record(t, s, "select new", 3, 10)
+	s.Close()
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	if runs := s2.Runs(); len(runs) != 1 || runs[0].ID != id {
+		t.Fatalf("runs = %+v, want only run %d", runs, id)
+	}
+	if _, _, evs := load(t, s2, id); len(evs) != 6 {
+		t.Fatalf("new run read back %d events, want 6", len(evs))
 	}
 }

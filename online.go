@@ -23,7 +23,6 @@ func (f EventSinkFunc) OnEvent(source string, e Event) { f(source, e) }
 // monitorConfig collects the Attach-time settings.
 type monitorConfig struct {
 	ringCap int
-	sink    EventSink
 }
 
 // MonitorOption configures Attach.
@@ -32,10 +31,6 @@ type MonitorOption func(*monitorConfig)
 // WithRingCapacity sets the per-server sampling buffer capacity the
 // online coloring reads (default 1024).
 func WithRingCapacity(n int) MonitorOption { return func(c *monitorConfig) { c.ringCap = n } }
-
-// WithEventSink installs a sink receiving every accepted event — the tee
-// that redirects the online stream into a trace file (§4.2).
-func WithEventSink(s EventSink) MonitorOption { return func(c *monitorConfig) { c.sink = s } }
 
 // Monitor is the online textual Stethoscope: a UDP listener that
 // reassembles dot files and collects execution traces streamed by one or
@@ -56,11 +51,7 @@ func Attach(ctx context.Context, addr string, opts ...MonitorOption) (*Monitor, 
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: %w", err)
 	}
-	m := &Monitor{ts: ts}
-	if cfg.sink != nil {
-		m.SetSink(cfg.sink)
-	}
-	return m, nil
+	return &Monitor{ts: ts}, nil
 }
 
 // Addr returns the UDP address servers should stream to.
@@ -69,8 +60,9 @@ func (m *Monitor) Addr() string { return m.ts.Addr() }
 // Close stops the listener.
 func (m *Monitor) Close() error { return m.ts.Close() }
 
-// SetSink installs (or, with nil, removes) the event observer. Safe to
-// call while traffic flows.
+// SetSink installs (or, with nil, removes) the observer receiving every
+// accepted event — the tee that redirects the online stream into a
+// trace file (§4.2). Safe to call while traffic flows.
 func (m *Monitor) SetSink(s EventSink) {
 	if s == nil {
 		m.ts.SetOnEvent(nil)
