@@ -576,6 +576,43 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
+// TestBeginRecordAutoTuneTrailerRoundTrip: the auto-tune fields, once a
+// trailer of the begin record, are now part of the run record's head;
+// they survive an encode and a head-only decode, and a run that was not
+// auto-tuned decodes with them unset.
+func TestBeginRecordAutoTuneTrailerRoundTrip(t *testing.T) {
+	m := RunInfo{
+		ID: 42, SQL: "select 1", Start: time.Unix(0, 12345),
+		Partitions: 8, Workers: 4, Instructions: 17,
+		AutoTuned: true, TuneReason: "auto: rows=60175 procs=4 -> 8 partitions",
+	}
+	payload := appendRun(nil, m, "digraph{}", nil)
+	if payload[0] != recRun {
+		t.Fatalf("type byte = %d, want %d", payload[0], recRun)
+	}
+	got, _, _, err := decodeRun(payload[1:], false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != 42 {
+		t.Errorf("id = %d", got.ID)
+	}
+	if got.AutoTuned != m.AutoTuned || got.TuneReason != m.TuneReason {
+		t.Errorf("auto-tune fields lost: %+v", got)
+	}
+	if got.Partitions != 8 || got.Workers != 4 || got.Instructions != 17 || got.SQL != m.SQL || !got.Start.Equal(m.Start) {
+		t.Errorf("base fields corrupted: %+v", got)
+	}
+	plain := RunInfo{ID: 7, SQL: "select 2", Start: time.Unix(0, 99), Partitions: 2, Workers: 2, Instructions: 5}
+	got, _, _, err = decodeRun(appendRun(nil, plain, "digraph{}", nil)[1:], false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AutoTuned || got.TuneReason != "" {
+		t.Errorf("run recorded without auto-tune decoded with it set: %+v", got)
+	}
+}
+
 // TestOpenSkipsOverlongStringRecord: a run record with a valid checksum
 // whose SQL length is 2^63-1 used to overflow the payload reader's
 // bounds check and panic Open. It must take the undecodable-record path
