@@ -77,7 +77,9 @@ bench-module:
 	$(GO) test -C bench ./...
 
 # bench-record mirrors the CI bench-record job: the experiment
-# benchmarks, 3 repetitions, converted to BENCH_<sha>.json. When a
+# benchmarks and the compile path (optimizer pipeline, mitosis sweep),
+# 3 repetitions with allocation counts (-benchmem), converted to
+# BENCH_<sha>.json. When a
 # previous artifact is saved as BENCH_baseline.json, a per-benchmark
 # delta summary is printed and then ENFORCED: any benchmark more than
 # GATE percent slower than the baseline fails the target (benchjson
@@ -87,8 +89,8 @@ bench-module:
 # pipefail, and a crashed benchmark must fail the target instead of
 # gating a truncated record.
 bench-record:
-	$(GO) test -bench 'BenchmarkF|BenchmarkE|BenchmarkPlanCacheHit|BenchmarkConcurrentExec|BenchmarkHistory|BenchmarkParallel|BenchmarkOpen|BenchmarkPeakRSS|BenchmarkMetricsOverhead|BenchmarkSharedWork' \
-		-benchtime 1x -count 3 -run '^$$' . > bench.txt
+	$(GO) test -bench 'BenchmarkF|BenchmarkE|BenchmarkPlanCacheHit|BenchmarkConcurrentExec|BenchmarkHistory|BenchmarkParallel|BenchmarkOpen|BenchmarkPeakRSS|BenchmarkMetricsOverhead|BenchmarkSharedWork|BenchmarkOptimizerPipeline|BenchmarkMitosisSweep' \
+		-benchtime 1x -count 3 -benchmem -run '^$$' . > bench.txt
 	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json < bench.txt > BENCH_$(SHA).json
 	@echo wrote BENCH_$(SHA).json
 	@if git log -1 --format=%B 2>/dev/null | grep -qF '[bench-skip]'; then \

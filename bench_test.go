@@ -573,7 +573,7 @@ func TestE11GradientAndPruning(t *testing.T) {
 		t.Fatalf("pruning removed nothing: %d -> %d", len(plan.Instrs), len(pruned.Instrs))
 	}
 	for _, in := range pruned.Instrs {
-		if in.Module == "querylog" {
+		if in.Module() == "querylog" {
 			t.Error("admin instruction survived pruning")
 		}
 	}

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"stethoscope/internal/adaptive"
 	"stethoscope/internal/algebra"
 	"stethoscope/internal/compiler"
 	"stethoscope/internal/engine"
 	"stethoscope/internal/planner"
+	"stethoscope/internal/runner"
 	"stethoscope/internal/sql"
 )
 
@@ -31,6 +31,10 @@ type DebugStep struct {
 // session over it. Partition settings pass through the same
 // normalization and Auto resolution as Exec and Explain.
 func (db *DB) Debug(query string, opts ...ExecOption) (*Debugger, error) {
+	requested, err := runner.Partitions(db.settings(opts).Partitions)
+	if err != nil {
+		return nil, fmt.Errorf("stethoscope: %w", err)
+	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: parse: %w", err)
@@ -39,7 +43,7 @@ func (db *DB) Debug(query string, opts ...ExecOption) (*Debugger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: bind: %w", err)
 	}
-	partitions, _ := planner.ResolvePartitions(db.cat, adaptive.Normalize(db.settings(opts).Partitions), tree)
+	partitions, _ := planner.ResolvePartitions(db.cat, requested, tree)
 	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: partitions})
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: compile: %w", err)

@@ -43,7 +43,6 @@ type opcodeUse struct {
 
 func runKernelCoverage(pass *lintkit.ModulePass) error {
 	var registered, emitted []opcodeUse
-	var fnAssigns []opcodeUse // X.Function = "lit" rewrites (module unknown)
 	sawRegister, sawEmit := false, false
 
 	for _, pkg := range pass.Pkgs {
@@ -54,7 +53,7 @@ func runKernelCoverage(pass *lintkit.ModulePass) error {
 		case pkgMatches(pkg, kernelEmitPackages...):
 			sawEmit = true
 			collectOpcodeCalls(pass, pkg, "Emit", &emitted)
-			collectFunctionRewrites(pkg, &fnAssigns)
+			collectOpcodeCalls(pass, pkg, "OpOf", &emitted)
 		}
 	}
 	// A partial load (linting one package) cannot check the contract.
@@ -63,10 +62,8 @@ func runKernelCoverage(pass *lintkit.ModulePass) error {
 	}
 
 	regSet := map[string]token.Pos{}
-	regFns := map[string]bool{}
 	for _, r := range registered {
 		regSet[r.mod+"."+r.fn] = r.pos
-		regFns[r.fn] = true
 	}
 	used := map[string]bool{}
 	for _, e := range emitted {
@@ -74,19 +71,6 @@ func runKernelCoverage(pass *lintkit.ModulePass) error {
 		used[name] = true
 		if _, ok := regSet[name]; !ok {
 			pass.Reportf(e.pos, "mal opcode %s is emitted here but registerKernels installs no such kernel", name)
-		}
-	}
-	for _, a := range fnAssigns {
-		// Module-preserving rewrite: accept when any registered kernel
-		// has this function name, and mark them all reachable.
-		if !regFns[a.fn] {
-			pass.Reportf(a.pos, "instruction function is rewritten to %q but no registered kernel has that name", a.fn)
-			continue
-		}
-		for name := range regSet {
-			if strings.HasSuffix(name, "."+a.fn) {
-				used[name] = true
-			}
 		}
 	}
 	var dead []string
@@ -103,8 +87,9 @@ func runKernelCoverage(pass *lintkit.ModulePass) error {
 }
 
 // collectOpcodeCalls gathers (module, function) pairs from method calls
-// whose name is methodPrefix ("Register", or the "Emit" family — Emit,
-// Emit0, Emit1, EmitN) and whose first two arguments are the opcode.
+// whose name is methodPrefix ("Register", the "Emit" family — Emit,
+// Emit0, Emit1, EmitN — or "OpOf", which an in-place opcode rewrite
+// calls) and whose first two arguments are the opcode.
 func collectOpcodeCalls(pass *lintkit.ModulePass, pkg *lintkit.Package, methodPrefix string, out *[]opcodeUse) {
 	globals := packageStringMaps(pkg)
 	for _, fd := range funcDecls(pkg) {
@@ -131,27 +116,6 @@ func collectOpcodeCalls(pass *lintkit.ModulePass, pkg *lintkit.Package, methodPr
 				for _, f := range fns {
 					*out = append(*out, opcodeUse{mod: m, fn: f, pos: call.Pos()})
 				}
-			}
-			return true
-		})
-	}
-}
-
-// collectFunctionRewrites gathers `x.Function = "lit"` assignments (the
-// optimizer's in-place module-preserving rewrites).
-func collectFunctionRewrites(pkg *lintkit.Package, out *[]opcodeUse) {
-	for _, fd := range funcDecls(pkg) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				return true
-			}
-			sel, ok := as.Lhs[0].(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Function" {
-				return true
-			}
-			if s, ok := strLit(as.Rhs[0]); ok {
-				*out = append(*out, opcodeUse{fn: s, pos: as.Pos()})
 			}
 			return true
 		})

@@ -1,17 +1,24 @@
 // Fixture for the kernelcoverage analyzer, rewrite side: the
-// optimizer's in-place `instr.Function = "name"` rewrites must land on
-// a registered kernel name.
+// optimizer's in-place `instr.Op = mal.OpOf(module, function)` rewrites
+// must land on a registered kernel.
 package optimizer
 
+type opcode struct{}
+
 type instr struct {
-	Module   string
-	Function string
+	Op *opcode
 }
 
+type malPackage struct{}
+
+func (malPackage) OpOf(mod, fn string) *opcode { return nil }
+
+var mal malPackage
+
 func fuseJoin(probe *instr) {
-	probe.Function = "join"
+	probe.Op = mal.OpOf("algebra", "join")
 }
 
 func badRewrite(p *instr) {
-	p.Function = "nothere" // want "rewritten to .nothere. but no registered kernel has that name"
+	p.Op = mal.OpOf("algebra", "nothere") // want "mal opcode algebra.nothere is emitted here but registerKernels installs no such kernel"
 }

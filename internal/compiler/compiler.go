@@ -192,7 +192,7 @@ func (c *compiler) forcePartitioned(r rel) rel {
 	for p := 0; p < k; p++ {
 		for _, v := range r.cols {
 			sv := c.plan.Emit1("mat", "slice", c.plan.VarType(v),
-				mal.VarArg(v), mal.ConstOf(mal.Int64(int64(p))), mal.ConstOf(mal.Int64(int64(k))))
+				mal.VarArg(v), c.plan.ConstOf(mal.Int64(int64(p))), c.plan.ConstOf(mal.Int64(int64(k))))
 			out.parts[p] = append(out.parts[p], sv)
 		}
 	}
@@ -266,9 +266,9 @@ func (c *compiler) closeFrag(fb *fragBuild, outs []int) []int {
 	id := len(c.plan.Frags)
 	c.plan.Frags = append(c.plan.Frags, fb.f)
 	args := []mal.Arg{
-		mal.ConstOf(mal.Int64(int64(id))),
-		mal.ConstOf(mal.Int64(int64(len(fb.srcs)))),
-		mal.ConstOf(mal.Int64(int64(len(fb.caps)))),
+		c.plan.ConstOf(mal.Int64(int64(id))),
+		c.plan.ConstOf(mal.Int64(int64(len(fb.srcs)))),
+		c.plan.ConstOf(mal.Int64(int64(len(fb.caps)))),
 	}
 	for _, v := range fb.srcs {
 		args = append(args, mal.VarArg(v))
@@ -294,9 +294,10 @@ type operand struct {
 
 func (o operand) isConst() bool { return o.varID < 0 }
 
-func (o operand) arg() mal.Arg {
+// arg returns the operand of o in the plan under construction.
+func (c *compiler) arg(o operand) mal.Arg {
 	if o.isConst() {
-		return mal.ConstOf(o.cnst)
+		return c.plan.ConstOf(o.cnst)
 	}
 	return mal.VarArg(o.varID)
 }
@@ -336,16 +337,16 @@ func constValue(c *algebra.Const) mal.Value {
 }
 
 func (c *compiler) prologue(queryText string) {
-	c.plan.Emit0("querylog", "define", mal.ConstOf(mal.Str(queryText)))
+	c.plan.Emit0("querylog", "define", c.plan.ConstOf(mal.Str(queryText)))
 	c.plan.Emit1("sql", "mvc", mal.TInt)
 }
 
 func (c *compiler) epilogue(r rel) {
-	rs := c.plan.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(int64(len(r.cols)))))
+	rs := c.plan.Emit1("sql", "resultSet", mal.TInt, c.plan.ConstOf(mal.Int64(int64(len(r.cols)))))
 	for i, v := range r.cols {
 		c.plan.Emit0("sql", "rsColumn",
 			mal.VarArg(rs),
-			mal.ConstOf(mal.Str(r.schema[i].Name)),
+			c.plan.ConstOf(mal.Str(r.schema[i].Name)),
 			mal.VarArg(v))
 	}
 	c.plan.Emit0("sql", "exportResult", mal.VarArg(rs))
@@ -377,10 +378,10 @@ func (c *compiler) bindScan(s *algebra.Scan) rel {
 	r := rel{schema: s.Out}
 	for _, col := range s.Out {
 		v := c.plan.Emit1("sql", "bind", kindToBAT(col.Kind),
-			mal.ConstOf(mal.Str(s.SchemaName)),
-			mal.ConstOf(mal.Str(s.Table)),
-			mal.ConstOf(mal.Str(col.Name)),
-			mal.ConstOf(mal.Int64(0)))
+			c.plan.ConstOf(mal.Str(s.SchemaName)),
+			c.plan.ConstOf(mal.Str(s.Table)),
+			c.plan.ConstOf(mal.Str(col.Name)),
+			c.plan.ConstOf(mal.Int64(0)))
 		r.cols = append(r.cols, v)
 	}
 	return r
@@ -530,7 +531,7 @@ func (c *compiler) simpleSelect(in rel, p algebra.Expr, cands int) (int, error) 
 		if cands >= 0 {
 			args = append(args, mal.VarArg(cands))
 		}
-		args = append(args, mal.ConstOf(mal.Str(op)), mal.ConstOf(constValue(cst)))
+		args = append(args, c.plan.ConstOf(mal.Str(op)), c.plan.ConstOf(constValue(cst)))
 		return c.plan.Emit1("algebra", "thetaselect", mal.TBATOID, args...), nil
 	case *algebra.Between:
 		col := t.E.(*algebra.ColIdx)
@@ -541,8 +542,8 @@ func (c *compiler) simpleSelect(in rel, p algebra.Expr, cands int) (int, error) 
 			args = append(args, mal.VarArg(cands))
 		}
 		args = append(args,
-			mal.ConstOf(constValue(lo)), mal.ConstOf(constValue(hi)),
-			mal.ConstOf(mal.Bool(true)), mal.ConstOf(mal.Bool(true)))
+			c.plan.ConstOf(constValue(lo)), c.plan.ConstOf(constValue(hi)),
+			c.plan.ConstOf(mal.Bool(true)), c.plan.ConstOf(mal.Bool(true)))
 		return c.plan.Emit1("algebra", "select", mal.TBATOID, args...), nil
 	}
 	return 0, fmt.Errorf("compiler: not a simple predicate: %s", p)
@@ -597,7 +598,7 @@ func (c *compiler) expr(in rel, e algebra.Expr) (operand, error) {
 		if err != nil {
 			return operand{}, err
 		}
-		v := c.plan.Emit1("batcalc", "between", mal.TBATBool, col.arg(), lo.arg(), hi.arg())
+		v := c.plan.Emit1("batcalc", "between", mal.TBATBool, c.arg(col), c.arg(lo), c.arg(hi))
 		return operand{varID: v, kind: storage.Bool}, nil
 	case *algebra.Like:
 		inner, err := c.expr(in, t.E)
@@ -608,7 +609,7 @@ func (c *compiler) expr(in rel, e algebra.Expr) (operand, error) {
 			return operand{}, fmt.Errorf("compiler: like over a constant")
 		}
 		v := c.plan.Emit1("batcalc", "like", mal.TBATBool,
-			mal.VarArg(inner.varID), mal.ConstOf(mal.Str(t.Pattern)))
+			mal.VarArg(inner.varID), c.plan.ConstOf(mal.Str(t.Pattern)))
 		return operand{varID: v, kind: storage.Bool}, nil
 	case *algebra.Bin:
 		l, err := c.expr(in, t.L)
@@ -637,7 +638,7 @@ func (c *compiler) expr(in rel, e algebra.Expr) (operand, error) {
 		default:
 			return operand{}, fmt.Errorf("compiler: unknown operator %q", t.Op)
 		}
-		v := c.plan.Emit1("batcalc", fn, kindToBAT(t.K), l.arg(), r.arg())
+		v := c.plan.Emit1("batcalc", fn, kindToBAT(t.K), c.arg(l), c.arg(r))
 		return operand{varID: v, kind: t.K}, nil
 	}
 	return operand{}, fmt.Errorf("compiler: cannot compile expression %T", e)
@@ -899,7 +900,7 @@ func (c *compiler) combinePartials(g *algebra.GroupAgg, partials []int) []int {
 		}
 		if guarded(a) {
 			live := c.plan.Emit1("algebra", "thetaselect", mal.TBATOID,
-				mal.VarArg(rest[0]), mal.ConstOf(mal.Str(">")), mal.ConstOf(mal.Int64(0)))
+				mal.VarArg(rest[0]), c.plan.ConstOf(mal.Str(">")), c.plan.ConstOf(mal.Int64(0)))
 			rest = rest[1:]
 			pv = c.plan.Emit1("algebra", "leftjoin", kindToBAT(a.K), mal.VarArg(live), mal.VarArg(pv))
 		}
@@ -950,7 +951,7 @@ func (c *compiler) exprVar(in rel, e algebra.Expr) (int, error) {
 	if op.isConst() {
 		// Materialize a constant column aligned with the relation.
 		v := c.plan.Emit1("batcalc", "const", kindToBAT(op.kind),
-			mal.ConstOf(op.cnst), mal.VarArg(in.cols[0]))
+			c.plan.ConstOf(op.cnst), mal.VarArg(in.cols[0]))
 		return v, nil
 	}
 	return op.varID, nil
@@ -1052,7 +1053,7 @@ func (c *compiler) sortPacked(in rel, keys []algebra.SortKey) rel {
 	for i := len(keys) - 1; i >= 0; i-- {
 		k := keys[i]
 		perm := c.plan.Emit1("algebra", "sortTail", mal.TBATOID,
-			mal.VarArg(cur.cols[k.Idx]), mal.ConstOf(mal.Bool(!k.Desc)))
+			mal.VarArg(cur.cols[k.Idx]), c.plan.ConstOf(mal.Bool(!k.Desc)))
 		cur = c.projectAll(cur, perm)
 	}
 	return cur
@@ -1076,7 +1077,7 @@ func (c *compiler) lowerMergedSort(s *algebra.Sort, in rel, topK int64) rel {
 			for i, v := range cur.cols {
 				trunc.cols = append(trunc.cols, c.plan.Emit1("algebra", "slice",
 					kindToBAT(cur.schema[i].Kind),
-					mal.VarArg(v), mal.ConstOf(mal.Int64(0)), mal.ConstOf(mal.Int64(topK))))
+					mal.VarArg(v), c.plan.ConstOf(mal.Int64(0)), c.plan.ConstOf(mal.Int64(topK))))
 			}
 			cur = trunc
 		}
@@ -1084,9 +1085,9 @@ func (c *compiler) lowerMergedSort(s *algebra.Sort, in rel, topK int64) rel {
 	}
 	// Merge permutation: nkeys, per-key ascending flags, then per key
 	// the sorted slice columns in slice order.
-	args := []mal.Arg{mal.ConstOf(mal.Int64(int64(len(s.Keys))))}
+	args := []mal.Arg{c.plan.ConstOf(mal.Int64(int64(len(s.Keys))))}
 	for _, key := range s.Keys {
-		args = append(args, mal.ConstOf(mal.Bool(!key.Desc)))
+		args = append(args, c.plan.ConstOf(mal.Bool(!key.Desc)))
 	}
 	for _, key := range s.Keys {
 		for p := 0; p < k; p++ {
@@ -1118,7 +1119,7 @@ func (c *compiler) lowerLimit(l *algebra.Limit) (rel, error) {
 	out := rel{schema: in.schema}
 	for i, v := range in.cols {
 		s := c.plan.Emit1("algebra", "slice", kindToBAT(in.schema[i].Kind),
-			mal.VarArg(v), mal.ConstOf(mal.Int64(0)), mal.ConstOf(mal.Int64(l.N)))
+			mal.VarArg(v), c.plan.ConstOf(mal.Int64(0)), c.plan.ConstOf(mal.Int64(l.N)))
 		out.cols = append(out.cols, s)
 	}
 	return out, nil

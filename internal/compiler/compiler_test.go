@@ -326,7 +326,7 @@ func TestConstantFolding(t *testing.T) {
 	for _, in := range plan.Instrs {
 		if in.Name() == "batcalc.mul" {
 			for _, a := range in.Args {
-				if a.IsConst() && a.Const.Int == 5 {
+				if a.IsConst() && plan.Const(a).Int == 5 {
 					found = true
 				}
 			}
@@ -491,10 +491,10 @@ func TestMergedSortMultiKeyPlanShape(t *testing.T) {
 			if len(in.Args) != 1+2+2*4 {
 				t.Errorf("kmerge has %d args, want 11 (nkeys + 2 asc + 2x4 cols)", len(in.Args))
 			}
-			if !in.Args[1].IsConst() || in.Args[1].Const.Bool { // first key desc
+			if !in.Args[1].IsConst() || plan.Const(in.Args[1]).Bool { // first key desc
 				t.Errorf("kmerge first asc flag = %v, want false", in.Args[1])
 			}
-			if !in.Args[2].IsConst() || !in.Args[2].Const.Bool { // second key asc
+			if !in.Args[2].IsConst() || !plan.Const(in.Args[2]).Bool { // second key asc
 				t.Errorf("kmerge second asc flag = %v, want true", in.Args[2])
 			}
 		}

@@ -11,11 +11,11 @@ func samplePlan(t testing.TB) *mal.Plan {
 	t.Helper()
 	p := mal.NewPlan("select l_tax from lineitem where l_partkey=1")
 	col := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("lineitem")), mal.ConstOf(mal.Str("l_partkey")), mal.ConstOf(mal.Int64(0)))
+		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("lineitem")), p.ConstOf(mal.Str("l_partkey")), p.ConstOf(mal.Int64(0)))
 	sel := p.Emit1("algebra", "thetaselect", mal.TBATOID,
-		mal.VarArg(col), mal.ConstOf(mal.Str("=")), mal.ConstOf(mal.Int64(1)))
+		mal.VarArg(col), p.ConstOf(mal.Str("=")), p.ConstOf(mal.Int64(1)))
 	tax := p.Emit1("sql", "bind", mal.TBATFlt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("lineitem")), mal.ConstOf(mal.Str("l_tax")), mal.ConstOf(mal.Int64(0)))
+		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("lineitem")), p.ConstOf(mal.Str("l_tax")), p.ConstOf(mal.Int64(0)))
 	p.Emit1("algebra", "leftjoin", mal.TBATFlt, mal.VarArg(sel), mal.VarArg(tax))
 	return p
 }

@@ -90,7 +90,7 @@ func (d *Debugger) Step() (*mal.Instr, bool, error) {
 
 // breaksOn reports whether execution should pause before instruction in.
 func (d *Debugger) breaksOn(in *mal.Instr) bool {
-	return d.breakPCs[in.PC] || d.breakModules[in.Module]
+	return d.breakPCs[in.PC] || d.breakModules[in.Module()]
 }
 
 // Continue runs until the next breakpoint or the end of the plan. It
@@ -131,8 +131,8 @@ func (d *Debugger) Inspect(varID int) (string, error) {
 
 // InspectByName resolves a variable by display name ("X_3").
 func (d *Debugger) InspectByName(name string) (string, error) {
-	for id, v := range d.plan.Vars {
-		if v.Name == name {
+	for id := range d.plan.Vars {
+		if d.plan.VarName(id) == name {
 			return d.Inspect(id)
 		}
 	}

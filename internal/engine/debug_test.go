@@ -97,7 +97,7 @@ func TestDebuggerModuleBreakpoints(t *testing.T) {
 		t.Fatalf("no module breakpoint hits")
 	}
 	for _, pc := range stops {
-		if d.plan.Instrs[pc].Module != "algebra" {
+		if d.plan.Instrs[pc].Module() != "algebra" {
 			t.Errorf("stopped at non-algebra pc=%d", pc)
 		}
 	}

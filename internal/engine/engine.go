@@ -91,7 +91,7 @@ type Engine struct {
 	cat *storage.Catalog
 
 	regMu    sync.RWMutex
-	registry map[string]Kernel
+	registry map[*mal.Opcode]Kernel
 
 	// met holds the scheduler/morsel metric cells when a registry is
 	// attached via SetMetrics; nil otherwise. The in-flight progress
@@ -105,7 +105,7 @@ type Engine struct {
 // New returns an engine over the catalog with the full kernel set
 // registered.
 func New(cat *storage.Catalog) *Engine {
-	e := &Engine{cat: cat, registry: map[string]Kernel{}, inflight: map[int64]*runProgress{}}
+	e := &Engine{cat: cat, registry: map[*mal.Opcode]Kernel{}, inflight: map[int64]*runProgress{}}
 	registerKernels(e)
 	return e
 }
@@ -118,39 +118,39 @@ func (e *Engine) Catalog() *storage.Catalog { return e.cat }
 // registration of the same opcode panics: it would silently replace the
 // first. Safe to call while queries run.
 func (e *Engine) Register(module, function string, k Kernel) {
-	name := module + "." + function
+	op := mal.OpOf(module, function)
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
-	if _, dup := e.registry[name]; dup {
-		panic("engine: kernel " + name + " registered twice")
+	if _, dup := e.registry[op]; dup {
+		panic("engine: kernel " + op.Name() + " registered twice")
 	}
-	e.registry[name] = k
+	e.registry[op] = k
 }
 
 // Replace swaps the kernel of a registered opcode and returns the one it
 // replaced; tests use it for fault injection. Each run resolves its
 // kernels at start, so a swap only affects runs that begin after it.
 func (e *Engine) Replace(module, function string, k Kernel) Kernel {
-	name := module + "." + function
+	op := mal.OpOf(module, function)
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
-	old, ok := e.registry[name]
+	old, ok := e.registry[op]
 	if !ok {
-		panic("engine: no kernel " + name + " to replace")
+		panic("engine: no kernel " + op.Name() + " to replace")
 	}
-	e.registry[name] = k
+	e.registry[op] = k
 	return old
 }
 
 // resolve maps every instruction to its kernel under one registry lock.
 // Doing this once per run keeps the per-instruction hot path free of
-// lock traffic and of the "module.function" string concatenation.
+// lock traffic.
 func (e *Engine) resolve(plan *mal.Plan) ([]Kernel, error) {
 	kernels := make([]Kernel, len(plan.Instrs))
 	e.regMu.RLock()
 	defer e.regMu.RUnlock()
 	for i, in := range plan.Instrs {
-		k, ok := e.registry[in.Name()]
+		k, ok := e.registry[in.Op]
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown MAL operator %s at pc=%d", in.Name(), in.PC)
 		}
@@ -216,9 +216,9 @@ type Context struct {
 // value returns the runtime value of an argument.
 func (ctx *Context) value(a mal.Arg) mal.Value {
 	if a.IsConst() {
-		return a.Const
+		return ctx.Plan.Const(a)
 	}
-	return ctx.vals[a.Var]
+	return ctx.vals[a.Var()]
 }
 
 // bat extracts the BAT payload of argument i.
@@ -402,7 +402,7 @@ func (ctx *Context) accounting(in *mal.Instr) (reads, writes, rssKB int64) {
 		if a.IsConst() {
 			continue
 		}
-		if b, ok := ctx.vals[a.Var].Col.(*storage.BAT); ok {
+		if b, ok := ctx.vals[a.Var()].Col.(*storage.BAT); ok {
 			reads += int64(b.Len())
 		}
 	}

@@ -281,15 +281,15 @@ func streamInfo(plan *mal.Plan) (streamPC int, order []int, names []string) {
 	}
 	var src *mal.Instr
 	for _, in := range plan.Instrs {
-		if in.Module != "sql" || in.Function != "rsColumn" || len(in.Args) < 3 {
+		if in.Name() != "sql.rsColumn" || len(in.Args) < 3 {
 			continue
 		}
 		nameArg, colArg := in.Args[1], in.Args[2]
 		if !nameArg.IsConst() || colArg.IsConst() {
 			return -1, nil, nil
 		}
-		d := def[colArg.Var]
-		if d == nil || d.Module != "mat" || d.Function != "morsel" {
+		d := def[colArg.Var()]
+		if d == nil || d.Name() != "mat.morsel" {
 			return -1, nil, nil
 		}
 		if src == nil {
@@ -299,7 +299,7 @@ func streamInfo(plan *mal.Plan) (streamPC int, order []int, names []string) {
 		}
 		idx := -1
 		for i, r := range d.Rets {
-			if r == colArg.Var {
+			if r == colArg.Var() {
 				idx = i
 				break
 			}
@@ -308,7 +308,7 @@ func streamInfo(plan *mal.Plan) (streamPC int, order []int, names []string) {
 			return -1, nil, nil
 		}
 		order = append(order, idx)
-		names = append(names, nameArg.Const.Str)
+		names = append(names, plan.Const(nameArg).Str)
 	}
 	if src == nil {
 		return -1, nil, nil

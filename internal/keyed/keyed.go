@@ -170,8 +170,11 @@ func (c *LRU[K, V]) Stats() Stats {
 }
 
 // Keys returns the held keys from most to least recently used
-// (diagnostics and tests).
+// (diagnostics and tests). A nil cache holds none.
 func (c *LRU[K, V]) Keys() []K {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]K, 0, c.order.Len())

@@ -1,5 +1,7 @@
 package mal
 
+import "slices"
+
 // Administrative-instruction classification. The paper's future-work list
 // (§6) includes "selective pruning of MAL plan to remove unimportant
 // administrative instructions"; experiment E11 implements it. An
@@ -30,7 +32,7 @@ func (in *Instr) IsAdmin() bool {
 		return true
 	}
 	// Module-wide admin namespaces.
-	switch in.Module {
+	switch in.Module() {
 	case "querylog", "transaction", "profiler":
 		return true
 	}
@@ -65,18 +67,13 @@ func Prune(p *Plan) (*Plan, map[int]int) {
 		}
 	}
 
-	q := &Plan{Query: p.Query, Vars: append([]Variable(nil), p.Vars...)}
+	q := &Plan{Query: p.Query, Vars: slices.Clone(p.Vars), Consts: slices.Clone(p.Consts)}
 	remap := make(map[int]int)
 	for i, in := range p.Instrs {
 		if !keep[i] {
 			continue
 		}
-		cp := &Instr{
-			Module:   in.Module,
-			Function: in.Function,
-			Rets:     append([]int(nil), in.Rets...),
-			Args:     append([]Arg(nil), in.Args...),
-		}
+		cp := &Instr{Op: in.Op, Rets: slices.Clone(in.Rets), Args: slices.Clone(in.Args)}
 		remap[in.PC] = len(q.Instrs)
 		q.Instrs = append(q.Instrs, cp)
 	}

@@ -9,13 +9,13 @@ import (
 func widePlan(n int) *Plan {
 	p := NewPlan("bench")
 	bind := p.Emit1("sql", "bind", TBATInt,
-		ConstOf(Str("sys")), ConstOf(Str("t")), ConstOf(Str("c")), ConstOf(Int64(0)))
+		p.ConstOf(Str("sys")), p.ConstOf(Str("t")), p.ConstOf(Str("c")), p.ConstOf(Int64(0)))
 	var outs []int
 	for len(p.Instrs) < n-1 {
 		s := p.Emit1("mat", "slice", TBATInt, VarArg(bind),
-			ConstOf(Int64(int64(len(outs)))), ConstOf(Int64(64)))
+			p.ConstOf(Int64(int64(len(outs)))), p.ConstOf(Int64(64)))
 		sel := p.Emit1("algebra", "thetaselect", TBATOID, VarArg(s),
-			ConstOf(Str("<")), ConstOf(Int64(100)))
+			p.ConstOf(Str("<")), p.ConstOf(Int64(100)))
 		outs = append(outs, p.Emit1("algebra", "leftjoin", TBATInt, VarArg(sel), VarArg(s)))
 	}
 	args := make([]Arg, len(outs))
@@ -47,7 +47,7 @@ func BenchmarkDeps(b *testing.B) {
 
 func BenchmarkPrune(b *testing.B) {
 	p := widePlan(500)
-	p.Emit0("querylog", "define", ConstOf(Str("q")))
+	p.Emit0("querylog", "define", p.ConstOf(Str("q")))
 	p.Renumber()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,60 +2,64 @@ package mal
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
+	"unsafe"
 )
 
-// Variable is a single-assignment MAL variable slot within a plan.
+// Variable is a single-assignment MAL variable slot within a plan. Its
+// display name is derived from its id (VarName), so the slot holds only
+// the type.
 type Variable struct {
-	Name string // display name, "X_<id>" by default
 	Type Type
 }
 
-// Arg is an instruction operand: either a reference to a plan variable
-// (Var >= 0) or an inline constant (Var == ConstArg).
-type Arg struct {
-	Var   int // variable index, or ConstArg for a constant
-	Const Value
-}
-
-// ConstArg marks an Arg as carrying an inline constant rather than a
-// variable reference.
-const ConstArg = -1
+// Arg is an instruction operand, an integer the way MonetDB's MAL block
+// stores operands as indexes into its symbol table: a variable id
+// (>= 0), or the one's complement of an index into the plan's constant
+// table (Plan.Consts). Plan.ConstOf builds constant operands.
+type Arg int32
 
 // VarArg returns an Arg referencing variable id.
-func VarArg(id int) Arg { return Arg{Var: id} }
+func VarArg(id int) Arg { return Arg(id) }
 
-// ConstOf returns an Arg carrying the constant v.
-func ConstOf(v Value) Arg { return Arg{Var: ConstArg, Const: v} }
+// IsConst reports whether the operand is a constant.
+func (a Arg) IsConst() bool { return a < 0 }
 
-// IsConst reports whether the operand is an inline constant.
-func (a Arg) IsConst() bool { return a.Var == ConstArg }
+// Var returns the variable id of a variable operand.
+func (a Arg) Var() int { return int(a) }
 
-// Instr is one MAL statement: module.function applied to Args, assigning
-// results to the variables in Rets. PC is the program counter, the
-// instruction's position in the plan; the paper's trace-to-dot mapping is
-// "pc=N maps to dot node nN".
+// Instr is one MAL statement: the opcode module.function applied to
+// Args, assigning results to the variables in Rets. PC is the program
+// counter, the instruction's position in the plan; the paper's
+// trace-to-dot mapping is "pc=N maps to dot node nN".
 type Instr struct {
-	PC       int
-	Module   string
-	Function string
-	Rets     []int
-	Args     []Arg
+	PC   int
+	Op   *Opcode
+	Rets []int
+	Args []Arg
 }
 
+// Module returns the instruction's module, e.g. "algebra".
+func (in *Instr) Module() string { return in.Op.Module() }
+
+// Function returns the instruction's function, e.g. "thetaselect".
+func (in *Instr) Function() string { return in.Op.Function() }
+
 // Name returns the qualified "module.function" name.
-func (in *Instr) Name() string { return in.Module + "." + in.Function }
+func (in *Instr) Name() string { return in.Op.Name() }
 
 // Plan is a MAL program: an ordered instruction list over a shared
-// single-assignment variable table. Plans are built by the compiler,
-// rewritten by the optimizer, interpreted by the engine, and rendered by
-// Stethoscope as a dataflow DAG.
+// single-assignment variable table and a constant table. Plans are built
+// by the compiler, rewritten by the optimizer, interpreted by the
+// engine, and rendered by Stethoscope as a dataflow DAG.
 type Plan struct {
 	// Query is the source SQL text, carried for display purposes.
 	Query  string
 	Vars   []Variable
+	Consts []Value
 	Instrs []*Instr
 
 	// Frags are the morsel fragments referenced by mat.morsel
@@ -63,15 +67,38 @@ type Plan struct {
 	// once the compiler finishes; optimizer clones share them.
 	Frags []*Fragment
 
-	// stmts caches the rendered statement text per PC for the
-	// execution hot path; see CachedStmt.
+	// constIdx deduplicates ConstOf; built lazily, so clones start
+	// without one.
+	constIdx map[constKey]Arg
+
+	// stmts memoizes the rendered statement text for the execution hot
+	// path; see CachedStmt. memoBytes is its size for Bytes, which may
+	// run while CachedStmt renders.
 	stmtsOnce sync.Once
-	stmts     []string
+	stmts     *stmtMemo
+	memoMu    sync.Mutex
+	memoBytes int64 // guarded by memoMu
 
 	// validateOnce memoizes Validate for finalized plans; see
 	// ValidateCached.
 	validateOnce sync.Once
 	validateErr  error
+}
+
+// constKey is a constant's exact literal: its type and payload, with a
+// float compared by its bits. Go == on floats would merge 0.0 with -0.0
+// and never match NaN.
+type constKey struct {
+	t Type
+	i int64
+	s string
+}
+
+// stmtMemo is every statement of a plan rendered into one string:
+// statement pc is text[ends[pc-1]:ends[pc]], starting at 0 for pc 0.
+type stmtMemo struct {
+	text string
+	ends []uint32
 }
 
 // NewPlan returns an empty plan for the given source query text.
@@ -103,7 +130,10 @@ type Fragment struct {
 // variable is named X_<index> in MAL notation.
 func (p *Plan) NewVar(t Type) int {
 	id := len(p.Vars)
-	p.Vars = append(p.Vars, Variable{Name: fmt.Sprintf("X_%d", id), Type: t})
+	if id > math.MaxInt32 {
+		panic("mal: plan has more variables than an Arg can reference")
+	}
+	p.Vars = append(p.Vars, Variable{Type: t})
 	return id
 }
 
@@ -115,23 +145,59 @@ func (p *Plan) VarType(id int) Type {
 	return p.Vars[id].Type
 }
 
-// VarName returns the display name of variable id.
-func (p *Plan) VarName(id int) string {
+// VarName returns the display name of variable id: X_<id>.
+func (p *Plan) VarName(id int) string { return string(p.appendVarName(nil, id)) }
+
+func (p *Plan) appendVarName(b []byte, id int) []byte {
 	if id < 0 || id >= len(p.Vars) {
-		return fmt.Sprintf("X_?%d", id)
+		b = append(b, "X_?"...)
+	} else {
+		b = append(b, "X_"...)
 	}
-	return p.Vars[id].Name
+	return strconv.AppendInt(b, int64(id), 10)
 }
+
+// ConstOf returns an operand referencing the constant v, appending v to
+// the constant table unless an identical literal is already there.
+func (p *Plan) ConstOf(v Value) Arg {
+	k, dedup := v.literalKey()
+	if dedup {
+		if p.constIdx == nil {
+			p.constIdx = make(map[constKey]Arg, len(p.Consts))
+			for i, c := range p.Consts {
+				if ck, ok := c.literalKey(); ok {
+					if _, dup := p.constIdx[ck]; !dup {
+						p.constIdx[ck] = Arg(^i)
+					}
+				}
+			}
+		}
+		if a, ok := p.constIdx[k]; ok {
+			return a
+		}
+	}
+	if len(p.Consts) > math.MaxInt32 {
+		panic("mal: plan has more constants than an Arg can reference")
+	}
+	a := Arg(^len(p.Consts))
+	p.Consts = append(p.Consts, v)
+	if dedup {
+		p.constIdx[k] = a
+	}
+	return a
+}
+
+// Const returns the value of the constant operand a.
+func (p *Plan) Const(a Arg) Value { return p.Consts[^a] }
 
 // Emit appends an instruction and returns it. PC is assigned to the
 // instruction's position.
 func (p *Plan) Emit(module, function string, rets []int, args ...Arg) *Instr {
 	in := &Instr{
-		PC:       len(p.Instrs),
-		Module:   module,
-		Function: function,
-		Rets:     rets,
-		Args:     args,
+		PC:   len(p.Instrs),
+		Op:   OpOf(module, function),
+		Rets: rets,
+		Args: args,
 	}
 	p.Instrs = append(p.Instrs, in)
 	return in
@@ -186,41 +252,25 @@ func (p *Plan) Deps() [][]int {
 	def := p.DefSites()
 	deps := make([][]int, len(p.Instrs))
 	for i, in := range p.Instrs {
-		seen := map[int]bool{}
+		var ds []int
 		for _, a := range in.Args {
-			if a.IsConst() {
+			if a.IsConst() || a.Var() >= len(def) {
 				continue
 			}
-			d := -1
-			if a.Var >= 0 && a.Var < len(def) {
-				d = def[a.Var]
-			}
-			if d >= 0 && d != in.PC && !seen[d] {
-				seen[d] = true
-				deps[i] = append(deps[i], d)
+			if d := def[a.Var()]; d >= 0 && d != in.PC {
+				ds = append(ds, d)
 			}
 		}
-		slices.Sort(deps[i])
+		slices.Sort(ds)
+		deps[i] = slices.Clip(slices.Compact(ds))
 	}
 	return deps
 }
 
-// Uses returns the transpose of Deps: per instruction, the PCs of
-// instructions that consume one of its results.
-func (p *Plan) Uses() [][]int {
-	deps := p.Deps()
-	uses := make([][]int, len(p.Instrs))
-	for pc, ds := range deps {
-		for _, d := range ds {
-			uses[d] = append(uses[d], pc)
-		}
-	}
-	return uses
-}
-
 // Validate checks plan well-formedness: every argument variable is defined
-// by an earlier instruction, every variable is assigned at most once
-// (single assignment), and variable indices are in range.
+// by an earlier instruction, every constant operand is in the constant
+// table, every variable is assigned at most once (single assignment), and
+// variable indices are in range.
 func (p *Plan) Validate() error {
 	assigned := make([]bool, len(p.Vars))
 	for i, in := range p.Instrs {
@@ -229,13 +279,16 @@ func (p *Plan) Validate() error {
 		}
 		for _, a := range in.Args {
 			if a.IsConst() {
+				if int(^a) >= len(p.Consts) {
+					return fmt.Errorf("mal: pc=%d %s: constant %d out of range", i, in.Name(), int(^a))
+				}
 				continue
 			}
-			if a.Var < 0 || a.Var >= len(p.Vars) {
-				return fmt.Errorf("mal: pc=%d %s: argument variable %d out of range", i, in.Name(), a.Var)
+			if a.Var() >= len(p.Vars) {
+				return fmt.Errorf("mal: pc=%d %s: argument variable %d out of range", i, in.Name(), a.Var())
 			}
-			if !assigned[a.Var] {
-				return fmt.Errorf("mal: pc=%d %s: variable %s used before assignment", i, in.Name(), p.VarName(a.Var))
+			if !assigned[a.Var()] {
+				return fmt.Errorf("mal: pc=%d %s: variable %s used before assignment", i, in.Name(), p.VarName(a.Var()))
 			}
 		}
 		for _, r := range in.Rets {
@@ -257,39 +310,42 @@ func (p *Plan) Validate() error {
 //
 // This string is what the profiler places in the trace "stmt" field and
 // what the dot exporter places in node labels (paper §3.3).
-func (p *Plan) StmtString(in *Instr) string {
-	var b strings.Builder
+func (p *Plan) StmtString(in *Instr) string { return string(p.appendStmt(nil, in)) }
+
+func (p *Plan) appendStmt(b []byte, in *Instr) []byte {
 	switch len(in.Rets) {
 	case 0:
 	case 1:
 		r := in.Rets[0]
-		fmt.Fprintf(&b, "%s:%s := ", p.VarName(r), p.VarType(r))
+		b = p.appendVarName(b, r)
+		b = append(b, ':')
+		b = append(b, p.VarType(r).String()...)
+		b = append(b, " := "...)
 	default:
-		b.WriteByte('(')
+		b = append(b, '(')
 		for i, r := range in.Rets {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%s:%s", p.VarName(r), p.VarType(r))
+			b = p.appendVarName(b, r)
+			b = append(b, ':')
+			b = append(b, p.VarType(r).String()...)
 		}
-		b.WriteString(") := ")
+		b = append(b, ") := "...)
 	}
-	b.WriteString(in.Module)
-	b.WriteByte('.')
-	b.WriteString(in.Function)
-	b.WriteByte('(')
+	b = append(b, in.Name()...)
+	b = append(b, '(')
 	for i, a := range in.Args {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
 		if a.IsConst() {
-			b.WriteString(a.Const.String())
+			b = p.Const(a).appendLiteral(b)
 		} else {
-			b.WriteString(p.VarName(a.Var))
+			b = p.appendVarName(b, a.Var())
 		}
 	}
-	b.WriteString(");")
-	return b.String()
+	return append(b, ");"...)
 }
 
 // ValidateCached memoizes Validate. Like CachedStmt it is for
@@ -302,70 +358,127 @@ func (p *Plan) ValidateCached() error {
 	return p.validateErr
 }
 
-// CachedStmt returns StmtString(in) from a per-plan cache rendered once
-// on first use. The profiler attaches the statement text to every
-// start/done event, so re-executions of a cached plan would otherwise
-// re-render every instruction on every run; with the cache the text is
-// built once per plan lifetime. Only call this on finalized plans (the
-// engine does, post-Validate): rewriting a plan after the first
-// CachedStmt call would serve stale text. Safe for concurrent use.
+// CachedStmt returns StmtString(in) from a per-plan memo rendered once
+// on first use: one string holding every statement, which CachedStmt
+// slices. The profiler attaches the statement text to every start/done
+// event, so re-executions of a cached plan would otherwise re-render
+// every instruction on every run; with the memo the text is built once
+// per plan lifetime. Only call this on finalized plans (the engine does,
+// post-Validate): rewriting a plan after the first CachedStmt call would
+// serve stale text. Safe for concurrent use.
 func (p *Plan) CachedStmt(in *Instr) string {
-	p.stmtsOnce.Do(func() {
-		s := make([]string, len(p.Instrs))
-		for i, instr := range p.Instrs {
-			s[i] = p.StmtString(instr)
+	p.stmtsOnce.Do(p.renderStmts)
+	m := p.stmts
+	if pc := in.PC; pc >= 0 && pc < len(m.ends) {
+		start := uint32(0)
+		if pc > 0 {
+			start = m.ends[pc-1]
 		}
-		p.stmts = s
-	})
-	if in.PC >= 0 && in.PC < len(p.stmts) {
-		return p.stmts[in.PC]
+		return m.text[start:m.ends[pc]]
 	}
 	return p.StmtString(in)
+}
+
+func (p *Plan) renderStmts() {
+	var b []byte
+	ends := make([]uint32, len(p.Instrs))
+	for i, in := range p.Instrs {
+		b = p.appendStmt(b, in)
+		ends[i] = uint32(len(b))
+	}
+	p.stmts = &stmtMemo{text: string(b), ends: ends}
+	p.memoMu.Lock()
+	p.memoBytes = int64(unsafe.Sizeof(*p.stmts)) + int64(len(b)) + int64(cap(ends))*int64(unsafe.Sizeof(uint32(0)))
+	p.memoMu.Unlock()
 }
 
 // String renders the whole plan as a MAL listing wrapped in a
 // function user.main() block, matching the paper's Figure 1 presentation.
 func (p *Plan) String() string {
-	var b strings.Builder
-	b.WriteString("function user.main();\n")
+	var b []byte
+	b = append(b, "function user.main();\n"...)
 	if p.Query != "" {
-		fmt.Fprintf(&b, "# %s\n", p.Query)
+		b = append(b, "# "...)
+		b = append(b, p.Query...)
+		b = append(b, '\n')
 	}
 	for _, in := range p.Instrs {
-		b.WriteString("    ")
-		b.WriteString(p.StmtString(in))
-		b.WriteByte('\n')
+		b = append(b, "    "...)
+		b = append(p.appendStmt(b, in), '\n')
 	}
-	b.WriteString("end user.main;\n")
+	b = append(b, "end user.main;\n"...)
 	for id, f := range p.Frags {
-		fmt.Fprintf(&b, "fragment %d (params=%d, caps=%d, outs=%d);\n",
+		b = fmt.Appendf(b, "fragment %d (params=%d, caps=%d, outs=%d);\n",
 			id, len(f.Params), len(f.Caps), len(f.Outs))
 		for _, in := range f.Plan.Instrs {
-			b.WriteString("    ")
-			b.WriteString(f.Plan.StmtString(in))
-			b.WriteByte('\n')
+			b = append(b, "    "...)
+			b = append(f.Plan.appendStmt(b, in), '\n')
 		}
-		fmt.Fprintf(&b, "end fragment %d;\n", id)
+		b = fmt.Appendf(b, "end fragment %d;\n", id)
 	}
-	return b.String()
+	return string(b)
 }
 
-// Clone returns a deep copy of the plan. Optimizer passes operate on
-// clones so the unoptimized plan remains available for side-by-side
-// display.
+// Clone returns a deep copy of the plan in exact-size storage: its
+// instructions, their operands and their results each fill one slab,
+// and the variable and constant tables are copied to their length.
+// Optimizer passes operate on clones so the unoptimized plan remains
+// available for side-by-side display, and the optimizer's result is a
+// clone of what the passes kept. Fragments are immutable and shared.
 func (p *Plan) Clone() *Plan {
-	q := &Plan{Query: p.Query, Vars: append([]Variable(nil), p.Vars...)}
-	q.Frags = append([]*Fragment(nil), p.Frags...)
-	q.Instrs = make([]*Instr, len(p.Instrs))
+	nArgs, nRets := 0, 0
+	for _, in := range p.Instrs {
+		nArgs += len(in.Args)
+		nRets += len(in.Rets)
+	}
+	q := &Plan{
+		Query:  p.Query,
+		Vars:   slices.Clip(slices.Clone(p.Vars)),
+		Consts: slices.Clip(slices.Clone(p.Consts)),
+		Instrs: make([]*Instr, len(p.Instrs)),
+		Frags:  slices.Clip(slices.Clone(p.Frags)),
+	}
+	instrs := make([]Instr, len(p.Instrs))
+	args := make([]Arg, 0, nArgs)
+	rets := make([]int, 0, nRets)
 	for i, in := range p.Instrs {
-		cp := &Instr{
-			PC:       in.PC,
-			Module:   in.Module,
-			Function: in.Function,
-			Rets:     append([]int(nil), in.Rets...),
-			Args:     append([]Arg(nil), in.Args...),
-		}
+		cp := &instrs[i]
+		cp.PC, cp.Op = in.PC, in.Op
+		n := len(args)
+		args = append(args, in.Args...)
+		cp.Args = args[n:len(args):len(args)]
+		n = len(rets)
+		rets = append(rets, in.Rets...)
+		cp.Rets = rets[n:len(rets):len(rets)]
 		q.Instrs[i] = cp
 	}
 	return q
+}
+
+// Bytes is the plan's resident size, computed by arithmetic the way
+// storage.BAT.FootprintBytes is: the plan header, the variable and
+// constant tables, every instruction with its operands and results, the
+// fragments the plan holds and, once CachedStmt has rendered it, the
+// statement memo. Size-class rounding is not counted.
+func (p *Plan) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*p)) +
+		int64(cap(p.Vars))*int64(unsafe.Sizeof(Variable{})) +
+		int64(cap(p.Consts))*int64(unsafe.Sizeof(Value{})) +
+		int64(cap(p.Instrs))*int64(unsafe.Sizeof((*Instr)(nil))) +
+		int64(len(p.constIdx))*int64(unsafe.Sizeof(constKey{})+unsafe.Sizeof(Arg(0)))
+	for _, c := range p.Consts {
+		n += int64(len(c.Str))
+	}
+	for _, in := range p.Instrs {
+		n += int64(unsafe.Sizeof(*in)) + int64(cap(in.Args))*int64(unsafe.Sizeof(Arg(0))) +
+			int64(cap(in.Rets))*int64(unsafe.Sizeof(int(0)))
+	}
+	for _, f := range p.Frags {
+		n += int64(unsafe.Sizeof(*f)) + f.Plan.Bytes() +
+			int64(cap(f.Params)+cap(f.Caps)+cap(f.Outs))*int64(unsafe.Sizeof(int(0)))
+	}
+	p.memoMu.Lock()
+	n += p.memoBytes
+	p.memoMu.Unlock()
+	return n
 }

@@ -9,9 +9,9 @@ import (
 func buildSimplePlan(t *testing.T) *Plan {
 	t.Helper()
 	p := NewPlan("select l_tax from lineitem where l_partkey=1")
-	col := p.Emit1("sql", "bind", TBATInt, ConstOf(Str("sys")), ConstOf(Str("lineitem")), ConstOf(Str("l_partkey")), ConstOf(Int64(0)))
-	sel := p.Emit1("algebra", "select", TBATOID, VarArg(col), ConstOf(Int64(1)), ConstOf(Int64(1)))
-	tax := p.Emit1("sql", "bind", TBATFlt, ConstOf(Str("sys")), ConstOf(Str("lineitem")), ConstOf(Str("l_tax")), ConstOf(Int64(0)))
+	col := p.Emit1("sql", "bind", TBATInt, p.ConstOf(Str("sys")), p.ConstOf(Str("lineitem")), p.ConstOf(Str("l_partkey")), p.ConstOf(Int64(0)))
+	sel := p.Emit1("algebra", "select", TBATOID, VarArg(col), p.ConstOf(Int64(1)), p.ConstOf(Int64(1)))
+	tax := p.Emit1("sql", "bind", TBATFlt, p.ConstOf(Str("sys")), p.ConstOf(Str("lineitem")), p.ConstOf(Str("l_tax")), p.ConstOf(Int64(0)))
 	prj := p.Emit1("algebra", "leftjoin", TBATFlt, VarArg(sel), VarArg(tax))
 	p.Emit0("sql", "resultSet", VarArg(prj))
 	if err := p.Validate(); err != nil {
@@ -45,7 +45,7 @@ func TestStmtStringMultiReturn(t *testing.T) {
 	p := NewPlan("")
 	a := p.NewVar(TBATOID)
 	b := p.NewVar(TBATOID)
-	src := p.Emit1("sql", "bind", TBATInt, ConstOf(Str("t")))
+	src := p.Emit1("sql", "bind", TBATInt, p.ConstOf(Str("t")))
 	p.Emit("group", "subgroup", []int{a, b}, VarArg(src))
 	got := p.StmtString(p.Instrs[1])
 	if !strings.HasPrefix(got, "(X_0:bat[:oid], X_1:bat[:oid]) := group.subgroup(") {
@@ -73,25 +73,6 @@ func TestDeps(t *testing.T) {
 	}
 }
 
-func TestUsesIsTransposeOfDeps(t *testing.T) {
-	p := buildSimplePlan(t)
-	deps, uses := p.Deps(), p.Uses()
-	for pc, ds := range deps {
-		for _, d := range ds {
-			if !containsInt(uses[d], pc) {
-				t.Errorf("uses[%d] missing %d", d, pc)
-			}
-		}
-	}
-	for pc, us := range uses {
-		for _, u := range us {
-			if !containsInt(deps[u], pc) {
-				t.Errorf("deps[%d] missing %d", u, pc)
-			}
-		}
-	}
-}
-
 func TestValidateRejectsUseBeforeDef(t *testing.T) {
 	p := NewPlan("")
 	v := p.NewVar(TBATInt)
@@ -104,8 +85,8 @@ func TestValidateRejectsUseBeforeDef(t *testing.T) {
 func TestValidateRejectsDoubleAssign(t *testing.T) {
 	p := NewPlan("")
 	v := p.NewVar(TBATInt)
-	p.Emit("sql", "bind", []int{v}, ConstOf(Str("a")))
-	p.Emit("sql", "bind", []int{v}, ConstOf(Str("b")))
+	p.Emit("sql", "bind", []int{v}, p.ConstOf(Str("a")))
+	p.Emit("sql", "bind", []int{v}, p.ConstOf(Str("b")))
 	if err := p.Validate(); err == nil {
 		t.Fatal("Validate accepted double assignment")
 	}
@@ -126,17 +107,100 @@ func TestValidateRejectsBadPC(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	p := buildSimplePlan(t)
 	q := p.Clone()
-	q.Instrs[0].Module = "changed"
-	q.Instrs[0].Args[0] = ConstOf(Str("zzz"))
-	q.Vars[0].Name = "Y_0"
-	if p.Instrs[0].Module == "changed" {
+	q.Instrs[0].Op = OpOf("changed", "op")
+	q.Instrs[0].Args[0] = q.ConstOf(Str("zzz"))
+	q.Vars[0].Type = TStr
+	q.Consts[0] = Str("yyy")
+	if p.Instrs[0].Name() == "changed.op" {
 		t.Error("Clone shares Instr structs")
 	}
-	if p.Instrs[0].Args[0].Const.Str == "zzz" {
+	if p.Const(p.Instrs[0].Args[0]).Str == "zzz" {
 		t.Error("Clone shares Args slices")
 	}
-	if p.Vars[0].Name == "Y_0" {
+	if p.Vars[0].Type == TStr {
 		t.Error("Clone shares Vars slice")
+	}
+	if p.Consts[0].Str == "yyy" {
+		t.Error("Clone shares Consts slice")
+	}
+	if q.String() == p.String() {
+		t.Error("edits to the clone do not show in its listing")
+	}
+	// The clone's operand slabs are exact: appending to one instruction's
+	// operands must not overwrite the next instruction's.
+	q.Instrs[0].Args = append(q.Instrs[0].Args, VarArg(0))
+	if q.Instrs[1].Args[0] != VarArg(0) {
+		t.Errorf("append to instruction 0 overwrote instruction 1: %v", q.Instrs[1].Args)
+	}
+}
+
+// TestConstOfDedupsExactLiterals: one table entry per distinct literal,
+// where distinct means type and exact payload — 0.0 and -0.0 stay apart
+// and a NaN finds itself again.
+func TestConstOfDedupsExactLiterals(t *testing.T) {
+	p := NewPlan("")
+	for _, c := range []struct {
+		a, b Value
+		same bool
+	}{
+		{Int64(3), Int64(3), true},
+		{Int64(3), OID(3), false},
+		{Int64(3), Date(3), false},
+		{Str("3"), Str("3"), true},
+		{Str("3"), Int64(3), false},
+		{Float64(0), Float64(math.Copysign(0, -1)), false},
+		{Float64(math.NaN()), Float64(math.NaN()), true},
+		{Float64(1.5), Float64(1.5), true},
+		{Bool(true), Bool(true), true},
+		{Bool(true), Bool(false), false},
+		{Value{Type: TBATInt, Col: 1}, Value{Type: TBATInt, Col: 1}, false},
+	} {
+		a, b := p.ConstOf(c.a), p.ConstOf(c.b)
+		if !a.IsConst() || !b.IsConst() {
+			t.Fatalf("ConstOf returned a variable operand: %d %d", a, b)
+		}
+		if (a == b) != c.same {
+			t.Errorf("ConstOf(%v) = %d, ConstOf(%v) = %d; same = %v, want %v", c.a, a, c.b, b, a == b, c.same)
+		}
+		if got := p.Const(b); got.String() != c.b.String() || got.Type != c.b.Type {
+			t.Errorf("Const(ConstOf(%v)) = %v", c.b, got)
+		}
+	}
+	// A clone starts without the dedup index and rebuilds it.
+	q := p.Clone()
+	if q.ConstOf(Int64(3)) != p.ConstOf(Int64(3)) || len(q.Consts) != len(p.Consts) {
+		t.Error("a clone's ConstOf does not find the constants it copied")
+	}
+}
+
+// TestVarNameDerived: names are X_<id> and need no storage.
+func TestVarNameDerived(t *testing.T) {
+	p := NewPlan("")
+	for i := 0; i < 12; i++ {
+		p.NewVar(TInt)
+	}
+	for _, c := range []struct {
+		id   int
+		want string
+	}{{0, "X_0"}, {11, "X_11"}, {12, "X_?12"}, {-1, "X_?-1"}} {
+		if got := p.VarName(c.id); got != c.want {
+			t.Errorf("VarName(%d) = %q, want %q", c.id, got, c.want)
+		}
+	}
+}
+
+// TestCachedStmtSlicesOneMemo: every statement the memo serves equals a
+// fresh rendering.
+func TestCachedStmtSlicesOneMemo(t *testing.T) {
+	p := widePlan(100)
+	before := p.Bytes()
+	for _, in := range p.Instrs {
+		if got, want := p.CachedStmt(in), p.StmtString(in); got != want {
+			t.Fatalf("pc=%d: CachedStmt %q, StmtString %q", in.PC, got, want)
+		}
+	}
+	if p.Bytes() <= before {
+		t.Error("Bytes does not count the rendered statement memo")
 	}
 }
 
@@ -209,9 +273,9 @@ func TestValueLiteralQuickProperty(t *testing.T) {
 
 func TestPruneRemovesAdminKeepsProducers(t *testing.T) {
 	p := NewPlan("q")
-	p.Emit0("querylog", "define", ConstOf(Str("q")))
-	col := p.Emit1("sql", "bind", TBATInt, ConstOf(Str("sys")), ConstOf(Str("t")), ConstOf(Str("c")), ConstOf(Int64(0)))
-	sel := p.Emit1("algebra", "select", TBATOID, VarArg(col), ConstOf(Int64(1)))
+	p.Emit0("querylog", "define", p.ConstOf(Str("q")))
+	col := p.Emit1("sql", "bind", TBATInt, p.ConstOf(Str("sys")), p.ConstOf(Str("t")), p.ConstOf(Str("c")), p.ConstOf(Int64(0)))
+	sel := p.Emit1("algebra", "select", TBATOID, VarArg(col), p.ConstOf(Int64(1)))
 	p.Emit0("sql", "resultSet", VarArg(sel))
 	p.Emit0("language", "pass", VarArg(col))
 
@@ -223,7 +287,7 @@ func TestPruneRemovesAdminKeepsProducers(t *testing.T) {
 	// it is admin but... resultSet is admin and a *consumer*, not producer,
 	// so it is pruned too. bind+select survive.
 	for _, in := range q.Instrs {
-		if in.Module == "querylog" || in.Name() == "language.pass" {
+		if in.Module() == "querylog" || in.Name() == "language.pass" {
 			t.Errorf("admin instruction survived: %s", in.Name())
 		}
 	}
@@ -242,7 +306,7 @@ func TestPruneKeepsAdminProducerFeedingData(t *testing.T) {
 	p := NewPlan("")
 	// bat.new is classified admin, but its result feeds a data op.
 	nb := p.Emit1("bat", "new", TBATInt)
-	p.Emit1("algebra", "select", TBATOID, VarArg(nb), ConstOf(Int64(0)))
+	p.Emit1("algebra", "select", TBATOID, VarArg(nb), p.ConstOf(Int64(0)))
 	q, _ := Prune(p)
 	if len(q.Instrs) != 2 {
 		t.Fatalf("producer was pruned; got %d instrs", len(q.Instrs))
@@ -263,7 +327,7 @@ func TestIsAdmin(t *testing.T) {
 		{"profiler", "anything", true},
 	}
 	for _, c := range cases {
-		in := &Instr{Module: c.mod, Function: c.fn}
+		in := &Instr{Op: OpOf(c.mod, c.fn)}
 		if got := in.IsAdmin(); got != c.want {
 			t.Errorf("IsAdmin(%s.%s) = %v, want %v", c.mod, c.fn, got, c.want)
 		}
@@ -280,13 +344,4 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func containsInt(a []int, x int) bool {
-	for _, v := range a {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

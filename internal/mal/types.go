@@ -14,7 +14,7 @@ package mal
 import "fmt"
 
 // Type describes the value type carried by a MAL variable.
-type Type int
+type Type uint8
 
 // The MAL type lattice used by this reproduction. BAT types are columns
 // (MonetDB Binary Association Tables) whose tail carries the element type.
@@ -37,7 +37,7 @@ const (
 	THash // opaque join-hash handle (partitioned join build side)
 )
 
-var typeNames = map[Type]string{
+var typeNames = [...]string{
 	TVoid:    "void",
 	TInt:     "int",
 	TFlt:     "flt",
@@ -56,8 +56,8 @@ var typeNames = map[Type]string{
 
 // String returns the MAL notation for the type, e.g. "bat[:int]".
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
+	if int(t) < len(typeNames) {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("type(%d)", int(t))
 }

@@ -1,9 +1,9 @@
 package mal
 
 import (
-	"fmt"
+	"bytes"
+	"math"
 	"strconv"
-	"strings"
 )
 
 // Value is a runtime MAL value: a scalar or an opaque column handle. The
@@ -11,10 +11,10 @@ import (
 // carried as an opaque reference set by the engine.
 type Value struct {
 	Type Type
+	Bool bool    // TBool
 	Int  int64   // TInt, TDate (days since 1970-01-01), TOID
 	Flt  float64 // TFlt
 	Str  string  // TStr
-	Bool bool    // TBool
 	Col  any     // BAT payload for TBAT* types, owned by the engine
 }
 
@@ -41,28 +41,54 @@ func (v Value) Nil() bool { return v.Type == TVoid && v.Col == nil }
 
 // String renders the value as a MAL literal. BAT handles render as
 // "<bat>" placeholders since their contents live in the engine.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendLiteral(nil)) }
+
+func (v Value) appendLiteral(b []byte) []byte {
 	switch v.Type {
 	case TVoid:
-		return "nil"
+		return append(b, "nil"...)
 	case TInt, TOID:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(b, v.Int, 10)
 	case TDate:
-		return fmt.Sprintf("date(%d)", v.Int)
+		b = strconv.AppendInt(append(b, "date("...), v.Int, 10)
+		return append(b, ')')
 	case TFlt:
-		s := strconv.FormatFloat(v.Flt, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		n := len(b)
+		b = strconv.AppendFloat(b, v.Flt, 'g', -1, 64)
+		if !bytes.ContainsAny(b[n:], ".eE") {
+			b = append(b, ".0"...)
 		}
-		return s
+		return b
 	case TStr:
-		return strconv.Quote(v.Str)
+		return strconv.AppendQuote(b, v.Str)
+	case TBool:
+		return strconv.AppendBool(b, v.Bool)
+	default:
+		return append(b, "<bat>"...)
+	}
+}
+
+// literalKey returns the constant-table key of a literal value: equal
+// keys render the same literal. Values that are not literals (column
+// handles) report false and are never deduplicated.
+func (v Value) literalKey() (constKey, bool) {
+	if v.Col != nil {
+		return constKey{}, false
+	}
+	switch v.Type {
+	case TVoid:
+		return constKey{t: TVoid}, true
+	case TInt, TOID, TDate:
+		return constKey{t: v.Type, i: v.Int}, true
+	case TFlt:
+		return constKey{t: TFlt, i: int64(math.Float64bits(v.Flt))}, true
+	case TStr:
+		return constKey{t: TStr, s: v.Str}, true
 	case TBool:
 		if v.Bool {
-			return "true"
+			return constKey{t: TBool, i: 1}, true
 		}
-		return "false"
-	default:
-		return "<bat>"
+		return constKey{t: TBool}, true
 	}
+	return constKey{}, false
 }

@@ -11,6 +11,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"stethoscope/internal/mal"
@@ -51,22 +52,26 @@ func (pl Pipeline) Spec() string {
 	return strings.Join(names, ",")
 }
 
-// Run applies the pipeline to a clone of p and returns the optimized plan.
-// The input plan is never mutated so Stethoscope can display both.
+// Run applies the pipeline to a working clone of p and returns the
+// optimized plan, packed: a clone of what the passes kept, so the result
+// (the plan the cache holds) carries exact-size storage and none of the
+// removed instructions. The input plan is never mutated so Stethoscope
+// can display both.
 func (pl Pipeline) Run(p *mal.Plan) (*mal.Plan, Stats, error) {
-	out := p.Clone()
+	work := p.Clone()
 	st := Stats{Before: len(p.Instrs), PerPass: map[string]int{}}
 	for _, pass := range pl.Passes {
-		n, err := pass.Run(out)
+		n, err := pass.Run(work)
 		if err != nil {
 			return nil, st, fmt.Errorf("optimizer: pass %s: %w", pass.Name(), err)
 		}
 		st.PerPass[pass.Name()] += n
-		out.Renumber()
-		if err := out.Validate(); err != nil {
+		work.Renumber()
+		if err := work.Validate(); err != nil {
 			return nil, st, fmt.Errorf("optimizer: pass %s broke the plan: %w", pass.Name(), err)
 		}
 	}
+	out := work.Clone()
 	st.After = len(out.Instrs)
 	return out, st, nil
 }
@@ -74,9 +79,9 @@ func (pl Pipeline) Run(p *mal.Plan) (*mal.Plan, Stats, error) {
 // sideEffect reports whether an instruction must be preserved even when
 // its results are unused: result-set plumbing, logging, profiling.
 func sideEffect(in *mal.Instr) bool {
-	switch in.Module {
+	switch in.Module() {
 	case "sql":
-		return in.Function != "bind" // bind is a pure catalog read
+		return in.Function() != "bind" // bind is a pure catalog read
 	case "querylog", "profiler", "language", "transaction":
 		return true
 	}
@@ -87,17 +92,19 @@ func sideEffect(in *mal.Instr) bool {
 // arguments, making it a CSE candidate. sql.bind is pure within a plan
 // (the catalog is immutable during execution).
 func pure(in *mal.Instr) bool {
-	switch in.Module {
+	switch in.Module() {
 	case "algebra", "batcalc", "group", "aggr", "mat", "calc", "bat":
 		return true
 	case "sql":
-		return in.Function == "bind"
+		return in.Function() == "bind"
 	}
 	return false
 }
 
 // DeadCode removes side-effect-free instructions whose results are never
-// consumed, iterating to a fixpoint.
+// consumed. A plan lists every definition before its uses, so one
+// backward sweep reaches the fixpoint: an instruction is live when it has
+// a side effect or a live instruction reads one of its results.
 type DeadCode struct{}
 
 // Name implements Pass.
@@ -105,25 +112,32 @@ func (DeadCode) Name() string { return "deadcode" }
 
 // Run implements Pass.
 func (DeadCode) Run(p *mal.Plan) (int, error) {
-	removed := 0
-	for {
-		p.Renumber()
-		uses := p.Uses()
-		keep := p.Instrs[:0]
-		n := 0
-		for i, in := range p.Instrs {
-			if sideEffect(in) || len(uses[i]) > 0 {
-				keep = append(keep, in)
-				continue
+	read := make([]bool, len(p.Vars))
+	live := make([]bool, len(p.Instrs))
+	for i := len(p.Instrs) - 1; i >= 0; i-- {
+		in := p.Instrs[i]
+		live[i] = sideEffect(in)
+		for _, r := range in.Rets {
+			live[i] = live[i] || read[r]
+		}
+		if !live[i] {
+			continue
+		}
+		for _, a := range in.Args {
+			if !a.IsConst() {
+				read[a.Var()] = true
 			}
-			n++
 		}
-		if n == 0 {
-			break
-		}
-		removed += n
-		p.Instrs = keep
 	}
+	keep := p.Instrs[:0]
+	for i, in := range p.Instrs {
+		if live[i] {
+			keep = append(keep, in)
+		}
+	}
+	removed := len(p.Instrs) - len(keep)
+	clear(p.Instrs[len(keep):])
+	p.Instrs = keep
 	p.Renumber()
 	return removed, nil
 }
@@ -135,60 +149,60 @@ type CSE struct{}
 // Name implements Pass.
 func (CSE) Name() string { return "cse" }
 
-// instrKey canonicalizes an instruction's identity for CSE matching.
-func instrKey(p *mal.Plan, in *mal.Instr) string {
-	var b strings.Builder
-	b.WriteString(in.Name())
-	for _, a := range in.Args {
-		b.WriteByte('|')
-		if a.IsConst() {
-			b.WriteByte('#')
-			b.WriteString(a.Const.Type.String())
-			b.WriteByte(':')
-			b.WriteString(a.Const.String())
-		} else {
-			fmt.Fprintf(&b, "v%d", a.Var)
-		}
+// cseKey is an instruction's identity for CSE matching: its opcode and
+// a hash of its operands. Operands are integers and equal constants
+// share one table entry, so two computations are the same exactly when
+// opcode and operands are equal.
+type cseKey struct {
+	op   *mal.Opcode
+	args uint64
+}
+
+func argsHash(args []mal.Arg) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, a := range args {
+		h = (h ^ uint64(uint32(a))) * prime
 	}
-	return b.String()
+	return h
 }
 
 // Run implements Pass.
 func (CSE) Run(p *mal.Plan) (int, error) {
 	rewrites := 0
-	// replacement[v] = canonical variable for v.
-	replacement := map[int]int{}
-	seen := map[string]*mal.Instr{}
-	resolve := func(v int) int {
-		for {
-			r, ok := replacement[v]
-			if !ok {
-				return v
-			}
-			v = r
-		}
+	// canon[v] is the variable uses of v are rewritten to.
+	canon := make([]int, len(p.Vars))
+	for v := range canon {
+		canon[v] = v
 	}
+	// seen maps a key to the first instruction computing it; operands
+	// that collide in the hash move on to the next hash value.
+	seen := make(map[cseKey]*mal.Instr, len(p.Instrs))
 	for _, in := range p.Instrs {
 		// Rewrite args through accumulated replacements first.
 		for ai, a := range in.Args {
 			if !a.IsConst() {
-				if r := resolve(a.Var); r != a.Var {
-					in.Args[ai] = mal.VarArg(r)
-				}
+				in.Args[ai] = mal.VarArg(canon[a.Var()])
 			}
 		}
 		if !pure(in) {
 			continue
 		}
-		key := instrKey(p, in)
-		if prev, ok := seen[key]; ok && len(prev.Rets) == len(in.Rets) {
-			for ri, r := range in.Rets {
-				replacement[r] = prev.Rets[ri]
+		for k := (cseKey{in.Op, argsHash(in.Args)}); ; k.args++ {
+			prev, ok := seen[k]
+			if ok && !slices.Equal(prev.Args, in.Args) {
+				continue
 			}
-			rewrites++
-			continue
+			if ok && len(prev.Rets) == len(in.Rets) {
+				for ri, r := range in.Rets {
+					canon[r] = prev.Rets[ri]
+				}
+				rewrites++
+			} else {
+				seen[k] = in
+			}
+			break
 		}
-		seen[key] = in
 	}
 	return rewrites, nil
 }

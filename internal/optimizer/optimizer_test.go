@@ -12,20 +12,20 @@ import (
 func buildDupPlan() *mal.Plan {
 	p := mal.NewPlan("test")
 	bind1 := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
+		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
 	bind2 := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
+		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
 	sel1 := p.Emit1("algebra", "thetaselect", mal.TBATOID,
-		mal.VarArg(bind1), mal.ConstOf(mal.Str("=")), mal.ConstOf(mal.Int64(1)))
+		mal.VarArg(bind1), p.ConstOf(mal.Str("=")), p.ConstOf(mal.Int64(1)))
 	sel2 := p.Emit1("algebra", "thetaselect", mal.TBATOID,
-		mal.VarArg(bind2), mal.ConstOf(mal.Str("=")), mal.ConstOf(mal.Int64(1)))
+		mal.VarArg(bind2), p.ConstOf(mal.Str("=")), p.ConstOf(mal.Int64(1)))
 	// dead: never used, pure
-	p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind1), mal.ConstOf(mal.Int64(7)))
+	p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind1), p.ConstOf(mal.Int64(7)))
 	out1 := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(sel1), mal.VarArg(bind1))
 	out2 := p.Emit1("algebra", "leftjoin", mal.TBATInt, mal.VarArg(sel2), mal.VarArg(bind2))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(2)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("a")), mal.VarArg(out1))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("b")), mal.VarArg(out2))
+	rs := p.Emit1("sql", "resultSet", mal.TInt, p.ConstOf(mal.Int64(2)))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("a")), mal.VarArg(out1))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("b")), mal.VarArg(out2))
 	p.Emit0("sql", "exportResult", mal.VarArg(rs))
 	return p
 }
@@ -52,8 +52,8 @@ func TestDeadCodeRemovesUnusedPure(t *testing.T) {
 
 func TestDeadCodeKeepsSideEffects(t *testing.T) {
 	p := mal.NewPlan("")
-	p.Emit0("querylog", "define", mal.ConstOf(mal.Str("q")))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(0)))
+	p.Emit0("querylog", "define", p.ConstOf(mal.Str("q")))
+	rs := p.Emit1("sql", "resultSet", mal.TInt, p.ConstOf(mal.Int64(0)))
 	p.Emit0("sql", "exportResult", mal.VarArg(rs))
 	out, _, err := Pipeline{Passes: []Pass{DeadCode{}}}.Run(p)
 	if err != nil {
@@ -105,12 +105,12 @@ func TestCSEDeduplicatesChains(t *testing.T) {
 func TestCSEDoesNotMergeDifferentConstants(t *testing.T) {
 	p := mal.NewPlan("")
 	bind := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
-	a := p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(bind), mal.ConstOf(mal.Str("=")), mal.ConstOf(mal.Int64(1)))
-	b := p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(bind), mal.ConstOf(mal.Str("=")), mal.ConstOf(mal.Int64(2)))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(2)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("a")), mal.VarArg(a))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("b")), mal.VarArg(b))
+		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
+	a := p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(bind), p.ConstOf(mal.Str("=")), p.ConstOf(mal.Int64(1)))
+	b := p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(bind), p.ConstOf(mal.Str("=")), p.ConstOf(mal.Int64(2)))
+	rs := p.Emit1("sql", "resultSet", mal.TInt, p.ConstOf(mal.Int64(2)))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("a")), mal.VarArg(a))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("b")), mal.VarArg(b))
 	out, _, err := Default().Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +131,12 @@ func TestCSETypeTaggedConstants(t *testing.T) {
 	// them by type.
 	p := mal.NewPlan("")
 	bind := p.Emit1("sql", "bind", mal.TBATInt,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
-	a := p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind), mal.ConstOf(mal.Int64(1)))
-	b := p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind), mal.ConstOf(mal.OID(1)))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(2)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("a")), mal.VarArg(a))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("b")), mal.VarArg(b))
+		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
+	a := p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind), p.ConstOf(mal.Int64(1)))
+	b := p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind), p.ConstOf(mal.OID(1)))
+	rs := p.Emit1("sql", "resultSet", mal.TInt, p.ConstOf(mal.Int64(2)))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("a")), mal.VarArg(a))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("b")), mal.VarArg(b))
 	out, _, err := Default().Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestCSETypeTaggedConstants(t *testing.T) {
 func TestCSEMultiReturn(t *testing.T) {
 	p := mal.NewPlan("")
 	bind := p.Emit1("sql", "bind", mal.TBATStr,
-		mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
+		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
 	g1 := p.NewVar(mal.TBATOID)
 	e1 := p.NewVar(mal.TBATOID)
 	p.Emit("group", "subgroup", []int{g1, e1}, mal.VarArg(bind))
@@ -164,9 +164,9 @@ func TestCSEMultiReturn(t *testing.T) {
 	p.Emit("group", "subgroup", []int{g2, e2}, mal.VarArg(bind))
 	s1 := p.Emit1("aggr", "subcount", mal.TBATInt, mal.VarArg(g1), mal.VarArg(e1))
 	s2 := p.Emit1("aggr", "subcount", mal.TBATInt, mal.VarArg(g2), mal.VarArg(e2))
-	rs := p.Emit1("sql", "resultSet", mal.TInt, mal.ConstOf(mal.Int64(2)))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("a")), mal.VarArg(s1))
-	p.Emit0("sql", "rsColumn", mal.VarArg(rs), mal.ConstOf(mal.Str("b")), mal.VarArg(s2))
+	rs := p.Emit1("sql", "resultSet", mal.TInt, p.ConstOf(mal.Int64(2)))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("a")), mal.VarArg(s1))
+	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("b")), mal.VarArg(s2))
 	out, _, err := Default().Run(p)
 	if err != nil {
 		t.Fatal(err)

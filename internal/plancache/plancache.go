@@ -13,6 +13,7 @@ package plancache
 
 import (
 	"sync"
+	"unsafe"
 
 	"stethoscope/internal/dot"
 	"stethoscope/internal/keyed"
@@ -83,6 +84,8 @@ type Entry struct {
 type Aux struct {
 	dotOnce sync.Once
 	dot     string
+	mu      sync.Mutex
+	dotLen  int64 // len(dot) once rendered, for Entry.Bytes; guarded by mu
 }
 
 // DotText renders a plan's dot-file text, memoized in aux when one
@@ -93,8 +96,40 @@ func DotText(plan *mal.Plan, aux *Aux) string {
 	if aux == nil {
 		return dot.Export(plan).Marshal()
 	}
-	aux.dotOnce.Do(func() { aux.dot = dot.Export(plan).Marshal() })
+	aux.dotOnce.Do(func() {
+		aux.dot = dot.Export(plan).Marshal()
+		aux.mu.Lock()
+		aux.dotLen = int64(len(aux.dot))
+		aux.mu.Unlock()
+	})
 	return aux.dot
+}
+
+// Bytes is the entry's resident size: the plan (mal.Plan.Bytes, with
+// its statement memo once rendered), the memoized dot text once
+// rendered, and the entry's own strings. Safe to call while sessions
+// render the memoized artifacts.
+func (e Entry) Bytes() int64 {
+	n := int64(unsafe.Sizeof(e)) + int64(len(e.TuneReason)) + e.Plan.Bytes()
+	if e.Aux != nil {
+		e.Aux.mu.Lock()
+		n += int64(unsafe.Sizeof(*e.Aux)) + e.Aux.dotLen
+		e.Aux.mu.Unlock()
+	}
+	return n
+}
+
+// Bytes is the resident size of everything the cache holds: every
+// entry's Bytes plus its key's statement text. The stetho_plancache_bytes
+// gauge and the STATS cache_bytes field report it.
+func Bytes(c *Cache) int64 {
+	var n int64
+	for _, k := range c.Keys() {
+		if e, ok := c.Peek(k); ok {
+			n += int64(len(k.SQL)) + e.Bytes()
+		}
+	}
+	return n
 }
 
 // Cache is the plan LRU: keyed.LRU, so a plan leaves only by LRU

@@ -114,3 +114,26 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("lost gets: %+v", st)
 	}
 }
+
+// TestBytesCountsMemoizedArtifacts: an entry's size grows by the dot
+// text once DotText renders it, and the cache total is the entries plus
+// their keys' statement text; a nil cache holds nothing.
+func TestBytesCountsMemoizedArtifacts(t *testing.T) {
+	p := mal.NewPlan("q")
+	col := p.Emit1("sql", "bind", mal.TBATInt, p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
+	p.Emit0("sql", "resultSet", mal.VarArg(col))
+	e := Entry{Plan: p, Aux: &Aux{}}
+	before := e.Bytes()
+	text := DotText(p, e.Aux)
+	if got, want := e.Bytes()-before, int64(len(text)); got != want {
+		t.Errorf("rendering the dot text grew the entry by %d bytes, want %d", got, want)
+	}
+	c := New(4)
+	c.Put(key("q"), e)
+	if got, want := Bytes(c), e.Bytes()+int64(len("q")); got != want {
+		t.Errorf("Bytes(cache) = %d, want %d", got, want)
+	}
+	if got := Bytes(nil); got != 0 {
+		t.Errorf("Bytes(nil) = %d", got)
+	}
+}

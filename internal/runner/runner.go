@@ -74,6 +74,7 @@ func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
 	}
 	r.Engine.SetMetrics(reg)
 	r.Planner.Cache.Instrument(reg, "stetho_plancache")
+	reg.GaugeFunc("stetho_plancache_bytes", func() int64 { return plancache.Bytes(r.Planner.Cache) })
 	r.Flight.Instrument(reg, "stetho_sharedwork")
 	if r.History != nil {
 		r.History.Instrument(reg)
@@ -127,13 +128,35 @@ type Prepared struct {
 // sharing the cached plan.
 func (p *Prepared) Dot() string { return plancache.DotText(p.Plan, p.aux) }
 
+// MaxPartitions is the largest explicit partition count a statement may
+// request. A plan grows by a few instructions per column per partition,
+// so an unbounded count lets one client make the compiler allocate
+// gigabytes. The ceiling sits far above any useful fan-out (Auto stops
+// at adaptive.MaxPartitions) and above the 2000 slices the lowering
+// tests use to cut tables finer than their rows.
+const MaxPartitions = 4096
+
+// Partitions normalizes a requested partition count (adaptive.Normalize)
+// and refuses one above MaxPartitions.
+func Partitions(n int) (int, error) {
+	n = adaptive.Normalize(n)
+	if n > MaxPartitions {
+		return 0, fmt.Errorf("partitions %d exceeds the limit of %d", n, MaxPartitions)
+	}
+	return n, nil
+}
+
 // Prepare compiles the statement under the settings through the shared
 // planner flow and resolves Auto worker requests and the morsel size
 // against the compiled plan. Normalization runs first, so out-of-range
 // values can neither alias plan-cache or shared-work keys nor leak into
-// the recorded history metadata.
+// the recorded history metadata, and a partition count above
+// MaxPartitions is refused before anything compiles.
 func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
-	s.Partitions = adaptive.Normalize(s.Partitions)
+	var err error
+	if s.Partitions, err = Partitions(s.Partitions); err != nil {
+		return nil, err
+	}
 	s.Workers = adaptive.Normalize(s.Workers)
 	c, err := r.Planner.Compile(query, s.Partitions, s.Morsel)
 	if err != nil {
@@ -324,6 +347,9 @@ type Stats struct {
 	// Cache reports plan-cache effectiveness (hits, misses, evictions,
 	// occupancy).
 	Cache plancache.Stats
+	// CacheBytes is the resident size of the cached plans
+	// (plancache.Bytes): what the plan cache owns of the heap.
+	CacheBytes int64
 	// InFlight is the number of plans currently executing — in-process
 	// Exec/Stream calls and server QUERY commands alike — read from the
 	// engine's progress table (stetho_engine_queries_inflight, the rows
@@ -356,6 +382,7 @@ type Stats struct {
 func (r *Runner) Stats() Stats {
 	return Stats{
 		Cache:          r.Planner.Cache.Stats(),
+		CacheBytes:     plancache.Bytes(r.Planner.Cache),
 		InFlight:       r.Engine.InFlight(),
 		Execs:          r.execs.Load(),
 		Events:         r.events.Load(),

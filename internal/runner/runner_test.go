@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -193,5 +194,30 @@ func TestRunKeyDerivesFromCompileKey(t *testing.T) {
 		if p.key != c.Key {
 			t.Errorf("%s: run key %+v, want the compile key %+v", name, p.key, c.Key)
 		}
+	}
+}
+
+// TestPartitionsCeiling: explicit counts up to MaxPartitions pass
+// (normalized), Auto passes, anything larger is refused with an error
+// naming the limit — by Prepare too, before the plan cache is consulted.
+func TestPartitionsCeiling(t *testing.T) {
+	for _, c := range []struct{ in, want int }{
+		{0, 1}, {-1, 1}, {1, 1}, {64, 64}, {MaxPartitions, MaxPartitions}, {adaptive.Auto, adaptive.Auto},
+	} {
+		if got, err := Partitions(c.in); err != nil || got != c.want {
+			t.Errorf("Partitions(%d) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	r := newRunner(t)
+	for _, n := range []int{MaxPartitions + 1, 100_000_000} {
+		if _, err := Partitions(n); err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxPartitions)) {
+			t.Errorf("Partitions(%d) error = %v, want one naming the limit", n, err)
+		}
+		if _, err := r.Prepare(query, Settings{Partitions: n, Workers: 1}); err == nil {
+			t.Errorf("Prepare accepted partitions=%d", n)
+		}
+	}
+	if st := r.Stats().Cache; st.Misses+st.Hits != 0 {
+		t.Errorf("a refused statement reached the plan cache: %+v", st)
 	}
 }

@@ -312,8 +312,8 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 	st := sess.srv.run.Stats()
 	snap := sess.srv.run.Registry.Snapshot()
 	fmt.Fprintln(w, "ok")
-	fmt.Fprintf(w, "cache_hits=%d cache_misses=%d cache_evictions=%d cache_len=%d cache_cap=%d\n",
-		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Len, st.Cache.Capacity)
+	fmt.Fprintf(w, "cache_hits=%d cache_misses=%d cache_evictions=%d cache_len=%d cache_cap=%d cache_bytes=%d\n",
+		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Len, st.Cache.Capacity, st.CacheBytes)
 	instrUs, _ := snap.Get("stetho_engine_instr_duration_us")
 	fmt.Fprintf(w, "engine_runs=%d engine_instructions=%d engine_steals=%d engine_parks=%d engine_queries_inflight=%d morsels_claimed=%d morsel_rows_scanned=%d\n",
 		snap.Value("stetho_engine_runs_total"),

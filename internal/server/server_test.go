@@ -333,6 +333,10 @@ func TestStatsCommandAndSharedCache(t *testing.T) {
 	if len(payload) != 4 || !strings.Contains(payload[0], "cache_hits=") {
 		t.Fatalf("STATS payload = %q", payload)
 	}
+	// The cache line names what the cached plans own of the heap.
+	if cb := fmt.Sprintf(" cache_bytes=%d", plancache.Bytes(srv.run.Planner.Cache)); !strings.HasSuffix(payload[0], cb) || strings.HasSuffix(payload[0], " cache_bytes=0") {
+		t.Fatalf("STATS cache line = %q, want a non-zero%s", payload[0], cb)
+	}
 	if !strings.Contains(payload[1], "engine_runs=") || !strings.Contains(payload[1], "morsels_claimed=") {
 		t.Fatalf("STATS engine line = %q", payload[1])
 	}
@@ -556,6 +560,42 @@ func TestSetAutoAndClamping(t *testing.T) {
 	// Garbage still errors.
 	if _, _, err := c.Command("SET partitions zero"); err == nil {
 		t.Error("non-numeric SET accepted")
+	}
+}
+
+// TestOversizedPartitionsRefused: a partition count above
+// runner.MaxPartitions costs the statement an error before anything
+// compiles — promptly, not after the compiler has built a plan of that
+// width — and the session and every other session keep working.
+func TestOversizedPartitionsRefused(t *testing.T) {
+	srv := startServer(t)
+	c := dialServer(t, srv)
+	other := dialServer(t, srv)
+	q := "QUERY select l_tax from lineitem where l_partkey=1"
+	if _, _, err := c.Command("SET partitions 100000000"); err != nil {
+		t.Fatalf("SET partitions: %v", err)
+	}
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	_, _, err := c.Command(q)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(runner.MaxPartitions)) {
+		t.Fatalf("oversized QUERY = %v, want an error naming the limit %d", err, runner.MaxPartitions)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("oversized QUERY took %v to be refused", d)
+	}
+	if st := srv.CacheStats(); st.Misses != 0 {
+		t.Errorf("the refused statement reached the plan cache: %+v", st)
+	}
+	status, payload, err := other.Command(q)
+	if err != nil || status != "ok" || len(payload) == 0 {
+		t.Fatalf("second session's QUERY = %q, %d lines, %v", status, len(payload), err)
+	}
+	if _, _, err := c.Command(fmt.Sprintf("SET partitions %d", runner.MaxPartitions)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Command("EXPLAIN select l_tax from lineitem where l_partkey=1"); err != nil {
+		t.Fatalf("EXPLAIN at the limit: %v", err)
 	}
 }
 

@@ -69,8 +69,8 @@ func TestLoadRejectsBadLines(t *testing.T) {
 func TestMappingMatchesPaperConvention(t *testing.T) {
 	// Build a plan, export dot, generate a trace with matching stmts.
 	p := mal.NewPlan("q")
-	col := p.Emit1("sql", "bind", mal.TBATInt, mal.ConstOf(mal.Str("sys")), mal.ConstOf(mal.Str("t")), mal.ConstOf(mal.Str("c")), mal.ConstOf(mal.Int64(0)))
-	p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(col), mal.ConstOf(mal.Str("=")), mal.ConstOf(mal.Int64(1)))
+	col := p.Emit1("sql", "bind", mal.TBATInt, p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
+	p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(col), p.ConstOf(mal.Str("=")), p.ConstOf(mal.Int64(1)))
 	g := dot.Export(p)
 	var events []profiler.Event
 	for _, in := range p.Instrs {

@@ -53,6 +53,7 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 		"stetho_engine_morsel_rows_scanned_total",
 		"stetho_plancache_misses_total",
 		"stetho_plancache_hits_total",
+		"stetho_plancache_bytes",
 	} {
 		if snap.Value(name) < 1 {
 			t.Errorf("%s = %d after two Execs, want >= 1", name, snap.Value(name))

@@ -74,8 +74,8 @@ func (db *DB) Stream(ctx context.Context, query string, opts ...ExecOption) (*Ro
 func resultColumnNames(plan *mal.Plan) []string {
 	var names []string
 	for _, in := range plan.Instrs {
-		if in.Module == "sql" && in.Function == "rsColumn" && len(in.Args) >= 3 && in.Args[1].IsConst() {
-			names = append(names, in.Args[1].Const.Str)
+		if in.Name() == "sql.rsColumn" && len(in.Args) >= 3 && in.Args[1].IsConst() {
+			names = append(names, plan.Const(in.Args[1]).Str)
 		}
 	}
 	return names
