@@ -42,20 +42,24 @@ race:
 # lint mirrors the CI lint job: staticcheck + govulncheck at pinned
 # versions (fetches the tools on first use; not part of verify so
 # offline verification keeps working), then stethovet — the project's
-# own invariant analyzers (cmd/stethovet; in-tree, needs no network) —
-# and docscheck, which fails the run when README/DESIGN/ARCHITECTURE
+# own invariant analyzers (cmd/stethovet; in-tree, needs no network),
+# over the root module and over bench/ — and docscheck, which fails the run when README/DESIGN/ARCHITECTURE
 # reference identifiers or paths that no longer exist in the tree.
 # staticcheck reads staticcheck.conf at the repo root.
 lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 	$(GO) run ./cmd/stethovet ./...
+	$(GO) run -C bench stethoscope/cmd/stethovet ./...
 	$(GO) run ./cmd/docscheck
 
 # stethovet alone: the in-tree analyzers work offline, so they can run
-# even where the pinned external tools cannot be fetched.
+# even where the pinned external tools cannot be fetched. bench/ is a
+# module of its own that ./... does not reach, so it is linted from
+# its own directory.
 stethovet:
 	$(GO) run ./cmd/stethovet ./...
+	$(GO) run -C bench stethoscope/cmd/stethovet ./...
 
 # docscheck alone: the documentation linter (in-tree, offline).
 docscheck:

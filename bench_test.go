@@ -67,12 +67,12 @@ func mustCompile(tb testing.TB, query string, partitions int) *mal.Plan {
 
 func mustTrace(tb testing.TB, plan *mal.Plan, workers int) *trace.Store {
 	tb.Helper()
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	prof := profiler.New(sink)
 	if _, err := engine.New(benchCat).Run(plan, engine.Options{Workers: workers, Profiler: prof}); err != nil {
 		tb.Fatal(err)
 	}
-	return trace.FromEvents(sink.Events())
+	return trace.FromEvents(sink.Take())
 }
 
 // --- F1: Figure 1, the MAL plan of the paper's example query ---------
@@ -183,12 +183,12 @@ func BenchmarkF2LayoutScaling(b *testing.B) {
 
 func TestF3TraceRoundTrip(t *testing.T) {
 	plan := mustCompile(t, paperQuery, 1)
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	if _, err := engine.New(benchCat).Run(plan, engine.Options{Profiler: profiler.New(sink)}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := trace.Write(&sb, sink.Events()); err != nil {
+	if err := trace.Write(&sb, sink.Take()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := trace.LoadString(sb.String())
@@ -211,7 +211,7 @@ func BenchmarkF3TraceGeneration(b *testing.B) {
 	eng := engine.New(benchCat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink := &profiler.SliceSink{}
+		sink := profiler.NewOwnedSliceSink(0)
 		if _, err := eng.Run(plan, engine.Options{Profiler: profiler.New(sink)}); err != nil {
 			b.Fatal(err)
 		}
@@ -339,11 +339,11 @@ func TestE7SequentialAnomaly(t *testing.T) {
 		t.Fatal(err)
 	}
 	runOn := func(workers int) core.Utilization {
-		sink := &profiler.SliceSink{}
+		sink := profiler.NewOwnedSliceSink(0)
 		if _, err := engine.New(cat).Run(plan, engine.Options{Workers: workers, Profiler: profiler.New(sink)}); err != nil {
 			t.Fatal(err)
 		}
-		return core.Utilize(trace.FromEvents(sink.Events()))
+		return core.Utilize(trace.FromEvents(sink.Take()))
 	}
 	seq := runOn(1)
 	if seq.Threads != 1 {

@@ -1,13 +1,15 @@
 // Command stethovet is the project's invariant linter: a multichecker
 // in the mold of go vet, running the internal/analyzers suite over the
-// module. Each analyzer enforces one cross-cutting engine contract —
-// kernel coverage, worker-loop cancellation, store error naming, the
-// atomics policy, and the no-send-under-lock rule — at lint time
-// instead of in review or at runtime.
+// module. Each analyzer enforces one cross-cutting contract — kernel
+// coverage, worker-loop cancellation, store error naming, the atomics
+// policy, the no-send-under-lock rule, and no exported internal name
+// without a non-test caller — at lint time instead of in review or at
+// runtime.
 //
 // Usage:
 //
 //	go run ./cmd/stethovet ./...
+//	go run -C bench stethoscope/cmd/stethovet ./...   # bench/, a module of its own
 //	go run ./cmd/stethovet -list
 //	go run ./cmd/stethovet ./internal/engine ./internal/server
 //
@@ -21,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"stethoscope/internal/analyzers"
 	"stethoscope/internal/analyzers/lintkit"
@@ -49,7 +50,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	root, err := moduleRoot()
+	root, err := lintkit.ModuleRoot(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stethovet:", err)
 		os.Exit(2)
@@ -70,23 +71,5 @@ func main() {
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "stethovet: %d finding(s)\n", len(findings))
 		os.Exit(1)
-	}
-}
-
-// moduleRoot walks up from the working directory to the nearest go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
 	}
 }

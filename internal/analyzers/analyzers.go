@@ -1,4 +1,4 @@
-// Package analyzers is stethovet's check suite: five lintkit analyzers
+// Package analyzers is stethovet's check suite: six lintkit analyzers
 // that enforce the engine's own cross-cutting invariants at lint time —
 // contracts the packages document in prose and reviews used to re-check
 // by hand:
@@ -18,6 +18,9 @@
 //   - locksend: no blocking channel send and no network write while a
 //     sync.Mutex/RWMutex is held — the scheduler-mutex streaming
 //     contract.
+//   - deadexport: every exported package-level name of an internal
+//     package has a reference in a non-test file of the module — no
+//     product code kept alive only for its tests.
 //
 // Each check is syntactic (lintkit parses, it does not type-check), so
 // the rules are written against the codebase's actual idioms and stay
@@ -41,6 +44,7 @@ func All() []*lintkit.Analyzer {
 		ErrFile,
 		RawAtomic,
 		LockSend,
+		DeadExport,
 	}
 }
 

@@ -24,6 +24,10 @@ func TestErrFile(t *testing.T) {
 	linttest.Run(t, "testdata/src/errfile", ErrFile)
 }
 
+func TestDeadExport(t *testing.T) {
+	linttest.Run(t, "testdata/src/deadexport", DeadExport)
+}
+
 func TestKernelCoverage(t *testing.T) {
 	linttest.Run(t, "testdata/src/kernelcoverage", KernelCoverage)
 }

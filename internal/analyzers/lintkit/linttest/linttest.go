@@ -36,6 +36,8 @@ var wantRE = regexp.MustCompile(`// want (".*")\s*$`)
 // Run loads the fixture tree rooted at dir (import paths rooted at the
 // directory's base name), runs the analyzers, and matches findings
 // against the fixtures' want annotations.
+//
+//stetho:ignore deadexport shared test fixture: the analyzers' tests drive their fixtures through it
 func Run(t *testing.T, dir string, analyzers ...*lintkit.Analyzer) {
 	t.Helper()
 	fset, pkgs, err := lintkit.LoadTree(dir, filepath.Base(dir))

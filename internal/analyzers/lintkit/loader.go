@@ -86,6 +86,25 @@ func LoadTree(root, base string) (*token.FileSet, []*Package, error) {
 	return fset, pkgs, nil
 }
 
+// ModuleRoot walks up from dir to the nearest directory holding a
+// go.mod.
+func ModuleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return "", fmt.Errorf("lintkit: %w", err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("lintkit: no go.mod found above %s", dir)
+		}
+		dir = parent
+	}
+}
+
 // modulePath reads the module path out of root/go.mod.
 func modulePath(root string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -111,7 +130,8 @@ func importPath(base, root, dir string) string {
 }
 
 // walkGoDirs collects every directory under root that holds .go files,
-// skipping testdata, vendor, and hidden directories.
+// skipping testdata, vendor, hidden directories, and nested modules
+// (a directory below root with a go.mod of its own, such as bench/).
 func walkGoDirs(root string, dirs map[string]bool) error {
 	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -121,6 +141,11 @@ func walkGoDirs(root string, dirs map[string]bool) error {
 			name := d.Name()
 			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}

@@ -581,7 +581,7 @@ func (c *compiler) expr(in rel, e algebra.Expr) (operand, error) {
 			return operand{}, err
 		}
 		if inner.isConst() {
-			return operand{varID: -1, cnst: mal.Bool(!inner.cnst.Bool), kind: storage.Bool}, nil
+			return foldConst("not", inner, operand{}, storage.Bool)
 		}
 		v := c.plan.Emit1("batcalc", "not", mal.TBATBool, mal.VarArg(inner.varID))
 		return operand{varID: v, kind: storage.Bool}, nil
@@ -644,74 +644,63 @@ func (c *compiler) expr(in rel, e algebra.Expr) (operand, error) {
 	return operand{}, fmt.Errorf("compiler: cannot compile expression %T", e)
 }
 
-// foldConst evaluates constant-constant operations at compile time.
+// foldArith and foldCmp name the storage kernels a constant-constant
+// operator folds through.
+var foldArith = map[string]storage.ArithOp{"+": storage.Add, "-": storage.Sub, "*": storage.Mul, "/": storage.Div}
+var foldCmp = map[string]storage.CmpOp{"=": storage.EQ, "!=": storage.NE, "<": storage.LT, "<=": storage.LE, ">": storage.GT, ">=": storage.GE}
+
+// foldConst evaluates a constant-constant operation ("not" ignores r) at
+// compile time with the kernels the engine runs, over one-row columns,
+// so a folded constant is the value execution would compute. k is the
+// binder's kind for the result.
 func foldConst(op string, l, r operand, k storage.Kind) (operand, error) {
-	lf := func(o operand) float64 {
-		if o.cnst.Type == mal.TFlt {
-			return o.cnst.Flt
-		}
-		return float64(o.cnst.Int)
-	}
+	var out *storage.BAT
+	var err error
 	switch op {
 	case "+", "-", "*", "/":
-		a, b := lf(l), lf(r)
-		var v float64
-		switch op {
-		case "+":
-			v = a + b
-		case "-":
-			v = a - b
-		case "*":
-			v = a * b
-		default:
-			if b != 0 {
-				v = a / b
-			}
-		}
-		if k == storage.Flt {
-			return operand{varID: -1, cnst: mal.Float64(v), kind: k}, nil
-		}
-		return operand{varID: -1, cnst: mal.Int64(int64(v)), kind: k}, nil
+		out, err = storage.ArithScalar(foldArith[op], constBAT(l), constVal(r), false)
 	case "=", "!=", "<", "<=", ">", ">=":
-		var cmp int
-		if l.kind == storage.Str {
-			switch {
-			case l.cnst.Str < r.cnst.Str:
-				cmp = -1
-			case l.cnst.Str > r.cnst.Str:
-				cmp = 1
-			}
-		} else {
-			a, b := lf(l), lf(r)
-			switch {
-			case a < b:
-				cmp = -1
-			case a > b:
-				cmp = 1
-			}
-		}
-		var v bool
-		switch op {
-		case "=":
-			v = cmp == 0
-		case "!=":
-			v = cmp != 0
-		case "<":
-			v = cmp < 0
-		case "<=":
-			v = cmp <= 0
-		case ">":
-			v = cmp > 0
-		default:
-			v = cmp >= 0
-		}
-		return operand{varID: -1, cnst: mal.Bool(v), kind: storage.Bool}, nil
-	case "and":
-		return operand{varID: -1, cnst: mal.Bool(l.cnst.Bool && r.cnst.Bool), kind: storage.Bool}, nil
-	case "or":
-		return operand{varID: -1, cnst: mal.Bool(l.cnst.Bool || r.cnst.Bool), kind: storage.Bool}, nil
+		out, err = storage.CompareScalar(foldCmp[op], constBAT(l), constVal(r), false)
+	case "and", "or":
+		out, err = storage.BoolCombine(op == "and", constBAT(l), constBAT(r))
+	case "not":
+		out, err = storage.BoolNot(constBAT(l))
+	default:
+		return operand{}, fmt.Errorf("compiler: cannot fold %q", op)
 	}
-	return operand{}, fmt.Errorf("compiler: cannot fold %q", op)
+	if err != nil {
+		return operand{}, fmt.Errorf("compiler: folding %q: %w", op, err)
+	}
+	var v mal.Value
+	switch k {
+	case storage.Bool:
+		v = mal.Bool(out.BoolAt(0))
+	case storage.Flt:
+		v = mal.Float64(out.FltAt(0))
+	case storage.Date:
+		v = mal.Date(out.IntAt(0))
+	default:
+		v = mal.Int64(out.IntAt(0))
+	}
+	return operand{varID: -1, cnst: v, kind: k}, nil
+}
+
+// constBAT is a constant operand as a one-row column.
+func constBAT(o operand) *storage.BAT {
+	switch o.kind {
+	case storage.Flt:
+		return storage.FromFloats([]float64{o.cnst.Flt})
+	case storage.Str:
+		return storage.FromStrings([]string{o.cnst.Str})
+	case storage.Bool:
+		return storage.FromBools([]bool{o.cnst.Bool})
+	}
+	return storage.FromInts(o.kind, []int64{o.cnst.Int})
+}
+
+// constVal is a constant operand as a kernel's scalar operand.
+func constVal(o operand) storage.Val {
+	return storage.Val{Kind: o.kind, I: o.cnst.Int, F: o.cnst.Flt, S: o.cnst.Str, B: o.cnst.Bool}
 }
 
 // lowerJoin compiles the equi-join. The build side (right input, the

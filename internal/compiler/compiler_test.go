@@ -525,3 +525,26 @@ func TestTopKFusionPlanShape(t *testing.T) {
 		t.Errorf("plain limit slice count = %d, want 1", n)
 	}
 }
+
+// TestConstantFoldingMatchesKernels: a folded constant is the value the
+// engine's kernels compute, typed by the binder — int64 arithmetic
+// stays exact at the edges of its range and beyond 2^53, and date
+// arithmetic stays a date.
+func TestConstantFoldingMatchesKernels(t *testing.T) {
+	for _, c := range []struct{ q, want string }{
+		{"select l_tax from lineitem where l_orderkey = 9223372036854775807 + 0", "batcalc.eq(X_1, 9223372036854775807)"},
+		{"select l_tax from lineitem where l_orderkey = 9007199254740993 + 0", "batcalc.eq(X_1, 9007199254740993)"},
+		{"select l_tax from lineitem where l_shipdate = date '1994-01-01' + 1", "batcalc.eq(X_2, date(8767))"},
+	} {
+		plan := compileQuery(t, c.q, Options{})
+		var eqs []string
+		for _, in := range plan.Instrs {
+			if in.Name() == "batcalc.eq" {
+				eqs = append(eqs, plan.StmtString(in))
+			}
+		}
+		if len(eqs) != 1 || !strings.Contains(eqs[0], c.want) {
+			t.Errorf("%s: lowered to %q, want one %s", c.q, eqs, c.want)
+		}
+	}
+}

@@ -25,7 +25,6 @@ type ServerStream struct {
 	dotDone   bool
 	events    []profiler.Event
 	ring      *profiler.RingBuffer
-	filter    profiler.Filter
 	graph     *dot.Graph
 	dotErr    error
 	dotSeen   int
@@ -74,13 +73,6 @@ func (ss *ServerStream) LiveColoring() Coloring {
 	return PairElision(ss.Buffer())
 }
 
-// SetFilter installs a client-side display filter on this stream.
-func (ss *ServerStream) SetFilter(f profiler.Filter) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.filter = f
-}
-
 // Counts reports how many dot lines and events arrived (monitoring and
 // tests).
 func (ss *ServerStream) Counts() (dotLines, events int) {
@@ -94,7 +86,9 @@ func (ss *ServerStream) Counts() (dotLines, events int) {
 // MonetDB execution trace. The textual Stethoscope can connect to
 // multiple MonetDB servers at the same time to receive execution traces
 // from all (distributed) sources. Its filter options allow for selective
-// tracing of execution states on each of the connected servers."
+// tracing of execution states on each of the connected servers." The
+// filter is the server's FILTER command: each server sends only what
+// passes, so the client keeps everything it receives.
 type TextualStethoscope struct {
 	listener *netproto.Listener
 	// stop releases the context watcher when the stethoscope is closed
@@ -221,20 +215,15 @@ func (ts *TextualStethoscope) handle(from string, m netproto.Msg) {
 			return
 		}
 		ss.mu.Lock()
-		pass := ss.filter.Pass(e, profiler.ModuleOf(e.Stmt))
-		if pass {
-			ss.events = append(ss.events, e)
-			ss.eventSeen++
-		}
+		ss.events = append(ss.events, e)
+		ss.eventSeen++
 		ss.mu.Unlock()
 		ts.mu.Lock()
 		onEvent := ts.onEvent
 		ts.mu.Unlock()
-		if pass {
-			ss.ring.Emit(e)
-			if onEvent != nil {
-				onEvent(from, e)
-			}
+		ss.ring.Emit(e)
+		if onEvent != nil {
+			onEvent(from, e)
 		}
 	}
 }

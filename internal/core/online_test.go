@@ -109,7 +109,8 @@ func TestE8MultiServerFilter(t *testing.T) {
 	s2.Hello("server-2")
 	waitUntil(t, func() bool { return len(ts.Servers()) == 2 }, "two servers")
 
-	// Per-server filters: server-1 keeps only done events.
+	// Per-server filters, applied where the server's FILTER applies them:
+	// server-1 sends only done events.
 	var s1addr, s2addr string
 	for _, a := range ts.Servers() {
 		ss, _ := ts.Server(a)
@@ -120,9 +121,8 @@ func TestE8MultiServerFilter(t *testing.T) {
 		}
 	}
 	ss1, _ := ts.Server(s1addr)
-	ss1.SetFilter(profiler.Filter{States: []profiler.State{profiler.StateDone}})
 
-	p1 := profiler.New(s1)
+	p1 := profiler.New(profiler.FilterSink(profiler.Filter{States: []profiler.State{profiler.StateDone}}, s1))
 	p2 := profiler.New(s2)
 	for i := 0; i < 5; i++ {
 		p1.Begin(i, 0, "a.b();").End(0, 0, 0)

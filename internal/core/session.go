@@ -39,40 +39,17 @@ type SessionOptions struct {
 	// DispatchDelay is the render queue's per-node latency; zero selects
 	// the paper's 150 ms.
 	DispatchDelay time.Duration
-	// Layout overrides the default layout geometry.
-	Layout layout.Options
 }
 
-// OpenOffline builds a session from dot-file and trace-file content, the
-// offline workflow of §4: parse dot → layout → in-memory glyph structure,
-// then index the trace and map pcs to nodes. The paper's "intermediate
-// svg → parse svg" hop between layout and glyphs is how an SVG from
-// another tool is imported (svg.Parse); a session builds the same
-// document straight from its own layout.
-func OpenOffline(dotText, traceText string, opt SessionOptions) (*Session, error) {
-	g, err := dot.Parse(dotText)
-	if err != nil {
-		return nil, fmt.Errorf("core: dot file: %w", err)
-	}
-	st, err := trace.LoadString(traceText)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace file: %w", err)
-	}
-	return newSession(g, st, opt)
-}
-
-// NewSession builds a session from already-parsed components (the online
-// mode's path once the dot stream completes).
+// NewSession builds a session from a parsed dot file and trace, the
+// offline workflow of §4 (and the online mode's once the dot stream
+// completes): layout → in-memory glyph structure, then map the trace's
+// pcs to nodes. The paper's "intermediate svg → parse svg" hop between
+// layout and glyphs is how an SVG from another tool is imported
+// (svg.Parse); a session builds the same document straight from its
+// own layout.
 func NewSession(g *dot.Graph, st *trace.Store, opt SessionOptions) (*Session, error) {
-	return newSession(g, st, opt)
-}
-
-func newSession(g *dot.Graph, st *trace.Store, opt SessionOptions) (*Session, error) {
-	layOpt := opt.Layout
-	if layOpt.Sweeps == 0 {
-		layOpt = layout.DefaultOptions()
-	}
-	lay, err := layout.Compute(g, layOpt)
+	lay, err := layout.Compute(g, layout.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("core: layout: %w", err)
 	}

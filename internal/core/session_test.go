@@ -42,10 +42,24 @@ func buildFixture(t testing.TB) (string, string) {
 	return g.Marshal(), tb.String()
 }
 
+// openOffline is the offline workflow over file contents: parse the dot
+// and the trace, then build the session.
+func openOffline(dotText, traceText string) (*Session, error) {
+	g, err := dot.Parse(dotText)
+	if err != nil {
+		return nil, err
+	}
+	st, err := trace.LoadString(traceText)
+	if err != nil {
+		return nil, err
+	}
+	return NewSession(g, st, SessionOptions{})
+}
+
 func openFixture(t testing.TB) *Session {
 	t.Helper()
 	dotText, traceText := buildFixture(t)
-	s, err := OpenOffline(dotText, traceText, SessionOptions{})
+	s, err := openOffline(dotText, traceText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +84,11 @@ func TestOpenOfflinePipeline(t *testing.T) {
 }
 
 func TestOpenOfflineErrors(t *testing.T) {
-	if _, err := OpenOffline("not dot", "", SessionOptions{}); err == nil {
+	if _, err := openOffline("not dot", ""); err == nil {
 		t.Error("bad dot accepted")
 	}
 	dotText, _ := buildFixture(t)
-	if _, err := OpenOffline(dotText, "bad trace line", SessionOptions{}); err == nil {
+	if _, err := openOffline(dotText, "bad trace line"); err == nil {
 		t.Error("bad trace accepted")
 	}
 }
@@ -182,7 +196,7 @@ func TestRenderSVGCarriesColors(t *testing.T) {
 // space does not index such a node, and the session still opens, clears,
 // colors and paints.
 func TestSessionWithEmptyNodeID(t *testing.T) {
-	s, err := OpenOffline(`digraph g { "" -> n0; n0 -> n1; }`, "", SessionOptions{})
+	s, err := openOffline(`digraph g { "" -> n0; n0 -> n1; }`, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +224,7 @@ func TestSessionWithEmptyNodeID(t *testing.T) {
 // an online session opened mid-stream is shown pcs its mapping never saw.
 func TestShowColorsPcsOutsideTheOpenTimeTrace(t *testing.T) {
 	dotText, _ := buildFixture(t)
-	s, err := OpenOffline(dotText, "", SessionOptions{})
+	s, err := openOffline(dotText, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +291,8 @@ func TestTooltipAndDebug(t *testing.T) {
 	}
 	// The debug window's per-instruction detail comes straight from the
 	// trace store.
-	if evs, dur := s.Trace.ByPC(2), s.Trace.DurationUs(2); len(evs) != 2 || evs[1].State != profiler.StateDone || dur != 300 {
-		t.Errorf("pc 2: %d events, %dus", len(evs), dur)
+	if evs := s.Trace.ByPC(2); len(evs) != 2 || evs[1].State != profiler.StateDone || evs[1].DurUs != 300 {
+		t.Errorf("pc 2: %+v", evs)
 	}
 	// Running instruction tooltip.
 	st := trace.FromEvents([]profiler.Event{

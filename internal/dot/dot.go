@@ -80,39 +80,6 @@ func (g *Graph) Node(id string) (*Node, bool) {
 	return n, ok
 }
 
-// Adjacency returns successor lists keyed by node ID.
-func (g *Graph) Adjacency() map[string][]string {
-	adj := make(map[string][]string, len(g.Nodes))
-	for _, n := range g.Nodes {
-		adj[n.ID] = nil
-	}
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	return adj
-}
-
-// Roots returns node IDs with no incoming edges, sorted for determinism.
-// The paper's workflow keeps "the root node of this graph structure ...
-// to traverse the graph at a later stage".
-func (g *Graph) Roots() []string {
-	indeg := map[string]int{}
-	for _, n := range g.Nodes {
-		indeg[n.ID] = 0
-	}
-	for _, e := range g.Edges {
-		indeg[e.To]++
-	}
-	var roots []string
-	for id, d := range indeg {
-		if d == 0 {
-			roots = append(roots, id)
-		}
-	}
-	sort.Strings(roots)
-	return roots
-}
-
 // Export renders a MAL plan as a dot digraph: one box node per
 // instruction labelled with its statement, one edge per dataflow
 // dependency.

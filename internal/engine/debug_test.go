@@ -163,7 +163,7 @@ func TestDebuggerListing(t *testing.T) {
 func TestDebuggerEmitsProfilerEvents(t *testing.T) {
 	eng := New(testCat)
 	plan := compileQ(t, "select l_tax from lineitem where l_partkey=1", 1)
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	d, err := NewDebugger(eng, plan, profiler.New(sink))
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestDebuggerEmitsProfilerEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(sink.Events()); got != 2*len(plan.Instrs) {
+	if got := len(sink.Take()); got != 2*len(plan.Instrs) {
 		t.Errorf("debugger events = %d, want %d", got, 2*len(plan.Instrs))
 	}
 }

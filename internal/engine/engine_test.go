@@ -326,14 +326,14 @@ func TestDisjunctionQuery(t *testing.T) {
 }
 
 func TestProfilerEventsPairPerInstruction(t *testing.T) {
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	prof := profiler.New(sink)
 	eng := New(testCat)
 	plan := compileQ(t, "select l_tax from lineitem where l_partkey=1", 1)
 	if _, err := eng.Run(plan, Options{Profiler: prof}); err != nil {
 		t.Fatal(err)
 	}
-	evs := sink.Events()
+	evs := sink.Take()
 	if len(evs) != 2*len(plan.Instrs) {
 		t.Fatalf("events = %d, want %d", len(evs), 2*len(plan.Instrs))
 	}
@@ -354,7 +354,7 @@ func TestProfilerEventsPairPerInstruction(t *testing.T) {
 func TestDataflowUsesMultipleThreads(t *testing.T) {
 	// Deterministic parallelism check: independent instructions that each
 	// take a few milliseconds must be spread over the worker pool.
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	prof := profiler.New(sink)
 	eng := New(testCat)
 	eng.Register("test", "work", func(ctx *Context, in *mal.Instr) error {
@@ -370,7 +370,7 @@ func TestDataflowUsesMultipleThreads(t *testing.T) {
 		t.Fatal(err)
 	}
 	threads := map[int]bool{}
-	for _, e := range sink.Events() {
+	for _, e := range sink.Take() {
 		threads[e.Thread] = true
 	}
 	if len(threads) < 2 {
@@ -379,14 +379,14 @@ func TestDataflowUsesMultipleThreads(t *testing.T) {
 }
 
 func TestSequentialUsesOneThread(t *testing.T) {
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	prof := profiler.New(sink)
 	eng := New(testCat)
 	plan := compileQ(t, "select l_tax from lineitem where l_partkey=1", 8)
 	if _, err := eng.Run(plan, Options{Workers: 1, Profiler: prof}); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range sink.Events() {
+	for _, e := range sink.Take() {
 		if e.Thread != 0 {
 			t.Fatalf("sequential run on thread %d", e.Thread)
 		}
@@ -456,7 +456,7 @@ func TestRunInvalidPlanRejected(t *testing.T) {
 }
 
 func TestAccountingFields(t *testing.T) {
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	prof := profiler.New(sink)
 	eng := New(testCat)
 	plan := compileQ(t, "select l_tax from lineitem where l_partkey=1", 1)
@@ -465,7 +465,7 @@ func TestAccountingFields(t *testing.T) {
 	}
 	li, _ := testCat.Table("sys", "lineitem")
 	sawBindWrite := false
-	for _, e := range sink.Events() {
+	for _, e := range sink.Take() {
 		if e.State == profiler.StateDone && e.Writes == int64(li.Rows()) {
 			sawBindWrite = true
 		}
@@ -573,7 +573,7 @@ func TestConcurrentRunsShareEngineAndPlan(t *testing.T) {
 				if (g+i)%2 == 1 {
 					workers = 4
 				}
-				sink := &profiler.SliceSink{}
+				sink := profiler.NewOwnedSliceSink(0)
 				res, err := eng.Run(plan, Options{Workers: workers, Profiler: profiler.New(sink)})
 				if err != nil {
 					errs <- err
@@ -583,8 +583,8 @@ func TestConcurrentRunsShareEngineAndPlan(t *testing.T) {
 					errs <- fmt.Errorf("run got %d rows, want %d", res.Rows(), want.Rows())
 					return
 				}
-				if len(sink.Events()) != 2*len(plan.Instrs) {
-					errs <- fmt.Errorf("trace has %d events, want %d", len(sink.Events()), 2*len(plan.Instrs))
+				if n := len(sink.Take()); n != 2*len(plan.Instrs) {
+					errs <- fmt.Errorf("trace has %d events, want %d", n, 2*len(plan.Instrs))
 					return
 				}
 			}
@@ -611,7 +611,7 @@ func TestConcurrentRunsShareEngineAndPlan(t *testing.T) {
 // of which land on the finisher's own deque — the other workers only
 // get work by stealing it.
 func TestWorkStealingSpreadsFanOut(t *testing.T) {
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	prof := profiler.New(sink)
 	eng := New(testCat)
 	eng.Register("test", "seed", func(ctx *Context, in *mal.Instr) error {
@@ -632,7 +632,7 @@ func TestWorkStealingSpreadsFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	threads := map[int]bool{}
-	for _, e := range sink.Events() {
+	for _, e := range sink.Take() {
 		threads[e.Thread] = true
 	}
 	if len(threads) < 2 {

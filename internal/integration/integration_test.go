@@ -158,11 +158,11 @@ func TestVisualizationPipelinePerQuery(t *testing.T) {
 		q := q
 		t.Run(q.ID, func(t *testing.T) {
 			plan := compile(t, q, 4, true)
-			sink := &profiler.SliceSink{}
+			sink := profiler.NewOwnedSliceSink(0)
 			if _, err := engine.New(cat).Run(plan, engine.Options{Workers: 4, Profiler: profiler.New(sink)}); err != nil {
 				t.Fatal(err)
 			}
-			st := trace.FromEvents(sink.Events())
+			st := trace.FromEvents(sink.Take())
 			if st.Len() != 2*len(plan.Instrs) {
 				t.Fatalf("trace %d events for %d instructions", st.Len(), len(plan.Instrs))
 			}

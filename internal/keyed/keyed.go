@@ -28,15 +28,6 @@ type Stats struct {
 	Capacity  int   // maximum entries
 }
 
-// HitRate returns hits / (hits + misses), 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // LRU is a fixed-capacity least-recently-used cache: an entry leaves
 // only when capacity pressure evicts it or a Put of its key replaces it.
 type LRU[K comparable, V any] struct {

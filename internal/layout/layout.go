@@ -52,11 +52,9 @@ func DefaultOptions() Options {
 // Layout is the computed placement.
 type Layout struct {
 	Positions map[string]Rect
-	Ranks     map[string]int
 	Order     [][]string // node IDs per rank, left to right
 	Width     float64
 	Height    float64
-	Crossings int // edge crossings after ordering, for quality metrics
 }
 
 // Compute lays out the graph. The graph must be acyclic (MAL dataflow
@@ -67,7 +65,7 @@ func Compute(g *dot.Graph, opt Options) (*Layout, error) {
 	}
 	n := len(g.Nodes)
 	if n == 0 {
-		return &Layout{Positions: map[string]Rect{}, Ranks: map[string]int{}}, nil
+		return &Layout{Positions: map[string]Rect{}}, nil
 	}
 
 	idx := make(map[string]int, n)
@@ -104,10 +102,7 @@ func Compute(g *dot.Graph, opt Options) (*Layout, error) {
 	barycenterSweeps(order, rank, succ, pred, opt.Sweeps)
 
 	// Coordinate assignment.
-	lay := &Layout{
-		Positions: make(map[string]Rect, n),
-		Ranks:     make(map[string]int, n),
-	}
+	lay := &Layout{Positions: make(map[string]Rect, n)}
 	widths := make([]float64, n)
 	for i, node := range g.Nodes {
 		w := opt.MinWidth
@@ -143,13 +138,11 @@ func Compute(g *dot.Graph, opt Options) (*Layout, error) {
 		for _, v := range row {
 			id := g.Nodes[v].ID
 			lay.Positions[id] = Rect{X: x, Y: y, W: widths[v], H: opt.NodeHeight}
-			lay.Ranks[id] = r
 			lay.Order[r] = append(lay.Order[r], id)
 			x += widths[v] + opt.HGap
 		}
 	}
 	lay.Height = float64(maxRank)*(opt.NodeHeight+opt.VGap) + opt.NodeHeight
-	lay.Crossings = countCrossings(order, rank, succ)
 	return lay, nil
 }
 
@@ -267,45 +260,4 @@ func barycenterSweeps(order [][]int, rank []int, succ, pred [][]int, sweeps int)
 			}
 		}
 	}
-}
-
-// countCrossings counts pairwise edge crossings between adjacent ranks
-// (the standard layered-crossing metric), used as a layout quality
-// indicator in benchmarks.
-func countCrossings(order [][]int, rank []int, succ [][]int) int {
-	n := len(rank)
-	pos := make([]int, n)
-	for _, row := range order {
-		for i, v := range row {
-			pos[v] = i
-		}
-	}
-	total := 0
-	for r := 0; r+1 < len(order); r++ {
-		// Collect edges rank r -> r+1 as (posFrom, posTo).
-		type pt struct{ a, b int }
-		var edges []pt
-		for _, v := range order[r] {
-			for _, w := range succ[v] {
-				if rank[w] == r+1 {
-					edges = append(edges, pt{pos[v], pos[w]})
-				}
-			}
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].a != edges[j].a {
-				return edges[i].a < edges[j].a
-			}
-			return edges[i].b < edges[j].b
-		})
-		// Count inversions in the b sequence.
-		for i := 0; i < len(edges); i++ {
-			for j := i + 1; j < len(edges); j++ {
-				if edges[j].b < edges[i].b {
-					total++
-				}
-			}
-		}
-	}
-	return total
 }

@@ -40,13 +40,14 @@ func TestRandomDAGInvariants(t *testing.T) {
 			t.Fatalf("trial %d: placed %d of %d", trial, len(lay.Positions), nodes)
 		}
 		// Rank monotonicity along edges.
+		rank := ranks(lay)
 		for _, e := range g.Edges {
 			if e.From == e.To {
 				continue
 			}
-			if lay.Ranks[e.To] <= lay.Ranks[e.From] {
+			if rank[e.To] <= rank[e.From] {
 				t.Fatalf("trial %d: edge %s->%s ranks %d->%d",
-					trial, e.From, e.To, lay.Ranks[e.From], lay.Ranks[e.To])
+					trial, e.From, e.To, rank[e.From], rank[e.To])
 			}
 		}
 		// No overlaps within any rank (cross-rank can't overlap by

@@ -44,6 +44,8 @@ func (in *Instr) IsAdmin() bool {
 // (removing a producer would break the dataflow DAG). PCs are renumbered;
 // the mapping old-pc -> new-pc is returned so trace events can be remapped
 // onto the pruned graph.
+//
+//stetho:ignore deadexport experiment E11 (admin-instruction pruning) is measured by the root and integration tests
 func Prune(p *Plan) (*Plan, map[int]int) {
 	keep := make([]bool, len(p.Instrs))
 	for i, in := range p.Instrs {

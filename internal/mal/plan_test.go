@@ -144,7 +144,7 @@ func TestConstOfDedupsExactLiterals(t *testing.T) {
 		same bool
 	}{
 		{Int64(3), Int64(3), true},
-		{Int64(3), OID(3), false},
+		{Int64(3), Value{Type: TOID, Int: 3}, false},
 		{Int64(3), Date(3), false},
 		{Str("3"), Str("3"), true},
 		{Str("3"), Int64(3), false},
@@ -220,12 +220,8 @@ func TestTypeStringParseRoundTrip(t *testing.T) {
 
 func TestBATOfElem(t *testing.T) {
 	for _, el := range []Type{TInt, TFlt, TStr, TBool, TDate, TOID} {
-		b := BATOf(el)
-		if !b.IsBAT() {
-			t.Errorf("BATOf(%v) = %v not a BAT", el, b)
-		}
-		if b.Elem() != el {
-			t.Errorf("Elem(BATOf(%v)) = %v", el, b.Elem())
+		if got, want := BATOf(el).String(), "bat[:"+el.String()+"]"; got != want {
+			t.Errorf("BATOf(%v) = %s, want %s", el, got, want)
 		}
 	}
 	if BATOf(TVoid) != TVoid {
@@ -246,7 +242,7 @@ func TestValueLiteralRoundTrip(t *testing.T) {
 		{Str("hello"), `"hello"`}, {Str(`with "quotes" and, comma`), `"with \"quotes\" and, comma"`},
 		{Str(""), `""`}, {Str("tab\tnl\n\xff"), `"tab\tnl\n\xff"`},
 		{Bool(true), "true"}, {Bool(false), "false"},
-		{Date(19000), "date(19000)"}, {OID(7), "7"},
+		{Date(19000), "date(19000)"}, {Value{Type: TOID, Int: 7}, "7"},
 		{Value{}, "nil"}, {Value{Type: TBATInt}, "<bat>"},
 	} {
 		if got := c.v.String(); got != c.want {

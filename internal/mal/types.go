@@ -62,35 +62,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", int(t))
 }
 
-// IsBAT reports whether the type denotes a column (BAT) rather than a scalar.
-func (t Type) IsBAT() bool {
-	switch t {
-	case TBATInt, TBATFlt, TBATStr, TBATBool, TBATDate, TBATOID:
-		return true
-	}
-	return false
-}
-
-// Elem returns the scalar element type of a BAT type. For scalar types it
-// returns the type itself.
-func (t Type) Elem() Type {
-	switch t {
-	case TBATInt:
-		return TInt
-	case TBATFlt:
-		return TFlt
-	case TBATStr:
-		return TStr
-	case TBATBool:
-		return TBool
-	case TBATDate:
-		return TDate
-	case TBATOID:
-		return TOID
-	}
-	return t
-}
-
 // BATOf returns the BAT type whose tail carries the given scalar type.
 // BATOf(TVoid) returns TVoid.
 func BATOf(elem Type) Type {

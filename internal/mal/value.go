@@ -33,9 +33,6 @@ func Bool(v bool) Value { return Value{Type: TBool, Bool: v} }
 // Date constructs a date value from days since the Unix epoch.
 func Date(days int64) Value { return Value{Type: TDate, Int: days} }
 
-// OID constructs an object-identifier value.
-func OID(v int64) Value { return Value{Type: TOID, Int: v} }
-
 // Nil reports whether the value is the zero Value (type void, no payload).
 func (v Value) Nil() bool { return v.Type == TVoid && v.Col == nil }
 

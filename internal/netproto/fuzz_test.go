@@ -32,11 +32,11 @@ func profiledRun(tb testing.TB) []profiler.Event {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sink := &profiler.SliceSink{}
+	sink := profiler.NewOwnedSliceSink(0)
 	if _, err := engine.New(cat).Run(plan, engine.Options{Workers: 2, Profiler: profiler.New(sink)}); err != nil {
 		tb.Fatal(err)
 	}
-	return sink.Events()
+	return sink.Take()
 }
 
 // FuzzDatagram: datagram bytes arrive straight off the network. No input

@@ -133,7 +133,7 @@ func TestCSETypeTaggedConstants(t *testing.T) {
 	bind := p.Emit1("sql", "bind", mal.TBATInt,
 		p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
 	a := p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind), p.ConstOf(mal.Int64(1)))
-	b := p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind), p.ConstOf(mal.OID(1)))
+	b := p.Emit1("batcalc", "add", mal.TBATInt, mal.VarArg(bind), p.ConstOf(mal.Value{Type: mal.TOID, Int: 1}))
 	rs := p.Emit1("sql", "resultSet", mal.TInt, p.ConstOf(mal.Int64(2)))
 	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("a")), mal.VarArg(a))
 	p.Emit0("sql", "rsColumn", mal.VarArg(rs), p.ConstOf(mal.Str("b")), mal.VarArg(b))

@@ -32,9 +32,6 @@ func TestGetPutAndStats(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 || st.Len != 1 || st.Capacity != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := st.HitRate(); got < 0.33 || got > 0.34 {
-		t.Fatalf("hit rate = %v", got)
-	}
 }
 
 func TestEvictionOrderIsLRU(t *testing.T) {

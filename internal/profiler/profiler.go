@@ -130,12 +130,6 @@ func FilterSink(f Filter, next Sink) Sink {
 	return filteredSink{f: f, next: next}
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(e Event) { f(e) }
-
 // Profiler instruments a MAL execution: the engine calls Begin/End around
 // every instruction and the profiler fans the events out to its sinks
 // (wrap a sink in FilterSink to filter its view). It is safe for
@@ -230,7 +224,7 @@ func (p *Profiler) emitLocked(e Event) {
 	}
 }
 
-// OwnedSliceSink is a SliceSink without locking, for the common
+// OwnedSliceSink accumulates events in memory without locking, for the
 // one-profiler-per-run shape: a Profiler serializes all Emit calls
 // under its own mutex, so a sink attached to exactly one profiler and
 // read only after the run completes needs no lock of its own. Do NOT
@@ -476,24 +470,6 @@ func (r *RingBuffer) Emit(e Event) {
 	}
 }
 
-// EmitBatch implements BatchSink with one lock acquisition per batch.
-func (r *RingBuffer) EmitBatch(evs []Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Only the last len(buf) events of the batch can survive.
-	if len(evs) > len(r.buf) {
-		evs = evs[len(evs)-len(r.buf):]
-	}
-	for _, e := range evs {
-		r.buf[r.next] = e
-		r.next++
-		if r.next == len(r.buf) {
-			r.next = 0
-			r.full = true
-		}
-	}
-}
-
 // Snapshot returns the buffered events oldest-first.
 func (r *RingBuffer) Snapshot() []Event {
 	r.mu.Lock()
@@ -515,44 +491,4 @@ func (r *RingBuffer) Len() int {
 		return len(r.buf)
 	}
 	return r.next
-}
-
-// SliceSink accumulates events in memory (tests and small traces).
-type SliceSink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit implements Sink.
-func (s *SliceSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, e)
-}
-
-// EmitBatch implements BatchSink. The batch is copied, as the contract
-// requires.
-func (s *SliceSink) EmitBatch(evs []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, evs...)
-}
-
-// Events returns a copy of the accumulated events.
-func (s *SliceSink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
-}
-
-// Take hands the accumulated events over without copying and resets the
-// sink. The caller owns the returned slice; use it when the sink is
-// done receiving (e.g. after a run completes) to avoid duplicating a
-// full trace.
-func (s *SliceSink) Take() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	evs := s.events
-	s.events = nil
-	return evs
 }

@@ -65,7 +65,7 @@ func TestUnmarshalIgnoresUnknownKeys(t *testing.T) {
 }
 
 func TestProfilerBeginEndSequence(t *testing.T) {
-	sink := &SliceSink{}
+	sink := NewOwnedSliceSink(0)
 	p := New(sink)
 	clock := time.Unix(1000, 0)
 	p.SetClock(func() time.Time { return clock })
@@ -74,7 +74,7 @@ func TestProfilerBeginEndSequence(t *testing.T) {
 	clock = clock.Add(5 * time.Millisecond)
 	sp.End(128, 1000, 10)
 
-	evs := sink.Events()
+	evs := sink.Take()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d", len(evs))
 	}
@@ -93,22 +93,22 @@ func TestProfilerBeginEndSequence(t *testing.T) {
 }
 
 func TestProfilerReset(t *testing.T) {
-	sink := &SliceSink{}
+	sink := NewOwnedSliceSink(0)
 	p := New(sink)
 	p.Begin(0, 0, "s").End(0, 0, 0)
 	p.Reset()
 	p.Begin(1, 0, "s").End(0, 0, 0)
-	evs := sink.Events()
+	evs := sink.Take()
 	if evs[2].Seq != 0 {
 		t.Errorf("post-reset seq = %d", evs[2].Seq)
 	}
 }
 
 func TestFilterStates(t *testing.T) {
-	sink := &SliceSink{}
+	sink := NewOwnedSliceSink(0)
 	p := New(FilterSink(Filter{States: []State{StateDone}}, sink))
 	p.Begin(0, 0, "s").End(0, 0, 0)
-	evs := sink.Events()
+	evs := sink.Take()
 	if len(evs) != 1 || evs[0].State != StateDone {
 		t.Errorf("filtered events = %+v", evs)
 	}
@@ -118,20 +118,20 @@ func TestFilterStates(t *testing.T) {
 // statement, and only the filtered sink loses events — a sibling sink
 // sees the full stream.
 func TestFilterModules(t *testing.T) {
-	filtered, full := &SliceSink{}, &SliceSink{}
+	filtered, full := NewOwnedSliceSink(0), NewOwnedSliceSink(0)
 	p := New(FilterSink(Filter{Modules: []string{"algebra"}}, filtered), full)
 	p.Begin(0, 0, "X_1 := algebra.select(X_0);").End(0, 0, 0)
 	p.Begin(1, 0, "X_2 := sql.bind(X_1);").End(0, 0, 0)
-	if got := len(filtered.Events()); got != 2 {
+	if got := len(filtered.Take()); got != 2 {
 		t.Errorf("module filter kept %d events, want 2", got)
 	}
-	if got := len(full.Events()); got != 4 {
+	if got := len(full.Take()); got != 4 {
 		t.Errorf("sibling sink saw %d events, want all 4", got)
 	}
 }
 
 func TestFilterMinDuration(t *testing.T) {
-	sink := &SliceSink{}
+	sink := NewOwnedSliceSink(0)
 	p := New(FilterSink(Filter{MinDurUs: 1000}, sink))
 	clock := time.Unix(0, 0)
 	p.SetClock(func() time.Time { return clock })
@@ -142,7 +142,7 @@ func TestFilterMinDuration(t *testing.T) {
 	sp = p.Begin(1, 0, "slow")
 	clock = clock.Add(2 * time.Millisecond)
 	sp.End(0, 0, 0)
-	evs := sink.Events()
+	evs := sink.Take()
 	if len(evs) != 3 {
 		t.Fatalf("events = %d, want 3", len(evs))
 	}
@@ -223,7 +223,7 @@ func TestRingBufferPartial(t *testing.T) {
 }
 
 func TestConcurrentEmit(t *testing.T) {
-	sink := &SliceSink{}
+	sink := NewOwnedSliceSink(0)
 	p := New(sink)
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
@@ -237,7 +237,7 @@ func TestConcurrentEmit(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		<-done
 	}
-	evs := sink.Events()
+	evs := sink.Take()
 	if len(evs) != 1600 {
 		t.Fatalf("events = %d, want 1600", len(evs))
 	}
@@ -356,30 +356,6 @@ func TestBatcherConcurrentEmitters(t *testing.T) {
 			t.Fatalf("duplicate seq %d", e.Seq)
 		}
 		seen[e.Seq] = true
-	}
-}
-
-func TestRingBufferEmitBatch(t *testing.T) {
-	r := NewRingBuffer(4)
-	batch := make([]Event, 10)
-	for i := range batch {
-		batch[i] = Event{Seq: int64(i)}
-	}
-	r.EmitBatch(batch)
-	snap := r.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(snap))
-	}
-	for i, e := range snap {
-		if e.Seq != int64(6+i) {
-			t.Fatalf("ring[%d].Seq = %d, want %d (oldest-first tail)", i, e.Seq, 6+i)
-		}
-	}
-	// Mixing batch and single emits keeps rotation consistent.
-	r.Emit(Event{Seq: 10})
-	snap = r.Snapshot()
-	if snap[len(snap)-1].Seq != 10 {
-		t.Fatalf("tail after single emit = %d", snap[len(snap)-1].Seq)
 	}
 }
 

@@ -88,13 +88,12 @@ func TestObservedRunBypassesGate(t *testing.T) {
 	for r.Flight.InFlight() != 1 {
 		time.Sleep(time.Millisecond)
 	}
-	seen := 0
-	sink := profiler.SinkFunc(func(profiler.Event) { seen++ })
+	sink := profiler.NewOwnedSliceSink(0)
 	out, via, err := r.Run(ctx, p, RunOptions{Sinks: []profiler.Sink{sink}})
 	if err != nil || via != "" {
 		t.Fatalf("observed run: via %q err %v", via, err)
 	}
-	if seen == 0 || seen != len(out.Events) {
+	if seen := len(sink.Take()); seen == 0 || seen != len(out.Events) {
 		t.Errorf("private sink saw %d events, run produced %d", seen, len(out.Events))
 	}
 	type answer struct {

@@ -136,17 +136,6 @@ func (b *BAT) AppendInt(v int64) { b.ints = append(b.ints, v) }
 // AppendFlt appends to a Flt BAT.
 func (b *BAT) AppendFlt(v float64) { b.flts = append(b.flts, v) }
 
-// AppendStr appends to a Str BAT. A string already in the column's
-// dictionary costs one code; a new one renumbers the column, so bulk
-// loads go through FromStrings.
-func (b *BAT) AppendStr(v string) {
-	if code, ok := b.dict.find(v); ok {
-		b.codes = append(b.codes, code)
-		return
-	}
-	b.appendStrs(FromStrings([]string{v}))
-}
-
 // AppendBool appends to a Bool BAT.
 func (b *BAT) AppendBool(v bool) { b.bools = append(b.bools, v) }
 

@@ -76,13 +76,13 @@ func TestDerivedColumnsShareDictionary(t *testing.T) {
 	if grown.Dict() != d {
 		t.Error("an empty BAT did not adopt the appended column's dictionary")
 	}
-	grown.AppendStr("N")
+	appendStr(grown, "N")
 	if grown.Dict() != d {
 		t.Error("appending a string the dictionary holds replaced it")
 	}
-	grown.AppendStr("B")
+	appendStr(grown, "B")
 	if got, want := grown.Strs(), append(col.Strs(), "N", "B"); !slices.Equal(got, want) {
-		t.Errorf("after AppendStr: %q, want %q", got, want)
+		t.Errorf("after appendStr: %q, want %q", got, want)
 	}
 	if !slices.Equal(col.Strs(), []string{"R", "A", "N", "A", "R", "N"}) {
 		t.Errorf("appending to a copy changed the column: %q", col.Strs())

@@ -50,7 +50,7 @@ func appendVal(b *BAT, v Val) {
 	case v.Kind == Flt:
 		b.AppendFlt(v.F)
 	case v.Kind == Str:
-		b.AppendStr(v.S)
+		appendStr(b, v.S)
 	case v.Kind == Bool:
 		b.AppendBool(v.B)
 	default:

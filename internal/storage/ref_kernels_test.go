@@ -173,7 +173,7 @@ func RefProject(oids, tail *BAT) (*BAT, error) {
 		}
 	case tail.kind == Str:
 		for _, oid := range oids.ints {
-			out.AppendStr(tail.StrAt(int(oid)))
+			appendStr(out, tail.StrAt(int(oid)))
 		}
 	default:
 		for _, oid := range oids.ints {

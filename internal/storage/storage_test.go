@@ -8,6 +8,16 @@ import (
 
 func intBAT(vs ...int64) *BAT { return FromInts(Int, vs) }
 
+// appendStr appends one row to a Str BAT. A string already in the
+// column's dictionary costs one code; a new one renumbers the column.
+func appendStr(b *BAT, v string) {
+	if code, ok := b.dict.find(v); ok {
+		b.codes = append(b.codes, code)
+		return
+	}
+	b.appendStrs(FromStrings([]string{v}))
+}
+
 func TestBATBasics(t *testing.T) {
 	b := New(Int, 4)
 	for i := int64(0); i < 5; i++ {
@@ -36,7 +46,7 @@ func TestBATAppendKinds(t *testing.T) {
 	f := New(Flt, 0)
 	f.AppendFlt(1.5)
 	s := New(Str, 0)
-	s.AppendStr("x")
+	appendStr(s, "x")
 	bo := New(Bool, 0)
 	bo.AppendBool(true)
 	if f.FltAt(0) != 1.5 || s.StrAt(0) != "x" || !bo.BoolAt(0) {

@@ -114,7 +114,7 @@ func TestWriteTextAdversarial(t *testing.T) {
 		for i := 0; i < rows; i++ {
 			cols[0].AppendInt([]int64{0, -1, math.MaxInt64, math.MinInt64, 42}[i%5])
 			cols[1].AppendFlt(flts[i%len(flts)])
-			cols[2].AppendStr(strs[i%len(strs)])
+			appendStr(cols[2], strs[i%len(strs)])
 			cols[3].AppendBool(i%3 == 0)
 			cols[4].AppendInt(adversarialDates[i%len(adversarialDates)])
 			cols[5].AppendInt(int64(i))
@@ -167,7 +167,7 @@ func TestWriteTextAllocs(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		cols[0].AppendInt(int64(i) * 7919)
 		cols[1].AppendFlt(float64(i%50) + float64(i%11)/100)
-		cols[2].AppendStr("MAIL")
+		appendStr(cols[2], "MAIL")
 		cols[3].AppendBool(i&1 == 0)
 		cols[4].AppendInt(8000 + int64(i%2500))
 	}

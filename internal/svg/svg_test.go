@@ -128,8 +128,7 @@ func TestRenderErrorOnMissingLayout(t *testing.T) {
 	g := dot.NewGraph("bad")
 	g.AddNode("n0", nil)
 	empty := &layout.Layout{Positions: map[string]layout.Rect{}}
-	var b strings.Builder
-	if err := Render(&b, g, empty, nil, DefaultStyle()); err == nil {
+	if _, err := RenderString(g, empty, nil, DefaultStyle()); err == nil {
 		t.Error("missing layout accepted")
 	}
 }

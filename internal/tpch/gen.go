@@ -24,6 +24,8 @@ type Config struct {
 }
 
 // DefaultConfig is the scale used by the examples: about 60k lineitem rows.
+//
+//stetho:ignore deadexport bench/trace.go's traced serve pass reads its seed until ROADMAP 5(i) gives the harness its own
 func DefaultConfig() Config { return Config{SF: 0.01, Seed: 42} }
 
 // splitmix64 is a tiny deterministic PRNG, good enough for synthetic data.

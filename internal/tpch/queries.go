@@ -146,6 +146,8 @@ func Queries() []Query {
 // selection (the empty-piece guard), a filtered comma join, a bare
 // projection under a limit (left unsliced by lowerProject) and avg with
 // and without keys (the packed fallback).
+//
+//stetho:ignore deadexport shared test fixture: the byte-equality sweeps of several packages run these statements
 func SweepQueries() []string {
 	var stmts []string
 	for _, q := range Queries() {

@@ -44,12 +44,12 @@ func bundledTraces(tb testing.TB) []string {
 			if plan, _, err = optimizer.Default().Run(plan); err != nil {
 				tb.Fatal(err)
 			}
-			sink := &profiler.SliceSink{}
+			sink := profiler.NewOwnedSliceSink(0)
 			if _, err := eng.Run(plan, engine.Options{Workers: 2, Profiler: profiler.New(sink)}); err != nil {
 				tb.Fatal(err)
 			}
 			var b strings.Builder
-			if err := trace.Write(&b, sink.Events()); err != nil {
+			if err := trace.Write(&b, sink.Take()); err != nil {
 				tb.Fatal(err)
 			}
 			out = append(out, b.String())

@@ -166,19 +166,6 @@ func (s *Store) PCs() []int {
 	return append([]int(nil), s.pcs...)
 }
 
-// DurationUs returns the summed execution time of an instruction across
-// its done events (partitioned plans execute a pc once; the sum is
-// defensive for replayed traces).
-func (s *Store) DurationUs(pc int) int64 {
-	var total int64
-	for _, i := range s.idxsOf(pc) {
-		if s.events[i].State == profiler.StateDone {
-			total += s.events[i].DurUs
-		}
-	}
-	return total
-}
-
 // Mapping links a trace to a dot graph per §3.3.
 type Mapping struct {
 	// NodeOf maps pc to the dot node ID ("nN").

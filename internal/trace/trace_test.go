@@ -33,12 +33,6 @@ func TestStoreIndexes(t *testing.T) {
 	if len(s.PCs()) != 3 {
 		t.Errorf("PCs = %v", s.PCs())
 	}
-	if s.DurationUs(1) != 300 {
-		t.Errorf("DurationUs(1) = %d", s.DurationUs(1))
-	}
-	if s.DurationUs(2) != 0 {
-		t.Errorf("DurationUs(2) = %d (start only)", s.DurationUs(2))
-	}
 }
 
 func TestLoadTraceFile(t *testing.T) {

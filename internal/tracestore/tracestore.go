@@ -39,6 +39,8 @@ const (
 
 // DefaultAppendBatch is the batch size a profiler.Batcher feeding a
 // RunWriter is built with (see Begin).
+//
+//stetho:ignore deadexport bench/trace.go's history leg uses it until ROADMAP 5(g) deletes the Begin/RunWriter shim
 const DefaultAppendBatch = 256
 
 // Options configures Open. The zero value (plus Dir) is a store with

@@ -111,13 +111,17 @@ func TestProgressMidQuery(t *testing.T) {
 	defer it.Close()
 
 	// The producer is parked on its first emit until we start pulling
-	// rows, so the run is observable mid-flight once it registers.
+	// rows, so the run is observable mid-flight once it registers. The
+	// run registers before mat.morsel publishes its totals, so poll
+	// until the totals appear.
 	var mid *QueryProgress
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if prog := db.Progress(); len(prog) == 1 {
 			mid = &prog[0]
-			break
+			if mid.RowsTotal > 0 && mid.MorselsTotal > 0 {
+				break
+			}
 		}
 		time.Sleep(time.Millisecond)
 	}
