@@ -81,7 +81,8 @@ bench-module:
 	$(GO) test -C bench ./...
 
 # bench-record mirrors the CI bench-record job: the experiment
-# benchmarks and the compile path (optimizer pipeline, mitosis sweep),
+# benchmarks, the compile path (optimizer pipeline, mitosis sweep) and
+# the plan's picture formats (dot, trace load, time to picture),
 # 3 repetitions with allocation counts (-benchmem), converted to
 # BENCH_<sha>.json. When a
 # previous artifact is saved as BENCH_baseline.json, a per-benchmark
@@ -93,7 +94,7 @@ bench-module:
 # pipefail, and a crashed benchmark must fail the target instead of
 # gating a truncated record.
 bench-record:
-	$(GO) test -bench 'BenchmarkF|BenchmarkE|BenchmarkPlanCacheHit|BenchmarkConcurrentExec|BenchmarkHistory|BenchmarkParallel|BenchmarkOpen|BenchmarkPeakRSS|BenchmarkMetricsOverhead|BenchmarkSharedWork|BenchmarkOptimizerPipeline|BenchmarkMitosisSweep' \
+	$(GO) test -bench 'BenchmarkF|BenchmarkE|BenchmarkPlanCacheHit|BenchmarkConcurrentExec|BenchmarkHistory|BenchmarkParallel|BenchmarkOpen|BenchmarkPeakRSS|BenchmarkMetricsOverhead|BenchmarkSharedWork|BenchmarkOptimizerPipeline|BenchmarkMitosisSweep|BenchmarkDot|BenchmarkTraceLoad|BenchmarkTimeToPicture' \
 		-benchtime 1x -count 3 -benchmem -run '^$$' . > bench.txt
 	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json < bench.txt > BENCH_$(SHA).json
 	@echo wrote BENCH_$(SHA).json

@@ -11,12 +11,10 @@ import (
 
 func sampleLayout(t testing.TB) (*dot.Graph, *layout.Layout) {
 	t.Helper()
-	g := dot.NewGraph("sample")
-	g.AddNode("n0", map[string]string{"label": "bind"})
-	g.AddNode("n1", map[string]string{"label": "select"})
-	g.AddNode("n2", map[string]string{"label": "bind2"})
-	g.AddEdge("n0", "n1", nil)
-	g.AddEdge("n2", "n1", nil)
+	g, err := dot.Parse("digraph sample { n0 [label=bind]; n1 [label=select]; n2 [label=bind2]; n0 -> n1; n2 -> n1; }")
+	if err != nil {
+		t.Fatal(err)
+	}
 	lay, err := layout.Compute(g, layout.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +65,10 @@ func TestRenderGraphANSI(t *testing.T) {
 }
 
 func TestRenderGraphEmpty(t *testing.T) {
-	g := dot.NewGraph("empty")
+	g, err := dot.Parse("digraph empty {}")
+	if err != nil {
+		t.Fatal(err)
+	}
 	lay, _ := layout.Compute(g, layout.DefaultOptions())
 	if out := RenderGraph(g, lay, nil, DefaultOptions()); !strings.Contains(out, "empty") {
 		t.Errorf("empty render = %q", out)

@@ -5,98 +5,173 @@
 // writes a MAL plan as a dot digraph (node nN per instruction, labelled
 // with the statement text, edges along dataflow dependencies — the §3.3
 // mapping), and Parse reads the DOT-language subset those files use.
+//
+// A graph is a set of slabs: nodes and edges are value slices, and every
+// attribute lives in one []Attr slab that the nodes and edges sub-slice.
+// Parse takes its strings as substrings of the input, so a parsed graph
+// keeps its input text alive.
 package dot
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"stethoscope/internal/mal"
 )
 
+// Attr is one key=value attribute of a node or edge.
+type Attr struct {
+	Key, Value string
+}
+
 // Node is one graph vertex. ID follows the paper's convention: node "n3"
-// corresponds to the instruction with pc=3.
+// corresponds to the instruction with pc=3. Attrs is sorted by key with
+// no key repeated.
 type Node struct {
 	ID    string
-	Attrs map[string]string
+	Attrs []Attr
 }
 
 // Label returns the node's label attribute (the MAL statement).
-func (n *Node) Label() string { return n.Attrs["label"] }
+func (n *Node) Label() string { return lookup(n.Attrs, "label") }
 
-// Edge is a directed edge between node IDs.
+// lookup returns the value of key in attrs, sorted by key; "" when absent.
+func lookup(attrs []Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// Edge is a directed edge between node IDs. Attrs is sorted by key with
+// no key repeated.
 type Edge struct {
 	From, To string
-	Attrs    map[string]string
+	Attrs    []Attr
 }
 
-// Graph is a parsed or constructed dot digraph.
+// Graph is a parsed or exported dot digraph. Parse and Export keep node
+// IDs unique and indexed for Node.
 type Graph struct {
 	Name  string
-	Nodes []*Node
-	Edges []*Edge
+	Nodes []Node
+	Edges []Edge
 
-	byID map[string]*Node
-}
-
-// NewGraph returns an empty digraph.
-func NewGraph(name string) *Graph {
-	return &Graph{Name: name, byID: map[string]*Node{}}
-}
-
-// AddNode inserts (or updates) a node and returns it.
-func (g *Graph) AddNode(id string, attrs map[string]string) *Node {
-	if n, ok := g.byID[id]; ok {
-		for k, v := range attrs {
-			n.Attrs[k] = v
-		}
-		return n
-	}
-	n := &Node{ID: id, Attrs: map[string]string{}}
-	for k, v := range attrs {
-		n.Attrs[k] = v
-	}
-	g.Nodes = append(g.Nodes, n)
-	g.byID[id] = n
-	return n
-}
-
-// AddEdge inserts a directed edge, implicitly declaring endpoints.
-func (g *Graph) AddEdge(from, to string, attrs map[string]string) *Edge {
-	g.AddNode(from, nil)
-	g.AddNode(to, nil)
-	e := &Edge{From: from, To: to, Attrs: map[string]string{}}
-	for k, v := range attrs {
-		e.Attrs[k] = v
-	}
-	g.Edges = append(g.Edges, e)
-	return e
+	// index maps node ID to position in Nodes. It is nil while every
+	// node i is named NodeID(i), as Export writes them, and lookups read
+	// the position straight from the ID.
+	index map[string]int32
 }
 
 // Node returns the node with the given ID.
 func (g *Graph) Node(id string) (*Node, bool) {
-	n, ok := g.byID[id]
-	return n, ok
+	if g.index != nil {
+		i, ok := g.index[id]
+		if !ok {
+			return nil, false
+		}
+		return &g.Nodes[i], true
+	}
+	if pc, ok := canonicalPC(id); ok && pc < len(g.Nodes) {
+		return &g.Nodes[pc], true
+	}
+	return nil, false
+}
+
+// PCNode returns the node of instruction pc, the node named NodeID(pc).
+// When the graph's node pc carries that name, as in every exported or
+// re-parsed plan, no ID is formatted.
+func (g *Graph) PCNode(pc int) (*Node, bool) {
+	if pc >= 0 && pc < len(g.Nodes) {
+		if p, ok := canonicalPC(g.Nodes[pc].ID); ok && p == pc {
+			return &g.Nodes[pc], true
+		}
+	}
+	if g.index == nil {
+		return nil, false
+	}
+	return g.Node(NodeID(pc))
+}
+
+// canonicalPC is PCOf restricted to the IDs NodeID writes: no leading
+// zero and few enough digits not to overflow. It is a bijection, so a
+// graph whose node i is named NodeID(i) needs no index.
+func canonicalPC(id string) (int, bool) {
+	if len(id) < 2 || len(id) > 10 || id[0] != 'n' || id[1] == '0' && len(id) > 2 {
+		return 0, false
+	}
+	return PCOf(id)
 }
 
 // Export renders a MAL plan as a dot digraph: one box node per
 // instruction labelled with its statement, one edge per dataflow
-// dependency.
+// dependency. The plan must be finalized and numbered (PC == position,
+// see mal.Plan.Renumber): labels are slices of its statement memo
+// (mal.Plan.CachedStmt), and node i is named NodeID(i).
 func Export(p *mal.Plan) *Graph {
-	g := NewGraph("malplan")
-	for _, in := range p.Instrs {
-		g.AddNode(NodeID(in.PC), map[string]string{
-			"label": p.StmtString(in),
-			"shape": "box",
-		})
+	n := len(p.Instrs)
+	g := &Graph{Name: "malplan", Nodes: make([]Node, n)}
+
+	// Every node ID is a slice of one string "n0n1n2...".
+	idLen := 0
+	for i := 0; i < n; i++ {
+		idLen += 1 + digits(i)
 	}
-	for pc, ds := range p.Deps() {
-		for _, d := range ds {
-			g.AddEdge(NodeID(d), NodeID(pc), nil)
+	var ids strings.Builder
+	ids.Grow(idLen)
+	var num [20]byte
+	for i := 0; i < n; i++ {
+		ids.WriteByte('n')
+		ids.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	idText := ids.String()
+
+	attrs := make([]Attr, 2*n)
+	off := 0
+	nArgs := 0
+	for i, in := range p.Instrs {
+		w := 1 + digits(i)
+		a := attrs[2*i : 2*i+2 : 2*i+2]
+		a[0] = Attr{Key: "label", Value: p.CachedStmt(in)}
+		a[1] = Attr{Key: "shape", Value: "box"}
+		g.Nodes[i] = Node{ID: idText[off : off+w], Attrs: a}
+		off += w
+		nArgs += len(in.Args)
+	}
+
+	// Edges d -> pc for every distinct pc d defining an argument of
+	// instruction pc, in ascending d per pc.
+	def := p.DefSites()
+	g.Edges = make([]Edge, 0, nArgs)
+	var ds []int
+	for pc, in := range p.Instrs {
+		ds = ds[:0]
+		for _, a := range in.Args {
+			if a.IsConst() || a.Var() >= len(def) {
+				continue
+			}
+			if d := def[a.Var()]; d >= 0 && d != in.PC {
+				ds = append(ds, d)
+			}
+		}
+		slices.Sort(ds)
+		for _, d := range slices.Compact(ds) {
+			g.Edges = append(g.Edges, Edge{From: g.Nodes[d].ID, To: g.Nodes[pc].ID})
 		}
 	}
 	return g
+}
+
+// digits is the number of decimal digits of i >= 0.
+func digits(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
 }
 
 // Marshal renders the graph in DOT syntax. Every attribute is written
@@ -104,19 +179,33 @@ func Export(p *mal.Plan) *Graph {
 // fold into every node without that attribute — so the text parses back
 // to g.
 func (g *Graph) Marshal() string {
+	size := len("digraph ") + quotedLen(g.Name) + len(" {\n") + len("}\n")
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		size += len("  ") + quotedLen(n.ID) + attrsLen(n.Attrs) + len(";\n")
+	}
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		size += len("  ") + quotedLen(e.From) + len(" -> ") + quotedLen(e.To) + attrsLen(e.Attrs) + len(";\n")
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %s {\n", quoteID(g.Name))
-	for _, n := range g.Nodes {
+	b.Grow(size)
+	b.WriteString("digraph ")
+	writeID(&b, g.Name)
+	b.WriteString(" {\n")
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		b.WriteString("  ")
-		b.WriteString(quoteID(n.ID))
+		writeID(&b, n.ID)
 		writeAttrs(&b, n.Attrs)
 		b.WriteString(";\n")
 	}
-	for _, e := range g.Edges {
+	for i := range g.Edges {
+		e := &g.Edges[i]
 		b.WriteString("  ")
-		b.WriteString(quoteID(e.From))
+		writeID(&b, e.From)
 		b.WriteString(" -> ")
-		b.WriteString(quoteID(e.To))
+		writeID(&b, e.To)
 		writeAttrs(&b, e.Attrs)
 		b.WriteString(";\n")
 	}
@@ -124,63 +213,90 @@ func (g *Graph) Marshal() string {
 	return b.String()
 }
 
-func writeAttrs(b *strings.Builder, attrs map[string]string) {
+func attrsLen(attrs []Attr) int {
+	if len(attrs) == 0 {
+		return 0
+	}
+	n := len(" [") + len("]") + len(", ")*(len(attrs)-1)
+	for _, a := range attrs {
+		n += quotedLen(a.Key) + len("=") + quotedLen(a.Value)
+	}
+	return n
+}
+
+func writeAttrs(b *strings.Builder, attrs []Attr) {
 	if len(attrs) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	b.WriteString(" [")
-	for i, k := range keys {
+	for i, a := range attrs {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(quoteID(k))
-		b.WriteString("=")
-		b.WriteString(quoteID(attrs[k]))
+		writeID(b, a.Key)
+		b.WriteByte('=')
+		writeID(b, a.Value)
 	}
-	b.WriteString("]")
+	b.WriteByte(']')
 }
 
-// quoteID quotes a DOT identifier unless it is a bare word that Parse
-// does not read as a statement keyword.
-func quoteID(s string) string {
+// bare reports whether s is written unquoted: a non-empty run of word
+// characters that Parse does not read as a statement keyword.
+func bare(s string) bool {
 	switch s {
-	case "":
-		return `""`
-	case "node", "edge", "graph":
-		return `"` + s + `"`
+	case "", "node", "edge", "graph":
+		return false
 	}
-	bare := true
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-			bare = false
-			break
+			return false
 		}
 	}
-	if bare {
-		return s
+	return true
+}
+
+// quotedLen is the length writeID writes for s.
+func quotedLen(s string) int {
+	if bare(s) {
+		return len(s)
 	}
-	var b strings.Builder
-	b.WriteByte('"')
+	n := len(s) + 2
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(c)
+		switch s[i] {
+		case '"', '\\', '\n':
+			n++
 		}
 	}
+	return n
+}
+
+// writeID writes a DOT identifier, quoted unless it is bare.
+func writeID(b *strings.Builder, s string) {
+	if bare(s) {
+		b.WriteString(s)
+		return
+	}
 	b.WriteByte('"')
-	return b.String()
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '"':
+			esc = `\"`
+		case '\\':
+			esc = `\\`
+		case '\n':
+			esc = `\n`
+		default:
+			continue
+		}
+		b.WriteString(s[start:i])
+		b.WriteString(esc)
+		start = i + 1
+	}
+	b.WriteString(s[start:])
+	b.WriteByte('"')
 }
 
 // PCOf maps a node ID in the paper's "nN" convention back to a program
@@ -201,4 +317,4 @@ func PCOf(id string) (int, bool) {
 }
 
 // NodeID renders a program counter in the "nN" convention.
-func NodeID(pc int) string { return fmt.Sprintf("n%d", pc) }
+func NodeID(pc int) string { return "n" + strconv.Itoa(pc) }

@@ -1,6 +1,8 @@
 package dot
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,13 +100,13 @@ func TestParseHandwrittenDot(t *testing.T) {
 		t.Errorf("n0 label = %q", n0.Label())
 	}
 	// Defaults applied to explicit node statements.
-	if n0.Attrs["shape"] != "box" || n0.Attrs["color"] != "gray" {
+	if lookup(n0.Attrs, "shape") != "box" || lookup(n0.Attrs, "color") != "gray" {
 		t.Errorf("defaults not applied: %v", n0.Attrs)
 	}
 	if len(g.Edges) != 2 {
 		t.Fatalf("edges = %d, want 2 (chain expansion)", len(g.Edges))
 	}
-	if g.Edges[1].Attrs["style"] != "dashed" {
+	if lookup(g.Edges[1].Attrs, "style") != "dashed" {
 		t.Errorf("chain edge attrs = %v", g.Edges[1].Attrs)
 	}
 }
@@ -176,19 +178,27 @@ func TestQuoteID(t *testing.T) {
 		"line\nfeed": `"line\nfeed"`,
 	}
 	for in, want := range cases {
-		if got := quoteID(in); got != want {
-			t.Errorf("quoteID(%q) = %s, want %s", in, got, want)
+		var b strings.Builder
+		writeID(&b, in)
+		if got := b.String(); got != want || quotedLen(in) != len(want) {
+			t.Errorf("writeID(%q) = %s (quotedLen %d), want %s", in, got, quotedLen(in), want)
 		}
 	}
 }
 
 func TestLargeGraphRoundTrip(t *testing.T) {
-	g := NewGraph("big")
+	var b strings.Builder
+	b.WriteString("digraph big {\n")
 	for i := 0; i < 1200; i++ {
-		g.AddNode(NodeID(i), map[string]string{"label": "instr"})
+		fmt.Fprintf(&b, "  %s [label=instr];\n", NodeID(i))
 		if i > 0 {
-			g.AddEdge(NodeID(i-1), NodeID(i), nil)
+			fmt.Fprintf(&b, "  %s -> %s;\n", NodeID(i-1), NodeID(i))
 		}
+	}
+	b.WriteString("}\n")
+	g, err := Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
 	}
 	back, err := Parse(g.Marshal())
 	if err != nil {
@@ -197,35 +207,42 @@ func TestLargeGraphRoundTrip(t *testing.T) {
 	if len(back.Nodes) != 1200 || len(back.Edges) != 1199 {
 		t.Errorf("round trip: %d nodes, %d edges", len(back.Nodes), len(back.Edges))
 	}
-}
-
-func BenchmarkDotMarshal(b *testing.B) {
-	g := NewGraph("bench")
-	for i := 0; i < 1000; i++ {
-		g.AddNode(NodeID(i), map[string]string{"label": "X_1 := algebra.thetaselect(X_0, \"=\", 1);"})
-		if i > 0 {
-			g.AddEdge(NodeID(i-1), NodeID(i), nil)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Marshal()
+	if g.index != nil || back.index != nil {
+		t.Error("a graph of nodes n0, n1, ... in order built a node index")
 	}
 }
 
-func BenchmarkDotParse(b *testing.B) {
-	g := NewGraph("bench")
-	for i := 0; i < 1000; i++ {
-		g.AddNode(NodeID(i), map[string]string{"label": "instr"})
-		if i > 0 {
-			g.AddEdge(NodeID(i-1), NodeID(i), nil)
+// TestRedeclarationCostsItsOwnAttributes: a statement that adds to a node
+// already declared costs memory for what it adds, not for a copy of the
+// node's attributes, so alternating redeclarations of two nodes with
+// many attributes stay linear in the input.
+func TestRedeclarationCostsItsOwnAttributes(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("digraph g {\n")
+	for _, id := range []string{"a", "b"} {
+		b.WriteString(id + " [")
+		for k := 0; k < 1000; k++ {
+			fmt.Fprintf(&b, "k%d=0, ", k)
 		}
+		b.WriteString("];\n")
 	}
-	text := g.Marshal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(text); err != nil {
-			b.Fatal(err)
-		}
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "a [y=%d]; b [y=%d];\n", i, i)
+	}
+	b.WriteString("}\n")
+	text := b.String()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := Parse(text)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(g.Nodes[0].Attrs); n != 1001 || lookup(g.Nodes[0].Attrs, "y") != "1999" {
+		t.Fatalf("a has %d attributes, y=%q", n, lookup(g.Nodes[0].Attrs, "y"))
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(100*len(text)); got > limit {
+		t.Errorf("parsing %d bytes allocated %d bytes, over %d", len(text), got, limit)
 	}
 }

@@ -2,20 +2,31 @@ package layout
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"stethoscope/internal/dot"
 )
 
-func chainGraph(n int) *dot.Graph {
-	g := dot.NewGraph("chain")
-	for i := 0; i < n; i++ {
-		g.AddNode(dot.NodeID(i), map[string]string{"label": fmt.Sprintf("instr %d", i)})
-		if i > 0 {
-			g.AddEdge(dot.NodeID(i-1), dot.NodeID(i), nil)
-		}
+// graphOf reads a test graph from dot statements; an edge declares its
+// endpoints.
+func graphOf(name string, stmts ...string) *dot.Graph {
+	g, err := dot.Parse("digraph " + name + " {\n" + strings.Join(stmts, ";\n") + "\n}\n")
+	if err != nil {
+		panic(err)
 	}
 	return g
+}
+
+func chainGraph(n int) *dot.Graph {
+	var stmts []string
+	for i := 0; i < n; i++ {
+		stmts = append(stmts, fmt.Sprintf("%s [label=\"instr %d\"]", dot.NodeID(i), i))
+		if i > 0 {
+			stmts = append(stmts, dot.NodeID(i-1)+" -> "+dot.NodeID(i))
+		}
+	}
+	return graphOf("chain", stmts...)
 }
 
 // ranks maps each node ID to its rank: the index of its row in Order.
@@ -61,12 +72,7 @@ func crossings(g *dot.Graph, lay *Layout) int {
 }
 
 func diamondGraph() *dot.Graph {
-	g := dot.NewGraph("diamond")
-	g.AddEdge("a", "b", nil)
-	g.AddEdge("a", "c", nil)
-	g.AddEdge("b", "d", nil)
-	g.AddEdge("c", "d", nil)
-	return g
+	return graphOf("diamond", "a -> b", "a -> c", "b -> d", "c -> d")
 }
 
 func TestChainRanks(t *testing.T) {
@@ -112,10 +118,11 @@ func overlap(a, b Rect) bool {
 }
 
 func TestNoOverlapsAnywhere(t *testing.T) {
-	g := dot.NewGraph("fan")
+	var stmts []string
 	for i := 0; i < 40; i++ {
-		g.AddEdge("root", fmt.Sprintf("leaf%02d", i), nil)
+		stmts = append(stmts, fmt.Sprintf("root -> leaf%02d", i))
 	}
+	g := graphOf("fan", stmts...)
 	lay, err := Compute(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -137,19 +144,14 @@ func TestNoOverlapsAnywhere(t *testing.T) {
 }
 
 func TestCycleRejected(t *testing.T) {
-	g := dot.NewGraph("cycle")
-	g.AddEdge("a", "b", nil)
-	g.AddEdge("b", "c", nil)
-	g.AddEdge("c", "a", nil)
+	g := graphOf("cycle", "a -> b", "b -> c", "c -> a")
 	if _, err := Compute(g, DefaultOptions()); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }
 
 func TestSelfLoopIgnored(t *testing.T) {
-	g := dot.NewGraph("self")
-	g.AddEdge("a", "a", nil)
-	g.AddEdge("a", "b", nil)
+	g := graphOf("self", "a -> a", "a -> b")
 	lay, err := Compute(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +162,7 @@ func TestSelfLoopIgnored(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	lay, err := Compute(dot.NewGraph("empty"), DefaultOptions())
+	lay, err := Compute(graphOf("empty"), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +174,16 @@ func TestEmptyGraph(t *testing.T) {
 func TestBarycenterReducesCrossings(t *testing.T) {
 	// Two-rank bipartite graph wired as a reversal: without ordering it
 	// has many crossings; barycenter ordering should eliminate most.
-	g := dot.NewGraph("bipartite")
 	const k = 8
+	var stmts []string
 	for i := 0; i < k; i++ {
-		g.AddNode(fmt.Sprintf("top%d", i), nil)
+		stmts = append(stmts, fmt.Sprintf("top%d", i))
 	}
 	for i := 0; i < k; i++ {
 		// bottom i connects to top (k-1-i): a full reversal.
-		g.AddEdge(fmt.Sprintf("top%d", k-1-i), fmt.Sprintf("bot%d", i), nil)
+		stmts = append(stmts, fmt.Sprintf("top%d -> bot%d", k-1-i, i))
 	}
+	g := graphOf("bipartite", stmts...)
 	zero, err := Compute(g, Options{CharWidth: 7, MinWidth: 40, MaxWidth: 400, NodeHeight: 28, HGap: 10, VGap: 30, Sweeps: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +195,7 @@ func TestBarycenterReducesCrossings(t *testing.T) {
 
 func TestLargeGraphUnder1000msAndCorrect(t *testing.T) {
 	// The paper's claim: graphs with >1000 nodes are supported.
-	g := dot.NewGraph("big")
+	var stmts []string
 	// A mitosis-like shape: 8 roots fanning to 64 partitions each, then
 	// packing back: 8 + 8*64*2 + 8 nodes.
 	id := 0
@@ -200,16 +203,14 @@ func TestLargeGraphUnder1000msAndCorrect(t *testing.T) {
 	for b := 0; b < 8; b++ {
 		bind := next()
 		pack := next()
-		g.AddNode(bind, map[string]string{"label": "sql.bind"})
-		g.AddNode(pack, map[string]string{"label": "mat.pack"})
+		stmts = append(stmts, bind+` [label="sql.bind"]`, pack+` [label="mat.pack"]`)
 		for p := 0; p < 64; p++ {
 			slice := next()
 			sel := next()
-			g.AddEdge(bind, slice, nil)
-			g.AddEdge(slice, sel, nil)
-			g.AddEdge(sel, pack, nil)
+			stmts = append(stmts, bind+" -> "+slice, slice+" -> "+sel, sel+" -> "+pack)
 		}
 	}
+	g := graphOf("big", stmts...)
 	if len(g.Nodes) <= 1000 {
 		t.Fatalf("test graph too small: %d", len(g.Nodes))
 	}
@@ -230,13 +231,7 @@ func TestLargeGraphUnder1000msAndCorrect(t *testing.T) {
 }
 
 func TestLabelWidthClamping(t *testing.T) {
-	g := dot.NewGraph("labels")
-	long := make([]byte, 500)
-	for i := range long {
-		long[i] = 'x'
-	}
-	g.AddNode("a", map[string]string{"label": string(long)})
-	g.AddNode("b", map[string]string{"label": "s"})
+	g := graphOf("labels", "a [label="+strings.Repeat("x", 500)+"]", "b [label=s]")
 	opt := DefaultOptions()
 	lay, err := Compute(g, opt)
 	if err != nil {

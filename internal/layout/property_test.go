@@ -11,16 +11,16 @@ import (
 // randomDAG builds a random layered DAG: edges always point from a lower
 // to a higher node index, guaranteeing acyclicity.
 func randomDAG(r *rand.Rand, nodes, edges int) *dot.Graph {
-	g := dot.NewGraph("random")
+	var stmts []string
 	for i := 0; i < nodes; i++ {
-		g.AddNode(fmt.Sprintf("v%d", i), map[string]string{"label": "op"})
+		stmts = append(stmts, fmt.Sprintf("v%d [label=op]", i))
 	}
 	for e := 0; e < edges; e++ {
 		a := r.Intn(nodes - 1)
 		b := a + 1 + r.Intn(nodes-a-1)
-		g.AddEdge(fmt.Sprintf("v%d", a), fmt.Sprintf("v%d", b), nil)
+		stmts = append(stmts, fmt.Sprintf("v%d -> v%d", a, b))
 	}
-	return g
+	return graphOf("random", stmts...)
 }
 
 // TestRandomDAGInvariants checks the layout invariants on many random

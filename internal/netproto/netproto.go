@@ -123,28 +123,26 @@ func (u *UDPStreamer) EmitBatch(evs []profiler.Event) {
 // packEvents marshals events and greedily packs them into payloads of
 // at most MaxDatagram bytes, calling emit once per payload.
 func packEvents(evs []profiler.Event, emit func(payload string)) {
-	var b strings.Builder
+	var buf []byte
 	n := 0
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		emit(b.String())
-		b.Reset()
-		n = 0
-	}
 	for _, e := range evs {
-		line := e.Marshal()
-		if n > 0 && b.Len()+1+len(line) > MaxDatagram {
-			flush()
-		}
+		start := len(buf)
 		if n > 0 {
-			b.WriteByte('\n')
+			buf = append(buf, '\n')
 		}
-		b.WriteString(line)
+		buf = e.AppendMarshal(buf)
+		if n > 0 && len(buf) > MaxDatagram {
+			// The line does not fit: send what precedes it and start the
+			// next payload with it.
+			emit(string(buf[:start]))
+			buf = append(buf[:0], buf[start+1:]...)
+			n = 0
+		}
 		n++
 	}
-	flush()
+	if n > 0 {
+		emit(string(buf))
+	}
 }
 
 // Hello announces the server to the client.

@@ -114,11 +114,14 @@ func TestConcurrentAccess(t *testing.T) {
 
 // TestBytesCountsMemoizedArtifacts: an entry's size grows by the dot
 // text once DotText renders it, and the cache total is the entries plus
-// their keys' statement text; a nil cache holds nothing.
+// their keys' statement text; a nil cache holds nothing. The plan has
+// run, so its statement memo, which the dot labels slice, is rendered
+// and counted already.
 func TestBytesCountsMemoizedArtifacts(t *testing.T) {
 	p := mal.NewPlan("q")
 	col := p.Emit1("sql", "bind", mal.TBATInt, p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("c")), p.ConstOf(mal.Int64(0)))
 	p.Emit0("sql", "resultSet", mal.VarArg(col))
+	p.CachedStmt(p.Instrs[0]) // as the engine does on every run
 	e := Entry{Plan: p, Aux: &Aux{}}
 	before := e.Bytes()
 	text := DotText(p, e.Aux)

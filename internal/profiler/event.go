@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // State is the instruction lifecycle state carried on an event.
@@ -64,22 +65,57 @@ type Event struct {
 // The format is the reproduction's stand-in for the MonetDB profiler's
 // stream records (Fig. 3): same fields, line-oriented, parseable.
 func (e Event) Marshal() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "event=%d status=%s pc=%d thread=%d clk=%d usec=%d rss=%d reads=%d writes=%d stmt=%s",
-		e.Seq, e.State, e.PC, e.Thread, e.ClkUs, e.DurUs, e.RSSKB, e.Reads, e.Writes,
-		strconv.Quote(e.Stmt))
-	return b.String()
+	var buf [160]byte
+	return string(e.AppendMarshal(buf[:0]))
+}
+
+// AppendMarshal appends the Marshal line to b, with no newline: the
+// writer of trace files and of the UDP event batches.
+func (e Event) AppendMarshal(b []byte) []byte {
+	b = append(b, "event="...)
+	b = strconv.AppendInt(b, e.Seq, 10)
+	b = append(b, " status="...)
+	b = append(b, e.State.String()...)
+	b = append(b, " pc="...)
+	b = strconv.AppendInt(b, int64(e.PC), 10)
+	b = append(b, " thread="...)
+	b = strconv.AppendInt(b, int64(e.Thread), 10)
+	b = append(b, " clk="...)
+	b = strconv.AppendInt(b, e.ClkUs, 10)
+	b = append(b, " usec="...)
+	b = strconv.AppendInt(b, e.DurUs, 10)
+	b = append(b, " rss="...)
+	b = strconv.AppendInt(b, e.RSSKB, 10)
+	b = append(b, " reads="...)
+	b = strconv.AppendInt(b, e.Reads, 10)
+	b = append(b, " writes="...)
+	b = strconv.AppendInt(b, e.Writes, 10)
+	b = append(b, " stmt="...)
+	return strconv.AppendQuote(b, e.Stmt)
 }
 
 // UnmarshalEvent parses a line produced by Marshal. Unknown keys are
 // ignored so the format can grow.
 func UnmarshalEvent(line string) (Event, error) {
+	var esc strings.Builder
+	return DecodeEvent(line, &esc)
+}
+
+// required names the fields every trace line carries, in the order a
+// missing one is reported.
+var required = [...]string{"event", "status", "pc"}
+
+// DecodeEvent is UnmarshalEvent for a reader of many lines. A quoted
+// value is a substring of line unless unquoting changes its bytes (an
+// escape, or invalid UTF-8); then it is decoded into esc, so a reader
+// that grows esc once shares one buffer among all its events.
+func DecodeEvent(line string, esc *strings.Builder) (Event, error) {
 	var e Event
 	rest := strings.TrimSpace(line)
 	if rest == "" {
 		return e, fmt.Errorf("profiler: empty trace line")
 	}
-	seen := map[string]bool{}
+	var seen [len(required)]bool
 	for len(rest) > 0 {
 		eq := strings.IndexByte(rest, '=')
 		if eq < 0 {
@@ -88,32 +124,33 @@ func UnmarshalEvent(line string) (Event, error) {
 		key := rest[:eq]
 		rest = rest[eq+1:]
 		var val string
-		if strings.HasPrefix(rest, `"`) {
-			unq, n, err := unquotePrefix(rest)
+		quoted := strings.HasPrefix(rest, `"`)
+		if quoted {
+			unq, n, err := unquotePrefix(rest, esc)
 			if err != nil {
 				return e, fmt.Errorf("profiler: bad quoted value for %s: %w", key, err)
 			}
 			val = unq
 			rest = strings.TrimLeft(rest[n:], " ")
-			if err := setField(&e, key, val, true); err != nil {
-				return e, err
-			}
-			seen[key] = true
-			continue
-		}
-		sp := strings.IndexByte(rest, ' ')
-		if sp < 0 {
-			val, rest = rest, ""
 		} else {
-			val, rest = rest[:sp], strings.TrimLeft(rest[sp:], " ")
+			sp := strings.IndexByte(rest, ' ')
+			if sp < 0 {
+				val, rest = rest, ""
+			} else {
+				val, rest = rest[:sp], strings.TrimLeft(rest[sp:], " ")
+			}
 		}
-		if err := setField(&e, key, val, false); err != nil {
+		if err := setField(&e, key, val, quoted); err != nil {
 			return e, err
 		}
-		seen[key] = true
+		for i, req := range required {
+			if key == req {
+				seen[i] = true
+			}
+		}
 	}
-	for _, req := range []string{"event", "status", "pc"} {
-		if !seen[req] {
+	for i, req := range required {
+		if !seen[i] {
 			return e, fmt.Errorf("profiler: trace line missing %s field", req)
 		}
 	}
@@ -193,22 +230,63 @@ func setField(e *Event, key, val string, quoted bool) error {
 }
 
 // unquotePrefix unquotes the leading Go-quoted string of s and returns
-// the value plus the number of input bytes consumed.
-func unquotePrefix(s string) (string, int, error) {
+// the value plus the number of input bytes consumed, decoding into esc
+// only when unquoting changes the bytes.
+func unquotePrefix(s string, esc *strings.Builder) (string, int, error) {
 	if !strings.HasPrefix(s, `"`) {
 		return "", 0, fmt.Errorf("not quoted")
 	}
+	plain := true // no escape, newline or non-ASCII byte so far
 	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
+		switch c := s[i]; {
+		case c == '\\':
+			plain = false
 			i++
-		case '"':
-			unq, err := strconv.Unquote(s[:i+1])
+		case c == '"':
+			if plain {
+				return s[1:i], i + 1, nil
+			}
+			unq, err := unquote(s[1:i], esc)
 			if err != nil {
 				return "", 0, err
 			}
 			return unq, i + 1, nil
+		case c == '\n' || c >= utf8.RuneSelf:
+			plain = false
 		}
 	}
 	return "", 0, fmt.Errorf("unterminated quote")
+}
+
+// unquote is strconv.Unquote of a double-quoted string with the given
+// body, which holds no unescaped quote: the same value and the same
+// verdict, decoded into esc instead of a string of its own.
+func unquote(body string, esc *strings.Builder) (string, error) {
+	if strings.IndexByte(body, '\\') < 0 && strings.IndexByte(body, '\n') < 0 && utf8.ValidString(body) {
+		return body, nil
+	}
+	esc.Grow(len(body))
+	start := esc.Len()
+	for in := body; len(in) > 0; {
+		// A run of plain ASCII unquotes to itself.
+		j := 0
+		for j < len(in) && in[j] != '\\' && in[j] != '\n' && in[j] != '"' && in[j] < utf8.RuneSelf {
+			j++
+		}
+		esc.WriteString(in[:j])
+		if in = in[j:]; len(in) == 0 {
+			break
+		}
+		r, multibyte, rest, err := strconv.UnquoteChar(in, '"')
+		if in[0] == '\n' || err != nil {
+			return "", strconv.ErrSyntax
+		}
+		in = rest
+		if r < utf8.RuneSelf || !multibyte {
+			esc.WriteByte(byte(r))
+		} else {
+			esc.WriteRune(r)
+		}
+	}
+	return esc.String()[start:], nil
 }

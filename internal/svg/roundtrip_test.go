@@ -145,7 +145,7 @@ func TestDocFromLayoutMatchesRoundTrip(t *testing.T) {
 		}
 	}
 
-	hostile := dot.NewGraph("hostile")
+	hostile := &dot.Graph{Name: "hostile"}
 	for i, label := range []string{
 		`<&">`,
 		`it's "quoted" & <tagged> ]]>`,
@@ -156,19 +156,21 @@ func TestDocFromLayoutMatchesRoundTrip(t *testing.T) {
 		"  padded  ",
 		"control \x01 and invalid \xff\xfe utf-8, U+FFFD \uFFFD kept, U+FFFF \uFFFF not",
 	} {
-		hostile.AddNode(fmt.Sprintf("n%d", i), map[string]string{"label": label})
+		hostile.Nodes = append(hostile.Nodes, labelled(fmt.Sprintf("n%d", i), label))
 	}
-	hostile.AddNode(`id "with" <markup> & 'quotes'`, nil)
-	hostile.AddNode("", map[string]string{"label": "empty id"})
-	hostile.AddNode("bad\x02id\xff", nil)
-	hostile.AddEdge("n0", "n1", nil)
-	hostile.AddEdge("n0", "n2", nil)
-	hostile.AddEdge("n2", `id "with" <markup> & 'quotes'`, nil)
-	// A graph built by hand can repeat an ID; the document keeps the last.
 	hostile.Nodes = append(hostile.Nodes,
-		&dot.Node{ID: "n1", Attrs: map[string]string{"label": "second n1"}},
-		&dot.Node{ID: "n1", Attrs: map[string]string{"label": "third n1"}})
+		dot.Node{ID: `id "with" <markup> & 'quotes'`},
+		labelled("", "empty id"),
+		dot.Node{ID: "bad\x02id\xff"})
+	hostile.Edges = []dot.Edge{{From: "n0", To: "n1"}, {From: "n0", To: "n2"}, {From: "n2", To: `id "with" <markup> & 'quotes'`}}
+	// A graph built by hand can repeat an ID; the document keeps the last.
+	hostile.Nodes = append(hostile.Nodes, labelled("n1", "second n1"), labelled("n1", "third n1"))
 	checkRoundTrip(t, hostile)
+}
+
+// labelled is a node with one attribute, its label.
+func labelled(id, label string) dot.Node {
+	return dot.Node{ID: id, Attrs: []dot.Attr{{Key: "label", Value: label}}}
 }
 
 // seedGraphs are the bundled queries' plans, small enough to mutate.
@@ -222,7 +224,7 @@ func FuzzDocRoundTrip(f *testing.F) {
 		n := 1 + int(data[0])%8
 		data = data[1:]
 		chunk := len(data)/n + 1
-		g := dot.NewGraph("fuzz")
+		g := &dot.Graph{Name: "fuzz"}
 		ids := make([]string, n)
 		for i := range ids {
 			label := data[min(i*chunk, len(data)):min((i+1)*chunk, len(data))]
@@ -230,13 +232,19 @@ func FuzzDocRoundTrip(f *testing.F) {
 			if len(label) > 0 && label[0]%5 == 0 { // an ID from the input, possibly a repeat or empty
 				ids[i] = string(label[1:min(len(label), 4)])
 			}
-			g.AddNode(ids[i], map[string]string{"label": string(label)})
+			g.Nodes = append(g.Nodes, labelled(ids[i], string(label)))
 		}
 		for i := 0; i+1 < len(data) && i < 32; i += 2 {
 			from, to := int(data[i])%n, int(data[i+1])%n
 			if from < to { // forward edges only: the layout wants a DAG
-				g.AddEdge(ids[from], ids[to], nil)
+				g.Edges = append(g.Edges, dot.Edge{From: ids[from], To: ids[to]})
 			}
+		}
+		// Read the graph back from its dot text, where a repeated ID
+		// names one node, as in any dot file.
+		g, err := dot.Parse(g.Marshal())
+		if err != nil {
+			t.Fatal(err)
 		}
 		checkRoundTrip(t, g)
 	})

@@ -116,10 +116,14 @@ func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
 			fixed(t.CenterX()+pad, 10), fixed(t.Y+pad, 10),
 		}
 	}
-	// Deterministic order.
-	nodes := slices.Clone(g.Nodes)
-	slices.SortFunc(nodes, func(a, b *dot.Node) int { return strings.Compare(a.ID, b.ID) })
-	for i, n := range nodes {
+	// Deterministic order: by node ID.
+	order := make([]int32, len(g.Nodes))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(g.Nodes[a].ID, g.Nodes[b].ID) })
+	for i, k := range order {
+		n := &g.Nodes[k]
 		r, ok := lay.Positions[n.ID]
 		if !ok {
 			return nil, fmt.Errorf("svg: node %s not laid out", n.ID)

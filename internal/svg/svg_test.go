@@ -12,12 +12,19 @@ import (
 	"stethoscope/internal/layout"
 )
 
+// mustParse reads a test graph from dot text.
+func mustParse(t testing.TB, text string) *dot.Graph {
+	t.Helper()
+	g, err := dot.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func renderSample(t testing.TB, fills map[string]string) (string, *dot.Graph, *layout.Layout) {
 	t.Helper()
-	g := dot.NewGraph("sample")
-	g.AddNode("n0", map[string]string{"label": "X_0 := sql.bind();"})
-	g.AddNode("n1", map[string]string{"label": "X_1 := algebra.select(X_0);"})
-	g.AddEdge("n0", "n1", nil)
+	g := mustParse(t, `digraph sample { n0 [label="X_0 := sql.bind();"]; n1 [label="X_1 := algebra.select(X_0);"]; n0 -> n1; }`)
 	lay, err := layout.Compute(g, layout.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +88,7 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	g := dot.NewGraph("esc")
-	g.AddNode("n0", map[string]string{"label": `a < b & "c"`})
+	g := mustParse(t, `digraph esc { n0 [label="a < b & \"c\""]; }`)
 	lay, err := layout.Compute(g, layout.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +107,8 @@ func TestLabelEscaping(t *testing.T) {
 }
 
 func TestTruncateLongLabels(t *testing.T) {
-	g := dot.NewGraph("long")
 	long := strings.Repeat("abcdefgh", 50)
-	g.AddNode("n0", map[string]string{"label": long})
+	g := mustParse(t, "digraph long { n0 [label="+long+"]; }")
 	lay, err := layout.Compute(g, layout.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +130,7 @@ func TestTruncateLongLabels(t *testing.T) {
 }
 
 func TestRenderErrorOnMissingLayout(t *testing.T) {
-	g := dot.NewGraph("bad")
-	g.AddNode("n0", nil)
+	g := mustParse(t, "digraph bad { n0; }")
 	empty := &layout.Layout{Positions: map[string]layout.Rect{}}
 	if _, err := RenderString(g, empty, nil, DefaultStyle()); err == nil {
 		t.Error("missing layout accepted")
@@ -140,7 +144,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 }
 
 func TestEmptyGraphRenders(t *testing.T) {
-	g := dot.NewGraph("empty")
+	g := mustParse(t, "digraph empty {}")
 	lay, _ := layout.Compute(g, layout.DefaultOptions())
 	out, err := RenderString(g, lay, nil, DefaultStyle())
 	if err != nil {
@@ -173,8 +177,7 @@ func TestTruncateLabelCutsBetweenCharacters(t *testing.T) {
 		t.Errorf("eight-character label = %q, want it whole", got)
 	}
 
-	g := dot.NewGraph("utf8")
-	g.AddNode("n0", map[string]string{"label": strings.Repeat("é", 200)})
+	g := mustParse(t, `digraph utf8 { n0 [label="`+strings.Repeat("é", 200)+`"]; }`)
 	lay, err := layout.Compute(g, layout.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,18 +60,30 @@ func bundledTraces(tb testing.TB) []string {
 }
 
 // FuzzTraceLoad: trace text arrives from outside the program (offline
-// mode reads files). No input may panic Load, and whatever loads
-// re-serialises through the trace-file writer to text that loads to the
-// same events.
+// mode reads files). No input may panic LoadString; LoadString and the
+// reference reader (ref_load_test.go) accept the same inputs and read
+// them to the same events; and whatever loads re-serialises through the
+// trace-file writer to text that loads to the same events.
 func FuzzTraceLoad(f *testing.F) {
 	for _, text := range bundledTraces(f) {
 		f.Add(text)
 	}
 	f.Add("# comment\n\nevent=0 status=start pc=-3 stmt=\"\\xff\" extra=1\r\nevent=1 status=\"done\" pc=2 usec=+7 stmt=\"a\"\n")
+	f.Add("event=0 status=start pc=1 stmt=\"q\\\"uote back\\\\slash line\\nfeed \\u00e9\"\r\n  # indented comment\r\n" +
+		"event=1 status=done pc=1 stmt=\"raw \xff byte\" unknown=\"x y\"")
+	f.Add("event=0 status=start pc=1 unknown=\"\\q\"")
+	f.Add("event=0 status=start pc=1 stmt=\"a\nb\"")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := trace.LoadString(text)
+		ref, refErr := refLoad(strings.NewReader(text))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("LoadString error %v, reference error %v, on %q", err, refErr, text)
+		}
 		if err != nil {
 			return
+		}
+		if !slices.Equal(s.Events(), ref.Events()) {
+			t.Fatalf("LoadString read %+v, reference %+v", s.Events(), ref.Events())
 		}
 		var b strings.Builder
 		if err := trace.Write(&b, s.Events()); err != nil {

@@ -102,45 +102,56 @@ func (s *Store) idxsOf(pc int) []int {
 	return s.sparse[pc]
 }
 
-// Load parses a trace file: one marshaled event per line, blank lines and
-// '#' comments skipped.
-func Load(r io.Reader) (*Store, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var events []profiler.Event
+// LoadString parses a trace file: one marshaled event per line, blank
+// lines and '#' comments skipped. It is one pass over s: lines are
+// substrings of it, the event slice is sized from its line count, and an
+// event's statement is a substring of s unless its quoted form has an
+// escape, in which case it is decoded into one buffer shared by the
+// whole trace. The store therefore keeps s alive.
+func LoadString(s string) (*Store, error) {
+	// No line shorter than "event=0 status=done pc=0" is an event, so
+	// that bounds the count as much as the newlines do.
+	n := min(strings.Count(s, "\n")+1, len(s)/len("event=0 status=done pc=0")+1)
+	events := make([]profiler.Event, 0, n)
+	var esc strings.Builder
 	lineno := 0
-	for sc.Scan() {
+	for start, next := 0, 0; start < len(s); start = next {
+		line := s[start:]
+		next = len(s)
+		if nl := strings.IndexByte(line, '\n'); nl >= 0 {
+			line, next = line[:nl], start+nl+1
+		}
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		e, err := profiler.UnmarshalEvent(line)
+		if esc.Cap() == 0 && strings.IndexByte(line, '\\') >= 0 {
+			// A decoded value is never longer than its quoted form
+			// (short of invalid UTF-8), so the rest of s bounds them all.
+			esc.Grow(len(s) - start)
+		}
+		e, err := profiler.DecodeEvent(line, &esc)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineno, err)
 		}
 		events = append(events, e)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return FromEvents(events), nil
+	return FromEventsOwned(events), nil
 }
 
 // Write writes events as a trace file, one marshaled event per line —
-// the format Load reads back. It is the only trace-file writer: results,
-// stored runs and the server's HISTORY TRACE all go through it.
+// the format LoadString reads back. It is the only trace-file writer:
+// results, stored runs and the server's HISTORY TRACE all go through it.
 func Write(w io.Writer, events []profiler.Event) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, e := range events {
-		bw.WriteString(e.Marshal())
-		bw.WriteByte('\n')
+		line = append(e.AppendMarshal(line[:0]), '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }
-
-// LoadString is Load over a string.
-func LoadString(s string) (*Store, error) { return Load(strings.NewReader(s)) }
 
 // Len returns the event count.
 func (s *Store) Len() int { return len(s.events) }
@@ -180,15 +191,14 @@ type Mapping struct {
 
 // MapToGraph resolves every traced pc against the graph.
 func MapToGraph(s *Store, g *dot.Graph) Mapping {
-	m := Mapping{NodeOf: map[int]string{}}
+	m := Mapping{NodeOf: make(map[int]string, len(s.pcs))}
 	for _, pc := range s.pcs {
-		id := dot.NodeID(pc)
-		node, ok := g.Node(id)
+		node, ok := g.PCNode(pc)
 		if !ok {
 			m.Unmatched = append(m.Unmatched, pc)
 			continue
 		}
-		m.NodeOf[pc] = id
+		m.NodeOf[pc] = node.ID
 		stmt := ""
 		for _, i := range s.idxsOf(pc) {
 			if s.events[i].Stmt != "" {
@@ -196,7 +206,7 @@ func MapToGraph(s *Store, g *dot.Graph) Mapping {
 				break
 			}
 		}
-		if stmt != "" && node.Label() != "" && stmt != node.Label() {
+		if label := node.Label(); stmt != "" && label != "" && stmt != label {
 			m.LabelMismatches = append(m.LabelMismatches, pc)
 		}
 	}

@@ -84,8 +84,10 @@ func TestMappingMatchesPaperConvention(t *testing.T) {
 }
 
 func TestMappingDetectsUnmatchedAndMismatched(t *testing.T) {
-	g := dot.NewGraph("g")
-	g.AddNode("n0", map[string]string{"label": "real stmt"})
+	g, err := dot.Parse(`digraph g { n0 [label="real stmt"]; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := FromEvents([]profiler.Event{
 		{Seq: 0, State: profiler.StateStart, PC: 0, Stmt: "different stmt"},
 		{Seq: 1, State: profiler.StateStart, PC: 7, Stmt: "x"},
@@ -98,6 +100,31 @@ func TestMappingDetectsUnmatchedAndMismatched(t *testing.T) {
 		t.Errorf("Unmatched = %v", m.Unmatched)
 	}
 	if len(m.LabelMismatches) != 1 || m.LabelMismatches[0] != 0 {
+		t.Errorf("LabelMismatches = %v", m.LabelMismatches)
+	}
+}
+
+// TestMappingIndexedGraph maps pcs onto a graph whose nodes are not
+// n0, n1, ... in order, so pcs resolve through the node index.
+func TestMappingIndexedGraph(t *testing.T) {
+	g, err := dot.Parse(`digraph g { x; n2 [label=b]; n0 [label=a]; n007; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := FromEvents([]profiler.Event{
+		{Seq: 0, State: profiler.StateStart, PC: 0, Stmt: "a"},
+		{Seq: 1, State: profiler.StateStart, PC: 2, Stmt: "b"},
+		{Seq: 2, State: profiler.StateStart, PC: 7},
+		{Seq: 3, State: profiler.StateStart, PC: 3},
+	})
+	m := MapToGraph(s, g)
+	if m.NodeOf[0] != "n0" || m.NodeOf[2] != "n2" || len(m.NodeOf) != 2 {
+		t.Errorf("NodeOf = %v", m.NodeOf)
+	}
+	if len(m.Unmatched) != 2 || m.Unmatched[0] != 3 || m.Unmatched[1] != 7 {
+		t.Errorf("Unmatched = %v", m.Unmatched)
+	}
+	if len(m.LabelMismatches) != 0 {
 		t.Errorf("LabelMismatches = %v", m.LabelMismatches)
 	}
 }

@@ -14,10 +14,10 @@ import (
 // with one edge.
 func twoNodeSpace(t testing.TB) *VirtualSpace {
 	t.Helper()
-	g := dot.NewGraph("pair")
-	g.AddNode("n0", map[string]string{"label": "first"})
-	g.AddNode("n1", map[string]string{"label": "second"})
-	g.AddEdge("n0", "n1", nil)
+	g, err := dot.Parse("digraph pair { n0 [label=first]; n1 [label=second]; n0 -> n1; }")
+	if err != nil {
+		t.Fatal(err)
+	}
 	lay, err := layout.Compute(g, layout.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

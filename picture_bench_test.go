@@ -1,20 +1,85 @@
 package stethoscope
 
-import "testing"
+import (
+	"testing"
+
+	"stethoscope/internal/dot"
+	"stethoscope/internal/mal"
+	"stethoscope/internal/trace"
+)
 
 // The numbers bench/ cannot see: allocations and time of the client half
 // on the largest pair the benchmark walks (Q3 at 64 partitions, ~2300
-// nodes), as go-test benchmarks with allocation ceilings beside them.
+// nodes), and of the plan's picture formats on a bundled plan (Q6 at 64
+// partitions, ~1000 nodes), as go-test benchmarks with allocation
+// ceilings beside them.
 
 func mustPicturePair(tb testing.TB) (dotText, traceText string) {
+	tb.Helper()
+	res := mustPictureRun(tb, "Q3")
+	return res.Dot(), res.TraceText()
+}
+
+// mustPictureRun executes a bundled query at 64 partitions.
+func mustPictureRun(tb testing.TB, id string) *Result {
 	tb.Helper()
 	db, err := Open(WithScaleFactor(0.01), WithWorkers(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer db.Close()
-	res := execBundled(tb, db, "Q3", 64)
-	return res.Dot(), res.TraceText()
+	return execBundled(tb, db, id, 64)
+}
+
+// formatsPlan is Q6 at 64 partitions: its executed plan, its dot text
+// and its trace text.
+func formatsPlan(tb testing.TB) (plan *mal.Plan, dotText, traceText string) {
+	tb.Helper()
+	res := mustPictureRun(tb, "Q6")
+	return res.prep.Plan, res.Dot(), res.TraceText()
+}
+
+func BenchmarkDotParse(b *testing.B) {
+	_, dotText, _ := formatsPlan(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(dotText)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dot.Parse(dotText); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDotMarshal(b *testing.B) {
+	plan, _, _ := formatsPlan(b)
+	g := dot.Export(plan)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pictureSink = len(g.Marshal())
+	}
+}
+
+func BenchmarkDotExport(b *testing.B) {
+	plan, _, _ := formatsPlan(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pictureSink = len(dot.Export(plan).Marshal())
+	}
+}
+
+func BenchmarkTraceLoad(b *testing.B) {
+	_, _, traceText := formatsPlan(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(traceText)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.LoadString(traceText); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // timeToPicture is the picture half of the benchmark's analyze-offline
@@ -64,14 +129,15 @@ func BenchmarkRepaint(b *testing.B) {
 }
 
 // TestPictureAllocCeilings holds the two allocation counts where the
-// retained document put them. Before it, the whole op on this pair made
-// 488 738 allocations (render to text, parse the text back, re-render
-// per paint) and a repaint several per node; the ceilings are a quarter
-// of the former and a constant for the latter.
+// retained document and the slab readers put them. Before the retained
+// document, the whole op on this pair made 488 738 allocations (render to
+// text, parse the text back, re-render per paint), and 89 453 before the
+// readers built slabs over their input; the ceiling is half of the
+// latter. A repaint makes a constant number.
 func TestPictureAllocCeilings(t *testing.T) {
 	dotText, traceText := mustPicturePair(t)
-	if got := testing.AllocsPerRun(3, func() { pictureSink = timeToPicture(t, dotText, traceText) }); got > 488738/4 {
-		t.Errorf("open + paint + recolour + paint: %.0f allocs/op, ceiling %d", got, 488738/4)
+	if got := testing.AllocsPerRun(3, func() { pictureSink = timeToPicture(t, dotText, traceText) }); got > 45000 {
+		t.Errorf("open + paint + recolour + paint: %.0f allocs/op, ceiling 45000", got)
 	}
 	a, err := OpenOffline(dotText, traceText)
 	if err != nil {
@@ -89,5 +155,33 @@ func TestPictureAllocCeilings(t *testing.T) {
 	})
 	if repaint > 4 {
 		t.Errorf("repaint of %d nodes: %.0f allocs/op, want O(1) (at most 4)", a.Nodes(), repaint)
+	}
+}
+
+// TestPictureReaderAllocs holds the plan's picture formats to a constant
+// number of allocations, whatever the plan's size: each reader builds its
+// slabs over the input text (39 303 allocations for dot.Parse and 16 047
+// for trace.LoadString on this pair before), and the dot writer builds
+// them from the integer plan (about 26 000 on Q6 at 64 partitions
+// before).
+func TestPictureReaderAllocs(t *testing.T) {
+	dotText, traceText := mustPicturePair(t)
+	if got := testing.AllocsPerRun(3, func() {
+		if _, err := dot.Parse(dotText); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 64 {
+		t.Errorf("dot.Parse: %.0f allocs/op, ceiling 64", got)
+	}
+	if got := testing.AllocsPerRun(3, func() {
+		if _, err := trace.LoadString(traceText); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 64 {
+		t.Errorf("trace.LoadString: %.0f allocs/op, ceiling 64", got)
+	}
+	plan, _, _ := formatsPlan(t)
+	if got := testing.AllocsPerRun(3, func() { pictureSink = len(dot.Export(plan).Marshal()) }); got >= 100 {
+		t.Errorf("dot.Export(plan).Marshal(): %.0f allocs/op, want under 100", got)
 	}
 }
