@@ -158,13 +158,13 @@ func (a *Analysis) MappingSummary() string {
 // RenderGraph renders the plan graph with the active coloring — the
 // display window.
 func (a *Analysis) RenderGraph(o RenderOptions) string {
-	return ascii.RenderGraph(a.sess.Graph, a.sess.Layout, a.colors.Fills(), o)
+	return ascii.RenderGraph(a.sess.Graph, a.sess.Layout, a.colors.Fill(a.sess.Graph), o)
 }
 
 // RenderReplay renders the plan graph with the replay controller's
 // current node states instead of the coloring.
 func (a *Analysis) RenderReplay(o RenderOptions) string {
-	return ascii.RenderGraph(a.sess.Graph, a.sess.Layout, a.sess.Fills(), o)
+	return ascii.RenderGraph(a.sess.Graph, a.sess.Layout, a.sess.Fill, o)
 }
 
 // SVG renders the colored display window as an SVG document. The glyph

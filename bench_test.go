@@ -126,8 +126,8 @@ func TestF2Over1000Nodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lay.Positions) != len(g.Nodes) {
-		t.Fatalf("laid out %d of %d nodes", len(lay.Positions), len(g.Nodes))
+	if len(lay.Rects) != len(g.Nodes) {
+		t.Fatalf("laid out %d of %d nodes", len(lay.Rects), len(g.Nodes))
 	}
 	rendered, err := svg.RenderString(g, lay, nil, svg.DefaultStyle())
 	if err != nil {
@@ -283,15 +283,20 @@ func BenchmarkE5Coloring(b *testing.B) {
 
 // --- E6: the 150 ms render-queue dispatch ceiling ---------------------
 
-func TestE6DispatchDelayCeiling(t *testing.T) {
-	vs := zvtm.NewVirtualSpace("e6")
-	for i := 0; i < 64; i++ {
-		vs.Add(&zvtm.Glyph{ID: fmt.Sprintf("shape:n%d", i), Kind: zvtm.ShapeGlyph, NodeID: fmt.Sprintf("n%d", i), W: 10, H: 10})
+// e6Space is a glyph space of n unplaced nodes.
+func e6Space(tb testing.TB, n int) *zvtm.VirtualSpace {
+	vs, err := zvtm.FromSVG("e6", &svg.Doc{Nodes: make([]svg.NodeBox, n)})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	q := zvtm.NewRenderQueue(vs, 0) // paper default: 150 ms
+	return vs
+}
+
+func TestE6DispatchDelayCeiling(t *testing.T) {
+	q := zvtm.NewRenderQueue(e6Space(t, 64), 0) // paper default: 150 ms
 	t0 := time.Unix(0, 0)
 	for i := 0; i < 64; i++ {
-		q.Enqueue(fmt.Sprintf("n%d", i), "#e03131", t0)
+		q.Enqueue(i, "#e03131", t0)
 	}
 	q.Flush(t0.Add(time.Minute))
 	delays := q.InterRenderDelays()
@@ -306,13 +311,11 @@ func TestE6DispatchDelayCeiling(t *testing.T) {
 }
 
 func BenchmarkE6RenderQueue(b *testing.B) {
-	vs := zvtm.NewVirtualSpace("e6")
-	vs.Add(&zvtm.Glyph{ID: "shape:n0", Kind: zvtm.ShapeGlyph, NodeID: "n0", W: 10, H: 10})
-	q := zvtm.NewRenderQueue(vs, time.Microsecond)
+	q := zvtm.NewRenderQueue(e6Space(b, 1), time.Microsecond)
 	t0 := time.Unix(0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Enqueue("n0", "#2f9e44", t0.Add(time.Duration(i)))
+		q.Enqueue(0, "#2f9e44", t0.Add(time.Duration(i)))
 		q.Flush(t0.Add(time.Duration(i) + time.Millisecond))
 	}
 }

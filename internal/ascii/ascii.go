@@ -59,9 +59,10 @@ func marker(hex string) byte {
 }
 
 // RenderGraph draws the laid-out graph rank by rank. Each node renders
-// as [id|m] where m is its state marker; horizontal placement follows the
-// layout proportionally, so the picture preserves the plan's shape.
-func RenderGraph(g *dot.Graph, lay *layout.Layout, fills map[string]string, opt Options) string {
+// as [id|m] where m is the state marker of its fill, fill(i) for node i;
+// horizontal placement follows the layout proportionally, so the picture
+// preserves the plan's shape.
+func RenderGraph(g *dot.Graph, lay *layout.Layout, fill func(i int) string, opt Options) string {
 	if opt.Width < 40 {
 		opt.Width = 40
 	}
@@ -81,9 +82,9 @@ func RenderGraph(g *dot.Graph, lay *layout.Layout, fills map[string]string, opt 
 			fill  string
 		}
 		var spans []span
-		for _, id := range row {
-			rect := lay.Positions[id]
-			token := "[" + id + string(marker(fills[id])) + "]"
+		for _, v := range row {
+			rect, f := lay.Rects[v], fill(int(v))
+			token := "[" + g.Nodes[v].ID + string(marker(f)) + "]"
 			at := int(rect.CenterX()*scale) - len(token)/2
 			if at < 0 {
 				at = 0
@@ -91,7 +92,7 @@ func RenderGraph(g *dot.Graph, lay *layout.Layout, fills map[string]string, opt 
 			if at+len(token) > opt.Width {
 				at = opt.Width - len(token)
 			}
-			spans = append(spans, span{at: at, token: token, fill: fills[id]})
+			spans = append(spans, span{at: at, token: token, fill: f})
 		}
 		sort.Slice(spans, func(i, j int) bool { return spans[i].at < spans[j].at })
 		// Resolve collisions by pushing right.

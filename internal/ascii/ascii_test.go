@@ -24,7 +24,7 @@ func sampleLayout(t testing.TB) (*dot.Graph, *layout.Layout) {
 
 func TestRenderGraphPlain(t *testing.T) {
 	g, lay := sampleLayout(t)
-	out := RenderGraph(g, lay, nil, DefaultOptions())
+	out := RenderGraph(g, lay, core.Coloring{}.Fill(g), DefaultOptions())
 	for _, want := range []string{"[n0 ]", "[n1 ]", "[n2 ]", "3 nodes, 2 edges"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -42,11 +42,8 @@ func TestRenderGraphPlain(t *testing.T) {
 
 func TestRenderGraphStateMarkers(t *testing.T) {
 	g, lay := sampleLayout(t)
-	fills := map[string]string{
-		"n0": string(core.ColorGreen),
-		"n1": string(core.ColorRed),
-	}
-	out := RenderGraph(g, lay, fills, DefaultOptions())
+	fill := core.Coloring{0: core.ColorGreen, 1: core.ColorRed}.Fill(g)
+	out := RenderGraph(g, lay, fill, DefaultOptions())
 	if !strings.Contains(out, "[n0+]") {
 		t.Errorf("done marker missing:\n%s", out)
 	}
@@ -57,8 +54,8 @@ func TestRenderGraphStateMarkers(t *testing.T) {
 
 func TestRenderGraphANSI(t *testing.T) {
 	g, lay := sampleLayout(t)
-	fills := map[string]string{"n1": string(core.ColorRed)}
-	out := RenderGraph(g, lay, fills, Options{Width: 100, ANSI: true})
+	fill := core.Coloring{1: core.ColorRed}.Fill(g)
+	out := RenderGraph(g, lay, fill, Options{Width: 100, ANSI: true})
 	if !strings.Contains(out, "\x1b[41") || !strings.Contains(out, "\x1b[0m") {
 		t.Errorf("no ANSI escapes:\n%q", out)
 	}
@@ -70,14 +67,14 @@ func TestRenderGraphEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay, _ := layout.Compute(g, layout.DefaultOptions())
-	if out := RenderGraph(g, lay, nil, DefaultOptions()); !strings.Contains(out, "empty") {
+	if out := RenderGraph(g, lay, core.Coloring{}.Fill(g), DefaultOptions()); !strings.Contains(out, "empty") {
 		t.Errorf("empty render = %q", out)
 	}
 }
 
 func TestRenderGraphNarrowWidthClamped(t *testing.T) {
 	g, lay := sampleLayout(t)
-	out := RenderGraph(g, lay, nil, Options{Width: 1})
+	out := RenderGraph(g, lay, core.Coloring{}.Fill(g), Options{Width: 1})
 	if out == "" {
 		t.Fatal("no output at clamped width")
 	}

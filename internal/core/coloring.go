@@ -164,14 +164,15 @@ func rampHex(f float64) string {
 	return fmt.Sprintf("#ff%02x%02x", g, g)
 }
 
-// Fills converts a coloring to the node-fill map consumed by the svg
-// renderer, using the paper's nN node-id convention.
-func (c Coloring) Fills() map[string]string {
-	out := make(map[string]string, len(c))
+// Fill returns the per-node display fill of g under the coloring: node
+// i takes the color of the instruction whose node it is ("" when
+// uncolored).
+func (c Coloring) Fill(g *dot.Graph) func(i int) string {
+	fills := make([]string, len(g.Nodes))
 	for pc, color := range c {
-		if color != ColorNone {
-			out[dot.NodeID(pc)] = string(color)
+		if i, ok := g.PCNode(pc); ok {
+			fills[i] = string(color)
 		}
 	}
-	return out
+	return func(i int) string { return fills[i] }
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"stethoscope/internal/dot"
 	"stethoscope/internal/profiler"
 )
 
@@ -138,14 +139,19 @@ func TestGradientColoring(t *testing.T) {
 	}
 }
 
+// A coloring fills the node of each pc it names, through the graph's
+// own pc-to-node link, and leaves every other node uncolored.
 func TestColoringFills(t *testing.T) {
-	c := Coloring{3: ColorRed, 7: ColorGreen, 9: ColorNone}
-	fills := c.Fills()
-	if fills["n3"] != string(ColorRed) || fills["n7"] != string(ColorGreen) {
-		t.Errorf("fills = %v", fills)
+	g, err := dot.Parse(`digraph g { x; n9; n7; n3; n1 }`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := fills["n9"]; ok {
-		t.Error("uncolored pc in fills")
+	fill := Coloring{3: ColorRed, 7: ColorGreen, 9: ColorNone, 42: ColorRed}.Fill(g)
+	want := []string{"", "", string(ColorGreen), string(ColorRed), ""}
+	for i, w := range want {
+		if got := fill(i); got != w {
+			t.Errorf("node %s fill %q, want %q", g.Nodes[i].ID, got, w)
+		}
 	}
 }
 

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"stethoscope/internal/dot"
 	"stethoscope/internal/profiler"
-	"stethoscope/internal/trace"
-	"stethoscope/internal/zvtm"
 )
 
 // Replay is the offline trace-replay controller: "Fast-forward, rewind,
@@ -16,25 +13,17 @@ import (
 // trace store and drives node coloring through the render queue, exactly
 // as the online mode would.
 type Replay struct {
-	store *trace.Store
-	queue *zvtm.RenderQueue
-	pos   int // next event index to apply
+	s   *Session
+	pos int // next event index to apply
 	// paused gates Play-driven advancement; Step works regardless.
 	paused bool
-	// colored tracks nodes tinted so far, so Rewind can recompute.
-	vs *zvtm.VirtualSpace
-}
-
-// NewReplay wires a trace to a virtual space through a render queue.
-func NewReplay(store *trace.Store, vs *zvtm.VirtualSpace, queue *zvtm.RenderQueue) *Replay {
-	return &Replay{store: store, queue: queue, vs: vs, paused: true}
 }
 
 // Position returns the cursor (events applied so far).
 func (r *Replay) Position() int { return r.pos }
 
 // Len returns the trace length.
-func (r *Replay) Len() int { return r.store.Len() }
+func (r *Replay) Len() int { return r.s.Trace.Len() }
 
 // Pause stops Play-driven advancement.
 func (r *Replay) Pause() { r.paused = true }
@@ -43,19 +32,17 @@ func (r *Replay) Pause() { r.paused = true }
 func (r *Replay) Play() { r.paused = false }
 
 // Step applies the next event and returns it; ok is false at the end of
-// the trace. start events color RED, done events color GREEN, matching
-// the paper's state mapping.
+// the trace. The event's node is queued for its state color; an event
+// whose pc has no node colors nothing.
 func (r *Replay) Step(now time.Time) (profiler.Event, bool) {
-	if r.pos >= r.store.Len() {
+	if r.pos >= r.s.Trace.Len() {
 		return profiler.Event{}, false
 	}
-	e := r.store.At(r.pos)
+	e := r.s.Trace.At(r.pos)
 	r.pos++
-	color := ColorRed
-	if e.State == profiler.StateDone {
-		color = ColorGreen
+	if k, ok := r.s.slot(e.PC); ok {
+		r.s.Queue.Enqueue(k, string(stateColor(e)), now)
 	}
-	r.queue.Enqueue(dot.NodeID(e.PC), string(color), now)
 	return e, true
 }
 
@@ -64,7 +51,7 @@ func (r *Replay) Step(now time.Time) (profiler.Event, bool) {
 // of events applied.
 func (r *Replay) Tick(now time.Time, count int) int {
 	if r.paused {
-		r.queue.Flush(now)
+		r.s.Queue.Flush(now)
 		return 0
 	}
 	applied := 0
@@ -74,7 +61,7 @@ func (r *Replay) Tick(now time.Time, count int) int {
 		}
 		applied++
 	}
-	r.queue.Flush(now)
+	r.s.Queue.Flush(now)
 	return applied
 }
 
@@ -82,55 +69,49 @@ func (r *Replay) Tick(now time.Time, count int) int {
 // colors immediately (bypassing the queue's pacing, as a user skipping
 // ahead expects).
 func (r *Replay) FastForward(n int) {
-	target := r.pos + n
-	if target > r.store.Len() {
-		target = r.store.Len()
-	}
-	r.applyRange(0, target)
-	r.pos = target
+	r.jump(min(r.pos+n, r.s.Trace.Len()))
 }
 
 // Rewind moves the cursor back by n events and recomputes the display
 // state from the beginning of the trace (coloring is not invertible:
 // rewinding past a done event must restore the RED of its start).
 func (r *Replay) Rewind(n int) {
-	target := r.pos - n
-	if target < 0 {
-		target = 0
-	}
-	r.applyRange(0, target)
-	r.pos = target
+	r.jump(max(r.pos-n, 0))
 }
 
 // SeekTo positions the cursor at an absolute event index.
 func (r *Replay) SeekTo(idx int) error {
-	if idx < 0 || idx > r.store.Len() {
-		return fmt.Errorf("core: seek %d out of range 0..%d", idx, r.store.Len())
+	if idx < 0 || idx > r.s.Trace.Len() {
+		return fmt.Errorf("core: seek %d out of range 0..%d", idx, r.s.Trace.Len())
 	}
-	r.applyRange(0, idx)
-	r.pos = idx
+	r.jump(idx)
 	return nil
 }
 
-// applyRange recomputes node colors as of events [from, to) and applies
-// them directly to the virtual space.
-func (r *Replay) applyRange(from, to int) {
-	// Reset every previously colored node.
-	for _, id := range r.vs.NodeIDs() {
-		r.vs.SetNodeColor(id, "")
+// stateColor is the paper's state mapping: a start event colors its
+// node RED, a done event GREEN.
+func stateColor(e profiler.Event) Color {
+	if e.State == profiler.StateDone {
+		return ColorGreen
 	}
-	state := map[int]Color{}
-	for i := from; i < to; i++ {
-		e := r.store.At(i)
-		if e.State == profiler.StateDone {
-			state[e.PC] = ColorGreen
-		} else {
-			state[e.PC] = ColorRed
+	return ColorRed
+}
+
+// jump moves the cursor to event index to and recomputes the display
+// state as of the events before it, applied directly to the virtual
+// space: each node takes the color of its instruction's last event. The
+// render queue's pending requests belong to the old cursor and are
+// dropped.
+func (r *Replay) jump(to int) {
+	r.s.Queue.Drop()
+	r.s.clear()
+	for i := 0; i < to; i++ {
+		e := r.s.Trace.At(i)
+		if k, ok := r.s.slot(e.PC); ok {
+			r.s.Space.Shape(k).Color = string(stateColor(e))
 		}
 	}
-	for pc, c := range state {
-		r.vs.SetNodeColor(dot.NodeID(pc), string(c))
-	}
+	r.pos = to
 }
 
 // ColorBetween runs the pair-elision algorithm over the trace window
@@ -138,12 +119,12 @@ func (r *Replay) applyRange(from, to int) {
 // instructions by coloring during trace replay between two instruction
 // states".
 func (r *Replay) ColorBetween(from, to int) (Coloring, error) {
-	if from < 0 || to > r.store.Len() || from > to {
-		return nil, fmt.Errorf("core: window [%d,%d) out of range 0..%d", from, to, r.store.Len())
+	if from < 0 || to > r.s.Trace.Len() || from > to {
+		return nil, fmt.Errorf("core: window [%d,%d) out of range 0..%d", from, to, r.s.Trace.Len())
 	}
 	window := make([]profiler.Event, 0, to-from)
 	for i := from; i < to; i++ {
-		window = append(window, r.store.At(i))
+		window = append(window, r.s.Trace.At(i))
 	}
 	return PairElision(window), nil
 }

@@ -16,6 +16,11 @@ import (
 // mapping, and a replay controller. Offline mode opens a session from a
 // pre-existing dot file and trace file (paper §4.1); online mode builds
 // the same structure from streamed content (§4.2).
+//
+// Instruction pc is graph node i (Graph.PCNode), drawn at one place in
+// the picture's document (drawing.Slot(i)), which is also its node in
+// the glyph space: the drawing's permutation is the only map between a
+// node and its glyphs.
 type Session struct {
 	Graph   *dot.Graph
 	Layout  *layout.Layout
@@ -29,9 +34,8 @@ type Session struct {
 	Animator *zvtm.Animator
 
 	// drawing is the plan's picture, retained so a repaint only patches
-	// fills; shapes[i] is the shape glyph whose color fills its slot i.
+	// fills.
 	drawing *svg.Drawing
-	shapes  []*zvtm.Glyph
 }
 
 // SessionOptions tunes session construction.
@@ -65,60 +69,50 @@ func NewSession(g *dot.Graph, st *trace.Store, opt SessionOptions) (*Session, er
 	if err != nil {
 		return nil, fmt.Errorf("core: glyphs: %w", err)
 	}
-	ids := drawing.NodeIDs()
-	shapes := make([]*zvtm.Glyph, len(ids))
-	for i, id := range ids {
-		// By glyph ID, not NodeGlyphs: the space does not index the glyphs
-		// of a node whose ID is empty.
-		gl, ok := vs.Glyph("shape:" + id)
-		if !ok {
-			return nil, fmt.Errorf("core: glyphs: node %q has no shape", id)
-		}
-		shapes[i] = gl
-	}
-	queue := zvtm.NewRenderQueue(vs, opt.DispatchDelay)
 	s := &Session{
 		Graph:    g,
 		Layout:   lay,
 		Space:    vs,
 		Camera:   &zvtm.Camera{CX: doc.Width / 2, CY: doc.Height / 2},
-		Queue:    queue,
+		Queue:    zvtm.NewRenderQueue(vs, opt.DispatchDelay),
 		Trace:    st,
 		Mapping:  trace.MapToGraph(st, g),
 		Animator: &zvtm.Animator{},
 		drawing:  drawing,
-		shapes:   shapes,
 	}
-	s.Replay = NewReplay(st, vs, queue)
+	s.Replay = &Replay{s: s, paused: true}
 	return s, nil
 }
 
-// Fills returns the current node-fill map of the glyph space for
-// rendering (colored nodes only).
-func (s *Session) Fills() map[string]string {
-	out := map[string]string{}
-	for _, g := range s.shapes {
-		if g.Color != "" {
-			out[g.NodeID] = g.Color
-		}
+// slot returns instruction pc's node in the glyph space; ok is false
+// when the graph has no node for pc.
+func (s *Session) slot(pc int) (int, bool) {
+	i, ok := s.Graph.PCNode(pc)
+	if !ok {
+		return 0, false
 	}
-	return out
+	return s.drawing.Slot(i), true
+}
+
+// Fill returns graph node i's current display color — the replay state
+// the terminal display draws.
+func (s *Session) Fill(i int) string { return s.Space.Shape(s.drawing.Slot(i)).Color }
+
+// clear uncolors every node.
+func (s *Session) clear() {
+	for k := 0; k < s.Space.Nodes(); k++ {
+		s.Space.Shape(k).Color = ""
+	}
 }
 
 // Show replaces the display state with a coloring: every node uncolored
 // but the instructions the coloring names (a pc with no node is skipped).
 func (s *Session) Show(c Coloring) {
-	for _, g := range s.shapes {
-		g.Color = ""
-	}
+	s.clear()
 	for pc, color := range c {
-		// The mapping already holds the node ID of every pc the trace had
-		// when the session opened; a later pc gets its ID formatted.
-		id, ok := s.Mapping.NodeOf[pc]
-		if !ok {
-			id = dot.NodeID(pc)
+		if k, ok := s.slot(pc); ok {
+			s.Space.Shape(k).Color = string(color)
 		}
-		s.Space.SetNodeColor(id, string(color))
 	}
 }
 
@@ -127,34 +121,32 @@ func (s *Session) Show(c Coloring) {
 // rendered once; every call after the first copies it with the glyph
 // space's current shape colors in the fill slots.
 func (s *Session) RenderSVG() (string, error) {
-	return s.drawing.Paint(func(slot int) string { return s.shapes[slot].Color }), nil
+	return s.drawing.Paint(func(slot int) string { return s.Space.Shape(slot).Color }), nil
 }
 
 // NavigateTo animates the camera to center on an instruction's node, the
 // "interactive animated navigation in complex query plans" feature.
 // durMs is the transition time.
 func (s *Session) NavigateTo(pc int, viewW float64, durMs float64) error {
-	id := dot.NodeID(pc)
-	glyphs := s.Space.NodeGlyphs(id)
-	if len(glyphs) == 0 {
+	k, ok := s.slot(pc)
+	if !ok {
 		return fmt.Errorf("core: no node for pc=%d", pc)
 	}
-	g := glyphs[0]
 	// Target altitude: node at 40% of viewport width.
 	target := &zvtm.Camera{}
-	target.CenterOnGlyph(g, viewW, 0.4)
+	target.CenterOnGlyph(s.Space.Shape(k), viewW, 0.4)
 	s.Animator.AnimateCameraTo(s.Camera, target.CX, target.CY, target.Alt, durMs)
 	return nil
 }
 
 // PickTooltip returns the tooltip for the node under a world coordinate,
-// if any.
+// if any. The node's pc is read from its ID, the paper's "nN".
 func (s *Session) PickTooltip(x, y float64) (string, bool) {
-	id, ok := s.Space.PickNode(x, y)
+	k, ok := s.Space.PickNode(x, y)
 	if !ok {
 		return "", false
 	}
-	pc, ok := dot.PCOf(id)
+	pc, ok := dot.PCOf(s.Graph.Nodes[s.drawing.Node(k)].ID)
 	if !ok {
 		return "", false
 	}

@@ -56,6 +56,27 @@ func openOffline(dotText, traceText string) (*Session, error) {
 	return NewSession(g, st, SessionOptions{})
 }
 
+// color returns the display color of instruction pc's node.
+func color(s *Session, pc int) string {
+	i, ok := s.Graph.PCNode(pc)
+	if !ok {
+		panic("no node for pc")
+	}
+	return s.Fill(i)
+}
+
+// fills is the session's display state keyed by node ID, colored nodes
+// only.
+func fills(s *Session) map[string]string {
+	out := map[string]string{}
+	for i := range s.Graph.Nodes {
+		if c := s.Fill(i); c != "" {
+			out[s.Graph.Nodes[i].ID] = c
+		}
+	}
+	return out
+}
+
 func openFixture(t testing.TB) *Session {
 	t.Helper()
 	dotText, traceText := buildFixture(t)
@@ -104,12 +125,12 @@ func TestE9ReplayControls(t *testing.T) {
 		t.Fatalf("step 1 = %+v", e)
 	}
 	s.Queue.Flush(now.Add(time.Second))
-	if c := s.Space.NodeColor("n0"); c != string(ColorRed) {
+	if c := color(s, 0); c != string(ColorRed) {
 		t.Errorf("n0 after start = %q", c)
 	}
 	r.Step(now)
 	s.Queue.Flush(now.Add(2 * time.Second))
-	if c := s.Space.NodeColor("n0"); c != string(ColorGreen) {
+	if c := color(s, 0); c != string(ColorGreen) {
 		t.Errorf("n0 after done = %q", c)
 	}
 
@@ -119,7 +140,7 @@ func TestE9ReplayControls(t *testing.T) {
 		t.Fatalf("position = %d", r.Position())
 	}
 	for pc := 0; pc < 4; pc++ {
-		if c := s.Space.NodeColor(dot.NodeID(pc)); c != string(ColorGreen) {
+		if c := color(s, pc); c != string(ColorGreen) {
 			t.Errorf("n%d after ffwd = %q", pc, c)
 		}
 	}
@@ -130,10 +151,10 @@ func TestE9ReplayControls(t *testing.T) {
 	if r.Position() != 3 {
 		t.Fatalf("position after rewind = %d", r.Position())
 	}
-	if c := s.Space.NodeColor("n1"); c != string(ColorRed) {
+	if c := color(s, 1); c != string(ColorRed) {
 		t.Errorf("n1 after rewind = %q", c)
 	}
-	if c := s.Space.NodeColor("n3"); c != "" {
+	if c := color(s, 3); c != "" {
 		t.Errorf("n3 after rewind = %q, want uncolored", c)
 	}
 
@@ -153,6 +174,36 @@ func TestE9ReplayControls(t *testing.T) {
 	}
 	if err := r.SeekTo(999); err == nil {
 		t.Error("out-of-range seek accepted")
+	}
+}
+
+// A jump repaints the whole space as of its cursor; a recoloring queued
+// by steps before the jump must not land afterwards and paint a node
+// the cursor has not reached.
+func TestReplayJumpDropsPendingRequests(t *testing.T) {
+	for name, jump := range map[string]func(r *Replay) error{
+		"rewind to the start": func(r *Replay) error { r.Rewind(4); return nil },
+		"rewind into a pair":  func(r *Replay) error { r.Rewind(1); return nil },
+		"seek":                func(r *Replay) error { return r.SeekTo(1) },
+	} {
+		s := openFixture(t)
+		now := time.Unix(0, 0)
+		for i := 0; i < 4; i++ {
+			s.Replay.Step(now)
+		}
+		if err := jump(s.Replay); err != nil {
+			t.Fatal(err)
+		}
+		s.Queue.Flush(now.Add(time.Minute))
+		want := map[int]Color{}
+		for i := 0; i < s.Replay.Position(); i++ {
+			want[s.Trace.At(i).PC] = stateColor(s.Trace.At(i))
+		}
+		for pc := 0; pc < len(s.Graph.Nodes); pc++ {
+			if c := color(s, pc); c != string(want[pc]) {
+				t.Errorf("%s: n%d at cursor %d is %q, want %q", name, pc, s.Replay.Position(), c, want[pc])
+			}
+		}
 	}
 }
 
@@ -192,9 +243,9 @@ func TestRenderSVGCarriesColors(t *testing.T) {
 	}
 }
 
-// A dot file can name a node "" (and dot.Parse accepts it); the glyph
-// space does not index such a node, and the session still opens, clears,
-// colors and paints.
+// A dot file can name a node "" (and dot.Parse accepts it); the session
+// still opens, clears, colors and paints, and pc 0 is the node named n0,
+// not the graph's node 0.
 func TestSessionWithEmptyNodeID(t *testing.T) {
 	s, err := openOffline(`digraph g { "" -> n0; n0 -> n1; }`, "")
 	if err != nil {
@@ -208,10 +259,10 @@ func TestSessionWithEmptyNodeID(t *testing.T) {
 	if got := strings.Count(out, `class="node">`); got != 3 {
 		t.Errorf("painted %d nodes, want 3", got)
 	}
-	if want := map[string]string{"n0": string(ColorRed)}; !reflect.DeepEqual(s.Fills(), want) {
-		t.Errorf("fills = %v, want %v", s.Fills(), want)
+	if want := map[string]string{"n0": string(ColorRed)}; !reflect.DeepEqual(fills(s), want) {
+		t.Errorf("fills = %v, want %v", fills(s), want)
 	}
-	fresh, err := svg.RenderString(s.Graph, s.Layout, s.Fills(), svg.DefaultStyle())
+	fresh, err := svg.RenderString(s.Graph, s.Layout, fills(s), svg.DefaultStyle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +279,13 @@ func TestShowColorsPcsOutsideTheOpenTimeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Mapping.NodeOf) != 0 {
-		t.Fatalf("empty trace mapped %d pcs", len(s.Mapping.NodeOf))
+	if s.Trace.Len() != 0 {
+		t.Fatalf("empty trace holds %d events", s.Trace.Len())
 	}
-	s.Space.SetNodeColor("n3", string(ColorGreen)) // an earlier state, to be cleared
-	s.Show(Coloring{2: ColorRed, 99: ColorGreen})  // pc 99 has no node
-	if want := map[string]string{"n2": string(ColorRed)}; !reflect.DeepEqual(s.Fills(), want) {
-		t.Errorf("fills = %v, want %v", s.Fills(), want)
+	s.Show(Coloring{3: ColorGreen})               // an earlier state, to be cleared
+	s.Show(Coloring{2: ColorRed, 99: ColorGreen}) // pc 99 has no node
+	if want := map[string]string{"n2": string(ColorRed)}; !reflect.DeepEqual(fills(s), want) {
+		t.Errorf("fills = %v, want %v", fills(s), want)
 	}
 	out, err := s.RenderSVG()
 	if err != nil {
@@ -255,7 +306,7 @@ func TestNavigateTo(t *testing.T) {
 	}
 	for s.Animator.Tick(16) {
 	}
-	g := s.Space.NodeGlyphs("n2")[0]
+	g := s.Space.Shape(s.drawing.Slot(2))
 	if s.Camera.CX != g.CenterX() || s.Camera.CY != g.CenterY() {
 		t.Errorf("camera at (%g,%g), want glyph center (%g,%g)",
 			s.Camera.CX, s.Camera.CY, g.CenterX(), g.CenterY())
@@ -267,7 +318,7 @@ func TestNavigateTo(t *testing.T) {
 
 func TestPickTooltip(t *testing.T) {
 	s := openFixture(t)
-	g := s.Space.NodeGlyphs("n1")[0]
+	g := s.Space.Shape(s.drawing.Slot(1))
 	tip, ok := s.PickTooltip(g.CenterX(), g.CenterY())
 	if !ok {
 		t.Fatal("no tooltip")
@@ -311,9 +362,7 @@ func TestSessionViewNavigation(t *testing.T) {
 		t.Errorf("overview shows %d of %d nodes", got, len(s.Graph.Nodes))
 	}
 	// Zoom to a node and render the view.
-	if !nav.ZoomToNode("n1", 0.5) {
-		t.Fatal("zoom failed")
-	}
+	nav.ZoomToNode(s.drawing.Slot(1), 0.5)
 	out, err := s.RenderViewSVG(nil, 800, 600)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,9 @@
 //
 // A graph is a set of slabs: nodes and edges are value slices, and every
 // attribute lives in one []Attr slab that the nodes and edges sub-slice.
+// A node's ID is read only here and where text is written: past the
+// reader, a node is its index in Nodes, and edges name their endpoints
+// by index.
 // Parse takes its strings as substrings of the input, so a parsed graph
 // keeps its input text alive.
 package dot
@@ -46,10 +49,10 @@ func lookup(attrs []Attr, key string) string {
 	return ""
 }
 
-// Edge is a directed edge between node IDs. Attrs is sorted by key with
-// no key repeated.
+// Edge is a directed edge between two nodes, named by their indexes in
+// Graph.Nodes. Attrs is sorted by key with no key repeated.
 type Edge struct {
-	From, To string
+	From, To int32
 	Attrs    []Attr
 }
 
@@ -81,19 +84,20 @@ func (g *Graph) Node(id string) (*Node, bool) {
 	return nil, false
 }
 
-// PCNode returns the node of instruction pc, the node named NodeID(pc).
-// When the graph's node pc carries that name, as in every exported or
-// re-parsed plan, no ID is formatted.
-func (g *Graph) PCNode(pc int) (*Node, bool) {
+// PCNode returns the index of instruction pc's node, the node named
+// NodeID(pc). When the graph's node pc carries that name, as in every
+// exported or re-parsed plan, no ID is formatted.
+func (g *Graph) PCNode(pc int) (int, bool) {
 	if pc >= 0 && pc < len(g.Nodes) {
 		if p, ok := canonicalPC(g.Nodes[pc].ID); ok && p == pc {
-			return &g.Nodes[pc], true
+			return pc, true
 		}
 	}
 	if g.index == nil {
-		return nil, false
+		return 0, false
 	}
-	return g.Node(NodeID(pc))
+	i, ok := g.index[NodeID(pc)]
+	return int(i), ok
 }
 
 // canonicalPC is PCOf restricted to the IDs NodeID writes: no leading
@@ -159,7 +163,7 @@ func Export(p *mal.Plan) *Graph {
 		}
 		slices.Sort(ds)
 		for _, d := range slices.Compact(ds) {
-			g.Edges = append(g.Edges, Edge{From: g.Nodes[d].ID, To: g.Nodes[pc].ID})
+			g.Edges = append(g.Edges, Edge{From: int32(d), To: int32(pc)})
 		}
 	}
 	return g
@@ -186,7 +190,7 @@ func (g *Graph) Marshal() string {
 	}
 	for i := range g.Edges {
 		e := &g.Edges[i]
-		size += len("  ") + quotedLen(e.From) + len(" -> ") + quotedLen(e.To) + attrsLen(e.Attrs) + len(";\n")
+		size += len("  ") + quotedLen(g.Nodes[e.From].ID) + len(" -> ") + quotedLen(g.Nodes[e.To].ID) + attrsLen(e.Attrs) + len(";\n")
 	}
 	var b strings.Builder
 	b.Grow(size)
@@ -203,9 +207,9 @@ func (g *Graph) Marshal() string {
 	for i := range g.Edges {
 		e := &g.Edges[i]
 		b.WriteString("  ")
-		writeID(&b, e.From)
+		writeID(&b, g.Nodes[e.From].ID)
 		b.WriteString(" -> ")
-		writeID(&b, e.To)
+		writeID(&b, g.Nodes[e.To].ID)
 		writeAttrs(&b, e.Attrs)
 		b.WriteString(";\n")
 	}

@@ -44,8 +44,9 @@ func TestExportStructure(t *testing.T) {
 		t.Fatalf("edges = %d, want %d", len(g.Edges), len(wantEdges))
 	}
 	for _, e := range g.Edges {
-		if !wantEdges[e.From+">"+e.To] {
-			t.Errorf("unexpected edge %s -> %s", e.From, e.To)
+		from, to := g.Nodes[e.From].ID, g.Nodes[e.To].ID
+		if !wantEdges[from+">"+to] {
+			t.Errorf("unexpected edge %s -> %s", from, to)
 		}
 	}
 }
@@ -134,8 +135,9 @@ func TestRootsAndAdjacency(t *testing.T) {
 	adj := map[string][]string{}
 	indeg := map[string]int{}
 	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		indeg[e.To]++
+		from, to := g.Nodes[e.From].ID, g.Nodes[e.To].ID
+		adj[from] = append(adj[from], to)
+		indeg[to]++
 	}
 	var roots []string
 	for _, n := range g.Nodes {

@@ -100,8 +100,9 @@ func checkReference(t *testing.T, text string, g *dot.Graph, err error) {
 	}
 	for i, e := range g.Edges {
 		r := ref.Edges[i]
-		if e.From != r.From || e.To != r.To || !slices.Equal(e.Attrs, sortedAttrs(r.Attrs)) {
-			t.Fatalf("edge %d is %q -> %q %v, reference %q -> %q %v", i, e.From, e.To, e.Attrs, r.From, r.To, r.Attrs)
+		from, to := g.Nodes[e.From].ID, g.Nodes[e.To].ID
+		if from != r.From || to != r.To || !slices.Equal(e.Attrs, sortedAttrs(r.Attrs)) {
+			t.Fatalf("edge %d is %q -> %q %v, reference %q -> %q %v", i, from, to, e.Attrs, r.From, r.To, r.Attrs)
 		}
 	}
 }

@@ -423,9 +423,9 @@ func (b *builder) seal(lo int) span {
 // addEdge appends from -> to with attributes s, declaring both
 // endpoints.
 func (b *builder) addEdge(from, to string, s span) {
-	b.declare(from)
-	b.declare(to)
-	b.edges = append(b.edges, Edge{From: from, To: to})
+	f, _ := b.declare(from)
+	t, _ := b.declare(to)
+	b.edges = append(b.edges, Edge{From: int32(f), To: int32(t)})
 	b.edgeAt = append(b.edgeAt, s)
 }
 

@@ -8,8 +8,9 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stethoscope/internal/dot"
 )
@@ -49,12 +50,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// Layout is the computed placement.
+// Layout is the computed placement, indexed like the graph's Nodes.
 type Layout struct {
-	Positions map[string]Rect
-	Order     [][]string // node IDs per rank, left to right
-	Width     float64
-	Height    float64
+	Rects  []Rect    // node i's box
+	Order  [][]int32 // node indexes per rank, left to right
+	Width  float64
+	Height float64
 }
 
 // Compute lays out the graph. The graph must be acyclic (MAL dataflow
@@ -65,59 +66,33 @@ func Compute(g *dot.Graph, opt Options) (*Layout, error) {
 	}
 	n := len(g.Nodes)
 	if n == 0 {
-		return &Layout{Positions: map[string]Rect{}}, nil
+		return &Layout{}, nil
 	}
 
-	idx := make(map[string]int, n)
-	for i, node := range g.Nodes {
-		idx[node.ID] = i
-	}
-	succ := make([][]int, n)
-	pred := make([][]int, n)
-	for _, e := range g.Edges {
-		f, okF := idx[e.From]
-		t, okT := idx[e.To]
-		if !okF || !okT {
-			return nil, fmt.Errorf("layout: edge references unknown node %s -> %s", e.From, e.To)
-		}
-		if f == t {
-			continue // ignore self loops
-		}
-		succ[f] = append(succ[f], t)
-		pred[t] = append(pred[t], f)
-	}
-
-	rank, err := longestPathRanks(n, succ, pred)
+	succ, pred := adjacency(g)
+	rank, err := longestPathRanks(succ, pred)
 	if err != nil {
 		return nil, err
 	}
-	maxRank := 0
+	maxRank := int32(0)
 	for _, r := range rank {
-		if r > maxRank {
-			maxRank = r
-		}
+		maxRank = max(maxRank, r)
 	}
 
-	order := initialOrder(n, rank, maxRank, succ)
-	barycenterSweeps(order, rank, succ, pred, opt.Sweeps)
+	order := initialOrder(rank, maxRank, succ)
+	barycenterSweeps(order, succ, pred, opt.Sweeps)
 
 	// Coordinate assignment.
-	lay := &Layout{Positions: make(map[string]Rect, n)}
+	lay := &Layout{Rects: make([]Rect, n), Order: order}
 	widths := make([]float64, n)
-	for i, node := range g.Nodes {
+	for i := range g.Nodes {
 		w := opt.MinWidth
-		if label := node.Label(); label != "" {
-			lw := float64(len(label))*opt.CharWidth + 16
-			if lw > w {
-				w = lw
-			}
+		if label := g.Nodes[i].Label(); label != "" {
+			w = max(w, float64(len(label))*opt.CharWidth+16)
 		}
-		if w > opt.MaxWidth {
-			w = opt.MaxWidth
-		}
-		widths[i] = w
+		widths[i] = min(w, opt.MaxWidth)
 	}
-	rowWidths := make([]float64, maxRank+1)
+	rowWidths := make([]float64, len(order))
 	for r, row := range order {
 		var total float64
 		for _, v := range row {
@@ -127,18 +102,13 @@ func Compute(g *dot.Graph, opt Options) (*Layout, error) {
 			total -= opt.HGap
 		}
 		rowWidths[r] = total
-		if total > lay.Width {
-			lay.Width = total
-		}
+		lay.Width = max(lay.Width, total)
 	}
-	lay.Order = make([][]string, maxRank+1)
 	for r, row := range order {
 		x := (lay.Width - rowWidths[r]) / 2
 		y := float64(r) * (opt.NodeHeight + opt.VGap)
 		for _, v := range row {
-			id := g.Nodes[v].ID
-			lay.Positions[id] = Rect{X: x, Y: y, W: widths[v], H: opt.NodeHeight}
-			lay.Order[r] = append(lay.Order[r], id)
+			lay.Rects[v] = Rect{X: x, Y: y, W: widths[v], H: opt.NodeHeight}
 			x += widths[v] + opt.HGap
 		}
 	}
@@ -146,56 +116,87 @@ func Compute(g *dot.Graph, opt Options) (*Layout, error) {
 	return lay, nil
 }
 
+// adjacency returns every node's successors and predecessors in edge
+// order, as sub-slices of one slab; self loops are dropped.
+func adjacency(g *dot.Graph) (succ, pred [][]int32) {
+	n := len(g.Nodes)
+	succ, pred = make([][]int32, n), make([][]int32, n)
+	outs, ins := make([]int32, n), make([]int32, n)
+	m := 0
+	for _, e := range g.Edges {
+		if e.From != e.To {
+			outs[e.From]++
+			ins[e.To]++
+			m++
+		}
+	}
+	slab := make([]int32, 2*m)
+	for v := range succ {
+		succ[v], slab = slab[:0:outs[v]], slab[outs[v]:]
+		pred[v], slab = slab[:0:ins[v]], slab[ins[v]:]
+	}
+	for _, e := range g.Edges {
+		if e.From != e.To {
+			succ[e.From] = append(succ[e.From], e.To)
+			pred[e.To] = append(pred[e.To], e.From)
+		}
+	}
+	return succ, pred
+}
+
 // longestPathRanks assigns each node the length of the longest path from
 // any root, via Kahn topological order; an unprocessable remainder means
 // a cycle.
-func longestPathRanks(n int, succ, pred [][]int) ([]int, error) {
-	rank := make([]int, n)
-	indeg := make([]int, n)
+func longestPathRanks(succ, pred [][]int32) ([]int32, error) {
+	n := len(succ)
+	rank := make([]int32, n)
+	indeg := make([]int32, n)
+	queue := make([]int32, 0, n)
 	for v := range pred {
-		indeg[v] = len(pred[v])
-	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
+		indeg[v] = int32(len(pred[v]))
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			queue = append(queue, int32(v))
 		}
 	}
-	processed := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		processed++
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, w := range succ[v] {
-			if rank[v]+1 > rank[w] {
-				rank[w] = rank[v] + 1
-			}
+			rank[w] = max(rank[w], rank[v]+1)
 			indeg[w]--
 			if indeg[w] == 0 {
 				queue = append(queue, w)
 			}
 		}
 	}
-	if processed != n {
-		return nil, fmt.Errorf("layout: graph contains a cycle (%d of %d nodes ranked)", processed, n)
+	if len(queue) != n {
+		return nil, fmt.Errorf("layout: graph contains a cycle (%d of %d nodes ranked)", len(queue), n)
 	}
 	return rank, nil
 }
 
-// initialOrder seeds per-rank left-to-right order by BFS discovery.
-func initialOrder(n int, rank []int, maxRank int, succ [][]int) [][]int {
-	order := make([][]int, maxRank+1)
+// initialOrder seeds per-rank left-to-right order by BFS discovery. The
+// rows are sub-slices of one slab.
+func initialOrder(rank []int32, maxRank int32, succ [][]int32) [][]int32 {
+	n := len(rank)
+	sizes := make([]int32, maxRank+1)
+	for _, r := range rank {
+		sizes[r]++
+	}
+	order := make([][]int32, maxRank+1)
+	slab := make([]int32, n)
+	for r, size := range sizes {
+		order[r], slab = slab[:0:size], slab[size:]
+	}
 	visited := make([]bool, n)
-	var queue []int
-	for v := 0; v < n; v++ {
+	queue := make([]int32, 0, n)
+	for v := range rank {
 		if rank[v] == 0 {
-			queue = append(queue, v)
+			queue = append(queue, int32(v))
 			visited[v] = true
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		order[rank[v]] = append(order[rank[v]], v)
 		for _, w := range succ[v] {
 			if !visited[w] {
@@ -206,9 +207,9 @@ func initialOrder(n int, rank []int, maxRank int, succ [][]int) [][]int {
 	}
 	// Disconnected leftovers (shouldn't happen for ranked DAGs, but be
 	// safe).
-	for v := 0; v < n; v++ {
+	for v := range rank {
 		if !visited[v] {
-			order[rank[v]] = append(order[rank[v]], v)
+			order[rank[v]] = append(order[rank[v]], int32(v))
 		}
 	}
 	return order
@@ -217,47 +218,41 @@ func initialOrder(n int, rank []int, maxRank int, succ [][]int) [][]int {
 // barycenterSweeps reduces crossings: alternate downward passes (order
 // each rank by the mean position of predecessors) and upward passes
 // (by successors).
-func barycenterSweeps(order [][]int, rank []int, succ, pred [][]int, sweeps int) {
-	n := len(rank)
+func barycenterSweeps(order [][]int32, succ, pred [][]int32, sweeps int) {
+	n := len(succ)
 	pos := make([]int, n)
-	refresh := func() {
-		for _, row := range order {
-			for i, v := range row {
-				pos[v] = i
-			}
+	for _, row := range order {
+		for i, v := range row {
+			pos[v] = i
 		}
 	}
-	refresh()
-	medianOf := func(v int, neighbors []int) float64 {
-		if len(neighbors) == 0 {
-			return float64(pos[v])
+	// key is a node's barycenter, computed for a whole row before it is
+	// sorted: positions change only after the sort.
+	key := make([]float64, n)
+	sortRow := func(row []int32, neighbors [][]int32) {
+		for _, v := range row {
+			key[v] = float64(pos[v])
+			if ws := neighbors[v]; len(ws) > 0 {
+				sum := 0
+				for _, w := range ws {
+					sum += pos[w]
+				}
+				key[v] = float64(sum) / float64(len(ws))
+			}
 		}
-		sum := 0
-		for _, w := range neighbors {
-			sum += pos[w]
+		slices.SortStableFunc(row, func(a, b int32) int { return cmp.Compare(key[a], key[b]) })
+		for i, v := range row {
+			pos[v] = i
 		}
-		return float64(sum) / float64(len(neighbors))
 	}
 	for s := 0; s < sweeps; s++ {
 		// Downward: ranks 1..max ordered by predecessor barycenter.
 		for r := 1; r < len(order); r++ {
-			row := order[r]
-			sort.SliceStable(row, func(i, j int) bool {
-				return medianOf(row[i], pred[row[i]]) < medianOf(row[j], pred[row[j]])
-			})
-			for i, v := range row {
-				pos[v] = i
-			}
+			sortRow(order[r], pred)
 		}
 		// Upward: ranks max-1..0 ordered by successor barycenter.
 		for r := len(order) - 2; r >= 0; r-- {
-			row := order[r]
-			sort.SliceStable(row, func(i, j int) bool {
-				return medianOf(row[i], succ[row[i]]) < medianOf(row[j], succ[row[j]])
-			})
-			for i, v := range row {
-				pos[v] = i
-			}
+			sortRow(order[r], succ)
 		}
 	}
 }

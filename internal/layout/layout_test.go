@@ -29,12 +29,22 @@ func chainGraph(n int) *dot.Graph {
 	return graphOf("chain", stmts...)
 }
 
-// ranks maps each node ID to its rank: the index of its row in Order.
-func ranks(lay *Layout) map[string]int {
-	out := map[string]int{}
+// index returns the index of the node named id.
+func index(g *dot.Graph, id string) int {
+	for i := range g.Nodes {
+		if g.Nodes[i].ID == id {
+			return i
+		}
+	}
+	panic("no node " + id)
+}
+
+// ranks returns each node's rank: the index of its row in Order.
+func ranks(lay *Layout) []int {
+	out := make([]int, len(lay.Rects))
 	for r, row := range lay.Order {
-		for _, id := range row {
-			out[id] = r
+		for _, v := range row {
+			out[v] = r
 		}
 	}
 	return out
@@ -45,10 +55,10 @@ func ranks(lay *Layout) map[string]int {
 // edges.
 func crossings(g *dot.Graph, lay *Layout) int {
 	rank := ranks(lay)
-	pos := map[string]int{}
+	pos := make([]int, len(lay.Rects))
 	for _, row := range lay.Order {
-		for i, id := range row {
-			pos[id] = i
+		for i, v := range row {
+			pos[v] = i
 		}
 	}
 	type span struct{ from, to int }
@@ -76,38 +86,41 @@ func diamondGraph() *dot.Graph {
 }
 
 func TestChainRanks(t *testing.T) {
-	lay, err := Compute(chainGraph(5), DefaultOptions())
+	g := chainGraph(5)
+	lay, err := Compute(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rank := ranks(lay)
 	for i := 0; i < 5; i++ {
-		if rank[dot.NodeID(i)] != i {
-			t.Errorf("rank[n%d] = %d", i, rank[dot.NodeID(i)])
+		if r := rank[index(g, dot.NodeID(i))]; r != i {
+			t.Errorf("rank[n%d] = %d", i, r)
 		}
 	}
 	// Y grows with rank.
 	for i := 1; i < 5; i++ {
-		if lay.Positions[dot.NodeID(i)].Y <= lay.Positions[dot.NodeID(i-1)].Y {
+		if lay.Rects[index(g, dot.NodeID(i))].Y <= lay.Rects[index(g, dot.NodeID(i-1))].Y {
 			t.Errorf("n%d not below n%d", i, i-1)
 		}
 	}
 }
 
 func TestDiamondRanks(t *testing.T) {
-	lay, err := Compute(diamondGraph(), DefaultOptions())
+	g := diamondGraph()
+	lay, err := Compute(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rank := ranks(lay)
-	if rank["a"] != 0 || rank["d"] != 2 {
+	a, b, c, d := index(g, "a"), index(g, "b"), index(g, "c"), index(g, "d")
+	if rank[a] != 0 || rank[d] != 2 {
 		t.Errorf("ranks = %v", rank)
 	}
-	if rank["b"] != 1 || rank["c"] != 1 {
+	if rank[b] != 1 || rank[c] != 1 {
 		t.Errorf("mid ranks = %v", rank)
 	}
 	// b and c share a rank and must not overlap.
-	rb, rc := lay.Positions["b"], lay.Positions["c"]
+	rb, rc := lay.Rects[b], lay.Rects[c]
 	if overlap(rb, rc) {
 		t.Errorf("b %+v and c %+v overlap", rb, rc)
 	}
@@ -127,14 +140,10 @@ func TestNoOverlapsAnywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]string, 0, len(lay.Positions))
-	for id := range lay.Positions {
-		ids = append(ids, id)
-	}
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if overlap(lay.Positions[ids[i]], lay.Positions[ids[j]]) {
-				t.Fatalf("%s and %s overlap", ids[i], ids[j])
+	for i := range lay.Rects {
+		for j := i + 1; j < len(lay.Rects); j++ {
+			if overlap(lay.Rects[i], lay.Rects[j]) {
+				t.Fatalf("%s and %s overlap", g.Nodes[i].ID, g.Nodes[j].ID)
 			}
 		}
 	}
@@ -156,8 +165,8 @@ func TestSelfLoopIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lay.Positions) != 2 {
-		t.Errorf("positions = %d", len(lay.Positions))
+	if len(lay.Rects) != 2 {
+		t.Errorf("positions = %d", len(lay.Rects))
 	}
 }
 
@@ -166,7 +175,7 @@ func TestEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lay.Positions) != 0 {
+	if len(lay.Rects) != 0 {
 		t.Error("positions for empty graph")
 	}
 }
@@ -218,14 +227,14 @@ func TestLargeGraphUnder1000msAndCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lay.Positions) != len(g.Nodes) {
-		t.Fatalf("placed %d of %d nodes", len(lay.Positions), len(g.Nodes))
+	if len(lay.Rects) != len(g.Nodes) {
+		t.Fatalf("placed %d of %d nodes", len(lay.Rects), len(g.Nodes))
 	}
 	// Edges always point downward (rank monotonicity).
 	rank := ranks(lay)
 	for _, e := range g.Edges {
 		if rank[e.To] <= rank[e.From] {
-			t.Fatalf("edge %s->%s not downward", e.From, e.To)
+			t.Fatalf("edge %s->%s not downward", g.Nodes[e.From].ID, g.Nodes[e.To].ID)
 		}
 	}
 }
@@ -237,10 +246,10 @@ func TestLabelWidthClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lay.Positions["a"].W > opt.MaxWidth {
-		t.Errorf("width %g exceeds clamp %g", lay.Positions["a"].W, opt.MaxWidth)
+	if w := lay.Rects[index(g, "a")].W; w > opt.MaxWidth {
+		t.Errorf("width %g exceeds clamp %g", w, opt.MaxWidth)
 	}
-	if lay.Positions["b"].W < opt.MinWidth {
-		t.Errorf("width %g below minimum", lay.Positions["b"].W)
+	if w := lay.Rects[index(g, "b")].W; w < opt.MinWidth {
+		t.Errorf("width %g below minimum", w)
 	}
 }

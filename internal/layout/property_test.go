@@ -36,8 +36,8 @@ func TestRandomDAGInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if len(lay.Positions) != nodes {
-			t.Fatalf("trial %d: placed %d of %d", trial, len(lay.Positions), nodes)
+		if len(lay.Rects) != nodes {
+			t.Fatalf("trial %d: placed %d of %d", trial, len(lay.Rects), nodes)
 		}
 		// Rank monotonicity along edges.
 		rank := ranks(lay)
@@ -47,7 +47,7 @@ func TestRandomDAGInvariants(t *testing.T) {
 			}
 			if rank[e.To] <= rank[e.From] {
 				t.Fatalf("trial %d: edge %s->%s ranks %d->%d",
-					trial, e.From, e.To, rank[e.From], rank[e.To])
+					trial, g.Nodes[e.From].ID, g.Nodes[e.To].ID, rank[e.From], rank[e.To])
 			}
 		}
 		// No overlaps within any rank (cross-rank can't overlap by
@@ -55,17 +55,17 @@ func TestRandomDAGInvariants(t *testing.T) {
 		for _, row := range lay.Order {
 			for i := 0; i < len(row); i++ {
 				for j := i + 1; j < len(row); j++ {
-					a, b := lay.Positions[row[i]], lay.Positions[row[j]]
+					a, b := lay.Rects[row[i]], lay.Rects[row[j]]
 					if a.X < b.X+b.W && b.X < a.X+a.W {
-						t.Fatalf("trial %d: %s and %s overlap in rank", trial, row[i], row[j])
+						t.Fatalf("trial %d: %s and %s overlap in rank", trial, g.Nodes[row[i]].ID, g.Nodes[row[j]].ID)
 					}
 				}
 			}
 		}
 		// Bounds contain every node.
-		for id, rect := range lay.Positions {
+		for i, rect := range lay.Rects {
 			if rect.X < -1e-9 || rect.Y < -1e-9 || rect.X+rect.W > lay.Width+1e-9 || rect.Y+rect.H > lay.Height+1e-9 {
-				t.Fatalf("trial %d: %s outside bounds", trial, id)
+				t.Fatalf("trial %d: %s outside bounds", trial, g.Nodes[i].ID)
 			}
 		}
 	}

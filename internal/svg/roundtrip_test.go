@@ -50,8 +50,9 @@ func planGraph(tb testing.TB, query string, partitions int) *dot.Graph {
 
 // checkRoundTrip holds the session's shortcut against the paper's detour:
 // the Doc built straight from the layout is the Doc parsed back from the
-// rendered text, and the glyph builder makes the same glyphs of both —
-// ID, kind, box, text, color and order.
+// rendered text, node for node in the text's order, and the glyph
+// builder makes the same glyphs of both — kind, box, text, color and
+// order.
 func checkRoundTrip(tb testing.TB, g *dot.Graph) {
 	tb.Helper()
 	lay, err := layout.Compute(g, layout.DefaultOptions())
@@ -75,9 +76,9 @@ func checkRoundTrip(tb testing.TB, g *dot.Graph) {
 		if direct.Width != parsed.Width || direct.Height != parsed.Height {
 			tb.Errorf("canvas %gx%g, parsed %gx%g", direct.Width, direct.Height, parsed.Width, parsed.Height)
 		}
-		for id, n := range direct.Nodes {
-			if p := parsed.Nodes[id]; p == nil || *p != *n {
-				tb.Errorf("node %q: %+v, parsed %+v", id, n, p)
+		for i, n := range direct.Nodes {
+			if i >= len(parsed.Nodes) || parsed.Nodes[i] != n {
+				tb.Errorf("node %d: %+v, parsed %+v", i, n, parsed.Nodes[i:min(i+1, len(parsed.Nodes))])
 			}
 		}
 		tb.Fatalf("direct Doc (%d nodes, %d edges) differs from the parsed one (%d nodes, %d edges)",
@@ -91,13 +92,21 @@ func checkRoundTrip(tb testing.TB, g *dot.Graph) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromDirect.Glyphs(), fromParsed.Glyphs()) {
-		tb.Fatal("glyph lists differ")
+	if !reflect.DeepEqual(fromDirect, fromParsed) {
+		tb.Fatal("glyph spaces differ")
 	}
-	// What a session leans on: every fill slot has its shape glyph.
-	for slot, id := range drawing.NodeIDs() {
-		if gl, ok := fromDirect.Glyph("shape:" + id); !ok || gl.Kind != zvtm.ShapeGlyph {
-			tb.Fatalf("fill slot %d (node %q) has no shape glyph", slot, id)
+	// What a session leans on: graph node i is drawn at one slot, whose
+	// box is its box and whose shape glyph is the space's node at it.
+	if fromDirect.Nodes() != len(g.Nodes) {
+		tb.Fatalf("%d glyph nodes for %d graph nodes", fromDirect.Nodes(), len(g.Nodes))
+	}
+	for i := range g.Nodes {
+		slot := drawing.Slot(i)
+		if drawing.Node(slot) != i {
+			tb.Fatalf("node %d is drawn at slot %d, which draws node %d", i, slot, drawing.Node(slot))
+		}
+		if box, shape := direct.Nodes[slot], fromDirect.Shape(slot); box.X != shape.X || box.Y != shape.Y || shape.Kind != zvtm.ShapeGlyph {
+			tb.Fatalf("slot %d: box %+v, shape %+v", slot, box, shape)
 		}
 	}
 }
@@ -115,13 +124,12 @@ func checkRepaint(tb testing.TB, g *dot.Graph) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ids := drawing.NodeIDs()
 	fills := map[string]string{}
-	for i := 0; i < len(ids); i += 3 {
-		fills[ids[i]] = fmt.Sprintf("#%06x", i)
+	for i := 0; i < len(g.Nodes); i += 3 {
+		fills[g.Nodes[i].ID] = fmt.Sprintf("#%06x", i)
 	}
 	plain := drawing.Paint(func(int) string { return "" })
-	painted := drawing.Paint(func(slot int) string { return fills[ids[slot]] })
+	painted := drawing.Paint(func(slot int) string { return fills[g.Nodes[drawing.Node(slot)].ID] })
 	for _, tc := range []struct {
 		got   string
 		fills map[string]string
@@ -162,8 +170,9 @@ func TestDocFromLayoutMatchesRoundTrip(t *testing.T) {
 		dot.Node{ID: `id "with" <markup> & 'quotes'`},
 		labelled("", "empty id"),
 		dot.Node{ID: "bad\x02id\xff"})
-	hostile.Edges = []dot.Edge{{From: "n0", To: "n1"}, {From: "n0", To: "n2"}, {From: "n2", To: `id "with" <markup> & 'quotes'`}}
-	// A graph built by hand can repeat an ID; the document keeps the last.
+	hostile.Edges = []dot.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 2, To: 8}}
+	// A graph built by hand can repeat an ID; the document draws every
+	// node.
 	hostile.Nodes = append(hostile.Nodes, labelled("n1", "second n1"), labelled("n1", "third n1"))
 	checkRoundTrip(t, hostile)
 }
@@ -235,9 +244,9 @@ func FuzzDocRoundTrip(f *testing.F) {
 			g.Nodes = append(g.Nodes, labelled(ids[i], string(label)))
 		}
 		for i := 0; i+1 < len(data) && i < 32; i += 2 {
-			from, to := int(data[i])%n, int(data[i+1])%n
+			from, to := int32(data[i])%int32(n), int32(data[i+1])%int32(n)
 			if from < to { // forward edges only: the layout wants a DAG
-				g.Edges = append(g.Edges, dot.Edge{From: ids[from], To: ids[to]})
+				g.Edges = append(g.Edges, dot.Edge{From: from, To: to})
 			}
 		}
 		// Read the graph back from its dot text, where a repeated ID

@@ -66,6 +66,11 @@ type Drawing struct {
 	edges         [][4]int64
 	nodes         []nodeBox // in ID order, the order the text lists them
 
+	// The one permutation between graph order and the text's ID order:
+	// nodes[k] draws graph node order[k], and graph node i is drawn at
+	// slots[i].
+	order, slots []int32
+
 	// The retained document: text is everything but the node fills, and
 	// cuts[i] is the offset in text where node i's fill goes. Rendered by
 	// the first Paint.
@@ -74,9 +79,11 @@ type Drawing struct {
 }
 
 // nodeBox is one node's geometry in tenths of a unit, with the graph's
-// ID and the label as drawn. The document carries xmlText of both.
+// ID and the label as drawn: the part of it that fits, followed by
+// ellipsis when cut. The document carries xmlText of both.
 type nodeBox struct {
 	id, label  string
+	cut        bool
 	x, y, w, h int64
 	tx, ty     int64 // label anchor
 }
@@ -84,15 +91,22 @@ type nodeBox struct {
 // Draw computes the picture of a laid-out graph: canvas size, padded node
 // boxes with their (fallback, truncated) labels, and edge segments from
 // the bottom center of the source to the top center of the target. It is
-// the only place layout coordinates become SVG coordinates.
+// the only place layout coordinates become SVG coordinates, and the only
+// place node IDs order anything: the text lists nodes by ID.
 func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
+	if len(lay.Rects) != len(g.Nodes) {
+		return nil, fmt.Errorf("svg: layout places %d nodes, graph has %d", len(lay.Rects), len(g.Nodes))
+	}
 	if style.FontSize == 0 {
 		style = DefaultStyle()
 	}
+	n := len(g.Nodes)
 	d := &Drawing{
 		style: style,
 		edges: make([][4]int64, len(g.Edges)),
-		nodes: make([]nodeBox, len(g.Nodes)),
+		nodes: make([]nodeBox, n),
+		order: make([]int32, n),
+		slots: make([]int32, n),
 	}
 	var err error
 	fixed := func(v, scale float64) int64 {
@@ -106,36 +120,27 @@ func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
 	d.width = fixed(math.Max(lay.Width+2*pad, 1), 1)
 	d.height = fixed(math.Max(lay.Height+2*pad, 1), 1)
 	for i, e := range g.Edges {
-		f, okF := lay.Positions[e.From]
-		t, okT := lay.Positions[e.To]
-		if !okF || !okT {
-			return nil, fmt.Errorf("svg: edge endpoint not laid out: %s -> %s", e.From, e.To)
-		}
+		f, t := lay.Rects[e.From], lay.Rects[e.To]
 		d.edges[i] = [4]int64{
 			fixed(f.CenterX()+pad, 10), fixed(f.Y+f.H+pad, 10),
 			fixed(t.CenterX()+pad, 10), fixed(t.Y+pad, 10),
 		}
 	}
-	// Deterministic order: by node ID.
-	order := make([]int32, len(g.Nodes))
-	for i := range order {
-		order[i] = int32(i)
+	for i := range d.order {
+		d.order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(g.Nodes[a].ID, g.Nodes[b].ID) })
-	for i, k := range order {
-		n := &g.Nodes[k]
-		r, ok := lay.Positions[n.ID]
-		if !ok {
-			return nil, fmt.Errorf("svg: node %s not laid out", n.ID)
-		}
-		label := n.Label()
+	slices.SortStableFunc(d.order, func(a, b int32) int { return strings.Compare(g.Nodes[a].ID, g.Nodes[b].ID) })
+	for k, i := range d.order {
+		d.slots[i] = int32(k)
+		node, r := &g.Nodes[i], lay.Rects[i]
+		label := node.Label()
 		if label == "" {
-			label = n.ID
+			label = node.ID
 		}
-		d.nodes[i] = nodeBox{
-			id:    n.ID,
-			label: truncateLabel(label, r.W, style.FontSize),
-			x:     fixed(r.X+pad, 10), y: fixed(r.Y+pad, 10),
+		kept, cut := fitLabel(label, r.W, style.FontSize)
+		d.nodes[k] = nodeBox{
+			id: node.ID, label: kept, cut: cut,
+			x: fixed(r.X+pad, 10), y: fixed(r.Y+pad, 10),
 			w: fixed(r.W, 10), h: fixed(r.H, 10),
 			tx: fixed(r.CenterX()+pad, 10), ty: fixed(r.CenterY()+pad+style.FontSize/3, 10),
 		}
@@ -146,44 +151,55 @@ func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
 	return d, nil
 }
 
-// NodeIDs returns the node IDs, as the Doc carries them, in fill-slot
-// order: Paint's slot i colors node NodeIDs()[i].
-func (d *Drawing) NodeIDs() []string {
-	ids := make([]string, len(d.nodes))
-	for i := range d.nodes {
-		ids[i] = xmlText(d.nodes[i].id)
-	}
-	return ids
-}
+// Slot returns where graph node i is drawn: its place in the Doc's
+// Nodes and Paint's fill slot.
+func (d *Drawing) Slot(i int) int { return int(d.slots[i]) }
+
+// Node returns the graph node drawn at a slot.
+func (d *Drawing) Node(slot int) int { return int(d.order[slot]) }
 
 // Doc returns the in-memory form of the drawing — exactly what Parse
 // reads back from its text.
 func (d *Drawing) Doc() *Doc {
-	doc := &Doc{
-		Width:  float64(d.width),
-		Height: float64(d.height),
-		Nodes:  make(map[string]*NodeBox, len(d.nodes)),
-	}
+	doc := &Doc{Width: float64(d.width), Height: float64(d.height)}
 	if len(d.edges) > 0 {
 		doc.Edges = make([]Line, len(d.edges))
 	}
 	for i, e := range d.edges {
 		doc.Edges[i] = Line{X1: tenths(e[0]), Y1: tenths(e[1]), X2: tenths(e[2]), Y2: tenths(e[3])}
 	}
-	boxes := make([]NodeBox, len(d.nodes))
+	if len(d.nodes) > 0 {
+		doc.Nodes = make([]NodeBox, len(d.nodes))
+	}
+	// Every cut label, ellipsis included, is a substring of one buffer
+	// sized once.
+	size := 0
+	for i := range d.nodes {
+		if d.nodes[i].cut {
+			size += len(xmlText(d.nodes[i].label)) + len(ellipsis)
+		}
+	}
+	var cuts strings.Builder
+	cuts.Grow(size)
 	for i := range d.nodes {
 		n := &d.nodes[i]
-		boxes[i] = NodeBox{
-			ID: xmlText(n.id), X: tenths(n.x), Y: tenths(n.y), W: tenths(n.w), H: tenths(n.h),
-			Fill: d.style.NodeFill, Label: xmlText(n.label),
+		label := xmlText(n.label)
+		if n.cut {
+			lo := cuts.Len()
+			cuts.WriteString(label)
+			cuts.WriteString(ellipsis)
+			label = cuts.String()[lo:]
 		}
-		doc.Nodes[boxes[i].ID] = &boxes[i]
+		doc.Nodes[i] = NodeBox{
+			ID: xmlText(n.id), X: tenths(n.x), Y: tenths(n.y), W: tenths(n.w), H: tenths(n.h),
+			Fill: d.style.NodeFill, Label: label,
+		}
 	}
 	return doc
 }
 
-// Paint returns the drawing as SVG text with fill(i) as the fill of node
-// i (NodeIDs order); an empty fill selects the style's default. The
+// Paint returns the drawing as SVG text with fill(slot) as the fill of
+// the node drawn at slot; an empty fill selects the style's default. The
 // static text is rendered once, on the first call; a paint is one
 // pre-sized copy of it with the fills dropped into their slots.
 func (d *Drawing) Paint(fill func(slot int) string) string {
@@ -279,6 +295,9 @@ func (d *Drawing) render() {
 		units(d.fontSize)
 		b.WriteString(textTail)
 		escaped(n.label)
+		if n.cut {
+			b.WriteString(ellipsis)
+		}
 		b.WriteString("</text>\n</g>\n")
 	}
 	b.WriteString("</g>\n</svg>\n")
@@ -341,22 +360,26 @@ func appendTenths(dst []byte, n int64) []byte {
 	return append(dst, '.', byte('0'+n%10))
 }
 
-// truncateLabel shortens a label to roughly fit its box, cutting between
-// characters.
-func truncateLabel(s string, w, fontSize float64) string {
+// ellipsis marks a label cut to fit its box.
+const ellipsis = "…"
+
+// fitLabel returns the part of a label that roughly fits its box: all of
+// it, or its first characters with cut set, to be drawn followed by
+// ellipsis. The cut falls between characters.
+func fitLabel(s string, w, fontSize float64) (kept string, cut bool) {
 	maxChars := int(w / (fontSize * 0.62))
 	if maxChars < 4 {
 		maxChars = 4
 	}
 	if utf8.RuneCountInString(s) <= maxChars {
-		return s
+		return s, false
 	}
-	cut := 0
-	for n := 0; n < maxChars-1; n++ {
-		_, size := utf8.DecodeRuneInString(s[cut:])
-		cut += size
+	n := 0
+	for k := 0; k < maxChars-1; k++ {
+		_, size := utf8.DecodeRuneInString(s[n:])
+		n += size
 	}
-	return s[:cut] + "…"
+	return s[:n], true
 }
 
 // xmlText maps s onto the characters an XML 1.0 document can carry, the
@@ -393,11 +416,11 @@ func xmlChar(r rune) bool {
 
 // Doc is the in-memory form of an SVG picture of a plan: the structure
 // the glyph builder consumes. Drawing.Doc builds it from a layout; Parse
-// reads it from SVG text.
+// reads it from SVG text. Nodes are in the order the text lists them.
 type Doc struct {
 	Width  float64
 	Height float64
-	Nodes  map[string]*NodeBox
+	Nodes  []NodeBox
 	Edges  []Line
 }
 
@@ -421,7 +444,7 @@ type Line struct {
 // the attribute; an absent one is 0.
 func Parse(r io.Reader) (*Doc, error) {
 	dec := xml.NewDecoder(r)
-	doc := &Doc{Nodes: map[string]*NodeBox{}}
+	doc := &Doc{}
 	var current *NodeBox
 	depthInNode := 0
 	for {
@@ -482,7 +505,7 @@ func Parse(r io.Reader) (*Doc, error) {
 			if t.Name.Local == "g" && current != nil {
 				depthInNode--
 				if depthInNode == 0 {
-					doc.Nodes[current.ID] = current
+					doc.Nodes = append(doc.Nodes, *current)
 					current = nil
 				}
 			}

@@ -22,6 +22,16 @@ func mustParse(t testing.TB, text string) *dot.Graph {
 	return g
 }
 
+// nodeByID returns the document's node named id, nil when there is none.
+func nodeByID(doc *Doc, id string) *NodeBox {
+	for i := range doc.Nodes {
+		if doc.Nodes[i].ID == id {
+			return &doc.Nodes[i]
+		}
+	}
+	return nil
+}
+
 func renderSample(t testing.TB, fills map[string]string) (string, *dot.Graph, *layout.Layout) {
 	t.Helper()
 	g := mustParse(t, `digraph sample { n0 [label="X_0 := sql.bind();"]; n1 [label="X_1 := algebra.select(X_0);"]; n0 -> n1; }`)
@@ -67,7 +77,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if len(doc.Edges) != len(g.Edges) {
 		t.Fatalf("parsed %d edges, want %d", len(doc.Edges), len(g.Edges))
 	}
-	n1 := doc.Nodes["n1"]
+	n1 := nodeByID(doc, "n1")
 	if n1 == nil {
 		t.Fatal("n1 missing")
 	}
@@ -75,7 +85,7 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Errorf("n1 fill = %q", n1.Fill)
 	}
 	// Geometry survives within the 8px padding offset.
-	want := lay.Positions["n1"]
+	want := lay.Rects[1]
 	if n1.W != want.W || n1.H != want.H {
 		t.Errorf("n1 box = %gx%g, want %gx%g", n1.W, n1.H, want.W, want.H)
 	}
@@ -101,8 +111,8 @@ func TestLabelEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("escaped svg unparseable: %v", err)
 	}
-	if !strings.Contains(doc.Nodes["n0"].Label, "<") {
-		t.Errorf("label = %q", doc.Nodes["n0"].Label)
+	if !strings.Contains(doc.Nodes[0].Label, "<") {
+		t.Errorf("label = %q", doc.Nodes[0].Label)
 	}
 }
 
@@ -121,18 +131,18 @@ func TestTruncateLongLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Nodes["n0"].Label) >= len(long) {
+	if len(doc.Nodes[0].Label) >= len(long) {
 		t.Error("long label not truncated")
 	}
-	if !strings.HasSuffix(doc.Nodes["n0"].Label, "…") {
-		t.Errorf("truncation marker missing: %q", doc.Nodes["n0"].Label)
+	if !strings.HasSuffix(doc.Nodes[0].Label, "…") {
+		t.Errorf("truncation marker missing: %q", doc.Nodes[0].Label)
 	}
 }
 
+// A layout of another graph does not place this one's nodes.
 func TestRenderErrorOnMissingLayout(t *testing.T) {
 	g := mustParse(t, "digraph bad { n0; }")
-	empty := &layout.Layout{Positions: map[string]layout.Rect{}}
-	if _, err := RenderString(g, empty, nil, DefaultStyle()); err == nil {
+	if _, err := RenderString(g, &layout.Layout{}, nil, DefaultStyle()); err == nil {
 		t.Error("missing layout accepted")
 	}
 }
@@ -157,6 +167,14 @@ func TestEmptyGraphRenders(t *testing.T) {
 	if len(doc.Nodes) != 0 || len(doc.Edges) != 0 {
 		t.Error("phantom content in empty render")
 	}
+}
+
+// truncateLabel is a label as drawn.
+func truncateLabel(s string, w, fontSize float64) string {
+	if kept, cut := fitLabel(s, w, fontSize); cut {
+		return kept + ellipsis
+	}
+	return s
 }
 
 // A label whose cut falls inside a multi-byte character used to be sliced
@@ -217,7 +235,7 @@ func TestParseRejectsDamagedNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := doc.Nodes["n0"]; doc.Height != 0 || n == nil || n.X != 0 || n.W != 2 || n.H != 3 {
+	if n := nodeByID(doc, "n0"); doc.Height != 0 || n == nil || n.X != 0 || n.W != 2 || n.H != 3 {
 		t.Errorf("doc = %+v, n0 = %+v", doc, n)
 	}
 }

@@ -177,10 +177,10 @@ func (s *Store) PCs() []int {
 	return append([]int(nil), s.pcs...)
 }
 
-// Mapping links a trace to a dot graph per §3.3.
+// Mapping is the verdict of linking a trace to a dot graph per §3.3:
+// instruction pc is the graph's node named "nN" for N = pc
+// (dot.Graph.PCNode), and the pcs that do not link are listed here.
 type Mapping struct {
-	// NodeOf maps pc to the dot node ID ("nN").
-	NodeOf map[int]string
 	// Unmatched lists pcs present in the trace with no graph node — a
 	// stale dot file or truncated plan.
 	Unmatched []int
@@ -191,14 +191,13 @@ type Mapping struct {
 
 // MapToGraph resolves every traced pc against the graph.
 func MapToGraph(s *Store, g *dot.Graph) Mapping {
-	m := Mapping{NodeOf: make(map[int]string, len(s.pcs))}
+	var m Mapping
 	for _, pc := range s.pcs {
-		node, ok := g.PCNode(pc)
+		i, ok := g.PCNode(pc)
 		if !ok {
 			m.Unmatched = append(m.Unmatched, pc)
 			continue
 		}
-		m.NodeOf[pc] = node.ID
 		stmt := ""
 		for _, i := range s.idxsOf(pc) {
 			if s.events[i].Stmt != "" {
@@ -206,7 +205,7 @@ func MapToGraph(s *Store, g *dot.Graph) Mapping {
 				break
 			}
 		}
-		if label := node.Label(); stmt != "" && label != "" && stmt != label {
+		if label := g.Nodes[i].Label(); stmt != "" && label != "" && stmt != label {
 			m.LabelMismatches = append(m.LabelMismatches, pc)
 		}
 	}

@@ -78,8 +78,10 @@ func TestMappingMatchesPaperConvention(t *testing.T) {
 	if !m.Complete() {
 		t.Fatalf("mapping incomplete: %+v", m)
 	}
-	if m.NodeOf[0] != "n0" || m.NodeOf[1] != "n1" {
-		t.Errorf("NodeOf = %v", m.NodeOf)
+	for pc := range p.Instrs {
+		if i, ok := g.PCNode(pc); !ok || i != pc {
+			t.Errorf("pc %d maps to node %d, %v", pc, i, ok)
+		}
 	}
 }
 
@@ -118,8 +120,10 @@ func TestMappingIndexedGraph(t *testing.T) {
 		{Seq: 3, State: profiler.StateStart, PC: 3},
 	})
 	m := MapToGraph(s, g)
-	if m.NodeOf[0] != "n0" || m.NodeOf[2] != "n2" || len(m.NodeOf) != 2 {
-		t.Errorf("NodeOf = %v", m.NodeOf)
+	for pc, want := range map[int]int{0: 2, 2: 1} {
+		if i, ok := g.PCNode(pc); !ok || i != want {
+			t.Errorf("pc %d maps to node %d, %v; want %d", pc, i, ok, want)
+		}
 	}
 	if len(m.Unmatched) != 2 || m.Unmatched[0] != 3 || m.Unmatched[1] != 7 {
 		t.Errorf("Unmatched = %v", m.Unmatched)

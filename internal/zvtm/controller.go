@@ -129,36 +129,25 @@ func (n *NavController) HandleDrag(dxPx, dyPx float64) {
 }
 
 // ClickNode picks the node under a viewport coordinate.
-func (n *NavController) ClickNode(sx, sy float64) (string, bool) {
+func (n *NavController) ClickNode(sx, sy float64) (int, bool) {
 	wx, wy := n.Cam.Unproject(sx, sy, n.ViewW, n.ViewH)
 	return n.Space.PickNode(wx, wy)
 }
 
-// ZoomToNode centers and magnifies one node — the demo's "zooming
-// ability on individual nodes".
-func (n *NavController) ZoomToNode(nodeID string, frac float64) bool {
-	gs := n.Space.NodeGlyphs(nodeID)
-	if len(gs) == 0 {
-		return false
-	}
-	n.Cam.CenterOnGlyph(gs[0], n.ViewW, frac)
-	return true
+// ZoomToNode centers and magnifies node i — the demo's "zooming ability
+// on individual nodes".
+func (n *NavController) ZoomToNode(i int, frac float64) {
+	n.Cam.CenterOnGlyph(n.Space.Shape(i), n.ViewW, frac)
 }
 
-// Visible returns the node IDs whose shapes intersect the current view,
-// for viewport-culled rendering of >1000-node graphs.
-func (n *NavController) Visible() []string {
+// Visible returns the nodes whose shapes intersect the current view, for
+// viewport-culled rendering of >1000-node graphs.
+func (n *NavController) Visible() []int {
 	x, y, w, h := n.Cam.VisibleBounds(n.ViewW, n.ViewH)
-	var out []string
-	for _, id := range n.Space.NodeIDs() {
-		for _, g := range n.Space.NodeGlyphs(id) {
-			if g.Kind != ShapeGlyph {
-				continue
-			}
-			if g.X < x+w && x < g.X+g.W && g.Y < y+h && y < g.Y+g.H {
-				out = append(out, id)
-			}
-			break
+	var out []int
+	for i := 0; i < n.Space.Nodes(); i++ {
+		if g := n.Space.Shape(i); g.X < x+w && x < g.X+g.W && g.Y < y+h && y < g.Y+g.H {
+			out = append(out, i)
 		}
 	}
 	return out

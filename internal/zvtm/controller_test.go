@@ -3,23 +3,32 @@ package zvtm
 import (
 	"math"
 	"testing"
+
+	"stethoscope/internal/svg"
 )
 
+// gridSpace lays rows × cols labelled nodes out on a grid, row by row:
+// node r*cols+c is named nodeName(r, c).
 func gridSpace(t testing.TB, cols, rows int) *VirtualSpace {
 	t.Helper()
-	vs := NewVirtualSpace("grid")
-	vs.W = float64(cols * 100)
-	vs.H = float64(rows * 60)
+	doc := &svg.Doc{Width: float64(cols * 100), Height: float64(rows * 60)}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			id := nodeName(r, c)
-			if err := vs.Add(&Glyph{
-				ID: "shape:" + id, Kind: ShapeGlyph, NodeID: id,
+			doc.Nodes = append(doc.Nodes, svg.NodeBox{
+				ID: nodeName(r, c), Label: nodeName(r, c),
 				X: float64(c*100 + 10), Y: float64(r*60 + 10), W: 80, H: 40,
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 		}
+	}
+	return space(t, doc)
+}
+
+// space builds the glyph space of a document.
+func space(t testing.TB, doc *svg.Doc) *VirtualSpace {
+	t.Helper()
+	vs, err := FromSVG("test", doc)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return vs
 }
@@ -123,11 +132,11 @@ func TestClickNode(t *testing.T) {
 	vs := gridSpace(t, 10, 6)
 	n := NewNavController(vs, 500, 300)
 	// Project the center of node (0,0) into the viewport and click it.
-	g := vs.NodeGlyphs(nodeName(0, 0))[0]
+	g := vs.Shape(0)
 	sx, sy := n.Cam.Project(g.CenterX(), g.CenterY(), n.ViewW, n.ViewH)
-	id, ok := n.ClickNode(sx, sy)
-	if !ok || id != nodeName(0, 0) {
-		t.Errorf("click = %q, %v", id, ok)
+	i, ok := n.ClickNode(sx, sy)
+	if !ok || i != 0 {
+		t.Errorf("click = %d, %v", i, ok)
 	}
 	if _, ok := n.ClickNode(-10000, -10000); ok {
 		t.Error("click in the void hit a node")
@@ -137,10 +146,8 @@ func TestClickNode(t *testing.T) {
 func TestZoomToNode(t *testing.T) {
 	vs := gridSpace(t, 10, 6)
 	n := NewNavController(vs, 500, 300)
-	if !n.ZoomToNode(nodeName(2, 3), 0.5) {
-		t.Fatal("ZoomToNode failed")
-	}
-	g := vs.NodeGlyphs(nodeName(2, 3))[0]
+	n.ZoomToNode(2*10+3, 0.5)
+	g := vs.Shape(2*10 + 3)
 	if n.Cam.CX != g.CenterX() || n.Cam.CY != g.CenterY() {
 		t.Error("camera not centered on node")
 	}
@@ -150,22 +157,19 @@ func TestZoomToNode(t *testing.T) {
 	if math.Abs((sx2-sx1)-250) > 1e-6 {
 		t.Errorf("node spans %g px, want 250", sx2-sx1)
 	}
-	if n.ZoomToNode("absent", 0.5) {
-		t.Error("zoom to unknown node succeeded")
-	}
 }
 
 func TestVisibleCulling(t *testing.T) {
 	vs := gridSpace(t, 10, 6)
 	n := NewNavController(vs, 500, 300)
-	n.ZoomToNode(nodeName(0, 0), 0.8)
+	n.ZoomToNode(0, 0.8)
 	vis := n.Visible()
 	if len(vis) == 0 || len(vis) >= 60 {
 		t.Errorf("culled visible = %d", len(vis))
 	}
 	found := false
-	for _, id := range vis {
-		if id == nodeName(0, 0) {
+	for _, i := range vis {
+		if i == 0 {
 			found = true
 		}
 	}

@@ -14,12 +14,7 @@
 // internal/svg or internal/ascii instead of a window.
 package zvtm
 
-import (
-	"fmt"
-	"sort"
-
-	"stethoscope/internal/svg"
-)
+import "stethoscope/internal/svg"
 
 // GlyphKind discriminates the three fundamental ZVTM graphical objects.
 type GlyphKind int
@@ -44,13 +39,10 @@ func (k GlyphKind) String() string {
 }
 
 // Glyph is one graphical object in a virtual space. Shapes and texts
-// carry a bounding box; edges carry both endpoints. NodeID links the
-// glyph back to its dot node ("n3"), the hook Stethoscope's coloring and
-// tooltips use.
+// carry a bounding box; edges carry both endpoints. A glyph has no name:
+// which node it belongs to is where it sits in the space.
 type Glyph struct {
-	ID     string
-	Kind   GlyphKind
-	NodeID string // owning graph node, empty for edges
+	Kind GlyphKind
 
 	X, Y, W, H float64 // box (shapes, texts)
 	X2, Y2     float64 // second endpoint (edges; X,Y is the first)
@@ -74,144 +66,73 @@ func (g *Glyph) Contains(x, y float64) bool {
 	return x >= g.X && x <= g.X+g.W && y >= g.Y && y <= g.Y+g.H
 }
 
-// VirtualSpace is the canvas holding all glyphs, indexed by owning node.
+// VirtualSpace is the canvas holding all glyphs in one slab. Nodes are
+// numbered in the order the SVG document lists them: node i's shape is
+// glyph 2i and its text glyph 2i+1, and the edges follow.
 type VirtualSpace struct {
 	Name   string
 	W, H   float64
-	glyphs []*Glyph
-	byNode map[string][]*Glyph
-	byID   map[string]*Glyph
+	glyphs []Glyph
+	ids    []string // node i's ID as the document names it, for RenderView
 }
 
-// NewVirtualSpace returns an empty space.
-func NewVirtualSpace(name string) *VirtualSpace {
-	return &VirtualSpace{Name: name, byNode: map[string][]*Glyph{}, byID: map[string]*Glyph{}}
-}
+// Glyphs returns all glyphs: every node's shape and text, then the
+// edges.
+func (vs *VirtualSpace) Glyphs() []Glyph { return vs.glyphs }
 
-// Add inserts a glyph. Duplicate IDs are rejected.
-func (vs *VirtualSpace) Add(g *Glyph) error {
-	if _, ok := vs.byID[g.ID]; ok {
-		return fmt.Errorf("zvtm: duplicate glyph id %q", g.ID)
-	}
-	vs.glyphs = append(vs.glyphs, g)
-	vs.byID[g.ID] = g
-	if g.NodeID != "" {
-		vs.byNode[g.NodeID] = append(vs.byNode[g.NodeID], g)
-	}
-	return nil
-}
+// Nodes returns the number of nodes.
+func (vs *VirtualSpace) Nodes() int { return len(vs.ids) }
 
-// Glyphs returns all glyphs in insertion order.
-func (vs *VirtualSpace) Glyphs() []*Glyph { return vs.glyphs }
-
-// Glyph looks a glyph up by ID.
-func (vs *VirtualSpace) Glyph(id string) (*Glyph, bool) {
-	g, ok := vs.byID[id]
-	return g, ok
-}
-
-// NodeGlyphs returns the glyphs belonging to a graph node.
-func (vs *VirtualSpace) NodeGlyphs(nodeID string) []*Glyph { return vs.byNode[nodeID] }
-
-// NodeIDs returns all node IDs with glyphs, sorted.
-func (vs *VirtualSpace) NodeIDs() []string {
-	ids := make([]string, 0, len(vs.byNode))
-	for id := range vs.byNode {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+// Shape returns node i's shape glyph, whose color is the node's
+// execution state — the primitive Stethoscope's coloring drives.
+func (vs *VirtualSpace) Shape(i int) *Glyph { return &vs.glyphs[2*i] }
 
 // CountKind counts glyphs of one kind — used to verify the paper's
 // object accounting (2 shapes + 2 texts + 1 edge for a 2-node/1-edge
 // graph).
 func (vs *VirtualSpace) CountKind(k GlyphKind) int {
 	n := 0
-	for _, g := range vs.glyphs {
-		if g.Kind == k {
+	for i := range vs.glyphs {
+		if vs.glyphs[i].Kind == k {
 			n++
 		}
 	}
 	return n
 }
 
-// SetNodeColor recolors every shape glyph of a node; it reports whether
-// the node exists. This is the primitive Stethoscope's execution-state
-// coloring drives.
-func (vs *VirtualSpace) SetNodeColor(nodeID, color string) bool {
-	gs := vs.byNode[nodeID]
-	if len(gs) == 0 {
-		return false
-	}
-	for _, g := range gs {
-		if g.Kind == ShapeGlyph {
-			g.Color = color
-		}
-	}
-	return true
-}
-
-// NodeColor returns the shape color of a node ("" when absent).
-func (vs *VirtualSpace) NodeColor(nodeID string) string {
-	for _, g := range vs.byNode[nodeID] {
-		if g.Kind == ShapeGlyph {
-			return g.Color
-		}
-	}
-	return ""
-}
-
 // PickNode returns the node whose shape contains the world point,
 // topmost (last added) first — ZVTM picking for tooltips and the debug
 // window.
-func (vs *VirtualSpace) PickNode(x, y float64) (string, bool) {
-	for i := len(vs.glyphs) - 1; i >= 0; i-- {
-		g := vs.glyphs[i]
-		if g.Kind == ShapeGlyph && g.Contains(x, y) {
-			return g.NodeID, true
+func (vs *VirtualSpace) PickNode(x, y float64) (int, bool) {
+	for i := len(vs.ids) - 1; i >= 0; i-- {
+		if vs.Shape(i).Contains(x, y) {
+			return i, true
 		}
 	}
-	return "", false
+	return 0, false
 }
 
 // FromSVG builds the virtual space from an SVG document — drawn from a
 // layout (svg.Drawing.Doc) or parsed from text (svg.Parse) — the final
 // step of the paper's dot -> svg -> in-memory pipeline: one shape glyph
-// and one text glyph per node, one edge glyph per line.
+// and one text glyph per node, one edge glyph per line. It is the only
+// glyph builder. It cannot fail; the error result stays because
+// bench/trace.go's zvtm.fromsvg span calls it with this signature.
 func FromSVG(name string, doc *svg.Doc) (*VirtualSpace, error) {
-	vs := NewVirtualSpace(name)
-	vs.W, vs.H = doc.Width, doc.Height
-	ids := make([]string, 0, len(doc.Nodes))
-	for id := range doc.Nodes {
-		ids = append(ids, id)
+	n := len(doc.Nodes)
+	vs := &VirtualSpace{
+		Name: name, W: doc.Width, H: doc.Height,
+		glyphs: make([]Glyph, 2*n+len(doc.Edges)),
+		ids:    make([]string, n),
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		n := doc.Nodes[id]
-		shape := &Glyph{
-			ID: "shape:" + id, Kind: ShapeGlyph, NodeID: id,
-			X: n.X, Y: n.Y, W: n.W, H: n.H, Color: n.Fill,
-		}
-		if err := vs.Add(shape); err != nil {
-			return nil, err
-		}
-		text := &Glyph{
-			ID: "text:" + id, Kind: TextGlyph, NodeID: id,
-			X: n.X, Y: n.Y, W: n.W, H: n.H, Text: n.Label,
-		}
-		if err := vs.Add(text); err != nil {
-			return nil, err
-		}
+	for i := range doc.Nodes {
+		b := &doc.Nodes[i]
+		vs.ids[i] = b.ID
+		vs.glyphs[2*i] = Glyph{Kind: ShapeGlyph, X: b.X, Y: b.Y, W: b.W, H: b.H, Color: b.Fill}
+		vs.glyphs[2*i+1] = Glyph{Kind: TextGlyph, X: b.X, Y: b.Y, W: b.W, H: b.H, Text: b.Label}
 	}
-	for i, e := range doc.Edges {
-		edge := &Glyph{
-			ID: fmt.Sprintf("edge:%d", i), Kind: EdgeGlyph,
-			X: e.X1, Y: e.Y1, X2: e.X2, Y2: e.Y2,
-		}
-		if err := vs.Add(edge); err != nil {
-			return nil, err
-		}
+	for k, e := range doc.Edges {
+		vs.glyphs[2*n+k] = Glyph{Kind: EdgeGlyph, X: e.X1, Y: e.Y1, X2: e.X2, Y2: e.Y2}
 	}
 	return vs, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -46,10 +45,7 @@ func RenderView(w io.Writer, vs *VirtualSpace, cam *Camera, lens *FisheyeLens, v
 
 	// Edges under nodes.
 	fmt.Fprintln(w, `<g class="edges" stroke="#888888">`)
-	for _, g := range vs.glyphs {
-		if g.Kind != EdgeGlyph {
-			continue
-		}
+	for _, g := range vs.glyphs[2*vs.Nodes():] {
 		x1, y1 := project(g.X, g.Y)
 		x2, y2 := project(g.X2, g.Y2)
 		if !inView(x1, y1, x2, y2) {
@@ -60,22 +56,9 @@ func RenderView(w io.Writer, vs *VirtualSpace, cam *Camera, lens *FisheyeLens, v
 	fmt.Fprintln(w, "</g>")
 
 	fmt.Fprintln(w, `<g class="nodes">`)
-	ids := vs.NodeIDs()
-	sort.Strings(ids)
 	z := cam.Zoom()
-	for _, id := range ids {
-		var shape, text *Glyph
-		for _, g := range vs.byNode[id] {
-			switch g.Kind {
-			case ShapeGlyph:
-				shape = g
-			case TextGlyph:
-				text = g
-			}
-		}
-		if shape == nil {
-			continue
-		}
+	for i, id := range vs.ids {
+		shape, text := vs.Shape(i), &vs.glyphs[2*i+1]
 		// Project the box corners; with a lens, the box is distorted, so
 		// project the corners and use their bounding box.
 		x1, y1 := project(shape.X, shape.Y)
@@ -97,7 +80,7 @@ func RenderView(w io.Writer, vs *VirtualSpace, cam *Camera, lens *FisheyeLens, v
 			d := math.Hypot(shape.CenterX()-lens.FX, shape.CenterY()-lens.FY)
 			fontPx *= lens.Magnification(d)
 		}
-		if text != nil && text.Text != "" && fontPx >= 6 {
+		if text.Text != "" && fontPx >= 6 {
 			cx, cy := project(shape.CenterX(), shape.CenterY())
 			fmt.Fprintf(w, `<text x="%.1f" y="%.1f" font-size="%.1f" text-anchor="middle">%s</text>`+"\n",
 				cx, cy+fontPx/3, fontPx, escape(text.Text))

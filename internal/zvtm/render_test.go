@@ -3,6 +3,8 @@ package zvtm
 import (
 	"strings"
 	"testing"
+
+	"stethoscope/internal/svg"
 )
 
 func TestRenderViewOverview(t *testing.T) {
@@ -24,7 +26,7 @@ func TestRenderViewOverview(t *testing.T) {
 func TestRenderViewCullsOffscreen(t *testing.T) {
 	vs := gridSpace(t, 10, 6)
 	n := NewNavController(vs, 400, 300)
-	n.ZoomToNode(nodeName(0, 0), 0.5)
+	n.ZoomToNode(0, 0.5)
 	out, err := RenderViewString(vs, n.Cam, nil, 400, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -39,10 +41,9 @@ func TestRenderViewCullsOffscreen(t *testing.T) {
 }
 
 func TestRenderViewColorsAndLabels(t *testing.T) {
-	vs := NewVirtualSpace("v")
-	vs.W, vs.H = 200, 100
-	vs.Add(&Glyph{ID: "shape:n0", Kind: ShapeGlyph, NodeID: "n0", X: 10, Y: 10, W: 100, H: 30, Color: "#e03131"})
-	vs.Add(&Glyph{ID: "text:n0", Kind: TextGlyph, NodeID: "n0", X: 10, Y: 10, W: 100, H: 30, Text: `a < "b"`})
+	vs := space(t, &svg.Doc{Width: 200, Height: 100, Nodes: []svg.NodeBox{
+		{ID: "n0", X: 10, Y: 10, W: 100, H: 30, Fill: "#e03131", Label: `a < "b"`},
+	}})
 	cam := &Camera{CX: 100, CY: 50}
 	out, err := RenderViewString(vs, cam, nil, 400, 200)
 	if err != nil {
@@ -59,8 +60,14 @@ func TestRenderViewColorsAndLabels(t *testing.T) {
 func TestRenderViewLabelLoD(t *testing.T) {
 	// At very low zoom the labels are suppressed.
 	vs := gridSpace(t, 10, 6)
+	legible, err := RenderViewString(vs, &Camera{CX: 500, CY: 180}, nil, 800, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(legible, "<text") {
+		t.Error("labels missing at zoom 1")
+	}
 	cam := &Camera{CX: 500, CY: 180, Alt: 5000} // zoom ~0.02
-	vs.Add(&Glyph{ID: "text:" + nodeName(0, 0), Kind: TextGlyph, NodeID: nodeName(0, 0), Text: "label"})
 	out, err := RenderViewString(vs, cam, nil, 800, 600)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +80,7 @@ func TestRenderViewLabelLoD(t *testing.T) {
 func TestRenderViewWithFisheye(t *testing.T) {
 	vs := gridSpace(t, 6, 4)
 	n := NewNavController(vs, 800, 600)
-	g := vs.NodeGlyphs(nodeName(1, 1))[0]
+	g := vs.Shape(1*6 + 1)
 	lens := &FisheyeLens{FX: g.CenterX(), FY: g.CenterY(), Radius: 200, Mag: 3}
 	plain, err := RenderViewString(vs, n.Cam, nil, 800, 600)
 	if err != nil {
@@ -89,7 +96,7 @@ func TestRenderViewWithFisheye(t *testing.T) {
 }
 
 func TestRenderViewBadViewport(t *testing.T) {
-	vs := NewVirtualSpace("v")
+	vs := space(t, &svg.Doc{})
 	if _, err := RenderViewString(vs, &Camera{}, nil, 0, 100); err == nil {
 		t.Error("zero-width viewport accepted")
 	}

@@ -7,7 +7,7 @@ import (
 
 // RenderRequest is one queued node recoloring.
 type RenderRequest struct {
-	NodeID     string
+	Node       int
 	Color      string
 	EnqueuedAt time.Time
 }
@@ -30,11 +30,14 @@ type Dispatched struct {
 // waits. The queue's existence is why the online coloring algorithm must
 // elide short-lived start/done pairs (experiment E6).
 type RenderQueue struct {
-	mu        sync.Mutex
-	vs        *VirtualSpace
-	delay     time.Duration
+	mu    sync.Mutex
+	vs    *VirtualSpace
+	delay time.Duration
+	// pending[head:] wait in order of first enqueue; at[i] is node i's
+	// position in pending plus one, 0 while node i waits for nothing.
 	pending   []RenderRequest
-	byNode    map[string]int // pending index per node for coalescing
+	head      int
+	at        []int32
 	lastFlush time.Time
 	history   []Dispatched
 }
@@ -48,24 +51,36 @@ func NewRenderQueue(vs *VirtualSpace, delay time.Duration) *RenderQueue {
 	if delay <= 0 {
 		delay = DefaultDispatchDelay
 	}
-	return &RenderQueue{vs: vs, delay: delay, byNode: map[string]int{}}
+	return &RenderQueue{vs: vs, delay: delay, at: make([]int32, vs.Nodes())}
 }
 
 // Delay returns the configured per-dispatch latency.
 func (q *RenderQueue) Delay() time.Duration { return q.delay }
 
-// Enqueue schedules a node recoloring at time now. A pending request for
-// the same node is overwritten (the EDT coalesces repaint events).
-func (q *RenderQueue) Enqueue(nodeID, color string, now time.Time) {
+// Enqueue schedules a recoloring of node i at time now. A pending
+// request for the same node is overwritten (the EDT coalesces repaint
+// events).
+func (q *RenderQueue) Enqueue(i int, color string, now time.Time) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if i, ok := q.byNode[nodeID]; ok {
-		q.pending[i].Color = color
-		q.pending[i].EnqueuedAt = now
+	if k := q.at[i]; k > 0 {
+		q.pending[k-1].Color = color
+		q.pending[k-1].EnqueuedAt = now
 		return
 	}
-	q.byNode[nodeID] = len(q.pending)
-	q.pending = append(q.pending, RenderRequest{NodeID: nodeID, Color: color, EnqueuedAt: now})
+	q.pending = append(q.pending, RenderRequest{Node: i, Color: color, EnqueuedAt: now})
+	q.at[i] = int32(len(q.pending))
+}
+
+// Drop discards every pending request — a replay that jumps repaints the
+// whole space itself, and a queued recoloring would undo the jump.
+func (q *RenderQueue) Drop() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, r := range q.pending[q.head:] {
+		q.at[r.Node] = 0
+	}
+	q.pending, q.head = q.pending[:0], 0
 }
 
 // Flush dispatches every request whose turn has come by `now`: one
@@ -75,28 +90,31 @@ func (q *RenderQueue) Flush(now time.Time) []Dispatched {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var out []Dispatched
-	for len(q.pending) > 0 {
+	for q.head < len(q.pending) {
+		req := q.pending[q.head]
 		next := q.lastFlush.Add(q.delay)
-		if q.lastFlush.IsZero() {
-			next = q.pending[0].EnqueuedAt
-		}
-		if next.Before(q.pending[0].EnqueuedAt) {
-			next = q.pending[0].EnqueuedAt
+		if q.lastFlush.IsZero() || next.Before(req.EnqueuedAt) {
+			next = req.EnqueuedAt
 		}
 		if next.After(now) {
 			break
 		}
-		req := q.pending[0]
-		q.pending = q.pending[1:]
-		delete(q.byNode, req.NodeID)
-		for n, i := range q.byNode {
-			q.byNode[n] = i - 1
-		}
-		q.vs.SetNodeColor(req.NodeID, req.Color)
+		q.head++
+		q.at[req.Node] = 0
+		q.vs.Shape(req.Node).Color = req.Color
 		d := Dispatched{RenderRequest: req, DispatchedAt: next}
 		q.history = append(q.history, d)
 		out = append(out, d)
 		q.lastFlush = next
+	}
+	// Once half the slice is dispatched, move the waiting half down: each
+	// move costs at most the dispatches since the last one.
+	if q.head > 0 && 2*q.head >= len(q.pending) {
+		q.pending = q.pending[:copy(q.pending, q.pending[q.head:])]
+		q.head = 0
+		for k, r := range q.pending {
+			q.at[r.Node] = int32(k + 1)
+		}
 	}
 	return out
 }
@@ -105,7 +123,7 @@ func (q *RenderQueue) Flush(now time.Time) []Dispatched {
 func (q *RenderQueue) PendingLen() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.pending)
+	return len(q.pending) - q.head
 }
 
 // History returns all dispatches so far.

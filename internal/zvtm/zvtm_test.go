@@ -1,7 +1,9 @@
 package zvtm
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,41 +54,35 @@ func TestPaperGlyphAccounting(t *testing.T) {
 	}
 }
 
+// A node's shape starts with the document's fill, and coloring it
+// touches that node's shape and nothing else.
 func TestNodeColorRoundTrip(t *testing.T) {
 	vs := twoNodeSpace(t)
-	if !vs.SetNodeColor("n0", "#ff0000") {
-		t.Fatal("SetNodeColor failed")
+	fill := svg.DefaultStyle().NodeFill
+	if got := vs.Shape(0).Color; got != fill {
+		t.Errorf("initial color = %q, want the document's %q", got, fill)
 	}
-	if got := vs.NodeColor("n0"); got != "#ff0000" {
+	before := append([]Glyph(nil), vs.Glyphs()...)
+	vs.Shape(0).Color = "#ff0000"
+	if got := vs.Shape(0).Color; got != "#ff0000" {
 		t.Errorf("color = %q", got)
 	}
-	if vs.SetNodeColor("nope", "#000") {
-		t.Error("coloring unknown node succeeded")
-	}
-	if got := vs.NodeColor("nope"); got != "" {
-		t.Errorf("unknown node color = %q", got)
+	for k, g := range vs.Glyphs() {
+		if k != 0 && g != before[k] {
+			t.Errorf("glyph %d changed: %+v, was %+v", k, g, before[k])
+		}
 	}
 }
 
 func TestPickNode(t *testing.T) {
 	vs := twoNodeSpace(t)
-	shape := vs.NodeGlyphs("n1")[0]
-	id, ok := vs.PickNode(shape.CenterX(), shape.CenterY())
-	if !ok || id != "n1" {
-		t.Errorf("pick = %q, %v", id, ok)
+	shape := vs.Shape(1)
+	i, ok := vs.PickNode(shape.CenterX(), shape.CenterY())
+	if !ok || i != 1 {
+		t.Errorf("pick = %d, %v", i, ok)
 	}
 	if _, ok := vs.PickNode(-1000, -1000); ok {
 		t.Error("picked in empty space")
-	}
-}
-
-func TestDuplicateGlyphRejected(t *testing.T) {
-	vs := NewVirtualSpace("x")
-	if err := vs.Add(&Glyph{ID: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := vs.Add(&Glyph{ID: "a"}); err == nil {
-		t.Error("duplicate accepted")
 	}
 }
 
@@ -138,7 +134,7 @@ func TestCameraVisibleBounds(t *testing.T) {
 
 func TestCenterOnGlyph(t *testing.T) {
 	cam := &Camera{Alt: 500}
-	g := &Glyph{ID: "s", Kind: ShapeGlyph, X: 100, Y: 200, W: 50, H: 20}
+	g := &Glyph{Kind: ShapeGlyph, X: 100, Y: 200, W: 50, H: 20}
 	cam.CenterOnGlyph(g, 800, 0.5)
 	if cam.CX != 125 || cam.CY != 210 {
 		t.Errorf("camera at (%g,%g)", cam.CX, cam.CY)
@@ -237,18 +233,18 @@ func TestRenderQueueDispatchPacing(t *testing.T) {
 	vs := twoNodeSpace(t)
 	q := NewRenderQueue(vs, 150*time.Millisecond)
 	t0 := time.Unix(0, 0)
-	q.Enqueue("n0", "red", t0)
-	q.Enqueue("n1", "red", t0)
+	q.Enqueue(0, "red", t0)
+	q.Enqueue(1, "red", t0)
 
 	// At t0, only the first dispatches.
 	out := q.Flush(t0)
-	if len(out) != 1 || out[0].NodeID != "n0" {
+	if len(out) != 1 || out[0].Node != 0 {
 		t.Fatalf("first flush = %+v", out)
 	}
-	if vs.NodeColor("n0") != "red" {
+	if vs.Shape(0).Color != "red" {
 		t.Error("color not applied")
 	}
-	if vs.NodeColor("n1") == "red" {
+	if vs.Shape(1).Color == "red" {
 		t.Error("second applied too early")
 	}
 	// 149ms later: still waiting.
@@ -257,7 +253,7 @@ func TestRenderQueueDispatchPacing(t *testing.T) {
 	}
 	// 150ms later: second dispatches.
 	out = q.Flush(t0.Add(150 * time.Millisecond))
-	if len(out) != 1 || out[0].NodeID != "n1" {
+	if len(out) != 1 || out[0].Node != 1 {
 		t.Fatalf("second flush = %+v", out)
 	}
 	// Inter-render delays never exceed the configured ceiling given a
@@ -273,8 +269,8 @@ func TestRenderQueueCoalescesPerNode(t *testing.T) {
 	vs := twoNodeSpace(t)
 	q := NewRenderQueue(vs, 150*time.Millisecond)
 	t0 := time.Unix(0, 0)
-	q.Enqueue("n0", "red", t0)
-	q.Enqueue("n0", "green", t0.Add(time.Millisecond))
+	q.Enqueue(0, "red", t0)
+	q.Enqueue(0, "green", t0.Add(time.Millisecond))
 	if q.PendingLen() != 1 {
 		t.Fatalf("pending = %d, want 1 (coalesced)", q.PendingLen())
 	}
@@ -282,13 +278,13 @@ func TestRenderQueueCoalescesPerNode(t *testing.T) {
 	if len(out) != 1 || out[0].Color != "green" {
 		t.Fatalf("dispatched = %+v", out)
 	}
-	if vs.NodeColor("n0") != "green" {
+	if vs.Shape(0).Color != "green" {
 		t.Error("latest color not applied")
 	}
 }
 
 func TestRenderQueueDefaultDelay(t *testing.T) {
-	q := NewRenderQueue(NewVirtualSpace("x"), 0)
+	q := NewRenderQueue(space(t, &svg.Doc{}), 0)
 	if q.Delay() != DefaultDispatchDelay {
 		t.Errorf("default delay = %v", q.Delay())
 	}
@@ -300,8 +296,8 @@ func TestRenderQueueBurstThroughput(t *testing.T) {
 	t0 := time.Unix(100, 0)
 	// Alternate colors on two nodes rapidly; coalescing bounds pending at 2.
 	for i := 0; i < 100; i++ {
-		q.Enqueue("n0", "red", t0.Add(time.Duration(i)*time.Millisecond))
-		q.Enqueue("n1", "green", t0.Add(time.Duration(i)*time.Millisecond))
+		q.Enqueue(0, "red", t0.Add(time.Duration(i)*time.Millisecond))
+		q.Enqueue(1, "green", t0.Add(time.Duration(i)*time.Millisecond))
 	}
 	if q.PendingLen() != 2 {
 		t.Fatalf("pending = %d", q.PendingLen())
@@ -309,5 +305,81 @@ func TestRenderQueueBurstThroughput(t *testing.T) {
 	out := q.Flush(t0.Add(time.Second))
 	if len(out) != 2 {
 		t.Fatalf("dispatched = %d", len(out))
+	}
+}
+
+// TestRenderQueueMatchesModel holds the queue, through partial flushes
+// and re-enqueues of nodes already dispatched, to the obvious model: a
+// list in order of first enqueue holding each waiting node's newest
+// color and time, dispatched from the front one per delay.
+func TestRenderQueueMatchesModel(t *testing.T) {
+	const nodes = 40
+	vs := gridSpace(t, nodes, 1)
+	q := NewRenderQueue(vs, time.Millisecond)
+	var model []RenderRequest
+	var last time.Time
+	now := time.Unix(0, 0)
+	state := uint64(7)
+	for step := 0; step < 3000; step++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		r := int(state >> 33)
+		now = now.Add(time.Duration(r%700) * time.Microsecond)
+		if r%5 == 0 {
+			got := q.Flush(now)
+			var want []Dispatched
+			for len(model) > 0 {
+				next := last.Add(time.Millisecond)
+				if last.IsZero() || next.Before(model[0].EnqueuedAt) {
+					next = model[0].EnqueuedAt
+				}
+				if next.After(now) {
+					break
+				}
+				want = append(want, Dispatched{RenderRequest: model[0], DispatchedAt: next})
+				model, last = model[1:], next
+			}
+			if len(got) != len(want) {
+				t.Fatalf("step %d: dispatched %d, model %d", step, len(got), len(want))
+			}
+			for k := range got {
+				if got[k] != want[k] || vs.Shape(got[k].Node).Color == "" {
+					t.Fatalf("step %d: dispatch %d is %+v, model %+v", step, k, got[k], want[k])
+				}
+			}
+			continue
+		}
+		node, color := r%nodes, fmt.Sprintf("#%06x", step)
+		q.Enqueue(node, color, now)
+		k := slices.IndexFunc(model, func(m RenderRequest) bool { return m.Node == node })
+		if k < 0 {
+			model = append(model, RenderRequest{Node: node})
+			k = len(model) - 1
+		}
+		model[k].Color, model[k].EnqueuedAt = color, now
+		if q.PendingLen() != len(model) {
+			t.Fatalf("step %d: %d pending, model %d", step, q.PendingLen(), len(model))
+		}
+	}
+}
+
+// TestRenderQueueDropDiscardsPending: after Drop nothing waits, and a
+// later enqueue of a node that was waiting starts afresh.
+func TestRenderQueueDropDiscardsPending(t *testing.T) {
+	vs := twoNodeSpace(t)
+	q := NewRenderQueue(vs, 150*time.Millisecond)
+	t0 := time.Unix(0, 0)
+	q.Enqueue(0, "red", t0)
+	q.Enqueue(1, "red", t0)
+	q.Drop()
+	if q.PendingLen() != 0 {
+		t.Fatalf("pending after drop = %d", q.PendingLen())
+	}
+	q.Enqueue(1, "green", t0)
+	out := q.Flush(t0.Add(time.Minute))
+	if len(out) != 1 || out[0].Node != 1 || out[0].Color != "green" {
+		t.Fatalf("dispatched = %+v", out)
+	}
+	if c := vs.Shape(0).Color; c == "red" {
+		t.Error("a dropped request was painted")
 	}
 }
