@@ -92,6 +92,33 @@ var adversarialFloats = []float64{
 	1e21, 1e20, 1e-5, 1e-4, 1234567, 123456, 0.1 + 0.2, 1.0 / 3, 0.04, 17, -17.25,
 }
 
+// adversarialCents are the values on the edges of the cents path: the
+// grid's ends at ±0.01 and ±1e6 and their neighbouring doubles, values
+// whose trailing fractional zeros trim away, and values just off the
+// grid.
+var adversarialCents = []float64{
+	0.01, -0.01, math.Nextafter(0.01, 0), math.Nextafter(0.01, 1), -math.Nextafter(0.01, 0), -math.Nextafter(0.01, 1),
+	0.005, 0.015, 0.05, -0.05, 0.1, 0.5, 1, -1, 12.5, 100, -100, 104949.99, 0.07, 0.29, 1.15, 4.35, 8.2,
+	999999.99, -999999.99, 1e6, -1e6, 1000000.01, -1000000.01, 999999.995, -999999.995,
+	math.Nextafter(1e6, 0), math.Nextafter(-1e6, 0), math.Nextafter(999999.99, 1e6), 123456.78, -123456.78,
+}
+
+// centsCell is row i of the adversarial cents column: the edge values,
+// then 600 distinct cents values up to ±1e6, half of them negative —
+// more distinct values than a memo has slots, each seen again a cycle
+// later.
+func centsCell(i int) float64 {
+	k := i % (len(adversarialCents) + 600)
+	if k < len(adversarialCents) {
+		return adversarialCents[k]
+	}
+	n := int64(k) * 7919333 % 100000000
+	if k%2 == 1 {
+		n = -n
+	}
+	return float64(n) / 100
+}
+
 var adversarialDates = []int64{
 	0, -1, 1, -25567, // 1900-01-01
 	-25508, -25507, // 1900-02-28, 1900-03-01: not a leap year
@@ -109,8 +136,8 @@ func TestWriteTextAdversarial(t *testing.T) {
 	a, b := collidingFloats()
 	flts := append(append([]float64{}, adversarialFloats...), a, b, a, b, b, a)
 	strs := []string{"", "plain", "tab\there", "comma,here", "quote\"here", "naïve ☃", "trailing "}
-	for _, rows := range []int{len(flts), 3 * textLongRows} {
-		cols := []*BAT{New(Int, rows), New(Flt, rows), New(Str, rows), New(Bool, rows), New(Date, rows), New(OID, rows), New(Flt, rows)}
+	for _, rows := range []int{len(flts), textLongRows - 1, 3 * textLongRows} {
+		cols := []*BAT{New(Int, rows), New(Flt, rows), New(Str, rows), New(Bool, rows), New(Date, rows), New(OID, rows), New(Flt, rows), New(Flt, rows)}
 		for i := 0; i < rows; i++ {
 			cols[0].AppendInt([]int64{0, -1, math.MaxInt64, math.MinInt64, 42}[i%5])
 			cols[1].AppendFlt(flts[i%len(flts)])
@@ -122,8 +149,9 @@ func TestWriteTextAdversarial(t *testing.T) {
 			// again a cycle later: whatever the hash, entries collide
 			// and are evicted between uses.
 			cols[6].AppendFlt(float64(i%(2*len(floatMemo{}))) / 100)
+			cols[7].AppendFlt(centsCell(i))
 		}
-		names := []string{"i", "f", "s", "b", "d", "o", "g"}
+		names := []string{"i", "f", "s", "b", "d", "o", "g", "c"}
 		for _, sep := range []byte{'\t', ','} {
 			assertMatchesReference(t, fmt.Sprintf("%d rows sep %q", rows, sep), names, cols, rows, sep)
 		}
@@ -242,6 +270,9 @@ func FuzzAppendFloatCell(f *testing.F) {
 	for _, v := range adversarialFloats {
 		f.Add(math.Float64bits(v))
 	}
+	for _, v := range adversarialCents {
+		f.Add(math.Float64bits(v))
+	}
 	memo := new(floatMemo)
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
@@ -254,6 +285,63 @@ func FuzzAppendFloatCell(f *testing.F) {
 				t.Fatalf("memo %s pass (%#x) = %q, want %q", pass, bits, got, "x"+want)
 			}
 		}
+	})
+}
+
+// checkCentsCell checks v = n/100 and the doubles on either side of it:
+// the plain kernel, and the memo on a miss and on the hit that follows,
+// print what strconv.FormatFloat prints. buf is scratch; the grown
+// buffer is returned for the next call.
+func checkCentsCell(t testing.TB, memo *floatMemo, buf []byte, n int64) []byte {
+	v := float64(n) / 100
+	for _, x := range []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))} {
+		buf = strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
+		want := len(buf)
+		buf = appendFloat(buf, x)
+		if string(buf[want:]) != string(buf[:want]) {
+			t.Fatalf("appendFloat(%v) (n=%d) = %q, want %q", x, n, buf[want:], buf[:want])
+		}
+		bits := math.Float64bits(x)
+		memo[memo.slot(bits)].n = 0
+		for _, pass := range []string{"miss", "hit"} {
+			buf = memo.append(buf[:want], x)
+			if string(buf[want:]) != string(buf[:want]) {
+				t.Fatalf("memo %s (%v, n=%d) = %q, want %q", pass, x, n, buf[want:], buf[:want])
+			}
+		}
+	}
+	return buf
+}
+
+// TestCentsCellSweep compares the float cell with strconv on every cents
+// value within ±2000.00, and on the 200 000 cents on either side of
+// ±1e6 where the cents path hands over to strconv, each with both of
+// its neighbouring doubles.
+func TestCentsCellSweep(t *testing.T) {
+	memo := new(floatMemo)
+	var buf []byte
+	for n := int64(-200000); n <= 200000; n++ {
+		buf = checkCentsCell(t, memo, buf, n)
+	}
+	for _, sign := range []int64{1, -1} {
+		for n := int64(100000000 - 200000); n < 100000000+200000; n++ {
+			buf = checkCentsCell(t, memo, buf, sign*n)
+		}
+	}
+}
+
+// FuzzAppendCentsCell: the cents value n/100 and its neighbours print
+// what strconv.FormatFloat prints, through the plain kernel and the memo.
+// Random bit patterns almost never land on a cents value; this draws
+// them by construction.
+func FuzzAppendCentsCell(f *testing.F) {
+	for _, n := range []int64{0, 1, -1, 5, -5, 10, -10, 99999999, -99999999, 100000000, -100000000,
+		1e15, -1e15, math.MinInt64, math.MaxInt64} {
+		f.Add(n)
+	}
+	memo := new(floatMemo)
+	f.Fuzz(func(t *testing.T, n int64) {
+		checkCentsCell(t, memo, nil, n)
 	})
 }
 
