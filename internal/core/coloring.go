@@ -9,8 +9,8 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"stethoscope/internal/dot"
 	"stethoscope/internal/profiler"
@@ -132,8 +132,8 @@ func Gradient(events []profiler.Event) (Coloring, []GradientStop) {
 			max = f.durUs
 		}
 	}
-	out := Coloring{}
-	var stops []GradientStop
+	out := make(Coloring, len(folded))
+	stops := slices.Grow([]GradientStop(nil), len(folded)) // nil when nothing completed
 	for _, f := range folded {
 		r := 0.0
 		if max > 0 {
@@ -143,14 +143,25 @@ func Gradient(events []profiler.Event) (Coloring, []GradientStop) {
 		out[f.pc] = Color(hex)
 		stops = append(stops, GradientStop{PC: f.pc, DurUs: f.durUs, Hex: hex})
 	}
-	sort.Slice(stops, func(i, j int) bool {
-		if stops[i].DurUs != stops[j].DurUs {
-			return stops[i].DurUs > stops[j].DurUs
+	slices.SortFunc(stops, func(a, b GradientStop) int {
+		if c := cmp.Compare(b.DurUs, a.DurUs); c != 0 {
+			return c
 		}
-		return stops[i].PC < stops[j].PC
+		return cmp.Compare(a.PC, b.PC)
 	})
 	return out, stops
 }
+
+// rampColors holds the ramp's colour for every green/blue level, built
+// once so that a gradient makes no string per instruction.
+var rampColors = func() (t [256]string) {
+	const digits = "0123456789abcdef"
+	for g := range t {
+		h := []byte{digits[g>>4], digits[g&15]}
+		t[g] = "#ff" + string(h) + string(h)
+	}
+	return t
+}()
 
 // rampHex interpolates white (f=0) to red (f=1).
 func rampHex(f float64) string {
@@ -160,8 +171,7 @@ func rampHex(f float64) string {
 	if f > 1 {
 		f = 1
 	}
-	g := int(255 * (1 - f*0.85))
-	return fmt.Sprintf("#ff%02x%02x", g, g)
+	return rampColors[int(255*(1-f*0.85))]
 }
 
 // Fill returns the per-node display fill of g under the coloring: node

@@ -13,7 +13,8 @@ import (
 // WriteText and the append kernels below, and by nothing else:
 //
 //	Int, OID  decimal
-//	Flt       strconv 'g', shortest round-trip ("0.04", "1.234567e+06", "NaN", "+Inf")
+//	Flt       strconv 'g', shortest round-trip ("0.04", "1.234567e+06", "NaN", "+Inf");
+//	          cents values print from their integer (appendFloat), same bytes
 //	Str       the bytes as stored, unquoted
 //	Bool      "true" / "false"
 //	Date      "YYYY-MM-DD" (proleptic Gregorian, days since 1970-01-01)
@@ -63,16 +64,41 @@ func AppendDate(dst []byte, days int64) []byte {
 		byte('0'+d/10), byte('0'+d%10))
 }
 
-// appendFloat appends f in the result format.
+// appendFloat appends f in the result format. A cents value — a
+// non-zero f below 1e6 in magnitude that is the double nearest n/100
+// for an integer n, as every TPC-H price, discount and tax is — prints
+// from n: the point inserted, trailing fractional zeros trimmed. Those
+// are strconv's shortest digits: any shorter decimal lies on a grid of
+// 0.01 or coarser, and below 1e6 that spacing is millions of ulps wide,
+// so no other decimal rounds to f; and 'g' keeps the plain form for
+// exponents -4 to 5. Everything else — 0, -0, NaN, ±Inf, |f| ≥ 1e6 and
+// off-grid values — is strconv's.
 func appendFloat(dst []byte, f float64) []byte {
+	if f != 0 && f > -1e6 && f < 1e6 { // NaN fails both bounds
+		if n := int64(math.Round(f * 100)); float64(n)/100 == f {
+			if n < 0 {
+				dst = append(dst, '-')
+				n = -n
+			}
+			dst = strconv.AppendInt(dst, n/100, 10)
+			if c := n % 100; c != 0 {
+				dst = append(dst, '.', byte('0'+c/10))
+				if c%10 != 0 {
+					dst = append(dst, byte('0'+c%10))
+				}
+			}
+			return dst
+		}
+	}
 	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
 // floatMemo is a direct-mapped cache from a float's bits to its text.
-// Result columns of decimals repeat a handful of values (TPC-H
-// discounts and taxes take 11 and 9, quantities 50), and copying at
-// most 24 bytes is several times cheaper than a shortest-round-trip
-// conversion. A slot is empty while n is 0, which no float prints as.
+// Columns that repeat a handful of values (TPC-H discounts and taxes
+// take 11 and 9, quantities 50) copy at most 24 bytes per cell instead
+// of formatting it; a column of distinct values (extended prices) misses
+// on nearly every cell, and its misses take appendFloat's cents path.
+// A slot is empty while n is 0, which no float prints as.
 type floatMemo [1 << memoBits]struct {
 	bits uint64
 	n    uint8

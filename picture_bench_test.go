@@ -133,20 +133,15 @@ func BenchmarkRepaint(b *testing.B) {
 // document, the slab readers and index-keyed nodes put them. Before the
 // retained document, the whole op on this pair made 488 738 allocations
 // (render to text, parse the text back, re-render per paint), 89 453
-// before the readers built slabs over their input, and 30 560 while
-// layout, glyphs and coloring named nodes by ID strings (28 543 of them
-// in core.NewSession). It now makes 2 051, about 1 900 of them the
-// gradient's per-instruction colour strings, and a session 37; each
-// ceiling is the count plus at most a quarter. Under -race, sync.Pool
-// drops a random share of what is put back, so fmt allocates printers
-// for those strings again and the op measures about 3 000; its ceiling
-// there is that plus a quarter. A repaint makes a constant number.
+// before the readers built slabs over their input, 30 560 while layout,
+// glyphs and coloring named nodes by ID strings (28 543 of them in
+// core.NewSession), and 2 051 while the gradient formatted a colour
+// string per instruction. It now makes 117 (120 under -race), and a
+// session 37; each ceiling is the count plus at most a quarter. A
+// repaint makes a constant number.
 func TestPictureAllocCeilings(t *testing.T) {
 	dotText, traceText := mustPicturePair(t)
-	ceiling := 2500.0
-	if raceEnabled {
-		ceiling = 3750
-	}
+	const ceiling = 145.0
 	if got := testing.AllocsPerRun(3, func() { pictureSink = timeToPicture(t, dotText, traceText) }); got > ceiling {
 		t.Errorf("open + paint + recolour + paint: %.0f allocs/op, ceiling %.0f", got, ceiling)
 	}
