@@ -10,6 +10,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"stethoscope/internal/dot"
@@ -155,10 +156,8 @@ func Gradient(events []profiler.Event) (Coloring, []GradientStop) {
 // rampColors holds the ramp's colour for every green/blue level, built
 // once so that a gradient makes no string per instruction.
 var rampColors = func() (t [256]string) {
-	const digits = "0123456789abcdef"
 	for g := range t {
-		h := []byte{digits[g>>4], digits[g&15]}
-		t[g] = "#ff" + string(h) + string(h)
+		t[g] = fmt.Sprintf("#ff%02x%02x", g, g)
 	}
 	return t
 }()
