@@ -8,6 +8,7 @@ import (
 
 	"stethoscope/internal/algebra"
 	"stethoscope/internal/compiler"
+	"stethoscope/internal/dot"
 	"stethoscope/internal/engine"
 	"stethoscope/internal/optimizer"
 	"stethoscope/internal/profiler"
@@ -62,15 +63,23 @@ func bundledTraces(tb testing.TB) []string {
 // FuzzTraceLoad: trace text arrives from outside the program (offline
 // mode reads files). No input may panic LoadString; LoadString and the
 // reference reader (ref_load_test.go) accept the same inputs and read
-// them to the same events; and whatever loads re-serialises through the
+// them to the same events; whatever loads maps onto one fixed graph
+// (mappingGraph) to the same verdict as the indexed reference
+// (ref_map_test.go); and whatever loads re-serialises through the
 // trace-file writer to text that loads to the same events.
 func FuzzTraceLoad(f *testing.F) {
+	g, err := dot.Parse(mappingGraph)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, text := range bundledTraces(f) {
 		f.Add(text)
 	}
 	f.Add("# comment\n\nevent=0 status=start pc=-3 stmt=\"\\xff\" extra=1\r\nevent=1 status=\"done\" pc=2 usec=+7 stmt=\"a\"\n")
 	f.Add("event=0 status=start pc=1 stmt=\"q\\\"uote back\\\\slash line\\nfeed \\u00e9\"\r\n  # indented comment\r\n" +
 		"event=1 status=done pc=1 stmt=\"raw \xff byte\" unknown=\"x y\"")
+	f.Add("event=0 status=start pc=0 stmt=\"\"\nevent=1 status=start pc=0 stmt=\"a\"\nevent=2 status=done pc=2 stmt=\"wrong\"\n" +
+		"event=3 status=start pc=7 stmt=\"c\"\nevent=4 status=start pc=-3 stmt=\"d\"\nevent=5 status=start pc=4 stmt=\"a\"")
 	f.Add("event=0 status=start pc=1 unknown=\"\\q\"")
 	f.Add("event=0 status=start pc=1 stmt=\"a\nb\"")
 	f.Fuzz(func(t *testing.T, text string) {
@@ -85,6 +94,7 @@ func FuzzTraceLoad(f *testing.F) {
 		if !slices.Equal(s.Events(), ref.Events()) {
 			t.Fatalf("LoadString read %+v, reference %+v", s.Events(), ref.Events())
 		}
+		checkMapping(t, s.Events(), g)
 		var b strings.Builder
 		if err := trace.Write(&b, s.Events()); err != nil {
 			t.Fatal(err)
