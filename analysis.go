@@ -72,7 +72,7 @@ type Analysis struct {
 // in-process equivalent of writing the dot + trace pair to disk and
 // reopening it offline.
 func Analyze(res *Result, opts ...AnalyzeOption) (*Analysis, error) {
-	return newAnalysis(dot.Export(res.prep.Plan), res.store(), opts)
+	return newAnalysis(dot.Export(res.prep.Plan), res.tstore, opts)
 }
 
 // OpenOffline opens a session from dot-file and trace-file content, the
@@ -105,7 +105,7 @@ func newAnalysis(g *dot.Graph, st *trace.Store, opts []AnalyzeOption) (*Analysis
 
 // recolor recomputes the coloring from the current configuration.
 func (a *Analysis) recolor() {
-	events := a.store().Events()
+	events := a.tstore.Events()
 	switch a.cfg.algo {
 	case ColorThreshold:
 		a.colors = core.Threshold(events, a.cfg.thresholdUs)

@@ -583,7 +583,7 @@ func TestE11GradientAndPruning(t *testing.T) {
 	// Remapped trace events still land on valid pruned nodes.
 	g := dot.Export(pruned)
 	for oldPC, newPC := range remap {
-		if _, ok := g.Node(dot.NodeID(newPC)); !ok {
+		if _, ok := g.PCNode(newPC); !ok {
 			t.Errorf("remap %d->%d points at missing node", oldPC, newPC)
 		}
 	}

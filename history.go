@@ -7,6 +7,7 @@ import (
 	"stethoscope/internal/core"
 	"stethoscope/internal/dot"
 	"stethoscope/internal/profiler"
+	"stethoscope/internal/trace"
 	"stethoscope/internal/tracestore"
 )
 
@@ -144,7 +145,7 @@ func (h *History) Get(id uint64) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: history: %w", err)
 	}
-	return &Run{traceView: traceView{events: evs}, Info: info, dotText: dotText}, nil
+	return &Run{traceView: traceView{tstore: trace.FromEventsOwned(evs)}, Info: info, dotText: dotText}, nil
 }
 
 // Replay reopens a recorded run as a visual-analysis session — the
@@ -160,7 +161,7 @@ func (h *History) Replay(id uint64, opts ...AnalyzeOption) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: history: stored dot: %w", err)
 	}
-	return newAnalysis(g, run.store(), opts)
+	return newAnalysis(g, run.tstore, opts)
 }
 
 // Compare diffs two recorded runs of the same SQL: wall-time delta, a

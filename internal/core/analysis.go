@@ -135,7 +135,7 @@ type CostlyInstr struct {
 // TopCostly returns the k slowest instructions — the core question the
 // tool answers ("where time goes").
 func TopCostly(s *trace.Store, k int) []CostlyInstr {
-	folded := foldByPC(s.Events())
+	folded := foldPerPC(s.Events())
 	out := make([]CostlyInstr, len(folded))
 	for i, f := range folded {
 		out[i] = CostlyInstr{PC: f.pc, DurUs: f.durUs, Stmt: f.stmt}
@@ -159,10 +159,10 @@ type instrFold struct {
 	durUs, reads, writes int64
 }
 
-// foldByPC is the per-instruction fold behind the costly list, the
+// foldPerPC is the per-instruction fold behind the costly list, the
 // gradient, the data-flow profile and the run diff: a run's done events
 // summed per pc, in order of each pc's first completion.
-func foldByPC(events []profiler.Event) []instrFold {
+func foldPerPC(events []profiler.Event) []instrFold {
 	idx := map[int]int{}
 	var out []instrFold
 	for i := range events {
@@ -187,7 +187,12 @@ func foldByPC(events []profiler.Event) []instrFold {
 // execution time and resource accounting — the "tool tip text display"
 // of the demo.
 func Tooltip(s *trace.Store, pc int) string {
-	evs := s.ByPC(pc)
+	var evs []profiler.Event
+	for _, e := range s.Events() {
+		if e.PC == pc {
+			evs = append(evs, e)
+		}
+	}
 	if len(evs) == 0 {
 		return fmt.Sprintf("pc=%d: no trace events", pc)
 	}

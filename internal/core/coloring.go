@@ -126,7 +126,7 @@ type GradientStop struct {
 // the slowest instruction in the buffer. It returns the per-pc colors
 // and a legend sorted by decreasing duration.
 func Gradient(events []profiler.Event) (Coloring, []GradientStop) {
-	folded := foldByPC(events)
+	folded := foldPerPC(events)
 	var max int64
 	for _, f := range folded {
 		if f.durUs > max {

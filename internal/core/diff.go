@@ -68,7 +68,7 @@ func Diff(a, b DiffRun, aEvents, bEvents []profiler.Event) (*RunDiff, error) {
 
 	perPC := map[int]*InstrDelta{}
 	instrs := func(events []profiler.Event, us func(*InstrDelta) *int64) {
-		for _, f := range foldByPC(events) {
+		for _, f := range foldPerPC(events) {
 			in, ok := perPC[f.pc]
 			if !ok {
 				in = &InstrDelta{PC: f.pc}

@@ -187,7 +187,7 @@ type VariableFlow struct {
 // descending read volume, answering "which operators touch the most
 // data".
 func DataFlowProfile(s *trace.Store) []VariableFlow {
-	folded := foldByPC(s.Events())
+	folded := foldPerPC(s.Events())
 	out := make([]VariableFlow, len(folded))
 	for i, f := range folded {
 		out[i] = VariableFlow{PC: f.pc, Stmt: f.stmt, Reads: f.reads, Writes: f.writes}

@@ -122,9 +122,5 @@ func (r *Replay) ColorBetween(from, to int) (Coloring, error) {
 	if from < 0 || to > r.s.Trace.Len() || from > to {
 		return nil, fmt.Errorf("core: window [%d,%d) out of range 0..%d", from, to, r.s.Trace.Len())
 	}
-	window := make([]profiler.Event, 0, to-from)
-	for i := from; i < to; i++ {
-		window = append(window, r.s.Trace.At(i))
-	}
-	return PairElision(window), nil
+	return PairElision(r.s.Trace.Events()[from:to]), nil
 }

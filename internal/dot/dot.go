@@ -57,7 +57,7 @@ type Edge struct {
 }
 
 // Graph is a parsed or exported dot digraph. Parse and Export keep node
-// IDs unique and indexed for Node.
+// IDs unique and indexed for PCNode.
 type Graph struct {
 	Name  string
 	Nodes []Node
@@ -67,21 +67,6 @@ type Graph struct {
 	// node i is named NodeID(i), as Export writes them, and lookups read
 	// the position straight from the ID.
 	index map[string]int32
-}
-
-// Node returns the node with the given ID.
-func (g *Graph) Node(id string) (*Node, bool) {
-	if g.index != nil {
-		i, ok := g.index[id]
-		if !ok {
-			return nil, false
-		}
-		return &g.Nodes[i], true
-	}
-	if pc, ok := canonicalPC(id); ok && pc < len(g.Nodes) {
-		return &g.Nodes[pc], true
-	}
-	return nil, false
 }
 
 // PCNode returns the index of instruction pc's node, the node named

@@ -30,11 +30,11 @@ func TestExportStructure(t *testing.T) {
 	}
 	// pc=N <-> node nN with the stmt as label (paper §3.3).
 	for _, in := range p.Instrs {
-		n, ok := g.Node(NodeID(in.PC))
+		i, ok := g.PCNode(in.PC)
 		if !ok {
 			t.Fatalf("missing node n%d", in.PC)
 		}
-		if n.Label() != p.StmtString(in) {
+		if n := &g.Nodes[i]; n.Label() != p.StmtString(in) {
 			t.Errorf("n%d label = %q, want %q", in.PC, n.Label(), p.StmtString(in))
 		}
 	}
@@ -62,12 +62,12 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %d/%d nodes, %d/%d edges",
 			len(back.Nodes), len(g.Nodes), len(back.Edges), len(g.Edges))
 	}
-	for _, n := range g.Nodes {
-		bn, ok := back.Node(n.ID)
+	for pc, n := range g.Nodes {
+		i, ok := back.PCNode(pc)
 		if !ok {
 			t.Fatalf("round trip lost node %s", n.ID)
 		}
-		if bn.Label() != n.Label() {
+		if bn := &back.Nodes[i]; bn.Label() != n.Label() {
 			t.Errorf("node %s label %q != %q", n.ID, bn.Label(), n.Label())
 		}
 	}
@@ -96,7 +96,8 @@ func TestParseHandwrittenDot(t *testing.T) {
 	if len(g.Nodes) != 4 {
 		t.Fatalf("nodes = %d, want 4", len(g.Nodes))
 	}
-	n0, _ := g.Node("n0")
+	i, _ := g.PCNode(0)
+	n0 := &g.Nodes[i]
 	if !strings.Contains(n0.Label(), `sql.bind("sys")`) {
 		t.Errorf("n0 label = %q", n0.Label())
 	}

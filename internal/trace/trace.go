@@ -1,9 +1,10 @@
 // Package trace implements trace-file handling and the trace ↔ dot-file
 // mapping of paper §3.3: each MAL instruction appears in the trace as a
 // "start" and a "done" event; the pc field maps to dot node "nN" and the
-// stmt field maps to the node's label. The Store indexes a parsed trace
-// by its "event" attribute (sequence number) and by pc, the two access
-// paths Stethoscope's replay and coloring use.
+// stmt field maps to the node's label. A Store is the events in trace
+// order and nothing else: replay walks them by position, the analyses
+// read them in order, and the mapping resolves each event's pc as it
+// passes.
 package trace
 
 import (
@@ -17,15 +18,9 @@ import (
 	"stethoscope/internal/profiler"
 )
 
-// Store holds an ordered trace with per-pc indexes. Traces produced by
-// executing a plan have small dense PCs (0..n-1), so the index is a
-// slice keyed by pc; traces loaded from arbitrary files fall back to a
-// map when their PCs are sparse or negative.
+// Store holds a trace: its events, in order.
 type Store struct {
 	events []profiler.Event
-	dense  [][]int       // pc index; nil when the sparse fallback is active
-	sparse map[int][]int // fallback index for sparse/negative PCs
-	pcs    []int         // distinct pcs (ascending on the dense path)
 }
 
 // FromEvents builds a store from in-memory events (online mode's buffer).
@@ -36,71 +31,7 @@ func FromEvents(events []profiler.Event) *Store {
 // FromEventsOwned builds a store taking ownership of the slice — no
 // copy, so the hot Exec path can hand a full trace over for free. The
 // caller must not modify events afterwards.
-func FromEventsOwned(events []profiler.Event) *Store {
-	s := &Store{events: events}
-	maxPC, dense := -1, true
-	for _, e := range events {
-		if e.PC < 0 {
-			dense = false
-			break
-		}
-		if e.PC > maxPC {
-			maxPC = e.PC
-		}
-	}
-	if dense && maxPC >= 8*len(events)+1024 {
-		dense = false // pathological pc range; don't size a slice by it
-	}
-	if !dense {
-		s.sparse = make(map[int][]int, len(events)/2+1)
-		for i, e := range events {
-			s.sparse[e.PC] = append(s.sparse[e.PC], i)
-		}
-		s.pcs = make([]int, 0, len(s.sparse))
-		for pc := range s.sparse {
-			s.pcs = append(s.pcs, pc)
-		}
-		slices.Sort(s.pcs)
-		return s
-	}
-	// Dense path: group indices by pc in two passes over one shared
-	// backing array — appending into per-pc slices directly would cost
-	// one small allocation per distinct PC (thousands per plan).
-	counts := make([]int, maxPC+1)
-	npcs := 0
-	for _, e := range events {
-		if counts[e.PC] == 0 {
-			npcs++
-		}
-		counts[e.PC]++
-	}
-	s.dense = make([][]int, maxPC+1)
-	s.pcs = make([]int, 0, npcs)
-	backing := make([]int, 0, len(events))
-	for pc, n := range counts {
-		if n == 0 {
-			continue
-		}
-		s.dense[pc] = backing[len(backing) : len(backing) : len(backing)+n]
-		backing = backing[:len(backing)+n]
-		s.pcs = append(s.pcs, pc)
-	}
-	for i, e := range events {
-		s.dense[e.PC] = append(s.dense[e.PC], i)
-	}
-	return s
-}
-
-// idxsOf returns the event indexes of one pc, in trace order.
-func (s *Store) idxsOf(pc int) []int {
-	if s.dense != nil {
-		if pc < 0 || pc >= len(s.dense) {
-			return nil
-		}
-		return s.dense[pc]
-	}
-	return s.sparse[pc]
-}
+func FromEventsOwned(events []profiler.Event) *Store { return &Store{events: events} }
 
 // LoadString parses a trace file: one marshaled event per line, blank
 // lines and '#' comments skipped. It is one pass over s: lines are
@@ -162,21 +93,6 @@ func (s *Store) Events() []profiler.Event { return s.events }
 // At returns event i.
 func (s *Store) At(i int) profiler.Event { return s.events[i] }
 
-// ByPC returns the events of one instruction, in trace order.
-func (s *Store) ByPC(pc int) []profiler.Event {
-	idxs := s.idxsOf(pc)
-	out := make([]profiler.Event, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.events[idx]
-	}
-	return out
-}
-
-// PCs returns the distinct program counters present.
-func (s *Store) PCs() []int {
-	return append([]int(nil), s.pcs...)
-}
-
 // Mapping is the verdict of linking a trace to a dot graph per §3.3:
 // instruction pc is the graph's node named "nN" for N = pc
 // (dot.Graph.PCNode), and the pcs that do not link are listed here.
@@ -189,28 +105,29 @@ type Mapping struct {
 	LabelMismatches []int
 }
 
-// MapToGraph resolves every traced pc against the graph.
+// MapToGraph resolves every traced pc against the graph. A pc's
+// statement is its first non-empty one in trace order.
 func MapToGraph(s *Store, g *dot.Graph) Mapping {
 	var m Mapping
-	for _, pc := range s.pcs {
-		i, ok := g.PCNode(pc)
+	checked := make([]bool, len(g.Nodes))
+	for _, e := range s.events {
+		i, ok := g.PCNode(e.PC)
 		if !ok {
-			m.Unmatched = append(m.Unmatched, pc)
+			m.Unmatched = append(m.Unmatched, e.PC)
 			continue
 		}
-		stmt := ""
-		for _, i := range s.idxsOf(pc) {
-			if s.events[i].Stmt != "" {
-				stmt = s.events[i].Stmt
-				break
-			}
+		if e.Stmt == "" || checked[i] {
+			continue
 		}
-		if label := g.Nodes[i].Label(); stmt != "" && label != "" && stmt != label {
-			m.LabelMismatches = append(m.LabelMismatches, pc)
+		checked[i] = true
+		if label := g.Nodes[i].Label(); label != "" && e.Stmt != label {
+			m.LabelMismatches = append(m.LabelMismatches, e.PC)
 		}
 	}
 	slices.Sort(m.Unmatched)
+	m.Unmatched = slices.Compact(m.Unmatched)
 	slices.Sort(m.LabelMismatches)
+	m.LabelMismatches = slices.Compact(m.LabelMismatches)
 	return m
 }
 

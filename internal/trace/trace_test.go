@@ -19,19 +19,22 @@ func sampleEvents() []profiler.Event {
 	}
 }
 
+// TestStoreIndexes: a store is indexed by event position only, and
+// FromEvents copies what it is given.
 func TestStoreIndexes(t *testing.T) {
-	s := FromEvents(sampleEvents())
+	events := sampleEvents()
+	s := FromEvents(events)
 	if s.Len() != 5 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if got := s.ByPC(1); len(got) != 2 || got[0].Seq != 2 || got[1].Seq != 3 {
-		t.Errorf("ByPC(1) = %v", got)
+	for i, want := range sampleEvents() {
+		if s.At(i) != want || s.Events()[i] != want {
+			t.Errorf("event %d: At %+v, Events %+v; want %+v", i, s.At(i), s.Events()[i], want)
+		}
 	}
-	if got := s.ByPC(99); len(got) != 0 {
-		t.Errorf("ByPC(99) = %v", got)
-	}
-	if len(s.PCs()) != 3 {
-		t.Errorf("PCs = %v", s.PCs())
+	events[0].PC = 99
+	if s.At(0).PC != 0 {
+		t.Error("FromEvents kept the caller's slice")
 	}
 }
 

@@ -198,8 +198,8 @@ func TestPictureReaderAllocs(t *testing.T) {
 		if _, err := trace.LoadString(traceText); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 64 {
-		t.Errorf("trace.LoadString: %.0f allocs/op, ceiling 64", got)
+	}); got > 4 {
+		t.Errorf("trace.LoadString: %.0f allocs/op, ceiling 4", got)
 	}
 	plan, _, _ := formatsPlan(t)
 	if got := testing.AllocsPerRun(3, func() { pictureSink = len(dot.Export(plan).Marshal()) }); got >= 100 {

@@ -3,7 +3,6 @@ package stethoscope
 import (
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"stethoscope/internal/core"
@@ -13,58 +12,44 @@ import (
 )
 
 // traceView provides the trace-derived reports shared by Result (fresh
-// executions) and Analysis (sessions over dot + trace content). The
-// per-pc trace index is built lazily on first use: a serving workload
-// that executes thousands of queries and only reads rows should not pay
-// for indexing traces it never analyzes.
+// executions), Run (stored executions) and Analysis (sessions over dot +
+// trace content). A trace store is its events, so each holds one built
+// up front.
 type traceView struct {
-	mu     sync.Mutex
-	events []Event      // pending events when the store is built lazily
-	tstore *trace.Store // built on first store() call (or set directly)
-}
-
-// store returns the trace store, building it on first use.
-func (t *traceView) store() *trace.Store {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.tstore == nil {
-		t.tstore = trace.FromEventsOwned(t.events)
-		t.events = nil
-	}
-	return t.tstore
+	tstore *trace.Store
 }
 
 // Events returns the profiler events in trace order.
-func (t *traceView) Events() []Event { return t.store().Events() }
+func (t *traceView) Events() []Event { return t.tstore.Events() }
 
 // TraceLen returns the number of trace events.
-func (t *traceView) TraceLen() int { return t.store().Len() }
+func (t *traceView) TraceLen() int { return t.tstore.Len() }
 
 // Costly returns the k slowest instructions — "where the time went".
-func (t *traceView) Costly(k int) []CostlyInstr { return core.TopCostly(t.store(), k) }
+func (t *traceView) Costly(k int) []CostlyInstr { return core.TopCostly(t.tstore, k) }
 
 // Utilization summarizes multi-core usage (threads used, parallelism
 // factor, per-thread busy time).
-func (t *traceView) Utilization() Utilization { return core.Utilize(t.store()) }
+func (t *traceView) Utilization() Utilization { return core.Utilize(t.tstore) }
 
 // ModuleBreakdown returns busy time per MAL module, descending.
-func (t *traceView) ModuleBreakdown() []ModuleStat { return core.ModuleBreakdown(t.store()) }
+func (t *traceView) ModuleBreakdown() []ModuleStat { return core.ModuleBreakdown(t.tstore) }
 
 // ThreadTimeline returns each thread's busy segments (the Gantt chart).
-func (t *traceView) ThreadTimeline() map[int][]Segment { return core.ThreadTimeline(t.store()) }
+func (t *traceView) ThreadTimeline() map[int][]Segment { return core.ThreadTimeline(t.tstore) }
 
 // BirdsEye clusters the trace into n buckets for the whole-run overview.
-func (t *traceView) BirdsEye(n int) []Cluster { return core.BirdsEye(t.store(), n) }
+func (t *traceView) BirdsEye(n int) []Cluster { return core.BirdsEye(t.tstore, n) }
 
 // MemoryTimeline samples the estimated memory footprint over n points.
-func (t *traceView) MemoryTimeline(n int) []MemPoint { return core.MemoryTimeline(t.store(), n) }
+func (t *traceView) MemoryTimeline(n int) []MemPoint { return core.MemoryTimeline(t.tstore, n) }
 
 // MicroReport renders the micro-analysis summary (module shares, memory
 // peaks, data flow).
-func (t *traceView) MicroReport() string { return core.MicroReport(t.store()) }
+func (t *traceView) MicroReport() string { return core.MicroReport(t.tstore) }
 
 // Tooltip renders the hover text for one instruction.
-func (t *traceView) Tooltip(pc int) string { return core.Tooltip(t.store(), pc) }
+func (t *traceView) Tooltip(pc int) string { return core.Tooltip(t.tstore, pc) }
 
 // TraceText returns the trace-file representation of the events, one
 // marshaled event per line — the offline artifact paired with the dot
@@ -76,7 +61,7 @@ func (t *traceView) TraceText() string {
 }
 
 // WriteTrace writes the trace-file representation.
-func (t *traceView) WriteTrace(w io.Writer) error { return trace.Write(w, t.store().Events()) }
+func (t *traceView) WriteTrace(w io.Writer) error { return trace.Write(w, t.tstore.Events()) }
 
 // Stats describes one execution.
 type Stats struct {
@@ -142,7 +127,7 @@ func (r *Result) Columns() []string {
 	if r.res == nil {
 		return nil
 	}
-	return r.res.Names
+	return append([]string(nil), r.res.Names...)
 }
 
 // WriteTable renders the result as tab-separated text with a header

@@ -198,6 +198,32 @@ func TestSharedExecAttachDeterministic(t *testing.T) {
 	}
 }
 
+// TestResultColumnsAreCallersOwn: every Result attached to a shared run
+// holds the same engine result, so Columns, like Events, hands each
+// caller a copy; writing to it changes neither that caller's next call,
+// another holder's columns nor the table's header.
+func TestResultColumnsAreCallersOwn(t *testing.T) {
+	db, err := Open(WithScaleFactor(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, err := db.Exec(context.Background(), "select l_tax from lineitem where l_partkey=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached := &Result{res: res.res}
+	res.Columns()[0] = "mutated"
+	for _, r := range []*Result{res, attached} {
+		if got := r.Columns(); !reflect.DeepEqual(got, []string{"l_tax"}) {
+			t.Errorf("Columns() = %v after a caller wrote to its copy", got)
+		}
+		if got := tableBytes(t, r); !strings.HasPrefix(got, "l_tax\n") {
+			t.Errorf("table header %q after a caller wrote to its columns", strings.SplitN(got, "\n", 2)[0])
+		}
+	}
+}
+
 // TestExplainConcurrentCoalesce: concurrent identical Explain calls
 // coalesce through the planner's single-flight instead of racing to
 // populate the plan cache — under -race this pins the absence of the

@@ -13,6 +13,7 @@ import (
 	"stethoscope/internal/runner"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
+	"stethoscope/internal/trace"
 	"stethoscope/internal/tracestore"
 )
 
@@ -330,7 +331,7 @@ func (db *DB) Exec(ctx context.Context, query string, opts ...ExecOption) (*Resu
 	// The Stats echo the producing run's resolved settings and history
 	// id, whether or not this call was the one that ran the plan.
 	return &Result{
-		traceView: traceView{events: events},
+		traceView: traceView{tstore: trace.FromEventsOwned(events)},
 		Query:     query,
 		Stats: Stats{
 			Optimizer:    p.Opt,
