@@ -84,11 +84,16 @@ func Write(w io.Writer, events []profiler.Event) error {
 	return bw.Flush()
 }
 
-// Len returns the event count.
-func (s *Store) Len() int { return len(s.events) }
+// Len returns the event count. A nil store is the empty trace.
+func (s *Store) Len() int { return len(s.Events()) }
 
-// Events returns the trace in order.
-func (s *Store) Events() []profiler.Event { return s.events }
+// Events returns the trace in order. A nil store is the empty trace.
+func (s *Store) Events() []profiler.Event {
+	if s == nil {
+		return nil
+	}
+	return s.events
+}
 
 // At returns event i.
 func (s *Store) At(i int) profiler.Event { return s.events[i] }

@@ -14,7 +14,7 @@ import (
 // traceView provides the trace-derived reports shared by Result (fresh
 // executions), Run (stored executions) and Analysis (sessions over dot +
 // trace content). A trace store is its events, so each holds one built
-// up front.
+// up front; the zero value, with no store, reads as the empty trace.
 type traceView struct {
 	tstore *trace.Store
 }

@@ -160,3 +160,40 @@ func TestMonitorCancelThenClose(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 }
+
+// TestZeroValueTraceReports holds that a zero Result, Run or Analysis
+// reads as the empty trace: every trace report answers, none panics.
+func TestZeroValueTraceReports(t *testing.T) {
+	type reports interface {
+		Events() []stethoscope.Event
+		TraceLen() int
+		Costly(int) []stethoscope.CostlyInstr
+		Utilization() stethoscope.Utilization
+		ModuleBreakdown() []stethoscope.ModuleStat
+		ThreadTimeline() map[int][]stethoscope.Segment
+		BirdsEye(int) []stethoscope.Cluster
+		MemoryTimeline(int) []stethoscope.MemPoint
+		MicroReport() string
+		Tooltip(int) string
+		TraceText() string
+	}
+	for name, v := range map[string]reports{
+		"Result":   &stethoscope.Result{},
+		"Run":      &stethoscope.Run{},
+		"Analysis": &stethoscope.Analysis{},
+	} {
+		if n, ev, text := v.TraceLen(), v.Events(), v.TraceText(); n != 0 || len(ev) != 0 || text != "" {
+			t.Errorf("%s: TraceLen %d, %d events, trace text %q; want the empty trace", name, n, len(ev), text)
+		}
+		if c := v.Costly(3); len(c) != 0 {
+			t.Errorf("%s: Costly(3) = %v, want none", name, c)
+		}
+		v.Utilization()
+		v.ModuleBreakdown()
+		v.ThreadTimeline()
+		v.BirdsEye(4)
+		v.MemoryTimeline(4)
+		v.MicroReport()
+		v.Tooltip(0)
+	}
+}
