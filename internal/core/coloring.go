@@ -5,7 +5,8 @@
 // and adds the paper's contributions: execution-state coloring (§4.2.1),
 // trace replay with fast-forward/rewind/pause, birds-eye clustering,
 // per-thread utilization analysis, tooltips and the debug window, and
-// the online textual Stethoscope.
+// the online textual Stethoscope, which keeps one event log per source
+// and reads its analysed trace and sampling buffer as windows of it.
 package core
 
 import (

@@ -13,22 +13,23 @@ import (
 )
 
 // ServerStream is the per-server state of the textual Stethoscope: the
-// dot file under reassembly, the sampled event buffer, and the full
-// event log (the redirected "trace file" of §4.2).
+// dot file under reassembly and one event log, the redirected "trace
+// file" of §4.2. A server sends each query's dot file before the query
+// runs, so the trace of the newest plan is the log from the newest DOTB
+// on, and the sampling buffer is that trace's last window events.
 type ServerStream struct {
 	Addr string
 
-	mu        sync.Mutex
-	name      string
-	dotLines  []string
-	dotName   string
-	dotDone   bool
-	events    []profiler.Event
-	ring      *profiler.RingBuffer
-	graph     *dot.Graph
-	dotErr    error
-	dotSeen   int
-	eventSeen int
+	mu       sync.Mutex
+	name     string
+	dotLines []string
+	dotDone  bool
+	graph    *dot.Graph
+	dotErr   error
+	dotSeen  int
+	events   []profiler.Event
+	plan     int // index of the first event after the newest DOTB
+	window   int // sampling buffer capacity
 }
 
 // ServerName returns the name the server announced with HELO, if any.
@@ -43,28 +44,49 @@ func (ss *ServerStream) ServerName() string {
 func (ss *ServerStream) Graph() (*dot.Graph, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	return ss.graphLocked()
+}
+
+func (ss *ServerStream) graphLocked() (*dot.Graph, error) {
 	if !ss.dotDone {
 		return nil, fmt.Errorf("core: dot file for %s not complete", ss.Addr)
 	}
 	return ss.graph, ss.dotErr
 }
 
-// Events returns the accumulated trace.
+// Plan returns the newest plan graph and the trace streamed since its
+// DOTB, read under one lock so a later DOTB cannot split them.
+func (ss *ServerStream) Plan() (*dot.Graph, *trace.Store, error) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	g, err := ss.graphLocked()
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, trace.FromEvents(ss.events[ss.plan:]), nil
+}
+
+// Events returns the whole log, every query's trace in arrival order.
 func (ss *ServerStream) Events() []profiler.Event {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	return append([]profiler.Event(nil), ss.events...)
 }
 
-// Buffer returns the sampling ring's current window — the input of the
-// online coloring algorithm.
+// Buffer returns the sampling buffer, oldest first: the last window
+// events of the newest plan's trace — the input of the online coloring
+// algorithm.
 func (ss *ServerStream) Buffer() []profiler.Event {
-	return ss.ring.Snapshot()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return append([]profiler.Event(nil), ss.events[max(len(ss.events)-ss.window, ss.plan):]...)
 }
 
-// Store builds a trace store over everything received so far.
+// Store returns the trace streamed since the newest DOTB.
 func (ss *ServerStream) Store() *trace.Store {
-	return trace.FromEvents(ss.Events())
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return trace.FromEvents(ss.events[ss.plan:])
 }
 
 // LiveColoring runs pair-elision over the sampling buffer, the §4.2.1
@@ -78,7 +100,7 @@ func (ss *ServerStream) LiveColoring() Coloring {
 func (ss *ServerStream) Counts() (dotLines, events int) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.dotSeen, ss.eventSeen
+	return ss.dotSeen, len(ss.events)
 }
 
 // TextualStethoscope is the UDP-listening client of §3.2: "It uses a UDP
@@ -91,14 +113,12 @@ func (ss *ServerStream) Counts() (dotLines, events int) {
 // passes, so the client keeps everything it receives.
 type TextualStethoscope struct {
 	listener *netproto.Listener
-	// stop releases the context watcher when the stethoscope is closed
-	// before its context is canceled.
-	stop     chan struct{}
-	stopOnce sync.Once
+	// stop unregisters the close-on-cancel callback of the context.
+	stop func() bool
 
 	mu      sync.Mutex
 	servers map[string]*ServerStream
-	ringCap int
+	window  int
 	onEvent func(addr string, e profiler.Event)
 }
 
@@ -112,41 +132,32 @@ func (ts *TextualStethoscope) SetOnEvent(fn func(addr string, e profiler.Event))
 }
 
 // StartTextualContext binds the UDP listener ("127.0.0.1:0" picks a free
-// port); ringCap is the per-server sampling buffer capacity. When ctx is
+// port); window is the per-server sampling buffer capacity. When ctx is
 // canceled the listener shuts down and no further events are accepted.
 // Streams received so far remain readable.
-func StartTextualContext(ctx context.Context, addr string, ringCap int) (*TextualStethoscope, error) {
-	if ringCap <= 0 {
-		ringCap = 1024
+func StartTextualContext(ctx context.Context, addr string, window int) (*TextualStethoscope, error) {
+	if window <= 0 {
+		window = 1024
 	}
 	ts := &TextualStethoscope{
 		servers: map[string]*ServerStream{},
-		ringCap: ringCap,
-		stop:    make(chan struct{}),
+		window:  window,
 	}
 	l, err := netproto.Listen(addr, ts.handle)
 	if err != nil {
 		return nil, err
 	}
 	ts.listener = l
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				l.Close()
-			case <-ts.stop:
-			}
-		}()
-	}
+	ts.stop = context.AfterFunc(ctx, func() { l.Close() })
 	return ts, nil
 }
 
 // Addr returns the UDP address servers should stream to.
 func (ts *TextualStethoscope) Addr() string { return ts.listener.Addr() }
 
-// Close stops the listener and releases the context watcher.
+// Close stops the listener and unregisters it from the context.
 func (ts *TextualStethoscope) Close() error {
-	ts.stopOnce.Do(func() { close(ts.stop) })
+	ts.stop()
 	return ts.listener.Close()
 }
 
@@ -174,7 +185,7 @@ func (ts *TextualStethoscope) stream(addr string) *ServerStream {
 	defer ts.mu.Unlock()
 	ss, ok := ts.servers[addr]
 	if !ok {
-		ss = &ServerStream{Addr: addr, ring: profiler.NewRingBuffer(ts.ringCap)}
+		ss = &ServerStream{Addr: addr, window: ts.window}
 		ts.servers[addr] = ss
 	}
 	return ss
@@ -191,11 +202,11 @@ func (ts *TextualStethoscope) handle(from string, m netproto.Msg) {
 		ss.mu.Unlock()
 	case netproto.MsgDotBegin:
 		ss.mu.Lock()
-		ss.dotName = m.Payload
 		ss.dotLines = ss.dotLines[:0]
 		ss.dotDone = false
 		ss.graph = nil
 		ss.dotErr = nil
+		ss.plan = len(ss.events)
 		ss.mu.Unlock()
 	case netproto.MsgDotLine:
 		ss.mu.Lock()
@@ -216,12 +227,10 @@ func (ts *TextualStethoscope) handle(from string, m netproto.Msg) {
 		}
 		ss.mu.Lock()
 		ss.events = append(ss.events, e)
-		ss.eventSeen++
 		ss.mu.Unlock()
 		ts.mu.Lock()
 		onEvent := ts.onEvent
 		ts.mu.Unlock()
-		ss.ring.Emit(e)
 		if onEvent != nil {
 			onEvent(from, e)
 		}

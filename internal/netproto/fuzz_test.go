@@ -61,7 +61,7 @@ func FuzzDatagram(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		in, _ := Decode(b)
-		dispatch(b, func(m Msg) {
+		Dispatch(b, func(m Msg) {
 			if m.Kind == MsgEventBatch {
 				t.Fatalf("a batch reached the handler unexpanded: %q", m.Payload)
 			}

@@ -233,15 +233,15 @@ func (l *Listener) loop(h Handler) {
 			continue
 		}
 		src := from.String()
-		dispatch(buf[:n], func(m Msg) { h(src, m) })
+		Dispatch(buf[:n], func(m Msg) { h(src, m) })
 	}
 }
 
-// dispatch is the receive loop's work on one datagram: decode it and
+// Dispatch is the receive loop's work on one datagram: decode it and
 // hand its messages to deliver, expanding a coalesced EVTB batch into
 // one MsgEvent per line so handlers only ever see the per-event
 // protocol. A malformed datagram is dropped.
-func dispatch(b []byte, deliver func(Msg)) {
+func Dispatch(b []byte, deliver func(Msg)) {
 	m, err := Decode(b)
 	if err != nil {
 		return

@@ -2,9 +2,10 @@
 // component that emits one "start" and one "done" event per executed MAL
 // instruction (paper §3.3), carrying OS-level measurements (cpu time,
 // memory, IO counts) alongside the statement text. Events flow to
-// pluggable sinks: an in-memory ring buffer (the online mode's sampling
-// buffer), trace files for offline analysis, and UDP streams to the
-// textual Stethoscope.
+// pluggable sinks: the run's owned collector, trace files for offline
+// analysis, and, through a Batcher whose flush deadline is one timer,
+// UDP streams to the textual Stethoscope (which samples what it
+// receives in a window of its own event log).
 package profiler
 
 import (

@@ -265,20 +265,17 @@ type BatchSink interface {
 // cutting the per-event allocation and syscall cost of the trace path.
 // A batch is delivered when it reaches the configured size, when Flush
 // is called (the server flushes at query end), and — when the batcher
-// was built with a flush interval — by a deadline armed lazily whenever
-// an event lands in an empty buffer, so a stalled query still streams
+// was built with a flush interval — by a deadline armed whenever an
+// event lands in an empty buffer, so a stalled query still streams
 // while an idle batcher costs nothing. It is safe for concurrent use by
 // the dataflow workers; event order is preserved.
 //
-// The lazy flush is deadline-checked, not timer-driven: the background
-// flusher only delivers after verifying under the lock that the armed
-// deadline has actually passed. The earlier implementation reset one
-// shared time.Timer from Emit, and a timer firing concurrently with
-// that Reset left a stale tick in the channel — the flusher then
-// delivered a freshly-started batch long before its interval elapsed
-// (spurious early flush). Events were never dropped or duplicated
-// (delivery always drained the real buffer under the lock), but the
-// batching guarantee silently degraded to per-event sends under load.
+// The deadline is one time.AfterFunc timer, and its callback decides
+// under the lock: it delivers only when the armed deadline has passed,
+// waits out the remainder when a stale firing finds a newer deadline,
+// and does nothing when the batch already left by size, Flush or Close.
+// A firing never delivers a freshly started batch before its own
+// interval elapses, and no goroutine lives between deadlines.
 type Batcher struct {
 	sink       BatchSink
 	size       int
@@ -286,12 +283,8 @@ type Batcher struct {
 
 	mu       sync.Mutex
 	buf      []Event
-	deadline time.Time // zero when the buffer is empty or no interval is set
-
-	kick      chan struct{} // wakes the flusher when a deadline is armed
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	deadline time.Time   // zero when the buffer is empty or no interval is set
+	timer    *time.Timer // nil until the first deadline is armed
 
 	// Metric cell, nil (no-op) until Instrument attaches a registry.
 	mFlushes *metrics.Counter
@@ -302,73 +295,32 @@ type Batcher struct {
 const DefaultBatchSize = 64
 
 // NewBatcher wraps sink. batchSize <= 0 selects DefaultBatchSize.
-// flushEvery > 0 enables the lazy flush deadline; 0 means batches are
+// flushEvery > 0 enables the flush deadline; 0 means batches are
 // delivered only on size and explicit Flush/Close.
 func NewBatcher(sink BatchSink, batchSize int, flushEvery time.Duration) *Batcher {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	b := &Batcher{
+	return &Batcher{
 		sink:       sink,
 		size:       batchSize,
 		flushEvery: flushEvery,
 		buf:        make([]Event, 0, batchSize),
-		kick:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
 	}
-	if flushEvery > 0 {
-		b.wg.Add(1)
-		go b.flusher()
-	}
-	return b
 }
 
-// flusher delivers batches whose deadline has passed. It sleeps until
-// the armed deadline (re-reading it each round: a size- or
-// Flush-triggered delivery clears it, a later Emit re-arms it) and
-// flushes only when the deadline it observed under the lock has truly
-// expired — there is no timer channel to go stale.
-func (b *Batcher) flusher() {
-	defer b.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// onDeadline is the timer's callback.
+func (b *Batcher) onDeadline() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.deadline.IsZero() {
+		return
 	}
-	defer timer.Stop()
-	for {
-		b.mu.Lock()
-		deadline := b.deadline
-		b.mu.Unlock()
-		if deadline.IsZero() {
-			select {
-			case <-b.kick:
-				continue
-			case <-b.done:
-				return
-			}
-		}
-		if wait := time.Until(deadline); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-b.kick:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-b.done:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				return
-			}
-			continue
-		}
-		b.mu.Lock()
-		if !b.deadline.IsZero() && !time.Now().Before(b.deadline) {
-			b.deliverLocked()
-		}
-		b.mu.Unlock()
+	if wait := time.Until(b.deadline); wait > 0 {
+		b.timer.Reset(wait)
+		return
 	}
+	b.deliverLocked()
 }
 
 // Emit implements Sink.
@@ -377,9 +329,10 @@ func (b *Batcher) Emit(e Event) {
 	if len(b.buf) == 0 && b.flushEvery > 0 {
 		// First event into an empty buffer arms the flush deadline.
 		b.deadline = time.Now().Add(b.flushEvery)
-		select {
-		case b.kick <- struct{}{}:
-		default:
+		if b.timer == nil {
+			b.timer = time.AfterFunc(b.flushEvery, b.onDeadline)
+		} else {
+			b.timer.Reset(b.flushEvery)
 		}
 	}
 	b.buf = append(b.buf, e)
@@ -429,66 +382,14 @@ func (b *Batcher) Pending() int {
 	return len(b.buf)
 }
 
-// Close stops the background flusher and delivers the final batch. It
-// is idempotent; the batcher must not be used after Close.
+// Close stops the deadline timer and delivers the final batch. It is
+// idempotent; the batcher must not be used after Close.
 func (b *Batcher) Close() error {
-	b.closeOnce.Do(func() {
-		close(b.done)
-		b.wg.Wait()
-		b.Flush()
-	})
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.timer != nil {
+		b.timer.Stop()
+	}
+	b.deliverLocked()
 	return nil
-}
-
-// RingBuffer is a bounded in-memory sink: the online mode's sampling
-// buffer (paper §4.2: "as the trace file grows in size, its content is
-// sampled in a buffer"). When full, the oldest events are dropped.
-type RingBuffer struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-}
-
-// NewRingBuffer returns a ring holding up to n events.
-func NewRingBuffer(n int) *RingBuffer {
-	if n < 1 {
-		n = 1
-	}
-	return &RingBuffer{buf: make([]Event, n)}
-}
-
-// Emit implements Sink.
-func (r *RingBuffer) Emit(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Snapshot returns the buffered events oldest-first.
-func (r *RingBuffer) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Len reports how many events are buffered.
-func (r *RingBuffer) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
 }

@@ -1,7 +1,9 @@
 package profiler
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -189,36 +191,6 @@ func TestCallOf(t *testing.T) {
 		if got := CallOf(stmt); got != want {
 			t.Errorf("CallOf(%q) = %q, want %q", stmt, got, want)
 		}
-	}
-}
-
-func TestRingBufferWrap(t *testing.T) {
-	r := NewRingBuffer(3)
-	for i := int64(0); i < 5; i++ {
-		r.Emit(Event{Seq: i})
-	}
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("len = %d", len(snap))
-	}
-	if snap[0].Seq != 2 || snap[2].Seq != 4 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d", r.Len())
-	}
-}
-
-func TestRingBufferPartial(t *testing.T) {
-	r := NewRingBuffer(10)
-	r.Emit(Event{Seq: 1})
-	r.Emit(Event{Seq: 2})
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap[0].Seq != 1 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	if NewRingBuffer(0).Len() != 0 {
-		t.Error("zero-size ring should clamp to 1")
 	}
 }
 
@@ -438,5 +410,61 @@ func TestBatcherNoSpuriousEarlyFlush(t *testing.T) {
 	evs, _ := sink.snapshot()
 	if elapsed := time.Since(emitted); len(evs) != 1 && elapsed < interval {
 		t.Fatalf("event flushed after %v, %v before its deadline (spurious flush)", elapsed, interval-elapsed)
+	}
+}
+
+// TestBatcherIdleStartsNoGoroutine: the flush deadline is a timer, so
+// a batcher that holds no events runs nothing.
+func TestBatcherIdleStartsNoGoroutine(t *testing.T) {
+	const n = 100
+	before := runtime.NumGoroutine()
+	bs := make([]*Batcher, n)
+	for i := range bs {
+		bs[i] = NewBatcher(&recordingBatchSink{}, 0, time.Hour)
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= n/2 {
+		t.Errorf("%d idle batchers started %d goroutines", n, grew)
+	}
+	for _, b := range bs {
+		b.Close()
+	}
+}
+
+// closeWatchSink counts the batches that arrive after its closed flag
+// is set.
+type closeWatchSink struct {
+	closed atomic.Bool
+	late   atomic.Int64
+}
+
+func (s *closeWatchSink) EmitBatch([]Event) {
+	if s.closed.Load() {
+		s.late.Add(1)
+	}
+}
+
+// TestBatcherNoDeliveryAfterClose: Close with a deadline armed, at an
+// interval short enough that the timer often fires while Close runs,
+// delivers the tail itself; a firing that loses the race finds nothing
+// to deliver.
+func TestBatcherNoDeliveryAfterClose(t *testing.T) {
+	const rounds = 2000
+	sinks := make([]*closeWatchSink, rounds)
+	for i := range sinks {
+		sink := &closeWatchSink{}
+		sinks[i] = sink
+		b := NewBatcher(sink, 0, time.Duration(i%50)*time.Microsecond+time.Microsecond)
+		b.Emit(Event{Seq: int64(i)})
+		if i%3 == 0 {
+			time.Sleep(time.Duration(i%40) * time.Microsecond)
+		}
+		b.Close()
+		sink.closed.Store(true)
+	}
+	time.Sleep(20 * time.Millisecond) // let every armed timer fire
+	for i, sink := range sinks {
+		if n := sink.late.Load(); n != 0 {
+			t.Fatalf("round %d: %d batches delivered after Close returned", i, n)
+		}
 	}
 }

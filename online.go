@@ -123,7 +123,8 @@ func (m *Monitor) complete(source string) bool {
 	if _, err := ss.Graph(); err != nil {
 		return false
 	}
-	return len(ss.Events()) > 0
+	_, events := ss.Counts()
+	return events > 0
 }
 
 // WaitComplete blocks until some source has streamed a complete dot file
@@ -161,9 +162,9 @@ func (m *Monitor) Analyze(source string, opts ...AnalyzeOption) (*Analysis, erro
 	if !ok {
 		return nil, fmt.Errorf("stethoscope: unknown source %s", source)
 	}
-	g, err := ss.Graph()
+	g, st, err := ss.Plan()
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: %w", err)
 	}
-	return newAnalysis(g, ss.Store(), opts)
+	return newAnalysis(g, st, opts)
 }
