@@ -81,7 +81,15 @@ func (d *Debugger) Step() (*mal.Instr, bool, error) {
 		return nil, false, nil
 	}
 	in := d.plan.Instrs[d.pc]
-	if err := d.eng.exec(d.ctx, in, 0, d.prof); err != nil {
+	err := d.eng.exec(d.ctx, in, 0, d.prof)
+	// The debugger keeps every value for inspection and releases
+	// nothing: its results are pinned, left to the collector.
+	for _, r := range in.Rets {
+		if b, ok := d.ctx.vals[r].Col.(*storage.BAT); ok {
+			b.Pin()
+		}
+	}
+	if err != nil {
 		return in, true, err
 	}
 	d.pc++

@@ -190,7 +190,14 @@ type Context struct {
 	Plan    *mal.Plan
 	eng     *Engine
 	kernels []Kernel // indexed by PC; resolved once per run
+	// vals are the variable slots. In a run (RunContext) a slot dies at
+	// its last use: left[v] starts at the plan's read count of v
+	// (Plan.Readers) and drops as each reading instruction finishes, and
+	// at zero the slot is cleared and its value released, returning a
+	// recycled BAT array to the storage free list (retire). The debugger
+	// and morsel fragment contexts have no left and keep every slot.
 	vals    []mal.Value
+	left    []atomic.Int32
 	mu      sync.Mutex // guards results
 	results []*Result
 	final   *Result
@@ -329,6 +336,11 @@ func (e *Engine) RunContext(cctx context.Context, plan *mal.Plan, opt Options) (
 	ctx.workers = opt.Workers
 	ctx.morselRows = opt.MorselRows
 	ctx.streamPC = -1
+	ctx.left = make([]atomic.Int32, len(plan.Vars))
+	for v, n := range plan.Readers() {
+		ctx.left[v].Store(n)
+	}
+	defer ctx.releaseAll()
 	e.met.runCounter().Inc()
 	ctx.prog = e.beginProgress(opt.Label, len(plan.Instrs))
 	defer e.endProgress(ctx.prog)
@@ -395,6 +407,47 @@ func (e *Engine) exec(ctx *Context, in *mal.Instr, thread int, prof *profiler.Pr
 	return nil
 }
 
+// retire runs after instruction in finishes in a run: every variable it
+// read loses a reader, and a variable whose last reader this was dies,
+// as does a result nothing reads. Its slot is cleared and its value
+// released. The readers of one variable may finish on different
+// workers; the one that takes the count to zero is the last to touch
+// the slot, so the clear races with nothing.
+func (ctx *Context) retire(in *mal.Instr) {
+	for _, a := range in.Args {
+		if !a.IsConst() && ctx.left[a.Var()].Add(-1) == 0 {
+			ctx.drop(a.Var())
+		}
+	}
+	for _, r := range in.Rets {
+		if ctx.left[r].Load() == 0 {
+			ctx.drop(r)
+		}
+	}
+}
+
+// drop clears slot v and releases what it held.
+func (ctx *Context) drop(v int) {
+	switch c := ctx.vals[v].Col.(type) {
+	case *storage.BAT:
+		c.Release()
+	case *storage.JoinHash:
+		c.Release()
+	}
+	ctx.vals[v] = mal.Value{}
+}
+
+// releaseAll drops every slot a run still holds when it ends: none after
+// a run that finished, the values of instructions whose readers never ran
+// after a failed or canceled one.
+func (ctx *Context) releaseAll() {
+	for v := range ctx.vals {
+		if ctx.vals[v].Col != nil {
+			ctx.drop(v)
+		}
+	}
+}
+
 // accounting estimates the profiler's reads/writes/rss fields from the
 // instruction's BAT arguments and results.
 func (ctx *Context) accounting(in *mal.Instr) (reads, writes, rssKB int64) {
@@ -424,6 +477,7 @@ func (e *Engine) runSequential(cctx context.Context, ctx *Context, opt Options) 
 		if err := e.exec(ctx, in, 0, opt.Profiler); err != nil {
 			return err
 		}
+		ctx.retire(in)
 		w0.Inc()
 	}
 	return nil
@@ -644,6 +698,7 @@ func (e *Engine) runDataflow(cctx context.Context, ctx *Context, opt Options) er
 					finish(err)
 					return
 				}
+				ctx.retire(plan.Instrs[pc])
 				workerInstrs[worker].Inc()
 				for _, u := range uses[pc] {
 					if pending[u].Add(-1) == 0 {

@@ -122,6 +122,7 @@ func kRsColumn(ctx *Context, in *mal.Instr) error {
 	rs := ctx.results[handle]
 	rs.Names = append(rs.Names, name)
 	rs.Cols = append(rs.Cols, col)
+	col.Pin() // the column outlives the run: its array is never recycled
 	return nil
 }
 

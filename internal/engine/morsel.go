@@ -148,6 +148,11 @@ func kMorsel(ctx *Context, in *mal.Instr) error {
 			vals:     make([]mal.Value, len(f.Plan.Vars)),
 			streamPC: -1,
 		}
+		// A fragment context releases nothing: its exports are emitted
+		// and packed, and a morsel's values are only dropped when the
+		// next morsel starts. Pinning them leaves their arrays to the
+		// collector and takes them out of the intermediate count.
+		defer fctx.pinAll()
 		for {
 			// The between-morsels cancellation point: a long scan stops
 			// at the next morsel boundary, not at the next instruction.
@@ -170,9 +175,7 @@ func kMorsel(ctx *Context, in *mal.Instr) error {
 			if hi > n {
 				hi = n
 			}
-			for i := range fctx.vals {
-				fctx.vals[i] = mal.Value{}
-			}
+			fctx.pinAll()
 			for i, pv := range f.Params {
 				fctx.vals[pv] = mal.Value{Type: f.Plan.VarType(pv), Col: srcs[i].Slice(lo, hi)}
 			}
@@ -265,6 +268,17 @@ func kMorsel(ctx *Context, in *mal.Instr) error {
 		ctx.setBAT(in, i, packed)
 	}
 	return nil
+}
+
+// pinAll clears every slot of a context that does not release, pinning
+// the BATs it held.
+func (ctx *Context) pinAll() {
+	for i := range ctx.vals {
+		if b, ok := ctx.vals[i].Col.(*storage.BAT); ok {
+			b.Pin()
+		}
+		ctx.vals[i] = mal.Value{}
+	}
 }
 
 // streamInfo decides whether a plan can stream: every result column

@@ -72,8 +72,8 @@ type Plan struct {
 	constIdx map[constKey]Arg
 
 	// stmts memoizes the rendered statement text for the execution hot
-	// path; see CachedStmt. memoBytes is its size for Bytes, which may
-	// run while CachedStmt renders.
+	// path; see CachedStmt. memoBytes is its size and the read counts'
+	// (Readers) for Bytes, which may run while either is built.
 	stmtsOnce sync.Once
 	stmts     *stmtMemo
 	memoMu    sync.Mutex
@@ -83,6 +83,11 @@ type Plan struct {
 	// ValidateCached.
 	validateOnce sync.Once
 	validateErr  error
+
+	// readers memoizes each variable's read count; see Readers. Its
+	// size joins memoBytes once counted.
+	readersOnce sync.Once
+	readers     []int32
 }
 
 // constKey is a constant's exact literal: its type and payload, with a
@@ -358,6 +363,31 @@ func (p *Plan) ValidateCached() error {
 	return p.validateErr
 }
 
+// Readers returns, per variable, how many operands read it across the
+// plan: an instruction that names a variable twice reads it twice. The
+// engine copies the counts into every run and releases a variable's
+// value when its count reaches zero — at its last use — so a value read
+// by nothing dies as soon as it is made. Memoized per plan like
+// ValidateCached, for finalized plans only; the result is shared and
+// must not be modified. Safe for concurrent use.
+func (p *Plan) Readers() []int32 {
+	p.readersOnce.Do(func() {
+		r := make([]int32, len(p.Vars))
+		for _, in := range p.Instrs {
+			for _, a := range in.Args {
+				if !a.IsConst() && a.Var() < len(r) {
+					r[a.Var()]++
+				}
+			}
+		}
+		p.readers = r
+		p.memoMu.Lock()
+		p.memoBytes += int64(cap(r)) * int64(unsafe.Sizeof(int32(0)))
+		p.memoMu.Unlock()
+	})
+	return p.readers
+}
+
 // CachedStmt returns StmtString(in) from a per-plan memo rendered once
 // on first use: one string holding every statement, which CachedStmt
 // slices. The profiler attaches the statement text to every start/done
@@ -388,7 +418,7 @@ func (p *Plan) renderStmts() {
 	}
 	p.stmts = &stmtMemo{text: string(b), ends: ends}
 	p.memoMu.Lock()
-	p.memoBytes = int64(unsafe.Sizeof(*p.stmts)) + int64(len(b)) + int64(cap(ends))*int64(unsafe.Sizeof(uint32(0)))
+	p.memoBytes += int64(unsafe.Sizeof(*p.stmts)) + int64(len(b)) + int64(cap(ends))*int64(unsafe.Sizeof(uint32(0)))
 	p.memoMu.Unlock()
 }
 
@@ -458,8 +488,9 @@ func (p *Plan) Clone() *Plan {
 // Bytes is the plan's resident size, computed by arithmetic the way
 // storage.BAT.FootprintBytes is: the plan header, the variable and
 // constant tables, every instruction with its operands and results, the
-// fragments the plan holds and, once CachedStmt has rendered it, the
-// statement memo. Size-class rounding is not counted.
+// fragments the plan holds and, once CachedStmt and Readers have built
+// them, the statement memo and the read counts. Size-class rounding is
+// not counted.
 func (p *Plan) Bytes() int64 {
 	n := int64(unsafe.Sizeof(*p)) +
 		int64(cap(p.Vars))*int64(unsafe.Sizeof(Variable{})) +

@@ -235,18 +235,27 @@ func BoolCombine(and bool, l, r *BAT) (*BAT, error) {
 }
 
 // SelectTrue returns the oids of true rows in a Bool BAT, bridging
-// elementwise predicates back into candidate lists.
+// elementwise predicates back into candidate lists. One pass counts the
+// true cells and a second fills a buffer of exactly that size.
 func SelectTrue(b *BAT) (*BAT, error) {
 	if b.kind != Bool {
 		return nil, fmt.Errorf("storage: selectTrue over %s", b.kind)
 	}
-	out := New(OID, 0)
-	for i, v := range b.bools {
+	n := 0
+	for _, v := range b.bools {
 		if v {
-			out.AppendInt(int64(i))
+			n++
 		}
 	}
-	return out, nil
+	out, bk := take[int64](n)
+	at := 0
+	for i, v := range b.bools {
+		if v {
+			out[at] = int64(i)
+			at++
+		}
+	}
+	return wrap(OID, out, bk), nil
 }
 
 // CompareScalar evaluates b op v (or v op b when flip) elementwise and

@@ -80,6 +80,9 @@ type BAT struct {
 	codes []uint32 // Str: one code per row into dict (dict.go)
 	dict  *Dict
 	bools []bool
+	// own is the recycled array the BAT's cells live in (recycle.go),
+	// shared with every view of it; nil for an array the collector owns.
+	own *backing
 }
 
 // New returns an empty BAT of the given kind with capacity hint cap.
@@ -176,7 +179,10 @@ func (b *BAT) Dict() *Dict { return b.dict }
 func (b *BAT) Bools() []bool { return b.bools }
 
 // Slice returns the rows [lo, hi) as a BAT sharing the backing array.
-// This is the primitive behind the optimizer's mitosis partitioning.
+// This is the primitive behind the optimizer's mitosis partitioning. The
+// view's capacity ends at hi: it owns no bytes past its rows, so its
+// footprint is its rows and an append to it copies instead of writing
+// into the base. A view of a recycled array holds a reference to it.
 func (b *BAT) Slice(lo, hi int) *BAT {
 	n := b.Len()
 	if lo < 0 {
@@ -188,17 +194,18 @@ func (b *BAT) Slice(lo, hi int) *BAT {
 	if lo > hi {
 		lo = hi
 	}
-	out := &BAT{kind: b.kind, dict: b.dict}
+	out := &BAT{kind: b.kind, dict: b.dict, own: b.own}
 	switch {
 	case b.kind.usesInts():
-		out.ints = b.ints[lo:hi]
+		out.ints = b.ints[lo:hi:hi]
 	case b.kind == Flt:
-		out.flts = b.flts[lo:hi]
+		out.flts = b.flts[lo:hi:hi]
 	case b.kind == Str:
-		out.codes = b.codes[lo:hi]
+		out.codes = b.codes[lo:hi:hi]
 	default:
-		out.bools = b.bools[lo:hi]
+		out.bools = b.bools[lo:hi:hi]
 	}
+	b.own.retain()
 	return out
 }
 
@@ -253,16 +260,44 @@ func Concat(parts []*BAT) (*BAT, error) {
 		}
 		total += p.Len()
 	}
-	if parts[0].kind == Str {
+	switch k := parts[0].kind; {
+	case k == Str:
 		return concatStrs(parts, total), nil
+	case k.usesInts():
+		return concatInto(k, parts, total, (*BAT).Ints), nil
+	case k == Flt:
+		return concatInto(k, parts, total, (*BAT).Flts), nil
+	default:
+		return concatInto(k, parts, total, (*BAT).Bools), nil
 	}
-	out := New(parts[0].kind, total)
+}
+
+// concatInto copies the cells of parts, in order, into one buffer of
+// total cells from the allocation helper.
+func concatInto[T elem](k Kind, parts []*BAT, total int, cells func(*BAT) []T) *BAT {
+	out, bk := take[T](total)
+	at := 0
 	for _, p := range parts {
-		out.ints = append(out.ints, p.ints...)
-		out.flts = append(out.flts, p.flts...)
-		out.bools = append(out.bools, p.bools...)
+		at += copy(out[at:], cells(p))
 	}
-	return out, nil
+	return wrap(k, out, bk)
+}
+
+// wrap makes a BAT of kind k over cells from the allocation helper, the
+// owner of bk's reference. A Str BAT gets its dictionary from the caller.
+func wrap[T elem](k Kind, cells []T, bk *backing) *BAT {
+	b := &BAT{kind: k, own: bk}
+	switch c := any(cells).(type) {
+	case []int64:
+		b.ints = c
+	case []float64:
+		b.flts = c
+	case []uint32:
+		b.codes = c
+	case []bool:
+		b.bools = c
+	}
+	return b
 }
 
 // FootprintBytes is the size of the BAT's backing array, used by the

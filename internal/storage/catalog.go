@@ -71,6 +71,7 @@ func (t *Table) ColumnData(name string) (*BAT, error) {
 		return nil, fmt.Errorf("storage: lazy column %s.%s.%s loaded %d rows, manifest declares %d",
 			t.Schema, t.Name, name, b.Len(), t.rows)
 	}
+	b.Pin()
 	t.bats[name] = b
 	return b, nil
 }
@@ -125,6 +126,7 @@ func (c *Catalog) Define(schema, name string, cols []Column, data map[string]*BA
 	}
 	t := &Table{Schema: schema, Name: name, Columns: append([]Column(nil), cols...), rows: rows, bats: make(map[string]*BAT, len(cols))}
 	for _, col := range cols {
+		data[col.Name].Pin() // a catalog column outlives every run
 		t.bats[col.Name] = data[col.Name]
 	}
 	c.mu.Lock()

@@ -14,7 +14,9 @@ import (
 // member is a build row for a join and a group for a grouping. Keys are
 // int64: a column of another kind is mapped onto int64 first (int64Keys),
 // so the row loops know one key type. Nothing here outlives the call
-// that built it except through a JoinHash: no pool, no cross-query state.
+// that built it except through a JoinHash, and no cross-query state but
+// the allocation helper's free list (recycle.go), which the probe and
+// grouping outputs come from.
 
 // maxRows is the most rows a join build side or a grouped column may
 // have: heads and links hold row numbers and group ids as int32.
@@ -63,6 +65,9 @@ type JoinHash struct {
 	// a probe column over another dictionary is translated into it.
 	dict *Dict
 	err  error
+	// own is the build column's recycled array when keys is that array
+	// (an integer build side): the hash holds a reference to it.
+	own *backing
 }
 
 // BuildJoinHash indexes the build-side key column r (MAL's
@@ -78,6 +83,10 @@ func BuildJoinHash(r *BAT) *JoinHash {
 	}
 	h.dict = r.dict
 	h.keys = int64Keys(r, h.dict, true)
+	if r.kind.usesInts() {
+		h.own = r.own
+		h.own.retain()
+	}
 	h.heads, h.shift = newHeads(n)
 	h.next = make([]int32, n)
 	for i := n - 1; i >= 0; i-- {
@@ -103,7 +112,9 @@ func (h *JoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
 	// Sized for one match per probe row: exact for a foreign key that
 	// always finds its primary key, never short for one that sometimes
 	// does not, and one growth step away from a mildly many-to-many join.
-	lo, ro := make([]int64, 0, len(keys)), make([]int64, 0, len(keys))
+	lo, lbk := take[int64](len(keys))
+	ro, rbk := take[int64](len(keys))
+	lo, ro = lo[:0], ro[:0]
 	for i, k := range keys {
 		for r := h.heads[hashKey(0, k)>>h.shift]; r != 0; r = h.next[r-1] {
 			if h.keys[r-1] == k {
@@ -112,8 +123,12 @@ func (h *JoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
 			}
 		}
 	}
-	return FromInts(OID, lo), FromInts(OID, ro), nil
+	return wrap(OID, lo, settle(lo, lbk)), wrap(OID, ro, settle(ro, rbk)), nil
 }
+
+// Release drops the hash's reference to its build column's array; the
+// hash must not be probed afterwards.
+func (h *JoinHash) Release() { h.own.release() }
 
 // HashJoin computes the equi-join of l and r on value equality and returns
 // matching oid pairs (aligned left and right oid BATs). The right side
@@ -121,7 +136,9 @@ func (h *JoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
 // oid. This is MAL's algebra.join — the packed form of
 // BuildJoinHash + Probe.
 func HashJoin(l, r *BAT) (lOIDs, rOIDs *BAT, err error) {
-	return BuildJoinHash(r).Probe(l)
+	h := BuildJoinHash(r)
+	defer h.Release()
+	return h.Probe(l)
 }
 
 // int64Keys maps a key column onto int64 so that two cells are equal keys
@@ -199,18 +216,19 @@ func Group(b, prev *BAT) (groups, extents *BAT, ngroups int, err error) {
 	if prev != nil {
 		pg = prev.ints
 	}
-	var ids, firsts []int64
+	ids, bk := take[int64](n)
+	var firsts []int64
 	switch {
 	case b.kind == Str:
 		if pairs := codePairs(pg, b.dict.Len()); pairs <= n+groupRoom {
-			ids, firsts = groupCodes(pg, b.codes, b.dict.Len(), pairs)
+			firsts = groupCodes(ids, pg, b.codes, b.dict.Len(), pairs)
 		} else {
-			ids, firsts = groupKeys(pg, b.codes)
+			firsts = groupKeys(ids, pg, b.codes)
 		}
 	default:
-		ids, firsts = groupKeys(pg, int64Keys(b, nil, true))
+		firsts = groupKeys(ids, pg, int64Keys(b, nil, true))
 	}
-	return FromInts(OID, ids), FromInts(OID, firsts), len(firsts), nil
+	return wrap(OID, ids, bk), FromInts(OID, firsts), len(firsts), nil
 }
 
 // groupRoom is how many groups a grouping starts with room for. The
@@ -248,8 +266,8 @@ func codePairs(prev []int64, entries int) int {
 // distinct codes, under a nil prev — in order of first appearance through
 // a table with a slot per possible pair: no hashing, for a column with
 // no more pairs than rows (Q1's two flags, a grouping by nation name).
-func groupCodes(prev []int64, codes []uint32, entries, pairs int) (ids, firsts []int64) {
-	ids = make([]int64, len(codes))
+// ids gets each row's number; firsts is each number's first row.
+func groupCodes(ids, prev []int64, codes []uint32, entries, pairs int) (firsts []int64) {
 	slot := make([]int32, pairs) // 1 + the group of each pair, 0 for none yet
 	firsts = make([]int64, 0, min(pairs, groupRoom))
 	for i, c := range codes {
@@ -265,14 +283,13 @@ func groupCodes(prev []int64, codes []uint32, entries, pairs int) (ids, firsts [
 		}
 		ids[i] = int64(g - 1)
 	}
-	return ids, firsts
+	return firsts
 }
 
 // groupKeys numbers the distinct (prev[i], keys[i]) pairs — or the
 // distinct keys, under a nil prev — in order of first appearance: ids
-// has each row's number, firsts each number's first row.
-func groupKeys[K int64 | uint32](prev []int64, keys []K) (ids, firsts []int64) {
-	ids = make([]int64, len(keys))
+// gets each row's number, firsts is each number's first row.
+func groupKeys[K int64 | uint32](ids, prev []int64, keys []K) (firsts []int64) {
 	heads, shift := newHeads(2 * groupRoom)
 	groups := make([]group, 0, groupRoom)
 	firsts = make([]int64, 0, groupRoom)
@@ -306,5 +323,5 @@ func groupKeys[K int64 | uint32](prev []int64, keys []K) (ids, firsts []int64) {
 		}
 		ids[i] = int64(g - 1)
 	}
-	return ids, firsts
+	return firsts
 }

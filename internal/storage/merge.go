@@ -146,10 +146,10 @@ func MergeRuns(keys [][]*BAT, asc []bool) (*BAT, error) {
 		}
 	}
 
-	out := New(OID, total)
-	for len(heap) > 0 {
+	out, bk := take[int64](total)
+	for at := 0; len(heap) > 0; at++ {
 		s := heap[0]
-		out.AppendInt(offsets[s] + int64(cursor[s]))
+		out[at] = offsets[s] + int64(cursor[s])
 		cursor[s]++
 		if cursor[s] >= lens[s] {
 			heap[0] = heap[len(heap)-1]
@@ -157,5 +157,5 @@ func MergeRuns(keys [][]*BAT, asc []bool) (*BAT, error) {
 		}
 		down(0)
 	}
-	return out, nil
+	return wrap(OID, out, bk), nil
 }

@@ -186,20 +186,22 @@ func selectCap(b, cands *BAT) int {
 }
 
 // candidates returns the oids a selection over b is restricted to (nil:
-// every row) and a result buffer sized for them.
-func candidates(b, cands *BAT) (oids, out []int64, err error) {
-	out = make([]int64, 0, selectCap(b, cands))
-	if cands == nil {
-		return nil, out, nil
+// every row) and an empty result buffer with room for them from the
+// allocation helper.
+func candidates(b, cands *BAT) (oids, out []int64, bk *backing, err error) {
+	if cands != nil && cands.kind != OID {
+		return nil, nil, nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
 	}
-	if cands.kind != OID {
-		return nil, nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
+	out, bk = take[int64](selectCap(b, cands))
+	out = out[:0]
+	if cands == nil {
+		return nil, out, bk, nil
 	}
 	oids = cands.ints
 	if oids == nil {
 		oids = []int64{} // an empty candidate list selects nothing, a nil one everything
 	}
-	return oids, out, nil
+	return oids, out, bk, nil
 }
 
 // oidRangeErr is the one message for an oid that does not address a row
@@ -208,13 +210,15 @@ func oidRangeErr(what string, oid int64, n int) error {
 	return fmt.Errorf("storage: %s oid %d out of range 0..%d", what, oid, n-1)
 }
 
-// selected wraps a selection loop's result: the oids, or the error for
-// the candidate at index bad.
-func selected(b *BAT, cands, out []int64, bad int) (*BAT, error) {
+// selected wraps a selection loop's result: the oids in the buffer bk
+// owns (unless they outgrew it), or the error for the candidate at index
+// bad.
+func selected(b *BAT, cands, out []int64, bk *backing, bad int) (*BAT, error) {
 	if bad >= 0 {
+		bk.release()
 		return nil, oidRangeErr("candidate", cands[bad], b.Len())
 	}
-	return FromInts(OID, out), nil
+	return wrap(OID, out, settle(out, bk)), nil
 }
 
 // ThetaSelect scans b (restricted to the candidate oids in cands when
@@ -224,7 +228,7 @@ func ThetaSelect(b *BAT, op CmpOp, v Val, cands *BAT) (*BAT, error) {
 	if !compatible(b.kind, v) {
 		return nil, fmt.Errorf("storage: thetaselect %s against %s operand", b.kind, v.Kind)
 	}
-	oids, out, err := candidates(b, cands)
+	oids, out, bk, err := candidates(b, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +244,7 @@ func ThetaSelect(b *BAT, op CmpOp, v Val, cands *BAT) (*BAT, error) {
 	default:
 		out, bad = selectCmp(out, b.ints, op, v.I, oids)
 	}
-	return selected(b, oids, out, bad)
+	return selected(b, oids, out, bk, bad)
 }
 
 // selectCmp appends to out the positions of col (every one, or the
@@ -413,9 +417,10 @@ func RangeSelect(b *BAT, lo, hi Val, loInc, hiInc bool, cands *BAT) (*BAT, error
 		if err != nil {
 			return nil, err
 		}
+		defer above.Release()
 		return ThetaSelect(b, hiOp, hi, above)
 	}
-	oids, out, err := candidates(b, cands)
+	oids, out, bk, err := candidates(b, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +437,7 @@ func RangeSelect(b *BAT, lo, hi Val, loInc, hiInc bool, cands *BAT) (*BAT, error
 	default:
 		out, bad = selectRange(out, b.ints, lo.I, hi.I, loInc, hiInc, oids)
 	}
-	return selected(b, oids, out, bad)
+	return selected(b, oids, out, bk, bad)
 }
 
 // selectRange is selectCmp for a two-sided range: both bounds tested in
@@ -520,13 +525,13 @@ func Project(oids, tail *BAT) (*BAT, error) {
 	var bad int
 	switch {
 	case tail.kind.usesInts():
-		out.ints, bad = gather(tail.ints, oids.ints)
+		out.ints, out.own, bad = gather(tail.ints, oids.ints)
 	case tail.kind == Flt:
-		out.flts, bad = gather(tail.flts, oids.ints)
+		out.flts, out.own, bad = gather(tail.flts, oids.ints)
 	case tail.kind == Str:
-		out.codes, bad = gather(tail.codes, oids.ints)
+		out.codes, out.own, bad = gather(tail.codes, oids.ints)
 	default:
-		out.bools, bad = gather(tail.bools, oids.ints)
+		out.bools, out.own, bad = gather(tail.bools, oids.ints)
 	}
 	if bad >= 0 {
 		return nil, oidRangeErr("project", oids.ints[bad], tail.Len())
@@ -534,18 +539,20 @@ func Project(oids, tail *BAT) (*BAT, error) {
 	return out, nil
 }
 
-// gather returns tail[oid] for every oid, exactly sized and in one pass;
-// bad is the index of the first oid outside tail, or -1.
-func gather[T any](tail []T, oids []int64) (out []T, bad int) {
-	out = make([]T, len(oids))
+// gather returns tail[oid] for every oid, exactly sized and in one pass,
+// in a buffer from the allocation helper that bk owns; bad is the index
+// of the first oid outside tail, or -1.
+func gather[T elem](tail []T, oids []int64) (out []T, bk *backing, bad int) {
+	out, bk = take[T](len(oids))
 	n := uint64(len(tail))
 	for k, oid := range oids {
 		if uint64(oid) >= n {
-			return nil, k
+			bk.release()
+			return nil, nil, k
 		}
 		out[k] = tail[oid]
 	}
-	return out, -1
+	return out, bk, -1
 }
 
 // AggrKind selects an aggregate function.
@@ -761,7 +768,7 @@ func maxBy[T ordered](vals []T, gids []int64, ngroups int) []T {
 // be built by sorting from the least significant key to the most
 // significant one, threading the permutation through Project.
 func SortOrder(b *BAT, asc bool) *BAT {
-	perm := make([]int64, b.Len())
+	perm, bk := take[int64](b.Len())
 	for i := range perm {
 		perm[i] = int64(i)
 	}
@@ -782,7 +789,7 @@ func SortOrder(b *BAT, asc bool) *BAT {
 		less = before(b.ints, asc)
 	}
 	stableSortInt64(perm, less)
-	return FromInts(OID, perm)
+	return wrap(OID, perm, bk)
 }
 
 // before returns the sort comparator of one typed column in one
@@ -801,8 +808,9 @@ func stableSortInt64(a []int64, less func(x, y int64) bool) {
 	if len(a) < 2 {
 		return
 	}
-	buf := make([]int64, len(a))
+	buf, bk := take[int64](len(a))
 	mergeSortInt64(a, buf, less)
+	bk.release()
 }
 
 func mergeSortInt64(a, buf []int64, less func(x, y int64) bool) {

@@ -519,3 +519,38 @@ func TestLikeMatchPatterns(t *testing.T) {
 		}
 	}
 }
+
+// TestSliceViewsOwnTheirRows: a view's capacity ends at its last row,
+// for every backing kind. Four views of a 1000-row column report the
+// column's bytes between them, not the base's tail four times over, and
+// an append to a view copies instead of writing into the base.
+func TestSliceViewsOwnTheirRows(t *testing.T) {
+	ints := make([]int64, 1000)
+	flts := make([]float64, 1000)
+	strs := make([]string, 1000)
+	bools := make([]bool, 1000)
+	for i := range ints {
+		ints[i], flts[i], strs[i], bools[i] = int64(i), float64(i), string(rune('a'+i%26)), i%2 == 0
+	}
+	for _, c := range []struct {
+		base *BAT
+		cell int64
+	}{{FromInts(Int, ints), 8}, {FromFloats(flts), 8}, {FromStrings(strs), 4}, {FromBools(bools), 1}} {
+		var total int64
+		for p := 0; p < 4; p++ {
+			total += c.base.Slice(p*250, (p+1)*250).FootprintBytes()
+		}
+		if want := 4 * 250 * c.cell; total != want {
+			t.Errorf("%s: 4 views of 1000 rows report %d bytes, want %d", c.base.Kind(), total, want)
+		}
+	}
+	base := FromInts(Int, ints)
+	view := base.Slice(0, 250)
+	view.AppendInt(-1)
+	if got := base.IntAt(250); got != 250 {
+		t.Errorf("append to view 0 overwrote row 250 of the base: %d", got)
+	}
+	if view.Len() != 251 || view.IntAt(250) != -1 {
+		t.Errorf("view after append: %d rows, last %d", view.Len(), view.IntAt(view.Len()-1))
+	}
+}

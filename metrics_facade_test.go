@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"stethoscope/internal/metrics"
+	"stethoscope/internal/tpch"
 )
 
 // TestMetricsCountersAfterExec checks that one materialized execution
@@ -398,5 +399,68 @@ func TestStressMetricsReaders(t *testing.T) {
 	}
 	if len(db.Progress()) != 0 {
 		t.Error("progress table not empty after all runs returned")
+	}
+}
+
+// TestIntermediateGauges runs the analytic statements (the adapted
+// TPC-H set and the point filter) on two connections at once, sampling
+// the engine's two memory gauges: the free list never holds more than
+// its 2 MiB bound (recycleBytes, internal/storage/recycle.go), it holds
+// something once runs have released their intermediates, and with no
+// run in flight no intermediate is checked out.
+func TestIntermediateGauges(t *testing.T) {
+	const bound = 2 << 20
+	db, err := Open(WithScaleFactor(0.01), WithPartitions(8), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	stmts := []string{"select l_tax from lineitem where l_orderkey=7"}
+	for _, q := range tpch.Queries() {
+		stmts = append(stmts, q.SQL)
+	}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	sampled := make(chan int64)
+	go func() {
+		var most int64
+		for {
+			if v := db.Metrics().Value("stetho_engine_recycled_bytes"); v > most {
+				most = v
+			}
+			select {
+			case <-stop:
+				sampled <- most
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range stmts {
+					if _, err := db.Exec(ctx, stmts[(i+c*len(stmts)/2)%len(stmts)]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	if most := <-sampled; most > bound {
+		t.Errorf("free list held %d bytes, above its %d-byte bound", most, bound)
+	}
+	snap := db.Metrics()
+	if got := snap.Value("stetho_engine_intermediate_bytes"); got != 0 {
+		t.Errorf("intermediates checked out with no run in flight: %d bytes", got)
+	}
+	if got := snap.Value("stetho_engine_recycled_bytes"); got <= 0 || got > bound {
+		t.Errorf("free list after the runs: %d bytes, want some and at most %d", got, bound)
 	}
 }
