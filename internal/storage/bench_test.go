@@ -235,11 +235,13 @@ func BenchmarkRangeSelect(b *testing.B) {
 // number of objects for one distinct key as for 50 000, and a grouping
 // allocates with the logarithm of the number of groups, not with it.
 // Every call releases what it returns, as the engine does when the
-// variable holding it dies, so a result buffer from the allocation
-// helper is the previous call's, recycled.
+// variable holding it dies, while another array stays checked out, as a
+// running plan's do: a result buffer from the allocation helper is the
+// previous call's, recycled.
 func TestKernelAllocCeilings(t *testing.T) {
 	// A collection in the middle of a measured call allocates on its own.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	inFlight(t)
 	col := benchColumn(4_000)
 	cands, _ := ThetaSelect(col, LT, IntVal(900), nil)
 	// Encoding a string column builds its dictionary; the kernel is what

@@ -34,11 +34,13 @@ import (
 // so it raises the collector's heap goal, and with it peak memory, by up
 // to twice its size; the bound is where recycling stops paying for that.
 // On serve-analytic's statements at SF 0.05 (2 connections, 2 cores) a
-// 2 MiB list served 38 % of the bytes taken for recycled outputs, 4 MiB
-// 38 %, 8 MiB 41 % and 16 MiB 49 %; in alternating serve-analytic runs
-// an 8 MiB list gave back about half of the peak-RSS saving that
-// releasing at last use makes, a 2 MiB one none that the runs could
-// tell. A buffer larger than the bound is never kept.
+// list of size-rounded arrays that never emptied served 38 % of the
+// bytes taken at 2 MiB, 38 % at 4 MiB, 41 % at 8 MiB and 49 % at 16 MiB;
+// in alternating serve-analytic runs an 8 MiB list gave back about half
+// of the peak-RSS saving that releasing at last use makes, a 2 MiB one
+// none that the runs could tell. As built (exact-size arrays, emptied at
+// idle) the 2 MiB list serves 27 %. A buffer larger than the bound is
+// never kept.
 const recycleBytes = 2 << 20
 
 // minCells is the smallest array the helper makes: a request for fewer
@@ -85,7 +87,8 @@ func array[T elem](bk *backing) []T { return unsafe.Slice((*T)(bk.arr), bk.cells
 // evicts the longest-free backings, whatever their class, so what the
 // list holds is what was released last — the sizes the running plans
 // are cycling through now — and a class nobody asks for any more ages
-// out.
+// out. The release that leaves nothing checked out empties the list: an
+// engine with no run in flight holds no recycled array.
 var (
 	freeMu         sync.Mutex
 	oldest, newest *backing              // release order; guarded by freeMu
@@ -103,8 +106,8 @@ var (
 // pinned. It is 0 whenever no plan runs.
 func IntermediateBytes() int64 { return outBytes.Load() }
 
-// RecycledBytes reports the bytes the free list holds, at most
-// recycleBytes.
+// RecycledBytes reports the bytes the free list holds: at most
+// recycleBytes, and 0 whenever no plan runs.
 func RecycledBytes() int64 { return freeBytes.Load() }
 
 func elemIndex[T elem]() int {
@@ -200,16 +203,28 @@ func (bk *backing) release() {
 	if bk == nil || bk.pinned.Load() || bk.refs.Add(-1) != 0 {
 		return
 	}
-	outBytes.Add(-bk.bytes)
 	if poisoned {
 		bk.poison()
 	}
 	freeMu.Lock()
-	for oldest != nil && freeBytes.Load()+bk.bytes > recycleBytes {
+	if outBytes.Add(-bk.bytes) == 0 {
+		dropIdle()
+	} else {
+		for oldest != nil && freeBytes.Load()+bk.bytes > recycleBytes {
+			oldest.unlink()
+		}
+		bk.push()
+	}
+	freeMu.Unlock()
+}
+
+// dropIdle empties the free list when nothing is checked out: no run is
+// between two of its instructions, and an idle engine keeps nothing for
+// the next one. The caller holds freeMu.
+func dropIdle() {
+	for outBytes.Load() == 0 && oldest != nil {
 		oldest.unlink()
 	}
-	bk.push()
-	freeMu.Unlock()
 }
 
 // push puts a released backing on the free list. The caller holds freeMu.
@@ -260,8 +275,10 @@ func (bk *backing) unlink() {
 // counts as an intermediate. The caller holds a reference, so the count
 // cannot reach zero before the mark is set.
 func (bk *backing) pin() {
-	if bk != nil && bk.pinned.CompareAndSwap(false, true) {
-		outBytes.Add(-bk.bytes)
+	if bk != nil && bk.pinned.CompareAndSwap(false, true) && outBytes.Add(-bk.bytes) == 0 {
+		freeMu.Lock()
+		dropIdle()
+		freeMu.Unlock()
 	}
 }
 

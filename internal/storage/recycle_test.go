@@ -7,6 +7,7 @@ import "testing"
 // view and a join hash over an integer build column are holders too —
 // and a pinned array never returns.
 func TestRecycleOwnership(t *testing.T) {
+	inFlight(t)
 	out0 := IntermediateBytes()
 	cells, bk := take[int64](1000)
 	for i := range cells {
@@ -52,6 +53,16 @@ func TestRecycleOwnership(t *testing.T) {
 	}
 }
 
+// inFlight checks out one array until the test ends, as a running plan
+// holds its intermediates: the free list keeps what is released only
+// while something is checked out (TestIntermediateGauges, in the root
+// package, sees it let go once nothing is).
+func inFlight(t *testing.T) *backing {
+	_, bk := take[int64](minCells)
+	t.Cleanup(bk.release)
+	return bk
+}
+
 // TestSizeClasses: a request's floor class has capacity at most n and
 // its ceiling class at least n, each class a quarter or less above the
 // one below, and a free array filed under its floor class serves every
@@ -78,6 +89,7 @@ func TestSizeClasses(t *testing.T) {
 // have been free longest, so the list never exceeds its bound and keeps
 // what was released last.
 func TestFreeListBound(t *testing.T) {
+	inFlight(t)
 	const cells = 32 << 10 // 256 KiB of int64s
 	var held []*backing
 	for i := 0; i < 2*recycleBytes/(8*cells)+2; i++ {
