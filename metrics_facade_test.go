@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"stethoscope/internal/engine"
+	"stethoscope/internal/mal"
 	"stethoscope/internal/metrics"
 	"stethoscope/internal/tpch"
 )
@@ -403,11 +405,12 @@ func TestStressMetricsReaders(t *testing.T) {
 }
 
 // TestIntermediateGauges runs the analytic statements (the adapted
-// TPC-H set and the point filter) on two connections at once, sampling
-// the engine's two memory gauges: while runs release intermediates the
-// free list holds some of them and never more than its 2 MiB bound
-// (recycleBytes, internal/storage/recycle.go), and with no run in
-// flight neither an intermediate nor the free list holds a byte.
+// TPC-H set and the point filter) on two connections at once, reading
+// the engine's two memory gauges whenever a run exports a result column
+// — mid-run, with its earlier intermediates released: the free list
+// holds some of them and never more than its 2 MiB bound (recycleBytes,
+// internal/storage/recycle.go). With no run in flight neither an
+// intermediate nor the free list holds a byte.
 func TestIntermediateGauges(t *testing.T) {
 	const bound = 2 << 20
 	db, err := Open(WithScaleFactor(0.01), WithPartitions(8), WithWorkers(4))
@@ -415,27 +418,23 @@ func TestIntermediateGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	var (
+		mu       sync.Mutex
+		most     int64 // guarded by mu
+		rsColumn engine.Kernel
+	)
+	rsColumn = db.run.Engine.Replace("sql", "rsColumn", func(ctx *engine.Context, in *mal.Instr) error {
+		v := db.Metrics().Value("stetho_engine_recycled_bytes")
+		mu.Lock()
+		most = max(most, v)
+		mu.Unlock()
+		return rsColumn(ctx, in)
+	})
 	stmts := []string{"select l_tax from lineitem where l_orderkey=7"}
 	for _, q := range tpch.Queries() {
 		stmts = append(stmts, q.SQL)
 	}
 	ctx := context.Background()
-	stop := make(chan struct{})
-	sampled := make(chan int64)
-	go func() {
-		var most int64
-		for {
-			if v := db.Metrics().Value("stetho_engine_recycled_bytes"); v > most {
-				most = v
-			}
-			select {
-			case <-stop:
-				sampled <- most
-				return
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
@@ -452,9 +451,8 @@ func TestIntermediateGauges(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	close(stop)
-	if most := <-sampled; most <= 0 || most > bound {
-		t.Errorf("free list held at most %d bytes while the runs went, want some and at most %d", most, bound)
+	if most <= 0 || most > bound {
+		t.Errorf("free list held at most %d bytes when runs exported results, want some and at most %d", most, bound)
 	}
 	snap := db.Metrics()
 	for _, name := range []string{"stetho_engine_intermediate_bytes", "stetho_engine_recycled_bytes"} {
