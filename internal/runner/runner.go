@@ -75,9 +75,10 @@ func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
 	r.Engine.SetMetrics(reg)
 	r.Planner.Cache.Instrument(reg, "stetho_plancache")
 	reg.GaugeFunc("stetho_plancache_bytes", func() int64 { return plancache.Bytes(r.Planner.Cache) })
-	// The engine's recycled intermediates (storage's allocation helper,
-	// one free list per process): arrays running plans hold, and arrays
-	// the free list keeps for the next take.
+	// The allocation helper's arrays (storage, one free list per
+	// process, so every runner reports the same totals): those checked
+	// out as kernel outputs, and those the free list keeps for the next
+	// take. Kernel outputs made without the helper are not counted.
 	reg.GaugeFunc("stetho_engine_intermediate_bytes", storage.IntermediateBytes)
 	reg.GaugeFunc("stetho_engine_recycled_bytes", storage.RecycledBytes)
 	r.Flight.Instrument(reg, "stetho_sharedwork")

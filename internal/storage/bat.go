@@ -284,9 +284,16 @@ func concatInto[T elem](k Kind, parts []*BAT, total int, cells func(*BAT) []T) *
 }
 
 // wrap makes a BAT of kind k over cells from the allocation helper, the
-// owner of bk's reference. A Str BAT gets its dictionary from the caller.
+// owner of bk's reference, in the header that comes with bk (a new one
+// for a nil bk). A Str BAT gets its dictionary from the caller.
 func wrap[T elem](k Kind, cells []T, bk *backing) *BAT {
-	b := &BAT{kind: k, own: bk}
+	var b *BAT
+	if bk != nil {
+		b = &bk.bat
+		*b = BAT{kind: k, own: bk}
+	} else {
+		b = &BAT{kind: k}
+	}
 	switch c := any(cells).(type) {
 	case []int64:
 		b.ints = c

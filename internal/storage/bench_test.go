@@ -234,14 +234,9 @@ func BenchmarkRangeSelect(b *testing.B) {
 // its header whatever the row count, a join build allocates the same
 // number of objects for one distinct key as for 50 000, and a grouping
 // allocates with the logarithm of the number of groups, not with it.
-// Every call releases what it returns, as the engine does when the
-// variable holding it dies, while another array stays checked out, as a
-// running plan's do: a result buffer from the allocation helper is the
-// previous call's, recycled.
 func TestKernelAllocCeilings(t *testing.T) {
 	// A collection in the middle of a measured call allocates on its own.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	inFlight(t)
 	col := benchColumn(4_000)
 	cands, _ := ThetaSelect(col, LT, IntVal(900), nil)
 	// Encoding a string column builds its dictionary; the kernel is what
@@ -253,26 +248,25 @@ func TestKernelAllocCeilings(t *testing.T) {
 	strs := FromStrings(modes)
 	strCands, _ := ThetaSelect(strs, NE, StrVal("RAIL"), nil)
 	allocs := func(f func()) float64 { return testing.AllocsPerRun(5, f) }
-	done := func(b *BAT, _ error) { b.Release() }
 	for name, f := range map[string]func(){
-		"ThetaSelect":           func() { done(ThetaSelect(col, LT, IntVal(500), nil)) },
-		"ThetaSelect/cands":     func() { done(ThetaSelect(col, LT, IntVal(500), cands)) },
-		"ThetaSelect/promo":     func() { done(ThetaSelect(col, LT, FltVal(500.5), cands)) },
-		"RangeSelect":           func() { done(RangeSelect(col, IntVal(100), IntVal(400), true, false, nil)) },
-		"RangeSelect/cands":     func() { done(RangeSelect(col, IntVal(100), IntVal(400), true, false, cands)) },
-		"Project":               func() { done(Project(cands, col)) },
-		"CompareScalar":         func() { done(CompareScalar(GE, col, IntVal(500), true)) },
-		"Between":               func() { done(Between(col, IntVal(100), IntVal(400))) },
-		"Aggr/global":           func() { done(Aggr(AggrSum, col, nil, 0)) },
-		"ArithScalar":           func() { done(ArithScalar(Sub, col, IntVal(1), true)) },
-		"Str/ThetaSelect":       func() { done(ThetaSelect(strs, EQ, StrVal("MAIL"), nil)) },
-		"Str/ThetaSelect/cands": func() { done(ThetaSelect(strs, LT, StrVal("SHIP"), strCands)) },
-		"Str/RangeSelect":       func() { done(RangeSelect(strs, StrVal("B"), StrVal("S"), true, false, nil)) },
-		"Str/Project":           func() { done(Project(strCands, strs)) },
-		"Str/CompareScalar":     func() { done(CompareScalar(EQ, strs, StrVal("AIR"), false)) },
-		"Str/Between":           func() { done(Between(strs, StrVal("AIR"), StrVal("RAIL"))) },
-		"Str/LikeMatch":         func() { done(LikeMatch(strs, "%AI%")) },
-		"Str/SortOrder":         func() { done(SortOrder(strs, true), nil) },
+		"ThetaSelect":           func() { ThetaSelect(col, LT, IntVal(500), nil) },
+		"ThetaSelect/cands":     func() { ThetaSelect(col, LT, IntVal(500), cands) },
+		"ThetaSelect/promo":     func() { ThetaSelect(col, LT, FltVal(500.5), cands) },
+		"RangeSelect":           func() { RangeSelect(col, IntVal(100), IntVal(400), true, false, nil) },
+		"RangeSelect/cands":     func() { RangeSelect(col, IntVal(100), IntVal(400), true, false, cands) },
+		"Project":               func() { Project(cands, col) },
+		"CompareScalar":         func() { CompareScalar(GE, col, IntVal(500), true) },
+		"Between":               func() { Between(col, IntVal(100), IntVal(400)) },
+		"Aggr/global":           func() { Aggr(AggrSum, col, nil, 0) },
+		"ArithScalar":           func() { ArithScalar(Sub, col, IntVal(1), true) },
+		"Str/ThetaSelect":       func() { ThetaSelect(strs, EQ, StrVal("MAIL"), nil) },
+		"Str/ThetaSelect/cands": func() { ThetaSelect(strs, LT, StrVal("SHIP"), strCands) },
+		"Str/RangeSelect":       func() { RangeSelect(strs, StrVal("B"), StrVal("S"), true, false, nil) },
+		"Str/Project":           func() { Project(strCands, strs) },
+		"Str/CompareScalar":     func() { CompareScalar(EQ, strs, StrVal("AIR"), false) },
+		"Str/Between":           func() { Between(strs, StrVal("AIR"), StrVal("RAIL")) },
+		"Str/LikeMatch":         func() { LikeMatch(strs, "%AI%") },
+		"Str/SortOrder":         func() { SortOrder(strs, true) },
 	} {
 		if got := allocs(f); got > 3 {
 			t.Errorf("%s: %.0f allocations per call, want at most 3", name, got)
@@ -287,24 +281,16 @@ func TestKernelAllocCeilings(t *testing.T) {
 		return FromInts(Int, vals)
 	}
 	one, many := keyed(1), keyed(50_000)
-	build := func(b *BAT) func() { return func() { BuildJoinHash(b).Release() } }
-	if a, b := allocs(build(one)), allocs(build(many)); a != b || b > 3 {
+	if a, b := allocs(func() { BuildJoinHash(one) }), allocs(func() { BuildJoinHash(many) }); a != b || b > 3 {
 		t.Errorf("join build: %.0f allocations for 1 distinct key, %.0f for 50000; want equal and at most 3", a, b)
 	}
 	// Room for 16 groups doubles 12 times on the way to 50 000; each
 	// doubling is three arrays; plus the first three, the ids and the two
 	// headers. One group never grows.
-	group := func(b *BAT) func() {
-		return func() {
-			groups, extents, _, _ := Group(b, nil)
-			groups.Release()
-			extents.Release()
-		}
-	}
-	if got := allocs(group(many)); got > 3*13+3 {
+	if got := allocs(func() { Group(many, nil) }); got > 3*13+3 {
 		t.Errorf("grouping 50000 distinct keys: %.0f allocations, want at most %d", got, 3*13+3)
 	}
-	if got := allocs(group(one)); got > 6 {
+	if got := allocs(func() { Group(one, nil) }); got > 6 {
 		t.Errorf("grouping one distinct key: %.0f allocations, want at most 6", got)
 	}
 	// A string column groups by code under the same bounds.
@@ -313,10 +299,53 @@ func TestKernelAllocCeilings(t *testing.T) {
 		names[i] = fmt.Sprintf("Customer#%09d", i*7%50_000)
 	}
 	manyStrs := FromStrings(names)
-	if got := allocs(group(manyStrs)); got > 3*13+3 {
+	if got := allocs(func() { Group(manyStrs, nil) }); got > 3*13+3 {
 		t.Errorf("grouping 50000 distinct strings: %.0f allocations, want at most %d", got, 3*13+3)
 	}
-	if got := allocs(group(strs)); got > 6 {
+	if got := allocs(func() { Group(strs, nil) }); got > 6 {
 		t.Errorf("grouping a five-value string column: %.0f allocations, want at most 6", got)
+	}
+}
+
+// TestKernelAllocsRecycled is TestKernelAllocCeilings' steady state for
+// the kernels whose outputs come from the allocation helper. Each call
+// releases what it returns, as the engine does when the variable holding
+// it dies, while another array stays checked out, as a running plan's
+// do: the next call's buffer and header are the previous call's,
+// recycled, so the output itself costs no allocation.
+func TestKernelAllocsRecycled(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	inFlight(t)
+	col := benchColumn(4_000)
+	cands, _ := ThetaSelect(col, LT, IntVal(900), nil)
+	strs := FromStrings([]string{"AIR", "MAIL", "SHIP", "TRUCK", "RAIL"})
+	strs, _ = Project(FromInts(OID, make([]int64, 4_000)), strs)
+	h := BuildJoinHash(benchColumn(1_000))
+	flags, _ := CompareScalar(LT, col, IntVal(500), false)
+	done := func(b *BAT, _ error) { b.Release() }
+	for name, c := range map[string]struct {
+		f    func()
+		want float64
+	}{
+		"ThetaSelect":       {func() { done(ThetaSelect(col, LT, IntVal(500), nil)) }, 0},
+		"ThetaSelect/cands": {func() { done(ThetaSelect(col, LT, IntVal(500), cands)) }, 0},
+		// The float operand promotes the integer column: one array.
+		"ThetaSelect/promo": {func() { done(ThetaSelect(col, LT, FltVal(500.5), cands)) }, 1},
+		"RangeSelect":       {func() { done(RangeSelect(col, IntVal(100), IntVal(400), true, false, nil)) }, 0},
+		"RangeSelect/cands": {func() { done(RangeSelect(col, IntVal(100), IntVal(400), true, false, cands)) }, 0},
+		"Project":           {func() { done(Project(cands, col)) }, 0},
+		"Str/ThetaSelect":   {func() { done(ThetaSelect(strs, EQ, StrVal("MAIL"), nil)) }, 0},
+		"Str/Project":       {func() { done(Project(cands, strs)) }, 0},
+		"Str/SortOrder":     {func() { done(SortOrder(strs, true), nil) }, 0},
+		"SelectTrue":        {func() { done(SelectTrue(flags)) }, 0},
+		"JoinHash.Probe": {func() {
+			lo, ro, _ := h.Probe(col)
+			lo.Release()
+			ro.Release()
+		}, 0},
+	} {
+		if got := testing.AllocsPerRun(5, c.f); got > c.want {
+			t.Errorf("%s: %.0f allocations per released call, want at most %.0f", name, got, c.want)
+		}
 	}
 }

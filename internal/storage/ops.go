@@ -521,38 +521,39 @@ func Project(oids, tail *BAT) (*BAT, error) {
 	if oids.kind != OID {
 		return nil, fmt.Errorf("storage: project with %s oids", oids.kind)
 	}
-	out := &BAT{kind: tail.kind, dict: tail.dict}
+	var out *BAT
 	var bad int
-	switch {
-	case tail.kind.usesInts():
-		out.ints, out.own, bad = gather(tail.ints, oids.ints)
-	case tail.kind == Flt:
-		out.flts, out.own, bad = gather(tail.flts, oids.ints)
-	case tail.kind == Str:
-		out.codes, out.own, bad = gather(tail.codes, oids.ints)
+	switch k := tail.kind; {
+	case k.usesInts():
+		out, bad = gather(k, tail.ints, oids.ints)
+	case k == Flt:
+		out, bad = gather(k, tail.flts, oids.ints)
+	case k == Str:
+		out, bad = gather(k, tail.codes, oids.ints)
 	default:
-		out.bools, out.own, bad = gather(tail.bools, oids.ints)
+		out, bad = gather(k, tail.bools, oids.ints)
 	}
 	if bad >= 0 {
 		return nil, oidRangeErr("project", oids.ints[bad], tail.Len())
 	}
+	out.dict = tail.dict
 	return out, nil
 }
 
-// gather returns tail[oid] for every oid, exactly sized and in one pass,
-// in a buffer from the allocation helper that bk owns; bad is the index
-// of the first oid outside tail, or -1.
-func gather[T elem](tail []T, oids []int64) (out []T, bk *backing, bad int) {
-	out, bk = take[T](len(oids))
+// gather returns a BAT of kind k holding tail[oid] for every oid,
+// exactly sized and in one pass, over a buffer from the allocation
+// helper; bad is the index of the first oid outside tail, or -1.
+func gather[T elem](k Kind, tail []T, oids []int64) (out *BAT, bad int) {
+	cells, bk := take[T](len(oids))
 	n := uint64(len(tail))
-	for k, oid := range oids {
+	for i, oid := range oids {
 		if uint64(oid) >= n {
 			bk.release()
-			return nil, nil, k
+			return nil, i
 		}
-		out[k] = tail[oid]
+		cells[i] = tail[oid]
 	}
-	return out, bk, -1
+	return wrap(k, cells, bk), -1
 }
 
 // AggrKind selects an aggregate function.

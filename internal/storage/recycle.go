@@ -11,7 +11,8 @@ import (
 // outputs, and the free list it recycles released outputs through.
 //
 // A kernel output that comes from take is a typed array owned by a
-// backing: an owner count and the array. The count lives on the backing,
+// backing: an owner count, the array and the header of the BAT wrap
+// makes over it. The count lives on the backing,
 // not on the BAT, because several BATs can share one array — a Slice
 // view, a JoinHash whose keys are its integer build column — and the
 // array may only be reused once the last of them is gone. Each BAT (or
@@ -69,6 +70,12 @@ type backing struct {
 	arr    unsafe.Pointer // the array's first cell
 	cells  int            // the array's full capacity
 
+	// bat is the header of the BAT wrap makes over the array. Made with
+	// the backing, it lets a fresh output cost its array and one object,
+	// as a plain BAT does, and a recycled one neither; it is zeroed when
+	// the backing goes on the free list.
+	bat BAT
+
 	// While free: age links the free list in release order, peers the
 	// free backings of the same cell type and class, newest first.
 	// Guarded by freeMu.
@@ -95,20 +102,28 @@ var (
 	classes        [4][nClasses]*backing // newest free backing per elemIndex and class; guarded by freeMu
 
 	// outBytes is the size of every backing taken and neither returned
-	// nor pinned: the intermediates running plans hold. freeBytes is
-	// what the free list holds; it only changes under freeMu.
-	outBytes  atomic.Int64
-	freeBytes atomic.Int64
+	// nor pinned. freeBytes is what the free list holds. Both are
+	// guarded by freeMu.
+	outBytes, freeBytes int64
 )
 
-// IntermediateBytes reports the bytes of recycled-kind buffers that
-// running plans hold: taken for a kernel output and not yet released or
-// pinned. It is 0 whenever no plan runs.
-func IntermediateBytes() int64 { return outBytes.Load() }
+// IntermediateBytes reports the bytes of the allocation helper's arrays
+// that are checked out, in the whole process: taken for a kernel output
+// and not yet released or pinned. Outputs a kernel makes without the
+// helper are not counted. It is 0 whenever no plan runs.
+func IntermediateBytes() int64 {
+	freeMu.Lock()
+	defer freeMu.Unlock()
+	return outBytes
+}
 
 // RecycledBytes reports the bytes the free list holds: at most
 // recycleBytes, and 0 whenever no plan runs.
-func RecycledBytes() int64 { return freeBytes.Load() }
+func RecycledBytes() int64 {
+	freeMu.Lock()
+	defer freeMu.Unlock()
+	return freeBytes
+}
 
 func elemIndex[T elem]() int {
 	var z T
@@ -164,6 +179,9 @@ func take[T elem](n int) ([]T, *backing) {
 	}
 	if bk != nil {
 		bk.unlink()
+		outBytes += bk.bytes
+	} else {
+		outBytes += int64(m) * size
 	}
 	freeMu.Unlock()
 	if bk == nil {
@@ -171,7 +189,6 @@ func take[T elem](n int) ([]T, *backing) {
 		bk = &backing{cell: e, class: floor, bytes: int64(m) * size, arr: unsafe.Pointer(unsafe.SliceData(arr)), cells: m}
 	}
 	bk.refs.Store(1)
-	outBytes.Add(bk.bytes)
 	arr := array[T](bk)
 	poison(arr)
 	return arr[:n:n], bk
@@ -207,10 +224,10 @@ func (bk *backing) release() {
 		bk.poison()
 	}
 	freeMu.Lock()
-	if outBytes.Add(-bk.bytes) == 0 {
+	if outBytes -= bk.bytes; outBytes == 0 {
 		dropIdle()
 	} else {
-		for oldest != nil && freeBytes.Load()+bk.bytes > recycleBytes {
+		for oldest != nil && freeBytes+bk.bytes > recycleBytes {
 			oldest.unlink()
 		}
 		bk.push()
@@ -222,13 +239,14 @@ func (bk *backing) release() {
 // between two of its instructions, and an idle engine keeps nothing for
 // the next one. The caller holds freeMu.
 func dropIdle() {
-	for outBytes.Load() == 0 && oldest != nil {
+	for outBytes == 0 && oldest != nil {
 		oldest.unlink()
 	}
 }
 
 // push puts a released backing on the free list. The caller holds freeMu.
 func (bk *backing) push() {
+	bk.bat = BAT{}
 	bk.age = links{prev: newest}
 	if newest != nil {
 		newest.age.next = bk
@@ -242,7 +260,7 @@ func (bk *backing) push() {
 		(*head).peers.prev = bk
 	}
 	*head = bk
-	freeBytes.Add(bk.bytes)
+	freeBytes += bk.bytes
 }
 
 // unlink takes a backing off the free list, for a take or as an
@@ -268,18 +286,21 @@ func (bk *backing) unlink() {
 		c.next.peers.prev = c.prev
 	}
 	bk.age, bk.peers = links{}, links{}
-	freeBytes.Add(-bk.bytes)
+	freeBytes -= bk.bytes
 }
 
 // pin marks the array as escaped: it never returns, and it no longer
 // counts as an intermediate. The caller holds a reference, so the count
 // cannot reach zero before the mark is set.
 func (bk *backing) pin() {
-	if bk != nil && bk.pinned.CompareAndSwap(false, true) && outBytes.Add(-bk.bytes) == 0 {
-		freeMu.Lock()
-		dropIdle()
-		freeMu.Unlock()
+	if bk == nil || !bk.pinned.CompareAndSwap(false, true) {
+		return
 	}
+	freeMu.Lock()
+	if outBytes -= bk.bytes; outBytes == 0 {
+		dropIdle()
+	}
+	freeMu.Unlock()
 }
 
 // Release drops the reference b holds on its array, returning the array
