@@ -133,7 +133,7 @@ func sameCell(a, b *BAT, i int) bool {
 	case a.kind == Bool:
 		return a.bools[i] == b.bools[i]
 	default:
-		return a.ints[i] == b.ints[i]
+		return a.IntAt(i) == b.IntAt(i)
 	}
 }
 
@@ -197,7 +197,7 @@ type kernelInputs struct {
 func (in kernelInputs) String() string {
 	cl := "nil"
 	if in.cands != nil {
-		cl = fmt.Sprintf("%s%v", in.cands.kind, in.cands.ints)
+		cl = fmt.Sprintf("%s%v", in.cands.kind, in.cands.Ints())
 	}
 	return fmt.Sprintf("a=%s[%d] b=%s[%d] v=%s:%s w=%s:%s cands=%s like=%q",
 		in.a.kind, in.a.Len(), in.b.kind, in.b.Len(), in.v.Kind, in.v, in.w.Kind, in.w, cl, in.pattern)
@@ -332,9 +332,22 @@ func checkKernels(tb testing.TB, in kernelInputs) {
 	agree(tb, "LikeMatch ["+id+"]", bats(got), err, bats(want), rerr)
 }
 
+// denseOIDs returns the oids [seq, seq+n) in the form a contiguous
+// selection result takes: every row of a column of seq+n rows selected,
+// then sliced to the last n.
+func denseOIDs(seq, n int) *BAT {
+	all, err := ThetaSelect(FromInts(Int, make([]int64, seq+n)), EQ, IntVal(0), nil)
+	if err != nil {
+		panic(err)
+	}
+	return all.Slice(seq, seq+n)
+}
+
 // candidateShapes are the candidate lists every case runs under, for a
 // column of n rows: none, ascending, unsorted, duplicated, empty (nil and
-// non-nil backing array), out of range either way, and of a wrong kind.
+// non-nil backing array), out of range either way, of a wrong kind, and
+// the contiguous ranges a selection returns — every row, a run at a
+// nonzero first oid, an empty one and one that runs past the last row.
 func candidateShapes(rng *rand.Rand, n int) []*BAT {
 	var sorted, unsorted, dup []int64
 	for i := 0; i < n; i++ {
@@ -361,6 +374,10 @@ func candidateShapes(rng *rand.Rand, n int) []*BAT {
 		FromInts(OID, append([]int64{0, -1}, sorted...)),
 		FromInts(OID, []int64{math.MinInt64}),
 		FromInts(Int, sorted),
+		denseOIDs(0, n),
+		denseOIDs(n/3, n/2),
+		denseOIDs(n, 0),
+		denseOIDs(n/2, n-n/2+1),
 	}
 }
 
@@ -384,19 +401,33 @@ func TestKernelsMatchReference(t *testing.T) {
 				// Operand kinds: the column's own, then every other kind
 				// in turn (int-vs-float promotion both ways, and the
 				// incompatible pairings' errors).
-				for i, cands := range shapes {
-					kv, kw := ka, ka
-					if i%3 == 1 {
-						kv = allKinds[(step+i)%len(allKinds)]
+				check := func(a, b *BAT) {
+					for i, cands := range shapes {
+						kv, kw := ka, ka
+						if i%3 == 1 {
+							kv = allKinds[(step+i)%len(allKinds)]
+						}
+						if i%4 == 2 {
+							kw = allKinds[(step+2*i)%len(allKinds)]
+						}
+						checkKernels(t, kernelInputs{
+							a: a, b: b,
+							v: domainValue(kv, rng.Intn(24)), w: domainValue(kw, rng.Intn(24)),
+							cands: cands, pattern: likePatterns[(step+i)%len(likePatterns)],
+						})
 					}
-					if i%4 == 2 {
-						kw = allKinds[(step+2*i)%len(allKinds)]
+				}
+				check(a, b)
+				// An oid column is also a projection's tail, a join key
+				// and a grouping key in its contiguous form.
+				if ka == OID || kb == OID {
+					if ka == OID {
+						a = denseOIDs(step%3, n)
 					}
-					checkKernels(t, kernelInputs{
-						a: a, b: b,
-						v: domainValue(kv, rng.Intn(24)), w: domainValue(kw, rng.Intn(24)),
-						cands: cands, pattern: likePatterns[(step+i)%len(likePatterns)],
-					})
+					if kb == OID {
+						b = denseOIDs(step%4, nb)
+					}
+					check(a, b)
 				}
 				step++
 			}
@@ -457,7 +488,7 @@ func TestKernelsMatchReferenceHardKeys(t *testing.T) {
 				t.Fatal("+0 and -0 no longer join")
 			}
 			if name == "float-nans" {
-				for _, oid := range gl.ints {
+				for _, oid := range gl.Ints() {
 					if f := probe.flts[oid]; f != f {
 						t.Fatalf("probe row %d is NaN and matched", oid)
 					}
@@ -532,7 +563,11 @@ func TestKernelFixes(t *testing.T) {
 // operands are domain values picked by a byte (so collisions, edge values
 // and NaN all occur), the second column is sometimes a row shorter, and
 // candidates are raw signed bytes — in range, out of range and negative.
-// Shape bits 3 and 4 pick how string columns hold their dictionaries.
+// Shape bits 3 and 4 pick how string columns hold their dictionaries;
+// bit 5 makes the candidates a contiguous range (denseOIDs) from a byte
+// each for its first oid and its length, which may run past the last
+// row; bit 6 makes an oid column contiguous from a byte for its first
+// oid.
 func fuzzInputs(data []byte) kernelInputs {
 	pos := 0
 	next := func() int {
@@ -558,7 +593,17 @@ func fuzzInputs(data []byte) kernelInputs {
 		appendVal(in.b, domainValue(kb, next()))
 	}
 	in.a, in.b = shapeDicts(in.a, in.b, shape>>3&3)
-	if shape&2 != 0 {
+	if shape&64 != 0 {
+		if ka == OID {
+			in.a = denseOIDs(next()%8, in.a.Len())
+		}
+		if kb == OID {
+			in.b = denseOIDs(next()%8, in.b.Len())
+		}
+	}
+	if shape&32 != 0 {
+		in.cands = denseOIDs(next()%64, next()%64)
+	} else if shape&2 != 0 {
 		in.cands = New(OID, 0)
 		if shape&4 != 0 {
 			in.cands.kind = Int
@@ -589,6 +634,15 @@ func FuzzKernelsAgree(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 2, 8, 6, 3, 4, 0, 1, 4, 0, 5, 1, 0, 4, 1, 5, 0, 0})
 	f.Add([]byte{2, 2, 2, 2, 16, 6, 3, 4, 0, 1, 4, 0, 5, 1, 0, 4, 1, 5, 0, 0})
 	f.Add([]byte{2, 2, 2, 2, 24, 6, 3, 4, 0, 1, 4, 0, 5, 1, 0, 4, 1, 5, 0, 0})
+	// Contiguous candidates: every row, a run from a nonzero first oid,
+	// an empty run, a run past the last row; and contiguous oid columns
+	// as projection tails, join keys and grouping keys.
+	f.Add([]byte{0, 5, 0, 0, 32, 6, 3, 4, 0, 1, 4, 0, 1, 2, 3, 4, 5, 6, 0, 6})
+	f.Add([]byte{1, 2, 1, 1, 32, 8, 3, 4, 0, 1, 4, 0, 5, 1, 1, 2, 3, 4, 5, 6, 7, 8, 2, 5})
+	f.Add([]byte{0, 0, 0, 0, 32, 5, 3, 4, 0, 1, 4, 0, 5, 1, 2, 3, 4, 5, 3, 0})
+	f.Add([]byte{3, 0, 0, 0, 32, 5, 3, 4, 0, 1, 4, 0, 5, 1, 2, 3, 4, 5, 3, 9})
+	f.Add([]byte{5, 5, 5, 5, 96, 6, 3, 4, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 2, 3, 1, 4})
+	f.Add([]byte{5, 0, 5, 0, 66, 7, 3, 4, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 1, 0, 6, 1, 200, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkKernels(t, fuzzInputs(data))
 	})

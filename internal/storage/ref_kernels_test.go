@@ -45,7 +45,7 @@ func (b *BAT) cmp(i int, v Val) int {
 		return 0
 	default:
 		if v.Kind == Flt {
-			switch x := float64(b.ints[i]); {
+			switch x := float64(b.IntAt(i)); {
 			case x < v.F:
 				return -1
 			case x > v.F:
@@ -53,7 +53,7 @@ func (b *BAT) cmp(i int, v Val) int {
 			}
 			return 0
 		}
-		switch x := b.ints[i]; {
+		switch x := b.IntAt(i); {
 		case x < v.I:
 			return -1
 		case x > v.I:
@@ -95,7 +95,7 @@ func RefThetaSelect(b *BAT, op CmpOp, v Val, cands *BAT) (*BAT, error) {
 	if cands.kind != OID {
 		return nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
 	}
-	for _, oid := range cands.ints {
+	for _, oid := range cands.Ints() {
 		if oid < 0 || int(oid) >= b.Len() {
 			return nil, fmt.Errorf("storage: candidate oid %d out of range 0..%d", oid, b.Len()-1)
 		}
@@ -136,7 +136,7 @@ func RefRangeSelect(b *BAT, lo, hi Val, loInc, hiInc bool, cands *BAT) (*BAT, er
 	if cands.kind != OID {
 		return nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
 	}
-	for _, oid := range cands.ints {
+	for _, oid := range cands.Ints() {
 		if oid < 0 || int(oid) >= b.Len() {
 			return nil, fmt.Errorf("storage: candidate oid %d out of range", oid)
 		}
@@ -154,9 +154,9 @@ func RefProject(oids, tail *BAT) (*BAT, error) {
 	if oids.kind != OID {
 		return nil, fmt.Errorf("storage: project with %s oids", oids.kind)
 	}
-	out := New(tail.kind, len(oids.ints))
+	out := New(tail.kind, oids.Len())
 	n := tail.Len()
-	for _, oid := range oids.ints {
+	for _, oid := range oids.Ints() {
 		if oid < 0 || int(oid) >= n {
 			return nil, fmt.Errorf("storage: project oid %d out of range 0..%d", oid, n-1)
 		}
@@ -164,19 +164,19 @@ func RefProject(oids, tail *BAT) (*BAT, error) {
 	// Typed loops: one kind dispatch per column, not per row.
 	switch {
 	case tail.kind.usesInts():
-		for _, oid := range oids.ints {
-			out.ints = append(out.ints, tail.ints[oid])
+		for _, oid := range oids.Ints() {
+			out.ints = append(out.ints, tail.IntAt(int(oid)))
 		}
 	case tail.kind == Flt:
-		for _, oid := range oids.ints {
+		for _, oid := range oids.Ints() {
 			out.flts = append(out.flts, tail.flts[oid])
 		}
 	case tail.kind == Str:
-		for _, oid := range oids.ints {
+		for _, oid := range oids.Ints() {
 			appendStr(out, tail.StrAt(int(oid)))
 		}
 	default:
-		for _, oid := range oids.ints {
+		for _, oid := range oids.Ints() {
 			out.bools = append(out.bools, tail.bools[oid])
 		}
 	}
@@ -193,7 +193,7 @@ type joinKey struct {
 func (b *BAT) keyAt(i int) joinKey {
 	switch {
 	case b.kind.usesInts():
-		return joinKey{i: b.ints[i]}
+		return joinKey{i: b.IntAt(i)}
 	case b.kind == Flt:
 		return joinKey{f: b.flts[i]}
 	case b.kind == Str:
@@ -271,7 +271,7 @@ func RefGroup(b, prev *BAT) (groups, extents *BAT, ngroups int, err error) {
 	for i := 0; i < n; i++ {
 		var pk int64
 		if prev != nil {
-			pk = prev.ints[i]
+			pk = prev.IntAt(i)
 		}
 		key := gkey{prev: pk, k: b.keyAt(i)}
 		id, ok := ids[key]
@@ -304,7 +304,7 @@ func RefAggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 	}
 	if kind == AggrCount {
 		counts := make([]int64, ngroups)
-		for _, g := range groups.ints {
+		for _, g := range groups.Ints() {
 			counts[g]++
 		}
 		return FromInts(Int, counts), nil
@@ -317,7 +317,7 @@ func RefAggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 		counts := make([]int64, ngroups)
 		seen := make([]bool, ngroups)
 		for i := 0; i < n; i++ {
-			g := groups.ints[i]
+			g := groups.IntAt(i)
 			v := b.flts[i]
 			sums[g] += v
 			counts[g]++
@@ -352,7 +352,7 @@ func RefAggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 		vals := make([]string, ngroups)
 		seen := make([]bool, ngroups)
 		for i := 0; i < n; i++ {
-			g := groups.ints[i]
+			g := groups.IntAt(i)
 			v := b.StrAt(i)
 			if !seen[g] || (kind == AggrMin && v < vals[g]) || (kind == AggrMax && v > vals[g]) {
 				vals[g] = v
@@ -369,8 +369,8 @@ func RefAggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 		counts := make([]int64, ngroups)
 		seen := make([]bool, ngroups)
 		for i := 0; i < n; i++ {
-			g := groups.ints[i]
-			v := b.ints[i]
+			g := groups.IntAt(i)
+			v := b.IntAt(i)
 			sums[g] += v
 			counts[g]++
 			if !seen[g] || v < mins[g] {
@@ -437,9 +437,9 @@ func RefSortOrder(b *BAT, asc bool) *BAT {
 			}
 		default:
 			switch {
-			case b.ints[x] < b.ints[y]:
+			case b.IntAt(int(x)) < b.IntAt(int(y)):
 				c = -1
-			case b.ints[x] > b.ints[y]:
+			case b.IntAt(int(x)) > b.IntAt(int(y)):
 				c = 1
 			}
 		}
@@ -499,7 +499,7 @@ func refFltAt(b *BAT, i int) float64 {
 	if b.kind == Flt {
 		return b.flts[i]
 	}
-	return float64(b.ints[i])
+	return float64(b.IntAt(i))
 }
 
 // RefArith computes l op r elementwise over equal-length numeric BATs
@@ -536,7 +536,7 @@ func RefArith(op ArithOp, l, r *BAT) (*BAT, error) {
 	}
 	out := make([]int64, n)
 	for i := 0; i < n; i++ {
-		a, b := l.ints[i], r.ints[i]
+		a, b := l.IntAt(i), r.IntAt(i)
 		switch op {
 		case Add:
 			out[i] = a + b
@@ -584,7 +584,7 @@ func RefArithScalar(op ArithOp, b *BAT, v Val, flip bool) (*BAT, error) {
 	}
 	out := make([]int64, n)
 	for i := 0; i < n; i++ {
-		a, c := b.ints[i], v.I
+		a, c := b.IntAt(i), v.I
 		if flip {
 			a, c = c, a
 		}
@@ -639,9 +639,9 @@ func RefCompare(op CmpOp, l, r *BAT) (*BAT, error) {
 			}
 		default:
 			switch {
-			case l.ints[i] < r.ints[i]:
+			case l.IntAt(i) < r.IntAt(i):
 				c = -1
-			case l.ints[i] > r.ints[i]:
+			case l.IntAt(i) > r.IntAt(i):
 				c = 1
 			}
 		}
