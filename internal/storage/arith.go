@@ -59,7 +59,7 @@ func Arith(op ArithOp, l, r *BAT) (*BAT, error) {
 	if l.kind == Flt || r.kind == Flt {
 		return FromFloats(arithCols(op, l.floats(), r.floats())), nil
 	}
-	return FromInts(Int, arithCols(op, l.ints, r.ints)), nil
+	return FromInts(Int, arithCols(op, l.Ints(), r.Ints())), nil
 }
 
 // arithCols is the Add/Sub/Mul loop over two aligned typed arrays, the
@@ -109,7 +109,7 @@ func ArithScalar(op ArithOp, b *BAT, v Val, flip bool) (*BAT, error) {
 	if b.kind == Flt || v.Kind == Flt {
 		return FromFloats(arithScalar(op, b.floats(), v.flt(), flip)), nil
 	}
-	return FromInts(Int, arithScalar(op, b.ints, v.I, flip)), nil
+	return FromInts(Int, arithScalar(op, b.Ints(), v.I, flip)), nil
 }
 
 // arithScalar is the Add/Sub/Mul loop against a constant. Addition and
@@ -167,7 +167,7 @@ func Compare(op CmpOp, l, r *BAT) (*BAT, error) {
 	case l.kind == Flt || r.kind == Flt:
 		return FromBools(compareCols(op, l.floats(), r.floats())), nil
 	default:
-		return FromBools(compareCols(op, l.ints, r.ints)), nil
+		return FromBools(compareCols(op, l.Ints(), r.Ints())), nil
 	}
 }
 
@@ -276,7 +276,7 @@ func CompareScalar(op CmpOp, b *BAT, v Val, flip bool) (*BAT, error) {
 	case b.kind == Flt || v.Kind == Flt:
 		return FromBools(compareScalar(op, b.floats(), v.flt())), nil
 	default:
-		return FromBools(compareScalar(op, b.ints, v.I)), nil
+		return FromBools(compareScalar(op, b.Ints(), v.I)), nil
 	}
 }
 
@@ -356,7 +356,7 @@ func Between(b *BAT, lo, hi Val) (*BAT, error) {
 	case b.kind == Flt || lo.Kind == Flt:
 		return FromBools(between(b.floats(), lo.flt(), hi.flt())), nil
 	default:
-		return FromBools(between(b.ints, lo.I, hi.I)), nil
+		return FromBools(between(b.Ints(), lo.I, hi.I)), nil
 	}
 }
 

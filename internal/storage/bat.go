@@ -2,8 +2,13 @@
 // BATs (Binary Association Tables), MonetDB's storage unit. A BAT here is a
 // dense-headed column — the head is the implicit row position (oid 0..n-1)
 // and the tail is a typed value array. Candidate lists (selection results)
-// are OID BATs. The engine's MAL operator kernels are thin wrappers over
-// the columnar operators in this package.
+// are OID BATs, and an OID BAT has two forms: a list, an int64 per row,
+// or dense, the range [seq, seq+n) with no array — MonetDB's dense tail.
+// Only this package tells them apart: every kernel that takes candidates
+// or oids reads them through one iterator (oidSpan, ops.go), and IntAt,
+// Ints, Len, Clone and FootprintBytes answer for a dense BAT as for the
+// list it stands for. The engine's MAL operator kernels are thin
+// wrappers over the columnar operators in this package.
 //
 // Those operators follow one contract (DESIGN.md, "Kernel contract"):
 // kind and operator are decided once per call and the row loop runs over
@@ -82,7 +87,36 @@ type BAT struct {
 	bools []bool
 	// own is the recycled array the BAT's cells live in (recycle.go),
 	// shared with every view of it; nil for an array the collector owns.
+	// A dense BAT's own holds no array: it only recycles the header.
 	own *backing
+
+	// dense marks an OID BAT that is the range [seq, seq+rows) and has
+	// no array (ints is nil).
+	dense bool
+	seq   int64
+	rows  int
+
+	// base is the BAT a Slice view shares its array with (never itself a
+	// view) and off the view's first row in it: Concat knows adjacent
+	// views of one base by them. Nil for a BAT that is not a view.
+	base *BAT
+	off  int
+}
+
+// newDense returns the dense OID BAT [seq, seq+n), in a recycled header.
+func newDense(seq int64, n int) *BAT {
+	bk := takeHeader()
+	b := &bk.bat
+	*b = BAT{kind: OID, own: bk, dense: true, seq: seq, rows: n}
+	return b
+}
+
+// materialize turns a dense BAT into the list it stands for, in place,
+// before an append writes to it.
+func (b *BAT) materialize() {
+	if b.dense {
+		b.ints, b.dense, b.seq, b.rows = b.Ints(), false, 0, 0
+	}
 }
 
 // New returns an empty BAT of the given kind with capacity hint cap.
@@ -122,6 +156,8 @@ func (b *BAT) Kind() Kind { return b.kind }
 // Len returns the number of rows.
 func (b *BAT) Len() int {
 	switch {
+	case b.dense:
+		return b.rows
 	case b.kind.usesInts():
 		return len(b.ints)
 	case b.kind == Flt:
@@ -134,7 +170,10 @@ func (b *BAT) Len() int {
 }
 
 // AppendInt appends to an integer-family BAT (Int, Date, OID).
-func (b *BAT) AppendInt(v int64) { b.ints = append(b.ints, v) }
+func (b *BAT) AppendInt(v int64) {
+	b.materialize()
+	b.ints = append(b.ints, v)
+}
 
 // AppendFlt appends to a Flt BAT.
 func (b *BAT) AppendFlt(v float64) { b.flts = append(b.flts, v) }
@@ -143,7 +182,15 @@ func (b *BAT) AppendFlt(v float64) { b.flts = append(b.flts, v) }
 func (b *BAT) AppendBool(v bool) { b.bools = append(b.bools, v) }
 
 // IntAt returns row i of an integer-family BAT.
-func (b *BAT) IntAt(i int) int64 { return b.ints[i] }
+func (b *BAT) IntAt(i int) int64 {
+	if b.dense {
+		if uint(i) >= uint(b.rows) {
+			panic(fmt.Sprintf("storage: row %d of a %d-row BAT", i, b.rows))
+		}
+		return b.seq + int64(i)
+	}
+	return b.ints[i]
+}
 
 // FltAt returns row i of a Flt BAT.
 func (b *BAT) FltAt(i int) float64 { return b.flts[i] }
@@ -154,8 +201,14 @@ func (b *BAT) StrAt(i int) string { return b.dict.strs[b.codes[i]] }
 // BoolAt returns row i of a Bool BAT.
 func (b *BAT) BoolAt(i int) bool { return b.bools[i] }
 
-// Ints exposes the backing int64 array of an integer-family BAT.
-func (b *BAT) Ints() []int64 { return b.ints }
+// Ints exposes the backing int64 array of an integer-family BAT; for a
+// dense one it returns the oids in a new array.
+func (b *BAT) Ints() []int64 {
+	if b.dense {
+		return oidSpan{lo: b.seq, hi: b.seq + int64(b.rows)}.oids()
+	}
+	return b.ints
+}
 
 // Flts exposes the backing float64 array of a Flt BAT.
 func (b *BAT) Flts() []float64 { return b.flts }
@@ -182,7 +235,9 @@ func (b *BAT) Bools() []bool { return b.bools }
 // This is the primitive behind the optimizer's mitosis partitioning. The
 // view's capacity ends at hi: it owns no bytes past its rows, so its
 // footprint is its rows and an append to it copies instead of writing
-// into the base. A view of a recycled array holds a reference to it.
+// into the base. A view of a recycled array holds a reference to it, and
+// knows its base and where in it it starts. A slice of a dense BAT is
+// dense.
 func (b *BAT) Slice(lo, hi int) *BAT {
 	n := b.Len()
 	if lo < 0 {
@@ -194,7 +249,13 @@ func (b *BAT) Slice(lo, hi int) *BAT {
 	if lo > hi {
 		lo = hi
 	}
-	out := &BAT{kind: b.kind, dict: b.dict, own: b.own}
+	if b.dense {
+		return &BAT{kind: OID, dense: true, seq: b.seq + int64(lo), rows: hi - lo}
+	}
+	out := &BAT{kind: b.kind, dict: b.dict, own: b.own, base: b, off: lo}
+	if b.base != nil {
+		out.base, out.off = b.base, b.off+lo
+	}
 	switch {
 	case b.kind.usesInts():
 		out.ints = b.ints[lo:hi:hi]
@@ -211,7 +272,7 @@ func (b *BAT) Slice(lo, hi int) *BAT {
 
 // Clone returns a deep copy.
 func (b *BAT) Clone() *BAT {
-	out := &BAT{kind: b.kind, dict: b.dict}
+	out := &BAT{kind: b.kind, dict: b.dict, dense: b.dense, seq: b.seq, rows: b.rows}
 	out.ints = append([]int64(nil), b.ints...)
 	out.flts = append([]float64(nil), b.flts...)
 	out.codes = append([]uint32(nil), b.codes...)
@@ -229,7 +290,8 @@ func (b *BAT) Append(other *BAT) error {
 		b.appendStrs(other)
 		return nil
 	}
-	b.ints = append(b.ints, other.ints...)
+	b.materialize()
+	b.ints = append(b.ints, other.Ints()...)
 	b.flts = append(b.flts, other.flts...)
 	b.bools = append(b.bools, other.bools...)
 	return nil
@@ -249,9 +311,11 @@ func (b *BAT) appendStrs(other *BAT) {
 	b.codes, b.dict = c.codes, c.dict
 }
 
-// Concat returns the rows of parts, in order, as one new BAT: MAL's
+// Concat returns the rows of parts, in order, as one BAT: MAL's
 // mat.pack, which reassembles mitosis partitions. The parts must share a
-// kind; string parts that share a dictionary keep it.
+// kind; string parts that share a dictionary keep it. Parts that are
+// adjacent pieces of one whole pack without a copy (adjacent); any
+// others are copied into a new BAT.
 func Concat(parts []*BAT) (*BAT, error) {
 	total := 0
 	for _, p := range parts {
@@ -259,6 +323,9 @@ func Concat(parts []*BAT) (*BAT, error) {
 			return nil, fmt.Errorf("storage: append %s onto %s", p.kind, parts[0].kind)
 		}
 		total += p.Len()
+	}
+	if out := adjacent(parts); out != nil {
+		return out, nil
 	}
 	switch k := parts[0].kind; {
 	case k == Str:
@@ -272,12 +339,49 @@ func Concat(parts []*BAT) (*BAT, error) {
 	}
 }
 
+// adjacent returns what parts add up to when no copy is needed, nil
+// otherwise: a dense BAT when the parts with rows are dense and each
+// starts where the one before ended, a view of their base when they are
+// views of one base and each starts where the one before ended. The
+// views' base identity proves adjacency, never where their arrays lie:
+// two allocations can be neighbours in memory.
+func adjacent(parts []*BAT) *BAT {
+	var first, last *BAT
+	for _, p := range parts {
+		switch {
+		case p.Len() == 0:
+			continue
+		case last == nil && (p.dense || p.base != nil):
+			first = p
+		case last == nil:
+			return nil
+		case p.dense && last.dense && p.seq == last.seq+int64(last.rows):
+		case p.base != nil && p.base == last.base && p.off == last.off+last.Len():
+		default:
+			return nil
+		}
+		last = p
+	}
+	switch {
+	case first == nil:
+		return nil
+	case first.dense:
+		return newDense(first.seq, int(last.seq-first.seq)+last.rows)
+	}
+	return first.base.Slice(first.off, last.off+last.Len())
+}
+
 // concatInto copies the cells of parts, in order, into one buffer of
-// total cells from the allocation helper.
+// total cells from the allocation helper; a dense part writes its oids.
 func concatInto[T elem](k Kind, parts []*BAT, total int, cells func(*BAT) []T) *BAT {
 	out, bk := take[T](total)
 	at := 0
 	for _, p := range parts {
+		if p.dense {
+			spanOf(p).fill(any(out[at : at+p.rows]).([]int64))
+			at += p.rows
+			continue
+		}
 		at += copy(out[at:], cells(p))
 	}
 	return wrap(k, out, bk)
@@ -309,7 +413,8 @@ func wrap[T elem](k Kind, cells []T, bk *backing) *BAT {
 
 // FootprintBytes is the size of the BAT's backing array, used by the
 // profiler's rss accounting. A string column counts its codes; its
-// dictionary belongs to the column every BAT derived from it shares.
+// dictionary belongs to the column every BAT derived from it shares. A
+// dense BAT has no array and reports 0; a view reports its rows.
 func (b *BAT) FootprintBytes() int64 {
 	return int64(cap(b.ints))*8 + int64(cap(b.flts))*8 + int64(cap(b.codes))*4 + int64(cap(b.bools))
 }

@@ -83,7 +83,7 @@ func BuildJoinHash(r *BAT) *JoinHash {
 	}
 	h.dict = r.dict
 	h.keys = int64Keys(r, h.dict, true)
-	if r.kind.usesInts() {
+	if r.kind.usesInts() && !r.dense {
 		h.own = r.own
 		h.own.retain()
 	}
@@ -100,7 +100,10 @@ func BuildJoinHash(r *BAT) *JoinHash {
 // Probe matches the probe-side key column l against the build index and
 // returns matching oid pairs (aligned probe/build oid BATs), ordered by
 // probe oid — the order downstream projections rely on for stable
-// results. Safe for concurrent use.
+// results. When every probe row matches exactly once — a foreign key
+// that always finds its primary key — the probe oids are 0..n-1 and the
+// probe side comes back dense: no probe oid is written until a row
+// breaks that. Safe for concurrent use.
 func (h *JoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
 	if l.kind != h.kind && !(l.kind.usesInts() && h.kind.usesInts()) {
 		return nil, nil, fmt.Errorf("storage: join %s with %s", l.kind, h.kind)
@@ -111,19 +114,40 @@ func (h *JoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
 	keys := int64Keys(l, h.dict, false)
 	// Sized for one match per probe row: exact for a foreign key that
 	// always finds its primary key, never short for one that sometimes
-	// does not, and one growth step away from a mildly many-to-many join.
-	lo, lbk := take[int64](len(keys))
+	// does not; more matches grow the buffers (grow).
 	ro, rbk := take[int64](len(keys))
-	lo, ro = lo[:0], ro[:0]
+	ro = ro[:0]
+	var lo []int64 // nil while rows 0..i-1 matched once each
+	var lbk *backing
 	for i, k := range keys {
+		at := len(ro)
 		for r := h.heads[hashKey(0, k)>>h.shift]; r != 0; r = h.next[r-1] {
 			if h.keys[r-1] == k {
-				lo = append(lo, int64(i))
+				if len(ro) == cap(ro) {
+					ro, rbk = grow(ro, rbk, 1)
+				}
 				ro = append(ro, int64(r-1))
 			}
 		}
+		if lo == nil {
+			if len(ro) == i+1 {
+				continue
+			}
+			lo, lbk = take[int64](cap(ro))
+			lo = lo[:i]
+			oidSpan{hi: int64(i)}.fill(lo)
+		}
+		for ; at < len(ro); at++ {
+			if len(lo) == cap(lo) {
+				lo, lbk = grow(lo, lbk, 1)
+			}
+			lo = append(lo, int64(i))
+		}
 	}
-	return wrap(OID, lo, settle(lo, lbk)), wrap(OID, ro, settle(ro, rbk)), nil
+	if lo == nil {
+		return newDense(0, len(keys)), wrap(OID, ro, rbk), nil
+	}
+	return wrap(OID, lo, lbk), wrap(OID, ro, rbk), nil
 }
 
 // Release drops the hash's reference to its build column's array; the
@@ -146,7 +170,8 @@ func HashJoin(l, r *BAT) (lOIDs, rOIDs *BAT, err error) {
 // grouping, which is all build) the column is on; dict is the build
 // side's dictionary when the key is a string.
 //
-//   - Int, Date, OID: the backing array itself, no copy.
+//   - Int, Date, OID: the backing array itself, no copy (a dense OID
+//     BAT's oids, in a new array).
 //   - Bool: 0 and 1.
 //   - Flt: the IEEE bits, with -0 folded onto +0 (they are equal keys)
 //     and every NaN given a pattern of its own — NaN never equals
@@ -158,7 +183,7 @@ func HashJoin(l, r *BAT) (lOIDs, rOIDs *BAT, err error) {
 func int64Keys(b *BAT, dict *Dict, build bool) []int64 {
 	switch {
 	case b.kind.usesInts():
-		return b.ints
+		return b.Ints()
 	case b.kind == Flt:
 		nan := uint64(0x7FF8000000000000)
 		if build {
@@ -214,7 +239,7 @@ func Group(b, prev *BAT) (groups, extents *BAT, ngroups int, err error) {
 	}
 	var pg []int64
 	if prev != nil {
-		pg = prev.ints
+		pg = prev.Ints()
 	}
 	ids, bk := take[int64](n)
 	var firsts []int64

@@ -146,8 +146,9 @@ func (b *BAT) floats() []float64 {
 	if b.kind == Flt {
 		return b.flts
 	}
-	out := make([]float64, len(b.ints))
-	for i, x := range b.ints {
+	ints := b.Ints()
+	out := make([]float64, len(ints))
+	for i, x := range ints {
 		out[i] = float64(x)
 	}
 	return out
@@ -166,43 +167,75 @@ func (b *BAT) floats() []float64 {
 // by the compiler for them).
 type ordered interface{ int64 | float64 | uint32 }
 
-// maxSelectCap bounds how much a selection preallocates for its result.
-// Small inputs (mitosis partitions) get exactly-sized buffers — no
-// regrowth on the hot path; huge inputs with selective predicates must
-// not pin an input-sized buffer for a handful of OIDs, so beyond the
-// bound the result grows normally from this starting capacity.
-const maxSelectCap = 1 << 16
-
-// selectCap sizes a selection's result buffer.
-func selectCap(b, cands *BAT) int {
-	n := b.Len()
-	if cands != nil {
-		n = cands.Len()
-	}
-	if n > maxSelectCap {
-		n = maxSelectCap
-	}
-	return n
+// oidSpan is a candidate or oid list as every kernel that takes one
+// reads it — the one place that knows an OID BAT has two forms, like
+// MonetDB's candidate iterator. With list nil it is the range [lo, hi):
+// a dense BAT, an empty list, or every row of a column when a selection
+// has no candidates. Otherwise it is list, the oids in order.
+type oidSpan struct {
+	list   []int64
+	lo, hi int64
 }
 
-// candidates returns the oids a selection over b is restricted to (nil:
-// every row) and an empty result buffer with room for them from the
-// allocation helper.
-func candidates(b, cands *BAT) (oids, out []int64, bk *backing, err error) {
-	if cands != nil && cands.kind != OID {
-		return nil, nil, nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
+// spanOf reads an OID BAT as a span.
+func spanOf(b *BAT) oidSpan {
+	switch {
+	case b.dense:
+		return oidSpan{lo: b.seq, hi: b.seq + int64(b.rows)}
+	case len(b.ints) == 0:
+		return oidSpan{}
 	}
-	out, bk = take[int64](selectCap(b, cands))
-	out = out[:0]
-	if cands == nil {
-		return nil, out, bk, nil
-	}
-	oids = cands.ints
-	if oids == nil {
-		oids = []int64{} // an empty candidate list selects nothing, a nil one everything
-	}
-	return oids, out, bk, nil
+	return oidSpan{list: b.ints}
 }
+
+func (s oidSpan) len() int {
+	if s.list != nil {
+		return len(s.list)
+	}
+	return int(s.hi - s.lo)
+}
+
+// sub returns the span's entries [i, j).
+func (s oidSpan) sub(i, j int) oidSpan {
+	if s.list != nil {
+		return oidSpan{list: s.list[i:j]}
+	}
+	return oidSpan{lo: s.lo + int64(i), hi: s.lo + int64(j)}
+}
+
+// outside reports the first oid of a range that does not address a row
+// of an n-row column, without reading a cell. A list's loop finds its
+// own bad oid in the pass that reads through it.
+func (s oidSpan) outside(n int) (int64, bool) {
+	if s.list != nil || s.hi <= int64(n) || s.lo == s.hi {
+		return 0, false
+	}
+	return max(s.lo, int64(n)), true
+}
+
+// fill writes a range's oids into dst, which has its length.
+func (s oidSpan) fill(dst []int64) {
+	for i := range dst {
+		dst[i] = s.lo + int64(i)
+	}
+}
+
+// oids returns the span's oids in a new array.
+func (s oidSpan) oids() []int64 {
+	if s.list != nil {
+		return append([]int64(nil), s.list...)
+	}
+	out := make([]int64, s.len())
+	s.fill(out)
+	return out
+}
+
+// selectChunk is how many candidates a selection loop reads at most
+// before the result buffer is made room for again: the cells of the
+// largest array the free list keeps. A selection takes a buffer of its
+// candidate count when that fits, and so never grows; a larger one grows
+// in steps no bigger than what it has read.
+const selectChunk = recycleBytes / 8
 
 // oidRangeErr is the one message for an oid that does not address a row
 // of an n-row column, whichever kernel met it.
@@ -210,15 +243,58 @@ func oidRangeErr(what string, oid int64, n int) error {
 	return fmt.Errorf("storage: %s oid %d out of range 0..%d", what, oid, n-1)
 }
 
-// selected wraps a selection loop's result: the oids in the buffer bk
-// owns (unless they outgrew it), or the error for the candidate at index
-// bad.
-func selected(b *BAT, cands, out []int64, bk *backing, bad int) (*BAT, error) {
-	if bad >= 0 {
-		bk.release()
-		return nil, oidRangeErr("candidate", cands[bad], b.Len())
+// selectLoop appends to out the oids of span (positions of the column
+// being selected) whose cells pass, and returns the index in span.list
+// of the first oid outside the column, or -1. A range is in the column.
+type selectLoop func(out []int64, span oidSpan) ([]int64, int)
+
+// selection runs loop over the candidates in cands (every row of b when
+// nil) into a buffer from the allocation helper, and wraps the result.
+// Oids read from a range come out ascending and distinct, so they are
+// contiguous exactly when the last is the first plus the count less one:
+// then the result is dense and the buffer goes back at once.
+func selection(b, cands *BAT, loop selectLoop) (*BAT, error) {
+	span := oidSpan{hi: int64(b.Len())}
+	if cands != nil {
+		if cands.kind != OID {
+			return nil, fmt.Errorf("storage: candidate list has kind %s, want oid", cands.kind)
+		}
+		span = spanOf(cands)
+		if oid, bad := span.outside(b.Len()); bad {
+			return nil, oidRangeErr("candidate", oid, b.Len())
+		}
 	}
-	return wrap(OID, out, settle(out, bk)), nil
+	n := span.len()
+	out, bk := take[int64](min(n, selectChunk))
+	out = out[:0]
+	for at := 0; at < n; at += selectChunk {
+		part := span.sub(at, min(at+selectChunk, n))
+		out, bk = grow(out, bk, part.len())
+		var bad int
+		if out, bad = loop(out, part); bad >= 0 {
+			bk.release()
+			return nil, oidRangeErr("candidate", part.list[bad], b.Len())
+		}
+	}
+	if span.list != nil {
+		return wrap(OID, out, bk), nil
+	}
+	return ascendingOIDs(out, bk), nil
+}
+
+// ascendingOIDs wraps ascending, distinct oids in bk's buffer: dense, and
+// the buffer released, when they are contiguous; the list otherwise.
+func ascendingOIDs(out []int64, bk *backing) *BAT {
+	n := len(out)
+	if n > 0 && out[n-1]-out[0] != int64(n-1) {
+		return wrap(OID, out, bk)
+	}
+	var seq int64
+	if n > 0 {
+		seq = out[0]
+	}
+	bk.release()
+	return newDense(seq, n)
 }
 
 // ThetaSelect scans b (restricted to the candidate oids in cands when
@@ -228,67 +304,64 @@ func ThetaSelect(b *BAT, op CmpOp, v Val, cands *BAT) (*BAT, error) {
 	if !compatible(b.kind, v) {
 		return nil, fmt.Errorf("storage: thetaselect %s against %s operand", b.kind, v.Kind)
 	}
-	oids, out, bk, err := candidates(b, cands)
-	if err != nil {
-		return nil, err
-	}
-	var bad int
 	switch {
 	case b.kind == Str:
 		op, code := b.dict.codeOp(op, v.S)
-		out, bad = selectCmp(out, b.codes, op, code, oids)
+		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectCmp(out, b.codes, op, code, c) })
 	case b.kind == Bool:
-		out, bad = selectBool(out, b.bools, op.holds(cmpBool(false, v.B)), op.holds(cmpBool(true, v.B)), oids)
+		keepF, keepT := op.holds(cmpBool(false, v.B)), op.holds(cmpBool(true, v.B))
+		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectBool(out, b.bools, keepF, keepT, c) })
 	case b.kind == Flt || v.Kind == Flt:
-		out, bad = selectCmp(out, b.floats(), op, v.flt(), oids)
-	default:
-		out, bad = selectCmp(out, b.ints, op, v.I, oids)
+		col, f := b.floats(), v.flt()
+		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectCmp(out, col, op, f, c) })
 	}
-	return selected(b, oids, out, bk, bad)
+	col := b.Ints()
+	return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectCmp(out, col, op, v.I, c) })
 }
 
-// selectCmp appends to out the positions of col (every one, or the
-// candidates in cands) whose cell satisfies "cell op v": one loop per
-// operator, candidate bounds checked in the same pass. It returns the
-// index in cands of the first oid outside col, or -1.
-func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([]int64, int) {
+// selectCmp appends to out the positions in c — a range of col's rows,
+// read by the loop a selection without candidates runs, or a list of
+// candidates — whose cell satisfies "cell op v": one loop per operator,
+// a list's bounds checked in the same pass. It is a selectLoop.
+func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, c oidSpan) ([]int64, int) {
 	op = op.against(v != v)
-	if cands == nil {
+	if c.list == nil {
+		base, col := c.lo, col[c.lo:c.hi]
 		switch op {
 		case EQ:
 			for i, x := range col {
 				if x == v || x != x {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		case NE:
 			for i, x := range col {
 				if x != v && x == x {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		case LT:
 			for i, x := range col {
 				if x < v {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		case LE:
 			for i, x := range col {
 				if !(x > v) {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		case GT:
 			for i, x := range col {
 				if x > v {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		default:
 			for i, x := range col {
 				if !(x < v) {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		}
@@ -297,7 +370,7 @@ func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([
 	n := uint64(len(col))
 	switch op {
 	case EQ:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -306,7 +379,7 @@ func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([
 			}
 		}
 	case NE:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -315,7 +388,7 @@ func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([
 			}
 		}
 	case LT:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -324,7 +397,7 @@ func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([
 			}
 		}
 	case LE:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -333,7 +406,7 @@ func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([
 			}
 		}
 	case GT:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -342,7 +415,7 @@ func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, cands []int64) ([
 			}
 		}
 	default:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -368,17 +441,18 @@ func cmpBool(x, y bool) int {
 // selectBool is the selection loop of a Bool column: a cell has two
 // values, so the predicate is tabulated before the loop — keepF says
 // whether false cells pass, keepT whether true ones do.
-func selectBool(out []int64, col []bool, keepF, keepT bool, cands []int64) ([]int64, int) {
-	if cands == nil {
+func selectBool(out []int64, col []bool, keepF, keepT bool, c oidSpan) ([]int64, int) {
+	if c.list == nil {
+		base, col := c.lo, col[c.lo:c.hi]
 		for i, x := range col {
 			if (x && keepT) || (!x && keepF) {
-				out = append(out, int64(i))
+				out = append(out, base+int64(i))
 			}
 		}
 		return out, -1
 	}
 	n := uint64(len(col))
-	for k, oid := range cands {
+	for k, oid := range c.list {
 		if uint64(oid) >= n {
 			return nil, k
 		}
@@ -420,53 +494,50 @@ func RangeSelect(b *BAT, lo, hi Val, loInc, hiInc bool, cands *BAT) (*BAT, error
 		defer above.Release()
 		return ThetaSelect(b, hiOp, hi, above)
 	}
-	oids, out, bk, err := candidates(b, cands)
-	if err != nil {
-		return nil, err
-	}
-	var bad int
 	switch {
 	case b.kind == Str:
 		a, z := b.dict.codeRange(lo.S, hi.S, loInc, hiInc)
-		out, bad = selectRange(out, b.codes, a, z, true, false, oids)
+		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectRange(out, b.codes, a, z, true, false, c) })
 	case b.kind == Bool:
 		keep := func(x bool) bool { return loOp.holds(cmpBool(x, lo.B)) && hiOp.holds(cmpBool(x, hi.B)) }
-		out, bad = selectBool(out, b.bools, keep(false), keep(true), oids)
+		keepF, keepT := keep(false), keep(true)
+		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectBool(out, b.bools, keepF, keepT, c) })
 	case b.kind == Flt || lo.Kind == Flt:
-		out, bad = selectRange(out, b.floats(), lo.flt(), hi.flt(), loInc, hiInc, oids)
-	default:
-		out, bad = selectRange(out, b.ints, lo.I, hi.I, loInc, hiInc, oids)
+		col, l, h := b.floats(), lo.flt(), hi.flt()
+		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectRange(out, col, l, h, loInc, hiInc, c) })
 	}
-	return selected(b, oids, out, bk, bad)
+	col := b.Ints()
+	return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectRange(out, col, lo.I, hi.I, loInc, hiInc, c) })
 }
 
 // selectRange is selectCmp for a two-sided range: both bounds tested in
 // one pass, one loop per inclusivity pair.
-func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, cands []int64) ([]int64, int) {
-	if cands == nil {
+func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, c oidSpan) ([]int64, int) {
+	if c.list == nil {
+		base, col := c.lo, col[c.lo:c.hi]
 		switch {
 		case loInc && hiInc:
 			for i, x := range col {
 				if !(x < lo) && !(x > hi) {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		case loInc:
 			for i, x := range col {
 				if !(x < lo) && x < hi {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		case hiInc:
 			for i, x := range col {
 				if x > lo && !(x > hi) {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		default:
 			for i, x := range col {
 				if x > lo && x < hi {
-					out = append(out, int64(i))
+					out = append(out, base+int64(i))
 				}
 			}
 		}
@@ -475,7 +546,7 @@ func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, c
 	n := uint64(len(col))
 	switch {
 	case loInc && hiInc:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -484,7 +555,7 @@ func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, c
 			}
 		}
 	case loInc:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -493,7 +564,7 @@ func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, c
 			}
 		}
 	case hiInc:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -502,7 +573,7 @@ func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, c
 			}
 		}
 	default:
-		for k, oid := range cands {
+		for k, oid := range c.list {
 			if uint64(oid) >= n {
 				return nil, k
 			}
@@ -516,25 +587,36 @@ func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, c
 
 // Project gathers tail[oid] for every oid in oids, producing a column
 // aligned with oids. This is MAL's algebra.leftjoin(cands, col) /
-// algebra.projection.
+// algebra.projection. Through a range — a dense list — the gather is
+// the tail's rows [lo, hi) as they stand, so the result is a view of
+// the tail (Slice), no cell copied.
 func Project(oids, tail *BAT) (*BAT, error) {
 	if oids.kind != OID {
 		return nil, fmt.Errorf("storage: project with %s oids", oids.kind)
 	}
+	span := spanOf(oids)
+	if span.list == nil {
+		if oid, bad := span.outside(tail.Len()); bad {
+			return nil, oidRangeErr("project", oid, tail.Len())
+		}
+		return tail.Slice(int(span.lo), int(span.hi)), nil
+	}
 	var out *BAT
 	var bad int
 	switch k := tail.kind; {
+	case tail.dense:
+		out, bad = gatherRange(spanOf(tail), span.list)
 	case k.usesInts():
-		out, bad = gather(k, tail.ints, oids.ints)
+		out, bad = gather(k, tail.ints, span.list)
 	case k == Flt:
-		out, bad = gather(k, tail.flts, oids.ints)
+		out, bad = gather(k, tail.flts, span.list)
 	case k == Str:
-		out, bad = gather(k, tail.codes, oids.ints)
+		out, bad = gather(k, tail.codes, span.list)
 	default:
-		out, bad = gather(k, tail.bools, oids.ints)
+		out, bad = gather(k, tail.bools, span.list)
 	}
 	if bad >= 0 {
-		return nil, oidRangeErr("project", oids.ints[bad], tail.Len())
+		return nil, oidRangeErr("project", span.list[bad], tail.Len())
 	}
 	out.dict = tail.dict
 	return out, nil
@@ -554,6 +636,21 @@ func gather[T elem](k Kind, tail []T, oids []int64) (out *BAT, bad int) {
 		cells[i] = tail[oid]
 	}
 	return wrap(k, cells, bk), -1
+}
+
+// gatherRange is gather from a dense tail, whose row oid is the oid
+// lo+oid.
+func gatherRange(tail oidSpan, oids []int64) (out *BAT, bad int) {
+	cells, bk := take[int64](len(oids))
+	n := uint64(tail.len())
+	for i, oid := range oids {
+		if uint64(oid) >= n {
+			bk.release()
+			return nil, i
+		}
+		cells[i] = tail.lo + oid
+	}
+	return wrap(OID, cells, bk), -1
 }
 
 // AggrKind selects an aggregate function.
@@ -601,7 +698,7 @@ func Aggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 		if groups.Len() != n {
 			return nil, fmt.Errorf("storage: aggr over %d rows with %d group ids", n, groups.Len())
 		}
-		gids = groups.ints
+		gids = groups.Ints()
 	}
 	if kind == AggrCount {
 		return FromInts(Int, countBy(n, gids, ngroups)), nil
@@ -631,13 +728,13 @@ func Aggr(kind AggrKind, b, groups *BAT, ngroups int) (*BAT, error) {
 	default: // integer family
 		switch kind {
 		case AggrSum:
-			return FromInts(Int, sumBy(b.ints, gids, ngroups)), nil
+			return FromInts(Int, sumBy(b.Ints(), gids, ngroups)), nil
 		case AggrMin:
-			return FromInts(b.kind, minBy(b.ints, gids, ngroups)), nil
+			return FromInts(b.kind, minBy(b.Ints(), gids, ngroups)), nil
 		case AggrMax:
-			return FromInts(b.kind, maxBy(b.ints, gids, ngroups)), nil
+			return FromInts(b.kind, maxBy(b.Ints(), gids, ngroups)), nil
 		case AggrAvg:
-			return FromFloats(avgBy(b.ints, gids, ngroups)), nil
+			return FromFloats(avgBy(b.Ints(), gids, ngroups)), nil
 		}
 	}
 	return nil, fmt.Errorf("storage: unsupported aggregate %s over %s", kind, b.kind)
@@ -787,7 +884,7 @@ func SortOrder(b *BAT, asc bool) *BAT {
 			less = func(x, y int64) bool { return v[x] && !v[y] }
 		}
 	default:
-		less = before(b.ints, asc)
+		less = before(b.Ints(), asc)
 	}
 	stableSortInt64(perm, less)
 	return wrap(OID, perm, bk)

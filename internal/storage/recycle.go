@@ -58,6 +58,10 @@ type elem interface {
 	int64 | float64 | uint32 | bool
 }
 
+// headerOnly is the free list of backings with no array (takeHeader),
+// beside the four of elemIndex.
+const headerOnly = 4
+
 // backing owns one recycled array. refs counts the BATs (and join
 // hashes) that will release it; pinned marks an array that escaped and
 // never returns.
@@ -99,7 +103,7 @@ func array[T elem](bk *backing) []T { return unsafe.Slice((*T)(bk.arr), bk.cells
 var (
 	freeMu         sync.Mutex
 	oldest, newest *backing              // release order; guarded by freeMu
-	classes        [4][nClasses]*backing // newest free backing per elemIndex and class; guarded by freeMu
+	classes        [5][nClasses]*backing // newest free backing per elemIndex (or headerOnly) and class; guarded by freeMu
 
 	// outBytes is the size of every backing taken and neither returned
 	// nor pinned. freeBytes is what the free list holds. Both are
@@ -194,16 +198,36 @@ func take[T elem](n int) ([]T, *backing) {
 	return arr[:n:n], bk
 }
 
-// settle is called by a kernel that appended to a buffer from take: it
-// returns the backing that owns out — bk when the appends stayed in it,
-// nil (after releasing bk) when one outgrew it and out is a plain
-// allocation now.
-func settle[T elem](out []T, bk *backing) *backing {
-	if bk == nil || unsafe.Pointer(unsafe.SliceData(out)) == bk.arr {
-		return bk
+// grow is how a kernel's output outgrows the buffer it took: it returns
+// out with room for at least k more cells — out itself when it has the
+// room, else its cells moved to a buffer from take of twice its capacity
+// (or enough), the old one released — and the backing that owns it.
+func grow[T elem](out []T, bk *backing, k int) ([]T, *backing) {
+	if cap(out)-len(out) >= k {
+		return out, bk
 	}
+	more, nbk := take[T](max(2*cap(out), len(out)+k))
+	n := copy(more, out)
 	bk.release()
-	return nil
+	return more[:n], nbk
+}
+
+// takeHeader returns a backing with no array and one reference, for a
+// BAT that needs a header and no cells — a dense OID BAT — so that its
+// header, too, comes back for the next one. It is 0 bytes to the
+// counters and is dropped with the rest of the list at idle.
+func takeHeader() *backing {
+	freeMu.Lock()
+	bk := classes[headerOnly][0]
+	if bk != nil {
+		bk.unlink()
+	}
+	freeMu.Unlock()
+	if bk == nil {
+		bk = &backing{cell: headerOnly}
+	}
+	bk.refs.Store(1)
+	return bk
 }
 
 // retain takes one more reference for a new holder of the array.

@@ -67,7 +67,7 @@ func RefThetaSelect(b *BAT, op CmpOp, v Val, cands *BAT) (*BAT, error) {
 	if !compatible(b.kind, v) {
 		return nil, fmt.Errorf("storage: thetaselect %s against %s operand", b.kind, v.Kind)
 	}
-	out := New(OID, selectCap(b, cands))
+	out := New(OID, 0)
 	test := func(c int) bool {
 		switch op {
 		case EQ:
@@ -113,7 +113,7 @@ func RefRangeSelect(b *BAT, lo, hi Val, loInc, hiInc bool, cands *BAT) (*BAT, er
 	if !compatible(b.kind, lo) || !compatible(b.kind, hi) {
 		return nil, fmt.Errorf("storage: select bounds %s/%s against %s column", lo.Kind, hi.Kind, b.kind)
 	}
-	out := New(OID, selectCap(b, cands))
+	out := New(OID, 0)
 	ok := func(i int) bool {
 		cl := b.cmp(i, lo)
 		if cl < 0 || (cl == 0 && !loInc) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -139,6 +140,14 @@ var textEncoders = sync.Pool{New: func() any { return new(textEncoder) }}
 // reach w in blocks of about 64 KB. It returns the bytes written and
 // stops at the first write error.
 func WriteText(w io.Writer, names []string, cols []*BAT, rows int, sep byte) (int64, error) {
+	if slices.ContainsFunc(cols, func(b *BAT) bool { return b.dense }) {
+		cols = slices.Clone(cols)
+		for c, b := range cols {
+			if b.dense {
+				cols[c] = FromInts(b.kind, b.Ints())
+			}
+		}
+	}
 	e := textEncoders.Get().(*textEncoder)
 	defer textEncoders.Put(e)
 	buf := e.buf[:0]
