@@ -236,7 +236,8 @@ func BoolCombine(and bool, l, r *BAT) (*BAT, error) {
 
 // SelectTrue returns the oids of true rows in a Bool BAT, bridging
 // elementwise predicates back into candidate lists. One pass counts the
-// true cells and a second fills a buffer of exactly that size.
+// true cells and a second fills a buffer of exactly that size; true
+// rows that are contiguous come back dense (ascendingOIDs).
 func SelectTrue(b *BAT) (*BAT, error) {
 	if b.kind != Bool {
 		return nil, fmt.Errorf("storage: selectTrue over %s", b.kind)
@@ -255,7 +256,7 @@ func SelectTrue(b *BAT) (*BAT, error) {
 			at++
 		}
 	}
-	return wrap(OID, out, bk), nil
+	return ascendingOIDs(out, bk), nil
 }
 
 // CompareScalar evaluates b op v (or v op b when flip) elementwise and

@@ -205,7 +205,9 @@ func (b *BAT) BoolAt(i int) bool { return b.bools[i] }
 // dense one it returns the oids in a new array.
 func (b *BAT) Ints() []int64 {
 	if b.dense {
-		return oidSpan{lo: b.seq, hi: b.seq + int64(b.rows)}.oids()
+		out := make([]int64, b.rows)
+		spanOf(b).fill(out)
+		return out
 	}
 	return b.ints
 }

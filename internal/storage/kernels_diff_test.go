@@ -223,6 +223,17 @@ func checkKernels(tb testing.TB, in kernelInputs) {
 			got, err := CompareScalar(op, a, v, flip)
 			want, rerr := RefCompareScalar(op, a, v, flip)
 			agree(tb, fmt.Sprintf("CompareScalar %s flip=%t [%s]", op, flip, id), bats(got), err, bats(want), rerr)
+			if err == nil {
+				// SelectTrue bridges the flags back into oids, in row order.
+				oids := New(OID, 0)
+				for i := 0; i < want.Len(); i++ {
+					if want.BoolAt(i) {
+						oids.AppendInt(int64(i))
+					}
+				}
+				sel, err := SelectTrue(got)
+				agree(tb, fmt.Sprintf("SelectTrue %s flip=%t [%s]", op, flip, id), bats(sel), err, bats(oids), nil)
+			}
 		}
 		got, err := Compare(op, a, b)
 		want, rerr := RefCompare(op, a, b)

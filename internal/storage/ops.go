@@ -220,16 +220,6 @@ func (s oidSpan) fill(dst []int64) {
 	}
 }
 
-// oids returns the span's oids in a new array.
-func (s oidSpan) oids() []int64 {
-	if s.list != nil {
-		return append([]int64(nil), s.list...)
-	}
-	out := make([]int64, s.len())
-	s.fill(out)
-	return out
-}
-
 // selectChunk is how many candidates a selection loop reads at most
 // before the result buffer is made room for again: the cells of the
 // largest array the free list keeps. A selection takes a buffer of its
