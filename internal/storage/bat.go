@@ -184,12 +184,18 @@ func (b *BAT) AppendBool(v bool) { b.bools = append(b.bools, v) }
 // IntAt returns row i of an integer-family BAT.
 func (b *BAT) IntAt(i int) int64 {
 	if b.dense {
-		if uint(i) >= uint(b.rows) {
-			panic(fmt.Sprintf("storage: row %d of a %d-row BAT", i, b.rows))
-		}
-		return b.seq + int64(i)
+		return b.oidAt(i)
 	}
 	return b.ints[i]
+}
+
+// oidAt is IntAt of a dense BAT, which panics on a row it does not have
+// as an index into the list would.
+func (b *BAT) oidAt(i int) int64 {
+	if uint(i) >= uint(b.rows) {
+		panic(fmt.Sprintf("storage: row %d of a %d-row BAT", i, b.rows))
+	}
+	return b.seq + int64(i)
 }
 
 // FltAt returns row i of a Flt BAT.

@@ -594,10 +594,8 @@ func Project(oids, tail *BAT) (*BAT, error) {
 	var out *BAT
 	var bad int
 	switch k := tail.kind; {
-	case tail.dense:
-		out, bad = gatherRange(spanOf(tail), span.list)
 	case k.usesInts():
-		out, bad = gather(k, tail.ints, span.list)
+		out, bad = gather(k, tail.Ints(), span.list)
 	case k == Flt:
 		out, bad = gather(k, tail.flts, span.list)
 	case k == Str:
@@ -626,21 +624,6 @@ func gather[T elem](k Kind, tail []T, oids []int64) (out *BAT, bad int) {
 		cells[i] = tail[oid]
 	}
 	return wrap(k, cells, bk), -1
-}
-
-// gatherRange is gather from a dense tail, whose row oid is the oid
-// lo+oid.
-func gatherRange(tail oidSpan, oids []int64) (out *BAT, bad int) {
-	cells, bk := take[int64](len(oids))
-	n := uint64(tail.len())
-	for i, oid := range oids {
-		if uint64(oid) >= n {
-			bk.release()
-			return nil, i
-		}
-		cells[i] = tail.lo + oid
-	}
-	return wrap(OID, cells, bk), -1
 }
 
 // AggrKind selects an aggregate function.
