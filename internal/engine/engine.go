@@ -340,6 +340,7 @@ func (e *Engine) RunContext(cctx context.Context, plan *mal.Plan, opt Options) (
 	for v, n := range plan.Readers() {
 		ctx.left[v].Store(n)
 	}
+	defer storage.Running()()
 	defer ctx.releaseAll()
 	e.met.runCounter().Inc()
 	ctx.prog = e.beginProgress(opt.Label, len(plan.Instrs))

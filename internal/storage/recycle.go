@@ -98,12 +98,16 @@ func array[T elem](bk *backing) []T { return unsafe.Slice((*T)(bk.arr), bk.cells
 // evicts the longest-free backings, whatever their class, so what the
 // list holds is what was released last — the sizes the running plans
 // are cycling through now — and a class nobody asks for any more ages
-// out. The release that leaves nothing checked out empties the list: an
-// engine with no run in flight holds no recycled array.
+// out. The list is emptied when the engine goes idle — no run in flight
+// (Running) and nothing checked out — so an idle engine holds no
+// recycled array. Nothing checked out alone is no sign of idleness: a
+// run whose live values are views and dense lists holds no array
+// between two of its instructions.
 var (
 	freeMu         sync.Mutex
 	oldest, newest *backing              // release order; guarded by freeMu
 	classes        [5][nClasses]*backing // newest free backing per elemIndex (or headerOnly) and class; guarded by freeMu
+	runs           int                   // runs in flight (Running); guarded by freeMu
 
 	// outBytes is the size of every backing taken and neither returned
 	// nor pinned. freeBytes is what the free list holds. Both are
@@ -248,7 +252,7 @@ func (bk *backing) release() {
 		bk.poison()
 	}
 	freeMu.Lock()
-	if outBytes -= bk.bytes; outBytes == 0 {
+	if outBytes -= bk.bytes; idle() {
 		dropIdle()
 	} else {
 		for oldest != nil && freeBytes+bk.bytes > recycleBytes {
@@ -259,11 +263,30 @@ func (bk *backing) release() {
 	freeMu.Unlock()
 }
 
-// dropIdle empties the free list when nothing is checked out: no run is
-// between two of its instructions, and an idle engine keeps nothing for
-// the next one. The caller holds freeMu.
+// Running marks a run in flight until the func it returns is called:
+// while any run is in flight the free list keeps what is released, even
+// at moments when nothing is checked out.
+func Running() (end func()) {
+	freeMu.Lock()
+	runs++
+	freeMu.Unlock()
+	return func() {
+		freeMu.Lock()
+		if runs--; idle() {
+			dropIdle()
+		}
+		freeMu.Unlock()
+	}
+}
+
+// idle reports that no run is in flight and nothing is checked out. The
+// caller holds freeMu.
+func idle() bool { return runs == 0 && outBytes == 0 }
+
+// dropIdle empties the free list: an idle engine keeps nothing for the
+// next run. The caller holds freeMu.
 func dropIdle() {
-	for outBytes == 0 && oldest != nil {
+	for oldest != nil {
 		oldest.unlink()
 	}
 }
@@ -321,7 +344,7 @@ func (bk *backing) pin() {
 		return
 	}
 	freeMu.Lock()
-	if outBytes -= bk.bytes; outBytes == 0 {
+	if outBytes -= bk.bytes; idle() {
 		dropIdle()
 	}
 	freeMu.Unlock()

@@ -53,14 +53,12 @@ func TestRecycleOwnership(t *testing.T) {
 	}
 }
 
-// inFlight checks out one array until the test ends, as a running plan
-// holds its intermediates: the free list keeps what is released only
+// inFlight marks a run in flight until the test ends, as the engine does
+// for each run: the free list keeps what is released while one is, or
 // while something is checked out (TestIntermediateGauges, in the root
-// package, sees it let go once nothing is).
-func inFlight(t *testing.T) *backing {
-	_, bk := take[int64](minCells)
-	t.Cleanup(bk.release)
-	return bk
+// package, sees it let go once neither holds).
+func inFlight(t *testing.T) {
+	t.Cleanup(Running())
 }
 
 // TestSizeClasses: a request's floor class has capacity at most n and
