@@ -891,14 +891,12 @@ func BenchmarkParallelJoin(b *testing.B) {
 	b.Run("auto", func(b *testing.B) { run(b) })
 }
 
-// --- Morsel-driven execution: bounded intermediates --------------------
+// --- Peak memory: bounded intermediates ---------------------------------
 
 // peakRSSQuery aggregates seven lineitem columns behind a barely
-// selective filter: the static lowering materializes every partition's
-// selection vectors and fetched aggregate inputs in the run context at
-// once (they stay live until the run ends), while the morsel lowering
-// holds only workers × morsel rows of fragment state plus the tiny
-// per-morsel group partials.
+// selective filter: a run that kept every partition's selection vectors
+// and fetched aggregate inputs until it ended would hold a multiple of
+// the columns it scans.
 const peakRSSQuery = "select l_shipmode, count(*) as n, sum(l_quantity) as q, sum(l_extendedprice) as ep, " +
 	"sum(l_discount) as d, sum(l_tax) as tx, max(l_orderkey) as mo, min(l_partkey) as mp " +
 	"from lineitem where l_quantity > 1 group by l_shipmode"
@@ -928,7 +926,7 @@ var peakDB = func() func(tb testing.TB) *DB {
 // duration makes the collector reclaim garbage almost as soon as it is
 // produced, so the sampled HeapAlloc tracks what the run actually
 // RETAINS — the intermediates held live in the run context — rather
-// than transient allocation churn, which both lowerings produce in
+// than transient allocation churn, which both entry points produce in
 // similar volume.
 func peakHeapDuring(f func() error) (peakBytes uint64, err error) {
 	old := debug.SetGCPercent(5)
@@ -976,10 +974,10 @@ func execPeakQuery(db *DB) error {
 	return err
 }
 
-// streamPeakQuery drains the same aggregate through Stream: the
-// morsel-driven lowering at its auto size (16Ki rows at this scale).
+// streamPeakQuery drains the same aggregate through Stream, which runs
+// Exec's plan; an aggregate streams as one batch when the run ends.
 func streamPeakQuery(db *DB) error {
-	it, err := db.Stream(context.Background(), peakRSSQuery, ExecWorkers(8))
+	it, err := db.Stream(context.Background(), peakRSSQuery, ExecPartitions(64), ExecWorkers(8))
 	if err != nil {
 		return err
 	}
@@ -990,11 +988,11 @@ func streamPeakQuery(db *DB) error {
 
 // BenchmarkPeakRSS compares peak intermediate memory between Exec
 // (static mitosis, 64 partitions, slices released at last use) and a
-// drained Stream (morsel fragments on 8 workers) on the same aggregate.
-// The peak-bytes metric is recorded by bench-record and gated by
-// cmd/benchjson alongside ns/op; both must stay well under the bytes
-// of the columns the query scans (the companion assertion is
-// TestMorselBoundsPeakMemory).
+// drained Stream of the same plan on the same aggregate. The peak-bytes
+// metric is recorded by bench-record and gated by cmd/benchjson
+// alongside ns/op; both must stay well under the bytes of the columns
+// the query scans (the companion assertion is
+// TestStreamBoundsPeakMemory).
 func BenchmarkPeakRSS(b *testing.B) {
 	db := peakDB(b)
 	variants := []struct {
@@ -1002,7 +1000,7 @@ func BenchmarkPeakRSS(b *testing.B) {
 		run  func(*DB) error
 	}{
 		{"static", execPeakQuery},
-		{"morsel", streamPeakQuery},
+		{"stream", streamPeakQuery},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -1025,7 +1023,7 @@ func BenchmarkPeakRSS(b *testing.B) {
 // rows times the element width of each column it reads — a string
 // column's codes are 4 bytes, the other six columns 8. Nothing a run
 // does changes it, so it is the yardstick the peak-memory assertion
-// measures both lowerings against.
+// measures both entry points against.
 func scannedBytes(t *testing.T, db *DB) uint64 {
 	t.Helper()
 	lineitem, ok := db.cat.Table("sys", "lineitem")
@@ -1046,17 +1044,17 @@ func scannedBytes(t *testing.T, db *DB) uint64 {
 	return uint64(lineitem.Rows()) * width
 }
 
-// TestMorselBoundsPeakMemory is the assertion behind bounded
+// TestStreamBoundsPeakMemory is the assertion behind bounded
 // intermediates: on the high-fanout aggregate, the peak live heap of
 // Exec (static mitosis, slices released at their last use) and of a
-// drained Stream (morsel fragments) must each be at least 40% below the
+// drained Stream of the same plan must each be at least 40% below the
 // bytes of the columns the query scans (600 602 rows × 52 B = 31.2 MB at
 // SF 0.1, a ceiling of 18.7 MB). A run that kept every slice's
 // intermediates until it ended (Exec's peak was 41.9 MB so) fails it.
 // Forced-GC sampling keeps the measurement on the live set, but it is
 // still a heap measurement — skipped under -short and -race, where
 // instrumentation distorts it.
-func TestMorselBoundsPeakMemory(t *testing.T) {
+func TestStreamBoundsPeakMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement skipped in -short")
 	}
@@ -1080,15 +1078,15 @@ func TestMorselBoundsPeakMemory(t *testing.T) {
 	}
 	scanned := scannedBytes(t, db)
 	ceiling := 0.6 * float64(scanned)
-	for _, lowering := range []struct {
+	for _, entry := range []struct {
 		name string
 		run  func(*DB) error
-	}{{"static", execPeakQuery}, {"morsel", streamPeakQuery}} {
-		peak := measure(lowering.run)
+	}{{"static", execPeakQuery}, {"stream", streamPeakQuery}} {
+		peak := measure(entry.run)
 		t.Logf("%s: peak live heap %d bytes, %.0f%% below the %d bytes scanned",
-			lowering.name, peak, 100*(1-float64(peak)/float64(scanned)), scanned)
+			entry.name, peak, 100*(1-float64(peak)/float64(scanned)), scanned)
 		if float64(peak) > ceiling {
-			t.Errorf("%s peak %d bytes is not >= 40%% below the %d bytes the query scans", lowering.name, peak, scanned)
+			t.Errorf("%s peak %d bytes is not >= 40%% below the %d bytes the query scans", entry.name, peak, scanned)
 		}
 	}
 }

@@ -155,7 +155,7 @@ func TestGateViolations(t *testing.T) {
 
 func TestParseCustomMetrics(t *testing.T) {
 	doc, err := Parse(strings.NewReader(
-		"BenchmarkPeakRSS/morsel-8    2    335374649 ns/op    21980632 peak-bytes\n" +
+		"BenchmarkPeakRSS/stream-8    2    335374649 ns/op    21980632 peak-bytes\n" +
 			"BenchmarkHistoryAppend-8    1000    1200 ns/op    833333 events/sec\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -173,28 +173,28 @@ func TestParseCustomMetrics(t *testing.T) {
 
 func TestGateByteMetrics(t *testing.T) {
 	base := Document{Benchmarks: []Record{
-		{Name: "BenchmarkPeakRSS/morsel-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 20e6}},
+		{Name: "BenchmarkPeakRSS/stream-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 20e6}},
 		{Name: "BenchmarkPeakRSS/static-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 50e6}},
 		{Name: "BenchmarkHistoryAppend-8", NsPerOp: 100, Custom: map[string]float64{"events/sec": 1e6}},
 	}}
 	cur := Document{Benchmarks: []Record{
 		// ns/op steady, peak-bytes +100%: a memory regression the time
 		// gate alone would miss.
-		{Name: "BenchmarkPeakRSS/morsel-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 40e6}},
+		{Name: "BenchmarkPeakRSS/stream-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 40e6}},
 		{Name: "BenchmarkPeakRSS/static-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 55e6}},
 		// Rate metrics are higher-is-better: a drop must not gate.
 		{Name: "BenchmarkHistoryAppend-8", NsPerOp: 100, Custom: map[string]float64{"events/sec": 1e3}},
 	}}
 	got := GateViolations(base, cur, 25, 0, nil)
-	if len(got) != 1 || !strings.Contains(got[0], "BenchmarkPeakRSS/morsel-8") ||
+	if len(got) != 1 || !strings.Contains(got[0], "BenchmarkPeakRSS/stream-8") ||
 		!strings.Contains(got[0], "peak-bytes") {
-		t.Fatalf("violations = %v, want the morsel peak-bytes regression only", got)
+		t.Fatalf("violations = %v, want the stream peak-bytes regression only", got)
 	}
 	// Overrides apply to byte metrics through the same prefix match, and
 	// best-of-count reduction picks the lowest byte measurement.
 	cur2 := Document{Benchmarks: []Record{
-		{Name: "BenchmarkPeakRSS/morsel-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 60e6}},
-		{Name: "BenchmarkPeakRSS/morsel-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 21e6}},
+		{Name: "BenchmarkPeakRSS/stream-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 60e6}},
+		{Name: "BenchmarkPeakRSS/stream-8", NsPerOp: 100, Custom: map[string]float64{"peak-bytes": 21e6}},
 	}}
 	if got := GateViolations(base, cur2, 25, 0, nil); len(got) != 0 {
 		t.Fatalf("best-of byte gating failed: %v", got)

@@ -219,9 +219,8 @@ func progressBar(line string) string {
 		full = w
 	}
 	bar := strings.Repeat("#", full) + strings.Repeat(".", w-full)
-	return fmt.Sprintf("[%s] %5.1f%%  id=%s rows=%s/%s instr=%s/%s  %s",
-		bar, frac*100, kv["id"], kv["rows_scanned"], kv["rows_total"],
-		kv["instr_done"], kv["instr_total"], sql)
+	return fmt.Sprintf("[%s] %5.1f%%  id=%s instr=%s/%s  %s",
+		bar, frac*100, kv["id"], kv["instr_done"], kv["instr_total"], sql)
 }
 
 func max(a, b int) int {

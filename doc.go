@@ -20,11 +20,11 @@
 //     synthetic TPC-H catalog and a profiled MAL interpreter. Exec takes
 //     a context.Context that cancels the execution, and returns a Result
 //     bundling the optimized MAL plan, the profiler trace, the result
-//     table, and execution statistics. Stream returns a RowIter that
-//     yields rows as the morsel pipeline produces them, before the run
-//     completes. Exec always lowers by static mitosis, so every
-//     operator is a node of the plan graph; Stream is the one caller of
-//     the morsel lowering, sized by the adaptive tuner.
+//     table, and execution statistics. Stream returns a RowIter over
+//     the plan Exec would run; a partitioned result streams slice by
+//     slice, before the run completes. There is one lowering, static
+//     mitosis, so every operator of either entry point is a node of
+//     the plan graph.
 //
 // The execution knobs, each validated at its entry point and defaulted
 // per query by ExecOption counterparts where one exists:
@@ -35,7 +35,7 @@
 //	WithSeed              —                 any           data generator seed
 //	WithPath              —                 dir           persisted dataset instead of generation
 //	WithPartitions        ExecPartitions    ≥1 | Auto     static mitosis slice count
-//	WithWorkers           ExecWorkers       ≥1 | Auto     dataflow scheduler workers (Stream: morsel workers)
+//	WithWorkers           ExecWorkers       ≥1 | Auto     dataflow scheduler workers
 //	WithHistory(Config)   —                 dir           durable query history
 //	WithMetricsAddr       —                 host:port     HTTP observability endpoint (/metrics, /progress, /debug/pprof)
 //

@@ -29,9 +29,11 @@ func ExampleOpen() {
 	// Output: [l_tax] true true
 }
 
-// Streaming hands out result rows while the engine is still scanning:
-// Stream returns a RowIter whose first rows are consumable before the
-// run completes, with backpressure bounding in-flight memory.
+// Streaming hands out result rows while the engine is still running:
+// Stream runs the plan Exec would, and a result packed from four
+// partitions reaches the RowIter one partition at a time, the first
+// before the run completes, with backpressure bounding the batches in
+// flight.
 func ExampleDB_Stream() {
 	db, err := stethoscope.Open(
 		stethoscope.WithScaleFactor(0.005),
@@ -42,7 +44,8 @@ func ExampleDB_Stream() {
 	defer db.Close()
 
 	it, err := db.Stream(context.Background(),
-		"select l_orderkey, l_extendedprice from lineitem")
+		"select l_orderkey, l_extendedprice from lineitem where l_quantity > 10",
+		stethoscope.ExecPartitions(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,8 +101,8 @@ func ExampleDB_Persist() {
 }
 
 // Progress exposes the engine's in-flight runs while they execute:
-// one entry per running query with instruction, row, and morsel counts
-// and a completion fraction. An idle DB reports none.
+// one entry per running query with its instruction counts and a
+// completion fraction. An idle DB reports none.
 func ExampleDB_Progress() {
 	db, err := stethoscope.Open(
 		stethoscope.WithScaleFactor(0.005),

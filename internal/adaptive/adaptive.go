@@ -24,40 +24,13 @@ import (
 const Auto = math.MinInt
 
 // MinRowsPerPartition is the smallest slice worth a partition: below
-// this, the per-fragment instruction overhead (slice, select, pack)
+// this, the per-slice instruction overhead (slice, select, pack)
 // costs more than the parallelism buys.
 const MinRowsPerPartition = 4096
 
 // MaxPartitions caps the fan-out: past this, plan size (instructions
 // per column per partition) grows without additional core coverage.
 const MaxPartitions = 64
-
-// DefaultMorselRows is the default morsel size for morsel-driven
-// execution: 16Ki rows keeps a morsel's working set cache-resident
-// while the per-morsel scheduling cost (one atomic fetch-add plus a
-// fragment interpretation) stays negligible against the kernel work.
-const DefaultMorselRows = 16 << 10
-
-// MorselRowsFor chooses the morsel size for a streaming query (the
-// morsel lowering is DB.Stream's alone) whose driver table has rows
-// rows, on procs cores. The default is DefaultMorselRows; small inputs
-// shrink the morsel so every core still gets at least two pulls (the
-// dynamic-balancing minimum), floored at MinRowsPerPartition, below
-// which per-morsel overhead dominates. The returned reason carries the
-// morsel=N note.
-func MorselRowsFor(rows, procs int) (int, string) {
-	if procs < 1 {
-		procs = 1
-	}
-	m := DefaultMorselRows
-	if t := rows / (2 * procs); t < m {
-		m = t
-		if m < MinRowsPerPartition {
-			m = MinRowsPerPartition
-		}
-	}
-	return m, fmt.Sprintf("auto: shape=morsel rows=%d procs=%d -> morsel=%d", rows, procs, m)
-}
 
 // Normalize clamps a partition or worker setting into its valid
 // domain: Auto is preserved, anything else below 1 becomes 1.

@@ -22,10 +22,10 @@ var CtxSelect = &lintkit.Analyzer{
 }
 
 // ctxselectPackages are the final import-path segments the contract
-// covers: the scheduler/morsel loops, the keyed-reuse substrate (home of
-// Flight.Do, the shared-work gate's only ctx-aware wait), the run
-// service's run body, the TCP server's session loops, and the facade's
-// streaming producers.
+// covers: the dataflow scheduler's worker loops, the keyed-reuse
+// substrate (home of Flight.Do, the shared-work gate's only ctx-aware
+// wait), the run service's run body, the TCP server's session loops,
+// and the facade's streaming producers.
 var ctxselectPackages = []string{"engine", "keyed", "runner", "server", "stethoscope"}
 
 // cancelNames are channel names accepted as cancellation signals in a

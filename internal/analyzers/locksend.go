@@ -8,12 +8,13 @@ import (
 	"stethoscope/internal/analyzers/lintkit"
 )
 
-// LockSend enforces the streaming contract the morsel scheduler
-// introduced: never perform a blocking channel send, and never write to
-// a network connection, while holding a sync.Mutex/RWMutex. A send that
-// blocks under a lock deadlocks the moment the consumer needs that lock
-// (the scheduler-mutex incident class); a socket write under a lock
-// turns one slow client into a server-wide stall. Non-blocking sends
+// LockSend enforces the streaming contract of the engine's workers and
+// the server's sessions: never perform a blocking channel send, and
+// never write to a network connection, while holding a
+// sync.Mutex/RWMutex. A send that blocks under a lock deadlocks the
+// moment the consumer needs that lock (the scheduler-mutex incident
+// class); a socket write under a lock turns one slow client into a
+// server-wide stall. Non-blocking sends
 // (select with default) pass — that is the sanctioned kick pattern.
 //
 // The check is intra-procedural and name-based: a held region opens at

@@ -16,7 +16,6 @@ import (
 // a review decision, the same as adding a suppression comment.
 var atomicAllowlist = map[string]string{
 	"engine/engine.go":   "dataflow scheduler: per-run pending/completed cells are the scheduling state, not metrics",
-	"engine/morsel.go":   "morsel cursor: the run's morsel cursor is claimed with one atomic add per morsel",
 	"engine/progress.go": "live progress: per-run counters read lock-free by DB.Progress while workers run",
 	"storage/recycle.go": "allocation helper: the owner count and pinned mark on a shared array are its ownership state, not metrics",
 }

@@ -19,17 +19,16 @@
 // to the limit first). MonetDB performs this as a MAL optimizer; we
 // perform it at lowering time, which yields the same plan shape — wide
 // independent slices that the engine's dataflow scheduler runs on
-// multiple cores (experiments F2 and E7). The Morsel option fans the
-// same operators out inside a fragment instead.
+// multiple cores (experiments F2 and E7).
 //
 // Every fan-out operator is written once, as a body over one piece of a
-// relation; mapPieces runs that body in place over a packed relation,
-// once per slice over a partitioned one and once inside the fragment of
-// a morsel one, and packed is the one gather (DESIGN.md, "Compilation
-// contract"). Fan-outs always have at least two pieces (a scan is only
-// marked sliceable when Partitions > 1), and a projection of bare
-// columns leaves a scan unsliced (lowerProject), so the lowering emits
-// no pack that merely reassembles untouched slices.
+// relation; mapPieces runs that body in place over a packed relation and
+// once per slice over a partitioned one, and packed is the one gather
+// (DESIGN.md, "Compilation contract"). Fan-outs always have at least
+// two pieces (a scan is only marked sliceable when Partitions > 1), and
+// a projection of bare columns leaves a scan unsliced (lowerProject),
+// so the lowering emits no pack that merely reassembles untouched
+// slices.
 package compiler
 
 import (
@@ -44,18 +43,6 @@ import (
 type Options struct {
 	// Partitions is the mitosis fan-out; values <= 1 disable partitioning.
 	Partitions int
-	// Morsel selects morsel-driven lowering: instead of static mitosis
-	// slices, the operator chain above each scan is compiled into a
-	// fragment (mal.Fragment) that a single mat.morsel instruction runs
-	// morsel-at-a-time — workers pull fixed-size row ranges from a
-	// shared cursor and run the whole filter/project/probe/partial-agg
-	// chain per morsel, so intermediates stay bounded by
-	// workers × morsel rows. The combine stages (mergetable
-	// recombination, k-way sort merge) are the same ones the static
-	// path uses; sorts in particular close the fragment and reuse the
-	// static slice/sort/kmerge lowering unchanged. DB.Stream is the only
-	// entry point that lowers this way.
-	Morsel bool
 }
 
 // Compile lowers the tree to MAL. queryText is carried on the plan for
@@ -78,20 +65,17 @@ func Compile(tree algebra.Node, queryText string, opt Options) (*mal.Plan, error
 	return c.plan, nil
 }
 
-// rel is an intermediate relation in one of three forms. Packed: one
+// rel is an intermediate relation in one of two forms. Packed: one
 // aligned MAL BAT variable per schema column (cols). Partitioned (the
 // mitosis form): parts[p][i] holds column i of horizontal slice p; the
-// slices concatenated in order are the relation. Morsel: cols are
-// variables of an open fragment's own plan (frag), and the relation's
-// rows are whatever the fragment computes per morsel, concatenated in
-// morsel order. The two fan-out forms start lazily: a scan keeps its
-// bound columns in cols and is only marked sliceable or morselable, so
-// the first operator that works piece-wise (mapPieces) materializes the
-// mat.slice instructions or opens the fragment, while a consumer that
-// needs the whole relation (packed) takes the bound columns as-is and
-// scans nothing exploits never pay a slice/pack chain. A rel with a nil
-// schema is a bundle of aligned columns (partial aggregates) on its way
-// to packed.
+// slices concatenated in order are the relation. The partitioned form
+// starts lazily: a scan keeps its bound columns in cols and is only
+// marked sliceable, so the first operator that works piece-wise
+// (mapPieces) materializes the mat.slice instructions, while a consumer
+// that needs the whole relation (packed) takes the bound columns as-is
+// and scans nothing exploits never pay a slice/pack chain. A rel with a
+// nil schema is a bundle of aligned columns (partial aggregates) on its
+// way to packed.
 type rel struct {
 	schema algebra.Schema
 	cols   []int
@@ -101,22 +85,11 @@ type rel struct {
 	// lowering set it only when Partitions > 1, so every fan-out has at
 	// least two pieces.
 	sliceable bool
-	// morselable marks cols as a scan eligible for deferred morsel
-	// lowering (the morsel-mode analogue of sliceable).
-	morselable bool
-	// frag, when non-nil, is the open fragment cols live in.
-	frag *fragBuild
 }
 
+// partitioned reports the fan-out form: the relation is (or is about to
+// be) a sequence of slices rather than one set of packed columns.
 func (r rel) partitioned() bool { return r.parts != nil || r.sliceable }
-
-// morselish reports the morsel form (open fragment or a scan eligible
-// to open one).
-func (r rel) morselish() bool { return r.frag != nil || r.morselable }
-
-// fanned reports either fan-out form: the relation is (or is about to
-// be) a sequence of pieces rather than one set of packed columns.
-func (r rel) fanned() bool { return r.partitioned() || r.morselish() }
 
 // part views one slice of a partitioned rel as a packed rel.
 func (r rel) part(p int) rel { return rel{schema: r.schema, cols: r.parts[p]} }
@@ -127,25 +100,13 @@ func (r rel) part(p int) rel { return rel{schema: r.schema, cols: r.parts[p]} }
 // form under the given schema. A packed rel is its own single piece and
 // body runs once in place. A partitioned (or sliceable) rel is forced —
 // the mat.slice instructions are emitted now — and body runs once per
-// slice, in slice order. A morsel (or morselable) rel is forced — the
-// fragment is opened over the bound columns — and body runs once with
-// c.plan swapped to the fragment's plan, so every lowering helper
-// (applyFilter, exprVars, subgroupChain, ...) works unchanged inside
-// fragments. A piece reaches values of the outer plan through
-// importVar. Gathering the pieces back is packed's job, not this one's.
+// slice, in slice order. Every piece lives in the one plan, so a body
+// uses values built outside it (a hash table, a packed build column) as
+// they are. Gathering the pieces back is packed's job, not this one's.
 func (c *compiler) mapPieces(in rel, schema algebra.Schema, body func(piece rel) ([]int, error)) (rel, error) {
 	out := rel{schema: schema}
 	var err error
-	switch {
-	case in.morselish():
-		if in.frag == nil {
-			in = c.openFrag(in)
-		}
-		out.frag = in.frag
-		c.plan = in.frag.f.Plan
-		out.cols, err = body(in)
-		c.plan = in.frag.outer
-	case in.partitioned():
+	if in.partitioned() {
 		in = c.forcePartitioned(in)
 		out.parts = make([][]int, len(in.parts))
 		for p := range in.parts {
@@ -153,31 +114,10 @@ func (c *compiler) mapPieces(in rel, schema algebra.Schema, body func(piece rel)
 				break
 			}
 		}
-	default:
+	} else {
 		out.cols, err = body(in)
 	}
 	return out, err
-}
-
-// importVar makes a value of the outer plan (a hash table, a packed
-// build column) usable inside piece. Slices and packed relations live
-// in the outer plan, so the value is used as it is; a fragment receives
-// it as a capture (a Cap of the fragment, fed by the mat.morsel
-// instruction), deduplicated so a value used by several operators rides
-// in once.
-func (c *compiler) importVar(piece rel, outer int) int {
-	fb := piece.frag
-	if fb == nil {
-		return outer
-	}
-	if fv, ok := fb.capIdx[outer]; ok {
-		return fv
-	}
-	fv := fb.f.Plan.NewVar(fb.outer.VarType(outer))
-	fb.f.Caps = append(fb.f.Caps, fv)
-	fb.caps = append(fb.caps, outer)
-	fb.capIdx[outer] = fv
-	return fv
 }
 
 // forcePartitioned materializes the mitosis form: a lazily-sliceable
@@ -200,18 +140,14 @@ func (c *compiler) forcePartitioned(r rel) rel {
 }
 
 // packed is the one gather: a partitioned rel reassembles with one
-// mat.pack per column (mergetable), an open fragment closes into its
-// mat.morsel instruction. A lazily-sliceable or morselable scan is
-// already whole — its bound columns are returned directly, with no
-// instructions emitted — and packed input passes through untouched.
+// mat.pack per column (mergetable). A lazily-sliceable scan is already
+// whole — its bound columns are returned directly, with no instructions
+// emitted — and packed input passes through untouched.
 func (c *compiler) packed(r rel) rel {
 	out := rel{schema: r.schema}
-	switch {
-	case r.frag != nil:
-		out.cols = c.closeFrag(r.frag, r.cols)
-	case r.parts == nil:
+	if r.parts == nil {
 		out.cols = r.cols
-	default:
+	} else {
 		for i, v := range r.parts[0] {
 			args := make([]mal.Arg, len(r.parts))
 			for p := range r.parts {
@@ -226,62 +162,6 @@ func (c *compiler) packed(r rel) rel {
 type compiler struct {
 	plan *mal.Plan
 	opt  Options
-}
-
-// fragBuild accumulates one morsel fragment while operators lower into
-// it: f is the fragment under construction, outer the plan that will
-// carry its mat.morsel instruction, srcs/caps the OUTER plan variables
-// feeding its Params/Caps (in order), capIdx the capture dedup index.
-type fragBuild struct {
-	f      *mal.Fragment
-	outer  *mal.Plan
-	srcs   []int
-	caps   []int
-	capIdx map[int]int
-}
-
-// openFrag opens a fragment over a morselable scan: one fragment
-// parameter per bound column, typed like the outer variable.
-func (c *compiler) openFrag(r rel) rel {
-	fb := &fragBuild{f: &mal.Fragment{Plan: mal.NewPlan("")}, outer: c.plan, capIdx: map[int]int{}}
-	out := rel{schema: r.schema, frag: fb}
-	for _, v := range r.cols {
-		fv := fb.f.Plan.NewVar(c.plan.VarType(v))
-		fb.f.Params = append(fb.f.Params, fv)
-		fb.srcs = append(fb.srcs, v)
-		out.cols = append(out.cols, fv)
-	}
-	return out
-}
-
-// closeFrag registers the fragment with outs as its per-morsel exports
-// and emits the outer mat.morsel instruction:
-//
-//	rets := mat.morsel(fragID, nSrc, nCap, src..., cap...)
-//
-// returning one outer variable per export, holding the exports packed
-// across morsels in morsel order. A fragment can be closed only once.
-func (c *compiler) closeFrag(fb *fragBuild, outs []int) []int {
-	fb.f.Outs = append([]int(nil), outs...)
-	id := len(c.plan.Frags)
-	c.plan.Frags = append(c.plan.Frags, fb.f)
-	args := []mal.Arg{
-		c.plan.ConstOf(mal.Int64(int64(id))),
-		c.plan.ConstOf(mal.Int64(int64(len(fb.srcs)))),
-		c.plan.ConstOf(mal.Int64(int64(len(fb.caps)))),
-	}
-	for _, v := range fb.srcs {
-		args = append(args, mal.VarArg(v))
-	}
-	for _, v := range fb.caps {
-		args = append(args, mal.VarArg(v))
-	}
-	rets := make([]int, len(outs))
-	for i, fv := range outs {
-		rets[i] = c.plan.NewVar(fb.f.Plan.VarType(fv))
-	}
-	c.plan.Emit("mat", "morsel", rets, args...)
-	return rets
 }
 
 // operand is a compiled scalar-or-column expression: either a MAL
@@ -396,10 +276,6 @@ func (c *compiler) bindScan(s *algebra.Scan) rel {
 // take the bound columns directly with no mitosis overhead at all.
 func (c *compiler) lowerScan(s *algebra.Scan) rel {
 	base := c.bindScan(s)
-	if c.opt.Morsel {
-		base.morselable = true
-		return base
-	}
 	if c.opt.Partitions <= 1 {
 		return base
 	}
@@ -710,7 +586,7 @@ func constVal(o operand) storage.Val {
 // every probe piece imports the hash table and the packed build columns
 // and runs its own algebra.hashprobe + projections, so the probe phase
 // — where TPC-H-shaped plans spend their join time — spreads across the
-// dataflow workers or the morsel loop. Probe oids are piece-local, so
+// dataflow workers. Probe oids are piece-local, so
 // left columns project from the piece's own columns while build-side
 // oids project from the packed build columns. The per-piece outputs
 // concatenated in piece order equal the packed join's probe-order
@@ -730,26 +606,21 @@ func (c *compiler) lowerJoin(j *algebra.Join) (rel, error) {
 	}
 	r = c.packed(r)
 	hash := -1
-	if l.fanned() {
+	if l.partitioned() {
 		l = c.forcePartitioned(l) // slices, when still pending, precede the build
 		hash = c.plan.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(r.cols[j.RKey]))
 	}
 	return c.mapPieces(l, j.Schema(), func(lp rel) ([]int, error) {
-		build := rel{schema: r.schema, cols: make([]int, len(r.cols))}
-		hv := c.importVar(lp, hash) // still -1 for a packed probe side
-		for i, v := range r.cols {
-			build.cols[i] = c.importVar(lp, v)
-		}
 		lo := c.plan.NewVar(mal.TBATOID)
 		ro := c.plan.NewVar(mal.TBATOID)
 		if hash < 0 {
 			c.plan.Emit("algebra", "join", []int{lo, ro},
-				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(build.cols[j.RKey]))
+				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(r.cols[j.RKey]))
 		} else {
 			c.plan.Emit("algebra", "hashprobe", []int{lo, ro},
-				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(hv))
+				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(hash))
 		}
-		return append(c.projectAll(lp, lo).cols, c.projectAll(build, ro).cols...), nil
+		return append(c.projectAll(lp, lo).cols, c.projectAll(r, ro).cols...), nil
 	})
 }
 
@@ -785,9 +656,9 @@ func guarded(a algebra.AggSpec) bool {
 
 // lowerGroupAgg is the mergetable aggregation: a fanned-out input is
 // pre-aggregated piece by piece (aggregatePiece), the per-piece partials
-// are gathered (one mat.pack per partial column, or the fragment's
-// mat.morsel) and a combine stage recomputes the final aggregates over
-// the (tiny) packed partials (combinePartials). The merged grouping
+// are gathered (one mat.pack per partial column) and a combine stage
+// recomputes the final aggregates over the (tiny) packed partials
+// (combinePartials). The merged grouping
 // preserves the sequential plan's first-appearance group order, so
 // counts, min/max, integral sums and key columns are byte-identical to
 // the unpartitioned lowering; float sums re-associate the additions
@@ -799,7 +670,7 @@ func (c *compiler) lowerGroupAgg(g *algebra.GroupAgg) (rel, error) {
 	if err != nil {
 		return rel{}, err
 	}
-	if !in.fanned() || !mergeable(g.Aggs) {
+	if !in.partitioned() || !mergeable(g.Aggs) {
 		cols, err := c.aggregatePiece(g, c.packed(in), false)
 		return rel{schema: g.Schema(), cols: cols}, err
 	}
@@ -998,7 +869,7 @@ func (c *compiler) lowerDistinct(d *algebra.Distinct) (rel, error) {
 		return c.projectAll(piece, extents).cols, nil
 	}
 	local, err := c.mapPieces(in, in.schema, dedup)
-	if !in.fanned() {
+	if !in.partitioned() {
 		return local, err
 	}
 	return c.mapPieces(c.packed(local), in.schema, dedup)
@@ -1019,14 +890,6 @@ func (c *compiler) lowerSortTopK(s *algebra.Sort, topK int64) (rel, error) {
 	in, err := c.lower(s.Input)
 	if err != nil {
 		return rel{}, err
-	}
-	if in.morselish() {
-		// Sorting needs the whole relation: close the fragment (its
-		// packed output is in sequential row order, so results stay
-		// byte-identical) and hand the materialized columns to the
-		// static slice/sort/kmerge machinery unchanged.
-		in = c.packed(in)
-		in.sliceable = c.opt.Partitions > 1
 	}
 	if in.partitioned() {
 		return c.lowerMergedSort(s, c.forcePartitioned(in), topK), nil

@@ -35,34 +35,26 @@ func opcodeCounts(b *strings.Builder, label string, p *mal.Plan) {
 }
 
 // TestLoweringInventory pins what the lowering emits, as multisets: for
-// every statement × partitions {1, 2, 7, 64} × {static, morsel}, the
-// instruction count per opcode of the unoptimized plan, of the plan
-// after the default optimizer pipeline and of every morsel fragment. The golden was generated at the commit
-// before the per-piece lowering rewrite and must survive any refactor
-// of the compiler byte for byte; `go test ./internal/compiler -run
+// every statement × partitions {1, 2, 7, 64}, the instruction count per
+// opcode of the unoptimized plan and of the plan after the default
+// optimizer pipeline. The golden was generated at the commit before the
+// per-piece lowering rewrite and must survive any refactor of the
+// compiler byte for byte; `go test ./internal/compiler -run
 // TestLoweringInventory -update` regenerates it when a lowering change
-// is intended.
+// is intended. Every section is headed "| static", the name of the one
+// lowering.
 func TestLoweringInventory(t *testing.T) {
 	var b strings.Builder
 	for _, q := range tpch.SweepQueries() {
 		for _, parts := range []int{1, 2, 7, 64} {
-			for _, morsel := range []bool{false, true} {
-				mode := "static"
-				if morsel {
-					mode = "morsel"
-				}
-				fmt.Fprintf(&b, "== %s | partitions=%d | %s\n", q, parts, mode)
-				plan := compileQuery(t, q, Options{Partitions: parts, Morsel: morsel})
-				opcodeCounts(&b, "unoptimized", plan)
-				opt, _, err := optimizer.Default().Run(plan)
-				if err != nil {
-					t.Fatalf("%s: optimize: %v", q, err)
-				}
-				opcodeCounts(&b, "optimized", opt)
-				for i, f := range plan.Frags {
-					opcodeCounts(&b, fmt.Sprintf("fragment %d", i), f.Plan)
-				}
+			fmt.Fprintf(&b, "== %s | partitions=%d | static\n", q, parts)
+			plan := compileQuery(t, q, Options{Partitions: parts})
+			opcodeCounts(&b, "unoptimized", plan)
+			opt, _, err := optimizer.Default().Run(plan)
+			if err != nil {
+				t.Fatalf("%s: optimize: %v", q, err)
 			}
+			opcodeCounts(&b, "optimized", opt)
 		}
 	}
 	path := filepath.Join("testdata", "lowering_inventory.golden")

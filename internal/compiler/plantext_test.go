@@ -45,35 +45,29 @@ func planTextDigests(t *testing.T, b *strings.Builder, label string, p *mal.Plan
 
 // TestPlanTextGolden pins the bytes of every plan rendering a client can
 // see — the MAL listing and the dot export, of the unoptimized and the
-// optimized plan — for every sweep statement × partitions {1, 2, 7, 64} ×
-// {static, morsel}, and for the four ad hoc shapes at 64 partitions. The
-// golden was generated once, before the in-memory plan format changed,
-// and is never regenerated: a difference here is a change in output.
+// optimized plan — for every sweep statement × partitions {1, 2, 7, 64},
+// and for the four ad hoc shapes at 64 partitions. The golden was
+// generated once, before the in-memory plan format changed, and is never
+// regenerated: a difference here is a change in output. Every section is
+// headed "| static", the name of the one lowering.
 func TestPlanTextGolden(t *testing.T) {
 	type run struct {
-		q      string
-		parts  int
-		morsel bool
+		q     string
+		parts int
 	}
 	var runs []run
 	for _, q := range tpch.SweepQueries() {
 		for _, parts := range []int{1, 2, 7, 64} {
-			for _, morsel := range []bool{false, true} {
-				runs = append(runs, run{q, parts, morsel})
-			}
+			runs = append(runs, run{q, parts})
 		}
 	}
 	for _, q := range adhocShapes {
-		runs = append(runs, run{q, 64, false})
+		runs = append(runs, run{q, 64})
 	}
 	var b strings.Builder
 	for _, r := range runs {
-		mode := "static"
-		if r.morsel {
-			mode = "morsel"
-		}
-		fmt.Fprintf(&b, "== %s | partitions=%d | %s\n", r.q, r.parts, mode)
-		plan := compileQuery(t, r.q, Options{Partitions: r.parts, Morsel: r.morsel})
+		fmt.Fprintf(&b, "== %s | partitions=%d | static\n", r.q, r.parts)
+		plan := compileQuery(t, r.q, Options{Partitions: r.parts})
 		opt, _, err := optimizer.Default().Run(plan)
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", r.q, err)

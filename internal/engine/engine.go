@@ -62,10 +62,10 @@ type KernelPanic struct {
 
 func (p *KernelPanic) Error() string { return fmt.Sprintf("kernel panic: %v", p.Value) }
 
-// callKernel runs k and contains a panic as a *KernelPanic. Both places
-// that invoke kernels — exec, on the run's goroutine or a dataflow
-// worker, and the morsel loop, on its helper goroutines — go through
-// it; each wraps the error with the pc and opcode it was running.
+// callKernel runs k and contains a panic as a *KernelPanic. exec, the
+// one place that invokes kernels (on the run's goroutine or a dataflow
+// worker), goes through it and wraps the error with the pc and opcode it
+// was running.
 func callKernel(k Kernel, ctx *Context, in *mal.Instr) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -93,7 +93,7 @@ type Engine struct {
 	regMu    sync.RWMutex
 	registry map[*mal.Opcode]Kernel
 
-	// met holds the scheduler/morsel metric cells when a registry is
+	// met holds the scheduler metric cells when a registry is
 	// attached via SetMetrics; nil otherwise. The in-flight progress
 	// table (progress.go) is always on.
 	met      *engineMetrics
@@ -162,20 +162,16 @@ func (e *Engine) resolve(plan *mal.Plan) ([]Kernel, error) {
 // Options controls one plan execution.
 type Options struct {
 	// Workers is the dataflow parallelism; <= 1 selects sequential
-	// interpretation (every instruction on thread 0). Morsel fragments
-	// (mat.morsel) also fan out across this many pulling workers.
+	// interpretation (every instruction on thread 0).
 	Workers int
-	// MorselRows is the morsel size mat.morsel instructions use; <= 0
-	// selects DefaultMorselRows. Plans without fragments ignore it.
-	// runner.Prepare sizes it with adaptive.MorselRowsFor; tests pin it.
-	MorselRows int
 	// Emit, when set, receives result batches as the run produces them.
-	// On a streamable plan (every result column computed by one
-	// mat.morsel instruction) Emit is called once per non-empty morsel,
-	// in morsel order, while the run is still executing; otherwise it
-	// is called exactly once with the final result. The BATs passed are
-	// owned by the run — consume or copy before returning. An Emit
-	// error aborts the run.
+	// On a streamable plan (every result column a mat.pack of the same
+	// P parts) Emit is called once per non-empty part, in part order,
+	// as soon as that part and the ones before it are complete, while
+	// the run is still executing; otherwise it is called exactly once
+	// with the final result. The BATs passed are pinned, so they stay
+	// valid after Emit returns, but they are never copied: read them,
+	// do not write them. An Emit error aborts the run.
 	Emit func(names []string, cols []*storage.BAT) error
 	// Profiler, when set, receives start/done events per instruction.
 	Profiler *profiler.Profiler
@@ -195,25 +191,16 @@ type Context struct {
 	// (Plan.Readers) and drops as each reading instruction finishes, and
 	// at zero the slot is cleared and its value released, returning a
 	// recycled BAT array to the storage free list (retire). The debugger
-	// and morsel fragment contexts have no left and keep every slot.
+	// has no left and keeps every slot.
 	vals    []mal.Value
 	left    []atomic.Int32
 	mu      sync.Mutex // guards results
 	results []*Result
 	final   *Result
 
-	// Morsel execution state (see morsel.go): the run's context so
-	// morsel workers observe cancellation between morsels, the
-	// worker/morsel-size options, and — when a streaming sink is
-	// attached — the emission plumbing resolved by streamInfo.
-	cctx       context.Context
-	workers    int
-	morselRows int
-	emit       func(names []string, cols []*storage.BAT) error
-	streamPC   int
-	emitNames  []string
-	emitOrder  []int
-	streamed   atomic.Bool
+	// stream emits the result's parts while the run executes (emit.go);
+	// nil when there is no Emit or the plan does not stream.
+	stream *partStream
 
 	// prog is the run's live progress entry; nil for contexts built
 	// outside RunContext (the debugger), whose updates then no-op.
@@ -332,10 +319,6 @@ func (e *Engine) RunContext(cctx context.Context, plan *mal.Plan, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	ctx.cctx = cctx
-	ctx.workers = opt.Workers
-	ctx.morselRows = opt.MorselRows
-	ctx.streamPC = -1
 	ctx.left = make([]atomic.Int32, len(plan.Vars))
 	for v, n := range plan.Readers() {
 		ctx.left[v].Store(n)
@@ -346,8 +329,7 @@ func (e *Engine) RunContext(cctx context.Context, plan *mal.Plan, opt Options) (
 	ctx.prog = e.beginProgress(opt.Label, len(plan.Instrs))
 	defer e.endProgress(ctx.prog)
 	if opt.Emit != nil {
-		ctx.emit = opt.Emit
-		ctx.streamPC, ctx.emitOrder, ctx.emitNames = streamInfo(plan)
+		ctx.stream = newPartStream(plan, opt.Emit)
 	}
 	if opt.Profiler != nil {
 		opt.Profiler.Reset()
@@ -360,9 +342,9 @@ func (e *Engine) RunContext(cctx context.Context, plan *mal.Plan, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	// Non-streamable plans (and plans without fragments) still serve a
-	// streaming consumer: one batch, the final result.
-	if opt.Emit != nil && !ctx.streamed.Load() && ctx.final != nil {
+	// Plans that do not stream still serve a streaming consumer: one
+	// batch, the final result.
+	if opt.Emit != nil && ctx.stream == nil && ctx.final != nil {
 		if err := opt.Emit(ctx.final.Names, ctx.final.Cols); err != nil {
 			return nil, fmt.Errorf("engine: emit: %w", err)
 		}
@@ -381,7 +363,9 @@ func (e *Engine) newContext(plan *mal.Plan) (*Context, error) {
 }
 
 // exec runs one instruction on the given logical thread, with profiling
-// and metrics/progress accounting.
+// and metrics/progress accounting. It is where the sequential walker and
+// the dataflow scheduler both finish an instruction, so it also hands a
+// streaming run's completed result parts to Emit.
 func (e *Engine) exec(ctx *Context, in *mal.Instr, thread int, prof *profiler.Profiler) error {
 	k := ctx.kernels[in.PC]
 	var span profiler.Span
@@ -404,6 +388,11 @@ func (e *Engine) exec(ctx *Context, in *mal.Instr, thread int, prof *profiler.Pr
 	}
 	if err != nil {
 		return fmt.Errorf("engine: pc=%d %s: %w", in.PC, in.Name(), err)
+	}
+	if ctx.stream != nil {
+		if err := ctx.stream.done(ctx, in); err != nil {
+			return fmt.Errorf("engine: emit: %w", err)
+		}
 	}
 	return nil
 }

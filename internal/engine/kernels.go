@@ -25,7 +25,6 @@ func registerKernels(e *Engine) {
 	e.Register("mat", "slice", kMatSlice)
 	e.Register("mat", "pack", kMatPack)
 	e.Register("mat", "kmerge", kKMerge)
-	e.Register("mat", "morsel", kMorsel)
 
 	e.Register("algebra", "thetaselect", kThetaSelect)
 	e.Register("algebra", "select", kRangeSelect)

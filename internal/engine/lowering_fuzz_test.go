@@ -11,12 +11,10 @@ import (
 )
 
 // FuzzLowerModes: any text that parses and binds against the TPC-H
-// schema lowers in every form — sequentially, at 7 mitosis partitions
-// and as morsel fragments — without panicking, to a plan that validates
-// (fragments have no Validate of their own: the morsel loop assigns
-// their parameters) and whose every opcode, in the outer plan and in each fragment, has a
-// registered kernel. Seeded from the bundled queries and the lowering
-// edge shapes.
+// schema lowers in every form — sequentially and at 7 mitosis
+// partitions — without panicking, to a plan that validates and whose
+// every opcode has a registered kernel. Seeded from the bundled queries
+// and the lowering edge shapes.
 func FuzzLowerModes(f *testing.F) {
 	for _, q := range tpch.SweepQueries() {
 		f.Add(q)
@@ -31,7 +29,7 @@ func FuzzLowerModes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, opt := range []compiler.Options{{}, {Partitions: 7}, {Morsel: true}, {Partitions: 7, Morsel: true}} {
+		for _, opt := range []compiler.Options{{}, {Partitions: 7}} {
 			// Bind per form: GroupAgg memoizes its schema on the tree.
 			tree, err := algebra.Bind(stmt, cat)
 			if err != nil {
@@ -46,11 +44,6 @@ func FuzzLowerModes(f *testing.F) {
 			}
 			if _, err := eng.resolve(plan); err != nil {
 				t.Fatalf("%q %+v: %v", text, opt, err)
-			}
-			for i, fr := range plan.Frags {
-				if _, err := eng.resolve(fr.Plan); err != nil {
-					t.Fatalf("%q %+v: fragment %d: %v", text, opt, i, err)
-				}
 			}
 		}
 	})

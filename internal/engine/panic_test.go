@@ -13,8 +13,7 @@ import (
 )
 
 // TestKernelPanicIsContained: a kernel that panics — on the run's own
-// goroutine, on a dataflow worker or on a morsel helper goroutine —
-// costs that run an error naming the pc and opcode (stack in the
+// goroutine or on a dataflow worker — costs that run an error naming the pc and opcode (stack in the
 // wrapped *KernelPanic, not in the one-line message), and the engine,
 // its progress table and its metrics keep serving.
 func TestKernelPanicIsContained(t *testing.T) {
@@ -39,18 +38,13 @@ func TestKernelPanicIsContained(t *testing.T) {
 		name string
 		plan *mal.Plan
 		opt  Options
-		// where the panic must be reported: the opcode's own pc in the
-		// outer plan, or the mat.morsel instruction plus the fragment pc.
+		// where the panic must be reported: the opcode's own pc.
 		want []string
 	}{
 		{"sequential", compile(compiler.Options{}), Options{Workers: 1},
 			[]string{"engine: pc=", " algebra.thetaselect: kernel panic: boom"}},
 		{"dataflow", compile(compiler.Options{Partitions: 4}), Options{Workers: 4},
 			[]string{"engine: pc=", " algebra.thetaselect: kernel panic: boom"}},
-		// 5 rows in morsels of 2: three morsels, so the fragment runs on
-		// helper goroutines rather than inline.
-		{"morsel", compile(compiler.Options{Morsel: true}), Options{Workers: 4, MorselRows: 2},
-			[]string{"engine: pc=", " mat.morsel: morsel ", ": fragment pc=", " algebra.thetaselect: kernel panic: boom"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,10 +1,8 @@
-// Engine observability: the metric cells the scheduler and the morsel
-// kernel feed, and the live per-run progress table — the paper's
-// "watch the running query" idea applied to the morsel engine. Progress
-// is fed by the morsel cursor (rows scanned / total driver rows,
-// morsels done / total) and by instruction completion, all plain atomic
-// adds on pre-registered cells, so leaving it on costs a few nanoseconds
-// per instruction and per morsel.
+// Engine observability: the metric cells the scheduler feeds, and the
+// live per-run progress table — the paper's "watch the running query"
+// idea applied to the engine. Progress is fed by instruction
+// completion, a plain atomic add, so leaving it on costs a few
+// nanoseconds per instruction.
 package engine
 
 import (
@@ -21,14 +19,12 @@ import (
 // *engineMetrics (no registry attached) costs one nil check per update
 // site; individual cells are additionally nil-safe.
 type engineMetrics struct {
-	reg            *metrics.Registry
-	runs           *metrics.Counter
-	steals         *metrics.Counter
-	parks          *metrics.Counter
-	morselsClaimed *metrics.Counter
-	morselRows     *metrics.Counter
-	dequeHW        *metrics.Gauge
-	instrUs        *metrics.Histogram
+	reg     *metrics.Registry
+	runs    *metrics.Counter
+	steals  *metrics.Counter
+	parks   *metrics.Counter
+	dequeHW *metrics.Gauge
+	instrUs *metrics.Histogram
 
 	mu      sync.Mutex
 	workers []*metrics.Counter // per-worker instruction counters, grown on demand
@@ -42,14 +38,12 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 		return
 	}
 	em := &engineMetrics{
-		reg:            reg,
-		runs:           reg.Counter("stetho_engine_runs_total"),
-		steals:         reg.Counter("stetho_engine_steals_total"),
-		parks:          reg.Counter("stetho_engine_parks_total"),
-		morselsClaimed: reg.Counter("stetho_engine_morsels_claimed_total"),
-		morselRows:     reg.Counter("stetho_engine_morsel_rows_scanned_total"),
-		dequeHW:        reg.Gauge("stetho_engine_deque_depth_highwater"),
-		instrUs:        reg.Histogram("stetho_engine_instr_duration_us", nil),
+		reg:     reg,
+		runs:    reg.Counter("stetho_engine_runs_total"),
+		steals:  reg.Counter("stetho_engine_steals_total"),
+		parks:   reg.Counter("stetho_engine_parks_total"),
+		dequeHW: reg.Gauge("stetho_engine_deque_depth_highwater"),
+		instrUs: reg.Histogram("stetho_engine_instr_duration_us", nil),
 	}
 	reg.GaugeFunc("stetho_engine_queries_inflight", e.InFlight)
 	e.met = em
@@ -80,21 +74,15 @@ func (m *engineMetrics) workerCounter(i int) *metrics.Counter {
 	return m.workers[i]
 }
 
-// runProgress is the live state of one in-flight run. Counters only
-// increase; totals are added when the work they cover is discovered
-// (instruction total at run start, morsel/row totals when a mat.morsel
-// instruction sizes its cursor), so done never exceeds the
-// corresponding total.
+// runProgress is the live state of one in-flight run. The total is set
+// at run start and the done count only increases, so it never exceeds
+// the total.
 type runProgress struct {
-	id           int64
-	label        string
-	started      time.Time
-	instrTotal   int64
-	instrDone    atomic.Int64
-	rowsTotal    atomic.Int64
-	rowsScanned  atomic.Int64
-	morselsTotal atomic.Int64
-	morselsDone  atomic.Int64
+	id         int64
+	label      string
+	started    time.Time
+	instrTotal int64
+	instrDone  atomic.Int64
 }
 
 func (p *runProgress) instrFinished() {
@@ -103,26 +91,8 @@ func (p *runProgress) instrFinished() {
 	}
 }
 
-// addMorselWork publishes a fragment's cursor dimensions when the
-// mat.morsel instruction starts.
-func (p *runProgress) addMorselWork(rows, morsels int64) {
-	if p != nil {
-		p.rowsTotal.Add(rows)
-		p.morselsTotal.Add(morsels)
-	}
-}
-
-// morselFinished records one claimed morsel's completion.
-func (p *runProgress) morselFinished(rows int64) {
-	if p != nil {
-		p.rowsScanned.Add(rows)
-		p.morselsDone.Add(1)
-	}
-}
-
-// QueryProgress is a point-in-time view of one in-flight run. Row and
-// morsel figures cover mat.morsel fragments (zero for plans without
-// fragments); instruction figures cover the outer plan.
+// QueryProgress is a point-in-time view of one in-flight run:
+// instructions completed out of the plan's total.
 type QueryProgress struct {
 	ID      int64
 	Label   string
@@ -131,24 +101,11 @@ type QueryProgress struct {
 
 	InstrDone  int64
 	InstrTotal int64
-
-	RowsScanned int64
-	RowsTotal   int64
-
-	MorselsDone  int64
-	MorselsTotal int64
 }
 
-// Fraction estimates completion in [0,1]: rows scanned over driver rows
-// when the run has morsel work, otherwise instructions completed.
+// Fraction estimates completion in [0,1]: instructions completed over
+// the plan's total.
 func (p QueryProgress) Fraction() float64 {
-	if p.RowsTotal > 0 {
-		f := float64(p.RowsScanned) / float64(p.RowsTotal)
-		if f > 1 {
-			f = 1
-		}
-		return f
-	}
 	if p.InstrTotal > 0 {
 		return float64(p.InstrDone) / float64(p.InstrTotal)
 	}
@@ -196,16 +153,12 @@ func (e *Engine) Progress() []QueryProgress {
 	now := time.Now()
 	for _, p := range runs {
 		out = append(out, QueryProgress{
-			ID:           p.id,
-			Label:        p.label,
-			Started:      p.started,
-			Elapsed:      now.Sub(p.started),
-			InstrDone:    p.instrDone.Load(),
-			InstrTotal:   p.instrTotal,
-			RowsScanned:  p.rowsScanned.Load(),
-			RowsTotal:    p.rowsTotal.Load(),
-			MorselsDone:  p.morselsDone.Load(),
-			MorselsTotal: p.morselsTotal.Load(),
+			ID:         p.id,
+			Label:      p.label,
+			Started:    p.started,
+			Elapsed:    now.Sub(p.started),
+			InstrDone:  p.instrDone.Load(),
+			InstrTotal: p.instrTotal,
 		})
 	}
 	return out

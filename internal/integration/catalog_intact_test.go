@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"stethoscope/internal/adaptive"
 	"stethoscope/internal/engine"
 	"stethoscope/internal/optimizer"
 	"stethoscope/internal/planner"
@@ -22,29 +23,39 @@ import (
 // intermediates and results can alias the catalog's own arrays. Every
 // catalog column is checksummed, every sweep statement runs over that
 // catalog in every lowering (sequential, static mitosis at 7 and 64
-// partitions, morsel fragments of 64 rows) with its result rendered, and
-// every checksum must come out as it went in.
+// partitions) with its result rendered — and streamed, as DB.Stream runs
+// it, at 7 and Auto partitions with every batch rendered while the run
+// goes on — and every checksum must come out as it went in.
 func TestSweepsLeaveCatalogIntact(t *testing.T) {
 	cat := loadCatalog(t, 0.005, 42)
 	before := catalogSums(t, cat)
 	pipeline := optimizer.Default()
 	pl := planner.Planner{Cat: cat, Pipeline: pipeline, PassSpec: pipeline.Spec()}
 	modes := []struct {
-		name        string
-		parts, rows int
+		name   string
+		parts  int
+		stream bool
 	}{
-		{"sequential", 1, 0},
-		{"partitions=7", 7, 0},
-		{"partitions=64", 64, 0},
-		{"morsel=64", 1, 64},
+		{"sequential", 1, false},
+		{"partitions=7", 7, false},
+		{"partitions=64", 64, false},
+		{"stream,partitions=7", 7, true},
+		{"stream,partitions=auto", adaptive.Auto, true},
 	}
 	for _, q := range tpch.SweepQueries() {
 		for _, m := range modes {
-			c, err := pl.Compile(q, m.parts, m.rows > 0)
+			c, err := pl.Compile(q, m.parts, false)
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", q, m.name, err)
 			}
-			res, err := engine.New(cat).Run(c.Plan, engine.Options{Workers: 4, MorselRows: m.rows})
+			opt := engine.Options{Workers: 4}
+			if m.stream {
+				opt.Emit = func(names []string, cols []*storage.BAT) error {
+					_, err := storage.WriteText(io.Discard, names, cols, cols[0].Len(), '\t')
+					return err
+				}
+			}
+			res, err := engine.New(cat).Run(c.Plan, opt)
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", q, m.name, err)
 			}

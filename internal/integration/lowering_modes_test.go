@@ -12,12 +12,12 @@ import (
 )
 
 // TestLoweringModesAgree: every statement of the lowering sweep (the
-// tpch.SweepQueries) renders the same table whatever
-// form the compiler lowers it in — sequential, static mitosis at 2, 7,
-// 64 and 2000 partitions (more slices than most tables have rows),
-// and — below the facade, as DB.Stream is the only caller that lowers
-// to them — morsel fragments at 64 rows and Auto, and morsel fragments
-// with partitioned sorts; the fan-outs on 4 workers.
+// tpch.SweepQueries) renders the same table whatever form the compiler
+// lowers it in — sequential, static mitosis at 2, 7, 64 and 2000
+// partitions (more slices than most tables have rows) — and whichever
+// entry point runs it: DB.Stream at 7, 64 and Auto partitions, whose
+// text must equal DB.Exec's at the same settings byte for byte, since
+// it runs the same plan. The fan-outs run on 4 workers.
 //
 // There is exactly one exception, stated here and nowhere else: a sum
 // over a float column adds one partial per piece, so its additions
@@ -35,7 +35,6 @@ func TestLoweringModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	cat := loadCatalog(t, 0.005, 42)
 
 	table := func(q string, parts, workers int) string {
 		t.Helper()
@@ -52,8 +51,20 @@ func TestLoweringModesAgree(t *testing.T) {
 	static := func(parts int) func(q string) string {
 		return func(q string) string { return table(q, parts, 4) }
 	}
-	morsel := func(parts, rows int) func(q string) string {
-		return func(q string) string { return morselTable(t, cat, q, parts, rows, 4) }
+	// stream drains DB.Stream and checks its text against DB.Exec's at
+	// the same settings.
+	stream := func(parts int) func(q string) string {
+		return func(q string) string {
+			t.Helper()
+			got, err := streamText(ctx, db, q, stethoscope.ExecPartitions(parts), stethoscope.ExecWorkers(4))
+			if err != nil {
+				t.Fatalf("%s: Stream: %v", q, err)
+			}
+			if want := table(q, parts, 4); got != want {
+				t.Errorf("%s [stream,partitions=%d]: text differs from Exec's\n got: %q\nwant: %q", q, parts, got, want)
+			}
+			return got
+		}
 	}
 	modes := []struct {
 		name string
@@ -63,9 +74,9 @@ func TestLoweringModesAgree(t *testing.T) {
 		{"partitions=7", static(7)},
 		{"partitions=64", static(64)},
 		{"partitions=2000", static(2000)},
-		{"morsel=64", morsel(1, 64)},
-		{"morsel=auto", morsel(1, stethoscope.Auto)},
-		{"morsel=64,partitions=7", morsel(7, 64)},
+		{"stream,partitions=7", stream(7)},
+		{"stream,partitions=64", stream(64)},
+		{"stream,partitions=auto", stream(stethoscope.Auto)},
 	}
 
 	for _, q := range tpch.SweepQueries() {

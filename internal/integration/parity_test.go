@@ -18,10 +18,8 @@ import (
 // must leave exactly one record whose metadata (partitions, workers,
 // instructions, auto, tune reason) and cache_hit match field for field.
 // All settings are Auto so the tuning fields are exercised. DB.Stream
-// lowers to morsel fragments, whose geometry decides how float sums
-// re-associate: its text must match the auto-sized morsel lowering run
-// below the facade byte for byte, matches Exec up to
-// TestLoweringModesAgree's one exception, and is never recorded.
+// runs the plan Exec runs, so its text equals Exec's byte for byte too
+// (float sums included); it is never recorded.
 func TestEntryPointParity(t *testing.T) {
 	ctx := context.Background()
 	db, err := stethoscope.Open(
@@ -32,7 +30,6 @@ func TestEntryPointParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	cat := loadCatalog(t, 0.005, 42)
 	srv, err := db.Serve(ctx, "parity", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -105,18 +102,9 @@ func TestEntryPointParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s via %s: %v", id, e.name, err)
 			}
-			if e.name == "Stream" {
-				if want := morselTable(t, cat, q, stethoscope.Auto, stethoscope.Auto, 1); text != want {
-					t.Errorf("%s via Stream: result text differs from the auto-sized morsel lowering:\n%s\nwant:\n%s", id, text, want)
-				}
-			}
 			switch {
 			case i == 0:
 				wantText = text
-			case e.name == "Stream" && strings.Contains(q, "sum("):
-				if why := sameUpToFloatSums(text, wantText); why != "" {
-					t.Errorf("%s via %s: %s", id, e.name, why)
-				}
 			case text != wantText:
 				t.Errorf("%s via %s: result text differs from %s:\n%s\nwant:\n%s", id, e.name, entries[0].name, text, wantText)
 			}
@@ -153,8 +141,8 @@ func TestEntryPointParity(t *testing.T) {
 
 // streamText drains DB.Stream into the tab-separated text WriteTable
 // and the wire protocol produce.
-func streamText(ctx context.Context, db *stethoscope.DB, q string) (string, error) {
-	it, err := db.Stream(ctx, q)
+func streamText(ctx context.Context, db *stethoscope.DB, q string, opts ...stethoscope.ExecOption) (string, error) {
+	it, err := db.Stream(ctx, q, opts...)
 	if err != nil {
 		return "", err
 	}

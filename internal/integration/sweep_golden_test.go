@@ -11,42 +11,11 @@ import (
 	"testing"
 
 	"stethoscope"
-	"stethoscope/internal/adaptive"
-	"stethoscope/internal/engine"
-	"stethoscope/internal/optimizer"
-	"stethoscope/internal/planner"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata goldens")
-
-// morselTable renders q under the morsel lowering — the one DB.Stream
-// runs — below the facade, which never lowers an Exec that way: compiled
-// at parts partitions (which only sorts use) and run with rows-row
-// morsels on workers workers. rows == adaptive.Auto sizes the morsel the
-// way Stream does.
-func morselTable(t *testing.T, cat *storage.Catalog, q string, parts, rows, workers int) string {
-	t.Helper()
-	pipeline := optimizer.Default()
-	pl := planner.Planner{Cat: cat, Pipeline: pipeline, PassSpec: pipeline.Spec()}
-	c, err := pl.Compile(q, parts, true)
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
-	}
-	if rows == adaptive.Auto {
-		rows, _ = adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
-	}
-	res, err := engine.New(cat).Run(c.Plan, engine.Options{Workers: workers, MorselRows: rows})
-	if err != nil {
-		t.Fatalf("%s [morsel=%d]: %v", q, rows, err)
-	}
-	var sb strings.Builder
-	if _, err := res.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
 
 // loadCatalog generates the catalog stethoscope.Open builds for sf and
 // seed.
@@ -61,8 +30,8 @@ func loadCatalog(t *testing.T, sf float64, seed uint64) *storage.Catalog {
 
 // TestSweepResultGolden pins the bytes of every sweep statement's
 // result — length and SHA-256 of Result.WriteTable — at SF 0.01 under
-// the sequential lowering, static mitosis at 7 and 64 partitions and
-// morsel fragments of 64 rows. TestLoweringModesAgree compares the
+// the sequential lowering and static mitosis at 7 and 64 partitions.
+// TestLoweringModesAgree compares the
 // modes with each other; this compares each of them with a file, so a
 // kernel change that moves every mode the same way (a different oid
 // order within a join key, a float sum accumulated in another row
@@ -77,7 +46,6 @@ func TestSweepResultGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	cat := loadCatalog(t, 0.01, 42)
 
 	exec := func(parts int) func(q string) string {
 		return func(q string) string {
@@ -99,7 +67,6 @@ func TestSweepResultGolden(t *testing.T) {
 		{"sequential", exec(1)},
 		{"partitions=7", exec(7)},
 		{"partitions=64", exec(64)},
-		{"morsel=64", func(q string) string { return morselTable(t, cat, q, 1, 64, 1) }},
 	}
 	var got strings.Builder
 	for i, q := range tpch.SweepQueries() {

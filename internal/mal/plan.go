@@ -62,11 +62,6 @@ type Plan struct {
 	Consts []Value
 	Instrs []*Instr
 
-	// Frags are the morsel fragments referenced by mat.morsel
-	// instructions, indexed by fragment id. Fragments are immutable
-	// once the compiler finishes; optimizer clones share them.
-	Frags []*Fragment
-
 	// constIdx deduplicates ConstOf; built lazily, so clones start
 	// without one.
 	constIdx map[constKey]Arg
@@ -108,28 +103,6 @@ type stmtMemo struct {
 
 // NewPlan returns an empty plan for the given source query text.
 func NewPlan(query string) *Plan { return &Plan{Query: query} }
-
-// Fragment is a per-morsel sub-plan: the instruction chain a morsel
-// worker runs over one slice of the driver table (filter, project,
-// hash-probe, partial aggregate) before the combine stage materializes.
-// Fragments are referenced from the outer plan by a mat.morsel
-// instruction carrying the fragment id as its first constant argument.
-//
-// A fragment's variable table is separate from the outer plan's.
-// Params and Caps are fragment variable ids with no defining
-// instruction — the morsel scheduler presets them before running the
-// fragment's instructions: Params receive the current morsel's slice of
-// each source column (in the morsel instruction's source-argument
-// order), Caps receive whole outer values captured once per run (hash
-// tables, packed build sides). Outs are the fragment variables exported
-// per morsel; the scheduler packs them across morsels, in morsel order,
-// into the morsel instruction's return variables.
-type Fragment struct {
-	Plan   *Plan
-	Params []int
-	Caps   []int
-	Outs   []int
-}
 
 // NewVar appends a fresh variable of type t and returns its index. The
 // variable is named X_<index> in MAL notation.
@@ -437,15 +410,6 @@ func (p *Plan) String() string {
 		b = append(p.appendStmt(b, in), '\n')
 	}
 	b = append(b, "end user.main;\n"...)
-	for id, f := range p.Frags {
-		b = fmt.Appendf(b, "fragment %d (params=%d, caps=%d, outs=%d);\n",
-			id, len(f.Params), len(f.Caps), len(f.Outs))
-		for _, in := range f.Plan.Instrs {
-			b = append(b, "    "...)
-			b = append(f.Plan.appendStmt(b, in), '\n')
-		}
-		b = fmt.Appendf(b, "end fragment %d;\n", id)
-	}
 	return string(b)
 }
 
@@ -454,7 +418,7 @@ func (p *Plan) String() string {
 // and the variable and constant tables are copied to their length.
 // Optimizer passes operate on clones so the unoptimized plan remains
 // available for side-by-side display, and the optimizer's result is a
-// clone of what the passes kept. Fragments are immutable and shared.
+// clone of what the passes kept.
 func (p *Plan) Clone() *Plan {
 	nArgs, nRets := 0, 0
 	for _, in := range p.Instrs {
@@ -466,7 +430,6 @@ func (p *Plan) Clone() *Plan {
 		Vars:   slices.Clip(slices.Clone(p.Vars)),
 		Consts: slices.Clip(slices.Clone(p.Consts)),
 		Instrs: make([]*Instr, len(p.Instrs)),
-		Frags:  slices.Clip(slices.Clone(p.Frags)),
 	}
 	instrs := make([]Instr, len(p.Instrs))
 	args := make([]Arg, 0, nArgs)
@@ -487,9 +450,9 @@ func (p *Plan) Clone() *Plan {
 
 // Bytes is the plan's resident size, computed by arithmetic the way
 // storage.BAT.FootprintBytes is: the plan header, the variable and
-// constant tables, every instruction with its operands and results, the
-// fragments the plan holds and, once CachedStmt and Readers have built
-// them, the statement memo and the read counts. Size-class rounding is
+// constant tables, every instruction with its operands and results and,
+// once CachedStmt and Readers have built them, the statement memo and
+// the read counts. Size-class rounding is
 // not counted.
 func (p *Plan) Bytes() int64 {
 	n := int64(unsafe.Sizeof(*p)) +
@@ -503,10 +466,6 @@ func (p *Plan) Bytes() int64 {
 	for _, in := range p.Instrs {
 		n += int64(unsafe.Sizeof(*in)) + int64(cap(in.Args))*int64(unsafe.Sizeof(Arg(0))) +
 			int64(cap(in.Rets))*int64(unsafe.Sizeof(int(0)))
-	}
-	for _, f := range p.Frags {
-		n += int64(unsafe.Sizeof(*f)) + f.Plan.Bytes() +
-			int64(cap(f.Params)+cap(f.Caps)+cap(f.Outs))*int64(unsafe.Sizeof(int(0)))
 	}
 	p.memoMu.Lock()
 	n += p.memoBytes

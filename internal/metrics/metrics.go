@@ -2,8 +2,8 @@
 // typed, always-on metrics with an allocation-free hot path. The paper
 // observes query execution through per-run traces; this package is the
 // complementary whole-process view — counters, gauges, and fixed-bucket
-// latency histograms that the scheduler, the morsel cursor, the plan
-// cache, the stores, and the server all feed while serving, cheap
+// latency histograms that the scheduler, the plan cache, the stores,
+// and the server all feed while serving, cheap
 // enough to leave on in production.
 //
 // Concurrency contract: every mutation (Counter.Inc/Add, Gauge.Set/Add/

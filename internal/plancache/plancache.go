@@ -43,10 +43,6 @@ type Key struct {
 	// (stethoscope.Auto) as its own key value: its resolution is
 	// deterministic per catalog and lives in Entry.Partitions.
 	Partitions int
-	// Morsel selects the morsel-driven lowering (DB.Stream's), which
-	// emits a different plan shape (fragments + mat.morsel) than the
-	// static mitosis lowering for the same SQL and partition count.
-	Morsel bool
 	// Passes names the optimizer pipeline, e.g. "cse,deadcode".
 	Passes string
 }
@@ -66,11 +62,6 @@ type Entry struct {
 	// (empty for explicit partition counts). Memoized here so cache
 	// hits still report the reason in Result.Stats and the history.
 	TuneReason string
-	// Rows memoizes the bound tree's driver rows (algebra.DriverRows)
-	// for morsel compilations, whose morsel size is chosen at execution
-	// time from these rows without re-binding the query. Zero for
-	// static compilations.
-	Rows int
 	// Aux memoizes derived per-plan artifacts (e.g. the dot export the
 	// history store records per run). It lives and dies with the cache
 	// entry, so memoized artifacts never outlive their plan.

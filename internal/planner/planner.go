@@ -53,8 +53,8 @@ func NewCompileFlight() *CompileFlight { return keyed.NewFlight[plancache.Key, C
 
 // Compiled is one compilation outcome: the cache entry — the optimized
 // plan plus what it was compiled with and why (Partitions differs from
-// the request only under Auto, where TuneReason records the selection;
-// Rows sizes a morsel run's MorselRows) — and how this caller came by it.
+// the request only under Auto, where TuneReason records the selection)
+// — and how this caller came by it.
 type Compiled struct {
 	plancache.Entry
 	// Cached reports that compilation was skipped: a plan-cache hit, or
@@ -100,9 +100,11 @@ func ResolvePartitions(cat *storage.Catalog, requested int, tree algebra.Node) (
 // memoized in the entry. Cached plans are shared between concurrent
 // executions and must be treated as immutable; Aux memoizes derived
 // artifacts (the dot export the history store records) across every
-// session sharing the entry.
-func (p *Planner) Compile(query string, partitions int, morsel bool) (Compiled, error) {
-	key := plancache.Key{SQL: query, Partitions: partitions, Morsel: morsel, Passes: p.PassSpec}
+// session sharing the entry. The third argument is ignored: there is
+// one lowering, and bench/trace.go, a module of its own, still passes
+// false.
+func (p *Planner) Compile(query string, partitions int, _ bool) (Compiled, error) {
+	key := plancache.Key{SQL: query, Partitions: partitions, Passes: p.PassSpec}
 	if e, ok := p.Cache.Get(key); ok {
 		return Compiled{Entry: e, Cached: true, Key: key}, nil
 	}
@@ -137,11 +139,7 @@ func (p *Planner) compileMiss(key plancache.Key) (Compiled, error) {
 	}
 	e := plancache.Entry{Aux: &plancache.Aux{}}
 	e.Partitions, e.TuneReason = ResolvePartitions(p.Cat, key.Partitions, tree)
-	if key.Morsel {
-		// Memoized for the per-run morsel sizing (runner.Prepare).
-		e.Rows, _ = algebra.DriverRows(tree, p.Cat)
-	}
-	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: e.Partitions, Morsel: key.Morsel})
+	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: e.Partitions})
 	if err != nil {
 		return Compiled{}, fmt.Errorf("compile: %w", err)
 	}

@@ -97,8 +97,8 @@ func TestCompileFlightNilIsSolo(t *testing.T) {
 	}
 }
 
-// TestCompileFlightDistinctKeys: different options are different keys
-// and never coalesce.
+// TestCompileFlightDistinctKeys: different statements and partition
+// counts are different keys and never coalesce.
 func TestCompileFlightDistinctKeys(t *testing.T) {
 	var compiles atomic.Int64
 	p := &Planner{
@@ -115,7 +115,7 @@ func TestCompileFlightDistinctKeys(t *testing.T) {
 	if _, err := p.Compile(q, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Compile(q, 1, true); err != nil {
+	if _, err := p.Compile(q+" where l_partkey = 1", 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := compiles.Load(); got != 3 {

@@ -98,9 +98,6 @@ type Settings struct {
 	Partitions int
 	// Workers is the dataflow worker count, or adaptive.Auto.
 	Workers int
-	// Morsel selects the morsel-driven lowering, sized per run by the
-	// adaptive tuner. Only DB.Stream sets it.
-	Morsel bool
 }
 
 // Prepared is one statement compiled and resolved, ready to run: the
@@ -112,12 +109,10 @@ type Prepared struct {
 	SQL  string
 	Plan *mal.Plan
 	Opt  optimizer.Stats
-	// Partitions, Workers and MorselRows are the resolved settings:
-	// Auto requests are concrete here. MorselRows is 0 under the static
-	// lowering.
+	// Partitions and Workers are the resolved settings: Auto requests
+	// are concrete here.
 	Partitions int
 	Workers    int
-	MorselRows int
 	// AutoTuned reports whether any setting was adaptively chosen;
 	// TuneReason records the selection inputs and outcome.
 	AutoTuned  bool
@@ -153,8 +148,8 @@ func Partitions(n int) (int, error) {
 }
 
 // Prepare compiles the statement under the settings through the shared
-// planner flow and resolves Auto worker requests and the morsel size
-// against the compiled plan. Normalization runs first, so out-of-range
+// planner flow and resolves Auto worker requests against the compiled
+// plan. Normalization runs first, so out-of-range
 // values can neither alias plan-cache or shared-work keys nor leak into
 // the recorded history metadata, and a partition count above
 // MaxPartitions is refused before anything compiles.
@@ -164,27 +159,19 @@ func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
 		return nil, err
 	}
 	s.Workers = adaptive.Normalize(s.Workers)
-	c, err := r.Planner.Compile(query, s.Partitions, s.Morsel)
+	c, err := r.Planner.Compile(query, s.Partitions, false)
 	if err != nil {
 		return nil, err
 	}
 	workers, auto, reason := c.ResolveExec(s.Workers)
-	// A morsel compilation (DB.Stream's lowering) is sized per run from
-	// its driver rows and the core count; a static one has no fragments.
-	var morselRows int
-	var mreason string
-	if s.Morsel {
-		morselRows, mreason = adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
-	}
 	return &Prepared{
 		SQL:        query,
 		Plan:       c.Plan,
 		Opt:        c.Opt,
 		Partitions: c.Partitions,
 		Workers:    workers,
-		MorselRows: morselRows,
-		AutoTuned:  auto || s.Morsel,
-		TuneReason: adaptive.JoinReasons(reason, mreason),
+		AutoTuned:  auto,
+		TuneReason: reason,
 		PlanCached: c.Cached,
 		aux:        c.Aux,
 		key:        c.Key,
@@ -200,8 +187,8 @@ type RunOptions struct {
 	Sinks []profiler.Sink
 	// Emit, when set, streams result batches to the caller as the
 	// engine produces them (engine.Options.Emit). A streaming run is
-	// always solo — it bypasses the flight, so no shared run is ever a
-	// morsel run — collects no trace and is not recorded into the
+	// always solo — it bypasses the flight, so no shared run ever
+	// streams — collects no trace and is not recorded into the
 	// history, whose wall times measure materialized executions.
 	Emit func(names []string, cols []*storage.BAT) error
 }
@@ -293,11 +280,10 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 	}
 	start := time.Now()
 	res, err := r.Engine.RunContext(ctx, p.Plan, engine.Options{
-		Workers:    p.Workers,
-		MorselRows: p.MorselRows,
-		Emit:       opts.Emit,
-		Profiler:   prof,
-		Label:      p.SQL,
+		Workers:  p.Workers,
+		Emit:     opts.Emit,
+		Profiler: prof,
+		Label:    p.SQL,
 	})
 	elapsed := time.Since(start)
 	r.latency.Observe(elapsed.Microseconds())

@@ -31,7 +31,7 @@ func newRunner(t *testing.T) *Runner {
 
 // TestPrepareNormalizesOnce: out-of-range settings — including -1,
 // which used to collide with the Auto sentinel — clamp to 1 before any
-// key is built, Auto survives, and only morsel mode gets a morsel size.
+// key is built and Auto survives.
 func TestPrepareNormalizesOnce(t *testing.T) {
 	r := newRunner(t)
 	base, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1})
@@ -47,20 +47,20 @@ func TestPrepareNormalizesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.key != base.key || p.Partitions != 1 || p.Workers != 1 || p.MorselRows != 0 || p.AutoTuned {
-			t.Errorf("Prepare(%+v) = key %+v partitions %d workers %d morsel %d auto %t, want the 1/1 static plan",
-				s, p.key, p.Partitions, p.Workers, p.MorselRows, p.AutoTuned)
+		if p.key != base.key || p.Partitions != 1 || p.Workers != 1 || p.AutoTuned {
+			t.Errorf("Prepare(%+v) = key %+v partitions %d workers %d auto %t, want the 1/1 plan",
+				s, p.key, p.Partitions, p.Workers, p.AutoTuned)
 		}
 	}
 	if st := r.Stats().Cache; st.Len != 1 {
 		t.Errorf("plan cache holds %d entries, want 1 (out-of-range settings aliased a key)", st.Len)
 	}
-	auto, err := r.Prepare(query, Settings{Partitions: adaptive.Auto, Workers: adaptive.Auto, Morsel: true})
+	auto, err := r.Prepare(query, Settings{Partitions: adaptive.Auto, Workers: adaptive.Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !auto.AutoTuned || auto.key.Partitions != adaptive.Auto || !auto.key.Morsel || auto.MorselRows < adaptive.MinRowsPerPartition {
-		t.Errorf("Prepare(auto, morsel) = %+v key %+v, want Auto kept in the key and an auto-sized morsel", auto, auto.key)
+	if !auto.AutoTuned || auto.key.Partitions != adaptive.Auto || auto.TuneReason == "" {
+		t.Errorf("Prepare(auto) = %+v key %+v, want Auto kept in the key and a tuning note", auto, auto.key)
 	}
 }
 
@@ -170,25 +170,21 @@ func TestFailedRunIsRecorded(t *testing.T) {
 
 // TestRunKeyDerivesFromCompileKey: Prepare never lists the key fields
 // itself — a statement runs under the key it was compiled under, under
-// every way a setting can be resolved, and only morsel compilations get
-// a morsel size.
+// every way a setting can be resolved.
 func TestRunKeyDerivesFromCompileKey(t *testing.T) {
 	r := newRunner(t)
 	for name, s := range map[string]Settings{
 		"static":          {Partitions: 4, Workers: 2},
-		"morsel":          {Partitions: 1, Workers: 2, Morsel: true},
+		"sequential":      {Partitions: 1, Workers: 2},
 		"auto-partitions": {Partitions: adaptive.Auto, Workers: adaptive.Auto},
 	} {
 		p, err := r.Prepare(query, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := r.Planner.Compile(query, s.Partitions, s.Morsel)
+		c, err := r.Planner.Compile(query, s.Partitions, false)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if s.Morsel == (p.MorselRows == 0) {
-			t.Errorf("%s: resolved morsel rows %d", name, p.MorselRows)
 		}
 		if p.key != c.Key {
 			t.Errorf("%s: run key %+v, want the compile key %+v", name, p.key, c.Key)

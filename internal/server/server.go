@@ -284,10 +284,9 @@ func (sess *session) dispatch(w *bufio.Writer, line string) {
 	case "PROGRESS":
 		fmt.Fprintln(w, "ok")
 		for _, p := range sess.srv.run.Engine.Progress() {
-			fmt.Fprintf(w, "id=%d elapsed_us=%d fraction=%.4f instr_done=%d instr_total=%d rows_scanned=%d rows_total=%d morsels_done=%d morsels_total=%d sql=%s\n",
+			fmt.Fprintf(w, "id=%d elapsed_us=%d fraction=%.4f instr_done=%d instr_total=%d sql=%s\n",
 				p.ID, p.Elapsed.Microseconds(), p.Fraction(),
-				p.InstrDone, p.InstrTotal, p.RowsScanned, p.RowsTotal,
-				p.MorselsDone, p.MorselsTotal, strconv.Quote(p.Label))
+				p.InstrDone, p.InstrTotal, strconv.Quote(p.Label))
 		}
 		fmt.Fprintln(w, ".")
 	case "TABLES":
@@ -302,7 +301,7 @@ func (sess *session) dispatch(w *bufio.Writer, line string) {
 }
 
 // cmdStats renders the serving counters: the plan-cache line the
-// command always carried, plus a scheduler/morsel line, a server line
+// command always carried, plus a scheduler line, a server line
 // drawn from the metrics registry, and a shared-work line
 // (single-flight leads/attaches), so remote monitors see the engine
 // counters without the HTTP endpoint.
@@ -315,14 +314,12 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 	fmt.Fprintf(w, "cache_hits=%d cache_misses=%d cache_evictions=%d cache_len=%d cache_cap=%d cache_bytes=%d\n",
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Len, st.Cache.Capacity, st.CacheBytes)
 	instrUs, _ := snap.Get("stetho_engine_instr_duration_us")
-	fmt.Fprintf(w, "engine_runs=%d engine_instructions=%d engine_steals=%d engine_parks=%d engine_queries_inflight=%d morsels_claimed=%d morsel_rows_scanned=%d\n",
+	fmt.Fprintf(w, "engine_runs=%d engine_instructions=%d engine_steals=%d engine_parks=%d engine_queries_inflight=%d\n",
 		snap.Value("stetho_engine_runs_total"),
 		instrUs.Count,
 		snap.Value("stetho_engine_steals_total"),
 		snap.Value("stetho_engine_parks_total"),
-		st.InFlight,
-		snap.Value("stetho_engine_morsels_claimed_total"),
-		snap.Value("stetho_engine_morsel_rows_scanned_total"))
+		st.InFlight)
 	encode, _ := snap.Get("stetho_server_encode_us")
 	fmt.Fprintf(w, "sessions_total=%d sessions_active=%d commands=%d bytes_written=%d result_bytes=%d encode_count=%d encode_us=%d\n",
 		snap.Value("stetho_server_sessions_total"),

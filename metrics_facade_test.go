@@ -23,8 +23,7 @@ import (
 
 // TestMetricsCountersAfterExec checks that one materialized execution
 // (and one drained stream) moves every layer's counters: engine
-// runs/instructions, morsel rows, plan cache, and the query latency
-// histogram.
+// runs/instructions, plan cache, and the query latency histogram.
 func TestMetricsCountersAfterExec(t *testing.T) {
 	db, err := Open(WithScaleFactor(0.001))
 	if err != nil {
@@ -37,8 +36,6 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The morsel counters only move under the morsel lowering, which
-	// only Stream runs.
 	it, err := db.Stream(ctx, q)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +49,6 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 	snap := db.Metrics()
 	for _, name := range []string{
 		"stetho_engine_runs_total",
-		"stetho_engine_morsels_claimed_total",
-		"stetho_engine_morsel_rows_scanned_total",
 		"stetho_plancache_misses_total",
 		"stetho_plancache_hits_total",
 		"stetho_plancache_bytes",
@@ -62,8 +57,8 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 			t.Errorf("%s = %d after two Execs, want >= 1", name, snap.Value(name))
 		}
 	}
-	if got := snap.Value("stetho_engine_runs_total"); got < 2 {
-		t.Errorf("engine runs = %d, want >= 2", got)
+	if got := snap.Value("stetho_engine_runs_total"); got < 3 {
+		t.Errorf("engine runs = %d after two Execs and a Stream, want >= 3", got)
 	}
 	if instr, _ := snap.Get("stetho_engine_instr_duration_us"); instr.Count < 1 {
 		t.Errorf("instruction duration histogram = %+v after two Execs, want >= 1 observation", instr)
@@ -82,6 +77,9 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := sb.String()
+	if strings.Contains(text, "morsel") {
+		t.Errorf("Prometheus text names a morsel metric:\n%s", text)
+	}
 	for _, want := range []string{
 		"# TYPE stetho_engine_runs_total counter",
 		"stetho_engine_worker_instructions_total{worker=\"0\"}",
@@ -94,10 +92,11 @@ func TestMetricsCountersAfterExec(t *testing.T) {
 }
 
 // TestProgressMidQuery holds a streaming run in flight (the unbuffered
-// emit channel blocks the producer until the consumer drains) and
-// samples DB.Progress while draining: every sampled counter must be
-// monotonically non-decreasing, the run must be visible mid-query, and
-// the table must empty out once the run completes.
+// emit channel blocks the producer on its first slice until the
+// consumer drains) and samples DB.Progress while draining: the run must
+// be visible mid-query with instructions still to run, the instruction
+// count must be monotonically non-decreasing, and the table must empty
+// out once the run completes.
 func TestProgressMidQuery(t *testing.T) {
 	db, err := Open(WithScaleFactor(0.001))
 	if err != nil {
@@ -105,24 +104,23 @@ func TestProgressMidQuery(t *testing.T) {
 	}
 	ctx := context.Background()
 	const q = "select l_orderkey from lineitem where l_quantity >= 0"
-	// ~6k lineitem rows: at least two auto-sized morsels at any core
-	// count.
-	it, err := db.Stream(ctx, q, ExecWorkers(2))
+	// Four slices of ~6k lineitem rows: the result streams slice by
+	// slice.
+	it, err := db.Stream(ctx, q, ExecPartitions(4), ExecWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
 
 	// The producer is parked on its first emit until we start pulling
-	// rows, so the run is observable mid-flight once it registers. The
-	// run registers before mat.morsel publishes its totals, so poll
-	// until the totals appear.
+	// rows, so the run is observable mid-flight once it registers and
+	// finishes its first instruction.
 	var mid *QueryProgress
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if prog := db.Progress(); len(prog) == 1 {
 			mid = &prog[0]
-			if mid.RowsTotal > 0 && mid.MorselsTotal > 0 {
+			if mid.InstrDone > 0 {
 				break
 			}
 		}
@@ -134,8 +132,8 @@ func TestProgressMidQuery(t *testing.T) {
 	if mid.Label != q {
 		t.Fatalf("progress label = %q, want the SQL text", mid.Label)
 	}
-	if mid.RowsTotal <= 0 || mid.MorselsTotal <= 0 {
-		t.Fatalf("morsel cursor never reported totals: %+v", *mid)
+	if mid.InstrDone <= 0 || mid.InstrDone >= mid.InstrTotal {
+		t.Fatalf("run not observed mid-query: %+v", *mid)
 	}
 
 	last := *mid
@@ -149,8 +147,7 @@ func TestProgressMidQuery(t *testing.T) {
 			if p.ID != last.ID {
 				continue
 			}
-			if p.InstrDone < last.InstrDone || p.RowsScanned < last.RowsScanned ||
-				p.MorselsDone < last.MorselsDone {
+			if p.InstrDone < last.InstrDone || p.InstrDone > p.InstrTotal {
 				t.Fatalf("progress went backwards: %+v then %+v", last, p)
 			}
 			if f := p.Fraction(); f < 0 || f > 1 {
@@ -164,11 +161,6 @@ func TestProgressMidQuery(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatal("streaming run yielded no rows")
-	}
-	if last.RowsScanned < last.RowsTotal {
-		// The final emit happens after the last morsel finishes its
-		// scan, so by the time Next returns false the cursor is done.
-		t.Fatalf("run completed with rows_scanned %d < rows_total %d", last.RowsScanned, last.RowsTotal)
 	}
 	if prog := db.Progress(); len(prog) != 0 {
 		t.Fatalf("progress table leaked %d entries after completion", len(prog))
@@ -284,10 +276,13 @@ func TestProgressWireCommand(t *testing.T) {
 	if line == "" {
 		t.Fatal("PROGRESS never showed the in-flight run")
 	}
-	for _, field := range []string{"id=", "fraction=", "rows_scanned=", "morsels_total=", "sql="} {
+	for _, field := range []string{"id=", "fraction=", "instr_done=", "instr_total=", "sql="} {
 		if !strings.Contains(line, field) {
 			t.Errorf("PROGRESS line missing %s: %q", field, line)
 		}
+	}
+	if strings.Contains(line, "rows_") || strings.Contains(line, "morsels_") {
+		t.Errorf("PROGRESS line carries a removed field: %q", line)
 	}
 	if !strings.Contains(line, "l_orderkey") {
 		t.Errorf("PROGRESS line does not carry the SQL text: %q", line)

@@ -37,16 +37,12 @@ func startMetricsServer(db *DB, addr string) (*metricsServer, error) {
 		out := make([]progressJSON, 0, len(prog))
 		for _, p := range prog {
 			out = append(out, progressJSON{
-				ID:           p.ID,
-				Label:        p.Label,
-				ElapsedUs:    p.Elapsed.Microseconds(),
-				Fraction:     p.Fraction(),
-				InstrDone:    p.InstrDone,
-				InstrTotal:   p.InstrTotal,
-				RowsScanned:  p.RowsScanned,
-				RowsTotal:    p.RowsTotal,
-				MorselsDone:  p.MorselsDone,
-				MorselsTotal: p.MorselsTotal,
+				ID:         p.ID,
+				Label:      p.Label,
+				ElapsedUs:  p.Elapsed.Microseconds(),
+				Fraction:   p.Fraction(),
+				InstrDone:  p.InstrDone,
+				InstrTotal: p.InstrTotal,
 			})
 		}
 		json.NewEncoder(w).Encode(out)
@@ -65,16 +61,12 @@ func startMetricsServer(db *DB, addr string) (*metricsServer, error) {
 
 // progressJSON is the /progress wire shape.
 type progressJSON struct {
-	ID           int64   `json:"id"`
-	Label        string  `json:"label"`
-	ElapsedUs    int64   `json:"elapsed_us"`
-	Fraction     float64 `json:"fraction"`
-	InstrDone    int64   `json:"instr_done"`
-	InstrTotal   int64   `json:"instr_total"`
-	RowsScanned  int64   `json:"rows_scanned"`
-	RowsTotal    int64   `json:"rows_total"`
-	MorselsDone  int64   `json:"morsels_done"`
-	MorselsTotal int64   `json:"morsels_total"`
+	ID         int64   `json:"id"`
+	Label      string  `json:"label"`
+	ElapsedUs  int64   `json:"elapsed_us"`
+	Fraction   float64 `json:"fraction"`
+	InstrDone  int64   `json:"instr_done"`
+	InstrTotal int64   `json:"instr_total"`
 }
 
 func (ms *metricsServer) addr() string { return ms.ln.Addr().String() }

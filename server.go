@@ -127,8 +127,8 @@ func (r *Remote) Metrics() (string, error) {
 
 // Progress fetches the live progress of the server's in-flight queries
 // (the PROGRESS wire command), one k=v line per run: id, elapsed_us,
-// fraction, instr_done/instr_total, rows_scanned/rows_total,
-// morsels_done/morsels_total, sql. An idle server returns no lines.
+// fraction, instr_done/instr_total, sql. An idle server returns no
+// lines.
 func (r *Remote) Progress() ([]string, error) {
 	_, lines, err := r.c.Command("PROGRESS")
 	return lines, err
@@ -136,11 +136,11 @@ func (r *Remote) Progress() ([]string, error) {
 
 // Stats fetches the server's serving counters (the STATS wire command)
 // parsed into a flat k=v map: the plan-cache figures plus the
-// scheduler/morsel counters (engine_runs, engine_instructions,
-// engine_steals, engine_parks, morsels_claimed, morsel_rows_scanned),
-// the server-layer counters (sessions, commands, bytes_written,
-// result_bytes, encode_count, encode_us), and
-// the shared-work counters (sharedwork_led, sharedwork_attached).
+// scheduler counters (engine_runs, engine_instructions, engine_steals,
+// engine_parks, engine_queries_inflight), the server-layer counters
+// (sessions, commands, bytes_written, result_bytes, encode_count,
+// encode_us), and the shared-work counters (sharedwork_led,
+// sharedwork_attached).
 func (r *Remote) Stats() (map[string]int64, error) {
 	_, lines, err := r.c.Command("STATS")
 	if err != nil {

@@ -265,11 +265,13 @@ type ExecOption func(*runner.Settings)
 
 // ExecPartitions compiles this query with n mitosis partitions. Pass
 // Auto to size the fan-out from the scanned tables and the core count.
+// Stream compiles the same plan: its result streams one batch per
+// non-empty partition when the result columns are packs of them.
 func ExecPartitions(n int) ExecOption { return func(s *runner.Settings) { s.Partitions = n } }
 
-// ExecWorkers executes this query on n dataflow workers. Pass Auto to
-// derive the worker count from the partition fan-out and the core
-// count.
+// ExecWorkers executes this query, Exec and Stream alike, on n dataflow
+// workers. Pass Auto to derive the worker count from the partition
+// fan-out and the core count.
 func ExecWorkers(n int) ExecOption { return func(s *runner.Settings) { s.Workers = n } }
 
 // settings resolves the per-call overrides over the DB defaults. The
@@ -375,10 +377,9 @@ type DBStats = runner.Stats
 func (db *DB) Stats() DBStats { return db.run.Stats() }
 
 // Metrics snapshots the DB's metrics registry: every counter, gauge,
-// and histogram the engine scheduler, morsel kernel, plan cache,
-// stores, profiler pipeline, and servers feed. Snapshots are
-// per-metric consistent (see the registry contract in DESIGN.md) and
-// cheap enough to poll.
+// and histogram the engine scheduler, plan cache, stores, profiler
+// pipeline, and servers feed. Snapshots are per-metric consistent (see
+// the registry contract in DESIGN.md) and cheap enough to poll.
 func (db *DB) Metrics() MetricsSnapshot { return db.run.Registry.Snapshot() }
 
 // WriteMetrics writes the registry in the Prometheus text exposition
@@ -388,9 +389,8 @@ func (db *DB) WriteMetrics(w io.Writer) error { return db.run.Registry.WriteProm
 
 // Progress snapshots the live progress of every in-flight query on
 // this DB's engine (in-process Exec/Stream calls and server QUERY
-// commands alike), ordered by start. Row and morsel figures cover the
-// morsel-driven fragments of Stream runs; instruction figures cover
-// every plan.
+// commands alike), ordered by start: instructions completed out of the
+// plan's total.
 func (db *DB) Progress() []QueryProgress { return db.run.Engine.Progress() }
 
 // MetricsAddr reports the bound address of the observability HTTP

@@ -14,18 +14,14 @@ import (
 
 // Stream compiles and executes one SQL query, yielding result rows as
 // the engine produces them instead of materializing the table first.
-// It is the one caller of the morsel-driven lowering: the operator
-// chain above each scan compiles into a fragment that workers run over
-// morsels pulled from a shared cursor, sized by the adaptive tuner from
-// the driver table's rows and the core count. A streamable plan (no
-// sort, no final aggregate recombination) hands each completed morsel's
-// rows to the iterator while later morsels are still executing, so the
-// first rows arrive before the scan finishes and the peak resident set
-// stays bounded by workers × morsel rows. Plans that must materialize
-// (sorts, grouped aggregates) still stream — as one batch when their
-// combine stage completes — so every query works through the same
-// iterator. ExecPartitions applies to the sorts such plans close with;
-// ExecWorkers sets the morsel workers.
+// It runs the plan Exec would, with the same partitions and workers
+// (ExecPartitions, ExecWorkers). When every result column is a mat.pack
+// of the mitosis slices — a partitioned filter, projection or join probe
+// with no sort, limit or aggregate above it — each slice's rows reach
+// the iterator as soon as that slice and the ones before it are done,
+// while later slices are still executing. Every other plan, including
+// any unpartitioned one, streams as one batch when the run completes, so
+// every query works through the same iterator.
 //
 // Cancel ctx to abandon the query early; Close releases the run either
 // way. A streaming run always executes on its own — it never attaches
@@ -35,9 +31,7 @@ import (
 //
 // The returned iterator is not safe for concurrent use.
 func (db *DB) Stream(ctx context.Context, query string, opts ...ExecOption) (*RowIter, error) {
-	set := db.settings(opts)
-	set.Morsel = true
-	p, err := db.prepare(query, set)
+	p, err := db.prepare(query, db.settings(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +216,7 @@ func (it *RowIter) Close() error {
 	if !it.done {
 		for range it.ch {
 			// Drain so the producer's pending send never leaks the
-			// goroutine; the canceled run ends within a morsel.
+			// goroutine; the canceled run stops dispatching at once.
 		}
 		err := <-it.errc
 		if errors.Is(err, context.Canceled) {

@@ -73,9 +73,8 @@ type (
 	MetricsSnapshot = metrics.Snapshot
 	// MetricBucket is one cumulative histogram bucket of a Metric.
 	MetricBucket = metrics.Bucket
-	// QueryProgress is the live progress of one in-flight query: rows
-	// scanned / total driver rows and morsels done / total from the
-	// morsel cursor, instructions completed / total from the scheduler.
+	// QueryProgress is the live progress of one in-flight query:
+	// instructions completed / total from the scheduler.
 	QueryProgress = engine.QueryProgress
 )
 
