@@ -29,9 +29,9 @@ var adhocShapes = []string{
 }
 
 // planTextDigests appends one line per rendering of plan: the SHA-256 of
-// its MAL listing (fragments included) and of its dot export. It also
-// checks that the statement memo the engine and profiler read renders
-// every instruction exactly as StmtString does.
+// its MAL listing and of its dot export. It also checks that the
+// statement memo the engine and profiler read renders every instruction
+// exactly as StmtString does.
 func planTextDigests(t *testing.T, b *strings.Builder, label string, p *mal.Plan) {
 	t.Helper()
 	fmt.Fprintf(b, "  %s listing %x\n", label, sha256.Sum256([]byte(p.String())))
