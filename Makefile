@@ -19,7 +19,10 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: verify fmt vet build test race lint stethovet docscheck bench bench-smoke bench-module bench-record examples
 
-verify: fmt vet build test race bench-smoke bench-module
+# verify is the offline gate: everything CI's verify, race and
+# bench-smoke jobs run, plus the lint job's in-tree linters (stethovet
+# over both modules, docscheck), which need no network.
+verify: fmt vet build test race bench-smoke bench-module stethovet docscheck
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -7,10 +7,12 @@ package stethoscope_test
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
 	"stethoscope"
+	"stethoscope/internal/runner"
 )
 
 // TestExecOptionZeroDoesNotAliasPlanCache pins the ExecPartitions(0)
@@ -50,6 +52,32 @@ func TestExecOptionZeroWorkersNormalized(t *testing.T) {
 		if res.Stats.Workers != 1 {
 			t.Errorf("Exec(workers=%d) reports Workers=%d, want 1", n, res.Stats.Workers)
 		}
+	}
+}
+
+// TestExecWorkersCeiling: a worker count above runner.MaxWorkers, per
+// query or as the DB default, costs the statement an error naming the
+// limit before anything runs, and the DB keeps answering.
+func TestExecWorkersCeiling(t *testing.T) {
+	db := openTestDB(t)
+	ctx := context.Background()
+	limit := strconv.Itoa(runner.MaxWorkers)
+	if _, err := db.Exec(ctx, figure1Query, stethoscope.ExecWorkers(runner.MaxWorkers+1)); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("Exec(workers=%d) = %v, want an error naming the limit", runner.MaxWorkers+1, err)
+	}
+	if st := db.Stats(); st.Execs != 0 || st.Cache.Misses != 0 {
+		t.Errorf("the refused statement ran or compiled: %+v", st)
+	}
+	if _, err := db.Exec(ctx, figure1Query, stethoscope.ExecWorkers(2)); err != nil {
+		t.Fatalf("Exec(workers=2) after the refusal: %v", err)
+	}
+	wide, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithWorkers(runner.MaxWorkers+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	if _, err := wide.Exec(ctx, figure1Query); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("Exec under WithWorkers(%d) = %v, want an error naming the limit", runner.MaxWorkers+1, err)
 	}
 }
 

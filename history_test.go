@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"stethoscope"
+	"stethoscope/internal/tpch"
 )
 
 func openHistoryDB(t *testing.T, dir string) *stethoscope.DB {
@@ -168,6 +169,37 @@ func TestHistoryAggregation(t *testing.T) {
 	}
 	if u := run.Utilization(); u.Threads == 0 {
 		t.Fatalf("Utilization = %+v", u)
+	}
+}
+
+// TestJoinBuildAndProbeRollUpApart: an unpartitioned run of Q5, whose
+// four joins all probe a packed side, shows each join as a build and a
+// probe, so the operator rollup carries an algebra.hashbuild and an
+// algebra.hashprobe row, each with its own busy time, and no fused
+// join row.
+func TestJoinBuildAndProbeRollUpApart(t *testing.T) {
+	db := openHistoryDB(t, t.TempDir())
+	defer db.Close()
+	q5, _ := tpch.QueryByID("Q5")
+	res, err := db.Exec(context.Background(), q5.SQL, stethoscope.ExecPartitions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := db.History().OperatorRollup(res.Stats.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]stethoscope.AggStat{}
+	for _, row := range ops {
+		calls[row.Module] = row
+	}
+	for _, op := range []string{"algebra.hashbuild", "algebra.hashprobe"} {
+		if row, ok := calls[op]; !ok || row.Calls != 4 || row.BusyUs <= 0 {
+			t.Errorf("%s row = %+v (present %t), want 4 calls with busy time", op, row, ok)
+		}
+	}
+	if row, ok := calls["algebra.join"]; ok {
+		t.Errorf("rollup has a fused join row: %+v", row)
 	}
 }
 

@@ -9,7 +9,7 @@ func (e *Engine) Register(mod, fn string, k func()) {}
 
 func registerKernels(e *Engine) {
 	e.Register("algebra", "select", nil)
-	e.Register("algebra", "join", nil)
+	e.Register("algebra", "hashprobe", nil)
 	e.Register("bat", "mirror", nil) // want "kernel bat.mirror is registered but neither compiler nor optimizer can emit it"
 	for name := range map[string]int{"add": 0, "sub": 1} {
 		e.Register("batcalc", name, nil)

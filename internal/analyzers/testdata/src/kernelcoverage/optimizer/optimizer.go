@@ -15,8 +15,8 @@ func (malPackage) OpOf(mod, fn string) *opcode { return nil }
 
 var mal malPackage
 
-func fuseJoin(probe *instr) {
-	probe.Op = mal.OpOf("algebra", "join")
+func rewriteProbe(probe *instr) {
+	probe.Op = mal.OpOf("algebra", "hashprobe")
 }
 
 func badRewrite(p *instr) {

@@ -123,7 +123,7 @@ func TestRenderBirdsEye(t *testing.T) {
 
 func TestRenderCostly(t *testing.T) {
 	items := []core.CostlyInstr{
-		{PC: 5, DurUs: 9000, Stmt: "X_5 := algebra.join(X_1, X_2);"},
+		{PC: 5, DurUs: 9000, Stmt: "(X_5, X_6) := algebra.hashprobe(X_1, X_2);"},
 		{PC: 2, DurUs: 100, Stmt: strings.Repeat("long ", 100)},
 	}
 	out := RenderCostly(items, DefaultOptions())

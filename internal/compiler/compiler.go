@@ -580,21 +580,18 @@ func constVal(o operand) storage.Val {
 }
 
 // lowerJoin compiles the equi-join. The build side (right input, the
-// hashed one) is always packed — one hash table per join. When the
-// probe side (left input) is fanned out, the join itself fans out:
-// algebra.hashbuild indexes the build key once in the outer plan, and
-// every probe piece imports the hash table and the packed build columns
-// and runs its own algebra.hashprobe + projections, so the probe phase
-// — where TPC-H-shaped plans spend their join time — spreads across the
-// dataflow workers. Probe oids are piece-local, so
-// left columns project from the piece's own columns while build-side
-// oids project from the packed build columns. The per-piece outputs
-// concatenated in piece order equal the packed join's probe-order
-// output exactly, so the result keeps the probe side's form and
-// downstream operators (filters, aggregates, further joins) keep
-// consuming it piece-wise. A packed probe side is a single piece and
-// takes the one-shot algebra.join kernel instead of the build/probe
-// pair.
+// hashed one) is always packed: algebra.hashbuild indexes its key once
+// in the outer plan. Every probe piece — a packed probe side is one —
+// runs its own algebra.hashprobe against that hash and projects, so
+// when the probe side (left input) is fanned out the probe phase, where
+// TPC-H-shaped plans spend their join time, spreads across the dataflow
+// workers, and a trace shows build and probe apart either way. Probe
+// oids are piece-local, so left columns project from the piece's own
+// columns while build-side oids project from the packed build columns.
+// The per-piece outputs concatenated in piece order equal one probe of
+// the packed probe side exactly, so the result keeps the probe side's
+// form and downstream operators (filters, aggregates, further joins)
+// keep consuming it piece-wise.
 func (c *compiler) lowerJoin(j *algebra.Join) (rel, error) {
 	l, err := c.lower(j.L)
 	if err != nil {
@@ -605,21 +602,13 @@ func (c *compiler) lowerJoin(j *algebra.Join) (rel, error) {
 		return rel{}, err
 	}
 	r = c.packed(r)
-	hash := -1
-	if l.partitioned() {
-		l = c.forcePartitioned(l) // slices, when still pending, precede the build
-		hash = c.plan.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(r.cols[j.RKey]))
-	}
+	l = c.forcePartitioned(l) // slices, when still pending, precede the build
+	hash := c.plan.Emit1("algebra", "hashbuild", mal.THash, mal.VarArg(r.cols[j.RKey]))
 	return c.mapPieces(l, j.Schema(), func(lp rel) ([]int, error) {
 		lo := c.plan.NewVar(mal.TBATOID)
 		ro := c.plan.NewVar(mal.TBATOID)
-		if hash < 0 {
-			c.plan.Emit("algebra", "join", []int{lo, ro},
-				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(r.cols[j.RKey]))
-		} else {
-			c.plan.Emit("algebra", "hashprobe", []int{lo, ro},
-				mal.VarArg(lp.cols[j.LKey]), mal.VarArg(hash))
-		}
+		c.plan.Emit("algebra", "hashprobe", []int{lo, ro},
+			mal.VarArg(lp.cols[j.LKey]), mal.VarArg(hash))
 		return append(c.projectAll(lp, lo).cols, c.projectAll(r, ro).cols...), nil
 	})
 }

@@ -252,14 +252,25 @@ func TestGlobalAggLowering(t *testing.T) {
 func TestJoinLowering(t *testing.T) {
 	plan := compileQuery(t,
 		"select o_totalprice, l_tax from orders join lineitem on l_orderkey = o_orderkey", Options{})
-	if n := countInstrs(plan, "algebra.join"); n != 1 {
-		t.Fatalf("join count = %d", n)
+	if n := countInstrs(plan, "algebra.hashbuild"); n != 1 {
+		t.Fatalf("hashbuild count = %d, want 1", n)
 	}
-	// The join has two result variables.
+	if n := countInstrs(plan, "algebra.hashprobe"); n != 1 {
+		t.Fatalf("hashprobe count = %d, want 1 (a packed probe side is one piece)", n)
+	}
+	// The build precedes the probe, which reads its hash and has two
+	// result variables.
+	hash := -1
 	for _, in := range plan.Instrs {
-		if in.Name() == "algebra.join" {
+		switch in.Name() {
+		case "algebra.hashbuild":
+			hash = in.Rets[0]
+		case "algebra.hashprobe":
+			if hash < 0 || in.Args[1].IsConst() || in.Args[1].Var() != hash {
+				t.Errorf("hashprobe does not read the hashbuild result")
+			}
 			if len(in.Rets) != 2 {
-				t.Errorf("join rets = %d", len(in.Rets))
+				t.Errorf("hashprobe rets = %d", len(in.Rets))
 			}
 		}
 	}
@@ -407,8 +418,8 @@ func TestInLowering(t *testing.T) {
 
 // TestPartitionedJoinPlanShape: a join whose probe side sits above a
 // sliced scan compiles to build-once/probe-per-slice — exactly one
-// algebra.hashbuild, one algebra.hashprobe per slice, and no packed
-// algebra.join.
+// algebra.hashbuild and one algebra.hashprobe per slice — and the same
+// join unpartitioned is one build and one probe.
 func TestPartitionedJoinPlanShape(t *testing.T) {
 	q := "select l_tax, o_totalprice from lineitem, orders where l_orderkey = o_orderkey"
 	plan := compileQuery(t, q, Options{Partitions: 8})
@@ -418,20 +429,16 @@ func TestPartitionedJoinPlanShape(t *testing.T) {
 	if n := countInstrs(plan, "algebra.hashprobe"); n != 8 {
 		t.Errorf("hashprobe count = %d, want 8 (one per probe slice)", n)
 	}
-	if n := countInstrs(plan, "algebra.join"); n != 0 {
-		t.Errorf("packed algebra.join count = %d, want 0", n)
-	}
 	// Probe-side scan sliced, build side bound whole.
 	if n := countInstrs(plan, "mat.slice"); n != 16 { // 2 probe columns x 8
 		t.Errorf("mat.slice count = %d, want 16", n)
 	}
-	// Sequential fallback keeps the packed kernel.
 	seq := compileQuery(t, q, Options{Partitions: 1})
-	if n := countInstrs(seq, "algebra.join"); n != 1 {
-		t.Errorf("sequential join count = %d, want 1", n)
+	if n := countInstrs(seq, "algebra.hashbuild"); n != 1 {
+		t.Errorf("sequential hashbuild count = %d, want 1", n)
 	}
-	if n := countInstrs(seq, "algebra.hashbuild") + countInstrs(seq, "algebra.hashprobe"); n != 0 {
-		t.Errorf("sequential plan has %d hash instructions, want 0", n)
+	if n := countInstrs(seq, "algebra.hashprobe"); n != 1 {
+		t.Errorf("sequential hashprobe count = %d, want 1", n)
 	}
 }
 

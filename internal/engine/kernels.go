@@ -30,7 +30,6 @@ func registerKernels(e *Engine) {
 	e.Register("algebra", "select", kRangeSelect)
 	e.Register("algebra", "selectTrue", kSelectTrue)
 	e.Register("algebra", "leftjoin", kLeftJoin)
-	e.Register("algebra", "join", kJoin)
 	e.Register("algebra", "hashbuild", kHashBuild)
 	e.Register("algebra", "hashprobe", kHashProbe)
 	e.Register("algebra", "sortTail", kSortTail)
@@ -298,29 +297,8 @@ func kLeftJoin(ctx *Context, in *mal.Instr) error {
 	return nil
 }
 
-func kJoin(ctx *Context, in *mal.Instr) error {
-	l, err := ctx.bat(in, 0)
-	if err != nil {
-		return err
-	}
-	r, err := ctx.bat(in, 1)
-	if err != nil {
-		return err
-	}
-	lo, ro, err := storage.HashJoin(l, r)
-	if err != nil {
-		return err
-	}
-	if len(in.Rets) != 2 {
-		return fmt.Errorf("join needs two results, has %d", len(in.Rets))
-	}
-	ctx.setBAT(in, 0, lo)
-	ctx.setBAT(in, 1, ro)
-	return nil
-}
-
-// kHashBuild materializes the build side of a partitioned hash join:
-// algebra.hashbuild(keycol) indexes the column once; every probe slice
+// kHashBuild materializes the build side of a hash join:
+// algebra.hashbuild(keycol) indexes the column once; every probe piece
 // shares the handle (storage.JoinHash probes are read-only, so the
 // dataflow scheduler may run them concurrently).
 func kHashBuild(ctx *Context, in *mal.Instr) error {
@@ -332,9 +310,10 @@ func kHashBuild(ctx *Context, in *mal.Instr) error {
 	return nil
 }
 
-// kHashProbe implements algebra.hashprobe(probecol, hash): one mitosis
-// slice of the probe side joined against the shared build handle,
-// returning aligned probe/build oid pairs.
+// kHashProbe implements algebra.hashprobe(probecol, hash): one piece of
+// the probe side (a mitosis slice, or the whole packed column) joined
+// against the shared build handle, returning aligned probe/build oid
+// pairs.
 func kHashProbe(ctx *Context, in *mal.Instr) error {
 	if len(in.Args) < 2 {
 		return fmt.Errorf("hashprobe needs a hash argument")

@@ -147,18 +147,28 @@ func Partitions(n int) (int, error) {
 	return n, nil
 }
 
+// MaxWorkers is the largest explicit dataflow worker count a statement
+// may request. Every worker is a goroutine of the run and a permanent
+// stetho_engine_worker_instructions_total series, so an unbounded count
+// lets one client start tens of thousands of both per query. Auto never
+// picks more than GOMAXPROCS; the ceiling sits far above any core count.
+const MaxWorkers = 256
+
 // Prepare compiles the statement under the settings through the shared
 // planner flow and resolves Auto worker requests against the compiled
 // plan. Normalization runs first, so out-of-range
 // values can neither alias plan-cache or shared-work keys nor leak into
 // the recorded history metadata, and a partition count above
-// MaxPartitions is refused before anything compiles.
+// MaxPartitions or a worker count above MaxWorkers is refused before
+// anything compiles.
 func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
 	var err error
 	if s.Partitions, err = Partitions(s.Partitions); err != nil {
 		return nil, err
 	}
-	s.Workers = adaptive.Normalize(s.Workers)
+	if s.Workers = adaptive.Normalize(s.Workers); s.Workers > MaxWorkers {
+		return nil, fmt.Errorf("workers %d exceeds the limit of %d", s.Workers, MaxWorkers)
+	}
 	c, err := r.Planner.Compile(query, s.Partitions, false)
 	if err != nil {
 		return nil, err

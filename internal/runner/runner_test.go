@@ -216,3 +216,55 @@ func TestPartitionsCeiling(t *testing.T) {
 		t.Errorf("a refused statement reached the plan cache: %+v", st)
 	}
 }
+
+// TestWorkersCeiling: explicit worker counts up to MaxWorkers prepare,
+// Auto passes, and anything larger is refused with an error naming the
+// limit before the plan cache is consulted — so no run, and none of its
+// worker goroutines, ever starts.
+func TestWorkersCeiling(t *testing.T) {
+	r := newRunner(t)
+	for _, n := range []int{MaxWorkers + 1, 100_000_000} {
+		_, err := r.Prepare(query, Settings{Partitions: 1, Workers: n})
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxWorkers)) {
+			t.Errorf("Prepare(workers=%d) error = %v, want one naming the limit", n, err)
+		}
+	}
+	if st := r.Stats().Cache; st.Misses+st.Hits != 0 {
+		t.Errorf("a refused statement reached the plan cache: %+v", st)
+	}
+	for _, n := range []int{MaxWorkers, adaptive.Auto} {
+		if _, err := r.Prepare(query, Settings{Partitions: 1, Workers: n}); err != nil {
+			t.Errorf("Prepare(workers=%d) = %v", n, err)
+		}
+	}
+}
+
+// TestProfilingContract pins which runs the profiler sees today: a run
+// nobody observes is still profiled, and its trace — a start and a done
+// event per instruction — is collected and counted; a streaming (Emit)
+// run has no profiler and adds no events.
+func TestProfilingContract(t *testing.T) {
+	r := newRunner(t)
+	ctx := context.Background()
+	p, err := r.Prepare(query, Settings{Partitions: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := r.Run(ctx, p, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(2 * len(p.Plan.Instrs))
+	if got := r.Stats().Events; got != want || int64(len(out.Events)) != want {
+		t.Fatalf("unobserved run: %d events counted, %d in the outcome; want %d (2 x %d instructions)",
+			got, len(out.Events), want, len(p.Plan.Instrs))
+	}
+	emit := func([]string, []*storage.BAT) error { return nil }
+	out, _, err = r.Run(ctx, p, RunOptions{Emit: emit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().Events; got != want || len(out.Events) != 0 {
+		t.Errorf("Emit run: counter %d (was %d), %d events in the outcome; want no events", got, want, len(out.Events))
+	}
+}

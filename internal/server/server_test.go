@@ -600,6 +600,28 @@ func TestOversizedPartitionsRefused(t *testing.T) {
 	}
 }
 
+// TestOversizedWorkersRefused: "SET workers" above runner.MaxWorkers
+// is stored like any count, and the session's next QUERY answers err
+// naming the limit before anything compiles or runs: no worker
+// goroutine starts and no per-worker metric series is registered.
+func TestOversizedWorkersRefused(t *testing.T) {
+	srv := startServer(t)
+	c := dialServer(t, srv)
+	if _, _, err := c.Command(fmt.Sprintf("SET workers %d", runner.MaxWorkers+1)); err != nil {
+		t.Fatalf("SET workers: %v", err)
+	}
+	status, _, err := c.Command("QUERY select l_tax from lineitem where l_partkey=1")
+	if err == nil || !strings.HasPrefix(status, "err") || !strings.Contains(err.Error(), strconv.Itoa(runner.MaxWorkers)) {
+		t.Fatalf("oversized QUERY = %q, %v; want err naming the limit %d", status, err, runner.MaxWorkers)
+	}
+	if st := srv.CacheStats(); st.Misses != 0 {
+		t.Errorf("the refused statement reached the plan cache: %+v", st)
+	}
+	if _, ok := srv.run.Registry.Snapshot().Get(`stetho_engine_worker_instructions_total{worker="1"}`); ok {
+		t.Error("the refused statement registered a second worker's series")
+	}
+}
+
 // TestSetMorsel: QUERY always lowers by static mitosis and nothing
 // caches outcomes, so "SET morsel" and "SET resultcache" are unknown
 // settings like any other — whatever their value — they leave the

@@ -50,9 +50,11 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := HashJoin(l, r); err != nil {
+		h := BuildJoinHash(r)
+		if _, _, err := h.Probe(l); err != nil {
 			b.Fatal(err)
 		}
+		h.Release()
 	}
 }
 

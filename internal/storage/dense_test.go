@@ -27,12 +27,12 @@ func TestDenseForm(t *testing.T) {
 
 	// A probe where every row matches once is dense on the probe side; a
 	// row without a match breaks it, and the oids before it are written.
-	build := FromInts(Int, []int64{10, 11, 12, 13})
-	lo, _, _ := HashJoin(FromInts(Int, []int64{13, 10, 12}), build)
+	build := BuildJoinHash(FromInts(Int, []int64{10, 11, 12, 13}))
+	lo, _, _ := build.Probe(FromInts(Int, []int64{13, 10, 12}))
 	if !lo.dense || lo.Len() != 3 {
 		t.Errorf("1:1 probe: dense %t, %v", lo.dense, lo.Ints())
 	}
-	lo, _, _ = HashJoin(FromInts(Int, []int64{13, 10, 99, 12}), build)
+	lo, _, _ = build.Probe(FromInts(Int, []int64{13, 10, 99, 12}))
 	if lo.dense || !equalI64(lo.Ints(), []int64{0, 1, 3}) {
 		t.Errorf("probe with a miss: dense %t, %v", lo.dense, lo.Ints())
 	}

@@ -7,7 +7,10 @@ import (
 )
 
 // This file holds the hash kernels — join build and probe, grouping —
-// and the one index layout they share, MonetDB's: an array of bucket
+// and the one index layout they share. A join is always two steps, as
+// in the plan: BuildJoinHash indexes the build side (algebra.hashbuild)
+// and Probe matches a probe column against it (algebra.hashprobe), once
+// per probe piece. The layout is MonetDB's: an array of bucket
 // heads and an array of links, both int32, beside the keys themselves.
 // A hash's top bits name a bucket; heads[bucket] is the bucket's first
 // member and link[member] the next (both 1-based, 0 ends the chain); a
@@ -51,7 +54,7 @@ func hashKey(prev, key int64) uint64 {
 // JoinHash is the materialized build side of a hash join: the value
 // index of one key column. Build once with BuildJoinHash, then Probe
 // any number of times — probes are read-only, so one JoinHash may be
-// probed concurrently from multiple goroutines (the partitioned join
+// probed concurrently from multiple goroutines (a partitioned join
 // probes every mitosis slice against the same build in parallel).
 type JoinHash struct {
 	kind Kind
@@ -72,9 +75,10 @@ type JoinHash struct {
 
 // BuildJoinHash indexes the build-side key column r (MAL's
 // algebra.hashbuild). Chains are filled back to front, so each runs in
-// build order and probe output for equal keys matches the nested order
-// the packed join emits. A build side of more than maxRows rows is
-// refused: the JoinHash carries the error and every Probe returns it.
+// build order and probe output for equal keys matches the order of a
+// nested-loop join over (probe row, build row). A build side of more
+// than maxRows rows is refused: the JoinHash carries the error and every
+// Probe returns it.
 func BuildJoinHash(r *BAT) *JoinHash {
 	h := &JoinHash{kind: r.kind}
 	n := r.Len()
@@ -153,17 +157,6 @@ func (h *JoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
 // Release drops the hash's reference to its build column's array; the
 // hash must not be probed afterwards.
 func (h *JoinHash) Release() { h.own.release() }
-
-// HashJoin computes the equi-join of l and r on value equality and returns
-// matching oid pairs (aligned left and right oid BATs). The right side
-// is hashed; the left side probes, keeping the output ordered by left
-// oid. This is MAL's algebra.join — the packed form of
-// BuildJoinHash + Probe.
-func HashJoin(l, r *BAT) (lOIDs, rOIDs *BAT, err error) {
-	h := BuildJoinHash(r)
-	defer h.Release()
-	return h.Probe(l)
-}
 
 // int64Keys maps a key column onto int64 so that two cells are equal keys
 // exactly when their int64s are. build says which side of a join (or a

@@ -283,9 +283,9 @@ func checkKernels(tb testing.TB, in kernelInputs) {
 
 	for _, side := range [][2]*BAT{{a, b}, {b, a}} {
 		l, r := side[0], side[1]
-		gl, gr, err := HashJoin(l, r)
-		wl, wr, rerr := RefHashJoin(l, r)
-		agree(tb, fmt.Sprintf("HashJoin %s/%s [%s]", l.kind, r.kind, id), bats(gl, gr), err, bats(wl, wr), rerr)
+		gl, gr, err := BuildJoinHash(r).Probe(l)
+		wl, wr, rerr := RefBuildJoinHash(r).Probe(l)
+		agree(tb, fmt.Sprintf("join %s/%s [%s]", l.kind, r.kind, id), bats(gl, gr), err, bats(wl, wr), rerr)
 	}
 	{
 		// One build, probed twice: the second probe sees the same index.
@@ -492,9 +492,9 @@ func TestKernelsMatchReferenceHardKeys(t *testing.T) {
 	for name, cols := range hardKeyColumns() {
 		build, probe := cols[0], cols[1]
 		t.Run(name, func(t *testing.T) {
-			gl, gr, err := HashJoin(probe, build)
-			wl, wr, rerr := RefHashJoin(probe, build)
-			agree(t, "HashJoin", bats(gl, gr), err, bats(wl, wr), rerr)
+			gl, gr, err := BuildJoinHash(build).Probe(probe)
+			wl, wr, rerr := RefBuildJoinHash(build).Probe(probe)
+			agree(t, "join", bats(gl, gr), err, bats(wl, wr), rerr)
 			if name == "float-zeros" && gl.Len() == 0 {
 				t.Fatal("+0 and -0 no longer join")
 			}

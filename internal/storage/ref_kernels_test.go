@@ -215,7 +215,8 @@ type RefJoinHash struct {
 
 // RefBuildJoinHash indexes the build-side key column r (MAL's
 // algebra.hashbuild). Per-key oid lists keep build order, so probe
-// output for equal keys matches the nested-order the packed join emits.
+// output for equal keys matches the order of a nested-loop join over
+// (probe row, build row).
 func RefBuildJoinHash(r *BAT) *RefJoinHash {
 	idx := make(map[joinKey][]int64, r.Len())
 	for i, n := 0, r.Len(); i < n; i++ {
@@ -241,15 +242,6 @@ func (h *RefJoinHash) Probe(l *BAT) (lOIDs, rOIDs *BAT, err error) {
 		}
 	}
 	return lo, ro, nil
-}
-
-// RefHashJoin computes the equi-join of l and r on value equality and returns
-// matching oid pairs (aligned left and right oid BATs). The right side
-// is hashed; the left side probes, keeping the output ordered by left
-// oid. This is MAL's algebra.join — the packed form of
-// RefBuildJoinHash + Probe.
-func RefHashJoin(l, r *BAT) (lOIDs, rOIDs *BAT, err error) {
-	return RefBuildJoinHash(r).Probe(l)
 }
 
 // RefGroup assigns a dense group id to each row of b, optionally refining an

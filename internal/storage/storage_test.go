@@ -159,7 +159,9 @@ func TestProject(t *testing.T) {
 func TestHashJoin(t *testing.T) {
 	l := intBAT(1, 2, 3, 2)
 	r := intBAT(2, 4, 1, 2)
-	lo, ro, err := HashJoin(l, r)
+	h := BuildJoinHash(r)
+	defer h.Release()
+	lo, ro, err := h.Probe(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +190,11 @@ func TestHashJoin(t *testing.T) {
 func TestHashJoinStringsAndMismatch(t *testing.T) {
 	l := FromStrings([]string{"a", "b"})
 	r := FromStrings([]string{"b", "b"})
-	lo, ro, err := HashJoin(l, r)
+	lo, ro, err := BuildJoinHash(r).Probe(l)
 	if err != nil || lo.Len() != 2 || ro.Len() != 2 {
 		t.Fatalf("string join: %v len=%d", err, lo.Len())
 	}
-	if _, _, err := HashJoin(l, intBAT(1)); err == nil {
+	if _, _, err := BuildJoinHash(intBAT(1)).Probe(l); err == nil {
 		t.Error("kind mismatch accepted")
 	}
 }
