@@ -55,9 +55,11 @@ func TestExecOptionZeroWorkersNormalized(t *testing.T) {
 	}
 }
 
-// TestExecWorkersCeiling: a worker count above runner.MaxWorkers, per
-// query or as the DB default, costs the statement an error naming the
-// limit before anything runs, and the DB keeps answering.
+// TestExecWorkersCeiling: a worker count above runner.MaxWorkers per
+// query costs the statement an error naming the limit before anything
+// runs, and the DB keeps answering; as the DB default, above
+// runner.MaxWorkers or a partition count above runner.MaxPartitions,
+// Open refuses it with an error naming the limit.
 func TestExecWorkersCeiling(t *testing.T) {
 	db := openTestDB(t)
 	ctx := context.Background()
@@ -71,13 +73,18 @@ func TestExecWorkersCeiling(t *testing.T) {
 	if _, err := db.Exec(ctx, figure1Query, stethoscope.ExecWorkers(2)); err != nil {
 		t.Fatalf("Exec(workers=2) after the refusal: %v", err)
 	}
-	wide, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithWorkers(runner.MaxWorkers+1))
-	if err != nil {
-		t.Fatal(err)
+	if wide, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithWorkers(runner.MaxWorkers+1)); err == nil || !strings.Contains(err.Error(), limit) {
+		if wide != nil {
+			wide.Close()
+		}
+		t.Errorf("Open(WithWorkers(%d)) = %v, want an error naming the limit", runner.MaxWorkers+1, err)
 	}
-	defer wide.Close()
-	if _, err := wide.Exec(ctx, figure1Query); err == nil || !strings.Contains(err.Error(), limit) {
-		t.Errorf("Exec under WithWorkers(%d) = %v, want an error naming the limit", runner.MaxWorkers+1, err)
+	plimit := strconv.Itoa(runner.MaxPartitions)
+	if wide, err := stethoscope.Open(stethoscope.WithScaleFactor(0.005), stethoscope.WithPartitions(runner.MaxPartitions+1)); err == nil || !strings.Contains(err.Error(), plimit) {
+		if wide != nil {
+			wide.Close()
+		}
+		t.Errorf("Open(WithPartitions(%d)) = %v, want an error naming the limit", runner.MaxPartitions+1, err)
 	}
 }
 

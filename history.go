@@ -238,6 +238,7 @@ func (h *History) Record(res *Result) (uint64, error) {
 		Instructions: res.Stats.Instructions,
 		AutoTuned:    res.Stats.AutoTuned,
 		TuneReason:   res.Stats.TuneReason,
+		Instantiated: res.Stats.Instantiated,
 	}, res.Events(), tracestore.RunStats{
 		ElapsedUs: res.Stats.Elapsed.Microseconds(),
 		Rows:      res.RowCount(),

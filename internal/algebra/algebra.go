@@ -74,13 +74,16 @@ type ColIdx struct {
 func (c *ColIdx) Kind() storage.Kind { return c.Col.Kind }
 func (c *ColIdx) String() string     { return c.Col.QName() }
 
-// Const is a typed literal.
+// Const is a typed literal. Lit is the source literal's number in the
+// statement's shape (sql.Token.Lit), 0 for a constant the text does not
+// spell.
 type Const struct {
-	K storage.Kind
-	I int64
-	F float64
-	S string
-	B bool
+	K   storage.Kind
+	I   int64
+	F   float64
+	S   string
+	B   bool
+	Lit int
 }
 
 func (c *Const) Kind() storage.Kind { return c.K }
@@ -128,10 +131,12 @@ func (b *Between) String() string {
 }
 
 // Like is a SQL LIKE match of a string expression against a constant
-// pattern with % and _ wildcards.
+// pattern with % and _ wildcards. Lit is the pattern's number in the
+// statement's shape, as on Const.
 type Like struct {
 	E       Expr
 	Pattern string
+	Lit     int
 }
 
 func (l *Like) Kind() storage.Kind { return storage.Bool }
@@ -347,24 +352,196 @@ func Tree(n Node) string {
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(n.Describe())
 		b.WriteByte('\n')
-		switch t := n.(type) {
-		case *Filter:
-			walk(t.Input, depth+1)
-		case *Join:
-			walk(t.L, depth+1)
-			walk(t.R, depth+1)
-		case *GroupAgg:
-			walk(t.Input, depth+1)
-		case *Project:
-			walk(t.Input, depth+1)
-		case *Distinct:
-			walk(t.Input, depth+1)
-		case *Sort:
-			walk(t.Input, depth+1)
-		case *Limit:
-			walk(t.Input, depth+1)
+		for _, in := range inputs(n) {
+			walk(in, depth+1)
 		}
 	}
 	walk(n, 0)
 	return b.String()
+}
+
+// Fingerprint renders everything of a bound tree the lowering reads,
+// except the values of its source literals (SourceLiterals), which it
+// writes as ?<Lit>. Two trees with one fingerprint lower to the same
+// plan up to those values, so it keys plan templates
+// (internal/plancache) beside the statement's shape: the binder reads
+// literal text beyond the values (it names an unaliased output column
+// after its expression, and matches group keys and aggregates by their
+// text), and the compiler folds an operator over constants into one
+// computed constant, whose literals the fingerprint therefore spells.
+func Fingerprint(n Node) string {
+	var b []byte
+	var expr func(e Expr, folded bool)
+	expr = func(e Expr, folded bool) {
+		switch t := e.(type) {
+		case *ColIdx:
+			b = fmt.Appendf(b, "#%d:%s.%s:%d", t.Idx, t.Col.Qual, t.Col.Name, t.Col.Kind)
+		case *Const:
+			if t.Lit > 0 && !folded {
+				b = fmt.Appendf(b, "?%d:%d", t.Lit, t.K)
+			} else {
+				b = fmt.Appendf(b, "%d:%d:%x:%q:%t", t.K, t.I, t.F, t.S, t.B)
+			}
+		case *Bin:
+			folded = folded || constant(t)
+			b = fmt.Appendf(b, "(%s:%d ", t.Op, t.K)
+			expr(t.L, folded)
+			b = append(b, ' ')
+			expr(t.R, folded)
+			b = append(b, ')')
+		case *Not:
+			b = append(b, "(not "...)
+			expr(t.E, folded || constant(t))
+			b = append(b, ')')
+		case *Between:
+			b = append(b, "(between "...)
+			expr(t.E, folded)
+			b = append(b, ' ')
+			expr(t.Lo, folded)
+			b = append(b, ' ')
+			expr(t.Hi, folded)
+			b = append(b, ')')
+		case *Like:
+			b = append(b, "(like "...)
+			expr(t.E, folded)
+			if t.Lit > 0 {
+				b = fmt.Appendf(b, " ?%d)", t.Lit)
+			} else {
+				b = fmt.Appendf(b, " %q)", t.Pattern)
+			}
+		default:
+			b = fmt.Appendf(b, "%T", e)
+		}
+	}
+	var node func(Node)
+	node = func(n Node) {
+		b = fmt.Appendf(b, "%T{", n)
+		for _, c := range n.Schema() {
+			b = fmt.Appendf(b, "%s.%s:%d,", c.Qual, c.Name, c.Kind)
+		}
+		b = append(b, '|')
+		switch t := n.(type) {
+		case *Scan:
+			b = fmt.Appendf(b, "%s.%s", t.SchemaName, t.Table)
+		case *Join:
+			b = fmt.Appendf(b, "%d=%d", t.LKey, t.RKey)
+		case *GroupAgg:
+			for _, a := range t.Aggs {
+				b = fmt.Appendf(b, "%d:%t,", a.Func, a.CountStar)
+			}
+		case *Sort:
+			b = fmt.Appendf(b, "%v", t.Keys)
+		case *Limit:
+			b = fmt.Appendf(b, "%d", t.N)
+		}
+		b = append(b, '|')
+		exprs(n, func(e Expr) {
+			expr(e, false)
+			b = append(b, ',')
+		})
+		for _, in := range inputs(n) {
+			node(in)
+		}
+		b = append(b, '}')
+	}
+	node(n)
+	return string(b)
+}
+
+// SourceLiterals calls visit with every source literal of the tree that
+// the compiler keeps as a constant of its own: a Const or Like with a
+// non-zero Lit, outside any operator over constants only (which the
+// compiler folds).
+func SourceLiterals(n Node, visit func(lit int, e Expr)) {
+	var expr func(Expr)
+	expr = func(e Expr) {
+		switch t := e.(type) {
+		case *Const:
+			if t.Lit > 0 {
+				visit(t.Lit, t)
+			}
+		case *Bin:
+			if !constant(t) {
+				expr(t.L)
+				expr(t.R)
+			}
+		case *Not:
+			if !constant(t) {
+				expr(t.E)
+			}
+		case *Between:
+			expr(t.E)
+			expr(t.Lo)
+			expr(t.Hi)
+		case *Like:
+			expr(t.E)
+			if t.Lit > 0 {
+				visit(t.Lit, t)
+			}
+		}
+	}
+	var node func(Node)
+	node = func(n Node) {
+		exprs(n, expr)
+		for _, in := range inputs(n) {
+			node(in)
+		}
+	}
+	node(n)
+}
+
+// constant reports an expression of constants and operators only: the
+// compiler folds it into one constant.
+func constant(e Expr) bool {
+	switch t := e.(type) {
+	case *Const:
+		return true
+	case *Bin:
+		return constant(t.L) && constant(t.R)
+	case *Not:
+		return constant(t.E)
+	}
+	return false
+}
+
+// exprs calls f with the expressions a node itself holds.
+func exprs(n Node, f func(Expr)) {
+	switch t := n.(type) {
+	case *Filter:
+		f(t.Pred)
+	case *GroupAgg:
+		for _, k := range t.Keys {
+			f(k)
+		}
+		for _, a := range t.Aggs {
+			if a.Arg != nil {
+				f(a.Arg)
+			}
+		}
+	case *Project:
+		for _, e := range t.Exprs {
+			f(e)
+		}
+	}
+}
+
+// inputs returns a node's input nodes.
+func inputs(n Node) []Node {
+	switch t := n.(type) {
+	case *Filter:
+		return []Node{t.Input}
+	case *Join:
+		return []Node{t.L, t.R}
+	case *GroupAgg:
+		return []Node{t.Input}
+	case *Project:
+		return []Node{t.Input}
+	case *Distinct:
+		return []Node{t.Input}
+	case *Sort:
+		return []Node{t.Input}
+	case *Limit:
+		return []Node{t.Input}
+	}
+	return nil
 }

@@ -619,13 +619,13 @@ func (b *binder) bindExpr(e sql.Expr, schema Schema, allowAgg bool) (Expr, error
 		}
 		return &ColIdx{Idx: idx, Col: schema[idx]}, nil
 	case *sql.IntLit:
-		return &Const{K: storage.Int, I: t.Value}, nil
+		return &Const{K: storage.Int, I: t.Value, Lit: t.Lit}, nil
 	case *sql.FltLit:
-		return &Const{K: storage.Flt, F: t.Value}, nil
+		return &Const{K: storage.Flt, F: t.Value, Lit: t.Lit}, nil
 	case *sql.StrLit:
-		return &Const{K: storage.Str, S: t.Value}, nil
+		return &Const{K: storage.Str, S: t.Value, Lit: t.Lit}, nil
 	case *sql.DateLit:
-		return &Const{K: storage.Date, I: t.Days}, nil
+		return &Const{K: storage.Date, I: t.Days, Lit: t.Lit}, nil
 	case *sql.NotExpr:
 		inner, err := b.bindExpr(t.E, schema, allowAgg)
 		if err != nil {
@@ -670,7 +670,7 @@ func (b *binder) bindExpr(e sql.Expr, schema Schema, allowAgg bool) (Expr, error
 		if inner.Kind() != storage.Str {
 			return nil, fmt.Errorf("algebra: like over %s", inner.Kind())
 		}
-		var out Expr = &Like{E: inner, Pattern: t.Pattern}
+		var out Expr = &Like{E: inner, Pattern: t.Pattern, Lit: t.Lit}
 		if t.Not {
 			out = &Not{E: out}
 		}

@@ -48,6 +48,46 @@ type Options struct {
 // Compile lowers the tree to MAL. queryText is carried on the plan for
 // display (the paper shows it as a header comment on the listing).
 func Compile(tree algebra.Node, queryText string, opt Options) (*mal.Plan, error) {
+	plan, _, err := CompileLifted(tree, queryText, opt)
+	return plan, err
+}
+
+// Lifted is where a compilation put what differs between statements of
+// one shape (sql.ShapeOf): the statement text and the source literals
+// (algebra.SourceLiterals), each in a constant slot no constant of the
+// lowering's own shares (mal.Plan.OwnConstOf). Equal source literals
+// share a slot. A plan template rewrites these slots to instantiate
+// another statement of its shape (plancache.Template).
+type Lifted struct {
+	// Query is the slot of the statement text (querylog.define).
+	Query int
+	// Lits[i] is the slot of source literal i+1 (algebra.Const.Lit,
+	// algebra.Like.Lit), -1 for a literal the plan does not hold.
+	Lits []int
+}
+
+// Literals returns the constants the source literals of tree become
+// (algebra.SourceLiterals), by number: lits[i] is literal i+1's, the
+// zero Value for a literal the plan does not hold.
+func Literals(tree algebra.Node) []mal.Value {
+	var lits []mal.Value
+	algebra.SourceLiterals(tree, func(lit int, e algebra.Expr) {
+		for len(lits) < lit {
+			lits = append(lits, mal.Value{})
+		}
+		switch t := e.(type) {
+		case *algebra.Const:
+			lits[lit-1] = constValue(t)
+		case *algebra.Like:
+			lits[lit-1] = mal.Str(t.Pattern)
+		}
+	})
+	return lits
+}
+
+// CompileLifted is Compile, also reporting where the plan holds what
+// varies between statements of one shape.
+func CompileLifted(tree algebra.Node, queryText string, opt Options) (*mal.Plan, Lifted, error) {
 	if opt.Partitions < 1 {
 		opt.Partitions = 1
 	}
@@ -55,14 +95,14 @@ func Compile(tree algebra.Node, queryText string, opt Options) (*mal.Plan, error
 	c.prologue(queryText)
 	r, err := c.lower(tree)
 	if err != nil {
-		return nil, err
+		return nil, Lifted{}, err
 	}
 	c.epilogue(c.packed(r))
 	c.plan.Renumber()
 	if err := c.plan.Validate(); err != nil {
-		return nil, fmt.Errorf("compiler: generated invalid plan: %w", err)
+		return nil, Lifted{}, fmt.Errorf("compiler: generated invalid plan: %w", err)
 	}
-	return c.plan, nil
+	return c.plan, c.lifted, nil
 }
 
 // rel is an intermediate relation in one of two forms. Packed: one
@@ -160,16 +200,19 @@ func (c *compiler) packed(r rel) rel {
 }
 
 type compiler struct {
-	plan *mal.Plan
-	opt  Options
+	plan   *mal.Plan
+	opt    Options
+	lifted Lifted
 }
 
 // operand is a compiled scalar-or-column expression: either a MAL
-// variable holding a BAT or an inline constant.
+// variable holding a BAT or an inline constant, which lit numbers when
+// it is a source literal.
 type operand struct {
 	varID int // -1 when constant
 	cnst  mal.Value
 	kind  storage.Kind
+	lit   int
 }
 
 func (o operand) isConst() bool { return o.varID < 0 }
@@ -177,9 +220,24 @@ func (o operand) isConst() bool { return o.varID < 0 }
 // arg returns the operand of o in the plan under construction.
 func (c *compiler) arg(o operand) mal.Arg {
 	if o.isConst() {
-		return c.plan.ConstOf(o.cnst)
+		return c.constArg(o.cnst, o.lit)
 	}
 	return mal.VarArg(o.varID)
+}
+
+// constArg returns the operand of constant v, which source literal lit
+// spells (0 for a constant of the lowering's own): source literals take
+// slots of their own, recorded in c.lifted.
+func (c *compiler) constArg(v mal.Value, lit int) mal.Arg {
+	if lit == 0 {
+		return c.plan.ConstOf(v)
+	}
+	a := c.plan.OwnConstOf(v)
+	for len(c.lifted.Lits) < lit {
+		c.lifted.Lits = append(c.lifted.Lits, -1)
+	}
+	c.lifted.Lits[lit-1] = int(^a)
+	return a
 }
 
 func kindToMAL(k storage.Kind) mal.Type {
@@ -217,7 +275,9 @@ func constValue(c *algebra.Const) mal.Value {
 }
 
 func (c *compiler) prologue(queryText string) {
-	c.plan.Emit0("querylog", "define", c.plan.ConstOf(mal.Str(queryText)))
+	q := c.plan.OwnConstOf(mal.Str(queryText))
+	c.lifted.Query = int(^q)
+	c.plan.Emit0("querylog", "define", q)
 	c.plan.Emit1("sql", "mvc", mal.TInt)
 }
 
@@ -407,7 +467,7 @@ func (c *compiler) simpleSelect(in rel, p algebra.Expr, cands int) (int, error) 
 		if cands >= 0 {
 			args = append(args, mal.VarArg(cands))
 		}
-		args = append(args, c.plan.ConstOf(mal.Str(op)), c.plan.ConstOf(constValue(cst)))
+		args = append(args, c.plan.ConstOf(mal.Str(op)), c.constArg(constValue(cst), cst.Lit))
 		return c.plan.Emit1("algebra", "thetaselect", mal.TBATOID, args...), nil
 	case *algebra.Between:
 		col := t.E.(*algebra.ColIdx)
@@ -418,7 +478,7 @@ func (c *compiler) simpleSelect(in rel, p algebra.Expr, cands int) (int, error) 
 			args = append(args, mal.VarArg(cands))
 		}
 		args = append(args,
-			c.plan.ConstOf(constValue(lo)), c.plan.ConstOf(constValue(hi)),
+			c.constArg(constValue(lo), lo.Lit), c.constArg(constValue(hi), hi.Lit),
 			c.plan.ConstOf(mal.Bool(true)), c.plan.ConstOf(mal.Bool(true)))
 		return c.plan.Emit1("algebra", "select", mal.TBATOID, args...), nil
 	}
@@ -450,7 +510,7 @@ func (c *compiler) expr(in rel, e algebra.Expr) (operand, error) {
 	case *algebra.ColIdx:
 		return operand{varID: in.cols[t.Idx], kind: t.Col.Kind}, nil
 	case *algebra.Const:
-		return operand{varID: -1, cnst: constValue(t), kind: t.K}, nil
+		return operand{varID: -1, cnst: constValue(t), kind: t.K, lit: t.Lit}, nil
 	case *algebra.Not:
 		inner, err := c.expr(in, t.E)
 		if err != nil {
@@ -485,7 +545,7 @@ func (c *compiler) expr(in rel, e algebra.Expr) (operand, error) {
 			return operand{}, fmt.Errorf("compiler: like over a constant")
 		}
 		v := c.plan.Emit1("batcalc", "like", mal.TBATBool,
-			mal.VarArg(inner.varID), c.plan.ConstOf(mal.Str(t.Pattern)))
+			mal.VarArg(inner.varID), c.constArg(mal.Str(t.Pattern), t.Lit))
 		return operand{varID: v, kind: storage.Bool}, nil
 	case *algebra.Bin:
 		l, err := c.expr(in, t.L)
@@ -800,7 +860,7 @@ func (c *compiler) exprVar(in rel, e algebra.Expr) (int, error) {
 	if op.isConst() {
 		// Materialize a constant column aligned with the relation.
 		v := c.plan.Emit1("batcalc", "const", kindToBAT(op.kind),
-			c.plan.ConstOf(op.cnst), mal.VarArg(in.cols[0]))
+			c.constArg(op.cnst, op.lit), mal.VarArg(in.cols[0]))
 		return v, nil
 	}
 	return op.varID, nil

@@ -63,8 +63,15 @@ type Plan struct {
 	Instrs []*Instr
 
 	// constIdx deduplicates ConstOf; built lazily, so clones start
-	// without one.
+	// without one. ownIdx does the same for OwnConstOf, whose slots
+	// constIdx never holds.
 	constIdx map[constKey]Arg
+	ownIdx   map[constKey]Arg
+
+	// body is the plan whose variables, instructions, validation and
+	// read counts an instance shares (see Instance); nil for a plan that
+	// owns them.
+	body *Plan
 
 	// stmts memoizes the rendered statement text for the execution hot
 	// path; see CachedStmt. memoBytes is its size and the read counts'
@@ -137,20 +144,44 @@ func (p *Plan) appendVarName(b []byte, id int) []byte {
 
 // ConstOf returns an operand referencing the constant v, appending v to
 // the constant table unless an identical literal is already there.
-func (p *Plan) ConstOf(v Value) Arg {
-	k, dedup := v.literalKey()
-	if dedup {
-		if p.constIdx == nil {
-			p.constIdx = make(map[constKey]Arg, len(p.Consts))
-			for i, c := range p.Consts {
-				if ck, ok := c.literalKey(); ok {
-					if _, dup := p.constIdx[ck]; !dup {
-						p.constIdx[ck] = Arg(^i)
-					}
+func (p *Plan) ConstOf(v Value) Arg { return p.constIn(p.index(), v) }
+
+// OwnConstOf is ConstOf over a second set of slots: it shares a slot
+// only with an identical literal also added through OwnConstOf, and
+// ConstOf never hands its slots out. The compiler puts what a plan
+// template varies — the statement text and the source literals — there,
+// so rewriting one of those slots (Instance) changes no constant the
+// lowering made up. A clone, which rebuilds ConstOf's index from its
+// table, no longer tells the two sets apart; the optimizer adds no
+// constants.
+func (p *Plan) OwnConstOf(v Value) Arg {
+	p.index() // built before the slot exists, so it never holds one of these
+	if p.ownIdx == nil {
+		p.ownIdx = make(map[constKey]Arg)
+	}
+	return p.constIn(p.ownIdx, v)
+}
+
+// index returns ConstOf's deduplication index, building it from the
+// constant table on first use.
+func (p *Plan) index() map[constKey]Arg {
+	if p.constIdx == nil {
+		p.constIdx = make(map[constKey]Arg, len(p.Consts))
+		for i, c := range p.Consts {
+			if ck, ok := c.literalKey(); ok {
+				if _, dup := p.constIdx[ck]; !dup {
+					p.constIdx[ck] = Arg(^i)
 				}
 			}
 		}
-		if a, ok := p.constIdx[k]; ok {
+	}
+	return p.constIdx
+}
+
+func (p *Plan) constIn(idx map[constKey]Arg, v Value) Arg {
+	k, dedup := v.literalKey()
+	if dedup {
+		if a, ok := idx[k]; ok {
 			return a
 		}
 	}
@@ -160,7 +191,7 @@ func (p *Plan) ConstOf(v Value) Arg {
 	a := Arg(^len(p.Consts))
 	p.Consts = append(p.Consts, v)
 	if dedup {
-		p.constIdx[k] = a
+		idx[k] = a
 	}
 	return a
 }
@@ -332,6 +363,9 @@ func (p *Plan) appendStmt(b []byte, in *Instr) []byte {
 // overhead. Rewriting a plan after the first call would serve a stale
 // verdict. Safe for concurrent use.
 func (p *Plan) ValidateCached() error {
+	if p.body != nil {
+		return p.body.ValidateCached()
+	}
 	p.validateOnce.Do(func() { p.validateErr = p.Validate() })
 	return p.validateErr
 }
@@ -344,6 +378,9 @@ func (p *Plan) ValidateCached() error {
 // ValidateCached, for finalized plans only; the result is shared and
 // must not be modified. Safe for concurrent use.
 func (p *Plan) Readers() []int32 {
+	if p.body != nil {
+		return p.body.Readers()
+	}
 	p.readersOnce.Do(func() {
 		r := make([]int32, len(p.Vars))
 		for _, in := range p.Instrs {
@@ -448,24 +485,45 @@ func (p *Plan) Clone() *Plan {
 	return q
 }
 
+// Instance returns a plan of p's body under another statement: it
+// shares p's variables, instructions, validation and read counts — which
+// every holder treats as immutable — and owns its query text, its
+// constant table consts (p's with some slots rewritten, so just as
+// long) and its statement memo. An instance of an instance shares the
+// first plan's body.
+func (p *Plan) Instance(query string, consts []Value) *Plan {
+	body := p
+	if p.body != nil {
+		body = p.body
+	}
+	return &Plan{Query: query, Vars: p.Vars, Consts: consts, Instrs: p.Instrs, body: body}
+}
+
+// Body is the plan whose body an instance shares, nil for a plan that
+// owns its own.
+func (p *Plan) Body() *Plan { return p.body }
+
 // Bytes is the plan's resident size, computed by arithmetic the way
 // storage.BAT.FootprintBytes is: the plan header, the variable and
 // constant tables, every instruction with its operands and results and,
 // once CachedStmt and Readers have built them, the statement memo and
-// the read counts. Size-class rounding is
-// not counted.
+// the read counts. An instance counts only what it owns: the header,
+// its constant table and its statement memo; its Body counts the rest.
+// Size-class rounding is not counted.
 func (p *Plan) Bytes() int64 {
 	n := int64(unsafe.Sizeof(*p)) +
-		int64(cap(p.Vars))*int64(unsafe.Sizeof(Variable{})) +
 		int64(cap(p.Consts))*int64(unsafe.Sizeof(Value{})) +
-		int64(cap(p.Instrs))*int64(unsafe.Sizeof((*Instr)(nil))) +
-		int64(len(p.constIdx))*int64(unsafe.Sizeof(constKey{})+unsafe.Sizeof(Arg(0)))
+		int64(len(p.constIdx)+len(p.ownIdx))*int64(unsafe.Sizeof(constKey{})+unsafe.Sizeof(Arg(0)))
 	for _, c := range p.Consts {
 		n += int64(len(c.Str))
 	}
-	for _, in := range p.Instrs {
-		n += int64(unsafe.Sizeof(*in)) + int64(cap(in.Args))*int64(unsafe.Sizeof(Arg(0))) +
-			int64(cap(in.Rets))*int64(unsafe.Sizeof(int(0)))
+	if p.body == nil {
+		n += int64(cap(p.Vars))*int64(unsafe.Sizeof(Variable{})) +
+			int64(cap(p.Instrs))*int64(unsafe.Sizeof((*Instr)(nil)))
+		for _, in := range p.Instrs {
+			n += int64(unsafe.Sizeof(*in)) + int64(cap(in.Args))*int64(unsafe.Sizeof(Arg(0))) +
+				int64(cap(in.Rets))*int64(unsafe.Sizeof(int(0)))
+		}
 	}
 	p.memoMu.Lock()
 	n += p.memoBytes

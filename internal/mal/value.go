@@ -89,3 +89,11 @@ func (v Value) literalKey() (constKey, bool) {
 	}
 	return constKey{}, false
 }
+
+// Identical reports whether two literals are one constant to ConstOf:
+// the same type and payload, floats compared by their bits.
+func (v Value) Identical(w Value) bool {
+	vk, vok := v.literalKey()
+	wk, wok := w.literalKey()
+	return vok && wok && vk == wk
+}

@@ -5,6 +5,13 @@
 // session in its MAL block cache; here one cache is shared by every
 // session of a DB so concurrent clients warm it for each other.
 //
+// Beneath it sits a second LRU of plan templates, keyed by statement
+// shape: a statement that misses the text-keyed cache but shares its
+// shape with an earlier one gets an instance of that statement's plan
+// with its own literals, the way MonetDB's SQL front end caches a query
+// as a MAL function taking its literals as arguments. DESIGN.md
+// "Shared-work serving" has the two keys side by side.
+//
 // Cached plans are shared, not copied: a plan handed out by Get is
 // executed concurrently by many queries, so holders must treat it as
 // immutable (the engine only reads plans; optimizer passes run on
@@ -12,9 +19,12 @@
 package plancache
 
 import (
+	"slices"
+	"strconv"
 	"sync"
 	"unsafe"
 
+	"stethoscope/internal/compiler"
 	"stethoscope/internal/dot"
 	"stethoscope/internal/keyed"
 	"stethoscope/internal/mal"
@@ -31,7 +41,9 @@ const DefaultSize = 256
 // "Shared-work serving" has the full rationale. Only planner.Compile
 // builds one. The worker count is deliberately absent: the combine
 // stage packs partial results in slice order, so scheduling parallelism
-// never changes bytes.
+// never changes bytes. It keys by the full text: two statements that
+// differ only in literals may share a template (TemplateKey), but never
+// a cache entry, a compile flight or a run.
 type Key struct {
 	// SQL is the statement text, byte for byte (no normalization —
 	// differing whitespace compiles twice, which is cheap and safe).
@@ -110,18 +122,101 @@ func (e Entry) Bytes() int64 {
 	return n
 }
 
-// Bytes is the resident size of everything the cache holds: every
-// entry's Bytes plus its key's statement text. The stetho_plancache_bytes
-// gauge and the STATS cache_bytes field report it.
-func Bytes(c *Cache) int64 {
+// Bytes is the resident size of everything the plan cache and the
+// template table hold: every entry's and template's Bytes plus its key's
+// text, and once each the body of a template that only instances still
+// share. The stetho_plancache_bytes gauge and the STATS cache_bytes
+// field report it.
+func Bytes(c *Cache, t *Templates) int64 {
 	var n int64
+	bodies := map[*mal.Plan]bool{}
+	for _, k := range t.Keys() {
+		if tp, ok := t.Peek(k); ok {
+			n += int64(len(k.Shape)+len(k.Pattern)+len(k.Tree)) + tp.Bytes()
+			bodies[tp.Plan] = true
+		}
+	}
 	for _, k := range c.Keys() {
 		if e, ok := c.Peek(k); ok {
 			n += int64(len(k.SQL)) + e.Bytes()
+			if b := e.Plan.Body(); b != nil && !bodies[b] {
+				bodies[b] = true
+				n += b.Bytes()
+			}
 		}
 	}
 	return n
 }
+
+// TemplateKey is the key of a plan template: everything a statement's
+// plan depends on but the values of its source literals.
+type TemplateKey struct {
+	// Shape is the statement text with its literals lifted out
+	// (sql.Shape.Text); a LIMIT count stays in it.
+	Shape string
+	// Partitions and Passes are Key's.
+	Partitions int
+	Passes     string
+	// Pattern records which source literals are identical constants
+	// (Pattern): the compiler gives those one slot, and the optimizer
+	// may then merge the instructions that read them.
+	Pattern string
+	// Tree is the bound tree's fingerprint (algebra.Fingerprint): what
+	// the binder and the constant folder read of the literals beyond
+	// their values stays in the key.
+	Tree string
+}
+
+// Pattern encodes which of lits are identical constants: for each, the
+// number of the first one identical to it.
+func Pattern(lits []mal.Value) string {
+	b := make([]byte, 0, 2*len(lits))
+	for i, v := range lits {
+		j := 0
+		for j < i && !lits[j].Identical(v) {
+			j++
+		}
+		b = append(strconv.AppendInt(b, int64(j), 10), ',')
+	}
+	return string(b)
+}
+
+// Template is a compiled statement shape: the optimized plan of the
+// first statement compiled under its key, and where that plan holds the
+// statement text and the literals.
+type Template struct {
+	// Plan is never run itself: every statement gets an Instance.
+	Plan   *mal.Plan
+	Opt    optimizer.Stats
+	Lifted compiler.Lifted
+}
+
+// Instance is the template's plan for another statement of its key:
+// query is its text and lits its source literals (compiler.Literals).
+// It shares the template's body and owns a copy of the constant table.
+func (t Template) Instance(query string, lits []mal.Value) *mal.Plan {
+	consts := slices.Clone(t.Plan.Consts)
+	consts[t.Lifted.Query] = mal.Str(query)
+	for i, slot := range t.Lifted.Lits {
+		if slot >= 0 {
+			consts[slot] = lits[i]
+		}
+	}
+	return t.Plan.Instance(query, consts)
+}
+
+// Bytes is the template's resident size: its plan whole, body included,
+// and its own fields.
+func (t Template) Bytes() int64 {
+	return int64(unsafe.Sizeof(t)) + int64(cap(t.Lifted.Lits))*int64(unsafe.Sizeof(int(0))) + t.Plan.Bytes()
+}
+
+// Templates is the template LRU beneath the plan cache, of the same
+// capacity. A nil *Templates always misses.
+type Templates = keyed.LRU[TemplateKey, Template]
+
+// NewTemplates returns a template table holding up to capacity shapes.
+func NewTemplates(capacity int) *Templates { return keyed.NewLRU[TemplateKey, Template](capacity) }
 
 // Cache is the plan LRU: keyed.LRU, so a plan leaves only by LRU
 // eviction. A nil *Cache always misses.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"stethoscope/internal/compiler"
 	"stethoscope/internal/mal"
 )
 
@@ -130,10 +131,43 @@ func TestBytesCountsMemoizedArtifacts(t *testing.T) {
 	}
 	c := New(4)
 	c.Put(key("q"), e)
-	if got, want := Bytes(c), e.Bytes()+int64(len("q")); got != want {
+	if got, want := Bytes(c, nil), e.Bytes()+int64(len("q")); got != want {
 		t.Errorf("Bytes(cache) = %d, want %d", got, want)
 	}
-	if got := Bytes(nil); got != 0 {
+	if got := Bytes(nil, nil); got != 0 {
 		t.Errorf("Bytes(nil) = %d", got)
+	}
+}
+
+// TestBytesCountsSharedBodyOnce: instances of one template share its
+// body, which Bytes counts once — with the template while the template
+// table holds it, and still once after it is evicted and only the
+// instances keep it alive; each instance counts only what it owns.
+func TestBytesCountsSharedBodyOnce(t *testing.T) {
+	p := mal.NewPlan("select a from t where b = 1")
+	lifted := compiler.Lifted{Query: int(^p.OwnConstOf(mal.Str(p.Query))), Lits: []int{int(^p.OwnConstOf(mal.Int64(1)))}}
+	col := p.Emit1("sql", "bind", mal.TBATInt, p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("b")), p.ConstOf(mal.Int64(0)))
+	p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(col), p.ConstOf(mal.Str("=")), mal.Arg(^lifted.Lits[0]))
+	tmpl := Template{Plan: p, Lifted: lifted}
+	tkey := TemplateKey{Shape: "select a from t where b = ?i", Pattern: "0,"}
+	ts := NewTemplates(4)
+	ts.Put(tkey, tmpl)
+	c := New(4)
+	var own int64
+	for _, q := range []string{"select a from t where b = 2", "select a from t where b = 3"} {
+		inst := tmpl.Instance(q, []mal.Value{mal.Int64(int64(len(q)))})
+		if inst.Body() != p || &inst.Instrs[0] != &p.Instrs[0] {
+			t.Fatal("an instance does not share its template's body")
+		}
+		e := Entry{Plan: inst, Aux: &Aux{}}
+		c.Put(key(q), e)
+		own += int64(len(q)) + e.Bytes()
+	}
+	keyBytes := int64(len(tkey.Shape) + len(tkey.Pattern))
+	if got, want := Bytes(c, ts), own+keyBytes+tmpl.Bytes(); got != want {
+		t.Errorf("Bytes with the template held = %d, want %d", got, want)
+	}
+	if got, want := Bytes(c, nil), own+p.Bytes(); got != want {
+		t.Errorf("Bytes with the template evicted = %d, want %d", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 // Package planner owns the serving layer's shared statement-compilation
 // flow: plan-cache lookup, parse, bind, adaptive partition resolution,
-// MAL lowering, optimizer pipeline, and cache insertion. The facade
+// plan-template lookup, MAL lowering, optimizer pipeline, and cache
+// insertion. The facade
 // (DB.Exec/Explain) and every server session compile through one
 // Planner-shaped flow, so the cache-key discipline (normalized
 // partition counts, the Auto sentinel as its own key) and the
@@ -16,6 +17,7 @@ import (
 	"stethoscope/internal/algebra"
 	"stethoscope/internal/compiler"
 	"stethoscope/internal/keyed"
+	"stethoscope/internal/mal"
 	"stethoscope/internal/optimizer"
 	"stethoscope/internal/plancache"
 	"stethoscope/internal/sql"
@@ -24,14 +26,15 @@ import (
 
 // Planner binds the shared compilation inputs: the catalog to resolve
 // tables (and auto fan-outs) against, the shared plan cache (nil always
-// misses, i.e. disables caching), the optimizer pipeline with its
-// cache-key spec, and the compile flight that coalesces concurrent
-// cache misses.
+// misses, i.e. disables caching) and the template table beneath it (nil
+// compiles every cache miss), the optimizer pipeline with its cache-key
+// spec, and the compile flight that coalesces concurrent cache misses.
 type Planner struct {
-	Cat      *storage.Catalog
-	Cache    *plancache.Cache
-	Pipeline optimizer.Pipeline
-	PassSpec string
+	Cat       *storage.Catalog
+	Cache     *plancache.Cache
+	Templates *plancache.Templates
+	Pipeline  optimizer.Pipeline
+	PassSpec  string
 	// Flight single-flights cache-miss compilations: concurrent Compile
 	// calls for the same key (identical Exec, Explain, or server
 	// QUERY/EXPLAIN statements) compile once instead of racing to
@@ -60,6 +63,10 @@ type Compiled struct {
 	// Cached reports that compilation was skipped: a plan-cache hit, or
 	// a call coalesced onto a concurrent identical compilation.
 	Cached bool
+	// Instantiated reports that this call missed the plan cache and
+	// took its plan from a template of the statement's shape: it parsed
+	// and bound the statement, but neither lowered nor optimized it.
+	Instantiated bool
 	// Key is the statement key; runner.Prepare runs under it too.
 	Key plancache.Key
 }
@@ -124,10 +131,15 @@ func (p *Planner) Compile(query string, partitions int, _ bool) (Compiled, error
 	// A follower's plan was compiled by a concurrent identical call —
 	// compilation was skipped exactly as on a cache hit.
 	c.Cached = c.Cached || coalesced
+	c.Instantiated = c.Instantiated && !c.Cached
 	return c, nil
 }
 
-// compileMiss is the cache-miss compilation chain.
+// compileMiss is the cache-miss compilation chain. A statement whose
+// template key the template table holds is parsed and bound only: its
+// plan is an instance of the template with its own literals. Otherwise
+// it is compiled, and its plan becomes the template of its key, the
+// statement itself taking the first instance.
 func (p *Planner) compileMiss(key plancache.Key) (Compiled, error) {
 	stmt, err := sql.Parse(key.SQL)
 	if err != nil {
@@ -139,12 +151,33 @@ func (p *Planner) compileMiss(key plancache.Key) (Compiled, error) {
 	}
 	e := plancache.Entry{Aux: &plancache.Aux{}}
 	e.Partitions, e.TuneReason = ResolvePartitions(p.Cat, key.Partitions, tree)
-	plan, err := compiler.Compile(tree, stmt.Text, compiler.Options{Partitions: e.Partitions})
+	var tkey plancache.TemplateKey
+	var lits []mal.Value
+	if p.Templates != nil {
+		shape, err := sql.ShapeOf(key.SQL)
+		if err != nil { // Parse lexed the same text
+			return Compiled{}, fmt.Errorf("parse: %w", err)
+		}
+		lits = compiler.Literals(tree)
+		tkey = plancache.TemplateKey{Shape: shape.Text, Partitions: key.Partitions, Passes: key.Passes,
+			Pattern: plancache.Pattern(lits), Tree: algebra.Fingerprint(tree)}
+		if t, ok := p.Templates.Get(tkey); ok {
+			e.Plan, e.Opt = t.Instance(stmt.Text, lits), t.Opt
+			p.Cache.Put(key, e)
+			return Compiled{Entry: e, Key: key, Instantiated: true}, nil
+		}
+	}
+	plan, lifted, err := compiler.CompileLifted(tree, stmt.Text, compiler.Options{Partitions: e.Partitions})
 	if err != nil {
 		return Compiled{}, fmt.Errorf("compile: %w", err)
 	}
 	if e.Plan, e.Opt, err = p.Pipeline.Run(plan); err != nil {
 		return Compiled{}, fmt.Errorf("optimize: %w", err)
+	}
+	if p.Templates != nil {
+		t := plancache.Template{Plan: e.Plan, Opt: e.Opt, Lifted: lifted}
+		p.Templates.Put(tkey, t)
+		e.Plan = t.Instance(stmt.Text, lits)
 	}
 	p.Cache.Put(key, e)
 	return Compiled{Entry: e, Key: key}, nil

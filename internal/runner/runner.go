@@ -54,7 +54,8 @@ type Runner struct {
 }
 
 // New builds the run service over the catalog: the default optimizer
-// pipeline, a plan cache of plancache.DefaultSize entries, and — when
+// pipeline, a plan cache of plancache.DefaultSize entries with a
+// template table of as many shapes beneath it, and — when
 // history is non-nil — a durable record of every materialized run (plan
 // dot text + profiler event stream + completion stats).
 func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
@@ -63,7 +64,8 @@ func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
 	r := &Runner{
 		Engine: engine.New(cat),
 		Planner: planner.Planner{Cat: cat, Cache: plancache.New(plancache.DefaultSize),
-			Pipeline: pipeline, PassSpec: pipeline.Spec(), Flight: planner.NewCompileFlight()},
+			Templates: plancache.NewTemplates(plancache.DefaultSize),
+			Pipeline:  pipeline, PassSpec: pipeline.Spec(), Flight: planner.NewCompileFlight()},
 		Flight:   sharedwork.NewFlight(),
 		History:  history,
 		Registry: reg,
@@ -74,7 +76,8 @@ func New(cat *storage.Catalog, history *tracestore.Store) *Runner {
 	}
 	r.Engine.SetMetrics(reg)
 	r.Planner.Cache.Instrument(reg, "stetho_plancache")
-	reg.GaugeFunc("stetho_plancache_bytes", func() int64 { return plancache.Bytes(r.Planner.Cache) })
+	r.Planner.Templates.Instrument(reg, "stetho_plantemplate")
+	reg.GaugeFunc("stetho_plancache_bytes", func() int64 { return plancache.Bytes(r.Planner.Cache, r.Planner.Templates) })
 	// The allocation helper's arrays (storage, one free list per
 	// process, so every runner reports the same totals): those checked
 	// out as kernel outputs, and those the free list keeps for the next
@@ -120,6 +123,9 @@ type Prepared struct {
 	// PlanCached reports that compilation was skipped (plan-cache hit,
 	// or coalesced onto a concurrent identical compilation).
 	PlanCached bool
+	// Instantiated reports that the plan cache missed and the plan is
+	// an instance of a template of the statement's shape.
+	Instantiated bool
 
 	aux *plancache.Aux
 	key sharedwork.Key
@@ -175,16 +181,17 @@ func (r *Runner) Prepare(query string, s Settings) (*Prepared, error) {
 	}
 	workers, auto, reason := c.ResolveExec(s.Workers)
 	return &Prepared{
-		SQL:        query,
-		Plan:       c.Plan,
-		Opt:        c.Opt,
-		Partitions: c.Partitions,
-		Workers:    workers,
-		AutoTuned:  auto,
-		TuneReason: reason,
-		PlanCached: c.Cached,
-		aux:        c.Aux,
-		key:        c.Key,
+		SQL:          query,
+		Plan:         c.Plan,
+		Opt:          c.Opt,
+		Partitions:   c.Partitions,
+		Workers:      workers,
+		AutoTuned:    auto,
+		TuneReason:   reason,
+		PlanCached:   c.Cached,
+		Instantiated: c.Instantiated,
+		aux:          c.Aux,
+		key:          c.Key,
 	}, nil
 }
 
@@ -321,6 +328,7 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 			Instructions: len(p.Plan.Instrs),
 			AutoTuned:    p.AutoTuned,
 			TuneReason:   p.TuneReason,
+			Instantiated: p.Instantiated,
 		}, events, st)
 		if herr != nil && err == nil {
 			return nil, fmt.Errorf("history: %w", herr)
@@ -332,15 +340,16 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 	}
 	r.events.Add(int64(len(events)))
 	return &sharedwork.Outcome{
-		Res:        res,
-		Events:     events,
-		Elapsed:    elapsed,
-		RunID:      runID,
-		Partitions: p.Partitions,
-		Workers:    p.Workers,
-		AutoTuned:  p.AutoTuned,
-		TuneReason: p.TuneReason,
-		CacheHit:   p.PlanCached,
+		Res:          res,
+		Events:       events,
+		Elapsed:      elapsed,
+		RunID:        runID,
+		Partitions:   p.Partitions,
+		Workers:      p.Workers,
+		AutoTuned:    p.AutoTuned,
+		TuneReason:   p.TuneReason,
+		CacheHit:     p.PlanCached,
+		Instantiated: p.Instantiated,
 	}, nil
 }
 
@@ -349,7 +358,11 @@ type Stats struct {
 	// Cache reports plan-cache effectiveness (hits, misses, evictions,
 	// occupancy).
 	Cache plancache.Stats
-	// CacheBytes is the resident size of the cached plans
+	// Templates reports the same of the template table beneath it: a
+	// hit is a plan-cache miss answered by an instance of the
+	// statement's shape instead of a compilation.
+	Templates plancache.Stats
+	// CacheBytes is the resident size of the cached plans and templates
 	// (plancache.Bytes): what the plan cache owns of the heap.
 	CacheBytes int64
 	// InFlight is the number of plans currently executing — in-process
@@ -384,7 +397,8 @@ type Stats struct {
 func (r *Runner) Stats() Stats {
 	return Stats{
 		Cache:          r.Planner.Cache.Stats(),
-		CacheBytes:     plancache.Bytes(r.Planner.Cache),
+		Templates:      r.Planner.Templates.Stats(),
+		CacheBytes:     plancache.Bytes(r.Planner.Cache, r.Planner.Templates),
 		InFlight:       r.Engine.InFlight(),
 		Execs:          r.execs.Load(),
 		Events:         r.events.Load(),

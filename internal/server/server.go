@@ -302,9 +302,9 @@ func (sess *session) dispatch(w *bufio.Writer, line string) {
 
 // cmdStats renders the serving counters: the plan-cache line the
 // command always carried, plus a scheduler line, a server line
-// drawn from the metrics registry, and a shared-work line
-// (single-flight leads/attaches), so remote monitors see the engine
-// counters without the HTTP endpoint.
+// drawn from the metrics registry, a shared-work line
+// (single-flight leads/attaches) and a plan-template line, so remote
+// monitors see the engine counters without the HTTP endpoint.
 // Clients parse every payload line as flat k=v fields, so added lines
 // are backward compatible.
 func (sess *session) cmdStats(w *bufio.Writer) {
@@ -329,6 +329,8 @@ func (sess *session) cmdStats(w *bufio.Writer) {
 		snap.Value("stetho_server_result_bytes_total"),
 		encode.Count, encode.Sum)
 	fmt.Fprintf(w, "sharedwork_led=%d sharedwork_attached=%d\n", st.SharedLed, st.SharedAttached)
+	fmt.Fprintf(w, "template_hits=%d template_misses=%d template_evictions=%d template_len=%d template_cap=%d\n",
+		st.Templates.Hits, st.Templates.Misses, st.Templates.Evictions, st.Templates.Len, st.Templates.Capacity)
 	fmt.Fprintln(w, ".")
 }
 

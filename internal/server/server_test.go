@@ -330,11 +330,11 @@ func TestStatsCommandAndSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payload) != 4 || !strings.Contains(payload[0], "cache_hits=") {
+	if len(payload) != 5 || !strings.Contains(payload[0], "cache_hits=") {
 		t.Fatalf("STATS payload = %q", payload)
 	}
 	// The cache line names what the cached plans own of the heap.
-	if cb := fmt.Sprintf(" cache_bytes=%d", plancache.Bytes(srv.run.Planner.Cache)); !strings.HasSuffix(payload[0], cb) || strings.HasSuffix(payload[0], " cache_bytes=0") {
+	if cb := fmt.Sprintf(" cache_bytes=%d", plancache.Bytes(srv.run.Planner.Cache, srv.run.Planner.Templates)); !strings.HasSuffix(payload[0], cb) || strings.HasSuffix(payload[0], " cache_bytes=0") {
 		t.Fatalf("STATS cache line = %q, want a non-zero%s", payload[0], cb)
 	}
 	if !strings.Contains(payload[1], "engine_runs=") || !strings.Contains(payload[1], "engine_queries_inflight=") ||
@@ -355,6 +355,11 @@ func TestStatsCommandAndSharedCache(t *testing.T) {
 	}
 	if f := strings.Fields(payload[3]); len(f) != 2 || !strings.HasPrefix(f[0], "sharedwork_led=") || !strings.HasPrefix(f[1], "sharedwork_attached=") {
 		t.Fatalf("STATS shared-work line = %q", payload[3])
+	}
+	// One statement text, compiled once: the template table missed once
+	// and holds its shape.
+	if want := "template_hits=0 template_misses=1 template_evictions=0 template_len=1 template_cap="; !strings.HasPrefix(payload[4], want) {
+		t.Fatalf("STATS template line = %q, want prefix %q", payload[4], want)
 	}
 
 	// Different partition settings must compile separately.

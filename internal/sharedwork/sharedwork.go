@@ -54,11 +54,12 @@ type Outcome struct {
 	// The leader's resolved execution settings, echoed into every
 	// consumer's Stats so a shared result still reports the geometry it
 	// was produced with.
-	Partitions int
-	Workers    int
-	AutoTuned  bool
-	TuneReason string
-	CacheHit   bool
+	Partitions   int
+	Workers      int
+	AutoTuned    bool
+	TuneReason   string
+	CacheHit     bool
+	Instantiated bool
 }
 
 // CloneEvents returns a private copy of the outcome's event slice, the

@@ -25,20 +25,31 @@ func (c *ColRef) String() string {
 	return c.Column
 }
 
-// IntLit is an integer literal.
-type IntLit struct{ Value int64 }
+// IntLit is an integer literal. Lit, here and on the other literals, is
+// the literal's Token.Lit: its number in the statement's shape, 0 for a
+// literal the text does not spell (the 0 of a unary minus).
+type IntLit struct {
+	Value int64
+	Lit   int
+}
 
 func (l *IntLit) expr()          {}
 func (l *IntLit) String() string { return fmt.Sprintf("%d", l.Value) }
 
 // FltLit is a floating-point literal.
-type FltLit struct{ Value float64 }
+type FltLit struct {
+	Value float64
+	Lit   int
+}
 
 func (l *FltLit) expr()          {}
 func (l *FltLit) String() string { return fmt.Sprintf("%g", l.Value) }
 
 // StrLit is a string literal.
-type StrLit struct{ Value string }
+type StrLit struct {
+	Value string
+	Lit   int
+}
 
 func (l *StrLit) expr()          {}
 func (l *StrLit) String() string { return "'" + strings.ReplaceAll(l.Value, "'", "''") + "'" }
@@ -48,6 +59,7 @@ func (l *StrLit) String() string { return "'" + strings.ReplaceAll(l.Value, "'",
 type DateLit struct {
 	Days int64
 	Text string // original YYYY-MM-DD spelling
+	Lit  int
 }
 
 func (l *DateLit) expr()          {}
@@ -82,10 +94,12 @@ func (b *BetweenExpr) String() string {
 }
 
 // LikeExpr is "e [not] like 'pattern'" with SQL wildcards % and _.
+// Lit is the pattern literal's Token.Lit.
 type LikeExpr struct {
 	E       Expr
 	Pattern string
 	Not     bool
+	Lit     int
 }
 
 func (l *LikeExpr) expr() {}

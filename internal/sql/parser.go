@@ -286,7 +286,7 @@ func (p *parser) parseCmp() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LikeExpr{E: l, Pattern: t.Text, Not: negated}, nil
+		return &LikeExpr{E: l, Pattern: t.Text, Not: negated, Lit: t.Lit}, nil
 	}
 	if p.accept(TokKeyword, "in") {
 		if _, err := p.expect(TokOp, "("); err != nil {
@@ -417,16 +417,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errf("bad number %q", t.Text)
 			}
-			return &FltLit{Value: f}, nil
+			return &FltLit{Value: f, Lit: t.Lit}, nil
 		}
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return nil, p.errf("bad number %q", t.Text)
 		}
-		return &IntLit{Value: n}, nil
+		return &IntLit{Value: n, Lit: t.Lit}, nil
 	case TokString:
 		p.next()
-		return &StrLit{Value: t.Text}, nil
+		return &StrLit{Value: t.Text, Lit: t.Lit}, nil
 	case TokKeyword:
 		if t.Text == "date" {
 			p.next()
@@ -438,7 +438,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
-			return &DateLit{Days: days, Text: s.Text}, nil
+			return &DateLit{Days: days, Text: s.Text, Lit: s.Lit}, nil
 		}
 		if aggFuncs[t.Text] {
 			p.next()

@@ -46,6 +46,7 @@ const maxRecordBytes = 64 << 20
 const (
 	flagAutoTuned byte = 1 << iota
 	flagCacheHit
+	flagInstantiated
 )
 
 // RunMeta is what a run is started with.
@@ -62,6 +63,10 @@ type RunMeta struct {
 	// stored trace explains its own fan-out.
 	AutoTuned  bool
 	TuneReason string
+	// Instantiated reports that the plan was an instance of a template
+	// of the statement's shape (the plan cache missed, nothing was
+	// lowered); CacheHit, in RunStats, that compilation was skipped.
+	Instantiated bool
 }
 
 // RunStats is a run's completion accounting.
@@ -87,6 +92,9 @@ func appendRun(b []byte, info RunInfo, dot string, evs []profiler.Event) []byte 
 	}
 	if info.CacheHit {
 		flags |= flagCacheHit
+	}
+	if info.Instantiated {
+		flags |= flagInstantiated
 	}
 	b = append(b, flags)
 	b = appendString(b, info.SQL)
@@ -140,6 +148,7 @@ func decodeRun(b []byte, body bool) (info RunInfo, dot string, evs []profiler.Ev
 	flags := r.Byte()
 	info.AutoTuned = flags&flagAutoTuned != 0
 	info.CacheHit = flags&flagCacheHit != 0
+	info.Instantiated = flags&flagInstantiated != 0
 	info.SQL = r.Str()
 	info.TuneReason = r.Str()
 	info.ElapsedUs = r.Varint()

@@ -90,7 +90,10 @@ type RunInfo struct {
 	ElapsedUs int64
 	Rows      int
 	CacheHit  bool
-	Err       string
+	// Instantiated reports a plan instantiated from a template; see
+	// RunMeta.
+	Instantiated bool
+	Err          string
 }
 
 // OK reports whether the run completed without an execution error.
@@ -384,7 +387,7 @@ func (s *Store) Record(meta RunMeta, events []profiler.Event, st RunStats) (uint
 	info := RunInfo{
 		SQL: meta.SQL, Start: meta.Start,
 		Partitions: meta.Partitions, Workers: meta.Workers, Instructions: meta.Instructions,
-		AutoTuned: meta.AutoTuned, TuneReason: meta.TuneReason,
+		AutoTuned: meta.AutoTuned, TuneReason: meta.TuneReason, Instantiated: meta.Instantiated,
 		Events: len(events), ElapsedUs: st.ElapsedUs, Rows: st.Rows, CacheHit: st.CacheHit, Err: st.Err,
 	}
 	n := recHeaderLen + 64 + len(meta.SQL) + len(meta.TuneReason) + len(st.Err) + len(meta.Dot)

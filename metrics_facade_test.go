@@ -456,3 +456,58 @@ func TestIntermediateGauges(t *testing.T) {
 		}
 	}
 }
+
+// TestTemplateHitVisible pins how a plan instantiated from a template
+// shows: a statement that differs from an earlier one only in a literal
+// misses the plan cache and hits the template table, and says so in
+// Result.Stats (Instantiated, not CacheHit), in the history's RunInfo,
+// in DB.Stats and in the stetho_plantemplate metrics; its exact repeat
+// is a plain plan-cache hit.
+func TestTemplateHitVisible(t *testing.T) {
+	db, err := Open(WithScaleFactor(0.001), WithHistory(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	for i, step := range []struct {
+		sql                    string
+		cacheHit, instantiated bool
+	}{
+		{"select l_tax from lineitem where l_partkey=1", false, false},
+		{"select l_tax from lineitem where l_partkey=2", false, true},
+		{"select l_tax from lineitem where l_partkey=2", true, false},
+	} {
+		res, err := db.Exec(ctx, step.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.CacheHit != step.cacheHit || res.Stats.Instantiated != step.instantiated {
+			t.Errorf("statement %d: CacheHit %t Instantiated %t, want %t %t", i,
+				res.Stats.CacheHit, res.Stats.Instantiated, step.cacheHit, step.instantiated)
+		}
+		run, err := db.History().Get(res.Stats.RunID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Info.CacheHit != step.cacheHit || run.Info.Instantiated != step.instantiated {
+			t.Errorf("statement %d: history records CacheHit %t Instantiated %t, want %t %t", i,
+				run.Info.CacheHit, run.Info.Instantiated, step.cacheHit, step.instantiated)
+		}
+	}
+	if st := db.Stats(); st.Templates.Hits != 1 || st.Templates.Misses != 1 || st.Templates.Len != 1 ||
+		st.Cache.Hits != 1 || st.Cache.Misses != 2 {
+		t.Errorf("DB.Stats: plan cache %+v, templates %+v; want 1 hit 2 misses, 1 template hit 1 miss", st.Cache, st.Templates)
+	}
+	snap := db.Metrics()
+	for name, want := range map[string]int64{
+		"stetho_plantemplate_hits_total":      1,
+		"stetho_plantemplate_misses_total":    1,
+		"stetho_plantemplate_evictions_total": 0,
+		"stetho_plantemplate_entries":         1,
+	} {
+		if got := snap.Value(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

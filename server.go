@@ -139,8 +139,9 @@ func (r *Remote) Progress() ([]string, error) {
 // scheduler counters (engine_runs, engine_instructions, engine_steals,
 // engine_parks, engine_queries_inflight), the server-layer counters
 // (sessions, commands, bytes_written, result_bytes, encode_count,
-// encode_us), and the shared-work counters (sharedwork_led,
-// sharedwork_attached).
+// encode_us), the shared-work counters (sharedwork_led,
+// sharedwork_attached) and the plan-template figures (template_hits,
+// template_misses, template_evictions, template_len, template_cap).
 func (r *Remote) Stats() (map[string]int64, error) {
 	_, lines, err := r.c.Command("STATS")
 	if err != nil {

@@ -76,13 +76,15 @@ func ValidateScaleFactor(sf float64) error {
 // WithPartitions sets the default mitosis partition count queries are
 // compiled with (default 1 — no partitioning). Pass Auto to size the
 // fan-out per query from catalog row counts and the core count.
-// ExecPartitions overrides it per query.
+// ExecPartitions overrides it per query. Open refuses a count above the
+// limit a statement may request (4096).
 func WithPartitions(n int) Option { return func(c *config) { c.exec.Partitions = n } }
 
 // WithWorkers sets the default dataflow worker count queries execute
 // with (default 1 — sequential interpretation). Pass Auto to derive the
 // worker count from the resolved partition fan-out and the core count.
-// ExecWorkers overrides it per query.
+// ExecWorkers overrides it per query. Open refuses a count above the
+// limit a statement may request (256).
 func WithWorkers(n int) Option { return func(c *config) { c.exec.Workers = n } }
 
 // WithMetricsAddr serves the observability HTTP endpoint on addr
@@ -125,6 +127,12 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	if (cfg.exec.Partitions < 1 && cfg.exec.Partitions != Auto) || (cfg.exec.Workers < 1 && cfg.exec.Workers != Auto) {
 		return nil, fmt.Errorf("stethoscope: partitions and workers must be >= 1 (or Auto)")
+	}
+	if cfg.exec.Partitions > runner.MaxPartitions {
+		return nil, fmt.Errorf("stethoscope: partitions %d exceeds the limit of %d", cfg.exec.Partitions, runner.MaxPartitions)
+	}
+	if cfg.exec.Workers > runner.MaxWorkers {
+		return nil, fmt.Errorf("stethoscope: workers %d exceeds the limit of %d", cfg.exec.Workers, runner.MaxWorkers)
 	}
 	var (
 		cat   *storage.Catalog
@@ -344,6 +352,7 @@ func (db *DB) Exec(ctx context.Context, query string, opts ...ExecOption) (*Resu
 			AutoTuned:    out.AutoTuned,
 			TuneReason:   out.TuneReason,
 			CacheHit:     out.CacheHit,
+			Instantiated: out.Instantiated,
 			RunID:        out.RunID,
 			Shared:       via,
 		},
