@@ -644,9 +644,11 @@ const cacheBenchQuery = `select l_orderkey,
 // against one that serves the optimized plan from the shared cache,
 // at 128-way mitosis: the cached variant skips the whole
 // parse → bind → compile → optimize chain and must be at least
-// ~5× faster. Both variants run with the durable query history
-// enabled, pinning that the teed store sink does not erode the cache
-// advantage.
+// ~5× faster. Between them, the instantiated variant misses the cache
+// but not the template table: it parses and binds, and takes the
+// template's plan with its own literal. All variants run with the
+// durable query history enabled, pinning that the teed store sink does
+// not erode the cache advantage.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	ctx := context.Background()
 	open := func(b *testing.B) *DB {
@@ -661,16 +663,35 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 		db := open(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// Every iteration's statement text is new, so every Exec
-			// misses the plan cache; discounts are whole cents, so each
-			// bound in (0.04, 0.05) selects the rows "< 0.05" does.
+			// Every iteration's statement shape is new — its last alias
+			// differs — so every Exec misses the plan cache and the
+			// template table; discounts are whole cents, so each bound in
+			// (0.04, 0.05) selects the rows "< 0.05" does.
+			q := strings.Replace(cacheBenchQuery, "l_discount < 0.05", fmt.Sprintf("l_discount < 0.04%d", i+1), 1)
+			q = strings.Replace(q, "as r32", fmt.Sprintf("as r%d", 33+i), 1)
+			res, err := db.Exec(ctx, q, ExecPartitions(128))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.CacheHit || res.Stats.Instantiated {
+				b.Fatal("a cold Exec reused a plan")
+			}
+		}
+	})
+	b.Run("instantiated", func(b *testing.B) {
+		db := open(b)
+		if _, err := db.Exec(ctx, cacheBenchQuery, ExecPartitions(128)); err != nil {
+			b.Fatal(err) // make the template
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			q := strings.Replace(cacheBenchQuery, "l_discount < 0.05", fmt.Sprintf("l_discount < 0.04%d", i+1), 1)
 			res, err := db.Exec(ctx, q, ExecPartitions(128))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Stats.CacheHit {
-				b.Fatal("a cold Exec hit the plan cache")
+			if !res.Stats.Instantiated {
+				b.Fatal("expected an instance of the template")
 			}
 		}
 	})
