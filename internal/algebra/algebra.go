@@ -75,8 +75,7 @@ func (c *ColIdx) Kind() storage.Kind { return c.Col.Kind }
 func (c *ColIdx) String() string     { return c.Col.QName() }
 
 // Const is a typed literal. Lit is the source literal's number in the
-// statement's shape (sql.Token.Lit), 0 for a constant the text does not
-// spell.
+// statement (sql.Token.Lit), 0 for a constant the text does not spell.
 type Const struct {
 	K   storage.Kind
 	I   int64
@@ -132,7 +131,7 @@ func (b *Between) String() string {
 
 // Like is a SQL LIKE match of a string expression against a constant
 // pattern with % and _ wildcards. Lit is the pattern's number in the
-// statement's shape, as on Const.
+// statement, as on Const.
 type Like struct {
 	E       Expr
 	Pattern string
@@ -363,12 +362,14 @@ func Tree(n Node) string {
 // Fingerprint renders everything of a bound tree the lowering reads,
 // except the values of its source literals (SourceLiterals), which it
 // writes as ?<Lit>. Two trees with one fingerprint lower to the same
-// plan up to those values, so it keys plan templates
-// (internal/plancache) beside the statement's shape: the binder reads
-// literal text beyond the values (it names an unaliased output column
-// after its expression, and matches group keys and aggregates by their
-// text), and the compiler folds an operator over constants into one
-// computed constant, whose literals the fingerprint therefore spells.
+// plan up to those values and the statement text, so it keys plan
+// templates (internal/plancache). It spells what else of the literals
+// the plan depends on: the binder reads literal text beyond the values
+// (it names an unaliased output column after its expression, and
+// matches group keys and aggregates by their text), which the schema
+// names carry, and the compiler folds an operator over constants into
+// one computed constant, whose literals the fingerprint therefore
+// spells.
 func Fingerprint(n Node) string {
 	var b []byte
 	var expr func(e Expr, folded bool)

@@ -53,7 +53,8 @@ func Compile(tree algebra.Node, queryText string, opt Options) (*mal.Plan, error
 }
 
 // Lifted is where a compilation put what differs between statements of
-// one shape (sql.ShapeOf): the statement text and the source literals
+// one shape, whose bound trees differ only in literal values
+// (algebra.Fingerprint): the statement text and the source literals
 // (algebra.SourceLiterals), each in a constant slot no constant of the
 // lowering's own shares (mal.Plan.OwnConstOf). Equal source literals
 // share a slot. A plan template rewrites these slots to instantiate

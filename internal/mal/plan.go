@@ -489,8 +489,9 @@ func (p *Plan) Clone() *Plan {
 // shares p's variables, instructions, validation and read counts — which
 // every holder treats as immutable — and owns its query text, its
 // constant table consts (p's with some slots rewritten, so just as
-// long) and its statement memo. An instance of an instance shares the
-// first plan's body.
+// long, or p's own table for the statement p was compiled from) and
+// its statement memo. An instance of an instance shares the first
+// plan's body.
 func (p *Plan) Instance(query string, consts []Value) *Plan {
 	body := p
 	if p.body != nil {
@@ -508,14 +509,16 @@ func (p *Plan) Body() *Plan { return p.body }
 // constant tables, every instruction with its operands and results and,
 // once CachedStmt and Readers have built them, the statement memo and
 // the read counts. An instance counts only what it owns: the header,
-// its constant table and its statement memo; its Body counts the rest.
-// Size-class rounding is not counted.
+// its constant table unless it shares its Body's, and its statement
+// memo; its Body counts the rest. Size-class rounding is not counted.
 func (p *Plan) Bytes() int64 {
 	n := int64(unsafe.Sizeof(*p)) +
-		int64(cap(p.Consts))*int64(unsafe.Sizeof(Value{})) +
 		int64(len(p.constIdx)+len(p.ownIdx))*int64(unsafe.Sizeof(constKey{})+unsafe.Sizeof(Arg(0)))
-	for _, c := range p.Consts {
-		n += int64(len(c.Str))
+	if p.body == nil || unsafe.SliceData(p.Consts) != unsafe.SliceData(p.body.Consts) {
+		n += int64(cap(p.Consts)) * int64(unsafe.Sizeof(Value{}))
+		for _, c := range p.Consts {
+			n += int64(len(c.Str))
+		}
 	}
 	if p.body == nil {
 		n += int64(cap(p.Vars))*int64(unsafe.Sizeof(Variable{})) +

@@ -5,10 +5,11 @@
 // session in its MAL block cache; here one cache is shared by every
 // session of a DB so concurrent clients warm it for each other.
 //
-// Beneath it sits a second LRU of plan templates, keyed by statement
-// shape: a statement that misses the text-keyed cache but shares its
-// shape with an earlier one gets an instance of that statement's plan
-// with its own literals, the way MonetDB's SQL front end caches a query
+// Beneath it sits a second LRU of plan templates, keyed by the bound
+// tree with its literal values masked: a statement that misses the
+// text-keyed cache but binds to the same tree as an earlier one, up to
+// literal values, gets an instance of that statement's plan with its
+// own literals, the way MonetDB's SQL front end caches a query
 // as a MAL function taking its literals as arguments. DESIGN.md
 // "Shared-work serving" has the two keys side by side.
 //
@@ -132,7 +133,7 @@ func Bytes(c *Cache, t *Templates) int64 {
 	bodies := map[*mal.Plan]bool{}
 	for _, k := range t.Keys() {
 		if tp, ok := t.Peek(k); ok {
-			n += int64(len(k.Shape)+len(k.Pattern)+len(k.Tree)) + tp.Bytes()
+			n += int64(len(k.Tree)+len(k.Pattern)) + tp.Bytes()
 			bodies[tp.Plan] = true
 		}
 	}
@@ -149,11 +150,17 @@ func Bytes(c *Cache, t *Templates) int64 {
 }
 
 // TemplateKey is the key of a plan template: everything a statement's
-// plan depends on but the values of its source literals.
+// plan depends on but the values of its source literals and its text.
+// The compiler lowers the bound tree alone and puts the text in a slot
+// of its own (compiler.Lifted), so statements that differ in literal
+// values, whitespace or keyword case share a template.
 type TemplateKey struct {
-	// Shape is the statement text with its literals lifted out
-	// (sql.Shape.Text); a LIMIT count stays in it.
-	Shape string
+	// Tree is the bound tree's fingerprint (algebra.Fingerprint): the
+	// tree with its source literals' values masked. What the binder and
+	// the constant folder read of the literals beyond their values
+	// (output names, folded operands) stays in it, as does a LIMIT
+	// count.
+	Tree string
 	// Partitions and Passes are Key's.
 	Partitions int
 	Passes     string
@@ -161,10 +168,6 @@ type TemplateKey struct {
 	// (Pattern): the compiler gives those one slot, and the optimizer
 	// may then merge the instructions that read them.
 	Pattern string
-	// Tree is the bound tree's fingerprint (algebra.Fingerprint): what
-	// the binder and the constant folder read of the literals beyond
-	// their values stays in the key.
-	Tree string
 }
 
 // Pattern encodes which of lits are identical constants: for each, the
@@ -181,8 +184,8 @@ func Pattern(lits []mal.Value) string {
 	return string(b)
 }
 
-// Template is a compiled statement shape: the optimized plan of the
-// first statement compiled under its key, and where that plan holds the
+// Template is the compiled plan of a template key: the optimized plan
+// of the first statement compiled under the key, and where that plan holds the
 // statement text and the literals.
 type Template struct {
 	// Plan is never run itself: every statement gets an Instance.
@@ -215,7 +218,7 @@ func (t Template) Bytes() int64 {
 // capacity. A nil *Templates always misses.
 type Templates = keyed.LRU[TemplateKey, Template]
 
-// NewTemplates returns a template table holding up to capacity shapes.
+// NewTemplates returns a template table holding up to capacity templates.
 func NewTemplates(capacity int) *Templates { return keyed.NewLRU[TemplateKey, Template](capacity) }
 
 // Cache is the plan LRU: keyed.LRU, so a plan leaves only by LRU

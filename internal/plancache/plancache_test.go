@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"stethoscope/internal/compiler"
 	"stethoscope/internal/mal"
@@ -142,18 +143,26 @@ func TestBytesCountsMemoizedArtifacts(t *testing.T) {
 // TestBytesCountsSharedBodyOnce: instances of one template share its
 // body, which Bytes counts once — with the template while the template
 // table holds it, and still once after it is evicted and only the
-// instances keep it alive; each instance counts only what it owns.
+// instances keep it alive; each instance counts only what it owns. The
+// first instance, of the statement the template was compiled from,
+// shares the template's constant table too, and counts none of it.
 func TestBytesCountsSharedBodyOnce(t *testing.T) {
 	p := mal.NewPlan("select a from t where b = 1")
 	lifted := compiler.Lifted{Query: int(^p.OwnConstOf(mal.Str(p.Query))), Lits: []int{int(^p.OwnConstOf(mal.Int64(1)))}}
 	col := p.Emit1("sql", "bind", mal.TBATInt, p.ConstOf(mal.Str("sys")), p.ConstOf(mal.Str("t")), p.ConstOf(mal.Str("b")), p.ConstOf(mal.Int64(0)))
 	p.Emit1("algebra", "thetaselect", mal.TBATOID, mal.VarArg(col), p.ConstOf(mal.Str("=")), mal.Arg(^lifted.Lits[0]))
 	tmpl := Template{Plan: p, Lifted: lifted}
-	tkey := TemplateKey{Shape: "select a from t where b = ?i", Pattern: "0,"}
+	tkey := TemplateKey{Tree: "Filter{b = ?1}", Pattern: "0,"}
 	ts := NewTemplates(4)
 	ts.Put(tkey, tmpl)
 	c := New(4)
-	var own int64
+	first := p.Instance(p.Query, p.Consts)
+	if got, want := first.Bytes(), int64(unsafe.Sizeof(*first)); got != want {
+		t.Errorf("an instance sharing its template's constant table counts %d bytes, want its header's %d", got, want)
+	}
+	e := Entry{Plan: first, Aux: &Aux{}}
+	c.Put(key(p.Query), e)
+	own := int64(len(p.Query)) + e.Bytes()
 	for _, q := range []string{"select a from t where b = 2", "select a from t where b = 3"} {
 		inst := tmpl.Instance(q, []mal.Value{mal.Int64(int64(len(q)))})
 		if inst.Body() != p || &inst.Instrs[0] != &p.Instrs[0] {
@@ -163,7 +172,7 @@ func TestBytesCountsSharedBodyOnce(t *testing.T) {
 		c.Put(key(q), e)
 		own += int64(len(q)) + e.Bytes()
 	}
-	keyBytes := int64(len(tkey.Shape) + len(tkey.Pattern))
+	keyBytes := int64(len(tkey.Tree) + len(tkey.Pattern))
 	if got, want := Bytes(c, ts), own+keyBytes+tmpl.Bytes(); got != want {
 		t.Errorf("Bytes with the template held = %d, want %d", got, want)
 	}

@@ -75,9 +75,10 @@ func TestPlanFootprintCeilings(t *testing.T) {
 		t.Skip("heap sizes are distorted under -race")
 	}
 	const (
-		// The plan cache holds an instance of the template the compile
-		// made: the template's body plus the instance's constant table.
-		maxPlan    = 128 << 10
+		// The plan cache holds the first instance of the template the
+		// compile made: the template itself, under a plan header that
+		// shares its constant table.
+		maxPlan    = 120 << 10
 		maxEntry   = 240 << 10
 		maxCompile = 1200 << 10
 		// An instance holds its header and constant table (about 5 KB)

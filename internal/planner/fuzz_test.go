@@ -19,38 +19,40 @@ var fuzzServing = func() *Planner {
 	return p
 }()
 
-// substitute renders shape sh with its i-th literal replaced by lits[i]
-// where lits has one: a run of digits and dots as a number token, any
-// other text as a quoted string. The rest keep their source spelling.
-func substitute(sh sql.Shape, lits []string) string {
-	words := strings.Split(sh.Text, " ")
-	n := 0
-	for i, w := range words {
-		if w != "?i" && w != "?f" && w != "?s" {
-			continue
-		}
-		tok := sh.Lits[n]
-		words[i] = tok.Text
-		if tok.Kind == sql.TokString {
-			words[i] = "'" + strings.ReplaceAll(tok.Text, "'", "''") + "'"
-		}
-		if n < len(lits) {
-			words[i] = lits[n]
-			if strings.Trim(lits[n], "0123456789.") != "" || lits[n] == "" {
-				words[i] = "'" + strings.ReplaceAll(lits[n], "'", "''") + "'"
-			}
-		}
-		n++
+// substitute renders statement text with its i-th literal (sql.Token.Lit
+// i+1) replaced by lits[i] where lits has one: a run of digits and dots
+// as a number token, any other text as a quoted string. The rest keep
+// their source spelling; tokens are joined by single spaces.
+func substitute(text string, lits []string) (string, error) {
+	toks, err := sql.Lex(text)
+	if err != nil {
+		return "", err
 	}
-	return strings.Join(words, " ")
+	quote := func(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
+	words := make([]string, 0, len(toks))
+	for _, tok := range toks[:len(toks)-1] {
+		w := tok.Text
+		switch {
+		case tok.Lit > 0 && tok.Lit <= len(lits):
+			w = lits[tok.Lit-1]
+			if strings.Trim(w, "0123456789.") != "" || w == "" {
+				w = quote(w)
+			}
+		case tok.Kind == sql.TokString:
+			w = quote(w)
+		}
+		words = append(words, w)
+	}
+	return strings.Join(words, " "), nil
 }
 
 // FuzzTemplateMatchesCompile: literal values and kinds the fuzzer picks,
-// substituted into the sweep statements' shapes, compile through a
-// serving planner — an instance of a template wherever the key matches
-// — to exactly what a fresh compile of the same text gives, error
-// included. And ShapeOf, which reads statement text off the wire, never
-// panics on arbitrary bytes and fails exactly where Lex does.
+// substituted into the sweep statements, compile through a serving
+// planner — an instance of a template wherever the key matches — to
+// exactly what a fresh compile of the same text gives, error included.
+// And Lex, whose literal numbers the template key rests on and which
+// reads statement text off the wire, never panics on arbitrary bytes
+// and numbers the literals it finds 1, 2, … in order.
 func FuzzTemplateMatchesCompile(f *testing.F) {
 	f.Add(uint8(0), "", "select l_tax from lineitem where l_partkey=1")
 	f.Add(uint8(3), "1994-02-01|1994-11-30|0.04|0.06|23", "select 'a''b', 1.5 from t limit 3")
@@ -61,12 +63,15 @@ func FuzzTemplateMatchesCompile(f *testing.F) {
 	pl := optimizer.Default()
 	fresh := &Planner{Cat: testCat, Pipeline: pl, PassSpec: pl.Spec()}
 	f.Fuzz(func(t *testing.T, which uint8, lits string, raw string) {
-		sh, err := sql.ShapeOf(raw)
-		if _, lerr := sql.Lex(raw); (err == nil) != (lerr == nil) {
-			t.Fatalf("ShapeOf(%q) error %v, Lex error %v", raw, err, lerr)
-		}
-		if err == nil && strings.Count(" "+sh.Text+" ", " ?") != len(sh.Lits) {
-			t.Fatalf("ShapeOf(%q) = %q with %d literals", raw, sh.Text, len(sh.Lits))
+		if toks, err := sql.Lex(raw); err == nil {
+			n := 0
+			for _, tok := range toks {
+				if tok.Lit > 0 {
+					if n++; tok.Lit != n {
+						t.Fatalf("Lex(%q): literal %q numbered %d, want %d", raw, tok.Text, tok.Lit, n)
+					}
+				}
+			}
 		}
 
 		base := stmts[int(which)%len(stmts)]
@@ -74,15 +79,14 @@ func FuzzTemplateMatchesCompile(f *testing.F) {
 		if _, err := fuzzServing.Compile(base, parts, false); err != nil {
 			t.Fatalf("%q: %v", base, err)
 		}
-		sh, err = sql.ShapeOf(base)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var pieces []string
 		if lits != "" {
 			pieces = strings.Split(lits, "|")
 		}
-		s := substitute(sh, pieces)
+		s, err := substitute(base, pieces)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := fuzzServing.Compile(s, parts, false)
 		want, werr := fresh.Compile(s, parts, false)
 		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {

@@ -154,13 +154,9 @@ func (p *Planner) compileMiss(key plancache.Key) (Compiled, error) {
 	var tkey plancache.TemplateKey
 	var lits []mal.Value
 	if p.Templates != nil {
-		shape, err := sql.ShapeOf(key.SQL)
-		if err != nil { // Parse lexed the same text
-			return Compiled{}, fmt.Errorf("parse: %w", err)
-		}
 		lits = compiler.Literals(tree)
-		tkey = plancache.TemplateKey{Shape: shape.Text, Partitions: key.Partitions, Passes: key.Passes,
-			Pattern: plancache.Pattern(lits), Tree: algebra.Fingerprint(tree)}
+		tkey = plancache.TemplateKey{Tree: algebra.Fingerprint(tree), Partitions: key.Partitions,
+			Passes: key.Passes, Pattern: plancache.Pattern(lits)}
 		if t, ok := p.Templates.Get(tkey); ok {
 			e.Plan, e.Opt = t.Instance(stmt.Text, lits), t.Opt
 			p.Cache.Put(key, e)
@@ -175,9 +171,11 @@ func (p *Planner) compileMiss(key plancache.Key) (Compiled, error) {
 		return Compiled{}, fmt.Errorf("optimize: %w", err)
 	}
 	if p.Templates != nil {
-		t := plancache.Template{Plan: e.Plan, Opt: e.Opt, Lifted: lifted}
-		p.Templates.Put(tkey, t)
-		e.Plan = t.Instance(stmt.Text, lits)
+		p.Templates.Put(tkey, plancache.Template{Plan: e.Plan, Opt: e.Opt, Lifted: lifted})
+		// The template was compiled from this very statement, so its
+		// constant table already holds the statement's text and
+		// literals: the first instance shares it instead of a copy.
+		e.Plan = e.Plan.Instance(stmt.Text, e.Plan.Consts)
 	}
 	p.Cache.Put(key, e)
 	return Compiled{Entry: e, Key: key}, nil

@@ -253,3 +253,42 @@ func TestTemplateInstancesConcurrent(t *testing.T) {
 		t.Errorf("templates %+v: the statements were not instances", st)
 	}
 }
+
+// TestTemplateSharedAcrossSpelling: the template key is the bound tree,
+// not the text, so a statement spelled differently but binding to the
+// same tree up to its literals is an instance of the first one's
+// template, and still equals a fresh compile of its own text: every
+// sweep statement with its keywords in upper case, its whitespace
+// changed and its literals moved, and pairs whose tokens differ (<>
+// beside !=, redundant parentheses).
+func TestTemplateSharedAcrossSpelling(t *testing.T) {
+	respell := strings.NewReplacer("select ", "SELECT\n\t", " from ", "\n  FROM ", " where ", "\tWhere  ")
+	var pairs [][2]string
+	for _, s := range tpch.SweepQueries() {
+		pairs = append(pairs, [2]string{s, respell.Replace(varyLiterals(s, 1, func(int) bool { return true }))})
+	}
+	pairs = append(pairs,
+		[2]string{"select l_tax from lineitem where l_orderkey <> 1", "select l_tax from lineitem where l_orderkey != 2"},
+		[2]string{"select l_tax from lineitem where l_partkey = 1 and l_quantity < 5",
+			"select l_tax from lineitem where ((l_partkey = 3) and (l_quantity < 4))"})
+	serving := newFootprintPlanner(plancache.DefaultSize)
+	pl := optimizer.Default()
+	fresh := &Planner{Cat: testCat, Pipeline: pl, PassSpec: pl.Spec()}
+	for _, pair := range pairs {
+		if _, err := serving.Compile(pair[0], 7, false); err != nil {
+			t.Fatalf("%q: %v", pair[0], err)
+		}
+		got, err := serving.Compile(pair[1], 7, false)
+		if err != nil {
+			t.Fatalf("%q: %v", pair[1], err)
+		}
+		want, err := fresh.Compile(pair[1], 7, false)
+		if err != nil {
+			t.Fatalf("%q: %v", pair[1], err)
+		}
+		if !got.Instantiated {
+			t.Errorf("%q was compiled, not instantiated from the template of %q", pair[1], pair[0])
+		}
+		samePlan(t, fmt.Sprintf("%q", pair[1]), got, want)
+	}
+}

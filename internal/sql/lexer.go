@@ -28,9 +28,9 @@ type Token struct {
 	Kind TokenKind
 	Text string // keywords are lowercased; identifiers preserve case
 	Pos  int
-	// Lit numbers the literals a statement's shape lifts out (ShapeOf),
-	// from 1 in source order; it is 0 for every other token, a LIMIT
-	// count included.
+	// Lit numbers the statement's literals from 1 in source order, so
+	// a plan template can tell them apart (algebra.Fingerprint); it is
+	// 0 for every other token, a LIMIT count included.
 	Lit int
 }
 
@@ -121,50 +121,6 @@ func Lex(input string) ([]Token, error) {
 		}
 	}
 	return toks, nil
-}
-
-// Shape is a statement with its literals lifted out: the plan cache's
-// template key (internal/planner) groups statements that differ only in
-// literal values under it.
-type Shape struct {
-	// Text is the statement's tokens joined by single spaces, each
-	// lifted literal replaced by a placeholder of its kind: ?i for an
-	// integer, ?f for a decimal, ?s for a string (a date's included).
-	// Placeholders cannot collide with a token, since '?' does not lex.
-	Text string
-	// Lits are the lifted literal tokens, in order: Lits[i] has Lit i+1.
-	Lits []Token
-}
-
-// ShapeOf lexes a statement into its shape. It fails exactly where Lex
-// does.
-func ShapeOf(query string) (Shape, error) {
-	toks, err := Lex(query)
-	if err != nil {
-		return Shape{}, err
-	}
-	var sh Shape
-	b := make([]byte, 0, len(query))
-	for _, t := range toks[:len(toks)-1] {
-		if len(b) > 0 {
-			b = append(b, ' ')
-		}
-		switch {
-		case t.Lit == 0:
-			b = append(b, t.Text...)
-		case t.Kind == TokString:
-			b = append(b, "?s"...)
-		case strings.Contains(t.Text, "."):
-			b = append(b, "?f"...)
-		default:
-			b = append(b, "?i"...)
-		}
-		if t.Lit > 0 {
-			sh.Lits = append(sh.Lits, t)
-		}
-	}
-	sh.Text = string(b)
-	return sh, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -89,9 +89,9 @@ type Stats struct {
 	CacheHit bool
 	// Instantiated reports that the plan cache missed and the plan was
 	// instantiated from a template instead of compiled: an earlier
-	// statement of the same shape — the same text up to its literal
-	// values — was lowered and optimized, and this one was only parsed
-	// and bound. It is never set together with CacheHit.
+	// statement of the same shape — binding to the same tree up to its
+	// literal values — was lowered and optimized, and this one was only
+	// parsed and bound. It is never set together with CacheHit.
 	Instantiated bool
 	// Shared is "attached" when this call did not run the plan itself
 	// but was deduplicated onto a concurrent identical statement's
