@@ -189,13 +189,6 @@ func (a *Analysis) ColorBetween(from, to int) (Coloring, error) {
 	return a.sess.Replay.ColorBetween(from, to)
 }
 
-// NavigateTo animates the session camera to center on an instruction's
-// node. viewW is the viewport width in pixels, durMs the transition
-// time.
-func (a *Analysis) NavigateTo(pc int, viewW, durMs float64) error {
-	return a.sess.NavigateTo(pc, viewW, durMs)
-}
-
 // ReportOptions controls WriteReport.
 type ReportOptions struct {
 	// Render is the terminal geometry (zero value selects the default).

@@ -298,13 +298,12 @@ func TestE6DispatchDelayCeiling(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		q.Enqueue(i, "#e03131", t0)
 	}
-	q.Flush(t0.Add(time.Minute))
-	delays := q.InterRenderDelays()
-	if len(delays) != 63 {
-		t.Fatalf("dispatches = %d", len(delays)+1)
+	out := q.Flush(t0.Add(time.Minute))
+	if len(out) != 64 {
+		t.Fatalf("dispatches = %d", len(out))
 	}
-	for _, d := range delays {
-		if d > zvtm.DefaultDispatchDelay {
+	for i := 1; i < len(out); i++ {
+		if d := out[i].DispatchedAt.Sub(out[i-1].DispatchedAt); d > zvtm.DefaultDispatchDelay {
 			t.Fatalf("inter-render delay %v exceeds the paper's 150ms ceiling", d)
 		}
 	}

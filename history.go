@@ -168,17 +168,7 @@ func (h *History) Replay(id uint64, opts ...AnalyzeOption) (*Analysis, error) {
 // ≥10%-slower regression verdict, and per-instruction / per-module
 // busy-time deltas, largest first — core's diff over the stored traces.
 func (h *History) Compare(a, b uint64) (*RunDiff, error) {
-	var runs [2]core.DiffRun
-	var events [2][]Event
-	for i, id := range []uint64{a, b} {
-		info, _, evs, err := h.st.Load(id)
-		if err != nil {
-			return nil, fmt.Errorf("stethoscope: history: %w", err)
-		}
-		runs[i] = core.DiffRun{ID: info.ID, SQL: info.SQL, ElapsedUs: info.ElapsedUs, OK: info.OK()}
-		events[i] = evs
-	}
-	d, err := core.Diff(runs[0], runs[1], events[0], events[1])
+	d, err := core.DiffStored(h.st, a, b)
 	if err != nil {
 		return nil, fmt.Errorf("stethoscope: history: %w", err)
 	}

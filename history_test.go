@@ -401,3 +401,26 @@ func TestFilterDoesNotCorruptHistory(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestFailedRunRecordsCacheHit pins that a run of a cached plan is
+// recorded as a cache hit even when it fails: the plan came from the
+// cache whether or not its execution completed.
+func TestFailedRunRecordsCacheHit(t *testing.T) {
+	db := openHistoryDB(t, t.TempDir())
+	defer db.Close()
+	if _, err := db.Exec(context.Background(), figure1Query); err != nil {
+		t.Fatalf("Exec: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.Exec(ctx, figure1Query); err == nil {
+		t.Fatal("Exec under a canceled context succeeded")
+	}
+	runs := db.History().Queries(1)
+	if len(runs) != 1 {
+		t.Fatalf("history has %d runs", len(runs))
+	}
+	if runs[0].Err == "" || !runs[0].CacheHit {
+		t.Fatalf("last run: err=%q cache_hit=%t, want a failed cache hit", runs[0].Err, runs[0].CacheHit)
+	}
+}

@@ -9,18 +9,21 @@ import (
 
 // DeadExport flags exported surface that only tests use: every
 // exported package-level func, type, var or const of an internal/
-// package that no non-test file of the module references. A name that
-// only tests read is product code kept alive for its tests; delete it,
-// or suppress the finding with the reason it stays (a caller outside
-// the module, a shared test fixture).
+// package that no non-test file of the module references, and every
+// exported method of an internal package's type whose name no non-test
+// file selects (x.Name) and no interface type of the module declares.
+// A name that only tests read is product code kept alive for its
+// tests; delete it, or suppress the finding with the reason it stays (a
+// caller outside the module, a shared test fixture).
 //
 // A declaration's references to itself do not count, and neither do a
 // type's own methods, receiver and body alike. References are resolved
 // syntactically: a bare identifier in the declaring package, or
-// pkg.Name through an import of it. The reference set is always the
-// whole module the package belongs to, re-read from disk, so linting
-// one package gives the same answer as linting ./... and its
-// suppressions stay in use.
+// pkg.Name through an import of it. Methods are matched by name alone,
+// whatever the receiver, since which type x has needs type checking.
+// The reference set is always the whole module the package belongs to,
+// re-read from disk, so linting one package gives the same answer as
+// linting ./... and its suppressions stay in use.
 var DeadExport = &lintkit.Analyzer{
 	Name:      "deadexport",
 	Doc:       "every exported name of an internal package has a non-test caller in the module",
@@ -49,10 +52,17 @@ func runDeadExport(pass *lintkit.ModulePass) error {
 	if err != nil {
 		return err
 	}
-	used := references(module)
+	used, methods := references(module), methodNames(module)
 	for _, pkg := range internal {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && len(fd.Recv.List) > 0 {
+					if fd.Name.IsExported() && !methods[fd.Name.Name] {
+						pass.Reportf(fd.Name.Pos(), "exported method %s.%s.%s has no selection outside tests; delete it or suppress with the reason it stays",
+							pkg.Name, receiverType(fd.Recv.List[0].Type), fd.Name.Name)
+					}
+					continue
+				}
 				for _, u := range declUnits(d) {
 					for _, id := range declaredNames(u) {
 						if id.IsExported() && !used[exportRef{pkg.Path, id.Name}] {
@@ -176,6 +186,31 @@ func references(pkgs []*lintkit.Package) map[exportRef]bool {
 		}
 	}
 	return used
+}
+
+// methodNames collects every name the packages' files select (x.Name)
+// or declare as an interface method: the names a method can be reached
+// by.
+func methodNames(pkgs []*lintkit.Package) map[string]bool {
+	names := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					names[n.Sel.Name] = true
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, id := range m.Names {
+							names[id.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return names
 }
 
 // receiverType strips a method receiver's pointer and type parameters

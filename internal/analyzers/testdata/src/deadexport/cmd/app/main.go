@@ -8,5 +8,5 @@ import (
 )
 
 func main() {
-	fmt.Println(shape.Area(2, 3), shape.Point{X: 1}, paint.Red)
+	fmt.Println(shape.Area(2, 3), shape.Point{X: 1}.Norm(), paint.Red)
 }

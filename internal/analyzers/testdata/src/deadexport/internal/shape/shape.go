@@ -24,8 +24,34 @@ const Limit = 10 // want "exported shape.Limit has no reference outside tests"
 // Grid is referenced only by its own methods' receivers.
 type Grid struct{ cells []int } // want "exported shape.Grid has no reference outside tests"
 
-// Len is a method: methods are not judged.
-func (g *Grid) Len() int { return len(g.cells) }
+// Len is a method that only tests select.
+func (g *Grid) Len() int { return len(g.cells) } // want "exported method shape.Grid.Len has no selection outside tests"
+
+// Reset has no selection in the module, and says why it stays.
+//
+//stetho:ignore deadexport kept for a caller outside the module
+func (g *Grid) Reset() { g.cells = nil }
+
+// grow is unexported: never judged.
+func (g *Grid) grow() { g.cells = append(g.cells, 0) }
+
+// Norm is selected by another package's non-test file.
+func (p Point) Norm() int { return p.X*p.X + p.Y*p.Y }
+
+// Edge is selected only through a method value inside its own package.
+func (p Point) Edge() int { return perimeter(p.X, p.Y) }
+
+// edger declares Paint, so a type can be reached through it without a
+// selection of Paint.
+type edger interface{ Paint() string }
+
+// Paint is declared by an interface of the module.
+func (p Point) Paint() string { return "point" }
+
+var (
+	_ edger = Point{}
+	_       = Point{}.Edge
+)
 
 // Fact refers only to itself.
 func Fact(n int) int { // want "exported shape.Fact has no reference outside tests"

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"stethoscope/internal/profiler"
+	"stethoscope/internal/tracestore"
 )
 
 // The cross-run diff: two executions of the same SQL compared through
@@ -52,6 +53,21 @@ type RunDiff struct {
 	// Modules lists per-module busy-time deltas, largest absolute delta
 	// first.
 	Modules []ModuleDelta
+}
+
+// DiffStored loads two recorded runs from a trace store and diffs them.
+func DiffStored(st *tracestore.Store, a, b uint64) (*RunDiff, error) {
+	var runs [2]DiffRun
+	var events [2][]profiler.Event
+	for i, id := range []uint64{a, b} {
+		info, _, evs, err := st.Load(id)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = DiffRun{ID: info.ID, SQL: info.SQL, ElapsedUs: info.ElapsedUs, OK: info.OK()}
+		events[i] = evs
+	}
+	return Diff(runs[0], runs[1], events[0], events[1])
 }
 
 // Diff compares two runs of the same SQL from their traces:

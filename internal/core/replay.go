@@ -26,9 +26,13 @@ func (r *Replay) Position() int { return r.pos }
 func (r *Replay) Len() int { return r.s.Trace.Len() }
 
 // Pause stops Play-driven advancement.
+//
+//stetho:ignore deadexport public through stethoscope.Replay, an alias of this type
 func (r *Replay) Pause() { r.paused = true }
 
 // Play resumes advancement.
+//
+//stetho:ignore deadexport public through stethoscope.Replay, an alias of this type
 func (r *Replay) Play() { r.paused = false }
 
 // Step applies the next event and returns it; ok is false at the end of
@@ -49,6 +53,8 @@ func (r *Replay) Step(now time.Time) (profiler.Event, bool) {
 // Tick advances the replay while playing: it applies every event up to
 // `count` and flushes the render queue at `now`. It returns the number
 // of events applied.
+//
+//stetho:ignore deadexport public through stethoscope.Replay, an alias of this type
 func (r *Replay) Tick(now time.Time, count int) int {
 	if r.paused {
 		r.s.Queue.Flush(now)
@@ -80,6 +86,8 @@ func (r *Replay) Rewind(n int) {
 }
 
 // SeekTo positions the cursor at an absolute event index.
+//
+//stetho:ignore deadexport public through stethoscope.Replay, an alias of this type
 func (r *Replay) SeekTo(idx int) error {
 	if idx < 0 || idx > r.s.Trace.Len() {
 		return fmt.Errorf("core: seek %d out of range 0..%d", idx, r.s.Trace.Len())

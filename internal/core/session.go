@@ -12,10 +12,10 @@ import (
 )
 
 // Session is one analysis window: the plan graph with its layout, the
-// glyph space observed through a camera, the trace with its pc-to-node
-// mapping, and a replay controller. Offline mode opens a session from a
-// pre-existing dot file and trace file (paper §4.1); online mode builds
-// the same structure from streamed content (§4.2).
+// glyph space holding each node's display color, the trace with its
+// pc-to-node mapping, and a replay controller. Offline mode opens a
+// session from a pre-existing dot file and trace file (paper §4.1);
+// online mode builds the same structure from streamed content (§4.2).
 //
 // Instruction pc is graph node i (Graph.PCNode), drawn at one place in
 // the picture's document (drawing.Slot(i)), which is also its node in
@@ -25,13 +25,10 @@ type Session struct {
 	Graph   *dot.Graph
 	Layout  *layout.Layout
 	Space   *zvtm.VirtualSpace
-	Camera  *zvtm.Camera
 	Queue   *zvtm.RenderQueue
 	Trace   *trace.Store
 	Mapping trace.Mapping
 	Replay  *Replay
-	// Animator drives camera transitions for the navigation features.
-	Animator *zvtm.Animator
 
 	// drawing is the plan's picture, retained so a repaint only patches
 	// fills.
@@ -64,21 +61,18 @@ func NewSession(g *dot.Graph, st *trace.Store, opt SessionOptions) (*Session, er
 	if err != nil {
 		return nil, fmt.Errorf("core: svg: %w", err)
 	}
-	doc := drawing.Doc()
-	vs, err := zvtm.FromSVG(g.Name, doc)
+	vs, err := zvtm.FromSVG(g.Name, drawing.Doc())
 	if err != nil {
 		return nil, fmt.Errorf("core: glyphs: %w", err)
 	}
 	s := &Session{
-		Graph:    g,
-		Layout:   lay,
-		Space:    vs,
-		Camera:   &zvtm.Camera{CX: doc.Width / 2, CY: doc.Height / 2},
-		Queue:    zvtm.NewRenderQueue(vs, opt.DispatchDelay),
-		Trace:    st,
-		Mapping:  trace.MapToGraph(st, g),
-		Animator: &zvtm.Animator{},
-		drawing:  drawing,
+		Graph:   g,
+		Layout:  lay,
+		Space:   vs,
+		Queue:   zvtm.NewRenderQueue(vs, opt.DispatchDelay),
+		Trace:   st,
+		Mapping: trace.MapToGraph(st, g),
+		drawing: drawing,
 	}
 	s.Replay = &Replay{s: s, paused: true}
 	return s, nil
@@ -122,50 +116,4 @@ func (s *Session) Show(c Coloring) {
 // space's current shape colors in the fill slots.
 func (s *Session) RenderSVG() (string, error) {
 	return s.drawing.Paint(func(slot int) string { return s.Space.Shape(slot).Color }), nil
-}
-
-// NavigateTo animates the camera to center on an instruction's node, the
-// "interactive animated navigation in complex query plans" feature.
-// durMs is the transition time.
-func (s *Session) NavigateTo(pc int, viewW float64, durMs float64) error {
-	k, ok := s.slot(pc)
-	if !ok {
-		return fmt.Errorf("core: no node for pc=%d", pc)
-	}
-	// Target altitude: node at 40% of viewport width.
-	target := &zvtm.Camera{}
-	target.CenterOnGlyph(s.Space.Shape(k), viewW, 0.4)
-	s.Animator.AnimateCameraTo(s.Camera, target.CX, target.CY, target.Alt, durMs)
-	return nil
-}
-
-// PickTooltip returns the tooltip for the node under a world coordinate,
-// if any. The node's pc is read from its ID, the paper's "nN".
-func (s *Session) PickTooltip(x, y float64) (string, bool) {
-	k, ok := s.Space.PickNode(x, y)
-	if !ok {
-		return "", false
-	}
-	pc, ok := dot.PCOf(s.Graph.Nodes[s.drawing.Node(k)].ID)
-	if !ok {
-		return "", false
-	}
-	return Tooltip(s.Trace, pc), true
-}
-
-// View creates a navigation controller over the session's glyph space
-// for a viewport of the given pixel size — the interactive window
-// (keyboard/scroll navigation, zoom-to-node, viewport-culled rendering).
-func (s *Session) View(viewW, viewH float64) *zvtm.NavController {
-	nav := zvtm.NewNavController(s.Space, viewW, viewH)
-	nav.Cam = s.Camera // share the session camera so animations apply
-	nav.FitToView()
-	return nav
-}
-
-// RenderViewSVG renders the camera's current view (with optional
-// fisheye lens) — the zoomed/lensed display window, as opposed to
-// RenderSVG's full-plan poster.
-func (s *Session) RenderViewSVG(lens *zvtm.FisheyeLens, viewW, viewH float64) (string, error) {
-	return zvtm.RenderViewString(s.Space, s.Camera, lens, viewW, viewH)
 }

@@ -11,6 +11,7 @@ import (
 	"stethoscope/internal/profiler"
 	"stethoscope/internal/svg"
 	"stethoscope/internal/trace"
+	"stethoscope/internal/zvtm"
 )
 
 // buildFixture produces a small plan's dot text and a matching trace.
@@ -92,9 +93,11 @@ func TestOpenOfflinePipeline(t *testing.T) {
 	if len(s.Graph.Nodes) != 4 {
 		t.Errorf("graph nodes = %d", len(s.Graph.Nodes))
 	}
-	// Glyph accounting: 2 glyphs per node + edges.
-	if got := len(s.Space.Glyphs()); got != 2*4+len(s.Graph.Edges) {
-		t.Errorf("glyphs = %d", got)
+	// Glyph accounting: a shape and a text per node, one glyph per edge.
+	for k, want := range map[zvtm.GlyphKind]int{zvtm.ShapeGlyph: 4, zvtm.TextGlyph: 4, zvtm.EdgeGlyph: len(s.Graph.Edges)} {
+		if got := s.Space.CountKind(k); got != want {
+			t.Errorf("%s glyphs = %d, want %d", k, got, want)
+		}
 	}
 	if !s.Mapping.Complete() {
 		t.Errorf("mapping incomplete: %+v", s.Mapping)
@@ -296,41 +299,6 @@ func TestShowColorsPcsOutsideTheOpenTimeTrace(t *testing.T) {
 	}
 }
 
-func TestNavigateTo(t *testing.T) {
-	s := openFixture(t)
-	if err := s.NavigateTo(2, 800, 200); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Animator.Active() {
-		t.Fatal("no animation queued")
-	}
-	for s.Animator.Tick(16) {
-	}
-	g := s.Space.Shape(s.drawing.Slot(2))
-	if s.Camera.CX != g.CenterX() || s.Camera.CY != g.CenterY() {
-		t.Errorf("camera at (%g,%g), want glyph center (%g,%g)",
-			s.Camera.CX, s.Camera.CY, g.CenterX(), g.CenterY())
-	}
-	if err := s.NavigateTo(99, 800, 100); err == nil {
-		t.Error("navigation to unknown pc accepted")
-	}
-}
-
-func TestPickTooltip(t *testing.T) {
-	s := openFixture(t)
-	g := s.Space.Shape(s.drawing.Slot(1))
-	tip, ok := s.PickTooltip(g.CenterX(), g.CenterY())
-	if !ok {
-		t.Fatal("no tooltip")
-	}
-	if !strings.Contains(tip, "pc=1") || !strings.Contains(tip, "thetaselect") {
-		t.Errorf("tooltip = %q", tip)
-	}
-	if _, ok := s.PickTooltip(-9999, -9999); ok {
-		t.Error("tooltip in empty space")
-	}
-}
-
 func TestTooltipAndDebug(t *testing.T) {
 	s := openFixture(t)
 	tip := Tooltip(s.Trace, 2)
@@ -351,32 +319,5 @@ func TestTooltipAndDebug(t *testing.T) {
 	})
 	if !strings.Contains(Tooltip(st, 0), "still running") {
 		t.Error("running tooltip wrong")
-	}
-}
-
-func TestSessionViewNavigation(t *testing.T) {
-	s := openFixture(t)
-	nav := s.View(800, 600)
-	// The overview shows every node.
-	if got := len(nav.Visible()); got != len(s.Graph.Nodes) {
-		t.Errorf("overview shows %d of %d nodes", got, len(s.Graph.Nodes))
-	}
-	// Zoom to a node and render the view.
-	nav.ZoomToNode(s.drawing.Slot(1), 0.5)
-	out, err := s.RenderViewSVG(nil, 800, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, `id="n1"`) {
-		t.Error("focused node missing from view render")
-	}
-	// Replay colors show up in the view too.
-	s.Replay.FastForward(2)
-	out, err = s.RenderViewSVG(nil, 800, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, string(ColorGreen)) {
-		t.Error("view render missing replay colors")
 	}
 }

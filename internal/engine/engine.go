@@ -130,6 +130,8 @@ func (e *Engine) Register(module, function string, k Kernel) {
 // Replace swaps the kernel of a registered opcode and returns the one it
 // replaced; tests use it for fault injection. Each run resolves its
 // kernels at start, so a swap only affects runs that begin after it.
+//
+//stetho:ignore deadexport shared test fixture: the engine, runner and root tests inject kernel faults through it
 func (e *Engine) Replace(module, function string, k Kernel) Kernel {
 	op := mal.OpOf(module, function)
 	e.regMu.Lock()

@@ -174,6 +174,8 @@ func (u *UDPStreamer) send(m Msg) {
 }
 
 // Dropped reports how many datagrams failed to send.
+//
+//stetho:ignore deadexport send-failure count: the UDP stream tests assert that no datagram was dropped
 func (u *UDPStreamer) Dropped() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()

@@ -157,6 +157,8 @@ func (p *Profiler) Reset() {
 }
 
 // SetClock overrides the time source (tests).
+//
+//stetho:ignore deadexport test clock: the profiler's timing tests pin event times through it
 func (p *Profiler) SetClock(now func() time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -373,13 +375,6 @@ func (b *Batcher) Flush() {
 	b.mu.Lock()
 	b.deliverLocked()
 	b.mu.Unlock()
-}
-
-// Pending reports how many events await delivery (tests, monitoring).
-func (b *Batcher) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.buf)
 }
 
 // Close stops the deadline timer and delivers the final batch. It is

@@ -254,8 +254,11 @@ func TestBatcherDeliversOnSize(t *testing.T) {
 	if len(evs) != 8 || batches != 2 {
 		t.Fatalf("delivered %d events in %d batches, want 8 in 2", len(evs), batches)
 	}
-	if b.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", b.Pending())
+	b.mu.Lock()
+	pending := len(b.buf)
+	b.mu.Unlock()
+	if pending != 2 {
+		t.Fatalf("pending = %d, want 2", pending)
 	}
 	b.Flush()
 	evs, batches = sink.snapshot()

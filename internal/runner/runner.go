@@ -312,12 +312,11 @@ func (r *Runner) execute(ctx context.Context, p *Prepared, opts RunOptions) (*sh
 	if trace != nil && r.History != nil {
 		// A failed or canceled run is recorded too, with its error and the
 		// events it emitted before it stopped.
-		st := tracestore.RunStats{ElapsedUs: elapsed.Microseconds()}
+		st := tracestore.RunStats{ElapsedUs: elapsed.Microseconds(), CacheHit: p.PlanCached}
 		if err != nil {
 			st.Err = err.Error()
 		} else {
 			st.Rows = res.Rows()
-			st.CacheHit = p.PlanCached
 		}
 		id, herr := r.History.Record(tracestore.RunMeta{
 			SQL:          p.SQL,

@@ -633,18 +633,7 @@ func (sess *session) cmdHistory(w *bufio.Writer, rest string) {
 			fmt.Fprintln(w, "err usage: HISTORY DIFF <a> <b>")
 			return
 		}
-		var runs [2]core.DiffRun
-		var events [2][]profiler.Event
-		for i, id := range []uint64{a, b} {
-			r, _, evs, err := hs.Load(id)
-			if err != nil {
-				fmt.Fprintf(w, "err %v\n", err)
-				return
-			}
-			runs[i] = core.DiffRun{ID: r.ID, SQL: r.SQL, ElapsedUs: r.ElapsedUs, OK: r.OK()}
-			events[i] = evs
-		}
-		d, err := core.Diff(runs[0], runs[1], events[0], events[1])
+		d, err := core.DiffStored(hs, a, b)
 		if err != nil {
 			fmt.Fprintf(w, "err %v\n", err)
 			return

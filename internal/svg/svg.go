@@ -67,9 +67,8 @@ type Drawing struct {
 	nodes         []nodeBox // in ID order, the order the text lists them
 
 	// The one permutation between graph order and the text's ID order:
-	// nodes[k] draws graph node order[k], and graph node i is drawn at
-	// slots[i].
-	order, slots []int32
+	// graph node i is drawn at nodes[slots[i]].
+	slots []int32
 
 	// The retained document: text is everything but the node fills, and
 	// cuts[i] is the offset in text where node i's fill goes. Rendered by
@@ -105,7 +104,6 @@ func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
 		style: style,
 		edges: make([][4]int64, len(g.Edges)),
 		nodes: make([]nodeBox, n),
-		order: make([]int32, n),
 		slots: make([]int32, n),
 	}
 	var err error
@@ -126,11 +124,12 @@ func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
 			fixed(t.CenterX()+pad, 10), fixed(t.Y+pad, 10),
 		}
 	}
-	for i := range d.order {
-		d.order[i] = int32(i)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	slices.SortStableFunc(d.order, func(a, b int32) int { return strings.Compare(g.Nodes[a].ID, g.Nodes[b].ID) })
-	for k, i := range d.order {
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(g.Nodes[a].ID, g.Nodes[b].ID) })
+	for k, i := range order {
 		d.slots[i] = int32(k)
 		node, r := &g.Nodes[i], lay.Rects[i]
 		label := node.Label()
@@ -154,9 +153,6 @@ func Draw(g *dot.Graph, lay *layout.Layout, style Style) (*Drawing, error) {
 // Slot returns where graph node i is drawn: its place in the Doc's
 // Nodes and Paint's fill slot.
 func (d *Drawing) Slot(i int) int { return int(d.slots[i]) }
-
-// Node returns the graph node drawn at a slot.
-func (d *Drawing) Node(slot int) int { return int(d.order[slot]) }
 
 // Doc returns the in-memory form of the drawing — exactly what Parse
 // reads back from its text.

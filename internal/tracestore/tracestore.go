@@ -471,6 +471,8 @@ func (w *RunWriter) EmitBatch(evs []profiler.Event) {
 }
 
 // Finish records the run with the collected events.
+//
+//stetho:ignore deadexport bench/trace.go's history leg uses it until ROADMAP 5(g) deletes the Begin/RunWriter shim
 func (w *RunWriter) Finish(st RunStats) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

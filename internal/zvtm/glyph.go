@@ -3,15 +3,14 @@
 // (paper §3.1). ZVTM represents every drawable as a Glyph — "for our
 // example graph, ZGrviewer maintains following objects, shape (two
 // objects), text (two objects), and edge (one object)" — placed in a
-// VirtualSpace (an infinite canvas) observed through a Camera that
-// provides pan/zoom navigation, plus lenses such as the fisheye.
+// VirtualSpace (an infinite canvas).
 //
 // The original is a Java/Swing GUI; Go has no comparable native toolkit
-// (repro note in DESIGN.md), so this package implements the geometry and
-// object model headlessly. Every interaction the demo shows — zoom to a
-// node, color a node, pick under the cursor, animate a transition — is a
-// deterministic, testable API call, and rendering goes through
-// internal/svg or internal/ascii instead of a window.
+// (repro note in DESIGN.md), so this package keeps the object model
+// headlessly: the glyph space holds each node's display color, and the
+// render queue paces recolorings the way the Java Event Dispatch Thread
+// did. Pictures are drawn by internal/svg or internal/ascii instead of a
+// window.
 package zvtm
 
 import "stethoscope/internal/svg"
@@ -51,21 +50,6 @@ type Glyph struct {
 	Color string // current fill/stroke color
 }
 
-// CenterX returns the horizontal center of a box glyph.
-func (g *Glyph) CenterX() float64 { return g.X + g.W/2 }
-
-// CenterY returns the vertical center of a box glyph.
-func (g *Glyph) CenterY() float64 { return g.Y + g.H/2 }
-
-// Contains reports whether a world point hits the glyph (box glyphs
-// only).
-func (g *Glyph) Contains(x, y float64) bool {
-	if g.Kind == EdgeGlyph {
-		return false
-	}
-	return x >= g.X && x <= g.X+g.W && y >= g.Y && y <= g.Y+g.H
-}
-
 // VirtualSpace is the canvas holding all glyphs in one slab. Nodes are
 // numbered in the order the SVG document lists them: node i's shape is
 // glyph 2i and its text glyph 2i+1, and the edges follow.
@@ -73,15 +57,11 @@ type VirtualSpace struct {
 	Name   string
 	W, H   float64
 	glyphs []Glyph
-	ids    []string // node i's ID as the document names it, for RenderView
+	nodes  int
 }
 
-// Glyphs returns all glyphs: every node's shape and text, then the
-// edges.
-func (vs *VirtualSpace) Glyphs() []Glyph { return vs.glyphs }
-
 // Nodes returns the number of nodes.
-func (vs *VirtualSpace) Nodes() int { return len(vs.ids) }
+func (vs *VirtualSpace) Nodes() int { return vs.nodes }
 
 // Shape returns node i's shape glyph, whose color is the node's
 // execution state — the primitive Stethoscope's coloring drives.
@@ -90,6 +70,8 @@ func (vs *VirtualSpace) Shape(i int) *Glyph { return &vs.glyphs[2*i] }
 // CountKind counts glyphs of one kind — used to verify the paper's
 // object accounting (2 shapes + 2 texts + 1 edge for a 2-node/1-edge
 // graph).
+//
+//stetho:ignore deadexport shared test fixture: the F2 and glyph-accounting tests count the paper's objects through it
 func (vs *VirtualSpace) CountKind(k GlyphKind) int {
 	n := 0
 	for i := range vs.glyphs {
@@ -98,18 +80,6 @@ func (vs *VirtualSpace) CountKind(k GlyphKind) int {
 		}
 	}
 	return n
-}
-
-// PickNode returns the node whose shape contains the world point,
-// topmost (last added) first — ZVTM picking for tooltips and the debug
-// window.
-func (vs *VirtualSpace) PickNode(x, y float64) (int, bool) {
-	for i := len(vs.ids) - 1; i >= 0; i-- {
-		if vs.Shape(i).Contains(x, y) {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // FromSVG builds the virtual space from an SVG document — drawn from a
@@ -123,11 +93,10 @@ func FromSVG(name string, doc *svg.Doc) (*VirtualSpace, error) {
 	vs := &VirtualSpace{
 		Name: name, W: doc.Width, H: doc.Height,
 		glyphs: make([]Glyph, 2*n+len(doc.Edges)),
-		ids:    make([]string, n),
+		nodes:  n,
 	}
 	for i := range doc.Nodes {
 		b := &doc.Nodes[i]
-		vs.ids[i] = b.ID
 		vs.glyphs[2*i] = Glyph{Kind: ShapeGlyph, X: b.X, Y: b.Y, W: b.W, H: b.H, Color: b.Fill}
 		vs.glyphs[2*i+1] = Glyph{Kind: TextGlyph, X: b.X, Y: b.Y, W: b.W, H: b.H, Text: b.Label}
 	}

@@ -39,7 +39,6 @@ type RenderQueue struct {
 	head      int
 	at        []int32
 	lastFlush time.Time
-	history   []Dispatched
 }
 
 // DefaultDispatchDelay is the paper's 150 ms ceiling.
@@ -53,9 +52,6 @@ func NewRenderQueue(vs *VirtualSpace, delay time.Duration) *RenderQueue {
 	}
 	return &RenderQueue{vs: vs, delay: delay, at: make([]int32, vs.Nodes())}
 }
-
-// Delay returns the configured per-dispatch latency.
-func (q *RenderQueue) Delay() time.Duration { return q.delay }
 
 // Enqueue schedules a recoloring of node i at time now. A pending
 // request for the same node is overwritten (the EDT coalesces repaint
@@ -102,9 +98,7 @@ func (q *RenderQueue) Flush(now time.Time) []Dispatched {
 		q.head++
 		q.at[req.Node] = 0
 		q.vs.Shape(req.Node).Color = req.Color
-		d := Dispatched{RenderRequest: req, DispatchedAt: next}
-		q.history = append(q.history, d)
-		out = append(out, d)
+		out = append(out, Dispatched{RenderRequest: req, DispatchedAt: next})
 		q.lastFlush = next
 	}
 	// Once half the slice is dispatched, move the waiting half down: each
@@ -115,32 +109,6 @@ func (q *RenderQueue) Flush(now time.Time) []Dispatched {
 		for k, r := range q.pending {
 			q.at[r.Node] = int32(k + 1)
 		}
-	}
-	return out
-}
-
-// PendingLen reports how many requests wait for dispatch.
-func (q *RenderQueue) PendingLen() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending) - q.head
-}
-
-// History returns all dispatches so far.
-func (q *RenderQueue) History() []Dispatched {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]Dispatched(nil), q.history...)
-}
-
-// InterRenderDelays returns the gaps between consecutive dispatches,
-// the quantity the paper bounds at 150 ms (experiment E6).
-func (q *RenderQueue) InterRenderDelays() []time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []time.Duration
-	for i := 1; i < len(q.history); i++ {
-		out = append(out, q.history[i].DispatchedAt.Sub(q.history[i-1].DispatchedAt))
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package zvtm
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 	"time"
@@ -39,6 +38,23 @@ func twoNodeSpace(t testing.TB) *VirtualSpace {
 	return vs
 }
 
+// gridSpace lays n nodes out in one row.
+func gridSpace(t testing.TB, n int) *VirtualSpace {
+	t.Helper()
+	doc := &svg.Doc{Width: float64(n * 100), Height: 60}
+	for c := 0; c < n; c++ {
+		doc.Nodes = append(doc.Nodes, svg.NodeBox{X: float64(c*100 + 10), Y: 10, W: 80, H: 40})
+	}
+	vs, err := FromSVG("grid", doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vs
+}
+
+// pending counts the requests waiting for dispatch.
+func pending(q *RenderQueue) int { return len(q.pending) - q.head }
+
 func TestPaperGlyphAccounting(t *testing.T) {
 	// "ZGrviewer maintains following objects, shape (two objects), text
 	// (two objects), and edge (one object)." — §3.1
@@ -62,170 +78,15 @@ func TestNodeColorRoundTrip(t *testing.T) {
 	if got := vs.Shape(0).Color; got != fill {
 		t.Errorf("initial color = %q, want the document's %q", got, fill)
 	}
-	before := append([]Glyph(nil), vs.Glyphs()...)
+	before := append([]Glyph(nil), vs.glyphs...)
 	vs.Shape(0).Color = "#ff0000"
 	if got := vs.Shape(0).Color; got != "#ff0000" {
 		t.Errorf("color = %q", got)
 	}
-	for k, g := range vs.Glyphs() {
+	for k, g := range vs.glyphs {
 		if k != 0 && g != before[k] {
 			t.Errorf("glyph %d changed: %+v, was %+v", k, g, before[k])
 		}
-	}
-}
-
-func TestPickNode(t *testing.T) {
-	vs := twoNodeSpace(t)
-	shape := vs.Shape(1)
-	i, ok := vs.PickNode(shape.CenterX(), shape.CenterY())
-	if !ok || i != 1 {
-		t.Errorf("pick = %d, %v", i, ok)
-	}
-	if _, ok := vs.PickNode(-1000, -1000); ok {
-		t.Error("picked in empty space")
-	}
-}
-
-func TestCameraProjectUnprojectInverse(t *testing.T) {
-	cam := &Camera{CX: 50, CY: 80, Alt: 120}
-	for _, pt := range [][2]float64{{0, 0}, {50, 80}, {-30, 200}, {999, -1}} {
-		sx, sy := cam.Project(pt[0], pt[1], 800, 600)
-		wx, wy := cam.Unproject(sx, sy, 800, 600)
-		if math.Abs(wx-pt[0]) > 1e-9 || math.Abs(wy-pt[1]) > 1e-9 {
-			t.Errorf("round trip (%g,%g) -> (%g,%g)", pt[0], pt[1], wx, wy)
-		}
-	}
-}
-
-func TestCameraZoomSemantics(t *testing.T) {
-	cam := &Camera{}
-	if cam.Zoom() != 1 {
-		t.Errorf("zoom at alt 0 = %g", cam.Zoom())
-	}
-	cam.ZoomOut(0.5)
-	if cam.Zoom() >= 1 {
-		t.Error("zooming out did not reduce magnification")
-	}
-	z := cam.Zoom()
-	cam.ZoomIn(0.5)
-	if cam.Zoom() <= z {
-		t.Error("zooming in did not increase magnification")
-	}
-	// Altitude may go negative (zoom > 1) but never reaches the
-	// degenerate -focal limit.
-	for i := 0; i < 500; i++ {
-		cam.ZoomIn(0.9)
-	}
-	if cam.Zoom() <= 0 || math.IsInf(cam.Zoom(), 0) {
-		t.Errorf("zoom degenerated to %g", cam.Zoom())
-	}
-}
-
-func TestCameraVisibleBounds(t *testing.T) {
-	cam := &Camera{CX: 100, CY: 100, Alt: 100} // zoom = 0.5
-	x, y, w, h := cam.VisibleBounds(400, 300)
-	if w != 800 || h != 600 {
-		t.Errorf("visible size = %gx%g", w, h)
-	}
-	if x != -300 || y != -200 {
-		t.Errorf("visible origin = (%g,%g)", x, y)
-	}
-}
-
-func TestCenterOnGlyph(t *testing.T) {
-	cam := &Camera{Alt: 500}
-	g := &Glyph{Kind: ShapeGlyph, X: 100, Y: 200, W: 50, H: 20}
-	cam.CenterOnGlyph(g, 800, 0.5)
-	if cam.CX != 125 || cam.CY != 210 {
-		t.Errorf("camera at (%g,%g)", cam.CX, cam.CY)
-	}
-	// Glyph should now project to half the viewport width: zoom = 8.
-	if math.Abs(cam.Zoom()-8) > 1e-9 {
-		t.Errorf("zoom = %g, want 8", cam.Zoom())
-	}
-}
-
-func TestFisheyeLensProperties(t *testing.T) {
-	l := &FisheyeLens{FX: 0, FY: 0, Radius: 100, Mag: 3}
-	// Focus is a fixpoint.
-	if x, y := l.Transform(0, 0); x != 0 || y != 0 {
-		t.Errorf("focus moved to (%g,%g)", x, y)
-	}
-	// Points outside the radius are unchanged.
-	if x, y := l.Transform(150, 0); x != 150 || y != 0 {
-		t.Errorf("outside point moved to (%g,%g)", x, y)
-	}
-	// The boundary is continuous: g(1) = 1.
-	if x, _ := l.Transform(100, 0); math.Abs(x-100) > 1e-9 {
-		t.Errorf("boundary discontinuity: %g", x)
-	}
-	// Inside points are pushed outward, monotonically.
-	prev := 0.0
-	for d := 10.0; d < 100; d += 10 {
-		x, _ := l.Transform(d, 0)
-		if x <= d {
-			t.Errorf("point at %g not magnified outward (%g)", d, x)
-		}
-		if x <= prev {
-			t.Errorf("fisheye not monotonic at %g", d)
-		}
-		prev = x
-	}
-	// Center magnification matches Mag.
-	if m := l.Magnification(0); math.Abs(m-3) > 1e-9 {
-		t.Errorf("center magnification = %g", m)
-	}
-	if m := l.Magnification(200); m != 1 {
-		t.Errorf("outside magnification = %g", m)
-	}
-}
-
-func TestAnimatorReachesTargetExactly(t *testing.T) {
-	cam := &Camera{CX: 0, CY: 0, Alt: 100}
-	var a Animator
-	a.AnimateCameraTo(cam, 100, 50, 0, 100)
-	steps := 0
-	for a.Tick(7) {
-		steps++
-		if steps > 1000 {
-			t.Fatal("animation never ends")
-		}
-	}
-	if cam.CX != 100 || cam.CY != 50 || cam.Alt != 0 {
-		t.Errorf("final camera = (%g,%g,%g)", cam.CX, cam.CY, cam.Alt)
-	}
-}
-
-func TestAnimatorQueuesSequentially(t *testing.T) {
-	cam := &Camera{}
-	var a Animator
-	a.AnimateCameraTo(cam, 10, 0, 0, 50)
-	a.AnimateCameraTo(cam, 20, 0, 0, 50)
-	// Run the first to completion.
-	a.Tick(50)
-	if cam.CX != 10 {
-		t.Errorf("after first animation CX = %g", cam.CX)
-	}
-	if !a.Active() {
-		t.Fatal("second animation lost")
-	}
-	a.Tick(50)
-	if cam.CX != 20 {
-		t.Errorf("after second animation CX = %g", cam.CX)
-	}
-	if a.Active() {
-		t.Error("animator still active")
-	}
-}
-
-func TestAnimatorMidpointIsSmooth(t *testing.T) {
-	cam := &Camera{}
-	var a Animator
-	a.AnimateCameraTo(cam, 100, 0, 0, 100)
-	a.Tick(50)
-	// smoothstep(0.5) = 0.5 exactly.
-	if math.Abs(cam.CX-50) > 1e-9 {
-		t.Errorf("midpoint CX = %g", cam.CX)
 	}
 }
 
@@ -251,17 +112,13 @@ func TestRenderQueueDispatchPacing(t *testing.T) {
 	if out := q.Flush(t0.Add(149 * time.Millisecond)); len(out) != 0 {
 		t.Fatalf("early flush dispatched %d", len(out))
 	}
-	// 150ms later: second dispatches.
-	out = q.Flush(t0.Add(150 * time.Millisecond))
-	if len(out) != 1 || out[0].Node != 1 {
-		t.Fatalf("second flush = %+v", out)
+	// 150ms later: second dispatches, one full delay after the first.
+	second := q.Flush(t0.Add(150 * time.Millisecond))
+	if len(second) != 1 || second[0].Node != 1 {
+		t.Fatalf("second flush = %+v", second)
 	}
-	// Inter-render delays never exceed the configured ceiling given a
-	// saturated queue.
-	for _, d := range q.InterRenderDelays() {
-		if d > 150*time.Millisecond {
-			t.Errorf("inter-render delay %v exceeds ceiling", d)
-		}
+	if d := second[0].DispatchedAt.Sub(out[0].DispatchedAt); d != 150*time.Millisecond {
+		t.Errorf("inter-render delay %v, want the 150ms ceiling", d)
 	}
 }
 
@@ -271,8 +128,8 @@ func TestRenderQueueCoalescesPerNode(t *testing.T) {
 	t0 := time.Unix(0, 0)
 	q.Enqueue(0, "red", t0)
 	q.Enqueue(0, "green", t0.Add(time.Millisecond))
-	if q.PendingLen() != 1 {
-		t.Fatalf("pending = %d, want 1 (coalesced)", q.PendingLen())
+	if pending(q) != 1 {
+		t.Fatalf("pending = %d, want 1 (coalesced)", pending(q))
 	}
 	out := q.Flush(t0.Add(time.Second))
 	if len(out) != 1 || out[0].Color != "green" {
@@ -283,10 +140,17 @@ func TestRenderQueueCoalescesPerNode(t *testing.T) {
 	}
 }
 
+// A zero delay selects the paper's 150 ms between dispatches.
 func TestRenderQueueDefaultDelay(t *testing.T) {
-	q := NewRenderQueue(space(t, &svg.Doc{}), 0)
-	if q.Delay() != DefaultDispatchDelay {
-		t.Errorf("default delay = %v", q.Delay())
+	q := NewRenderQueue(twoNodeSpace(t), 0)
+	t0 := time.Unix(0, 0)
+	q.Enqueue(0, "red", t0)
+	q.Enqueue(1, "red", t0)
+	if out := q.Flush(t0.Add(DefaultDispatchDelay - time.Nanosecond)); len(out) != 1 {
+		t.Fatalf("dispatched %d before the default delay, want 1", len(out))
+	}
+	if out := q.Flush(t0.Add(DefaultDispatchDelay)); len(out) != 1 {
+		t.Fatalf("dispatched %d at the default delay, want 1", len(out))
 	}
 }
 
@@ -299,8 +163,8 @@ func TestRenderQueueBurstThroughput(t *testing.T) {
 		q.Enqueue(0, "red", t0.Add(time.Duration(i)*time.Millisecond))
 		q.Enqueue(1, "green", t0.Add(time.Duration(i)*time.Millisecond))
 	}
-	if q.PendingLen() != 2 {
-		t.Fatalf("pending = %d", q.PendingLen())
+	if pending(q) != 2 {
+		t.Fatalf("pending = %d", pending(q))
 	}
 	out := q.Flush(t0.Add(time.Second))
 	if len(out) != 2 {
@@ -314,7 +178,7 @@ func TestRenderQueueBurstThroughput(t *testing.T) {
 // color and time, dispatched from the front one per delay.
 func TestRenderQueueMatchesModel(t *testing.T) {
 	const nodes = 40
-	vs := gridSpace(t, nodes, 1)
+	vs := gridSpace(t, nodes)
 	q := NewRenderQueue(vs, time.Millisecond)
 	var model []RenderRequest
 	var last time.Time
@@ -356,8 +220,8 @@ func TestRenderQueueMatchesModel(t *testing.T) {
 			k = len(model) - 1
 		}
 		model[k].Color, model[k].EnqueuedAt = color, now
-		if q.PendingLen() != len(model) {
-			t.Fatalf("step %d: %d pending, model %d", step, q.PendingLen(), len(model))
+		if pending(q) != len(model) {
+			t.Fatalf("step %d: %d pending, model %d", step, pending(q), len(model))
 		}
 	}
 }
@@ -371,8 +235,8 @@ func TestRenderQueueDropDiscardsPending(t *testing.T) {
 	q.Enqueue(0, "red", t0)
 	q.Enqueue(1, "red", t0)
 	q.Drop()
-	if q.PendingLen() != 0 {
-		t.Fatalf("pending after drop = %d", q.PendingLen())
+	if pending(q) != 0 {
+		t.Fatalf("pending after drop = %d", pending(q))
 	}
 	q.Enqueue(1, "green", t0)
 	out := q.Flush(t0.Add(time.Minute))

@@ -89,13 +89,12 @@ func execBundled(tb testing.TB, db *DB, id string, partitions int) *Result {
 // TestOfflineSVGGolden pins every picture the offline path draws, byte
 // for byte: for the benchmark's twelve (query, partitions) pairs, the
 // length and SHA-256 of Analysis.SVG under pair-elision, after
-// Recolor(gradient), of the session's RenderSVG after a hundred replay
-// steps and a flush, and of RenderViewSVG through the session's opening
-// camera (document centre, altitude 0) in a 1280×720 viewport. The
-// golden was generated at the commit before the session stopped going
-// through SVG text and must survive any change to how the picture is
-// built; `go test -run TestOfflineSVGGolden -update` regenerates it when
-// a change to the picture (or to the plans behind it) is intended.
+// Recolor(gradient), and of the session's RenderSVG after a hundred
+// replay steps and a flush. The golden was generated at the commit
+// before the session stopped going through SVG text and must survive any
+// change to how the picture is built; `go test -run TestOfflineSVGGolden
+// -update` regenerates it when a change to the picture (or to the plans
+// behind it) is intended.
 func TestOfflineSVGGolden(t *testing.T) {
 	db, err := Open(WithScaleFactor(0.01), WithWorkers(1))
 	if err != nil {
@@ -144,11 +143,6 @@ func TestOfflineSVGGolden(t *testing.T) {
 				t.Fatalf("%s: %v", pair, err)
 			}
 			record(pair, "post-replay", svg)
-
-			if svg, err = a.sess.RenderViewSVG(nil, 1280, 720); err != nil {
-				t.Fatalf("%s: %v", pair, err)
-			}
-			record(pair, "camera-view", svg)
 		}
 	}
 	path := filepath.Join("testdata", "offline_svg.golden")
