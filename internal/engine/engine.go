@@ -207,6 +207,11 @@ type Context struct {
 	// prog is the run's live progress entry; nil for contexts built
 	// outside RunContext (the debugger), whose updates then no-op.
 	prog *runProgress
+
+	// tallies are the run's instruction metrics, one per worker, merged
+	// into the registry when the run ends; nil when no registry is
+	// attached, and outside RunContext.
+	tallies []*workerTally
 }
 
 // value returns the runtime value of an argument.
@@ -370,23 +375,30 @@ func (e *Engine) newContext(plan *mal.Plan) (*Context, error) {
 // streaming run's completed result parts to Emit.
 func (e *Engine) exec(ctx *Context, in *mal.Instr, thread int, prof *profiler.Profiler) error {
 	k := ctx.kernels[in.PC]
+	var tally *workerTally
+	if ctx.tallies != nil {
+		tally = ctx.tallies[thread]
+	}
+	// The duration histogram takes the profiler's span when there is
+	// one, and reads the clock itself only when there is not.
 	var span profiler.Span
+	var t0 time.Time
 	if prof != nil {
 		span = prof.Begin(in.PC, thread, ctx.Plan.CachedStmt(in))
-	}
-	em := e.met
-	var t0 time.Time
-	if em != nil {
+	} else if tally != nil {
 		t0 = time.Now()
 	}
 	err := callKernel(k, ctx, in)
-	if em != nil {
-		em.instrUs.Observe(time.Since(t0).Microseconds())
-	}
 	ctx.prog.instrFinished()
+	var d time.Duration
 	if prof != nil {
 		reads, writes, rss := ctx.accounting(in)
-		span.End(rss, reads, writes)
+		d = span.End(rss, reads, writes)
+	} else if tally != nil {
+		d = time.Since(t0)
+	}
+	if tally != nil {
+		tally.us.Observe(d.Microseconds())
 	}
 	if err != nil {
 		return fmt.Errorf("engine: pc=%d %s: %w", in.PC, in.Name(), err)
@@ -461,7 +473,8 @@ func (ctx *Context) accounting(in *mal.Instr) (reads, writes, rssKB int64) {
 }
 
 func (e *Engine) runSequential(cctx context.Context, ctx *Context, opt Options) error {
-	w0 := e.met.workerCounter(0)
+	ctx.tallies = e.met.tallies(1)
+	defer mergeTallies(ctx.tallies)
 	for _, in := range ctx.Plan.Instrs {
 		if err := cctx.Err(); err != nil {
 			return fmt.Errorf("engine: canceled at pc=%d: %w", in.PC, err)
@@ -470,9 +483,16 @@ func (e *Engine) runSequential(cctx context.Context, ctx *Context, opt Options) 
 			return err
 		}
 		ctx.retire(in)
-		w0.Inc()
+		ctx.finished(0)
 	}
 	return nil
+}
+
+// finished counts an instruction the worker completed.
+func (ctx *Context) finished(worker int) {
+	if ctx.tallies != nil {
+		ctx.tallies[worker].instrs++
+	}
 }
 
 // deque is one worker's ready queue. The owner pushes and pops at the
@@ -536,30 +556,14 @@ func (e *Engine) runDataflow(cctx context.Context, ctx *Context, opt Options) er
 	if n == 0 {
 		return nil
 	}
-	// One dependency-graph walk per run: Uses() would recompute Deps()
-	// internally, so transpose the edge list locally instead.
-	deps := plan.Deps()
-	uses := make([][]int, n)
-	for pc, ds := range deps {
-		for _, d := range ds {
-			uses[d] = append(uses[d], pc)
-		}
-	}
-
-	// Order-dependent instructions (result-set plumbing, logging) form a
-	// chain so rsColumn calls append in plan order.
+	// The schedule — the dependency edges, their transpose with the
+	// ordered chain, and the initial counts — is built once per plan
+	// body; a run only copies the counts into its own atomics.
+	sched := plan.Schedule()
+	uses := sched.Uses
 	pending := make([]atomic.Int32, n)
-	lastEffect := -1
-	for i, in := range plan.Instrs {
-		count := len(deps[i])
-		if isOrdered(in) {
-			if lastEffect >= 0 {
-				count++
-				uses[lastEffect] = append(uses[lastEffect], i)
-			}
-			lastEffect = i
-		}
-		pending[i].Store(int32(count))
+	for i, c := range sched.Pending {
+		pending[i].Store(c)
 	}
 
 	workers := opt.Workers
@@ -573,10 +577,8 @@ func (e *Engine) runDataflow(cctx context.Context, ctx *Context, opt Options) er
 	if em != nil {
 		dequeHW = em.dequeHW
 	}
-	workerInstrs := make([]*metrics.Counter, workers)
-	for w := range workerInstrs {
-		workerInstrs[w] = em.workerCounter(w)
-	}
+	ctx.tallies = em.tallies(workers)
+	defer mergeTallies(ctx.tallies)
 	queues := make([]*deque, workers)
 	for w := range queues {
 		queues[w] = &deque{hw: dequeHW}
@@ -691,7 +693,7 @@ func (e *Engine) runDataflow(cctx context.Context, ctx *Context, opt Options) er
 					return
 				}
 				ctx.retire(plan.Instrs[pc])
-				workerInstrs[worker].Inc()
+				ctx.finished(worker)
 				for _, u := range uses[pc] {
 					if pending[u].Add(-1) == 0 {
 						own.push(u)
@@ -713,12 +715,3 @@ func (e *Engine) runDataflow(cctx context.Context, ctx *Context, opt Options) er
 	return firstErr
 }
 
-// isOrdered reports whether the instruction has side effects whose order
-// matters (result-set construction).
-func isOrdered(in *mal.Instr) bool {
-	switch in.Name() {
-	case "sql.resultSet", "sql.rsColumn", "sql.exportResult", "querylog.define":
-		return true
-	}
-	return false
-}

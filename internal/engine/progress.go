@@ -74,6 +74,40 @@ func (m *engineMetrics) workerCounter(i int) *metrics.Counter {
 	return m.workers[i]
 }
 
+// workerTally is one worker's share of a run's instruction metrics —
+// instructions completed and their durations — in plain counts only
+// that worker writes, merged into the registry once, when the run ends
+// (mergeTallies). Each share is its own allocation, padded so the next
+// one's hot counts never share its cache lines.
+type workerTally struct {
+	instrs  int64
+	us      metrics.Tally
+	counter *metrics.Counter
+	_       [64]byte
+}
+
+// tallies returns empty shares for a run on n workers, resolving the
+// per-worker counters once; nil when no registry is attached.
+func (m *engineMetrics) tallies(n int) []*workerTally {
+	if m == nil {
+		return nil
+	}
+	ts := make([]*workerTally, n)
+	for w := range ts {
+		ts[w] = &workerTally{us: m.instrUs.Tally(), counter: m.workerCounter(w)}
+	}
+	return ts
+}
+
+// mergeTallies adds a run's shares into the registry. Runs call it when
+// they end, failed or not, after every worker has stopped.
+func mergeTallies(ts []*workerTally) {
+	for _, t := range ts {
+		t.us.Merge()
+		t.counter.Add(t.instrs)
+	}
+}
+
 // runProgress is the live state of one in-flight run. The total is set
 // at run start and the done count only increases, so it never exceeds
 // the total.

@@ -43,7 +43,8 @@ func (in *Instr) IsAdmin() bool {
 // removed, except those whose results feed a surviving data instruction
 // (removing a producer would break the dataflow DAG). PCs are renumbered;
 // the mapping old-pc -> new-pc is returned so trace events can be remapped
-// onto the pruned graph.
+// onto the pruned graph. p must be finalized: Prune reads its memoized
+// Deps.
 //
 //stetho:ignore deadexport experiment E11 (admin-instruction pruning) is measured by the root and integration tests
 func Prune(p *Plan) (*Plan, map[int]int) {

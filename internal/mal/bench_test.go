@@ -34,12 +34,14 @@ func BenchmarkPlanPrint(b *testing.B) {
 	}
 }
 
-func BenchmarkDeps(b *testing.B) {
+// BenchmarkSchedule times building the dataflow schedule, which
+// Schedule (and Deps) memoize per plan body.
+func BenchmarkSchedule(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		p := widePlan(n)
 		b.Run(fmt.Sprintf("instrs=%d", len(p.Instrs)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.Deps()
+				p.schedule()
 			}
 		})
 	}

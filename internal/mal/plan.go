@@ -74,8 +74,9 @@ type Plan struct {
 	body *Plan
 
 	// stmts memoizes the rendered statement text for the execution hot
-	// path; see CachedStmt. memoBytes is its size and the read counts'
-	// (Readers) for Bytes, which may run while either is built.
+	// path; see CachedStmt. memoBytes is its size, the read counts'
+	// (Readers) and the schedule's (Schedule) for Bytes, which may run
+	// while any of them is built.
 	stmtsOnce sync.Once
 	stmts     *stmtMemo
 	memoMu    sync.Mutex
@@ -90,6 +91,10 @@ type Plan struct {
 	// size joins memoBytes once counted.
 	readersOnce sync.Once
 	readers     []int32
+
+	// sched memoizes the dataflow schedule; see Schedule.
+	schedOnce sync.Once
+	sched     *Schedule
 }
 
 // constKey is a constant's exact literal: its type and payload, with a
@@ -101,11 +106,14 @@ type constKey struct {
 	s string
 }
 
-// stmtMemo is every statement of a plan rendered into one string:
-// statement pc is text[ends[pc-1]:ends[pc]], starting at 0 for pc 0.
+// stmtMemo is the statement text a plan renders itself, in one string:
+// its k-th statement is text[ends[k-1]:ends[k]], starting at 0 for k 0,
+// and at[pc] is the k of statement pc, or -1 where the plan's body
+// renders it (see CachedStmt).
 type stmtMemo struct {
 	text string
 	ends []uint32
+	at   []int32
 }
 
 // NewPlan returns an empty plan for the given source query text.
@@ -256,24 +264,122 @@ func (p *Plan) DefSites() []int {
 // Deps returns, per instruction, the PCs of the instructions whose results
 // it consumes — the dataflow edges of the DAG Stethoscope draws. The
 // result is indexed by PC and each dependency list is sorted ascending with
-// duplicates removed.
-func (p *Plan) Deps() [][]int {
+// duplicates removed. It is the memoized Schedule's, so like CachedStmt
+// it is for finalized plans only, and it is shared: do not modify it.
+func (p *Plan) Deps() [][]int { return p.Schedule().Deps }
+
+// Schedule is a plan's dataflow schedule, what a multi-core run needs
+// besides the instructions: the dependency edges, their transpose, and
+// how many edges each instruction waits on. Side-effecting instructions
+// whose order matters (result-set plumbing, the query log) also chain
+// on the previous one, so rsColumn calls append in plan order. Every
+// slice is shared by every run of the plan and must not be modified.
+type Schedule struct {
+	// Deps is Plan.Deps: per pc, the producers it reads, ascending.
+	Deps [][]int
+	// Uses is, per pc, the instructions that wait on it: its readers
+	// ascending, then the next ordered instruction when it is ordered.
+	Uses [][]int
+	// Pending is, per pc, how many Uses lists name it: the finishes it
+	// waits for before it may run.
+	Pending []int32
+}
+
+// Schedule returns the plan's dataflow schedule, built once per body
+// like Readers: an instance shares its body's. For finalized plans only;
+// safe for concurrent use.
+func (p *Plan) Schedule() *Schedule {
+	if p.body != nil {
+		return p.body.Schedule()
+	}
+	p.schedOnce.Do(func() {
+		var n int64
+		p.sched, n = p.schedule()
+		p.memoMu.Lock()
+		p.memoBytes += n
+		p.memoMu.Unlock()
+	})
+	return p.sched
+}
+
+// schedule builds the dataflow schedule and reports its size. The edge
+// lists of Deps share one slab and those of Uses another.
+func (p *Plan) schedule() (*Schedule, int64) {
+	n := len(p.Instrs)
 	def := p.DefSites()
-	deps := make([][]int, len(p.Instrs))
+	nArgs := 0
+	for _, in := range p.Instrs {
+		nArgs += len(in.Args)
+	}
+	s := &Schedule{Deps: make([][]int, n), Uses: make([][]int, n), Pending: make([]int32, n)}
+	slab := make([]int, 0, nArgs)
+	uses := make([]int32, n) // per pc, how many wait on it
 	for i, in := range p.Instrs {
-		var ds []int
+		k := len(slab)
 		for _, a := range in.Args {
 			if a.IsConst() || a.Var() >= len(def) {
 				continue
 			}
 			if d := def[a.Var()]; d >= 0 && d != in.PC {
-				ds = append(ds, d)
+				slab = append(slab, d)
 			}
 		}
-		slices.Sort(ds)
-		deps[i] = slices.Clip(slices.Compact(ds))
+		slices.Sort(slab[k:])
+		slab = slab[:k+len(slices.Compact(slab[k:]))]
+		s.Deps[i] = slab[k:len(slab):len(slab)]
+		for _, d := range s.Deps[i] {
+			uses[d]++
+		}
 	}
-	return deps
+	// The ordered chain: next[i] is the ordered instruction after
+	// ordered instruction i, or -1.
+	next := make([]int, n)
+	last := -1
+	for i, in := range p.Instrs {
+		next[i] = -1
+		s.Pending[i] = int32(len(s.Deps[i]))
+		if in.ordered() {
+			if last >= 0 {
+				next[last] = i
+				uses[last]++
+				s.Pending[i]++
+			}
+			last = i
+		}
+	}
+	total := 0
+	for _, u := range uses {
+		total += int(u)
+	}
+	size := int64(unsafe.Sizeof(*s)) + int64(n)*int64(2*unsafe.Sizeof([]int(nil))+unsafe.Sizeof(int32(0))) +
+		int64(cap(slab)+total)*int64(unsafe.Sizeof(int(0)))
+	slab = make([]int, total)
+	at := 0
+	for pc, u := range uses {
+		s.Uses[pc] = slab[at : at : at+int(u)]
+		at += int(u)
+	}
+	for pc, ds := range s.Deps {
+		for _, d := range ds {
+			s.Uses[d] = append(s.Uses[d], pc)
+		}
+	}
+	for pc, nx := range next {
+		if nx >= 0 {
+			s.Uses[pc] = append(s.Uses[pc], nx)
+		}
+	}
+	return s, size
+}
+
+// ordered reports whether the instruction has side effects whose order
+// matters (result-set construction, the query log).
+func (in *Instr) ordered() bool {
+	switch in.Name() {
+	case "sql.resultSet", "sql.rsColumn", "sql.exportResult", "querylog.define":
+		return true
+	}
+	return false
 }
 
 // Validate checks plan well-formedness: every argument variable is defined
@@ -399,37 +505,84 @@ func (p *Plan) Readers() []int32 {
 }
 
 // CachedStmt returns StmtString(in) from a per-plan memo rendered once
-// on first use: one string holding every statement, which CachedStmt
-// slices. The profiler attaches the statement text to every start/done
-// event, so re-executions of a cached plan would otherwise re-render
-// every instruction on every run; with the memo the text is built once
-// per plan lifetime. Only call this on finalized plans (the engine does,
-// post-Validate): rewriting a plan after the first CachedStmt call would
-// serve stale text. Safe for concurrent use.
+// on first use: one string holding every statement the plan renders
+// itself, which CachedStmt slices. The profiler attaches the statement
+// text to every start/done event, so re-executions of a cached plan
+// would otherwise re-render every instruction on every run; with the
+// memo the text is built once per plan lifetime. An instance renders
+// only the statements that read a constant whose literal is not its
+// body's, and takes every other one from its body's memo. Only call
+// this on finalized plans (the engine does, post-Validate): rewriting a
+// plan after the first CachedStmt call would serve stale text. Safe for
+// concurrent use.
 func (p *Plan) CachedStmt(in *Instr) string {
 	p.stmtsOnce.Do(p.renderStmts)
 	m := p.stmts
-	if pc := in.PC; pc >= 0 && pc < len(m.ends) {
-		start := uint32(0)
-		if pc > 0 {
-			start = m.ends[pc-1]
+	if pc := in.PC; pc >= 0 && pc < len(m.at) {
+		k := m.at[pc]
+		if k < 0 {
+			return p.body.CachedStmt(in)
 		}
-		return m.text[start:m.ends[pc]]
+		start := uint32(0)
+		if k > 0 {
+			start = m.ends[k-1]
+		}
+		return m.text[start:m.ends[k]]
 	}
 	return p.StmtString(in)
 }
 
 func (p *Plan) renderStmts() {
-	var b []byte
-	ends := make([]uint32, len(p.Instrs))
-	for i, in := range p.Instrs {
-		b = p.appendStmt(b, in)
-		ends[i] = uint32(len(b))
+	moved := p.movedConsts()
+	m := &stmtMemo{at: make([]int32, len(p.Instrs))}
+	own := 0
+	for pc, in := range p.Instrs {
+		if p.body != nil && !readsAny(in, moved) {
+			m.at[pc] = -1
+			continue
+		}
+		m.at[pc] = int32(own)
+		own++
 	}
-	p.stmts = &stmtMemo{text: string(b), ends: ends}
+	m.ends = make([]uint32, 0, own)
+	var b []byte
+	for pc, in := range p.Instrs {
+		if m.at[pc] >= 0 {
+			b = p.appendStmt(b, in)
+			m.ends = append(m.ends, uint32(len(b)))
+		}
+	}
+	m.text = string(b)
+	p.stmts = m
 	p.memoMu.Lock()
-	p.memoBytes += int64(unsafe.Sizeof(*p.stmts)) + int64(len(b)) + int64(cap(ends))*int64(unsafe.Sizeof(uint32(0)))
+	p.memoBytes += int64(unsafe.Sizeof(*m)) + int64(len(m.text)) +
+		int64(cap(m.ends))*int64(unsafe.Sizeof(uint32(0))) + int64(cap(m.at))*int64(unsafe.Sizeof(int32(0)))
 	p.memoMu.Unlock()
+}
+
+// movedConsts marks the constant slots of an instance whose literal is
+// not its body's, compared as ConstOf compares them, so -0.0 is not
+// 0.0. It is nil for a plan that is no instance, and for an instance
+// that shares its body's table.
+func (p *Plan) movedConsts() []bool {
+	if p.body == nil || unsafe.SliceData(p.Consts) == unsafe.SliceData(p.body.Consts) {
+		return nil
+	}
+	moved := make([]bool, len(p.Consts))
+	for i, c := range p.Consts {
+		moved[i] = i >= len(p.body.Consts) || !c.Identical(p.body.Consts[i])
+	}
+	return moved
+}
+
+// readsAny reports whether in has a constant operand in a marked slot.
+func readsAny(in *Instr, slots []bool) bool {
+	for _, a := range in.Args {
+		if a.IsConst() && int(^a) < len(slots) && slots[^a] {
+			return true
+		}
+	}
+	return false
 }
 
 // String renders the whole plan as a MAL listing wrapped in a
@@ -486,12 +639,13 @@ func (p *Plan) Clone() *Plan {
 }
 
 // Instance returns a plan of p's body under another statement: it
-// shares p's variables, instructions, validation and read counts — which
-// every holder treats as immutable — and owns its query text, its
-// constant table consts (p's with some slots rewritten, so just as
-// long, or p's own table for the statement p was compiled from) and
-// its statement memo. An instance of an instance shares the first
-// plan's body.
+// shares p's variables, instructions, validation, read counts, dataflow
+// schedule and statement memo — which every holder treats as immutable
+// — and owns its query text, its constant table consts (p's with some
+// slots rewritten, so just as long, or p's own table for the statement
+// p was compiled from) and a sparse statement memo: the text of the
+// statements that read one of its own literals. An instance of an
+// instance shares the first plan's body.
 func (p *Plan) Instance(query string, consts []Value) *Plan {
 	body := p
 	if p.body != nil {
@@ -507,10 +661,11 @@ func (p *Plan) Body() *Plan { return p.body }
 // Bytes is the plan's resident size, computed by arithmetic the way
 // storage.BAT.FootprintBytes is: the plan header, the variable and
 // constant tables, every instruction with its operands and results and,
-// once CachedStmt and Readers have built them, the statement memo and
-// the read counts. An instance counts only what it owns: the header,
-// its constant table unless it shares its Body's, and its statement
-// memo; its Body counts the rest. Size-class rounding is not counted.
+// once CachedStmt, Readers and Schedule have built them, the statement
+// memo, the read counts and the schedule. An instance counts only what
+// it owns: the header, its constant table unless it shares its Body's,
+// and its sparse statement memo; its Body counts the rest. Size-class
+// rounding is not counted.
 func (p *Plan) Bytes() int64 {
 	n := int64(unsafe.Sizeof(*p)) +
 		int64(len(p.constIdx)+len(p.ownIdx))*int64(unsafe.Sizeof(constKey{})+unsafe.Sizeof(Arg(0)))

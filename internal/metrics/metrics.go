@@ -8,7 +8,10 @@
 //
 // Concurrency contract: every mutation (Counter.Inc/Add, Gauge.Set/Add/
 // SetMax, Histogram.Observe) is a handful of atomic operations
-// on pre-registered cells — no locks, no allocation, no map lookups.
+// on pre-registered cells — no locks, no allocation, no map lookups. A
+// writer hot enough that even those contend (the engine's per-instruction
+// durations) counts into a private Tally instead and merges it into the
+// histogram once, so a snapshot sees its values only after the merge.
 // The registry's mutex guards only registration and snapshotting, which
 // are off the hot path. Snapshots are taken metric-by-metric with atomic
 // loads: a snapshot is internally consistent per metric (a histogram's
@@ -129,7 +132,12 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	// Binary search for the first bound >= v.
+	h.counts[h.bucket(v)].Add(1)
+	h.sum.Add(v)
+}
+
+// bucket is the index of the first bound >= v, len(bounds) for +Inf.
+func (h *Histogram) bucket(v int64) int {
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -139,8 +147,50 @@ func (h *Histogram) Observe(v int64) {
 			lo = mid + 1
 		}
 	}
-	h.counts[lo].Add(1)
-	h.sum.Add(v)
+	return lo
+}
+
+// Tally is one writer's private share of a histogram: plain counts, so
+// Observe makes no atomic add and writes no cache line that another
+// writer of the histogram writes. Merge adds the share into the
+// histogram, which a snapshot sees only from then on. Not safe for
+// concurrent use; the zero Tally, like a nil histogram's, no-ops.
+type Tally struct {
+	h      *Histogram
+	counts []int64
+	sum    int64
+}
+
+// Tally returns an empty share of h.
+func (h *Histogram) Tally() Tally {
+	if h == nil {
+		return Tally{}
+	}
+	return Tally{h: h, counts: make([]int64, len(h.counts))}
+}
+
+// Observe records one value in the share.
+func (t *Tally) Observe(v int64) {
+	if t.h == nil {
+		return
+	}
+	t.counts[t.h.bucket(v)]++
+	t.sum += v
+}
+
+// Merge adds the share into its histogram and empties it.
+func (t *Tally) Merge() {
+	if t.h == nil {
+		return
+	}
+	for i, n := range t.counts {
+		if n != 0 {
+			t.h.counts[i].Add(n)
+			t.counts[i] = 0
+		}
+	}
+	t.h.sum.Add(t.sum)
+	t.sum = 0
 }
 
 // snapshotInto appends the histogram's cumulative buckets.

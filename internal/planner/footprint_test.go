@@ -83,9 +83,15 @@ func TestPlanFootprintCeilings(t *testing.T) {
 		maxCompile = 1200 << 10
 		// An instance holds its header and constant table (about 5 KB)
 		// until the engine renders its statement memo; instantiating
-		// parses and binds the statement (about 22 KB measured).
+		// parses and binds the statement (about 18 KB measured). The
+		// memo is sparse: an index entry per instruction (4 KB) and the
+		// text of only the statements that read one of the instance's
+		// own literals, each of Q6's five read by 64 selects (about
+		// 15 KB); every other statement is the body's. 24.7 KB measured
+		// with the memo, against 67.5 KB when an instance rendered every
+		// statement; the ceiling leaves about 30 % for drift.
 		maxInstance      = 8 << 10
-		maxInstanceEntry = 80 << 10
+		maxInstanceEntry = 32 << 10
 		maxInstantiation = 32 << 10
 	)
 	q, _ := tpch.QueryByID("Q6")

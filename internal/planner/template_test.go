@@ -3,15 +3,18 @@ package planner
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"stethoscope/internal/adaptive"
 	"stethoscope/internal/dot"
 	"stethoscope/internal/engine"
+	"stethoscope/internal/mal"
 	"stethoscope/internal/optimizer"
 	"stethoscope/internal/plancache"
 	"stethoscope/internal/tpch"
@@ -122,10 +125,17 @@ func sweepVariants() []string {
 
 // samePlan fails t unless got is the plan a fresh compile made: the
 // same variables, constants and instructions, the same listing and the
-// same dot text.
+// same dot text; and unless every statement got's memo serves — its own
+// text or its body's — is the one StmtString renders.
 func samePlan(t *testing.T, what string, got, want Compiled) {
 	t.Helper()
 	g, w := got.Plan, want.Plan
+	for _, in := range g.Instrs {
+		if memo, text := g.CachedStmt(in), g.StmtString(in); memo != text {
+			t.Errorf("%s: pc=%d statement memo serves\n%s\nStmtString renders\n%s", what, in.PC, memo, text)
+			return
+		}
+	}
 	switch {
 	case !reflect.DeepEqual(g.Vars, w.Vars):
 		t.Errorf("%s: variables differ from a fresh compile", what)
@@ -290,5 +300,93 @@ func TestTemplateSharedAcrossSpelling(t *testing.T) {
 			t.Errorf("%q was compiled, not instantiated from the template of %q", pair[1], pair[0])
 		}
 		samePlan(t, fmt.Sprintf("%q", pair[1]), got, want)
+	}
+}
+
+// TestInstanceSharesSchedule: an instance's dataflow schedule and
+// dependency edges are its body's — the same backing arrays, built
+// once — and so is the text of every statement that reads none of its
+// own literals. The schedule is the reference one (Deps transposed,
+// ordered instructions chained in plan order), and running the plans
+// on the dataflow scheduler and pruning them leaves it as it was.
+func TestInstanceSharesSchedule(t *testing.T) {
+	q6, _ := tpch.QueryByID("Q6")
+	other := strings.NewReplacer("1994-01-01", "1995-02-01", "0.05", "0.04", "< 24", "< 23").Replace(q6.SQL)
+	serving := newFootprintPlanner(8)
+	first, err := serving.Compile(q6.SQL, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := serving.Compile(other, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := second.Plan.Body()
+	if !second.Instantiated || body == nil || first.Plan.Body() != body {
+		t.Fatalf("the second Q6 text is not an instance of the first one's template")
+	}
+	s := body.Schedule()
+	for _, p := range []*mal.Plan{first.Plan, second.Plan} {
+		if p.Schedule() != s || &p.Deps()[1] != &s.Deps[1] {
+			t.Fatalf("an instance built a schedule of its own")
+		}
+	}
+
+	ordered := map[string]bool{"sql.resultSet": true, "sql.rsColumn": true, "sql.exportResult": true, "querylog.define": true}
+	uses := make([][]int, len(body.Instrs))
+	pending := make([]int32, len(body.Instrs))
+	for pc, ds := range s.Deps {
+		pending[pc] = int32(len(ds))
+		for _, d := range ds {
+			uses[d] = append(uses[d], pc)
+		}
+	}
+	last := -1
+	for pc, in := range body.Instrs {
+		if ordered[in.Name()] {
+			if last >= 0 {
+				uses[last] = append(uses[last], pc)
+				pending[pc]++
+			}
+			last = pc
+		}
+	}
+	for pc := range uses {
+		if !slices.Equal(uses[pc], s.Uses[pc]) {
+			t.Fatalf("pc=%d: schedule uses %v, the transpose with the ordered chain %v", pc, s.Uses[pc], uses[pc])
+		}
+	}
+	if !slices.Equal(pending, s.Pending) {
+		t.Fatalf("schedule pending %v, want %v", s.Pending, pending)
+	}
+
+	owned := 0
+	for _, in := range second.Plan.Instrs {
+		if got, shared := second.Plan.CachedStmt(in), body.CachedStmt(in); got == shared {
+			if unsafe.StringData(got) != unsafe.StringData(shared) {
+				t.Fatalf("pc=%d: the instance rendered its body's text %q again", in.PC, got)
+			}
+		} else {
+			owned++
+		}
+	}
+	if owned == 0 || owned >= len(body.Instrs)/2 {
+		t.Errorf("the instance renders %d of %d statements itself", owned, len(body.Instrs))
+	}
+
+	deps, before := slices.Clone(s.Deps), slices.Clone(s.Uses)
+	for i := range deps {
+		deps[i], before[i] = slices.Clone(deps[i]), slices.Clone(before[i])
+	}
+	pend := slices.Clone(s.Pending)
+	eng := engine.New(testCat)
+	for _, p := range []*mal.Plan{first.Plan, second.Plan, first.Plan} {
+		if _, err := eng.Run(p, engine.Options{Workers: 3}); err != nil {
+			t.Fatal(err)
+		}
+		mal.Prune(p)
+	}
+	if !reflect.DeepEqual(deps, s.Deps) || !reflect.DeepEqual(before, s.Uses) || !slices.Equal(pend, s.Pending) {
+		t.Error("running and pruning the plans modified the shared schedule")
 	}
 }

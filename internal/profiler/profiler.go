@@ -197,19 +197,21 @@ func (p *Profiler) Begin(pc, thread int, stmt string) Span {
 	return Span{p: p, pc: pc, thread: thread, stmt: stmt, started: started}
 }
 
-// End emits the done event with the measured duration and the supplied
-// resource accounting.
-func (s Span) End(rssKB, reads, writes int64) {
+// End emits the done event with the supplied resource accounting and
+// returns the duration it measured, the event's DurUs, so a caller that
+// also wants the duration reads no clock of its own.
+func (s Span) End(rssKB, reads, writes int64) time.Duration {
 	p := s.p
 	p.mu.Lock()
 	nowT := p.now()
+	d := nowT.Sub(s.started)
 	e := Event{
 		Seq:    p.seq,
 		State:  StateDone,
 		PC:     s.pc,
 		Thread: s.thread,
 		ClkUs:  nowT.Sub(p.start).Microseconds(),
-		DurUs:  nowT.Sub(s.started).Microseconds(),
+		DurUs:  d.Microseconds(),
 		RSSKB:  rssKB,
 		Reads:  reads,
 		Writes: writes,
@@ -218,6 +220,7 @@ func (s Span) End(rssKB, reads, writes int64) {
 	p.seq++
 	p.emitLocked(e)
 	p.mu.Unlock()
+	return d
 }
 
 func (p *Profiler) emitLocked(e Event) {

@@ -308,6 +308,32 @@ func TestCloseUnblocksIdleConnections(t *testing.T) {
 	}
 }
 
+// TestStatsCountsInstructionsByReply: the engine merges a run's
+// instruction metrics before the run returns, so STATS sent after a
+// QUERY's reply already counts every instruction the query ran — one
+// run of its cached plan per statement.
+func TestStatsCountsInstructionsByReply(t *testing.T) {
+	srv := startServer(t)
+	c := dialServer(t, srv)
+	for i := 1; i <= 3; i++ {
+		if _, _, err := c.Command(fmt.Sprintf("QUERY select l_tax from lineitem where l_partkey=%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		instrs := 0
+		for _, k := range srv.run.Planner.Cache.Keys() {
+			e, _ := srv.run.Planner.Cache.Peek(k)
+			instrs += len(e.Plan.Instrs)
+		}
+		_, payload, err := c.Command("STATS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("engine_runs=%d engine_instructions=%d ", i, instrs); len(payload) < 2 || !strings.HasPrefix(payload[1], want) {
+			t.Fatalf("STATS after %d queries: %q, want prefix %q", i, payload, want)
+		}
+	}
+}
+
 func TestStatsCommandAndSharedCache(t *testing.T) {
 	srv := startServer(t)
 	const q = "QUERY select l_tax from lineitem where l_partkey=1"
