@@ -714,4 +714,3 @@ func (e *Engine) runDataflow(cctx context.Context, ctx *Context, opt Options) er
 	defer mu.Unlock()
 	return firstErr
 }
-

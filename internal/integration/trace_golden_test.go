@@ -16,8 +16,8 @@ import (
 	"stethoscope/internal/plancache"
 	"stethoscope/internal/planner"
 	"stethoscope/internal/profiler"
-	"stethoscope/internal/trace"
 	"stethoscope/internal/tpch"
+	"stethoscope/internal/trace"
 )
 
 // bumpIntegers adds one to every integer literal of s that stands alone

@@ -68,9 +68,9 @@ type Plan struct {
 	constIdx map[constKey]Arg
 	ownIdx   map[constKey]Arg
 
-	// body is the plan whose variables, instructions, validation and
-	// read counts an instance shares (see Instance); nil for a plan that
-	// owns them.
+	// body is the plan whose variables, instructions, validation, read
+	// counts, schedule and statement memo an instance shares (see
+	// Instance); nil for a plan that owns them.
 	body *Plan
 
 	// stmts memoizes the rendered statement text for the execution hot

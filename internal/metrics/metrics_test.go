@@ -88,6 +88,44 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+// TestTallyMergesLikeObserve: values observed into tallies appear in a
+// snapshot only once merged, and then exactly as if each had been
+// observed into the histogram; a merged tally starts empty, and the
+// tally of a nil histogram no-ops.
+func TestTallyMergesLikeObserve(t *testing.T) {
+	r := NewRegistry()
+	direct, shared := r.Histogram("direct_us", nil), r.Histogram("shared_us", nil)
+	a, b := shared.Tally(), shared.Tally()
+	for i, v := range []int64{0, 3, 10, 11, 999, 1_000, 20_000_000} {
+		direct.Observe(v)
+		if i%2 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+	}
+	if s, _ := r.Snapshot().Get("shared_us"); s.Count != 0 || s.Sum != 0 {
+		t.Fatalf("unmerged tallies visible: count %d sum %d", s.Count, s.Sum)
+	}
+	a.Merge()
+	b.Merge()
+	a.Merge()
+	d, _ := r.Snapshot().Get("direct_us")
+	s, _ := r.Snapshot().Get("shared_us")
+	if s.Count != d.Count || s.Sum != d.Sum || len(s.Buckets) != len(d.Buckets) {
+		t.Fatalf("merged %+v, observed %+v", s, d)
+	}
+	for i := range d.Buckets {
+		if s.Buckets[i] != d.Buckets[i] {
+			t.Errorf("bucket %d: merged %+v, observed %+v", i, s.Buckets[i], d.Buckets[i])
+		}
+	}
+	var none *Histogram
+	n := none.Tally()
+	n.Observe(5)
+	n.Merge()
+}
+
 func TestSnapshotSortedAndGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(2)
