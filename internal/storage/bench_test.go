@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime/debug"
 	"testing"
 )
@@ -228,6 +229,59 @@ func BenchmarkRangeSelect(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSelectivity times the selection and predicate kernels over a
+// seeded random 75 000-row column, the size of a Q19 piece at SF 0.05,
+// with 1, 50 and 99 % of its rows passing. benchColumn's cells come in
+// runs that pass or fail together, so a loop that branches on a cell
+// never mispredicts there; in a random column at 50 % it does about
+// every other row. Outputs are released under a run in flight, as the
+// engine releases them, so a selection's buffer is a recycled one and
+// the loop is most of what is timed.
+func BenchmarkSelectivity(b *testing.B) {
+	const n = 75_000
+	rng := rand.New(rand.NewSource(47))
+	ints, flts := make([]int64, n), make([]float64, n)
+	for i := range ints {
+		ints[i] = rng.Int63n(10_000)
+		flts[i] = float64(ints[i]) / 100
+	}
+	ic, fc := FromInts(Int, ints), FromFloats(flts)
+	defer Running()()
+	for _, pct := range []int{1, 50, 99} {
+		// pct % of the cells are below cut, and pct % lie in [lo, hi), a
+		// window in the middle of the domain, so both bounds of a range
+		// decide some rows.
+		cut := int64(pct) * 100
+		lo := (10_000 - cut) / 2
+		hi := lo + cut
+		flags, err := CompareScalar(LT, ic, IntVal(cut), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []struct {
+			name string
+			run  func() (*BAT, error)
+		}{
+			{"RangeSelect", func() (*BAT, error) { return RangeSelect(ic, IntVal(lo), IntVal(hi), true, false, nil) }},
+			{"ThetaSelect", func() (*BAT, error) { return ThetaSelect(fc, LT, FltVal(float64(cut)/100), nil) }},
+			{"Between", func() (*BAT, error) { return Between(fc, FltVal(float64(lo)/100), FltVal(float64(hi-1)/100)) }},
+			{"SelectTrue", func() (*BAT, error) { return SelectTrue(flags) }},
+			{"CompareScalar", func() (*BAT, error) { return CompareScalar(LT, ic, IntVal(cut), false) }},
+		} {
+			b.Run(fmt.Sprintf("%s/sel=%d", k.name, pct), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := k.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					out.Release()
+				}
+			})
+		}
 	}
 }
 

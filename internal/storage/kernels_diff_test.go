@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The differential harness: checkKernels runs every rewritten kernel and
@@ -185,6 +186,18 @@ func agree(tb testing.TB, label string, got []*BAT, gotErr error, want []*BAT, r
 
 func bats(b ...*BAT) []*BAT { return b }
 
+// trueOIDs returns the oids of a Bool BAT's true rows in row order: what
+// SelectTrue bridges the flags back into.
+func trueOIDs(flags *BAT) *BAT {
+	oids := New(OID, 0)
+	for i := 0; i < flags.Len(); i++ {
+		if flags.BoolAt(i) {
+			oids.AppendInt(int64(i))
+		}
+	}
+	return oids
+}
+
 // kernelInputs is one differential case: two columns, two operands, a
 // candidate list (nil = none) and a LIKE pattern.
 type kernelInputs struct {
@@ -224,20 +237,17 @@ func checkKernels(tb testing.TB, in kernelInputs) {
 			want, rerr := RefCompareScalar(op, a, v, flip)
 			agree(tb, fmt.Sprintf("CompareScalar %s flip=%t [%s]", op, flip, id), bats(got), err, bats(want), rerr)
 			if err == nil {
-				// SelectTrue bridges the flags back into oids, in row order.
-				oids := New(OID, 0)
-				for i := 0; i < want.Len(); i++ {
-					if want.BoolAt(i) {
-						oids.AppendInt(int64(i))
-					}
-				}
 				sel, err := SelectTrue(got)
-				agree(tb, fmt.Sprintf("SelectTrue %s flip=%t [%s]", op, flip, id), bats(sel), err, bats(oids), nil)
+				agree(tb, fmt.Sprintf("SelectTrue %s flip=%t [%s]", op, flip, id), bats(sel), err, bats(trueOIDs(want)), nil)
 			}
 		}
 		got, err := Compare(op, a, b)
 		want, rerr := RefCompare(op, a, b)
 		agree(tb, fmt.Sprintf("Compare %s [%s]", op, id), bats(got), err, bats(want), rerr)
+	}
+	if a.kind == Bool {
+		sel, err := SelectTrue(a)
+		agree(tb, "SelectTrue ["+id+"]", bats(sel), err, bats(trueOIDs(a)), nil)
 	}
 
 	for inc := 0; inc < 4; inc++ {
@@ -443,6 +453,145 @@ func TestKernelsMatchReference(t *testing.T) {
 				step++
 			}
 		}
+	}
+	for _, in := range targetedInputs() {
+		for _, cands := range candidateShapes(rng, in.a.Len()) {
+			in.cands = cands
+			checkKernels(t, in)
+		}
+	}
+	t.Run("recycled", checkRecycledSelections)
+}
+
+// targetedInputs are the cases the random table reaches only by luck,
+// one per selection or predicate loop that must be held to its
+// reference: a Bool column under operands that make all four keep
+// pairs (false rows kept or not, true rows kept or not), all-false,
+// all-true and last-row-only flags for SelectTrue, a Str Between whose
+// bounds fall below, between and above the dictionary's entries, and
+// Compare's = and != with a NaN on either side, or both.
+func targetedInputs() []kernelInputs {
+	var ins []kernelInputs
+	const n = 37
+	mixed, allF, allT, lastT := make([]bool, n), make([]bool, n), make([]bool, n), make([]bool, n)
+	for i := range mixed {
+		mixed[i] = i*7%5 < 2
+		allT[i] = true
+	}
+	lastT[n-1] = true
+	for _, flags := range [][]bool{mixed, allF, allT, lastT} {
+		for _, vw := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+			col := FromBools(flags)
+			ins = append(ins, kernelInputs{a: col, b: FromBools(mixed), v: BoolVal(vw[0]), w: BoolVal(vw[1])})
+		}
+	}
+
+	// The cells are "MAIL" < "b" < "ba"; "" lies below them, "SHIP"
+	// between the first two, "ab" between the last two, "bb" above.
+	cells := make([]string, n)
+	for i := range cells {
+		cells[i] = []string{"b", "MAIL", "ba"}[i*5%3]
+	}
+	strs := FromStrings(cells)
+	bounds := []string{"", "MAIL", "SHIP", "ab", "ba", "bb"}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			ins = append(ins, kernelInputs{a: strs, b: strs, v: StrVal(lo), w: StrVal(hi), pattern: "b%"})
+		}
+	}
+
+	nan := math.NaN()
+	left := []float64{nan, 1, nan, 2, 0, math.Copysign(0, -1), nan, 3}
+	right := []float64{1, nan, nan, 2, math.Copysign(0, -1), 0, 5, nan}
+	ints := []int64{0, 1, 2, 2, 0, 0, 7, 3}
+	for _, v := range []float64{nan, 1} {
+		ins = append(ins,
+			kernelInputs{a: FromFloats(left), b: FromFloats(right), v: FltVal(v), w: FltVal(2)},
+			kernelInputs{a: FromFloats(right), b: FromFloats(left), v: FltVal(v), w: FltVal(nan)},
+			kernelInputs{a: FromInts(Int, ints), b: FromFloats(right), v: FltVal(v), w: IntVal(2)})
+	}
+	return ins
+}
+
+// checkRecycledSelections holds the selections to their references on a
+// mid-selectivity column whose output buffer comes off the free list
+// holding plausible oids in reverse order: a loop that returns a cell
+// it did not write this call, or reads past its count, reads one of
+// those. Each output is released, as the engine does when its variable
+// dies, so the next selection finds it there too.
+func checkRecycledSelections(t *testing.T) {
+	inFlight(t)
+	rng := rand.New(rand.NewSource(47))
+	const n = 300
+	ints, flts := make([]int64, n), make([]float64, n)
+	for i := range ints {
+		ints[i] = rng.Int63n(1000)
+		flts[i] = float64(ints[i]) / 10
+	}
+	var every2nd []int64
+	for i := 0; i < n; i += 2 {
+		every2nd = append(every2nd, int64(i))
+	}
+	// dirty puts an m-cell buffer full of oids on the free list and
+	// returns its array, which the next take of m cells hands out.
+	dirty := func(m int) *int64 {
+		stale, bk := take[int64](m)
+		for i := range stale {
+			stale[i] = int64(m - 1 - i)
+		}
+		bk.release()
+		return unsafe.SliceData(stale)
+	}
+	check := func(label string, m int, run func() (*BAT, error), ref func() (*BAT, error)) {
+		t.Helper()
+		arr := dirty(m)
+		got, err := run()
+		want, rerr := ref()
+		agree(t, label, bats(got), err, bats(want), rerr)
+		if err != nil {
+			return
+		}
+		if !got.dense && got.Len() > 0 && unsafe.SliceData(got.ints) != arr {
+			t.Fatalf("%s: the output is not the recycled buffer", label)
+		}
+		got.Release()
+	}
+	// Operands at the middle of each column and a range around it, so
+	// about half the rows pass in no particular order.
+	for _, c := range []struct {
+		col         *BAT
+		mid, lo, hi Val
+	}{
+		{FromInts(Int, ints), IntVal(500), IntVal(250), IntVal(750)},
+		{FromFloats(flts), FltVal(50), FltVal(25), FltVal(75)},
+	} {
+		col := c.col
+		for _, cands := range []*BAT{nil, FromInts(OID, every2nd)} {
+			m := n
+			if cands != nil {
+				m = cands.Len()
+			}
+			id := fmt.Sprintf("%s cands=%t", col.kind, cands != nil)
+			for _, op := range allCmps {
+				check("ThetaSelect "+op.String()+" "+id, m,
+					func() (*BAT, error) { return ThetaSelect(col, op, c.mid, cands) },
+					func() (*BAT, error) { return RefThetaSelect(col, op, c.mid, cands) })
+			}
+			for inc := 0; inc < 4; inc++ {
+				loInc, hiInc := inc&1 != 0, inc&2 != 0
+				check(fmt.Sprintf("RangeSelect %t/%t %s", loInc, hiInc, id), m,
+					func() (*BAT, error) { return RangeSelect(col, c.lo, c.hi, loInc, hiInc, cands) },
+					func() (*BAT, error) { return RefRangeSelect(col, c.lo, c.hi, loInc, hiInc, cands) })
+			}
+		}
+		flags, err := CompareScalar(LT, col, c.mid, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := trueOIDs(flags)
+		check("SelectTrue "+col.kind.String(), want.Len(),
+			func() (*BAT, error) { return SelectTrue(flags) },
+			func() (*BAT, error) { return want, nil })
 	}
 }
 
@@ -654,6 +803,21 @@ func FuzzKernelsAgree(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 32, 5, 3, 4, 0, 1, 4, 0, 5, 1, 2, 3, 4, 5, 3, 9})
 	f.Add([]byte{5, 5, 5, 5, 96, 6, 3, 4, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 2, 3, 1, 4})
 	f.Add([]byte{5, 0, 5, 0, 66, 7, 3, 4, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 1, 0, 6, 1, 200, 3})
+	// Bool columns, each selection loop under candidates too: all false
+	// and all true under both operands (all four keep pairs across the
+	// operators), and only the last row true, for SelectTrue.
+	f.Add([]byte{3, 3, 3, 3, 2, 6, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 2, 5, 1})
+	f.Add([]byte{3, 3, 3, 3, 2, 6, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 5, 4, 0})
+	f.Add([]byte{3, 3, 3, 3, 0, 6, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1})
+	// A Str Between over "%" < "BRUSHED" < "MAIL" < "a": bounds below
+	// ("", "\x00"), between ("PROMO") and above ("ba") the entries.
+	f.Add([]byte{2, 2, 2, 2, 0, 6, 0, 7, 0, 9, 8, 12, 1, 12, 9, 1, 8, 9, 12, 1, 8})
+	f.Add([]byte{2, 2, 2, 2, 2, 6, 7, 5, 0, 9, 8, 12, 1, 12, 9, 1, 8, 9, 12, 1, 8, 0, 3, 5})
+	f.Add([]byte{2, 2, 2, 2, 0, 6, 14, 5, 0, 9, 8, 12, 1, 12, 9, 1, 8, 9, 12, 1, 8})
+	// = and != with a NaN (fltDomain[15]) on either side and on both,
+	// float against float and an integer column against a float one.
+	f.Add([]byte{1, 1, 1, 1, 0, 6, 15, 2, 0, 15, 2, 15, 0, 1, 5, 2, 15, 15, 1, 0, 5})
+	f.Add([]byte{0, 1, 1, 0, 0, 6, 2, 3, 0, 0, 1, 3, 3, 0, 1, 2, 15, 15, 1, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkKernels(t, fuzzInputs(data))
 	})
