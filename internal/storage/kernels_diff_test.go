@@ -461,6 +461,25 @@ func TestKernelsMatchReference(t *testing.T) {
 		}
 	}
 	t.Run("recycled", checkRecycledSelections)
+	t.Run("chunked", func(t *testing.T) {
+		// More candidates than selectChunk: the loop runs once per part,
+		// and the buffer grows between parts.
+		n := selectChunk + 1000
+		ints := make([]int64, n)
+		var odd []int64
+		for i := range ints {
+			ints[i] = rng.Int63n(1000)
+			if i%2 == 1 || i > selectChunk {
+				odd = append(odd, int64(i))
+			}
+		}
+		col := FromInts(Int, ints)
+		for _, cands := range []*BAT{nil, FromInts(OID, odd)} {
+			got, err := RangeSelect(col, IntVal(250), IntVal(750), true, false, cands)
+			want, rerr := RefRangeSelect(col, IntVal(250), IntVal(750), true, false, cands)
+			agree(t, fmt.Sprintf("RangeSelect over %d rows cands=%t", n, cands != nil), bats(got), err, bats(want), rerr)
+		}
+	})
 }
 
 // targetedInputs are the cases the random table reaches only by luck,
