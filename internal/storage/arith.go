@@ -156,12 +156,12 @@ func Compare(op CmpOp, l, r *BAT) (*BAT, error) {
 		var pass [2][2]bool
 		for _, x := range []bool{false, true} {
 			for _, y := range []bool{false, true} {
-				pass[bit(x)][bit(y)] = op.holds(cmpBool(x, y))
+				pass[b2i(x)][b2i(y)] = op.holds(cmpBool(x, y))
 			}
 		}
 		out := make([]bool, len(l.bools))
 		for i, y := range r.bools {
-			out[i] = pass[bit(l.bools[i])][bit(y)]
+			out[i] = pass[b2i(l.bools[i])][b2i(y)]
 		}
 		return FromBools(out), nil
 	case l.kind == Flt || r.kind == Flt:
@@ -169,13 +169,6 @@ func Compare(op CmpOp, l, r *BAT) (*BAT, error) {
 	default:
 		return FromBools(compareCols(op, l.Ints(), r.Ints())), nil
 	}
-}
-
-func bit(x bool) int {
-	if x {
-		return 1
-	}
-	return 0
 }
 
 // compareCols is the comparison loop over two aligned typed arrays, one
@@ -186,12 +179,12 @@ func compareCols[T ordered](op CmpOp, a, b []T) []bool {
 	case EQ:
 		for i, y := range b {
 			x := a[i]
-			out[i] = x == y || x != x || y != y
+			out[i] = b2i(x == y)|b2i(x != x)|b2i(y != y) != 0
 		}
 	case NE:
 		for i, y := range b {
 			x := a[i]
-			out[i] = x != y && x == x && y == y
+			out[i] = b2i(x != y)&b2i(x == x)&b2i(y == y) != 0
 		}
 	case LT:
 		for i, y := range b {
@@ -236,25 +229,22 @@ func BoolCombine(and bool, l, r *BAT) (*BAT, error) {
 
 // SelectTrue returns the oids of true rows in a Bool BAT, bridging
 // elementwise predicates back into candidate lists. One pass counts the
-// true cells and a second fills a buffer of exactly that size; true
-// rows that are contiguous come back dense (ascendingOIDs).
+// true cells and a second fills a buffer of exactly that size, a
+// selection's write-then-advance (selectLoop) that stops once it has
+// kept them all, at the last true row, so it never writes past the
+// buffer; true rows that are contiguous come back dense (ascendingOIDs).
 func SelectTrue(b *BAT) (*BAT, error) {
 	if b.kind != Bool {
 		return nil, fmt.Errorf("storage: selectTrue over %s", b.kind)
 	}
 	n := 0
 	for _, v := range b.bools {
-		if v {
-			n++
-		}
+		n += b2i(v)
 	}
 	out, bk := take[int64](n)
-	at := 0
-	for i, v := range b.bools {
-		if v {
-			out[at] = int64(i)
-			at++
-		}
+	for i, at := 0, 0; at < n; i++ {
+		out[at] = int64(i)
+		at += b2i(b.bools[i])
 	}
 	return ascendingOIDs(out, bk), nil
 }
@@ -284,9 +274,10 @@ func CompareScalar(op CmpOp, b *BAT, v Val, flip bool) (*BAT, error) {
 // tabulate maps a Bool column through a predicate given by its value on
 // false cells and on true cells.
 func tabulate(col []bool, onFalse, onTrue bool) []bool {
+	f, t := b2i(onFalse), b2i(onTrue)
 	out := make([]bool, len(col))
 	for i, x := range col {
-		out[i] = (x && onTrue) || (!x && onFalse)
+		out[i] = b2i(x)&t|b2i(!x)&f != 0
 	}
 	return out
 }
@@ -298,11 +289,11 @@ func compareScalar[T ordered](op CmpOp, col []T, v T) []bool {
 	switch op.against(v != v) {
 	case EQ:
 		for i, x := range col {
-			out[i] = x == v || x != x
+			out[i] = b2i(x == v)|b2i(x != x) != 0
 		}
 	case NE:
 		for i, x := range col {
-			out[i] = x != v && x == x
+			out[i] = b2i(x != v)&b2i(x == x) != 0
 		}
 	case LT:
 		for i, x := range col {
@@ -336,7 +327,7 @@ func Between(b *BAT, lo, hi Val) (*BAT, error) {
 		a, z := b.dict.codeRange(lo.S, hi.S, true, true)
 		out := make([]bool, len(b.codes))
 		for i, c := range b.codes {
-			out[i] = c >= a && c < z
+			out[i] = b2i(c >= a)&b2i(c < z) != 0
 		}
 		return FromBools(out), nil
 	case b.kind == Bool:
@@ -364,7 +355,7 @@ func Between(b *BAT, lo, hi Val) (*BAT, error) {
 func between[T ordered](col []T, lo, hi T) []bool {
 	out := make([]bool, len(col))
 	for i, x := range col {
-		out[i] = !(x < lo) && !(x > hi)
+		out[i] = b2i(!(x < lo))&b2i(!(x > hi)) != 0
 	}
 	return out
 }

@@ -233,16 +233,33 @@ func oidRangeErr(what string, oid int64, n int) error {
 	return fmt.Errorf("storage: %s oid %d out of range 0..%d", what, oid, n-1)
 }
 
-// selectLoop appends to out the oids of span (positions of the column
-// being selected) whose cells pass, and returns the index in span.list
-// of the first oid outside the column, or -1. A range is in the column.
-type selectLoop func(out []int64, span oidSpan) ([]int64, int)
+// b2i is a bool as 0 or 1. The compiler makes it a flag read, not a
+// branch, so a loop that adds or ands it runs the same instructions
+// whatever its cells hold: a predicate is b2i(a)&b2i(b) != 0, never
+// a && b, and a selection advances its output index by one.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// selectLoop reads the oids of span (positions of the column being
+// selected) and keeps those whose cells pass, in order, at the front of
+// dst, which has exactly one cell per oid of span. It writes every oid
+// at the current end of what it kept and advances past it by the
+// predicate (dst[m] = oid; m += b2i(pass)), so no branch depends on a
+// cell and cells past the count hold oids that failed. It returns the
+// count and the index in span.list of the first oid outside the column,
+// or -1. A range is in the column.
+type selectLoop func(dst []int64, span oidSpan) (kept, bad int)
 
 // selection runs loop over the candidates in cands (every row of b when
-// nil) into a buffer from the allocation helper, and wraps the result.
-// Oids read from a range come out ascending and distinct, so they are
-// contiguous exactly when the last is the first plus the count less one:
-// then the result is dense and the buffer goes back at once.
+// nil) into a buffer from the allocation helper, and wraps the result;
+// it is the one place a selection's output is sized. Oids read from a
+// range come out ascending and distinct, so they are contiguous exactly
+// when the last is the first plus the count less one: then the result is
+// dense and the buffer goes back at once.
 func selection(b, cands *BAT, loop selectLoop) (*BAT, error) {
 	span := oidSpan{hi: int64(b.Len())}
 	if cands != nil {
@@ -259,12 +276,14 @@ func selection(b, cands *BAT, loop selectLoop) (*BAT, error) {
 	out = out[:0]
 	for at := 0; at < n; at += selectChunk {
 		part := span.sub(at, min(at+selectChunk, n))
-		out, bk = grow(out, bk, part.len())
-		var bad int
-		if out, bad = loop(out, part); bad >= 0 {
+		k := part.len()
+		out, bk = grow(out, bk, k)
+		kept, bad := loop(out[len(out):len(out)+k], part)
+		if bad >= 0 {
 			bk.release()
 			return nil, oidRangeErr("candidate", part.list[bad], b.Len())
 		}
+		out = out[:len(out)+kept]
 	}
 	if span.list != nil {
 		return wrap(OID, out, bk), nil
@@ -297,124 +316,114 @@ func ThetaSelect(b *BAT, op CmpOp, v Val, cands *BAT) (*BAT, error) {
 	switch {
 	case b.kind == Str:
 		op, code := b.dict.codeOp(op, v.S)
-		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectCmp(out, b.codes, op, code, c) })
+		return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectCmp(dst, b.codes, op, code, c) })
 	case b.kind == Bool:
 		keepF, keepT := op.holds(cmpBool(false, v.B)), op.holds(cmpBool(true, v.B))
-		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectBool(out, b.bools, keepF, keepT, c) })
+		return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectBool(dst, b.bools, keepF, keepT, c) })
 	case b.kind == Flt || v.Kind == Flt:
 		col, f := b.floats(), v.flt()
-		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectCmp(out, col, op, f, c) })
+		return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectCmp(dst, col, op, f, c) })
 	}
 	col := b.Ints()
-	return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectCmp(out, col, op, v.I, c) })
+	return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectCmp(dst, col, op, v.I, c) })
 }
 
-// selectCmp appends to out the positions in c — a range of col's rows,
-// read by the loop a selection without candidates runs, or a list of
-// candidates — whose cell satisfies "cell op v": one loop per operator,
-// a list's bounds checked in the same pass. It is a selectLoop.
-func selectCmp[T ordered](out []int64, col []T, op CmpOp, v T, c oidSpan) ([]int64, int) {
+// selectCmp keeps the positions in c — a range of col's rows, read by
+// the loop a selection without candidates runs, or a list of candidates
+// — whose cell satisfies "cell op v": one loop per operator, a list's
+// bounds checked in the same pass. It is a selectLoop.
+func selectCmp[T ordered](dst []int64, col []T, op CmpOp, v T, c oidSpan) (m, bad int) {
 	op = op.against(v != v)
 	if c.list == nil {
 		base, col := c.lo, col[c.lo:c.hi]
 		switch op {
 		case EQ:
 			for i, x := range col {
-				if x == v || x != x {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(x == v) | b2i(x != x)
 			}
 		case NE:
 			for i, x := range col {
-				if x != v && x == x {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(x != v) & b2i(x == x)
 			}
 		case LT:
 			for i, x := range col {
-				if x < v {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(x < v)
 			}
 		case LE:
 			for i, x := range col {
-				if !(x > v) {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(!(x > v))
 			}
 		case GT:
 			for i, x := range col {
-				if x > v {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(x > v)
 			}
 		default:
 			for i, x := range col {
-				if !(x < v) {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(!(x < v))
 			}
 		}
-		return out, -1
+		return m, -1
 	}
 	n := uint64(len(col))
 	switch op {
 	case EQ:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if x := col[oid]; x == v || x != x {
-				out = append(out, oid)
-			}
+			x := col[oid]
+			dst[m] = oid
+			m += b2i(x == v) | b2i(x != x)
 		}
 	case NE:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if x := col[oid]; x != v && x == x {
-				out = append(out, oid)
-			}
+			x := col[oid]
+			dst[m] = oid
+			m += b2i(x != v) & b2i(x == x)
 		}
 	case LT:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if col[oid] < v {
-				out = append(out, oid)
-			}
+			dst[m] = oid
+			m += b2i(col[oid] < v)
 		}
 	case LE:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if !(col[oid] > v) {
-				out = append(out, oid)
-			}
+			dst[m] = oid
+			m += b2i(!(col[oid] > v))
 		}
 	case GT:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if col[oid] > v {
-				out = append(out, oid)
-			}
+			dst[m] = oid
+			m += b2i(col[oid] > v)
 		}
 	default:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if !(col[oid] < v) {
-				out = append(out, oid)
-			}
+			dst[m] = oid
+			m += b2i(!(col[oid] < v))
 		}
 	}
-	return out, -1
+	return m, -1
 }
 
 // cmpBool is the three-way comparison of two bits, false before true.
@@ -431,26 +440,26 @@ func cmpBool(x, y bool) int {
 // selectBool is the selection loop of a Bool column: a cell has two
 // values, so the predicate is tabulated before the loop — keepF says
 // whether false cells pass, keepT whether true ones do.
-func selectBool(out []int64, col []bool, keepF, keepT bool, c oidSpan) ([]int64, int) {
+func selectBool(dst []int64, col []bool, keepF, keepT bool, c oidSpan) (m, bad int) {
+	f, t := b2i(keepF), b2i(keepT)
 	if c.list == nil {
 		base, col := c.lo, col[c.lo:c.hi]
 		for i, x := range col {
-			if (x && keepT) || (!x && keepF) {
-				out = append(out, base+int64(i))
-			}
+			dst[m] = base + int64(i)
+			m += b2i(x)&t | b2i(!x)&f
 		}
-		return out, -1
+		return m, -1
 	}
 	n := uint64(len(col))
 	for k, oid := range c.list {
 		if uint64(oid) >= n {
-			return nil, k
+			return 0, k
 		}
-		if x := col[oid]; (x && keepT) || (!x && keepF) {
-			out = append(out, oid)
-		}
+		x := col[oid]
+		dst[m] = oid
+		m += b2i(x)&t | b2i(!x)&f
 	}
-	return out, -1
+	return m, -1
 }
 
 // boundOps returns the comparisons a range's bounds stand for:
@@ -487,92 +496,88 @@ func RangeSelect(b *BAT, lo, hi Val, loInc, hiInc bool, cands *BAT) (*BAT, error
 	switch {
 	case b.kind == Str:
 		a, z := b.dict.codeRange(lo.S, hi.S, loInc, hiInc)
-		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectRange(out, b.codes, a, z, true, false, c) })
+		return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectRange(dst, b.codes, a, z, true, false, c) })
 	case b.kind == Bool:
 		keep := func(x bool) bool { return loOp.holds(cmpBool(x, lo.B)) && hiOp.holds(cmpBool(x, hi.B)) }
 		keepF, keepT := keep(false), keep(true)
-		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectBool(out, b.bools, keepF, keepT, c) })
+		return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectBool(dst, b.bools, keepF, keepT, c) })
 	case b.kind == Flt || lo.Kind == Flt:
 		col, l, h := b.floats(), lo.flt(), hi.flt()
-		return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectRange(out, col, l, h, loInc, hiInc, c) })
+		return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectRange(dst, col, l, h, loInc, hiInc, c) })
 	}
 	col := b.Ints()
-	return selection(b, cands, func(out []int64, c oidSpan) ([]int64, int) { return selectRange(out, col, lo.I, hi.I, loInc, hiInc, c) })
+	return selection(b, cands, func(dst []int64, c oidSpan) (int, int) { return selectRange(dst, col, lo.I, hi.I, loInc, hiInc, c) })
 }
 
 // selectRange is selectCmp for a two-sided range: both bounds tested in
 // one pass, one loop per inclusivity pair.
-func selectRange[T ordered](out []int64, col []T, lo, hi T, loInc, hiInc bool, c oidSpan) ([]int64, int) {
+func selectRange[T ordered](dst []int64, col []T, lo, hi T, loInc, hiInc bool, c oidSpan) (m, bad int) {
 	if c.list == nil {
 		base, col := c.lo, col[c.lo:c.hi]
 		switch {
 		case loInc && hiInc:
 			for i, x := range col {
-				if !(x < lo) && !(x > hi) {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(!(x < lo)) & b2i(!(x > hi))
 			}
 		case loInc:
 			for i, x := range col {
-				if !(x < lo) && x < hi {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(!(x < lo)) & b2i(x < hi)
 			}
 		case hiInc:
 			for i, x := range col {
-				if x > lo && !(x > hi) {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(x > lo) & b2i(!(x > hi))
 			}
 		default:
 			for i, x := range col {
-				if x > lo && x < hi {
-					out = append(out, base+int64(i))
-				}
+				dst[m] = base + int64(i)
+				m += b2i(x > lo) & b2i(x < hi)
 			}
 		}
-		return out, -1
+		return m, -1
 	}
 	n := uint64(len(col))
 	switch {
 	case loInc && hiInc:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if x := col[oid]; !(x < lo) && !(x > hi) {
-				out = append(out, oid)
-			}
+			x := col[oid]
+			dst[m] = oid
+			m += b2i(!(x < lo)) & b2i(!(x > hi))
 		}
 	case loInc:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if x := col[oid]; !(x < lo) && x < hi {
-				out = append(out, oid)
-			}
+			x := col[oid]
+			dst[m] = oid
+			m += b2i(!(x < lo)) & b2i(x < hi)
 		}
 	case hiInc:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if x := col[oid]; x > lo && !(x > hi) {
-				out = append(out, oid)
-			}
+			x := col[oid]
+			dst[m] = oid
+			m += b2i(x > lo) & b2i(!(x > hi))
 		}
 	default:
 		for k, oid := range c.list {
 			if uint64(oid) >= n {
-				return nil, k
+				return 0, k
 			}
-			if x := col[oid]; x > lo && x < hi {
-				out = append(out, oid)
-			}
+			x := col[oid]
+			dst[m] = oid
+			m += b2i(x > lo) & b2i(x < hi)
 		}
 	}
-	return out, -1
+	return m, -1
 }
 
 // Project gathers tail[oid] for every oid in oids, producing a column
