@@ -236,7 +236,8 @@ func oidRangeErr(what string, oid int64, n int) error {
 // b2i is a bool as 0 or 1. The compiler makes it a flag read, not a
 // branch, so a loop that adds or ands it runs the same instructions
 // whatever its cells hold: a predicate is b2i(a)&b2i(b) != 0, never
-// a && b, and a selection advances its output index by one.
+// a && b, and a selection advances its output index by b2i of its
+// predicate.
 func b2i(b bool) int {
 	if b {
 		return 1
